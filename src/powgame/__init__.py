@@ -1,14 +1,15 @@
 """Nash equilibria for proof-of-work mining under resource uncertainty.
 
 Three interchangeable best-response back-ends drive one Gauss-Seidel
-iteration: a deterministic closed form, a Gaussian solver based on a
-Bernstein-type tail bound, and a distribution-free solver based on
-worst-case CVaR over a mean/variance ambiguity set.  Monte Carlo and
-analytic two-point oracles validate the robustness of the results.
+iteration: a deterministic closed form and two robust back-ends.  The robust
+ones share one alternating-optimization driver (``robust``) and differ only
+in the certificate of the chance constraint: a Bernstein-type tail bound
+under Gaussian uncertainty (``bti``), or the exact worst-case CVaR over a
+mean/variance ambiguity set (``cvar``).  Monte Carlo and analytic two-point
+oracles validate the robustness of the results.
 """
 
 from .bti import (
-    BtiBestResponse,
     BtiCoefficients,
     bti_constraint_value,
     robust_best_response_gaussian,
@@ -16,11 +17,9 @@ from .bti import (
     subproblem_threshold_gaussian,
 )
 from .cvar import (
-    CvarBestResponse,
     CvarCertificate,
     LossCoefficients,
     MomentMatrix,
-    loss_eval,
     robust_best_response,
     subproblem_strategy,
     subproblem_threshold,
@@ -46,6 +45,7 @@ from .model import (
     utility_gradient,
     utility_second_derivative,
 )
+from .robust import BestResponse
 from .validate import (
     DISTRIBUTIONS,
     SampleBatch,
@@ -59,10 +59,9 @@ from .validate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BtiBestResponse",
+    "BestResponse",
     "BtiCoefficients",
     "ConvergenceError",
-    "CvarBestResponse",
     "CvarCertificate",
     "DeterministicEquilibrium",
     "DISTRIBUTIONS",
@@ -85,7 +84,6 @@ __all__ = [
     "empirical_utilities",
     "empirical_violation",
     "hash_power",
-    "loss_eval",
     "others_load",
     "robust_best_response",
     "robust_best_response_gaussian",

@@ -10,9 +10,11 @@ loss), and a Bernstein-type concentration bound turns the chance constraint
 
 (The second-order-cone auxiliary equals sqrt(A^2 + 2 b^2) at tightness and
 the positive-part auxiliary equals max(0, -A); with A < 0 here, exactly the
-``omega + A >= 0`` branch binds.)  g is concave in u_min, so the threshold
-step is an exact bisection, and the strategy step maximizes g itself over
-alpha -- the constraint value is its own slack.
+``omega + A >= 0`` branch binds.)
+
+For the alternating optimization in ``robust``: g is concave in u_min, so
+the threshold step is an exact bisection on its sign, and the strategy step
+maximizes g itself over alpha -- the constraint value is its own slack.
 """
 
 from __future__ import annotations
@@ -20,30 +22,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import deterministic
-from ._search import scan_golden_max
-from .model import (
-    ConvergenceError,
-    GameConfig,
-    MinerParams,
-    RewardModel,
-    SolverError,
-    others_load,
+from .model import GameConfig, MinerParams, RewardModel
+from .robust import (
+    AO_CAP,
+    AO_TOL,
+    BISECT_TOL,
+    BestResponse,
+    alternate,
+    bisect_threshold,
+    scan_strategy,
 )
 
 __all__ = [
     "BtiCoefficients",
-    "BtiBestResponse",
     "bti_constraint_value",
     "subproblem_threshold_gaussian",
     "subproblem_strategy_gaussian",
     "robust_best_response_gaussian",
 ]
-
-U_FLOOR = -1e9
-BISECT_TOL = 1e-6
-AO_TOL = 1e-6
-AO_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -100,129 +96,51 @@ def bti_constraint_value(coeffs: BtiCoefficients, epsilon) -> float:
     )
 
 
-def _g(alpha, u_min, load, params, reward, epsilon):
-    return bti_constraint_value(
-        BtiCoefficients.from_strategy(alpha, u_min, load, params, reward), epsilon
-    )
-
-
 def subproblem_threshold_gaussian(
-    alpha,
-    load,
-    params: MinerParams,
-    reward: RewardModel,
-    epsilon,
-    u_lo=None,
-    u_tol=BISECT_TOL,
+    alpha, load, params: MinerParams, reward: RewardModel, epsilon, u_lo=None, u_tol=BISECT_TOL
 ) -> float:
     """Largest u_min with g(u_min) >= 0 at fixed alpha (exact by concavity)."""
-    if params.sigma2 <= 0:
-        raise ValueError("robust threshold needs positive variance")
-    u_hi = reward.total
-    if _g(alpha, u_hi, load, params, reward, epsilon) >= 0.0:
-        raise SolverError("threshold at the full reward certifies; inputs are malformed")
-    if u_lo is None:
-        u_lo = -reward.total - params.cost * params.x_max
-    while _g(alpha, u_lo, load, params, reward, epsilon) < 0.0:
-        if u_lo <= U_FLOOR:
-            raise SolverError(f"no feasible threshold above {U_FLOOR}")
-        u_lo = u_lo - 3.0 * abs(u_lo) - 1.0  # quadruple the reach downward
-    while u_hi - u_lo > u_tol:
-        mid = 0.5 * (u_lo + u_hi)
-        if _g(alpha, mid, load, params, reward, epsilon) >= 0.0:
-            u_lo = mid
-        else:
-            u_hi = mid
-    return u_lo
+
+    # g is built inline here and in the strategy step, not through a shared
+    # helper: a sweep evaluates it millions of times and a frame per call shows
+    def certify(u):
+        coeffs = BtiCoefficients.from_strategy(alpha, u, load, params, reward)
+        return bti_constraint_value(coeffs, epsilon) >= 0.0
+
+    return bisect_threshold(certify, params, reward, u_lo, u_tol)[0]
 
 
 def subproblem_strategy_gaussian(
-    u_min,
-    alpha_in,
-    load,
-    params: MinerParams,
-    reward: RewardModel,
-    tau0,
-    epsilon,
-    scan_step=None,
-    alpha_tol=1e-6,
+    u_min, alpha_in, load, params: MinerParams, reward: RewardModel, tau0, epsilon,
+    scan_step=None, alpha_tol=1e-6,
 ) -> tuple[float, float, bool]:
-    """Strategy update at fixed u_min: maximize the bound slack g over alpha.
+    """Strategy update at fixed u_min: (alpha, g, feasible) maximizing g over alpha.
 
     With the quadratic auxiliary taken tight (t = -cost * alpha^2), the
     reparameterized bound equals g itself, so maximizing it keeps the current
-    u_min feasible for the next threshold step.  Returns (alpha, slack,
-    feasible); the incoming alpha is returned unchanged when nothing
-    certifies.
+    u_min feasible for the next threshold step.
     """
-    if scan_step is None:
-        scan_step = max((1.0 - tau0) / 40.0, 1e-4)
-    slack = lambda a: _g(a, u_min, load, params, reward, epsilon)
-    alpha, best = scan_golden_max(
-        slack, tau0, 1.0, scan_step, tol=alpha_tol, extra=(alpha_in,)
-    )
-    incoming = slack(alpha_in)
-    # sub-noise improvements keep the incoming alpha so iteration can settle
-    if best < incoming + 1e-6 * (1.0 + abs(incoming)):
-        alpha, best = alpha_in, incoming
-    if best < 0.0:
-        return float(alpha_in), incoming, False
-    return float(alpha), float(best), True
 
+    def slack(a):
+        coeffs = BtiCoefficients.from_strategy(a, u_min, load, params, reward)
+        return bti_constraint_value(coeffs, epsilon)
 
-@dataclass(frozen=True)
-class BtiBestResponse:
-    """One miner's Gaussian robust best response with diagnostics."""
-
-    alpha: float
-    u_min: float
-    iterations: int
-    u_history: tuple[float, ...]
+    return scan_strategy(slack, alpha_in, tau0, scan_step, alpha_tol)
 
 
 def robust_best_response_gaussian(
-    j: int,
-    profile,
-    config: GameConfig,
-    ao_tol=AO_TOL,
-    max_ao_iterations=AO_CAP,
-    warm_start=None,
-) -> BtiBestResponse:
+    j: int, profile, config: GameConfig, ao_tol=AO_TOL, max_ao_iterations=AO_CAP, warm_start=None
+) -> BestResponse:
     """Alternating optimization for miner j under Gaussian uncertainty.
 
     ``warm_start`` may carry an (alpha, u_min) pair from a previous solve.
+    The result has no separate certificate: g >= 0 is its own.
     """
-    params = config.miners[j]
-    load = others_load(j, profile, config.nominal_resources())
-    if warm_start is None:
-        alpha = deterministic.best_response(j, profile, config)
-        u_floor = None
-    else:
-        alpha = min(1.0, max(config.tau0, warm_start[0]))
-        u_floor = warm_start[1]
-    u_min = subproblem_threshold_gaussian(
-        alpha, load, params, config.reward, config.epsilon, u_lo=u_floor
-    )
-    history = [u_min]
-    for iteration in range(1, max_ao_iterations + 1):
-        alpha_new, slack, feasible = subproblem_strategy_gaussian(
-            u_min, alpha, load, params, config.reward, config.tau0, config.epsilon
-        )
-        u_new = subproblem_threshold_gaussian(
-            alpha_new,
-            load,
-            params,
-            config.reward,
-            config.epsilon,
-            u_lo=u_min if feasible else None,
-        )
-        history.append(u_new)
-        delta = abs(u_new - u_min) + abs(alpha_new - alpha)
-        alpha, u_min = alpha_new, u_new
-        if delta <= ao_tol:
-            return BtiBestResponse(float(alpha), float(u_min), iteration, tuple(history))
-    last = BtiBestResponse(float(alpha), float(u_min), max_ao_iterations, tuple(history))
-    raise ConvergenceError(
-        f"alternating optimization did not settle in {max_ao_iterations} iterations",
-        last=last,
+
+    def threshold(*args, **kwargs):
+        return subproblem_threshold_gaussian(*args, **kwargs), None
+
+    return alternate(
+        j, profile, config, threshold, subproblem_strategy_gaussian,
+        ao_tol, max_ao_iterations, warm_start,
     )

@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .equilibrium import EquilibriumResult, solve_equilibrium
-from .model import GameConfig, MinerParams, RewardModel
-from .validate import empirical_violation, sample_uncertainty
+from .model import ConvergenceError, GameConfig, MinerParams, RewardModel, SolverError
+from .validate import DISTRIBUTIONS, empirical_violation, sample_uncertainty
 
 __all__ = [
     "Scenario",
@@ -107,43 +107,43 @@ def _per_miner(raw, count, field):
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build a Scenario from a parsed JSON document (reference defaults built in)."""
     _require(isinstance(doc, dict), "top-level document must be a JSON object")
-    name = str(doc.get("name", "scenario"))
-    count = int(doc.get("miners", 5))
-    _require(count >= 2, "field 'miners': need at least 2 miners")
-    seed = int(doc.get("seed", 0))
+    try:  # coerces every field, so a wrong type or range is a ScenarioError
+        name = str(doc.get("name", "scenario"))
+        count = int(doc.get("miners", 5))
+        _require(count >= 2, "field 'miners': need at least 2 miners")
+        seed = int(doc.get("seed", 0))
 
-    resources = doc.get("resources", {"mode": "homogeneous", "x_hat": 55.0})
-    _require(isinstance(resources, dict) and "mode" in resources, "field 'resources': need a mode")
-    if resources["mode"] == "homogeneous":
-        x_hats = [float(resources.get("x_hat", 55.0))] * count
-    elif resources["mode"] == "heterogeneous":
-        lo = float(resources.get("lo", 30.0))
-        hi = float(resources.get("hi", 60.0))
-        _require(0 < lo < hi, "field 'resources': need 0 < lo < hi")
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed & 0xFFFFFFFF, spawn_key=(0xFEED,)))
+        resources = doc.get("resources", {"mode": "homogeneous", "x_hat": 55.0})
+        _require(isinstance(resources, dict) and "mode" in resources, "field 'resources': need a mode")
+        if resources["mode"] == "homogeneous":
+            x_hats = [float(resources.get("x_hat", 55.0))] * count
+        elif resources["mode"] == "heterogeneous":
+            lo = float(resources.get("lo", 30.0))
+            hi = float(resources.get("hi", 60.0))
+            _require(0 < lo < hi, "field 'resources': need 0 < lo < hi")
+            rng = np.random.Generator(
+                np.random.Philox(np.random.SeedSequence(entropy=seed & 0xFFFFFFFF, spawn_key=(0xFEED,)))
+            )
+            x_hats = [float(v) for v in rng.uniform(lo, hi, size=count)]
+        else:
+            raise ScenarioError(
+                f"field 'resources.mode': expected homogeneous|heterogeneous, got {resources['mode']!r}"
+            )
+
+        reward_doc = doc.get("reward", {})
+        _require(isinstance(reward_doc, dict), "field 'reward': expected an object")
+        reward = RewardModel(
+            fixed_reward=float(reward_doc.get("fixed_reward", 5000.0)),
+            unit_tx_reward=float(reward_doc.get("unit_tx_reward", 10.0)),
+            tx_count=float(reward_doc.get("tx_count", 300.0)),
         )
-        x_hats = [float(v) for v in rng.uniform(lo, hi, size=count)]
-    else:
-        raise ScenarioError(
-            f"field 'resources.mode': expected homogeneous|heterogeneous, got {resources['mode']!r}"
-        )
 
-    reward_doc = doc.get("reward", {})
-    _require(isinstance(reward_doc, dict), "field 'reward': expected an object")
-    reward = RewardModel(
-        fixed_reward=float(reward_doc.get("fixed_reward", 5000.0)),
-        unit_tx_reward=float(reward_doc.get("unit_tx_reward", 10.0)),
-        tx_count=float(reward_doc.get("tx_count", 300.0)),
-    )
+        costs = _per_miner(doc.get("unit_cost", 60.0), count, "unit_cost")
+        mus = _per_miner(doc.get("mu", 0.0), count, "mu")
+        sigma = _per_miner(doc.get("sigma", 10.0), count, "sigma")
+        x_min = float(doc.get("x_min", 10.0))
+        x_max = float(doc.get("x_max", 100.0))
 
-    costs = _per_miner(doc.get("unit_cost", 60.0), count, "unit_cost")
-    mus = _per_miner(doc.get("mu", 0.0), count, "mu")
-    sigma = _per_miner(doc.get("sigma", 10.0), count, "sigma")
-    x_min = float(doc.get("x_min", 10.0))
-    x_max = float(doc.get("x_max", 100.0))
-
-    try:
         miners = tuple(
             MinerParams(
                 x_hat=x_hats[j],
@@ -163,27 +163,31 @@ def scenario_from_dict(doc: dict) -> Scenario:
             kappa=float(doc.get("kappa", 1e-6)),
             max_iterations=int(doc.get("max_iterations", 100)),
         )
-    except ValueError as exc:
+
+        validation = doc.get("validation", {})
+        _require(isinstance(validation, dict), "field 'validation': expected an object")
+        distributions = tuple(
+            validation.get("distributions", ["gaussian", "uniform", "poisson_shifted"])
+        )
+        unknown = [d for d in distributions if d not in DISTRIBUTIONS]
+        _require(not unknown, f"field 'validation.distributions': unknown {unknown}")
+        samples = int(validation.get("samples", 1000))
+        _require(samples >= 1, "field 'validation.samples': need at least 1")
+
+        return Scenario(
+            name=name,
+            config=config,
+            modes=_resolve_modes(doc.get("mode", "all")),
+            seed=seed,
+            initial_alpha=float(doc.get("initial_alpha", 0.35)),
+            distributions=distributions,
+            samples=samples,
+            clamp=bool(validation.get("clamp", False)),
+        )
+    except ScenarioError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(str(exc)) from exc
-
-    validation = doc.get("validation", {})
-    _require(isinstance(validation, dict), "field 'validation': expected an object")
-    distributions = tuple(
-        validation.get("distributions", ["gaussian", "uniform", "poisson_shifted"])
-    )
-    samples = int(validation.get("samples", 1000))
-    _require(samples >= 1, "field 'validation.samples': need at least 1")
-
-    return Scenario(
-        name=name,
-        config=config,
-        modes=_resolve_modes(doc.get("mode", "all")),
-        seed=seed,
-        initial_alpha=float(doc.get("initial_alpha", 0.35)),
-        distributions=distributions,
-        samples=samples,
-        clamp=bool(validation.get("clamp", False)),
-    )
 
 
 def load_scenario(path, seed=None, mode=None) -> Scenario:
@@ -205,6 +209,10 @@ def load_scenario(path, seed=None, mode=None) -> Scenario:
         scenario = scenario_from_dict(doc)
     if mode is not None:
         scenario = replace(scenario, modes=_resolve_modes(mode))
+    # after the --mode override, so `--mode det` still runs a zero-variance scenario
+    robust = set(scenario.modes) != {"deterministic"}
+    if robust and any(m.sigma2 <= 0 for m in scenario.config.miners):
+        raise ScenarioError("field 'sigma': modes bti and cvar need sigma > 0 for every miner")
     return scenario
 
 
@@ -292,7 +300,7 @@ def run_sweep(scenario: Scenario, axis: str, values, out_dir) -> int:
         for mode in scenario.modes:
             try:
                 result = solve_equilibrium(config, mode, initial_alpha=scenario.initial_alpha)
-            except Exception as exc:  # recorded, not fatal: the sweep continues
+            except (ConvergenceError, SolverError) as exc:  # recorded; the sweep continues
                 rows.append((value, MODE_SHORT[mode], math.nan, math.nan, -1, f"error:{type(exc).__name__}"))
                 continue
             committed = float(np.dot(np.asarray(result.alphas, dtype=float), x))
@@ -397,6 +405,9 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except (ConvergenceError, SolverError) as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

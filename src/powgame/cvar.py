@@ -14,12 +14,10 @@ with ``Omega`` the second-moment matrix of the resource.  Because everything
 is 2x2, the inner minimization over M has a closed form: congruence by
 ``Omega^{1/2}`` reduces it to the positive part of a symmetric matrix, so the
 worst-case CVaR is an exact one-dimensional convex minimization over beta.
-A damped-Newton log-barrier solver for the same subproblem is kept alongside
-as an independent cross-check.
 
-The best response alternates two blocks: bisection on ``u_min`` (threshold
-step) and maximization of the certified constraint slack over alpha
-(strategy step).
+For the alternating optimization in ``robust``, any beta whose CVaR bound is
+nonpositive certifies a threshold, and the strategy step maximizes the
+negated worst-case CVaR over alpha.
 """
 
 from __future__ import annotations
@@ -29,34 +27,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import deterministic
-from ._search import expand_bracket_min, golden_min, scan_golden_max
-from .model import (
-    ConvergenceError,
-    GameConfig,
-    MinerParams,
-    RewardModel,
-    SolverError,
-    others_load,
+from ._search import expand_bracket_min, golden_min
+from .model import GameConfig, MinerParams, RewardModel
+from .robust import (
+    AO_CAP,
+    AO_TOL,
+    BISECT_TOL,
+    BestResponse,
+    alternate,
+    bisect_threshold,
+    scan_strategy,
 )
 
 __all__ = [
     "LossCoefficients",
     "MomentMatrix",
     "CvarCertificate",
-    "CvarBestResponse",
-    "loss_eval",
     "worstcase_cvar",
-    "barrier_worstcase_cvar",
     "subproblem_threshold",
     "subproblem_strategy",
     "robust_best_response",
 ]
-
-U_FLOOR = -1e9  # a threshold this low that is still infeasible means bad inputs
-BISECT_TOL = 1e-6
-AO_TOL = 1e-6
-AO_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -88,11 +79,6 @@ class LossCoefficients:
 
     def __call__(self, x):
         return (self.a2 * x + self.a1) * x + self.a0
-
-
-def loss_eval(coeffs: LossCoefficients, x) -> float:
-    """Evaluate the loss; positive exactly when utility falls below u_min."""
-    return coeffs(x)
 
 
 @dataclass(frozen=True)
@@ -144,11 +130,10 @@ class CvarCertificate:
     def matrix(self) -> np.ndarray:
         return np.array([[self.m11, self.m12], [self.m12, self.m22]])
 
-    def constraint_matrix(self, coeffs: LossCoefficients, u_min=None) -> np.ndarray:
+    def constraint_matrix(self, coeffs: LossCoefficients) -> np.ndarray:
         """The dominated block Q; its corner entry is u_min * C - beta."""
-        u = self.u_min if u_min is None else u_min
         q12 = 0.5 * coeffs.a1
-        return np.array([[coeffs.a2, q12], [q12, u * coeffs.C - self.beta]])
+        return np.array([[coeffs.a2, q12], [q12, self.u_min * coeffs.C - self.beta]])
 
     def slacks(self, coeffs: LossCoefficients, moments: MomentMatrix, epsilon):
         """(min eig of M, min eig of M - Q, trace slack); all >= 0 when valid."""
@@ -265,145 +250,24 @@ def worstcase_cvar(
     return _CvarEvaluator(coeffs, moments, epsilon).minimize(stop_below=stop_below)
 
 
-def barrier_worstcase_cvar(
-    coeffs: LossCoefficients,
-    moments: MomentMatrix,
-    epsilon,
-    newton_tol=1e-9,
-    max_outer=50,
-    reduction=0.2,
-):
-    """Worst-case CVaR via a damped-Newton log-barrier on the two 2x2 cones.
-
-    Independent of the eigenvalue route (used to cross-check it):  minimizes
-    beta + Tr(Omega M)/epsilon over (beta, M) subject to M and M - Q(beta)
-    positive definite, with barrier -ln det M - ln det(M - Q) and barrier
-    weight shrunk by ``reduction`` each outer stage.
-    """
-    omega = moments.matrix
-    eps = epsilon
-    cvec = np.array([1.0, omega[0, 0] / eps, 2.0 * omega[0, 1] / eps, omega[1, 1] / eps])
-    q11, q12, a0 = coeffs.a2, 0.5 * coeffs.a1, coeffs.a0
-
-    def blocks(z):
-        beta, m11, m12, m22 = z
-        return (m11, m12, m22), (m11 - q11, m12 - q12, m22 - a0 + beta)
-
-    def domain_ok(z):
-        (g11, g12, g22), (h11, h12, h22) = blocks(z)
-        return (
-            g11 > 0.0
-            and g11 * g22 - g12 * g12 > 0.0
-            and h11 > 0.0
-            and h11 * h22 - h12 * h12 > 0.0
-        )
-
-    def merit(z, w):
-        (g11, g12, g22), (h11, h12, h22) = blocks(z)
-        return float(cvec @ z) - w * (
-            math.log(g11 * g22 - g12 * g12) + math.log(h11 * h22 - h12 * h12)
-        )
-
-    def grad_hess(z, w):
-        (g11, g12, g22), (h11, h12, h22) = blocks(z)
-        det_g = g11 * g22 - g12 * g12
-        det_h = h11 * h22 - h12 * h12
-        gd_g = np.array([0.0, g22, -2.0 * g12, g11])
-        gd_h = np.array([h11, h22, -2.0 * h12, h11])
-        grad = cvec - w * (gd_g / det_g + gd_h / det_h)
-        hess_g = np.zeros((4, 4))
-        hess_g[1, 3] = hess_g[3, 1] = 1.0
-        hess_g[2, 2] = -2.0
-        hess_h = np.zeros((4, 4))
-        hess_h[0, 1] = hess_h[1, 0] = 1.0
-        hess_h[1, 3] = hess_h[3, 1] = 1.0
-        hess_h[2, 2] = -2.0
-        hess = w * (
-            np.outer(gd_g, gd_g) / det_g**2
-            - hess_g / det_g
-            + np.outer(gd_h, gd_h) / det_h**2
-            - hess_h / det_h
-        )
-        return grad, hess
-
-    # strictly feasible start: beta = 0, M = Q(0) shifted into the PD cone
-    q = np.array([[q11, q12], [q12, a0]])
-    shift = max(0.0, -float(np.linalg.eigvalsh(q)[0])) + 1.0
-    m0 = q + shift * np.eye(2)
-    z = np.array([0.0, m0[0, 0], m0[0, 1], m0[1, 1]])
-    w = 1.0 + abs(float(cvec @ z))
-    for _ in range(max_outer):
-        for _ in range(80):
-            grad, hess = grad_hess(z, w)
-            try:
-                step = np.linalg.solve(hess + 1e-14 * np.eye(4), -grad)
-            except np.linalg.LinAlgError:
-                step = -grad
-            decrement2 = float(-grad @ step)
-            if decrement2 / 2.0 <= newton_tol:
-                break
-            t, base = 1.0, merit(z, w)
-            slope = float(grad @ step)
-            while t > 1e-13:
-                z_new = z + t * step
-                if domain_ok(z_new) and merit(z_new, w) <= base + 0.25 * t * slope:
-                    break
-                t *= 0.5
-            z = z + t * step
-        value = float(cvec @ z)
-        if 4.0 * w <= 1e-10 * (1.0 + abs(value)):
-            break
-        w *= reduction
-    return float(cvec @ z), z
-
-
-def _threshold_feasible(alpha, u_min, load, params, reward, epsilon):
-    coeffs = LossCoefficients.from_strategy(alpha, u_min, load, params.cost, reward.total)
-    moments = MomentMatrix.from_params(params)
-    evaluator = _CvarEvaluator(coeffs, moments, epsilon)
-    value, beta = evaluator.minimize(stop_below=0.0)
-    return value <= 0.0, beta, evaluator
-
-
 def subproblem_threshold(
-    alpha,
-    load,
-    params: MinerParams,
-    reward: RewardModel,
-    epsilon,
-    u_lo=None,
-    u_tol=BISECT_TOL,
+    alpha, load, params: MinerParams, reward: RewardModel, epsilon, u_lo=None, u_tol=BISECT_TOL
 ) -> tuple[float, CvarCertificate]:
     """Largest certifiable u_min at fixed alpha, with its certificate.
 
-    The feasible set of u_min is an interval (the worst-case CVaR is convex
-    in u_min), so bisection between a feasible floor and the total reward
-    converges to its upper endpoint.  ``u_lo`` may warm-start the floor with
-    any value known to be feasible.
+    Each bisection probe stops its search over beta once the worst-case CVaR
+    drops to 0; the last certified probe's beta yields the certificate.
     """
-    if params.sigma2 <= 0:
-        raise ValueError("robust threshold needs positive variance")
-    u_hi = reward.total
-    ok, _, _ = _threshold_feasible(alpha, u_hi, load, params, reward, epsilon)
-    if ok:
-        raise SolverError("threshold at the full reward certifies; inputs are malformed")
-    if u_lo is None:
-        u_lo = -reward.total - params.cost * params.x_max
-    ok, beta, evaluator = _threshold_feasible(alpha, u_lo, load, params, reward, epsilon)
-    while not ok:
-        if u_lo <= U_FLOOR:
-            raise SolverError(f"no feasible threshold above {U_FLOOR}")
-        u_lo = u_lo - 3.0 * abs(u_lo) - 1.0  # quadruple the reach downward
-        ok, beta, evaluator = _threshold_feasible(alpha, u_lo, load, params, reward, epsilon)
-    while u_hi - u_lo > u_tol:
-        mid = 0.5 * (u_lo + u_hi)
-        ok, beta_mid, ev_mid = _threshold_feasible(alpha, mid, load, params, reward, epsilon)
-        if ok:
-            u_lo, beta, evaluator = mid, beta_mid, ev_mid
-        else:
-            u_hi = mid
-    cert = evaluator.certificate(beta, u_lo, t_c=params.cost * alpha * alpha)
-    return u_lo, cert
+    moments = MomentMatrix.from_params(params)
+
+    def certify(u):
+        coeffs = LossCoefficients.from_strategy(alpha, u, load, params.cost, reward.total)
+        evaluator = _CvarEvaluator(coeffs, moments, epsilon)
+        value, beta = evaluator.minimize(stop_below=0.0)
+        return (beta, evaluator) if value <= 0.0 else None
+
+    u_min, (beta, evaluator) = bisect_threshold(certify, params, reward, u_lo, u_tol)
+    return u_min, evaluator.certificate(beta, u_min, t_c=params.cost * alpha * alpha)
 
 
 def certified_slack(alpha, u_min, load, params: MinerParams, reward: RewardModel, epsilon):
@@ -415,107 +279,30 @@ def certified_slack(alpha, u_min, load, params: MinerParams, reward: RewardModel
 
 
 def subproblem_strategy(
-    u_min,
-    cert: CvarCertificate,
-    alpha_in,
-    load,
-    params: MinerParams,
-    reward: RewardModel,
-    tau0,
-    epsilon,
-    scan_step=None,
-    alpha_tol=1e-6,
+    u_min, alpha_in, load, params: MinerParams, reward: RewardModel, tau0, epsilon,
+    scan_step=None, alpha_tol=1e-6,
 ) -> tuple[float, float, bool]:
-    """Strategy update at fixed u_min: maximize the certified constraint slack.
+    """Strategy update at fixed u_min: (alpha, slack, feasible) maximizing the certified slack.
 
-    The printed subproblem has a constant objective, so the selection rule is
-    slack maximization.  The slack of the single matrix block against the
-    incoming trace-minimal certificate is degenerate (it peaks at the incoming
-    alpha by construction), so the slack maximized here is the aggregate
-    certified slack, the negated worst-case CVaR re-certified per alpha.  Any
-    alpha with nonnegative slack keeps (u_min, beta, M) feasible, which is
-    what the subsequent threshold step needs.
-
-    Returns ``(alpha, slack, feasible)``; when no alpha certifies, the
-    incoming alpha is returned with ``feasible=False``.
+    The slack against the incoming trace-minimal certificate would peak at
+    the incoming alpha by construction, so the slack maximized here is the
+    negated worst-case CVaR, re-certified per alpha.
     """
-    if scan_step is None:
-        scan_step = max((1.0 - tau0) / 40.0, 1e-4)
-    slack = lambda a: certified_slack(a, u_min, load, params, reward, epsilon)
-    alpha, best = scan_golden_max(
-        slack, tau0, 1.0, scan_step, tol=alpha_tol, extra=(alpha_in,)
+    return scan_strategy(
+        lambda a: certified_slack(a, u_min, load, params, reward, epsilon),
+        alpha_in, tau0, scan_step, alpha_tol,
     )
-    incoming = slack(alpha_in)
-    # move only on improvements that dominate the inner solver noise; without
-    # this margin the argmax wobbles at float scale and the best-response
-    # iteration around it never settles bit-exactly
-    if best < incoming + 1e-6 * (1.0 + abs(incoming)):
-        alpha, best = alpha_in, incoming
-    if best < 0.0:
-        return float(alpha_in), incoming, False
-    return float(alpha), float(best), True
-
-
-@dataclass(frozen=True)
-class CvarBestResponse:
-    """One miner's distributionally robust best response with diagnostics."""
-
-    alpha: float
-    u_min: float
-    certificate: CvarCertificate
-    iterations: int
-    u_history: tuple[float, ...]
 
 
 def robust_best_response(
-    j: int,
-    profile,
-    config: GameConfig,
-    ao_tol=AO_TOL,
-    max_ao_iterations=AO_CAP,
-    warm_start=None,
-) -> CvarBestResponse:
+    j: int, profile, config: GameConfig, ao_tol=AO_TOL, max_ao_iterations=AO_CAP, warm_start=None
+) -> BestResponse:
     """Alternating optimization for miner j's robust (alpha, u_min).
 
-    Starts from the deterministic best response (or from ``warm_start``, an
-    (alpha, u_min) pair from a previous solve), then alternates the threshold
-    and strategy subproblems until the joint change drops below ``ao_tol``.
-    The u_min sequence is nondecreasing: every strategy update preserves
-    feasibility of the current threshold, which then only ever moves up.
+    ``warm_start`` may carry an (alpha, u_min) pair from a previous solve.
+    The result's ``certificate`` is the (beta, M) witness of its u_min.
     """
-    params = config.miners[j]
-    load = others_load(j, profile, config.nominal_resources())
-    if warm_start is None:
-        alpha = deterministic.best_response(j, profile, config)
-        u_floor = None
-    else:
-        alpha = min(1.0, max(config.tau0, warm_start[0]))
-        u_floor = warm_start[1]
-    u_min, cert = subproblem_threshold(
-        alpha, load, params, config.reward, config.epsilon, u_lo=u_floor
-    )
-    history = [u_min]
-    for iteration in range(1, max_ao_iterations + 1):
-        alpha_new, slack, feasible = subproblem_strategy(
-            u_min, cert, alpha, load, params, config.reward, config.tau0, config.epsilon
-        )
-        u_new, cert = subproblem_threshold(
-            alpha_new,
-            load,
-            params,
-            config.reward,
-            config.epsilon,
-            u_lo=u_min if feasible else None,
-        )
-        history.append(u_new)
-        delta = abs(u_new - u_min) + abs(alpha_new - alpha)
-        alpha, u_min = alpha_new, u_new
-        if delta <= ao_tol:
-            return CvarBestResponse(
-                float(alpha), float(u_min), cert, iteration, tuple(history)
-            )
-    last = CvarBestResponse(float(alpha), float(u_min), cert, max_ao_iterations, tuple(history))
-    raise ConvergenceError(
-        f"alternating optimization did not settle in {max_ao_iterations} iterations",
-        last=last,
+    return alternate(
+        j, profile, config, subproblem_threshold, subproblem_strategy,
+        ao_tol, max_ao_iterations, warm_start,
     )

@@ -59,11 +59,18 @@ def solve_equilibrium(config: GameConfig, mode: str, initial_alpha=0.35) -> Equi
     initial value below the participation floor is projected onto it) and
     the initial thresholds are the deterministic utilities at that profile.
     Non-convergence within ``config.max_iterations`` sweeps is reported via
-    ``converged=False``, never as an exception.
+    ``converged=False``.  A robust best response can still raise: the AO's
+    ``ConvergenceError`` when one miner's alternation hits its cap, and
+    ``SolverError`` when no threshold can be certified.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     n = config.n_miners
+    # looked up per solve, so a wrapper installed on the back-end module is seen
+    robust = {
+        "gaussian_bti": bti.robust_best_response_gaussian,
+        "dro_cvar": cvar.robust_best_response,
+    }.get(mode)
     alphas = np.full(n, min(1.0, max(config.tau0, initial_alpha)))
     u_values = _deterministic_utilities(alphas, config)
     trace = []
@@ -74,17 +81,10 @@ def solve_equilibrium(config: GameConfig, mode: str, initial_alpha=0.35) -> Equi
         prev_alphas = alphas.copy()
         prev_u = u_values.copy()
         for j in range(n):
-            if mode == "deterministic":
+            if robust is None:
                 alphas[j] = deterministic.best_response(j, alphas, config)
-            elif mode == "gaussian_bti":
-                response = bti.robust_best_response_gaussian(
-                    j, alphas, config, warm_start=warm[j]
-                )
-                alphas[j] = response.alpha
-                u_values[j] = response.u_min
-                warm[j] = (response.alpha, response.u_min)
             else:
-                response = cvar.robust_best_response(j, alphas, config, warm_start=warm[j])
+                response = robust(j, alphas, config, warm_start=warm[j])
                 alphas[j] = response.alpha
                 u_values[j] = response.u_min
                 warm[j] = (response.alpha, response.u_min)

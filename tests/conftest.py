@@ -3,16 +3,18 @@
 The oracles here deliberately avoid the production code paths they check:
 best responses are verified against dense grid searches over the raw utility,
 robust best responses against an exhaustive outer search over alpha with
-threshold bisection at every point, and derivatives against finite
-differences.
+threshold bisection at every point, the worst-case CVaR against a log-barrier
+solver of its conic program, and derivatives against finite differences.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from powgame import GameConfig, MinerParams, RewardModel, utility
+from powgame import GameConfig, LossCoefficients, MinerParams, MomentMatrix, RewardModel, utility
 from powgame._search import golden_max
 
 
@@ -135,3 +137,95 @@ def profile_utility(j, alpha_j, profile, config):
     a = np.array(profile, dtype=float)
     a[j] = alpha_j
     return utility(j, a, config.nominal_resources(), config.reward, config.miners[j].cost)
+
+
+def barrier_worstcase_cvar(
+    coeffs: LossCoefficients,
+    moments: MomentMatrix,
+    epsilon,
+    newton_tol=1e-9,
+    max_outer=50,
+    reduction=0.2,
+):
+    """Worst-case CVaR via a damped-Newton log-barrier on the two 2x2 cones.
+
+    Independent of the eigenvalue route (used to cross-check it):  minimizes
+    beta + Tr(Omega M)/epsilon over (beta, M) subject to M and M - Q(beta)
+    positive definite, with barrier -ln det M - ln det(M - Q) and barrier
+    weight shrunk by ``reduction`` each outer stage.
+    """
+    omega = moments.matrix
+    eps = epsilon
+    cvec = np.array([1.0, omega[0, 0] / eps, 2.0 * omega[0, 1] / eps, omega[1, 1] / eps])
+    q11, q12, a0 = coeffs.a2, 0.5 * coeffs.a1, coeffs.a0
+
+    def blocks(z):
+        beta, m11, m12, m22 = z
+        return (m11, m12, m22), (m11 - q11, m12 - q12, m22 - a0 + beta)
+
+    def domain_ok(z):
+        (g11, g12, g22), (h11, h12, h22) = blocks(z)
+        return (
+            g11 > 0.0
+            and g11 * g22 - g12 * g12 > 0.0
+            and h11 > 0.0
+            and h11 * h22 - h12 * h12 > 0.0
+        )
+
+    def merit(z, w):
+        (g11, g12, g22), (h11, h12, h22) = blocks(z)
+        return float(cvec @ z) - w * (
+            math.log(g11 * g22 - g12 * g12) + math.log(h11 * h22 - h12 * h12)
+        )
+
+    def grad_hess(z, w):
+        (g11, g12, g22), (h11, h12, h22) = blocks(z)
+        det_g = g11 * g22 - g12 * g12
+        det_h = h11 * h22 - h12 * h12
+        gd_g = np.array([0.0, g22, -2.0 * g12, g11])
+        gd_h = np.array([h11, h22, -2.0 * h12, h11])
+        grad = cvec - w * (gd_g / det_g + gd_h / det_h)
+        hess_g = np.zeros((4, 4))
+        hess_g[1, 3] = hess_g[3, 1] = 1.0
+        hess_g[2, 2] = -2.0
+        hess_h = np.zeros((4, 4))
+        hess_h[0, 1] = hess_h[1, 0] = 1.0
+        hess_h[1, 3] = hess_h[3, 1] = 1.0
+        hess_h[2, 2] = -2.0
+        hess = w * (
+            np.outer(gd_g, gd_g) / det_g**2
+            - hess_g / det_g
+            + np.outer(gd_h, gd_h) / det_h**2
+            - hess_h / det_h
+        )
+        return grad, hess
+
+    # strictly feasible start: beta = 0, M = Q(0) shifted into the PD cone
+    q = np.array([[q11, q12], [q12, a0]])
+    shift = max(0.0, -float(np.linalg.eigvalsh(q)[0])) + 1.0
+    m0 = q + shift * np.eye(2)
+    z = np.array([0.0, m0[0, 0], m0[0, 1], m0[1, 1]])
+    w = 1.0 + abs(float(cvec @ z))
+    for _ in range(max_outer):
+        for _ in range(80):
+            grad, hess = grad_hess(z, w)
+            try:
+                step = np.linalg.solve(hess + 1e-14 * np.eye(4), -grad)
+            except np.linalg.LinAlgError:
+                step = -grad
+            decrement2 = float(-grad @ step)
+            if decrement2 / 2.0 <= newton_tol:
+                break
+            t, base = 1.0, merit(z, w)
+            slope = float(grad @ step)
+            while t > 1e-13:
+                z_new = z + t * step
+                if domain_ok(z_new) and merit(z_new, w) <= base + 0.25 * t * slope:
+                    break
+                t *= 0.5
+            z = z + t * step
+        value = float(cvec @ z)
+        if 4.0 * w <= 1e-10 * (1.0 + abs(value)):
+            break
+        w *= reduction
+    return float(cvec @ z), z

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from powgame import ConvergenceError, SolverError, cli
 from powgame.cli import (
     EQUILIBRIUM_HEADER,
     HISTOGRAM_HEADER,
@@ -164,9 +165,9 @@ def test_sweep_num_miners_axis(tmp_path):
 
 
 def test_sweep_records_failed_points(tmp_path):
-    # sigma = 0 makes the robust threshold ill-posed; the sweep must record
-    # that point and keep going
-    doc = dict(REFERENCE_DOC, sigma=0.0, mode="bti")
+    # a variance this large leaves no certifiable threshold (SolverError);
+    # the sweep must record that point and keep going
+    doc = dict(REFERENCE_DOC, sigma=500.0, mode="bti")
     config = write_config(tmp_path, doc)
     out = tmp_path / "out"
     assert main(
@@ -199,3 +200,79 @@ def test_mode_override_flag(tmp_path):
     assert main(["solve", "--config", str(config), "--out", str(out), "--mode", "det"]) == 0
     assert (out / "det" / "equilibrium.csv").exists()
     assert not (out / "cvar").exists()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        dict(REFERENCE_DOC, miners="five"),
+        dict(REFERENCE_DOC, tau0="half"),
+        dict(REFERENCE_DOC, reward={"fixed_reward": -1.0}),
+        dict(REFERENCE_DOC, sigma=["a"] * 5),
+        dict(REFERENCE_DOC, mode=5),
+        dict(REFERENCE_DOC, validation={"distributions": ["cauchy"]}),
+        dict(REFERENCE_DOC, validation={"distributions": "gaussian"}),
+        dict(REFERENCE_DOC, validation={"samples": "many"}),
+        dict(REFERENCE_DOC, sigma=0.0, mode="bti"),
+        dict(REFERENCE_DOC, sigma=[10.0, 10.0, 0.0, 10.0, 10.0], mode="cvar"),
+    ],
+    ids=[
+        "miners-text", "tau0-text", "negative-reward", "sigma-list-text", "mode-number",
+        "unknown-distribution", "distributions-not-list", "samples-text", "sigma0-bti",
+        "sigma0-one-miner-cvar",
+    ],
+)
+@pytest.mark.parametrize("verb", ["solve", "validate"])
+def test_malformed_scenario_exits_1(tmp_path, capsys, doc, verb):
+    config = write_config(tmp_path, doc)
+    code = main([verb, "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_sigma_is_accepted_for_deterministic_override(tmp_path):
+    # sigma = 0 is rejected only for the robust modes, after the --mode override
+    config = write_config(tmp_path, dict(REFERENCE_DOC, sigma=0.0, mode="all"))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(config), "--out", str(out), "--mode", "det"]) == 0
+    assert (out / "det" / "equilibrium.csv").exists()
+
+
+def _raise(exc):
+    def solve(*args, **kwargs):
+        raise exc
+
+    return solve
+
+
+@pytest.mark.parametrize("error", [ConvergenceError("AO cap hit"), SolverError("no threshold")])
+@pytest.mark.parametrize("verb", ["solve", "validate"])
+def test_solver_errors_exit_2(tmp_path, capsys, monkeypatch, error, verb):
+    monkeypatch.setattr(cli, "solve_equilibrium", _raise(error))
+    config = write_config(tmp_path, dict(REFERENCE_DOC, mode="bti"))
+    code = main([verb, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"solver error: {error}\n"
+
+
+@pytest.mark.parametrize("error", [ConvergenceError("AO cap hit"), SolverError("no threshold")])
+def test_sweep_records_solver_errors(tmp_path, monkeypatch, error):
+    monkeypatch.setattr(cli, "solve_equilibrium", _raise(error))
+    config = write_config(tmp_path, dict(REFERENCE_DOC, mode="bti"))
+    out = tmp_path / "out"
+    assert main(
+        ["sweep", "--config", str(config), "--out", str(out), "--axis", "epsilon",
+         "--values", "0.1,0.2"]
+    ) == 0
+    _, rows = read_csv(out / "sweep.csv")
+    assert [r[5] for r in rows] == [f"error:{type(error).__name__}"] * 2
+
+
+def test_sweep_does_not_hide_programming_errors(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "solve_equilibrium", _raise(ZeroDivisionError("bug")))
+    config = write_config(tmp_path, dict(REFERENCE_DOC, mode="bti"))
+    with pytest.raises(ZeroDivisionError):
+        main(["sweep", "--config", str(config), "--out", str(tmp_path / "out"),
+              "--axis", "epsilon", "--values", "0.1"])

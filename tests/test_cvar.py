@@ -10,18 +10,18 @@ from powgame import (
     LossCoefficients,
     MomentMatrix,
     RewardModel,
-    loss_eval,
     robust_best_response,
+    robust_best_response_gaussian,
     subproblem_strategy,
     subproblem_threshold,
     utility,
     worstcase_cvar,
 )
-from powgame.cvar import barrier_worstcase_cvar, certified_slack
+from powgame.cvar import certified_slack
 from powgame.deterministic import best_response
 from powgame.validate import sample_uncertainty
 
-from conftest import make_config, outer_best_response_oracle
+from conftest import barrier_worstcase_cvar, make_config, outer_best_response_oracle
 
 REWARD = RewardModel()
 
@@ -34,7 +34,7 @@ def test_loss_hand_value():
     # alpha=0.5, c=60, load=110, u_min=0, x=55:
     # 15*3025 + (0-8000+6600)*0.5*55 + 0 = 45375 - 38500 = 6875
     coeffs = _coeffs(0.5, 0.0, 110.0)
-    assert loss_eval(coeffs, 55.0) == pytest.approx(6875.0)
+    assert coeffs(55.0) == pytest.approx(6875.0)
     assert coeffs.B == pytest.approx(-1400.0)
     assert coeffs.C == pytest.approx(110.0)
 
@@ -53,13 +53,13 @@ def test_loss_sign_matches_utility_threshold():
         u = REWARD.total * own / (own + load) - cost * own
         if abs(u - u_min) < 1e-9:
             continue
-        assert (loss_eval(coeffs, x) > 0.0) == (u < u_min)
+        assert (coeffs(x) > 0.0) == (u < u_min)
 
 
 def test_loss_vacuous_threshold():
     coeffs = _coeffs(0.7, -1e9, 110.0)
     for x in np.linspace(10.0, 100.0, 50):
-        assert loss_eval(coeffs, float(x)) < 0.0
+        assert coeffs(float(x)) < 0.0
 
 
 def test_moment_matrix():
@@ -187,10 +187,10 @@ def test_subproblem_strategy_fixed_point_and_improvement():
     params = make_config().miners[0]
     tau0, eps, load = 0.5, 0.1, 110.0
     u, cert = subproblem_threshold(0.8, load, params, REWARD, eps)
-    a1, s1, ok1 = subproblem_strategy(u, cert, 0.8, load, params, REWARD, tau0, eps)
+    a1, s1, ok1 = subproblem_strategy(u, 0.8, load, params, REWARD, tau0, eps)
     assert ok1 and s1 >= certified_slack(0.8, u, load, params, REWARD, eps) - 1e-12
     # feeding the maximizer back in must return it (within the search tolerance)
-    a2, s2, ok2 = subproblem_strategy(u, cert, a1, load, params, REWARD, tau0, eps)
+    a2, s2, ok2 = subproblem_strategy(u, a1, load, params, REWARD, tau0, eps)
     assert ok2
     assert a2 == pytest.approx(a1, abs=1e-6)
     assert s2 >= s1 - 1e-12
@@ -200,7 +200,7 @@ def test_subproblem_strategy_matches_exhaustive_scan():
     params = make_config(x_hat=50.0).miners[0]
     tau0, eps, load = 0.5, 0.1, 120.0
     u, cert = subproblem_threshold(0.7, load, params, REWARD, eps)
-    alpha, slack, ok = subproblem_strategy(u, cert, 0.7, load, params, REWARD, tau0, eps)
+    alpha, slack, ok = subproblem_strategy(u, 0.7, load, params, REWARD, tau0, eps)
     assert ok
     grid = np.linspace(tau0, 1.0, 501)
     best = max(certified_slack(float(a), u, load, params, REWARD, eps) for a in grid)
@@ -254,14 +254,38 @@ def test_strategy_step_with_no_feasible_alpha_returns_incoming():
     params = make_config().miners[0]
     u_star, cert = subproblem_threshold(0.5, 110.0, params, REWARD, 0.1)
     alpha, slack, feasible = subproblem_strategy(
-        u_star + 500.0, cert, 0.5, 110.0, params, REWARD, 0.5, 0.1
+        u_star + 500.0, 0.5, 110.0, params, REWARD, 0.5, 0.1
     )
     assert alpha == 0.5 and slack < 0.0 and not feasible
 
 
-def test_robust_best_response_iteration_cap():
+@pytest.mark.parametrize(
+    "best_response_fn",
+    [robust_best_response, robust_best_response_gaussian],
+    ids=["dro_cvar", "gaussian_bti"],
+)
+def test_robust_best_response_iteration_cap(best_response_fn):
     config = make_config(n=5, x_hat=50.0)
     with pytest.raises(ConvergenceError) as err:
-        robust_best_response(0, [0.6] * 5, config, ao_tol=-1.0, max_ao_iterations=3)
+        best_response_fn(0, [0.6] * 5, config, ao_tol=-1.0, max_ao_iterations=3)
     assert err.value.last is not None
     assert len(err.value.last.u_history) == 4
+
+
+def test_robust_best_response_certificate_is_final_iterate():
+    # the driver must return the witness of the last threshold step, not one
+    # threaded through from an earlier iterate; the AO moves on this instance
+    config = make_config(n=5, x_hat=50.0, tau0=0.1)
+    profile = [0.3] * 5
+    response = robust_best_response(0, profile, config)
+    assert response.u_history[0] < response.u_min
+    cert = response.certificate
+    params = config.miners[0]
+    assert cert.u_min == response.u_min
+    assert cert.t_c == pytest.approx(params.cost * response.alpha**2)
+    load = 4 * 0.3 * 50.0
+    coeffs = LossCoefficients.from_strategy(
+        response.alpha, response.u_min, load, params.cost, REWARD.total
+    )
+    for slack in cert.slacks(coeffs, MomentMatrix.from_params(params), config.epsilon):
+        assert slack >= -1e-7
