@@ -301,6 +301,7 @@ def run_sweep(scenario: Scenario, axis: str, values, out_dir) -> int:
             try:
                 result = solve_equilibrium(config, mode, initial_alpha=scenario.initial_alpha)
             except (ConvergenceError, SolverError) as exc:  # recorded; the sweep continues
+                print(f"sweep point {axis}={value} mode {MODE_SHORT[mode]}: {exc}", file=sys.stderr)
                 rows.append((value, MODE_SHORT[mode], math.nan, math.nan, -1, f"error:{type(exc).__name__}"))
                 continue
             committed = float(np.dot(np.asarray(result.alphas, dtype=float), x))

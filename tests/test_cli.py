@@ -164,9 +164,9 @@ def test_sweep_num_miners_axis(tmp_path):
     assert totals[3] > totals[5] > totals[8]
 
 
-def test_sweep_records_failed_points(tmp_path):
+def test_sweep_records_failed_points(tmp_path, capsys):
     # a variance this large leaves no certifiable threshold (SolverError);
-    # the sweep must record that point and keep going
+    # the sweep must record that point, say why on stderr and keep going
     doc = dict(REFERENCE_DOC, sigma=500.0, mode="bti")
     config = write_config(tmp_path, doc)
     out = tmp_path / "out"
@@ -177,6 +177,11 @@ def test_sweep_records_failed_points(tmp_path):
     _, rows = read_csv(out / "sweep.csv")
     assert len(rows) == 2
     assert all(r[5].startswith("error:") for r in rows)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    for line, value in zip(err, ("0.1", "0.2")):
+        assert line.startswith(f"sweep point epsilon={value} mode bti: ")
+        assert "no feasible threshold above" in line
 
 
 def test_validate_outputs(tmp_path):

@@ -17,7 +17,8 @@ from powgame import (
     utility,
     worstcase_cvar,
 )
-from powgame.cvar import certified_slack
+from powgame import cvar
+from powgame.cvar import _CvarEvaluator, certified_slack
 from powgame.deterministic import best_response
 from powgame.validate import sample_uncertainty
 
@@ -73,11 +74,16 @@ def test_moment_matrix():
 
 
 def test_worstcase_cvar_linear_loss_closed_form():
-    # for L(x) = x the worst-case CVaR is mu + s * sqrt((1-eps)/eps)
+    # for L(x) = x the worst-case CVaR is mu + s * sqrt((1-eps)/eps); a2 = 0
+    # also exercises the exact minimum without its determinant kink (k = 0)
     for mu, s, eps in ((3.0, 2.0, 0.1), (55.0, 10.0, 0.05), (-4.0, 1.0, 0.3)):
         coeffs = LossCoefficients(a2=0.0, a1=1.0, a0=0.0, B=0.0, C=1.0)
-        value, _ = worstcase_cvar(coeffs, MomentMatrix(mu, s * s), eps)
-        assert value == pytest.approx(mu + s * math.sqrt((1 - eps) / eps), rel=1e-8)
+        moments = MomentMatrix(mu, s * s)
+        expected = mu + s * math.sqrt((1 - eps) / eps)
+        value, _ = worstcase_cvar(coeffs, moments, eps)
+        assert value == pytest.approx(expected, rel=1e-8)
+        exact, _ = _CvarEvaluator(coeffs, moments, eps).exact_min()
+        assert exact == pytest.approx(expected, rel=1e-12)
 
 
 def test_worstcase_cvar_matches_barrier_solver():
@@ -92,9 +98,34 @@ def test_worstcase_cvar_matches_barrier_solver():
         eps = float(rng.uniform(0.03, 0.4))
         coeffs = LossCoefficients.from_strategy(alpha, u_min, load, cost, REWARD.total)
         moments = MomentMatrix(mu_bar, sigma * sigma)
-        exact, _ = worstcase_cvar(coeffs, moments, eps)
+        golden, _ = worstcase_cvar(coeffs, moments, eps)
+        exact, _ = _CvarEvaluator(coeffs, moments, eps).exact_min()
         barrier, _ = barrier_worstcase_cvar(coeffs, moments, eps)
+        assert barrier == pytest.approx(golden, rel=1e-7, abs=1e-6)
         assert barrier == pytest.approx(exact, rel=1e-7, abs=1e-6)
+
+
+def test_exact_minimum_matches_golden_section_and_matrix_form():
+    rng = np.random.default_rng(23)
+    for _ in range(1000):
+        alpha = float(rng.uniform(0.1, 1.0))
+        load = float(rng.uniform(20.0, 400.0))
+        cost = float(rng.uniform(30.0, 100.0))
+        u_min = float(rng.uniform(-3000.0, 1000.0))
+        moments = MomentMatrix(float(rng.uniform(20.0, 80.0)), float(rng.uniform(0.5, 30.0)) ** 2)
+        eps = float(rng.uniform(0.01, 0.6))
+        coeffs = LossCoefficients.from_strategy(alpha, u_min, load, cost, REWARD.total)
+        evaluator = _CvarEvaluator(coeffs, moments, eps)
+        exact, beta = evaluator.exact_min()
+        golden, _ = worstcase_cvar(coeffs, moments, eps)
+        assert abs(exact - golden) <= 1e-9 * (1.0 + abs(golden))
+        assert exact <= golden + 1e-12 * (1.0 + abs(golden))
+        # the scalar v against the clipped congruence it replaces
+        root = moments.sqrt_matrix()
+        for b in (beta, beta + float(rng.normal()) * (1.0 + abs(beta))):
+            q = np.array([[coeffs.a2, 0.5 * coeffs.a1], [0.5 * coeffs.a1, coeffs.a0 - b]])
+            matrix_form = b + np.clip(np.linalg.eigvalsh(root @ q @ root), 0.0, None).sum() / eps
+            assert evaluator.value(b) == pytest.approx(matrix_form, rel=1e-10)
 
 
 def test_worstcase_cvar_dominates_sampled_cvar():
@@ -125,16 +156,40 @@ def test_subproblem_threshold_bisection_boundary():
 
 
 def test_certificate_satisfies_all_constraint_groups():
-    config = make_config()
-    params = config.miners[0]
-    for alpha in (0.5, 0.75, 1.0):
-        u, cert = subproblem_threshold(alpha, 110.0, params, REWARD, 0.1)
-        coeffs = LossCoefficients.from_strategy(alpha, u, 110.0, params.cost, REWARD.total)
-        moments = MomentMatrix.from_params(params)
-        m_psd, mq_psd, trace = cert.slacks(coeffs, moments, 0.1)
+    # the certificate sits at the exact argmin beta of the returned threshold
+    params = make_config().miners[0]
+    cases = [(alpha, params, 110.0, 0.1) for alpha in (0.5, 0.75, 1.0)]
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        sigma, cost = float(rng.uniform(1.0, 20.0)), float(rng.uniform(40.0, 90.0))
+        p = make_config(sigma=sigma, cost=cost).miners[0]
+        cases.append((float(rng.uniform(0.3, 1.0)), p, float(rng.uniform(40.0, 200.0)),
+                      float(rng.uniform(0.03, 0.4))))
+    for alpha, p, load, eps in cases:
+        u, cert = subproblem_threshold(alpha, load, p, REWARD, eps)
+        coeffs = LossCoefficients.from_strategy(alpha, u, load, p.cost, REWARD.total)
+        m_psd, mq_psd, trace = cert.slacks(coeffs, MomentMatrix.from_params(p), eps)
         assert m_psd >= -1e-7
         assert mq_psd >= -1e-7
         assert trace >= -1e-7
+
+
+def test_threshold_step_runs_no_beta_search(monkeypatch):
+    # each bisection probe is certified by the exact minimum of v, so the
+    # threshold step never brackets or golden-sections over beta
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cvar, "expand_bracket_min", counted(cvar.expand_bracket_min))
+    monkeypatch.setattr(cvar, "golden_min", counted(cvar.golden_min))
+    subproblem_threshold(0.5, 110.0, make_config().miners[0], REWARD, 0.1)
+    assert calls == []
 
 
 def test_threshold_small_sigma_recovers_deterministic_utility():
