@@ -34,12 +34,8 @@ def golden_max(f, lo, hi, tol=1e-6, max_iter=200):
     return x, -fneg
 
 
-def scan_golden_max(f, lo, hi, step, tol=1e-6, extra=()):
-    """Dense scan at `step` resolution, golden refinement around the best cell.
-
-    `extra` points are always evaluated as candidates so a caller can make the
-    incoming iterate a guaranteed lower bound on the returned value.
-    """
+def scan_golden_max(f, lo, hi, step, tol=1e-6):
+    """Dense scan at `step` resolution, golden refinement around the best cell."""
     if hi <= lo:
         return lo, f(lo)
     grid = np.arange(lo, hi + 0.5 * step, step)
@@ -51,10 +47,6 @@ def scan_golden_max(f, lo, hi, step, tol=1e-6, extra=()):
     best_x, best_f = golden_max(f, g_lo, g_hi, tol)
     if vals[k] > best_f:
         best_x, best_f = float(grid[k]), vals[k]
-    for c in extra:
-        fc = f(float(c))
-        if fc > best_f:
-            best_x, best_f = float(c), fc
     return best_x, best_f
 
 

@@ -23,15 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .model import GameConfig, MinerParams, RewardModel
-from .robust import (
-    AO_CAP,
-    AO_TOL,
-    BISECT_TOL,
-    BestResponse,
-    alternate,
-    bisect_threshold,
-    scan_strategy,
-)
+from .robust import AO_CAP, AO_TOL, BestResponse, alternate, bisect_threshold, scan_strategy
 
 __all__ = [
     "BtiCoefficients",
@@ -46,13 +38,11 @@ __all__ = [
 class BtiCoefficients:
     """Coefficients of f(e) = A e^2 + 2 b e + D for a standard normal e.
 
-    ``B = -R + cost * load`` as in the loss function; ``upsilon`` and
-    ``omega`` are the tight values of the cone auxiliaries.
+    ``upsilon`` and ``omega`` are the tight values of the cone auxiliaries.
     """
 
     A: float
     b: float
-    B: float
     D: float
 
     @classmethod
@@ -67,7 +57,6 @@ class BtiCoefficients:
         return cls(
             A=-quad * sigma * sigma,
             b=-sigma * (quad * mu_bar + 0.5 * (u_min + big_b) * alpha),
-            B=big_b,
             D=-(quad * mu_bar * mu_bar + (u_min + big_b) * alpha * mu_bar + u_min * load),
         )
 
@@ -97,7 +86,7 @@ def bti_constraint_value(coeffs: BtiCoefficients, epsilon) -> float:
 
 
 def subproblem_threshold_gaussian(
-    alpha, load, params: MinerParams, reward: RewardModel, epsilon, u_lo=None, u_tol=BISECT_TOL
+    alpha, load, params: MinerParams, reward: RewardModel, epsilon, u_lo=None
 ) -> float:
     """Largest u_min with g(u_min) >= 0 at fixed alpha (exact by concavity)."""
 
@@ -107,12 +96,11 @@ def subproblem_threshold_gaussian(
         coeffs = BtiCoefficients.from_strategy(alpha, u, load, params, reward)
         return bti_constraint_value(coeffs, epsilon) >= 0.0
 
-    return bisect_threshold(certify, params, reward, u_lo, u_tol)[0]
+    return bisect_threshold(certify, params, reward, u_lo)[0]
 
 
 def subproblem_strategy_gaussian(
-    u_min, alpha_in, load, params: MinerParams, reward: RewardModel, tau0, epsilon,
-    scan_step=None, alpha_tol=1e-6,
+    u_min, alpha_in, load, params: MinerParams, reward: RewardModel, tau0, epsilon
 ) -> tuple[float, float, bool]:
     """Strategy update at fixed u_min: (alpha, g, feasible) maximizing g over alpha.
 
@@ -125,7 +113,7 @@ def subproblem_strategy_gaussian(
         coeffs = BtiCoefficients.from_strategy(a, u_min, load, params, reward)
         return bti_constraint_value(coeffs, epsilon)
 
-    return scan_strategy(slack, alpha_in, tau0, scan_step, alpha_tol)
+    return scan_strategy(slack, alpha_in, tau0)
 
 
 def robust_best_response_gaussian(

@@ -186,7 +186,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         )
     except ScenarioError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(str(exc)) from exc
 
 
@@ -231,10 +231,6 @@ def _write_csv(path: Path, header, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _result_u_values(result: EquilibriumResult):
-    return result.trace[-1][1] if result.u_mins is None else result.u_mins
-
-
 def _solve_mode(scenario: Scenario, mode: str) -> EquilibriumResult:
     return solve_equilibrium(scenario.config, mode, initial_alpha=scenario.initial_alpha)
 
@@ -245,7 +241,7 @@ def run_solve(scenario: Scenario, out_dir) -> int:
     exit_code = 0
     for mode in scenario.modes:
         result = _solve_mode(scenario, mode)
-        u_values = _result_u_values(result)
+        u_values = result.u_values
         config = scenario.config
         _write_csv(
             out / MODE_SHORT[mode] / "equilibrium.csv",
@@ -323,6 +319,8 @@ def run_validate(scenario: Scenario, out_dir) -> int:
     """Solve, then Monte Carlo-check every (mode, miner, distribution) triple."""
     out = Path(out_dir)
     config = scenario.config
+    if any(m.sigma2 <= 0 for m in config.miners):  # nothing to sample in any mode
+        raise ScenarioError("field 'sigma': validate needs sigma > 0 for every miner")
     hist_rows = []
     report_rows = []
     exit_code = 0
@@ -330,7 +328,7 @@ def run_validate(scenario: Scenario, out_dir) -> int:
         result = _solve_mode(scenario, mode)
         if not result.converged:
             exit_code = 2
-        u_values = _result_u_values(result)
+        u_values = result.u_values
         short = MODE_SHORT[mode]
         for j in range(config.n_miners):
             params = config.miners[j]

@@ -40,15 +40,7 @@ import numpy as np
 
 from ._search import expand_bracket_min, golden_min
 from .model import GameConfig, MinerParams, RewardModel
-from .robust import (
-    AO_CAP,
-    AO_TOL,
-    BISECT_TOL,
-    BestResponse,
-    alternate,
-    bisect_threshold,
-    scan_strategy,
-)
+from .robust import AO_CAP, AO_TOL, BestResponse, alternate, bisect_threshold, scan_strategy
 
 __all__ = [
     "LossCoefficients",
@@ -63,30 +55,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LossCoefficients:
-    """Quadratic loss L(x) = a2 x^2 + a1 x + a0 encoding "utility below u_min".
-
-    ``B = -R + cost * load`` and ``C = load`` (rivals' committed power) are
-    kept because the robust constraint matrices reuse them.
-    """
+    """Quadratic loss L(x) = a2 x^2 + a1 x + a0 encoding "utility below u_min"."""
 
     a2: float
     a1: float
     a0: float
-    B: float
-    C: float
 
     @classmethod
     def from_strategy(cls, alpha, u_min, load, cost, reward_total):
         if alpha <= 0 or cost <= 0 or load <= 0:
             raise ValueError("need alpha > 0, cost > 0 and positive rivals' load")
         b = -reward_total + cost * load
-        return cls(
-            a2=cost * alpha * alpha,
-            a1=(u_min + b) * alpha,
-            a0=u_min * load,
-            B=b,
-            C=load,
-        )
+        return cls(a2=cost * alpha * alpha, a1=(u_min + b) * alpha, a0=u_min * load)
 
     def __call__(self, x):
         return (self.a2 * x + self.a1) * x + self.a0
@@ -126,8 +106,7 @@ class CvarCertificate:
     """Feasibility witness (beta, M) for a robust threshold u_min.
 
     Validity means: M is PSD, M - Q(alpha, u_min, beta) is PSD, and
-    beta + Tr(Omega M)/epsilon <= 0.  ``t_c`` carries the tight quadratic
-    bound cost * alpha^2 used by the strategy step.
+    beta + Tr(Omega M)/epsilon <= 0.
     """
 
     beta: float
@@ -135,16 +114,15 @@ class CvarCertificate:
     m12: float
     m22: float
     u_min: float
-    t_c: float
 
     @property
     def matrix(self) -> np.ndarray:
         return np.array([[self.m11, self.m12], [self.m12, self.m22]])
 
     def constraint_matrix(self, coeffs: LossCoefficients) -> np.ndarray:
-        """The dominated block Q; its corner entry is u_min * C - beta."""
+        """The dominated block Q; its corner entry is a0 - beta = u_min * load - beta."""
         q12 = 0.5 * coeffs.a1
-        return np.array([[coeffs.a2, q12], [q12, self.u_min * coeffs.C - self.beta]])
+        return np.array([[coeffs.a2, q12], [q12, coeffs.a0 - self.beta]])
 
     def slacks(self, coeffs: LossCoefficients, moments: MomentMatrix, epsilon):
         """(min eig of M, min eig of M - Q, trace slack); all >= 0 when valid."""
@@ -220,7 +198,7 @@ class _CvarEvaluator:
         )
         return val, beta
 
-    def certificate(self, beta, u_min, t_c) -> CvarCertificate:
+    def certificate(self, beta, u_min) -> CvarCertificate:
         """Trace-minimal M at this beta: clip the congruence-transformed Q."""
         c = self.coeffs
         r = self.moments.sqrt_matrix()
@@ -235,7 +213,6 @@ class _CvarEvaluator:
             m12=float(m[0, 1]),
             m22=float(m[1, 1]),
             u_min=float(u_min),
-            t_c=float(t_c),
         )
 
 
@@ -245,7 +222,7 @@ def worstcase_cvar(coeffs: LossCoefficients, moments: MomentMatrix, epsilon) -> 
 
 
 def subproblem_threshold(
-    alpha, load, params: MinerParams, reward: RewardModel, epsilon, u_lo=None, u_tol=BISECT_TOL
+    alpha, load, params: MinerParams, reward: RewardModel, epsilon, u_lo=None
 ) -> tuple[float, CvarCertificate]:
     """Largest certifiable u_min at fixed alpha, with its certificate.
 
@@ -256,12 +233,12 @@ def subproblem_threshold(
 
     def certify(u):
         coeffs = LossCoefficients.from_strategy(alpha, u, load, params.cost, reward.total)
-        value, beta = _CvarEvaluator(coeffs, moments, epsilon).exact_min()
-        return (beta, coeffs) if value <= 0.0 else None
+        evaluator = _CvarEvaluator(coeffs, moments, epsilon)
+        value, beta = evaluator.exact_min()
+        return (beta, evaluator) if value <= 0.0 else None
 
-    u_min, (beta, coeffs) = bisect_threshold(certify, params, reward, u_lo, u_tol)
-    evaluator = _CvarEvaluator(coeffs, moments, epsilon)
-    return u_min, evaluator.certificate(beta, u_min, t_c=params.cost * alpha * alpha)
+    u_min, (beta, evaluator) = bisect_threshold(certify, params, reward, u_lo)
+    return u_min, evaluator.certificate(beta, u_min)
 
 
 def certified_slack(alpha, u_min, load, params: MinerParams, reward: RewardModel, epsilon):
@@ -273,8 +250,7 @@ def certified_slack(alpha, u_min, load, params: MinerParams, reward: RewardModel
 
 
 def subproblem_strategy(
-    u_min, alpha_in, load, params: MinerParams, reward: RewardModel, tau0, epsilon,
-    scan_step=None, alpha_tol=1e-6,
+    u_min, alpha_in, load, params: MinerParams, reward: RewardModel, tau0, epsilon
 ) -> tuple[float, float, bool]:
     """Strategy update at fixed u_min: (alpha, slack, feasible) maximizing the certified slack.
 
@@ -283,8 +259,7 @@ def subproblem_strategy(
     negated worst-case CVaR, re-certified per alpha.
     """
     return scan_strategy(
-        lambda a: certified_slack(a, u_min, load, params, reward, epsilon),
-        alpha_in, tau0, scan_step, alpha_tol,
+        lambda a: certified_slack(a, u_min, load, params, reward, epsilon), alpha_in, tau0
     )
 
 

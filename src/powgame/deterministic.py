@@ -23,6 +23,8 @@ __all__ = [
     "best_response_fixed_point",
 ]
 
+MAX_SWEEPS = 10_000  # the map is standard, so the iteration ends long before
+
 
 @dataclass(frozen=True)
 class DeterministicEquilibrium:
@@ -62,12 +64,7 @@ def best_response(j: int, profile, config: GameConfig) -> float:
     return min(1.0, max(config.tau0, raw))
 
 
-def best_response_fixed_point(
-    config: GameConfig,
-    initial=None,
-    tol: float = 1e-12,
-    max_sweeps: int = 10_000,
-) -> np.ndarray:
+def best_response_fixed_point(config: GameConfig, initial=None, tol: float = 1e-12) -> np.ndarray:
     """Gauss-Seidel best-response iteration to the unique fixed point.
 
     Converges for any start because the best-response map is standard.
@@ -77,7 +74,7 @@ def best_response_fixed_point(
         a = np.full(config.n_miners, config.tau0)
     else:
         a = np.clip(np.asarray(initial, dtype=float), config.tau0, 1.0)
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         delta = 0.0
         for j in range(config.n_miners):
             new = best_response(j, a, config)

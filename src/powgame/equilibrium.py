@@ -37,9 +37,13 @@ class EquilibriumResult:
     trace: tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]
     mode: str
 
+    @property
+    def u_values(self) -> tuple[float, ...]:
+        """Thresholds in the robust modes, plain utilities in deterministic mode."""
+        return self.trace[-1][1]
+
     def total_u_min(self) -> float:
-        values = self.trace[-1][1] if self.u_mins is None else self.u_mins
-        return float(sum(values))
+        return float(sum(self.u_values))
 
 
 def _deterministic_utilities(alphas, config):

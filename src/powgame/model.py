@@ -32,6 +32,12 @@ __all__ = [
 ]
 
 
+def _require_finite(record, names):
+    for name in names:
+        if not math.isfinite(getattr(record, name)):
+            raise ValueError(f"{name} must be a finite number, got {getattr(record, name)}")
+
+
 class SolverError(RuntimeError):
     """A solver received inputs for which no feasible point exists."""
 
@@ -56,9 +62,10 @@ class RewardModel:
     tx_count: float = 300.0
 
     def __post_init__(self):
+        _require_finite(self, ("fixed_reward", "unit_tx_reward", "tx_count", "total"))
         if self.fixed_reward < 0 or self.unit_tx_reward < 0 or self.tx_count < 0:
             raise ValueError("reward components must be nonnegative")
-        if self.total <= 0:
+        if not self.total > 0:
             raise ValueError("total reward must be positive")
 
     @property
@@ -84,18 +91,19 @@ class MinerParams:
     x_max: float = 100.0
 
     def __post_init__(self):
-        if self.x_hat <= 0:
+        _require_finite(self, ("x_hat", "mu", "sigma2", "cost", "x_min", "x_max", "nominal"))
+        if not self.x_hat > 0:
             raise ValueError(f"x_hat must be positive, got {self.x_hat}")
-        if self.sigma2 < 0:
+        if not self.sigma2 >= 0:
             raise ValueError(f"sigma2 must be nonnegative, got {self.sigma2}")
-        if self.cost <= 0:
+        if not self.cost > 0:
             raise ValueError(f"cost must be positive, got {self.cost}")
         if not (0 < self.x_min <= self.x_hat <= self.x_max):
             raise ValueError(
                 f"need 0 < x_min <= x_hat <= x_max, got "
                 f"({self.x_min}, {self.x_hat}, {self.x_max})"
             )
-        if self.nominal <= 0:
+        if not self.nominal > 0:
             raise ValueError("nominal resource x_hat + mu must be positive")
 
     @property
@@ -126,9 +134,9 @@ class GameConfig:
             raise ValueError(f"tau0 must be in (0,1), got {self.tau0}")
         if not 0 < self.epsilon < 1:
             raise ValueError(f"epsilon must be in (0,1), got {self.epsilon}")
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.max_iterations < 1:
+        if not 0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
+        if not self.max_iterations >= 1:
             raise ValueError("max_iterations must be at least 1")
 
     @property

@@ -5,6 +5,15 @@ own way (``bti``: Gaussian Bernstein bound, ``cvar``: worst-case CVaR) and
 hands the steps here ``certify(u_min)``, a truthy witness when u_min is
 certifiable at fixed alpha, and ``slack(alpha)``, >= 0 exactly when alpha
 keeps the fixed u_min certifiable.
+
+Constants:
+
+- ``U_FLOOR``: a threshold this low that is still not certifiable means the
+  inputs are malformed.
+- ``BISECT_TOL``: width at which the threshold bisection stops.
+- ``ALPHA_TOL``: tolerance of the golden-section refinement over alpha.
+- ``AO_TOL``, ``AO_CAP``: defaults of the alternation's stopping tolerance
+  and iteration cap.
 """
 
 from __future__ import annotations
@@ -18,8 +27,9 @@ from .model import ConvergenceError, GameConfig, MinerParams, RewardModel, Solve
 
 __all__ = ["BestResponse", "bisect_threshold", "scan_strategy", "alternate"]
 
-U_FLOOR = -1e9  # a threshold this low that is still infeasible means bad inputs
+U_FLOOR = -1e9
 BISECT_TOL = 1e-6
+ALPHA_TOL = 1e-6
 AO_TOL = 1e-6
 AO_CAP = 200
 
@@ -36,7 +46,7 @@ class BestResponse:
 
 
 def bisect_threshold(
-    certify, params: MinerParams, reward: RewardModel, u_lo=None, u_tol=BISECT_TOL
+    certify, params: MinerParams, reward: RewardModel, u_lo=None
 ) -> tuple[float, Any]:
     """(largest u_min with a truthy ``certify(u_min)``, its witness).
 
@@ -53,11 +63,11 @@ def bisect_threshold(
         u_lo = -reward.total - params.cost * params.x_max
     witness = certify(u_lo)
     while not witness:
-        if u_lo <= U_FLOOR:
+        if not u_lo > U_FLOOR:  # NaN-safe: a NaN threshold must stop, not loop
             raise SolverError(f"no feasible threshold above {U_FLOOR}")
         u_lo = u_lo - 3.0 * abs(u_lo) - 1.0  # quadruple the reach downward
         witness = certify(u_lo)
-    while u_hi - u_lo > u_tol:
+    while u_hi - u_lo > BISECT_TOL:
         mid = 0.5 * (u_lo + u_hi)
         found = certify(mid)
         if found:
@@ -67,12 +77,15 @@ def bisect_threshold(
     return u_lo, witness
 
 
-def scan_strategy(slack, alpha_in, tau0, scan_step=None, alpha_tol=1e-6):
+def scan_strategy(slack, alpha_in, tau0):
     """(alpha, slack, feasible) maximizing ``slack`` over [tau0, 1]; when no
-    alpha certifies, the incoming alpha with ``feasible=False``."""
-    if scan_step is None:
-        scan_step = max((1.0 - tau0) / 40.0, 1e-4)
-    alpha, best = scan_golden_max(slack, tau0, 1.0, scan_step, tol=alpha_tol, extra=(alpha_in,))
+    alpha certifies, the incoming alpha with ``feasible=False``.
+
+    The incoming alpha is scored once, outside the scan: the margin test
+    below keeps it whenever it beats the scan's best.
+    """
+    scan_step = max((1.0 - tau0) / 40.0, 1e-4)
+    alpha, best = scan_golden_max(slack, tau0, 1.0, scan_step, tol=ALPHA_TOL)
     incoming = slack(alpha_in)
     # move only on improvements that dominate the inner solver noise; without
     # this margin the argmax wobbles at float scale and the best-response

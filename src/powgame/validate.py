@@ -37,6 +37,7 @@ DISTRIBUTIONS = ("gaussian", "uniform", "poisson_shifted", "two_point")
 _DIST_CODE = {name: k for k, name in enumerate(DISTRIBUTIONS)}
 HISTOGRAM_BINS = 40
 SLACK_SIGMAS = 3.0  # binomial slack width for pass/fail at finite sample size
+TWO_POINT_P_GRID = np.linspace(0.005, 0.995, 199)
 
 
 def _stream(seed: int, miner_index: int, distribution: str) -> np.random.Generator:
@@ -182,16 +183,15 @@ def empirical_violation(
     )
 
 
-def discrete_worstcase_violation(alphas, u_mins, config: GameConfig, p_grid=None) -> float:
+def discrete_worstcase_violation(alphas, u_mins, config: GameConfig) -> float:
     """Exact violation probability maximized over the two-point family.
 
-    For every miner and every p on the grid, place the two moment-matched
-    atoms, evaluate the loss at each atom analytically, and add up the atom
-    probabilities where the loss is positive (utility below threshold).  A
-    certified solution must stay at or below epsilon on the whole family.
+    For every miner and every p on ``TWO_POINT_P_GRID``, place the two
+    moment-matched atoms, evaluate the loss at each atom analytically, and add
+    up the atom probabilities where the loss is positive (utility below
+    threshold).  A certified solution must stay at or below epsilon on the
+    whole family.
     """
-    if p_grid is None:
-        p_grid = np.linspace(0.005, 0.995, 199)
     a = np.asarray(alphas, dtype=float)
     x = config.nominal_resources()
     worst = 0.0
@@ -200,7 +200,7 @@ def discrete_worstcase_violation(alphas, u_mins, config: GameConfig, p_grid=None
         coeffs = LossCoefficients.from_strategy(
             a[j], u_mins[j], load, params.cost, config.reward.total
         )
-        for p in p_grid:
+        for p in TWO_POINT_P_GRID:
             hi, lo = two_point_atoms(params.nominal, params.sigma2, float(p))
             rate = 0.0
             if coeffs(hi) > 0.0:

@@ -1,9 +1,13 @@
 """End-to-end tests of the command-line harness and its CSV contracts."""
 
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powgame import ConvergenceError, SolverError, cli
 from powgame.cli import (
@@ -17,6 +21,7 @@ from powgame.cli import (
     main,
     scenario_from_dict,
 )
+from powgame.validate import DISTRIBUTIONS
 
 REFERENCE_DOC = {
     "name": "reference",
@@ -36,8 +41,10 @@ REFERENCE_DOC = {
 
 
 def write_config(tmp_path, doc=None, name="scen.json"):
+    """Write a scenario file; a str ``doc`` is written verbatim."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc if doc is not None else REFERENCE_DOC), encoding="utf-8")
+    text = doc if isinstance(doc, str) else json.dumps(doc if doc is not None else REFERENCE_DOC)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -220,11 +227,18 @@ def test_mode_override_flag(tmp_path):
         dict(REFERENCE_DOC, validation={"samples": "many"}),
         dict(REFERENCE_DOC, sigma=0.0, mode="bti"),
         dict(REFERENCE_DOC, sigma=[10.0, 10.0, 0.0, 10.0, 10.0], mode="cvar"),
+        # non-finite numbers: NaN made the robust threshold search loop forever
+        dict(REFERENCE_DOC, miners=3, unit_cost=math.nan, mode="det"),
+        dict(REFERENCE_DOC, reward={"fixed_reward": math.nan}, mode="det"),
+        dict(REFERENCE_DOC, sigma=math.inf, mode="det"),
+        '{"miners": 1e400, "mode": "det"}',
+        dict(REFERENCE_DOC, unit_cost=10**400, mode="det"),
     ],
     ids=[
         "miners-text", "tau0-text", "negative-reward", "sigma-list-text", "mode-number",
         "unknown-distribution", "distributions-not-list", "samples-text", "sigma0-bti",
-        "sigma0-one-miner-cvar",
+        "sigma0-one-miner-cvar", "cost-nan-det", "reward-nan-det", "sigma-infinity-det",
+        "miners-1e400-det", "cost-400-digits-det",
     ],
 )
 @pytest.mark.parametrize("verb", ["solve", "validate"])
@@ -281,3 +295,58 @@ def test_sweep_does_not_hide_programming_errors(tmp_path, monkeypatch):
     with pytest.raises(ZeroDivisionError):
         main(["sweep", "--config", str(config), "--out", str(tmp_path / "out"),
               "--axis", "epsilon", "--values", "0.1"])
+
+
+MUTATIONS = {
+    "text": "oops",
+    "nan": math.nan,
+    "infinity": math.inf,
+    "1e400": "__1e400__",  # a float literal that overflows; spliced in after dumping
+    "negative": -1.0,
+    "zero": 0,
+}
+MUTABLE_FIELDS = (
+    ("miners",), ("sigma",), ("unit_cost",), ("mu",), ("tau0",), ("epsilon",), ("kappa",),
+    ("seed",), ("max_iterations",), ("initial_alpha",), ("reward", "fixed_reward"),
+    ("resources", "x_hat"), ("validation", "samples"),
+)
+
+
+@st.composite
+def scenario_texts(draw):
+    """A valid scenario document, or one spoiled by a single mutation."""
+    doc = {
+        "miners": draw(st.integers(2, 4)),
+        "resources": {"mode": "homogeneous", "x_hat": draw(st.floats(20.0, 90.0))},
+        "sigma": draw(st.floats(0.5, 20.0)),
+        "unit_cost": draw(st.floats(40.0, 100.0)),
+        "reward": {"fixed_reward": draw(st.floats(2000.0, 8000.0))},
+        "tau0": draw(st.floats(0.1, 0.9)),
+        "epsilon": draw(st.floats(0.02, 0.5)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "mode": draw(st.sampled_from(["det", "bti"])),
+        "validation": {
+            "distributions": draw(
+                st.lists(st.sampled_from(DISTRIBUTIONS), min_size=1, unique=True)
+            ),
+            "samples": draw(st.integers(1, 200)),
+        },
+    }
+    mutation = draw(st.sampled_from([None, *MUTATIONS]))
+    if mutation is not None:
+        *parents, key = draw(st.sampled_from(MUTABLE_FIELDS))
+        target = doc
+        for name in parents:
+            target = target[name]
+        target[key] = MUTATIONS[mutation]
+    return json.dumps(doc).replace('"__1e400__"', "1e400")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(text=scenario_texts(), verb=st.sampled_from(["solve", "validate"]))
+def test_any_scenario_exits_0_1_or_2(text, verb):
+    # tmp_path is function-scoped, which hypothesis rejects across examples
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_config(Path(tmp), text)
+        code = main([verb, "--config", str(config), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)

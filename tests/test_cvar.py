@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from powgame import (
+    BtiCoefficients,
     ConvergenceError,
     LossCoefficients,
     MomentMatrix,
@@ -13,7 +14,9 @@ from powgame import (
     robust_best_response,
     robust_best_response_gaussian,
     subproblem_strategy,
+    subproblem_strategy_gaussian,
     subproblem_threshold,
+    subproblem_threshold_gaussian,
     utility,
     worstcase_cvar,
 )
@@ -36,8 +39,6 @@ def test_loss_hand_value():
     # 15*3025 + (0-8000+6600)*0.5*55 + 0 = 45375 - 38500 = 6875
     coeffs = _coeffs(0.5, 0.0, 110.0)
     assert coeffs(55.0) == pytest.approx(6875.0)
-    assert coeffs.B == pytest.approx(-1400.0)
-    assert coeffs.C == pytest.approx(110.0)
 
 
 def test_loss_sign_matches_utility_threshold():
@@ -77,7 +78,7 @@ def test_worstcase_cvar_linear_loss_closed_form():
     # for L(x) = x the worst-case CVaR is mu + s * sqrt((1-eps)/eps); a2 = 0
     # also exercises the exact minimum without its determinant kink (k = 0)
     for mu, s, eps in ((3.0, 2.0, 0.1), (55.0, 10.0, 0.05), (-4.0, 1.0, 0.3)):
-        coeffs = LossCoefficients(a2=0.0, a1=1.0, a0=0.0, B=0.0, C=1.0)
+        coeffs = LossCoefficients(a2=0.0, a1=1.0, a0=0.0)
         moments = MomentMatrix(mu, s * s)
         expected = mu + s * math.sqrt((1 - eps) / eps)
         value, _ = worstcase_cvar(coeffs, moments, eps)
@@ -152,7 +153,6 @@ def test_subproblem_threshold_bisection_boundary():
     assert certified_slack(0.5, u, 110.0, params, REWARD, 0.1) >= 0.0
     assert certified_slack(0.5, u + 2e-6, 110.0, params, REWARD, 0.1) < 0.0
     assert cert.u_min == pytest.approx(u)
-    assert cert.t_c == pytest.approx(60.0 * 0.25)
 
 
 def test_certificate_satisfies_all_constraint_groups():
@@ -327,6 +327,36 @@ def test_robust_best_response_iteration_cap(best_response_fn):
     assert len(err.value.last.u_history) == 4
 
 
+@pytest.mark.parametrize("backend", ["dro_cvar", "gaussian_bti"])
+def test_strategy_step_scores_incoming_alpha_once(monkeypatch, backend):
+    # 0.7123 is off the scan grid, so only the incoming score lands on it
+    alpha_in, load, eps = 0.7123, 110.0, 0.1
+    params = make_config().miners[0]
+    scored = []
+    if backend == "dro_cvar":
+        u, _ = subproblem_threshold(alpha_in, load, params, REWARD, eps)
+        original = cvar.certified_slack
+
+        def counted(alpha, *args):
+            scored.append(alpha)
+            return original(alpha, *args)
+
+        monkeypatch.setattr(cvar, "certified_slack", counted)
+        subproblem_strategy(u - 1.0, alpha_in, load, params, REWARD, 0.5, eps)
+    else:
+        u = subproblem_threshold_gaussian(alpha_in, load, params, REWARD, eps)
+        original = BtiCoefficients.from_strategy.__func__
+
+        def counted(cls, alpha, *args):
+            scored.append(alpha)
+            return original(cls, alpha, *args)
+
+        monkeypatch.setattr(BtiCoefficients, "from_strategy", classmethod(counted))
+        subproblem_strategy_gaussian(u - 1.0, alpha_in, load, params, REWARD, 0.5, eps)
+    assert len(scored) > 40  # the scan ran
+    assert scored.count(alpha_in) == 1
+
+
 def test_robust_best_response_certificate_is_final_iterate():
     # the driver must return the witness of the last threshold step, not one
     # threaded through from an earlier iterate; the AO moves on this instance
@@ -337,7 +367,6 @@ def test_robust_best_response_certificate_is_final_iterate():
     cert = response.certificate
     params = config.miners[0]
     assert cert.u_min == response.u_min
-    assert cert.t_c == pytest.approx(params.cost * response.alpha**2)
     load = 4 * 0.3 * 50.0
     coeffs = LossCoefficients.from_strategy(
         response.alpha, response.u_min, load, params.cost, REWARD.total
