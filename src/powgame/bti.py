@@ -15,6 +15,13 @@ the positive-part auxiliary equals max(0, -A); with A < 0 here, exactly the
 For the alternating optimization in ``robust``: g is concave in u_min, so
 the threshold step is an exact bisection on its sign, and the strategy step
 maximizes g itself over alpha -- the constraint value is its own slack.
+
+``BtiCoefficients`` and ``bti_constraint_value`` are the reference formula.
+The two steps evaluate g from constants computed once per step instead
+(``_threshold_certifier``, ``_strategy_slack``): a sweep evaluates g millions
+of times.  Every hoisted expression keeps the float operation order of
+``from_strategy`` and ``bti_constraint_value``, so each g value, and every
+output built on it, is bit-identical to the reference.
 """
 
 from __future__ import annotations
@@ -47,8 +54,7 @@ class BtiCoefficients:
 
     @classmethod
     def from_strategy(cls, alpha, u_min, load, params: MinerParams, reward: RewardModel):
-        if alpha <= 0 or load <= 0:
-            raise ValueError("need alpha > 0 and positive rivals' load")
+        _check_strategy(alpha, load)
         sigma = params.sigma
         mu_bar = params.nominal
         cost = params.cost
@@ -72,11 +78,20 @@ class BtiCoefficients:
         return max(0.0, -self.A)
 
 
-def bti_constraint_value(coeffs: BtiCoefficients, epsilon) -> float:
-    """Slack of the Bernstein bound; g >= 0 certifies the Gaussian constraint."""
+def _check_strategy(alpha, load):
+    if alpha <= 0 or load <= 0:
+        raise ValueError("need alpha > 0 and positive rivals' load")
+
+
+def _log_epsilon(epsilon) -> float:
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
-    log_eps = math.log(epsilon)
+    return math.log(epsilon)
+
+
+def bti_constraint_value(coeffs: BtiCoefficients, epsilon) -> float:
+    """Slack of the Bernstein bound; g >= 0 certifies the Gaussian constraint."""
+    log_eps = _log_epsilon(epsilon)
     return (
         coeffs.A
         - math.sqrt(-2.0 * log_eps) * coeffs.upsilon
@@ -85,17 +100,71 @@ def bti_constraint_value(coeffs: BtiCoefficients, epsilon) -> float:
     )
 
 
+# The two factories below inline from_strategy and bti_constraint_value with
+# everything that does not vary within a step computed once.  Their float
+# operations must stay in the reference's order (e.g. (0.5 * s) * alpha, and
+# g = ((A - c * upsilon) + log_eps * omega) + D): a reordered product changes
+# g in the last bits, and with it the bisection's threshold and every CSV.
+
+
+def _threshold_certifier(alpha, load, params: MinerParams, reward: RewardModel, epsilon):
+    """``certify(u)``: g(u) >= 0 at fixed alpha; only b and D depend on u."""
+    _check_strategy(alpha, load)
+    log_eps = _log_epsilon(epsilon)
+    sigma = params.sigma
+    neg_sigma = -sigma
+    mu_bar = params.nominal
+    cost = params.cost
+    big_b = -reward.total + cost * load
+    quad = cost * alpha * alpha
+    big_a = -quad * sigma * sigma
+    quad_mu = quad * mu_bar
+    quad_mu2 = quad_mu * mu_bar
+    log_omega = log_eps * max(0.0, -big_a)
+    c = math.sqrt(-2.0 * log_eps)
+    root2 = math.sqrt(2.0)
+    hypot = math.hypot
+
+    def certify(u):
+        s = u + big_b
+        b = neg_sigma * (quad_mu + 0.5 * s * alpha)
+        d = -(quad_mu2 + s * alpha * mu_bar + u * load)
+        return big_a - c * hypot(big_a, root2 * b) + log_omega + d >= 0.0
+
+    return certify
+
+
+def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsilon):
+    """``slack(alpha)``: g(alpha) at fixed u_min; only the alpha terms vary."""
+    log_eps = _log_epsilon(epsilon)
+    sigma = params.sigma
+    neg_sigma = -sigma
+    mu_bar = params.nominal
+    cost = params.cost
+    big_b = -reward.total + cost * load
+    s = u_min + big_b
+    half_s = 0.5 * s
+    u_load = u_min * load
+    c = math.sqrt(-2.0 * log_eps)
+    root2 = math.sqrt(2.0)
+    hypot = math.hypot
+
+    def slack(a):
+        quad = cost * a * a
+        big_a = -quad * sigma * sigma
+        b = neg_sigma * (quad * mu_bar + half_s * a)
+        d = -(quad * mu_bar * mu_bar + s * a * mu_bar + u_load)
+        omega = -big_a if big_a < 0.0 else 0.0  # max(0.0, -A), NaN included
+        return big_a - c * hypot(big_a, root2 * b) + log_eps * omega + d
+
+    return slack
+
+
 def subproblem_threshold_gaussian(
     alpha, load, params: MinerParams, reward: RewardModel, epsilon, u_lo=None
 ) -> float:
     """Largest u_min with g(u_min) >= 0 at fixed alpha (exact by concavity)."""
-
-    # g is built inline here and in the strategy step, not through a shared
-    # helper: a sweep evaluates it millions of times and a frame per call shows
-    def certify(u):
-        coeffs = BtiCoefficients.from_strategy(alpha, u, load, params, reward)
-        return bti_constraint_value(coeffs, epsilon) >= 0.0
-
+    certify = _threshold_certifier(alpha, load, params, reward, epsilon)
     return bisect_threshold(certify, params, reward, u_lo)[0]
 
 
@@ -108,11 +177,8 @@ def subproblem_strategy_gaussian(
     reparameterized bound equals g itself, so maximizing it keeps the current
     u_min feasible for the next threshold step.
     """
-
-    def slack(a):
-        coeffs = BtiCoefficients.from_strategy(a, u_min, load, params, reward)
-        return bti_constraint_value(coeffs, epsilon)
-
+    _check_strategy(min(tau0, alpha_in), load)
+    slack = _strategy_slack(u_min, load, params, reward, epsilon)
     return scan_strategy(slack, alpha_in, tau0)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import reprlib
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -26,7 +27,7 @@ import numpy as np
 
 from .equilibrium import EquilibriumResult, solve_equilibrium
 from .model import ConvergenceError, GameConfig, MinerParams, RewardModel, SolverError
-from .validate import DISTRIBUTIONS, empirical_violation, sample_uncertainty
+from .validate import DISTRIBUTIONS, POISSON_LAM_MAX, empirical_violation, sample_uncertainty
 
 __all__ = [
     "Scenario",
@@ -94,14 +95,24 @@ def _resolve_modes(selector) -> tuple[str, ...]:
     return tuple(modes)
 
 
+def _field(name, convert, raw):
+    """``convert(raw)``, with a failure reported as a ScenarioError naming the field."""
+    try:
+        return convert(raw)
+    except OverflowError as exc:
+        raise ScenarioError(f"field '{name}': {reprlib.repr(raw)} is out of range") from exc
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"field '{name}': {exc}") from exc
+
+
 def _per_miner(raw, count, field):
     if isinstance(raw, (int, float)):
-        return [float(raw)] * count
+        return [_field(field, float, raw)] * count
     _require(
         isinstance(raw, list) and len(raw) == count,
         f"field '{field}': expected a number or a list of length {count}",
     )
-    return [float(v) for v in raw]
+    return [_field(field, float, v) for v in raw]
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -109,17 +120,17 @@ def scenario_from_dict(doc: dict) -> Scenario:
     _require(isinstance(doc, dict), "top-level document must be a JSON object")
     try:  # coerces every field, so a wrong type or range is a ScenarioError
         name = str(doc.get("name", "scenario"))
-        count = int(doc.get("miners", 5))
+        count = _field("miners", int, doc.get("miners", 5))
         _require(count >= 2, "field 'miners': need at least 2 miners")
-        seed = int(doc.get("seed", 0))
+        seed = _field("seed", int, doc.get("seed", 0))
 
         resources = doc.get("resources", {"mode": "homogeneous", "x_hat": 55.0})
         _require(isinstance(resources, dict) and "mode" in resources, "field 'resources': need a mode")
         if resources["mode"] == "homogeneous":
-            x_hats = [float(resources.get("x_hat", 55.0))] * count
+            x_hats = [_field("resources.x_hat", float, resources.get("x_hat", 55.0))] * count
         elif resources["mode"] == "heterogeneous":
-            lo = float(resources.get("lo", 30.0))
-            hi = float(resources.get("hi", 60.0))
+            lo = _field("resources.lo", float, resources.get("lo", 30.0))
+            hi = _field("resources.hi", float, resources.get("hi", 60.0))
             _require(0 < lo < hi, "field 'resources': need 0 < lo < hi")
             rng = np.random.Generator(
                 np.random.Philox(np.random.SeedSequence(entropy=seed & 0xFFFFFFFF, spawn_key=(0xFEED,)))
@@ -133,22 +144,26 @@ def scenario_from_dict(doc: dict) -> Scenario:
         reward_doc = doc.get("reward", {})
         _require(isinstance(reward_doc, dict), "field 'reward': expected an object")
         reward = RewardModel(
-            fixed_reward=float(reward_doc.get("fixed_reward", 5000.0)),
-            unit_tx_reward=float(reward_doc.get("unit_tx_reward", 10.0)),
-            tx_count=float(reward_doc.get("tx_count", 300.0)),
+            fixed_reward=_field(
+                "reward.fixed_reward", float, reward_doc.get("fixed_reward", 5000.0)
+            ),
+            unit_tx_reward=_field(
+                "reward.unit_tx_reward", float, reward_doc.get("unit_tx_reward", 10.0)
+            ),
+            tx_count=_field("reward.tx_count", float, reward_doc.get("tx_count", 300.0)),
         )
 
         costs = _per_miner(doc.get("unit_cost", 60.0), count, "unit_cost")
         mus = _per_miner(doc.get("mu", 0.0), count, "mu")
         sigma = _per_miner(doc.get("sigma", 10.0), count, "sigma")
-        x_min = float(doc.get("x_min", 10.0))
-        x_max = float(doc.get("x_max", 100.0))
+        x_min = _field("x_min", float, doc.get("x_min", 10.0))
+        x_max = _field("x_max", float, doc.get("x_max", 100.0))
 
         miners = tuple(
             MinerParams(
                 x_hat=x_hats[j],
                 mu=mus[j],
-                sigma2=sigma[j] ** 2,
+                sigma2=_field("sigma", lambda s: s ** 2, sigma[j]),
                 cost=costs[j],
                 x_min=x_min,
                 x_max=x_max,
@@ -158,10 +173,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
         config = GameConfig(
             miners=miners,
             reward=reward,
-            tau0=float(doc.get("tau0", 0.5)),
-            epsilon=float(doc.get("epsilon", 0.1)),
-            kappa=float(doc.get("kappa", 1e-6)),
-            max_iterations=int(doc.get("max_iterations", 100)),
+            tau0=_field("tau0", float, doc.get("tau0", 0.5)),
+            epsilon=_field("epsilon", float, doc.get("epsilon", 0.1)),
+            kappa=_field("kappa", float, doc.get("kappa", 1e-6)),
+            max_iterations=_field("max_iterations", int, doc.get("max_iterations", 100)),
         )
 
         validation = doc.get("validation", {})
@@ -171,7 +186,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         )
         unknown = [d for d in distributions if d not in DISTRIBUTIONS]
         _require(not unknown, f"field 'validation.distributions': unknown {unknown}")
-        samples = int(validation.get("samples", 1000))
+        samples = _field("validation.samples", int, validation.get("samples", 1000))
         _require(samples >= 1, "field 'validation.samples': need at least 1")
 
         return Scenario(
@@ -179,7 +194,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             config=config,
             modes=_resolve_modes(doc.get("mode", "all")),
             seed=seed,
-            initial_alpha=float(doc.get("initial_alpha", 0.35)),
+            initial_alpha=_field("initial_alpha", float, doc.get("initial_alpha", 0.35)),
             distributions=distributions,
             samples=samples,
             clamp=bool(validation.get("clamp", False)),
@@ -321,6 +336,13 @@ def run_validate(scenario: Scenario, out_dir) -> int:
     config = scenario.config
     if any(m.sigma2 <= 0 for m in config.miners):  # nothing to sample in any mode
         raise ScenarioError("field 'sigma': validate needs sigma > 0 for every miner")
+    if "poisson_shifted" in scenario.distributions:  # its draws are Poisson(sigma^2)
+        largest = max(m.sigma2 for m in config.miners)
+        _require(
+            largest <= POISSON_LAM_MAX,
+            f"field 'sigma': distribution poisson_shifted needs sigma <= "
+            f"{math.sqrt(POISSON_LAM_MAX):.6g}, got {math.sqrt(largest):g}",
+        )
     hist_rows = []
     report_rows = []
     exit_code = 0

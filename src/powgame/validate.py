@@ -38,6 +38,9 @@ _DIST_CODE = {name: k for k, name in enumerate(DISTRIBUTIONS)}
 HISTOGRAM_BINS = 40
 SLACK_SIGMAS = 3.0  # binomial slack width for pass/fail at finite sample size
 TWO_POINT_P_GRID = np.linspace(0.005, 0.995, 199)
+# the largest lambda numpy's Generator.poisson accepts; poisson_shifted draws
+# Poisson(sigma2), so a larger variance cannot be sampled
+POISSON_LAM_MAX = np.iinfo(np.int64).max - math.sqrt(np.iinfo(np.int64).max) * 10.0
 
 
 def _stream(seed: int, miner_index: int, distribution: str) -> np.random.Generator:

@@ -14,8 +14,10 @@ from powgame import (
     subproblem_strategy_gaussian,
     subproblem_threshold_gaussian,
 )
+from powgame import bti
 from powgame.deterministic import best_response
 from powgame.model import MinerParams
+from powgame.robust import bisect_threshold, scan_strategy
 
 from conftest import make_config, outer_best_response_oracle
 
@@ -177,6 +179,73 @@ def test_strategy_fixed_point_and_exhaustive_scan():
         for a in grid
     )
     assert s1 >= best - 1e-9
+
+
+def test_steps_evaluate_g_bit_for_bit_like_the_reference():
+    # the steps evaluate g from per-step constants; with the reference's float
+    # order kept, values and decisions are equal, not merely close.  Next to
+    # the threshold, g is large terms cancelling to ~0, so a change in any
+    # product's rounding flips the decision at one of the two adjacent floats
+    rng = np.random.default_rng(33)
+    for _ in range(1000):
+        alpha = float(rng.uniform(0.05, 1.0))
+        load = float(rng.uniform(20.0, 400.0))
+        eps = float(rng.uniform(0.02, 0.5))
+        params = MinerParams(
+            x_hat=float(rng.uniform(30.0, 60.0)), mu=float(rng.uniform(-5.0, 5.0)),
+            sigma2=float(rng.uniform(0.5, 15.0)) ** 2, cost=float(rng.uniform(20.0, 120.0)),
+        )
+        reward = RewardModel(
+            fixed_reward=float(rng.uniform(1000.0, 9000.0)),
+            unit_tx_reward=float(rng.uniform(0.0, 20.0)),
+            tx_count=float(rng.uniform(0.0, 500.0)),
+        )
+
+        def g(a, u):
+            coeffs = BtiCoefficients.from_strategy(a, u, load, params, reward)
+            return bti_constraint_value(coeffs, eps)
+
+        def reference_certify(u):
+            return g(alpha, u) >= 0.0
+
+        certify = bti._threshold_certifier(alpha, load, params, reward, eps)
+        for u in rng.uniform(-3000.0, 3000.0, size=4):
+            assert certify(float(u)) == reference_certify(float(u))
+        u_star = bisect_threshold(reference_certify, params, reward)[0]
+        assert subproblem_threshold_gaussian(alpha, load, params, reward, eps) == u_star
+        lo, hi = u_star, u_star + 2e-6
+        while True:  # down to the two adjacent floats where the decision flips
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if reference_certify(mid) else (lo, mid)
+        assert certify(lo) and not certify(hi)
+
+        for u in (u_star, float(rng.uniform(-3000.0, 3000.0))):
+            slack = bti._strategy_slack(u, load, params, reward, eps)
+            for a in (alpha, *rng.uniform(0.05, 1.0, size=3)):
+                assert slack(float(a)) == g(float(a), u)
+        tau0 = float(rng.uniform(0.05, 0.9))
+        reference = scan_strategy(lambda a: g(a, u_star), alpha, tau0)
+        assert subproblem_strategy_gaussian(
+            u_star, alpha, load, params, reward, tau0, eps
+        ) == reference
+
+
+def test_gaussian_steps_build_no_coefficients(monkeypatch):
+    # both steps evaluate g from per-step constants, never through the
+    # reference dataclass (which a sweep would build millions of times)
+    built = []
+    original = BtiCoefficients.from_strategy.__func__
+
+    def counted(cls, *args):
+        built.append(args)
+        return original(cls, *args)
+
+    monkeypatch.setattr(BtiCoefficients, "from_strategy", classmethod(counted))
+    response = robust_best_response_gaussian(0, [0.6] * 5, make_config(n=5, x_hat=50.0))
+    assert response.iterations >= 1
+    assert len(built) == 0
 
 
 def test_robust_best_response_monotone_and_oracle():

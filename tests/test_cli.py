@@ -214,40 +214,47 @@ def test_mode_override_flag(tmp_path):
     assert not (out / "cvar").exists()
 
 
+MALFORMED = [  # (id, document, text stderr must contain, verbs)
+    ("miners-text", dict(REFERENCE_DOC, miners="five"), "'miners'", None),
+    ("tau0-text", dict(REFERENCE_DOC, tau0="half"), "'tau0'", None),
+    ("negative-reward", dict(REFERENCE_DOC, reward={"fixed_reward": -1.0}), "", None),
+    ("sigma-list-text", dict(REFERENCE_DOC, sigma=["a"] * 5), "'sigma'", None),
+    ("mode-number", dict(REFERENCE_DOC, mode=5), "", None),
+    ("unknown-distribution", dict(REFERENCE_DOC, validation={"distributions": ["cauchy"]}), "", None),
+    ("distributions-not-list", dict(REFERENCE_DOC, validation={"distributions": "gaussian"}), "", None),
+    ("samples-text", dict(REFERENCE_DOC, validation={"samples": "many"}), "'validation.samples'", None),
+    ("sigma0-bti", dict(REFERENCE_DOC, sigma=0.0, mode="bti"), "'sigma'", None),
+    ("sigma0-one-miner-cvar", dict(REFERENCE_DOC, sigma=[10.0, 10.0, 0.0, 10.0, 10.0], mode="cvar"),
+     "'sigma'", None),
+    # non-finite numbers: NaN made the robust threshold search loop forever
+    ("cost-nan-det", dict(REFERENCE_DOC, miners=3, unit_cost=math.nan, mode="det"), "", None),
+    ("reward-nan-det", dict(REFERENCE_DOC, reward={"fixed_reward": math.nan}, mode="det"), "", None),
+    ("sigma-infinity-det", dict(REFERENCE_DOC, sigma=math.inf, mode="det"), "", None),
+    ("miners-1e400-det", '{"miners": 1e400, "mode": "det"}', "'miners'", None),
+    ("cost-400-digits-det", dict(REFERENCE_DOC, unit_cost=10**400, mode="det"), "'unit_cost'", None),
+    ("sigma-1e200-det", dict(REFERENCE_DOC, sigma=1e200, mode="det"), "'sigma'", None),
+    # a det solve needs no samples; numpy cannot draw Poisson(sigma^2) this large
+    ("sigma-1e10-poisson-det", dict(REFERENCE_DOC, sigma=1e10, mode="det"),
+     "'sigma': distribution poisson_shifted", ("validate",)),
+]
+
+
 @pytest.mark.parametrize(
-    "doc",
+    "verb, doc, names",
     [
-        dict(REFERENCE_DOC, miners="five"),
-        dict(REFERENCE_DOC, tau0="half"),
-        dict(REFERENCE_DOC, reward={"fixed_reward": -1.0}),
-        dict(REFERENCE_DOC, sigma=["a"] * 5),
-        dict(REFERENCE_DOC, mode=5),
-        dict(REFERENCE_DOC, validation={"distributions": ["cauchy"]}),
-        dict(REFERENCE_DOC, validation={"distributions": "gaussian"}),
-        dict(REFERENCE_DOC, validation={"samples": "many"}),
-        dict(REFERENCE_DOC, sigma=0.0, mode="bti"),
-        dict(REFERENCE_DOC, sigma=[10.0, 10.0, 0.0, 10.0, 10.0], mode="cvar"),
-        # non-finite numbers: NaN made the robust threshold search loop forever
-        dict(REFERENCE_DOC, miners=3, unit_cost=math.nan, mode="det"),
-        dict(REFERENCE_DOC, reward={"fixed_reward": math.nan}, mode="det"),
-        dict(REFERENCE_DOC, sigma=math.inf, mode="det"),
-        '{"miners": 1e400, "mode": "det"}',
-        dict(REFERENCE_DOC, unit_cost=10**400, mode="det"),
-    ],
-    ids=[
-        "miners-text", "tau0-text", "negative-reward", "sigma-list-text", "mode-number",
-        "unknown-distribution", "distributions-not-list", "samples-text", "sigma0-bti",
-        "sigma0-one-miner-cvar", "cost-nan-det", "reward-nan-det", "sigma-infinity-det",
-        "miners-1e400-det", "cost-400-digits-det",
+        pytest.param(verb, doc, names, id=f"{verb}-{name}")
+        for verb in ("solve", "validate")
+        for name, doc, names, verbs in MALFORMED
+        if verbs is None or verb in verbs
     ],
 )
-@pytest.mark.parametrize("verb", ["solve", "validate"])
-def test_malformed_scenario_exits_1(tmp_path, capsys, doc, verb):
+def test_malformed_scenario_exits_1(tmp_path, capsys, verb, doc, names):
     config = write_config(tmp_path, doc)
     code = main([verb, "--config", str(config), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("config error: ") and err.count("\n") == 1
+    assert names in err
     assert not (tmp_path / "out").exists()
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from powgame import (
-    BtiCoefficients,
     ConvergenceError,
     LossCoefficients,
     MomentMatrix,
@@ -20,7 +19,7 @@ from powgame import (
     utility,
     worstcase_cvar,
 )
-from powgame import cvar
+from powgame import bti, cvar
 from powgame.cvar import _CvarEvaluator, certified_slack
 from powgame.deterministic import best_response
 from powgame.validate import sample_uncertainty
@@ -345,13 +344,16 @@ def test_strategy_step_scores_incoming_alpha_once(monkeypatch, backend):
         subproblem_strategy(u - 1.0, alpha_in, load, params, REWARD, 0.5, eps)
     else:
         u = subproblem_threshold_gaussian(alpha_in, load, params, REWARD, eps)
-        original = BtiCoefficients.from_strategy.__func__
+        original = bti.scan_strategy
 
-        def counted(cls, alpha, *args):
-            scored.append(alpha)
-            return original(cls, alpha, *args)
+        def scanning(slack, *args):
+            def counted(alpha):
+                scored.append(alpha)
+                return slack(alpha)
 
-        monkeypatch.setattr(BtiCoefficients, "from_strategy", classmethod(counted))
+            return original(counted, *args)
+
+        monkeypatch.setattr(bti, "scan_strategy", scanning)
         subproblem_strategy_gaussian(u - 1.0, alpha_in, load, params, REWARD, 0.5, eps)
     assert len(scored) > 40  # the scan ran
     assert scored.count(alpha_in) == 1
