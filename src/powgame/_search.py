@@ -49,22 +49,3 @@ def scan_golden_max(f, lo, hi, step, tol=1e-6):
         best_x, best_f = float(grid[k]), vals[k]
     return best_x, best_f
 
-
-def expand_bracket_min(f, lo, hi, max_expand=80):
-    """Grow [lo, hi] until it contains a minimizer of a coercive convex f."""
-    f_lo, f_hi = f(lo), f(hi)
-    mid = 0.5 * (lo + hi)
-    f_mid = f(mid)
-    for _ in range(max_expand):
-        if f_lo > f_mid and f_hi > f_mid:
-            break
-        width = hi - lo
-        if f_lo <= f_mid:
-            lo -= 2.0 * width
-            f_lo = f(lo)
-        if f_hi <= f_mid:
-            hi += 2.0 * width
-            f_hi = f(hi)
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-    return lo, hi

@@ -80,17 +80,24 @@ def _require(condition, message):
 
 
 def _resolve_modes(selector) -> tuple[str, ...]:
+    """A mode name, "all", or a non-empty list of distinct mode names."""
     if selector == "all":
         return tuple(MODE_ALIASES.values())
     if isinstance(selector, str):
         selector = [selector]
+    _require(
+        isinstance(selector, list),
+        f"field 'mode': expected a mode name or a list of them, got {reprlib.repr(selector)}",
+    )
+    _require(selector, "field 'mode': need at least one mode")
     modes = []
     for item in selector:
-        mode = MODE_ALIASES.get(item, item)
+        mode = MODE_ALIASES.get(item, item) if isinstance(item, str) else item
         _require(
             mode in MODE_ALIASES.values(),
             f"field 'mode': unknown solver mode {item!r} (use det|bti|cvar|all)",
         )
+        _require(mode not in modes, f"field 'mode': {MODE_SHORT[mode]} is listed twice")
         modes.append(mode)
     return tuple(modes)
 
@@ -343,32 +350,30 @@ def run_validate(scenario: Scenario, out_dir) -> int:
             f"field 'sigma': distribution poisson_shifted needs sigma <= "
             f"{math.sqrt(POISSON_LAM_MAX):.6g}, got {math.sqrt(largest):g}",
         )
-    hist_rows = []
-    report_rows = []
-    exit_code = 0
-    for mode in scenario.modes:
-        result = _solve_mode(scenario, mode)
-        if not result.converged:
-            exit_code = 2
-        u_values = result.u_values
-        short = MODE_SHORT[mode]
-        for j in range(config.n_miners):
-            params = config.miners[j]
-            for dist in scenario.distributions:
-                batch = sample_uncertainty(
-                    dist, params.mu, params.sigma2, scenario.samples, scenario.seed, miner_index=j
-                )
+    results = [_solve_mode(scenario, mode) for mode in scenario.modes]
+    # a batch depends only on (seed, miner, distribution): draw each once and
+    # score it against every mode, keeping the rows in mode-major order
+    hist_rows = [[] for _ in results]
+    report_rows = [[] for _ in results]
+    for j in range(config.n_miners):
+        params = config.miners[j]
+        for dist in scenario.distributions:
+            batch = sample_uncertainty(
+                dist, params.mu, params.sigma2, scenario.samples, scenario.seed, miner_index=j
+            )
+            for mode, result, hist, reports in zip(scenario.modes, results, hist_rows, report_rows):
+                short = MODE_SHORT[mode]
                 report = empirical_violation(
-                    result.alphas, u_values[j], j, config, batch, clamp=scenario.clamp
+                    result.alphas, result.u_values[j], j, config, batch, clamp=scenario.clamp
                 )
-                report_rows.append((short, dist, j, report.rate, config.epsilon, report.passed))
-                hist_rows.extend(
+                reports.append((short, dist, j, report.rate, config.epsilon, report.passed))
+                hist.extend(
                     (short, dist, j, report.bin_edges[k], report.bin_edges[k + 1], int(report.counts[k]))
                     for k in range(len(report.counts))
                 )
-    _write_csv(out / "histogram.csv", HISTOGRAM_HEADER, hist_rows)
-    _write_csv(out / "violations.csv", VIOLATIONS_HEADER, report_rows)
-    return exit_code
+    _write_csv(out / "histogram.csv", HISTOGRAM_HEADER, [row for rows in hist_rows for row in rows])
+    _write_csv(out / "violations.csv", VIOLATIONS_HEADER, [row for rows in report_rows for row in rows])
+    return 0 if all(result.converged for result in results) else 2
 
 
 def _parse_values(raw: str, axis: str):

@@ -17,28 +17,42 @@ worst-case CVaR is the minimum over beta of
 
     v(beta) = beta + Tr+(Omega^{1/2} Q(beta) Omega^{1/2}) / epsilon.
 
-The 2x2 argument's trace and determinant are affine in beta, so v is a
-closed-form scalar and its exact minimum is the least of v over three
-candidate betas (``_CvarEvaluator``).
+The 2x2 argument is similar to ``Q(beta) Omega``; its trace and determinant
+are affine in beta, so v is a closed-form scalar.
 
-The threshold step certifies each bisection probe with that exact minimum
-and builds the (beta, M) certificate once, for the threshold it returns.  The
-strategy step maximizes the negated worst-case CVaR over alpha and still
-minimizes v by bracketed golden section: the exact minimum there moves an
-equilibrium threshold of one benchmark game by 5e-4 (the solver fixes u_min
-only to its 1e-6 alpha tolerance times du/dalpha), more than the benchmark's
-recorded reference outputs allow, so that switch waits for a re-recorded
-reference.
+``LossCoefficients``, ``MomentMatrix`` and ``_CvarEvaluator`` (v, and its
+exact minimum as the least v over three candidate betas) are the reference
+formula, and ``worstcase_cvar`` and ``certified_slack`` evaluate the
+worst-case CVaR through them.  The two alternating-optimization steps
+evaluate v from constants computed once per step instead, because a solve
+evaluates it hundreds of thousands of times:
+
+- ``_threshold_certifier`` gives the threshold step ``certify(u)``, the sign
+  of the exact minimum at each bisection probe, and ``certificate(u)``, the
+  (beta, M) witness built once, at the returned threshold, in closed form
+  from the eigenvector of ``Q(beta) Omega`` (``_trace_minimal_witness``).
+- ``_strategy_slack`` gives the strategy step ``slack(alpha)``, the negated
+  worst-case CVaR.  It and ``worstcase_cvar`` share the one search over beta
+  (``_beta_search``), a bracketed golden section: the exact minimum there
+  moves an equilibrium threshold of one benchmark game by 5e-4 (the solver
+  fixes u_min only to its 1e-6 alpha tolerance times du/dalpha), more than
+  the benchmark's recorded reference outputs allow, so that switch waits for
+  a re-recorded reference.
+
+Every hoisted expression keeps the float operation order of the reference,
+so each threshold decision and slack value, and every output built on them,
+is bit-identical to it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ._search import expand_bracket_min, golden_min
+from ._search import _INV_PHI
 from .model import GameConfig, MinerParams, RewardModel
 from .robust import AO_CAP, AO_TOL, BestResponse, alternate, bisect_threshold, scan_strategy
 
@@ -53,6 +67,11 @@ __all__ = [
 ]
 
 
+def _check_strategy(alpha, cost, load):
+    if alpha <= 0 or cost <= 0 or load <= 0:
+        raise ValueError("need alpha > 0, cost > 0 and positive rivals' load")
+
+
 @dataclass(frozen=True)
 class LossCoefficients:
     """Quadratic loss L(x) = a2 x^2 + a1 x + a0 encoding "utility below u_min"."""
@@ -63,8 +82,7 @@ class LossCoefficients:
 
     @classmethod
     def from_strategy(cls, alpha, u_min, load, cost, reward_total):
-        if alpha <= 0 or cost <= 0 or load <= 0:
-            raise ValueError("need alpha > 0, cost > 0 and positive rivals' load")
+        _check_strategy(alpha, cost, load)
         b = -reward_total + cost * load
         return cls(a2=cost * alpha * alpha, a1=(u_min + b) * alpha, a0=u_min * load)
 
@@ -146,9 +164,8 @@ class _CvarEvaluator:
     when the determinant is >= 0 (both eigenvalues share a sign) and the
     larger eigenvalue otherwise, so v needs only these three scalars.
 
-    ``exact_min`` certifies the threshold step's bisection probes;
-    ``minimize``, a bracketed golden section, is the strategy step's slack
-    (see the module docstring for why it stays).
+    The reference formula of v and of its exact minimum; the solver's steps
+    evaluate both from per-step constants (see the module docstring).
     """
 
     def __init__(self, coeffs: LossCoefficients, moments: MomentMatrix, epsilon):
@@ -184,41 +201,176 @@ class _CvarEvaluator:
         candidates = [self.t0, stationary] + ([self.d0 / self.k] if self.k > 0.0 else [])
         return min((self.value(beta), beta) for beta in candidates)
 
-    def beta_scale(self):
-        c, m = self.coeffs, self.moments
-        reach = m.mu_bar + 3.0 * math.sqrt(m.sigma2)
-        return 1.0 + abs(c.a0) + abs(c.a1) * abs(reach) + c.a2 * reach * reach
 
-    def minimize(self):
-        """(min value, argmin beta) by bracketed golden section."""
-        scale = self.beta_scale()
-        lo, hi = expand_bracket_min(self.value, -scale, scale)
-        beta, val = golden_min(
-            self.value, lo, hi, tol=1e-13 * (1.0 + abs(lo) + abs(hi)), max_iter=300
-        )
-        return val, beta
+def _v(t0, d0, k, epsilon, beta):
+    """v(beta) from its three scalars, in ``_CvarEvaluator.value``'s float order.
 
-    def certificate(self, beta, u_min) -> CvarCertificate:
-        """Trace-minimal M at this beta: clip the congruence-transformed Q."""
-        c = self.coeffs
-        r = self.moments.sqrt_matrix()
-        q = np.array([[c.a2, 0.5 * c.a1], [0.5 * c.a1, c.a0 - beta]])
-        eigvals, eigvecs = np.linalg.eigh(r @ q @ r)
-        n = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
-        r_inv = np.linalg.inv(r)
-        m = r_inv @ n @ r_inv
-        return CvarCertificate(
-            beta=float(beta),
-            m11=float(m[0, 0]),
-            m12=float(m[0, 1]),
-            m22=float(m[1, 1]),
-            u_min=float(u_min),
-        )
+    max(t, 0.0) is written as ``0.0 if 0.0 > t else t``, NaN included.
+    """
+    t = t0 - beta
+    d = d0 - beta * k
+    if d >= 0.0:
+        return beta + (0.0 if 0.0 > t else t) / epsilon
+    return beta + (0.5 * t + math.sqrt(0.25 * t * t - d)) / epsilon
+
+
+def _beta_search(t0, d0, k, epsilon, scale) -> tuple[float, float]:
+    """(min value, argmin beta) of v by bracketed golden section.
+
+    Starting from [-scale, scale], the bracket grows until its midpoint beats
+    both ends (at most 80 times); golden section then narrows it to
+    1e-13 * (1 + |lo| + |hi|) (at most 300 steps) and returns v at the
+    midpoint.
+    """
+    sqrt = math.sqrt
+    inv_phi = _INV_PHI
+    v = partial(_v, t0, d0, k, epsilon)
+    lo, hi = -scale, scale
+    f_lo, f_hi = v(lo), v(hi)
+    mid = 0.5 * (lo + hi)
+    f_mid = v(mid)
+    for _ in range(80):
+        if f_lo > f_mid and f_hi > f_mid:
+            break
+        width = hi - lo
+        if f_lo <= f_mid:
+            lo -= 2.0 * width
+            f_lo = v(lo)
+        if f_hi <= f_mid:
+            hi += 2.0 * width
+            f_hi = v(hi)
+        mid = 0.5 * (lo + hi)
+        f_mid = v(mid)
+    tol = 1e-13 * (1.0 + abs(lo) + abs(hi))
+    x1 = hi - inv_phi * (hi - lo)
+    x2 = lo + inv_phi * (hi - lo)
+    f1, f2 = v(x1), v(x2)
+    # about 60 steps per search, the solver's hottest loop: _v is inlined
+    for _ in range(300):
+        if not hi - lo > tol:
+            break
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv_phi * (hi - lo)
+            t = t0 - x1
+            d = d0 - x1 * k
+            if d >= 0.0:
+                f1 = x1 + (0.0 if 0.0 > t else t) / epsilon
+            else:
+                f1 = x1 + (0.5 * t + sqrt(0.25 * t * t - d)) / epsilon
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv_phi * (hi - lo)
+            t = t0 - x2
+            d = d0 - x2 * k
+            if d >= 0.0:
+                f2 = x2 + (0.0 if 0.0 > t else t) / epsilon
+            else:
+                f2 = x2 + (0.5 * t + sqrt(0.25 * t * t - d)) / epsilon
+    beta = 0.5 * (lo + hi)
+    return v(beta), beta
 
 
 def worstcase_cvar(coeffs: LossCoefficients, moments: MomentMatrix, epsilon) -> tuple[float, float]:
     """Exact worst-case CVaR of the loss over the mean/variance ambiguity set: (value, beta)."""
-    return _CvarEvaluator(coeffs, moments, epsilon).minimize()
+    evaluator = _CvarEvaluator(coeffs, moments, epsilon)
+    reach = moments.mu_bar + 3.0 * math.sqrt(moments.sigma2)
+    scale = 1.0 + abs(coeffs.a0) + abs(coeffs.a1) * abs(reach) + coeffs.a2 * reach * reach
+    return _beta_search(evaluator.t0, evaluator.d0, evaluator.k, epsilon, scale)
+
+
+def _trace_minimal_witness(beta, u_min, a2, a1, a0, mu_bar, sigma2) -> CvarCertificate:
+    """The trace-minimal (beta, M) for the loss (a2, a1, a0), in closed form.
+
+    M = Om^{-1/2} (Om^{1/2} Q Om^{1/2})_+ Om^{-1/2}, and the clipped matrix is
+    similar to P = Q Omega.  When det P >= 0 its eigenvalues share a sign, so
+    M is Q (trace >= 0) or 0; otherwise only the larger eigenvalue lam of P
+    is positive and M = lam w w^T / (w^T Om w) for its eigenvector w.
+    """
+    h = 0.5 * a1
+    c = a0 - beta
+    second = sigma2 + mu_bar * mu_bar
+    p11 = a2 * second + h * mu_bar
+    p12 = a2 * mu_bar + h
+    p21 = h * second + c * mu_bar
+    p22 = h * mu_bar + c
+    t = p11 + p22
+    d = sigma2 * (a2 * c - h * h)
+    if d >= 0.0:
+        m11, m12, m22 = (a2, h, c) if t >= 0.0 else (0.0, 0.0, 0.0)
+    else:
+        root = math.sqrt(0.25 * t * t - d)
+        lam = 0.5 * t + root if t >= 0.0 else -d / (root - 0.5 * t)  # no cancellation
+        # each row of (P - lam I) w = 0 gives w; a diagonal P zeroes one of
+        # the two, so take the longer
+        x, y = p12, lam - p11
+        if abs(x) + abs(y) < abs(lam - p22) + abs(p21):
+            x, y = lam - p22, p21
+        scale = lam / (sigma2 * x * x + (mu_bar * x + y) ** 2)  # w^T Om w
+        m11, m12, m22 = scale * x * x, scale * x * y, scale * y * y
+    return CvarCertificate(beta=beta, m11=m11, m12=m12, m22=m22, u_min=u_min)
+
+
+def _threshold_certifier(alpha, load, params: MinerParams, reward: RewardModel, epsilon):
+    """``(certify(u), certificate(u))`` at fixed alpha; only a1 and a0 depend on u.
+
+    ``certify`` is the sign of ``_CvarEvaluator.exact_min`` and
+    ``certificate`` the witness at its argmin beta, both in the reference's
+    float order.
+    """
+    cost = params.cost
+    _check_strategy(alpha, cost, load)
+    m, s2 = params.nominal, params.sigma2
+    big_b = -reward.total + cost * load
+    a2 = cost * alpha * alpha
+    a2_second = a2 * (s2 + m * m)
+    k = s2 * a2
+    two_k = 2.0 * k
+    a2_m = a2 * m
+    sigma = math.sqrt(s2)
+    factor = (1.0 - 2.0 * epsilon) / math.sqrt(epsilon * (1.0 - epsilon))
+    kink = k > 0.0
+
+    def candidates(u):
+        a1 = (u + big_b) * alpha
+        a0 = u * load
+        t0 = a2_second + a1 * m + a0
+        d0 = s2 * (a2 * a0 - 0.25 * a1 * a1)
+        stationary = t0 - two_k + factor * (sigma * abs(a2_m + 0.5 * a1))
+        return a1, a0, t0, d0, (t0, stationary, d0 / k) if kink else (t0, stationary)
+
+    def certify(u):
+        _, _, t0, d0, betas = candidates(u)
+        return min([_v(t0, d0, k, epsilon, beta) for beta in betas]) <= 0.0
+
+    def certificate(u):
+        a1, a0, t0, d0, betas = candidates(u)
+        _, beta = min((_v(t0, d0, k, epsilon, b), b) for b in betas)
+        return _trace_minimal_witness(beta, u, a2, a1, a0, m, s2)
+
+    return certify, certificate
+
+
+def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsilon):
+    """``slack(alpha)``: negated ``worstcase_cvar`` at fixed u_min; only the alpha terms vary."""
+    m, s2 = params.nominal, params.sigma2
+    cost = params.cost
+    s = u_min + (-reward.total + cost * load)
+    a0 = u_min * load
+    second = s2 + m * m
+    reach = m + 3.0 * math.sqrt(s2)
+    abs_reach = abs(reach)
+    scale0 = 1.0 + abs(a0)
+
+    def slack(alpha):
+        a2 = cost * alpha * alpha
+        a1 = s * alpha
+        t0 = a2 * second + a1 * m + a0
+        d0 = s2 * (a2 * a0 - 0.25 * a1 * a1)
+        scale = scale0 + abs(a1) * abs_reach + a2 * reach * reach
+        return -_beta_search(t0, d0, s2 * a2, epsilon, scale)[0]
+
+    return slack
 
 
 def subproblem_threshold(
@@ -227,22 +379,15 @@ def subproblem_threshold(
     """Largest certifiable u_min at fixed alpha, with its certificate.
 
     Each bisection probe is certified by the exact minimum of v; the
-    certificate is built once, at the argmin beta of the last certified probe.
+    certificate is built once, at the argmin beta of the returned threshold.
     """
-    moments = MomentMatrix.from_params(params)
-
-    def certify(u):
-        coeffs = LossCoefficients.from_strategy(alpha, u, load, params.cost, reward.total)
-        evaluator = _CvarEvaluator(coeffs, moments, epsilon)
-        value, beta = evaluator.exact_min()
-        return (beta, evaluator) if value <= 0.0 else None
-
-    u_min, (beta, evaluator) = bisect_threshold(certify, params, reward, u_lo)
-    return u_min, evaluator.certificate(beta, u_min)
+    certify, certificate = _threshold_certifier(alpha, load, params, reward, epsilon)
+    u_min = bisect_threshold(certify, params, reward, u_lo)[0]
+    return u_min, certificate(u_min)
 
 
 def certified_slack(alpha, u_min, load, params: MinerParams, reward: RewardModel, epsilon):
-    """Negated worst-case CVaR at (alpha, u_min); >= 0 iff certifiable."""
+    """Negated worst-case CVaR at (alpha, u_min); >= 0 iff certifiable (reference formula)."""
     coeffs = LossCoefficients.from_strategy(alpha, u_min, load, params.cost, reward.total)
     moments = MomentMatrix.from_params(params)
     value, _ = worstcase_cvar(coeffs, moments, epsilon)
@@ -258,9 +403,9 @@ def subproblem_strategy(
     the incoming alpha by construction, so the slack maximized here is the
     negated worst-case CVaR, re-certified per alpha.
     """
-    return scan_strategy(
-        lambda a: certified_slack(a, u_min, load, params, reward, epsilon), alpha_in, tau0
-    )
+    _check_strategy(min(tau0, alpha_in), params.cost, load)
+    slack = _strategy_slack(u_min, load, params, reward, epsilon)
+    return scan_strategy(slack, alpha_in, tau0)
 
 
 def robust_best_response(

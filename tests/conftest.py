@@ -5,6 +5,10 @@ best responses are verified against dense grid searches over the raw utility,
 robust best responses against an exhaustive outer search over alpha with
 threshold bisection at every point, the worst-case CVaR against a log-barrier
 solver of its conic program, and derivatives against finite differences.
+Two reference compositions the solver replays from per-step constants also
+live here: the generic bracketed golden section over ``_CvarEvaluator.value``
+(``reference_worstcase_cvar``) and the eigendecomposition route to the
+trace-minimal CVaR certificate (``eigh_certificate``).
 """
 
 from __future__ import annotations
@@ -14,8 +18,17 @@ import math
 import numpy as np
 import pytest
 
-from powgame import GameConfig, LossCoefficients, MinerParams, MomentMatrix, RewardModel, utility
-from powgame._search import golden_max
+from powgame import (
+    CvarCertificate,
+    GameConfig,
+    LossCoefficients,
+    MinerParams,
+    MomentMatrix,
+    RewardModel,
+    utility,
+)
+from powgame._search import golden_max, golden_min
+from powgame.cvar import _CvarEvaluator
 
 
 def make_config(
@@ -229,3 +242,57 @@ def barrier_worstcase_cvar(
             break
         w *= reduction
     return float(cvec @ z), z
+
+
+def expand_bracket_min(f, lo, hi, max_expand=80):
+    """Grow [lo, hi] until it contains a minimizer of a coercive convex f."""
+    f_lo, f_hi = f(lo), f(hi)
+    mid = 0.5 * (lo + hi)
+    f_mid = f(mid)
+    for _ in range(max_expand):
+        if f_lo > f_mid and f_hi > f_mid:
+            break
+        width = hi - lo
+        if f_lo <= f_mid:
+            lo -= 2.0 * width
+            f_lo = f(lo)
+        if f_hi <= f_mid:
+            hi += 2.0 * width
+            f_hi = f(hi)
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+    return lo, hi
+
+
+def reference_worstcase_cvar(coeffs: LossCoefficients, moments: MomentMatrix, epsilon):
+    """(min value, argmin beta) of v by bracketed golden section, generically.
+
+    The composition ``cvar.worstcase_cvar`` and the strategy step's slack
+    replay probe for probe with v inlined, so their values must be equal.
+    """
+    evaluator = _CvarEvaluator(coeffs, moments, epsilon)
+    reach = moments.mu_bar + 3.0 * math.sqrt(moments.sigma2)
+    scale = 1.0 + abs(coeffs.a0) + abs(coeffs.a1) * abs(reach) + coeffs.a2 * reach * reach
+    lo, hi = expand_bracket_min(evaluator.value, -scale, scale)
+    beta, val = golden_min(
+        evaluator.value, lo, hi, tol=1e-13 * (1.0 + abs(lo) + abs(hi)), max_iter=300
+    )
+    return val, beta
+
+
+def eigh_certificate(coeffs: LossCoefficients, moments: MomentMatrix, beta, u_min) -> CvarCertificate:
+    """Trace-minimal M at this beta: clip the congruence-transformed Q."""
+    c = coeffs
+    r = moments.sqrt_matrix()
+    q = np.array([[c.a2, 0.5 * c.a1], [0.5 * c.a1, c.a0 - beta]])
+    eigvals, eigvecs = np.linalg.eigh(r @ q @ r)
+    n = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
+    r_inv = np.linalg.inv(r)
+    m = r_inv @ n @ r_inv
+    return CvarCertificate(
+        beta=float(beta),
+        m11=float(m[0, 0]),
+        m12=float(m[0, 1]),
+        m22=float(m[1, 1]),
+        u_min=float(u_min),
+    )

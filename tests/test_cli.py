@@ -118,6 +118,24 @@ def test_solve_is_byte_reproducible(tmp_path):
             assert a == b
 
 
+GOLDEN = Path(__file__).parent / "data" / "golden"
+CONFIGS = Path(__file__).parent.parent / "configs"
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_solve_writes_the_golden_csvs(tmp_path, config):
+    # tests/data/golden/<config> holds `solve --mode all` outputs, byte for
+    # byte; a change meant to move answers re-records them with
+    # `powgame solve --config configs/<config>.json --out tests/data/golden/<config> --mode all`
+    golden = GOLDEN / config.stem
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(config), "--out", str(out), "--mode", "all"]) == 0
+    expected = sorted(p.relative_to(golden) for p in golden.rglob("*.csv"))
+    assert sorted(p.relative_to(out) for p in out.rglob("*.csv")) == expected
+    for name in expected:
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+
 def test_heterogeneous_resources_are_seeded(tmp_path):
     doc = dict(REFERENCE_DOC, resources={"mode": "heterogeneous", "lo": 30.0, "hi": 60.0}, mode="det")
     scenario = load_scenario(write_config(tmp_path, doc))
@@ -206,6 +224,24 @@ def test_validate_outputs(tmp_path):
     assert counts == 5 * 3 * 500
 
 
+def test_validate_draws_each_batch_once(tmp_path, monkeypatch):
+    # a batch depends only on (seed, miner, distribution), so three modes
+    # share it; the rows stay mode-major
+    drawn = []
+    original = cli.sample_uncertainty
+
+    def counted(distribution, *args, miner_index, **kwargs):
+        drawn.append((miner_index, distribution))
+        return original(distribution, *args, miner_index=miner_index, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_uncertainty", counted)
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+    assert len(drawn) == len(set(drawn)) == 5 * 3
+    _, rows = read_csv(out / "violations.csv")
+    assert [r[0] for r in rows] == ["det"] * 15 + ["bti"] * 15 + ["cvar"] * 15
+
+
 def test_mode_override_flag(tmp_path):
     config = write_config(tmp_path)
     out = tmp_path / "out"
@@ -219,7 +255,10 @@ MALFORMED = [  # (id, document, text stderr must contain, verbs)
     ("tau0-text", dict(REFERENCE_DOC, tau0="half"), "'tau0'", None),
     ("negative-reward", dict(REFERENCE_DOC, reward={"fixed_reward": -1.0}), "", None),
     ("sigma-list-text", dict(REFERENCE_DOC, sigma=["a"] * 5), "'sigma'", None),
-    ("mode-number", dict(REFERENCE_DOC, mode=5), "", None),
+    ("mode-number", dict(REFERENCE_DOC, mode=5), "'mode'", None),
+    ("mode-null", dict(REFERENCE_DOC, mode=None), "'mode'", None),
+    ("mode-empty-list", dict(REFERENCE_DOC, mode=[]), "'mode'", None),
+    ("mode-listed-twice", dict(REFERENCE_DOC, mode=["cvar", "dro_cvar"]), "'mode'", None),
     ("unknown-distribution", dict(REFERENCE_DOC, validation={"distributions": ["cauchy"]}), "", None),
     ("distributions-not-list", dict(REFERENCE_DOC, validation={"distributions": "gaussian"}), "", None),
     ("samples-text", dict(REFERENCE_DOC, validation={"samples": "many"}), "'validation.samples'", None),

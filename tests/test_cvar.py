@@ -22,9 +22,17 @@ from powgame import (
 from powgame import bti, cvar
 from powgame.cvar import _CvarEvaluator, certified_slack
 from powgame.deterministic import best_response
+from powgame.model import MinerParams
+from powgame.robust import bisect_threshold, scan_strategy
 from powgame.validate import sample_uncertainty
 
-from conftest import barrier_worstcase_cvar, make_config, outer_best_response_oracle
+from conftest import (
+    barrier_worstcase_cvar,
+    eigh_certificate,
+    make_config,
+    outer_best_response_oracle,
+    reference_worstcase_cvar,
+)
 
 REWARD = RewardModel()
 
@@ -185,8 +193,7 @@ def test_threshold_step_runs_no_beta_search(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(cvar, "expand_bracket_min", counted(cvar.expand_bracket_min))
-    monkeypatch.setattr(cvar, "golden_min", counted(cvar.golden_min))
+    monkeypatch.setattr(cvar, "_beta_search", counted(cvar._beta_search))
     subproblem_threshold(0.5, 110.0, make_config().miners[0], REWARD, 0.1)
     assert calls == []
 
@@ -333,28 +340,22 @@ def test_strategy_step_scores_incoming_alpha_once(monkeypatch, backend):
     params = make_config().miners[0]
     scored = []
     if backend == "dro_cvar":
+        module, strategy = cvar, subproblem_strategy
         u, _ = subproblem_threshold(alpha_in, load, params, REWARD, eps)
-        original = cvar.certified_slack
-
-        def counted(alpha, *args):
-            scored.append(alpha)
-            return original(alpha, *args)
-
-        monkeypatch.setattr(cvar, "certified_slack", counted)
-        subproblem_strategy(u - 1.0, alpha_in, load, params, REWARD, 0.5, eps)
     else:
+        module, strategy = bti, subproblem_strategy_gaussian
         u = subproblem_threshold_gaussian(alpha_in, load, params, REWARD, eps)
-        original = bti.scan_strategy
+    original = module.scan_strategy
 
-        def scanning(slack, *args):
-            def counted(alpha):
-                scored.append(alpha)
-                return slack(alpha)
+    def scanning(slack, *args):
+        def counted(alpha):
+            scored.append(alpha)
+            return slack(alpha)
 
-            return original(counted, *args)
+        return original(counted, *args)
 
-        monkeypatch.setattr(bti, "scan_strategy", scanning)
-        subproblem_strategy_gaussian(u - 1.0, alpha_in, load, params, REWARD, 0.5, eps)
+    monkeypatch.setattr(module, "scan_strategy", scanning)
+    strategy(u - 1.0, alpha_in, load, params, REWARD, 0.5, eps)
     assert len(scored) > 40  # the scan ran
     assert scored.count(alpha_in) == 1
 
@@ -375,3 +376,148 @@ def test_robust_best_response_certificate_is_final_iterate():
     )
     for slack in cert.slacks(coeffs, MomentMatrix.from_params(params), config.epsilon):
         assert slack >= -1e-7
+
+
+def _random_step_inputs(rng):
+    """(alpha, load, epsilon, params, reward) drawn over the solver's working ranges."""
+    params = MinerParams(
+        x_hat=float(rng.uniform(30.0, 60.0)), mu=float(rng.uniform(-5.0, 5.0)),
+        sigma2=float(rng.uniform(0.5, 15.0)) ** 2, cost=float(rng.uniform(20.0, 120.0)),
+    )
+    reward = RewardModel(
+        fixed_reward=float(rng.uniform(1000.0, 9000.0)),
+        unit_tx_reward=float(rng.uniform(0.0, 20.0)),
+        tx_count=float(rng.uniform(0.0, 500.0)),
+    )
+    alpha, load = float(rng.uniform(0.05, 1.0)), float(rng.uniform(20.0, 400.0))
+    return alpha, load, float(rng.uniform(0.02, 0.5)), params, reward
+
+
+def test_steps_evaluate_v_bit_for_bit_like_the_reference():
+    # the steps evaluate v from per-step constants; with the reference's float
+    # order kept, decisions and slacks are equal, not merely close.  At the
+    # threshold the exact minimum is ~0, so a change in any product's
+    # rounding flips the decision at one of the two adjacent floats
+    rng = np.random.default_rng(25)
+    for instance in range(1000):
+        alpha, load, eps, params, reward = _random_step_inputs(rng)
+        moments = MomentMatrix.from_params(params)
+
+        def coeffs(a, u):
+            return LossCoefficients.from_strategy(a, u, load, params.cost, reward.total)
+
+        def reference_min(u):
+            return _CvarEvaluator(coeffs(alpha, u), moments, eps).exact_min()
+
+        def reference_certify(u):
+            return reference_min(u)[0] <= 0.0
+
+        certify, _ = cvar._threshold_certifier(alpha, load, params, reward, eps)
+        for u in rng.uniform(-3000.0, 3000.0, size=4):
+            assert certify(float(u)) == reference_certify(float(u))
+        u_star = bisect_threshold(reference_certify, params, reward)[0]
+        u_min, cert = subproblem_threshold(alpha, load, params, reward, eps)
+        assert u_min == u_star
+        assert cert.beta == reference_min(u_star)[1]
+        lo, hi = u_star, u_star + 2e-6
+        while True:  # down to the two adjacent floats where the decision flips
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if reference_certify(mid) else (lo, mid)
+        assert certify(lo) and not certify(hi)
+
+        for u in (u_star, float(rng.uniform(-3000.0, 3000.0))):
+            slack = cvar._strategy_slack(u, load, params, reward, eps)
+            for a in (alpha, *rng.uniform(0.05, 1.0, size=2)):
+                reference = reference_worstcase_cvar(coeffs(float(a), u), moments, eps)
+                assert slack(float(a)) == -reference[0]
+                assert worstcase_cvar(coeffs(float(a), u), moments, eps) == reference
+        if instance % 10 == 0:  # the whole strategy step, on a tenth of the instances
+            tau0 = float(rng.uniform(0.05, 0.9))
+            reference = scan_strategy(
+                lambda a: -reference_worstcase_cvar(coeffs(a, u_star), moments, eps)[0], alpha, tau0
+            )
+            assert subproblem_strategy(u_star, alpha, load, params, reward, tau0, eps) == reference
+
+
+def test_cvar_best_response_builds_no_reference_objects(monkeypatch):
+    # both steps evaluate v and the witness from per-step constants, never
+    # through the reference objects or a matrix factorization
+    built = []
+    for cls in (LossCoefficients, MomentMatrix, _CvarEvaluator):
+        original = cls.__init__
+
+        def counted_init(self, *args, _original=original, **kwargs):
+            built.append(type(self).__name__)
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted_init)
+    for name in ("eigh", "inv"):
+        original = getattr(np.linalg, name)
+
+        def counted_call(*args, _original=original, _name=name, **kwargs):
+            built.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted_call)
+    response = robust_best_response(0, [0.6] * 5, make_config(n=5, x_hat=50.0))
+    assert response.iterations >= 1 and response.certificate is not None
+    assert built == []
+
+
+def _assert_matches_eigh(cert, coeffs, moments):
+    oracle = eigh_certificate(coeffs, moments, cert.beta, cert.u_min)
+    expected = np.array([oracle.m11, oracle.m12, oracle.m22])
+    got = np.array([cert.m11, cert.m12, cert.m22])
+    assert np.max(np.abs(got - expected)) <= 1e-9 * (1.0 + np.max(np.abs(expected)))
+
+
+def test_closed_form_certificate_matches_eigh_oracle():
+    # the solver's witnesses at 1000 certified thresholds, then each branch of
+    # the closed form on purpose-built losses (a negative a2 makes Q negative
+    # semidefinite; mu_bar = 0 and a1 = 0 make Q Omega diagonal)
+    rng = np.random.default_rng(26)
+    branches = {"psd": 0, "zero": 0, "rank-one": 0}
+
+    def count_branch(cert, coeffs):
+        if cert.m11 == 0.0 and cert.m12 == 0.0 and cert.m22 == 0.0:
+            branches["zero"] += 1
+        elif (cert.m11, cert.m12, cert.m22) == (coeffs.a2, 0.5 * coeffs.a1, coeffs.a0 - cert.beta):
+            branches["psd"] += 1
+        else:
+            branches["rank-one"] += 1
+
+    for _ in range(1000):
+        alpha, load, eps, params, reward = _random_step_inputs(rng)
+        u, cert = subproblem_threshold(alpha, load, params, reward, eps)
+        coeffs = LossCoefficients.from_strategy(alpha, u, load, params.cost, reward.total)
+        moments = MomentMatrix.from_params(params)
+        assert min(cert.slacks(coeffs, moments, eps)) >= -1e-7
+        _assert_matches_eigh(cert, coeffs, moments)
+        count_branch(cert, coeffs)
+    assert branches["psd"] > 0 and branches["rank-one"] > 0
+
+    for _ in range(200):
+        sigma2, eps = float(rng.uniform(0.5, 15.0)) ** 2, float(rng.uniform(0.02, 0.5))
+        a2, a1 = -float(rng.uniform(1.0, 100.0)), float(rng.uniform(-500.0, 500.0))
+        a0 = float(rng.uniform(-5000.0, -100.0))
+        moments = MomentMatrix(float(rng.uniform(20.0, 80.0)), sigma2)
+        diagonal = MomentMatrix(0.0, sigma2)
+        # a0 - beta <= -a1^2 / (4 |a2|): Q is negative semidefinite
+        nsd_beta = a0 + a1 * a1 / (4.0 * -a2) + float(rng.uniform(1.0, 100.0))
+        cases = [  # (coeffs, moments, beta)
+            (LossCoefficients(a2, a1, a0), moments, nsd_beta),
+            (LossCoefficients(-a2, 0.0, a0), diagonal, a0 + float(rng.uniform(1.0, 100.0))),
+            (LossCoefficients(a2, 0.0, a0), diagonal, a0 - float(rng.uniform(1.0, 100.0))),
+        ]
+        for coeffs, m, beta in cases:
+            cert = cvar._trace_minimal_witness(beta, 0.0, coeffs.a2, coeffs.a1, coeffs.a0,
+                                               m.mu_bar, m.sigma2)
+            m_psd, mq_psd, trace = cert.slacks(coeffs, m, eps)
+            assert m_psd >= -1e-7 and mq_psd >= -1e-7
+            # the trace slack is -v(beta): M is trace-minimal at every beta
+            assert trace == pytest.approx(-_CvarEvaluator(coeffs, m, eps).value(beta), rel=1e-9)
+            _assert_matches_eigh(cert, coeffs, m)
+            count_branch(cert, coeffs)
+    assert min(branches.values()) > 0
