@@ -9,14 +9,15 @@ import numpy as np
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_min(f, lo, hi, tol=1e-6, max_iter=200):
-    """Minimize a unimodal scalar function on [lo, hi] by golden-section search."""
+def golden_max(f, lo, hi, tol=1e-6):
+    """Maximize a unimodal scalar function on [lo, hi] by golden-section search."""
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    it = 0
-    while hi - lo > tol and it < max_iter:
-        if f1 <= f2:
+    for _ in range(200):
+        if not hi - lo > tol:
+            break
+        if f1 >= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _INV_PHI * (hi - lo)
             f1 = f(x1)
@@ -24,14 +25,8 @@ def golden_min(f, lo, hi, tol=1e-6, max_iter=200):
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _INV_PHI * (hi - lo)
             f2 = f(x2)
-        it += 1
     x = 0.5 * (lo + hi)
     return x, f(x)
-
-
-def golden_max(f, lo, hi, tol=1e-6, max_iter=200):
-    x, fneg = golden_min(lambda t: -f(t), lo, hi, tol, max_iter)
-    return x, -fneg
 
 
 def scan_golden_max(f, lo, hi, step, tol=1e-6):

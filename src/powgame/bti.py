@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .model import GameConfig, MinerParams, RewardModel
-from .robust import AO_CAP, AO_TOL, BestResponse, alternate, bisect_threshold, scan_strategy
+from .robust import BestResponse, alternate, bisect_threshold, scan_strategy
 
 __all__ = [
     "BtiCoefficients",
@@ -165,7 +165,7 @@ def subproblem_threshold_gaussian(
 ) -> float:
     """Largest u_min with g(u_min) >= 0 at fixed alpha (exact by concavity)."""
     certify = _threshold_certifier(alpha, load, params, reward, epsilon)
-    return bisect_threshold(certify, params, reward, u_lo)[0]
+    return bisect_threshold(certify, params, reward, u_lo)
 
 
 def subproblem_strategy_gaussian(
@@ -183,7 +183,7 @@ def subproblem_strategy_gaussian(
 
 
 def robust_best_response_gaussian(
-    j: int, profile, config: GameConfig, ao_tol=AO_TOL, max_ao_iterations=AO_CAP, warm_start=None
+    j: int, profile, config: GameConfig, warm_start=None
 ) -> BestResponse:
     """Alternating optimization for miner j under Gaussian uncertainty.
 
@@ -194,7 +194,4 @@ def robust_best_response_gaussian(
     def threshold(*args, **kwargs):
         return subproblem_threshold_gaussian(*args, **kwargs), None
 
-    return alternate(
-        j, profile, config, threshold, subproblem_strategy_gaussian,
-        ao_tol, max_ao_iterations, warm_start,
-    )
+    return alternate(j, profile, config, threshold, subproblem_strategy_gaussian, warm_start)

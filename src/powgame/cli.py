@@ -288,32 +288,37 @@ def run_solve(scenario: Scenario, out_dir) -> int:
 
 
 def _config_for_axis(config: GameConfig, axis: str, value) -> GameConfig:
-    if axis == "epsilon":
-        return replace(config, epsilon=float(value))
-    if axis == "fixed_reward":
-        return replace(config, reward=replace(config.reward, fixed_reward=float(value)))
-    if axis == "unit_cost":
-        miners = tuple(replace(m, cost=float(value)) for m in config.miners)
-        return replace(config, miners=miners)
-    if axis == "num_miners":
-        count = int(value)
-        if count < 2:
-            raise ScenarioError(f"num_miners must be >= 2, got {count}")
+    """``config`` with ``axis`` set to ``value``; a value the game rejects is a ScenarioError."""
+    try:
+        if axis == "epsilon":
+            return replace(config, epsilon=float(value))
+        if axis == "fixed_reward":
+            return replace(config, reward=replace(config.reward, fixed_reward=float(value)))
+        if axis == "unit_cost":
+            miners = tuple(replace(m, cost=float(value)) for m in config.miners)
+            return replace(config, miners=miners)
+        count = int(value)  # num_miners, the last axis
+        if count != value:
+            raise ValueError("need a whole number of miners")
         # cycle the configured miners up or down to the requested count
         miners = tuple(config.miners[j % len(config.miners)] for j in range(count))
         return replace(config, miners=miners)
-    raise ScenarioError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"--values: {axis} = {value!r}: {exc}") from exc
 
 
 def run_sweep(scenario: Scenario, axis: str, values, out_dir) -> int:
-    """One solve per (axis value, mode); failures become status rows."""
+    """One solve per (axis value, mode); failures become status rows.
+
+    Every axis value is checked before the first solve.
+    """
     if axis not in SWEEP_AXES:
         raise ScenarioError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     if not values:
         raise ScenarioError("sweep needs at least one axis value")
+    configs = [_config_for_axis(scenario.config, axis, value) for value in values]
     rows = []
-    for value in values:
-        config = _config_for_axis(scenario.config, axis, value)
+    for value, config in zip(values, configs):
         x = config.nominal_resources()
         for mode in scenario.modes:
             try:
@@ -380,12 +385,9 @@ def _parse_values(raw: str, axis: str):
     if raw is None:
         return DEFAULT_SWEEP_VALUES[axis]
     try:
-        values = [float(v) for v in raw.split(",") if v.strip()]
+        return [float(v) for v in raw.split(",") if v.strip()]
     except ValueError as exc:
         raise ScenarioError(f"--values: {exc}") from exc
-    if axis == "num_miners":
-        values = [int(v) for v in values]
-    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -18,30 +18,30 @@ worst-case CVaR is the minimum over beta of
     v(beta) = beta + Tr+(Omega^{1/2} Q(beta) Omega^{1/2}) / epsilon.
 
 The 2x2 argument is similar to ``Q(beta) Omega``; its trace and determinant
-are affine in beta, so v is a closed-form scalar.
+are affine in beta, so v is a closed-form scalar of three constants (``_v``).
 
-``LossCoefficients``, ``MomentMatrix`` and ``_CvarEvaluator`` (v, and its
-exact minimum as the least v over three candidate betas) are the reference
-formula, and ``worstcase_cvar`` and ``certified_slack`` evaluate the
-worst-case CVaR through them.  The two alternating-optimization steps
-evaluate v from constants computed once per step instead, because a solve
-evaluates it hundreds of thousands of times:
+``worstcase_cvar`` is the reference formula: it takes ``LossCoefficients``
+and ``MomentMatrix``, computes the three constants and minimizes v over beta
+(``_beta_search``, a bracketed golden section).  The two
+alternating-optimization steps evaluate v from constants computed once per
+step instead, because a solve evaluates it hundreds of thousands of times:
 
 - ``_threshold_certifier`` gives the threshold step ``certify(u)``, the sign
-  of the exact minimum at each bisection probe, and ``certificate(u)``, the
-  (beta, M) witness built once, at the returned threshold, in closed form
-  from the eigenvector of ``Q(beta) Omega`` (``_trace_minimal_witness``).
+  of v's exact minimum (the least v over three candidate betas) at each
+  bisection probe, and ``certificate(u)``, the (beta, M) witness built once,
+  at the returned threshold, in closed form from the eigenvector of
+  ``Q(beta) Omega`` (``_trace_minimal_witness``).
 - ``_strategy_slack`` gives the strategy step ``slack(alpha)``, the negated
-  worst-case CVaR.  It and ``worstcase_cvar`` share the one search over beta
-  (``_beta_search``), a bracketed golden section: the exact minimum there
-  moves an equilibrium threshold of one benchmark game by 5e-4 (the solver
-  fixes u_min only to its 1e-6 alpha tolerance times du/dalpha), more than
-  the benchmark's recorded reference outputs allow, so that switch waits for
-  a re-recorded reference.
+  worst-case CVaR by the same ``_beta_search`` as ``worstcase_cvar``.  The
+  exact minimum there moves an equilibrium threshold of one benchmark game
+  by 5e-4 (the solver fixes u_min only to its 1e-6 alpha tolerance times
+  du/dalpha), more than the benchmark's recorded reference outputs allow, so
+  that switch waits for a re-recorded reference.
 
-Every hoisted expression keeps the float operation order of the reference,
-so each threshold decision and slack value, and every output built on them,
-is bit-identical to it.
+Every hoisted expression keeps the float operation order in which
+``worstcase_cvar`` computes t0, d0 and k, so each slack value and threshold
+decision, and every output built on them, is bit-identical to v evaluated
+from those three constants.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ import numpy as np
 
 from ._search import _INV_PHI
 from .model import GameConfig, MinerParams, RewardModel
-from .robust import AO_CAP, AO_TOL, BestResponse, alternate, bisect_threshold, scan_strategy
+from .robust import BestResponse, alternate, bisect_threshold, scan_strategy
 
 __all__ = [
     "LossCoefficients",
@@ -110,14 +110,6 @@ class MomentMatrix:
         m = self.mu_bar
         return np.array([[self.sigma2 + m * m, m], [m, 1.0]])
 
-    def sqrt_matrix(self) -> np.ndarray:
-        # closed form for 2x2 SPD: sqrt(A) = (A + sqrt(det) I) / sqrt(tr + 2 sqrt(det))
-        if self.sigma2 <= 0:
-            raise ValueError("moment matrix is singular at zero variance")
-        s = math.sqrt(self.sigma2)
-        omega = self.matrix
-        return (omega + s * np.eye(2)) / math.sqrt(omega[0, 0] + 1.0 + 2.0 * s)
-
 
 @dataclass(frozen=True)
 class CvarCertificate:
@@ -154,58 +146,14 @@ class CvarCertificate:
         )
 
 
-class _CvarEvaluator:
-    """Worst-case CVaR of a fixed quadratic loss as a scalar function of beta.
-
-    v(beta) = beta + Tr+(Om^{1/2} Q(beta) Om^{1/2}) / epsilon with
-    Q(beta) = Q0 - beta E22.  The 2x2 argument has trace t0 - beta, where
-    t0 = Tr(Om Q0) = E[L], and determinant det(Om) det(Q(beta)) = d0 - beta k,
-    where d0 = s2 (a2 a0 - a1^2 / 4) and k = s2 a2.  Tr+ is max(trace, 0)
-    when the determinant is >= 0 (both eigenvalues share a sign) and the
-    larger eigenvalue otherwise, so v needs only these three scalars.
-
-    The reference formula of v and of its exact minimum; the solver's steps
-    evaluate both from per-step constants (see the module docstring).
-    """
-
-    def __init__(self, coeffs: LossCoefficients, moments: MomentMatrix, epsilon):
-        self.coeffs = coeffs
-        self.moments = moments
-        self.epsilon = epsilon
-        a2, a1, a0 = coeffs.a2, coeffs.a1, coeffs.a0
-        m, s2 = moments.mu_bar, moments.sigma2
-        self.t0 = a2 * (s2 + m * m) + a1 * m + a0
-        self.d0 = s2 * (a2 * a0 - 0.25 * a1 * a1)
-        self.k = s2 * a2
-
-    def value(self, beta):
-        t = self.t0 - beta
-        d = self.d0 - beta * self.k
-        if d >= 0.0:
-            return beta + max(t, 0.0) / self.epsilon
-        return beta + (0.5 * t + math.sqrt(0.25 * t * t - d)) / self.epsilon
-
-    def exact_min(self):
-        """(min value, argmin beta) as the least v over three candidates.
-
-        v is convex and coercive, so its minimum is at a kink or where v' = 0.
-        Where the determinant is >= 0, v is piecewise linear with slopes
-        1 - 1/eps and 1, so its only kink there is beta = t0; the determinant
-        changes sign at beta = d0 / k; where it is negative, v' = 0 only at
-        t0 - 2k + (1 - 2 eps) / sqrt(eps (1 - eps)) * sqrt(k t0 - d0 - k^2).
-        That radicand equals s2 (a2 mu_bar + a1 / 2)^2, so it is never negative.
-        """
-        c, m, eps = self.coeffs, self.moments, self.epsilon
-        root = math.sqrt(m.sigma2) * abs(c.a2 * m.mu_bar + 0.5 * c.a1)
-        stationary = self.t0 - 2.0 * self.k + (1.0 - 2.0 * eps) / math.sqrt(eps * (1.0 - eps)) * root
-        candidates = [self.t0, stationary] + ([self.d0 / self.k] if self.k > 0.0 else [])
-        return min((self.value(beta), beta) for beta in candidates)
-
-
 def _v(t0, d0, k, epsilon, beta):
-    """v(beta) from its three scalars, in ``_CvarEvaluator.value``'s float order.
+    """v(beta) of the loss with t0 = E[L], d0 = s2 (a2 a0 - a1^2 / 4), k = s2 a2.
 
-    max(t, 0.0) is written as ``0.0 if 0.0 > t else t``, NaN included.
+    With Q(beta) = Q0 - beta E22, the 2x2 argument of Tr+ has trace
+    t0 - beta and determinant det(Omega) det(Q(beta)) = d0 - beta k.  Tr+ is
+    max(trace, 0) when the determinant is >= 0 (both eigenvalues share a
+    sign) and the larger eigenvalue otherwise.  max(t, 0.0) is written as
+    ``0.0 if 0.0 > t else t``, NaN included.
     """
     t = t0 - beta
     d = d0 - beta * k
@@ -273,10 +221,13 @@ def _beta_search(t0, d0, k, epsilon, scale) -> tuple[float, float]:
 
 def worstcase_cvar(coeffs: LossCoefficients, moments: MomentMatrix, epsilon) -> tuple[float, float]:
     """Exact worst-case CVaR of the loss over the mean/variance ambiguity set: (value, beta)."""
-    evaluator = _CvarEvaluator(coeffs, moments, epsilon)
-    reach = moments.mu_bar + 3.0 * math.sqrt(moments.sigma2)
-    scale = 1.0 + abs(coeffs.a0) + abs(coeffs.a1) * abs(reach) + coeffs.a2 * reach * reach
-    return _beta_search(evaluator.t0, evaluator.d0, evaluator.k, epsilon, scale)
+    a2, a1, a0 = coeffs.a2, coeffs.a1, coeffs.a0
+    m, s2 = moments.mu_bar, moments.sigma2
+    t0 = a2 * (s2 + m * m) + a1 * m + a0
+    d0 = s2 * (a2 * a0 - 0.25 * a1 * a1)
+    reach = m + 3.0 * math.sqrt(s2)
+    scale = 1.0 + abs(a0) + abs(a1) * abs(reach) + a2 * reach * reach
+    return _beta_search(t0, d0, s2 * a2, epsilon, scale)
 
 
 def _trace_minimal_witness(beta, u_min, a2, a1, a0, mu_bar, sigma2) -> CvarCertificate:
@@ -314,9 +265,14 @@ def _trace_minimal_witness(beta, u_min, a2, a1, a0, mu_bar, sigma2) -> CvarCerti
 def _threshold_certifier(alpha, load, params: MinerParams, reward: RewardModel, epsilon):
     """``(certify(u), certificate(u))`` at fixed alpha; only a1 and a0 depend on u.
 
-    ``certify`` is the sign of ``_CvarEvaluator.exact_min`` and
-    ``certificate`` the witness at its argmin beta, both in the reference's
-    float order.
+    v is convex and coercive, so its minimum is at a kink or where v' = 0.
+    Where the determinant is >= 0, v is piecewise linear with slopes
+    1 - 1/eps and 1, so its only kink there is beta = t0; the determinant
+    changes sign at beta = d0 / k; where it is negative, v' = 0 only at
+    t0 - 2k + (1 - 2 eps) / sqrt(eps (1 - eps)) * sqrt(k t0 - d0 - k^2).
+    That radicand equals s2 (a2 mu_bar + a1 / 2)^2, so it is never negative.
+    ``certify`` is the sign of the least v over these candidate betas and
+    ``certificate`` the witness at its argmin.
     """
     cost = params.cost
     _check_strategy(alpha, cost, load)
@@ -382,16 +338,8 @@ def subproblem_threshold(
     certificate is built once, at the argmin beta of the returned threshold.
     """
     certify, certificate = _threshold_certifier(alpha, load, params, reward, epsilon)
-    u_min = bisect_threshold(certify, params, reward, u_lo)[0]
+    u_min = bisect_threshold(certify, params, reward, u_lo)
     return u_min, certificate(u_min)
-
-
-def certified_slack(alpha, u_min, load, params: MinerParams, reward: RewardModel, epsilon):
-    """Negated worst-case CVaR at (alpha, u_min); >= 0 iff certifiable (reference formula)."""
-    coeffs = LossCoefficients.from_strategy(alpha, u_min, load, params.cost, reward.total)
-    moments = MomentMatrix.from_params(params)
-    value, _ = worstcase_cvar(coeffs, moments, epsilon)
-    return -value
 
 
 def subproblem_strategy(
@@ -408,15 +356,10 @@ def subproblem_strategy(
     return scan_strategy(slack, alpha_in, tau0)
 
 
-def robust_best_response(
-    j: int, profile, config: GameConfig, ao_tol=AO_TOL, max_ao_iterations=AO_CAP, warm_start=None
-) -> BestResponse:
+def robust_best_response(j: int, profile, config: GameConfig, warm_start=None) -> BestResponse:
     """Alternating optimization for miner j's robust (alpha, u_min).
 
     ``warm_start`` may carry an (alpha, u_min) pair from a previous solve.
     The result's ``certificate`` is the (beta, M) witness of its u_min.
     """
-    return alternate(
-        j, profile, config, subproblem_threshold, subproblem_strategy,
-        ao_tol, max_ao_iterations, warm_start,
-    )
+    return alternate(j, profile, config, subproblem_threshold, subproblem_strategy, warm_start)

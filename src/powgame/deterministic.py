@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 MAX_SWEEPS = 10_000  # the map is standard, so the iteration ends long before
+FIXED_POINT_TOL = 1e-12  # a sweep moving the profile this little (L1) ends it
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ def best_response(j: int, profile, config: GameConfig) -> float:
     return min(1.0, max(config.tau0, raw))
 
 
-def best_response_fixed_point(config: GameConfig, initial=None, tol: float = 1e-12) -> np.ndarray:
+def best_response_fixed_point(config: GameConfig, initial=None) -> np.ndarray:
     """Gauss-Seidel best-response iteration to the unique fixed point.
 
     Converges for any start because the best-response map is standard.
@@ -80,7 +81,7 @@ def best_response_fixed_point(config: GameConfig, initial=None, tol: float = 1e-
             new = best_response(j, a, config)
             delta += abs(new - a[j])
             a[j] = new
-        if delta <= tol:
+        if delta <= FIXED_POINT_TOL:
             break
     return a
 

@@ -162,12 +162,6 @@ class StrategyProfile:
             if not 0 < a <= 1:
                 raise ValueError(f"alpha must be in (0,1], got {a}")
 
-    def check_box(self, tau0, atol=1e-12):
-        for a in self.alphas:
-            if a < tau0 - atol:
-                raise ValueError(f"alpha {a} below participation floor {tau0}")
-        return self
-
     def __len__(self):
         return len(self.alphas)
 

@@ -2,9 +2,9 @@
 
 A back-end certifies "utility >= u_min with probability >= 1 - epsilon" its
 own way (``bti``: Gaussian Bernstein bound, ``cvar``: worst-case CVaR) and
-hands the steps here ``certify(u_min)``, a truthy witness when u_min is
-certifiable at fixed alpha, and ``slack(alpha)``, >= 0 exactly when alpha
-keeps the fixed u_min certifiable.
+hands the steps here ``certify(u_min)``, True when u_min is certifiable at
+fixed alpha, and ``slack(alpha)``, >= 0 exactly when alpha keeps the fixed
+u_min certifiable.
 
 Constants:
 
@@ -12,8 +12,8 @@ Constants:
   inputs are malformed.
 - ``BISECT_TOL``: width at which the threshold bisection stops.
 - ``ALPHA_TOL``: tolerance of the golden-section refinement over alpha.
-- ``AO_TOL``, ``AO_CAP``: defaults of the alternation's stopping tolerance
-  and iteration cap.
+- ``AO_TOL``, ``AO_CAP``: the alternation's stopping tolerance and
+  iteration cap.
 """
 
 from __future__ import annotations
@@ -45,10 +45,8 @@ class BestResponse:
     certificate: Any = None
 
 
-def bisect_threshold(
-    certify, params: MinerParams, reward: RewardModel, u_lo=None
-) -> tuple[float, Any]:
-    """(largest u_min with a truthy ``certify(u_min)``, its witness).
+def bisect_threshold(certify, params: MinerParams, reward: RewardModel, u_lo=None) -> float:
+    """The largest u_min with ``certify(u_min)`` True.
 
     The certifiable thresholds form an interval, so bisection between a
     certified floor and the total reward finds its upper endpoint.  ``u_lo``
@@ -61,20 +59,17 @@ def bisect_threshold(
         raise SolverError("threshold at the full reward certifies; inputs are malformed")
     if u_lo is None:
         u_lo = -reward.total - params.cost * params.x_max
-    witness = certify(u_lo)
-    while not witness:
+    while not certify(u_lo):
         if not u_lo > U_FLOOR:  # NaN-safe: a NaN threshold must stop, not loop
             raise SolverError(f"no feasible threshold above {U_FLOOR}")
         u_lo = u_lo - 3.0 * abs(u_lo) - 1.0  # quadruple the reach downward
-        witness = certify(u_lo)
     while u_hi - u_lo > BISECT_TOL:
         mid = 0.5 * (u_lo + u_hi)
-        found = certify(mid)
-        if found:
-            u_lo, witness = mid, found
+        if certify(mid):
+            u_lo = mid
         else:
             u_hi = mid
-    return u_lo, witness
+    return u_lo
 
 
 def scan_strategy(slack, alpha_in, tau0):
@@ -97,17 +92,15 @@ def scan_strategy(slack, alpha_in, tau0):
     return float(alpha), float(best), True
 
 
-def alternate(
-    j, profile, config: GameConfig, threshold, strategy, ao_tol, max_ao_iterations, warm_start
-) -> BestResponse:
+def alternate(j, profile, config: GameConfig, threshold, strategy, warm_start) -> BestResponse:
     """Alternating optimization for miner j's robust (alpha, u_min).
 
     ``threshold`` returns ``(u_min, certificate)``; ``strategy`` is the
     back-end's ``subproblem_strategy*``.  Starts from the deterministic best
     response (or from ``warm_start``, an (alpha, u_min) pair from a previous
-    solve) and alternates the two steps until the joint change drops below
-    ``ao_tol``.  u_min never decreases: every strategy update keeps the
-    current threshold feasible.
+    solve) and alternates the two steps, at most ``AO_CAP`` times, until the
+    joint change drops below ``AO_TOL``.  u_min never decreases: every
+    strategy update keeps the current threshold feasible.
     """
     params, reward, epsilon = config.miners[j], config.reward, config.epsilon
     load = others_load(j, profile, config.nominal_resources())
@@ -117,7 +110,7 @@ def alternate(
         alpha, u_floor = min(1.0, max(config.tau0, warm_start[0])), warm_start[1]
     u_min, cert = threshold(alpha, load, params, reward, epsilon, u_lo=u_floor)
     history = [u_min]
-    for iteration in range(1, max_ao_iterations + 1):
+    for iteration in range(1, AO_CAP + 1):
         # alpha_in by keyword: wrappers of the subproblem read it from there
         alpha_new, _, feasible = strategy(
             u_min, alpha_in=alpha, load=load, params=params, reward=reward,
@@ -129,9 +122,9 @@ def alternate(
         history.append(u_new)
         delta = abs(u_new - u_min) + abs(alpha_new - alpha)
         alpha, u_min = alpha_new, u_new
-        if delta <= ao_tol:
+        if delta <= AO_TOL:
             return BestResponse(float(alpha), float(u_min), iteration, tuple(history), cert)
     raise ConvergenceError(
-        f"alternating optimization did not settle in {max_ao_iterations} iterations",
-        last=BestResponse(float(alpha), float(u_min), max_ao_iterations, tuple(history), cert),
+        f"alternating optimization did not settle in {AO_CAP} iterations",
+        last=BestResponse(float(alpha), float(u_min), AO_CAP, tuple(history), cert),
     )

@@ -5,10 +5,16 @@ best responses are verified against dense grid searches over the raw utility,
 robust best responses against an exhaustive outer search over alpha with
 threshold bisection at every point, the worst-case CVaR against a log-barrier
 solver of its conic program, and derivatives against finite differences.
-Two reference compositions the solver replays from per-step constants also
-live here: the generic bracketed golden section over ``_CvarEvaluator.value``
-(``reference_worstcase_cvar``) and the eigendecomposition route to the
-trace-minimal CVaR certificate (``eigh_certificate``).
+
+The reference compositions the solver replays from per-step constants also
+live here, since only tests compare against them: ``CvarEvaluator`` (v as a
+function of beta, and its exact minimum over three candidate betas, which
+the threshold step's decisions match bit for bit), the generic bracketed
+golden section over it (``golden_min``, ``reference_worstcase_cvar``, which
+``cvar.worstcase_cvar`` and the strategy step's slack match bit for bit),
+the closed-form square root of the moment matrix (``sqrt_moment_matrix``)
+and the eigendecomposition route to the trace-minimal CVaR certificate
+(``eigh_certificate``).
 """
 
 from __future__ import annotations
@@ -27,8 +33,7 @@ from powgame import (
     RewardModel,
     utility,
 )
-from powgame._search import golden_max, golden_min
-from powgame.cvar import _CvarEvaluator
+from powgame._search import _INV_PHI, golden_max
 
 
 def make_config(
@@ -264,13 +269,84 @@ def expand_bracket_min(f, lo, hi, max_expand=80):
     return lo, hi
 
 
+def golden_min(f, lo, hi, tol=1e-6, max_iter=200):
+    """Minimize a unimodal scalar function on [lo, hi] by golden-section search."""
+    x1 = hi - _INV_PHI * (hi - lo)
+    x2 = lo + _INV_PHI * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    it = 0
+    while hi - lo > tol and it < max_iter:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INV_PHI * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INV_PHI * (hi - lo)
+            f2 = f(x2)
+        it += 1
+    x = 0.5 * (lo + hi)
+    return x, f(x)
+
+
+class CvarEvaluator:
+    """Worst-case CVaR of a fixed quadratic loss as a scalar function of beta.
+
+    v(beta) = beta + Tr+(Om^{1/2} Q(beta) Om^{1/2}) / epsilon with
+    Q(beta) = Q0 - beta E22.  The 2x2 argument has trace t0 - beta, where
+    t0 = Tr(Om Q0) = E[L], and determinant det(Om) det(Q(beta)) = d0 - beta k,
+    where d0 = s2 (a2 a0 - a1^2 / 4) and k = s2 a2.  Tr+ is max(trace, 0)
+    when the determinant is >= 0 (both eigenvalues share a sign) and the
+    larger eigenvalue otherwise, so v needs only these three scalars.
+    """
+
+    def __init__(self, coeffs: LossCoefficients, moments: MomentMatrix, epsilon):
+        self.coeffs = coeffs
+        self.moments = moments
+        self.epsilon = epsilon
+        a2, a1, a0 = coeffs.a2, coeffs.a1, coeffs.a0
+        m, s2 = moments.mu_bar, moments.sigma2
+        self.t0 = a2 * (s2 + m * m) + a1 * m + a0
+        self.d0 = s2 * (a2 * a0 - 0.25 * a1 * a1)
+        self.k = s2 * a2
+
+    def value(self, beta):
+        t = self.t0 - beta
+        d = self.d0 - beta * self.k
+        if d >= 0.0:
+            return beta + max(t, 0.0) / self.epsilon
+        return beta + (0.5 * t + math.sqrt(0.25 * t * t - d)) / self.epsilon
+
+    def exact_min(self):
+        """(min value, argmin beta) as the least v over three candidates.
+
+        v is convex and coercive, so its minimum is at a kink or where v' = 0:
+        beta = t0, beta = d0 / k, or the stationary point of the branch with
+        a negative determinant (see ``cvar._threshold_certifier``).
+        """
+        c, m, eps = self.coeffs, self.moments, self.epsilon
+        root = math.sqrt(m.sigma2) * abs(c.a2 * m.mu_bar + 0.5 * c.a1)
+        stationary = self.t0 - 2.0 * self.k + (1.0 - 2.0 * eps) / math.sqrt(eps * (1.0 - eps)) * root
+        candidates = [self.t0, stationary] + ([self.d0 / self.k] if self.k > 0.0 else [])
+        return min((self.value(beta), beta) for beta in candidates)
+
+
+def sqrt_moment_matrix(moments: MomentMatrix) -> np.ndarray:
+    """Omega^{1/2} in closed form: (A + sqrt(det) I) / sqrt(tr + 2 sqrt(det)) for 2x2 SPD A."""
+    if moments.sigma2 <= 0:
+        raise ValueError("moment matrix is singular at zero variance")
+    s = math.sqrt(moments.sigma2)
+    omega = moments.matrix
+    return (omega + s * np.eye(2)) / math.sqrt(omega[0, 0] + 1.0 + 2.0 * s)
+
+
 def reference_worstcase_cvar(coeffs: LossCoefficients, moments: MomentMatrix, epsilon):
     """(min value, argmin beta) of v by bracketed golden section, generically.
 
     The composition ``cvar.worstcase_cvar`` and the strategy step's slack
     replay probe for probe with v inlined, so their values must be equal.
     """
-    evaluator = _CvarEvaluator(coeffs, moments, epsilon)
+    evaluator = CvarEvaluator(coeffs, moments, epsilon)
     reach = moments.mu_bar + 3.0 * math.sqrt(moments.sigma2)
     scale = 1.0 + abs(coeffs.a0) + abs(coeffs.a1) * abs(reach) + coeffs.a2 * reach * reach
     lo, hi = expand_bracket_min(evaluator.value, -scale, scale)
@@ -283,7 +359,7 @@ def reference_worstcase_cvar(coeffs: LossCoefficients, moments: MomentMatrix, ep
 def eigh_certificate(coeffs: LossCoefficients, moments: MomentMatrix, beta, u_min) -> CvarCertificate:
     """Trace-minimal M at this beta: clip the congruence-transformed Q."""
     c = coeffs
-    r = moments.sqrt_matrix()
+    r = sqrt_moment_matrix(moments)
     q = np.array([[c.a2, 0.5 * c.a1], [0.5 * c.a1, c.a0 - beta]])
     eigvals, eigvecs = np.linalg.eigh(r @ q @ r)
     n = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T

@@ -25,6 +25,7 @@ from powgame import (
     utility_gradient,
     utility_second_derivative,
 )
+from powgame import deterministic
 from powgame.cli import main as cli_main
 from powgame.model import others_load
 
@@ -44,7 +45,8 @@ def _report(number, name, ok, detail=""):
     assert ok, f"criterion {number} ({name}) failed: {detail}"
 
 
-def test_criterion_01_deterministic_oracle_equivalence():
+def test_criterion_01_deterministic_oracle_equivalence(monkeypatch):
+    monkeypatch.setattr(deterministic, "FIXED_POINT_TOL", 1e-13)
     start = time.time()
     rng = np.random.default_rng(101)
     worst_alpha_gap = 0.0
@@ -52,7 +54,7 @@ def test_criterion_01_deterministic_oracle_equivalence():
     for _ in range(50):
         config = random_interior_config(rng)
         eq = closed_form_equilibrium(config)
-        iterated = best_response_fixed_point(config, tol=1e-13)
+        iterated = best_response_fixed_point(config)
         worst_alpha_gap = max(
             worst_alpha_gap, float(np.max(np.abs(np.asarray(eq.alphas) - iterated)))
         )

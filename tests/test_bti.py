@@ -211,7 +211,7 @@ def test_steps_evaluate_g_bit_for_bit_like_the_reference():
         certify = bti._threshold_certifier(alpha, load, params, reward, eps)
         for u in rng.uniform(-3000.0, 3000.0, size=4):
             assert certify(float(u)) == reference_certify(float(u))
-        u_star = bisect_threshold(reference_certify, params, reward)[0]
+        u_star = bisect_threshold(reference_certify, params, reward)
         assert subproblem_threshold_gaussian(alpha, load, params, reward, eps) == u_star
         lo, hi = u_star, u_star + 2e-6
         while True:  # down to the two adjacent floats where the decision flips

@@ -13,6 +13,7 @@ from powgame import ConvergenceError, SolverError, cli
 from powgame.cli import (
     EQUILIBRIUM_HEADER,
     HISTOGRAM_HEADER,
+    SWEEP_AXES,
     SWEEP_HEADER,
     TRACE_HEADER,
     VIOLATIONS_HEADER,
@@ -209,6 +210,42 @@ def test_sweep_records_failed_points(tmp_path, capsys):
         assert "no feasible threshold above" in line
 
 
+BAD_SWEEP_VALUES = [  # (axis, --values): each value the game rejects, or a fractional count
+    ("epsilon", "0.1,nan"),
+    ("epsilon", "1.5"),
+    ("unit_cost", "-5"),
+    ("fixed_reward", "inf"),
+    ("num_miners", "inf"),
+    ("num_miners", "nan"),
+    ("num_miners", "3.7"),
+    ("num_miners", "5,1"),
+]
+
+
+@pytest.mark.parametrize(
+    "axis, values", BAD_SWEEP_VALUES, ids=[f"{a}-{v}" for a, v in BAD_SWEEP_VALUES]
+)
+def test_sweep_rejects_bad_values_before_solving(tmp_path, capsys, monkeypatch, axis, values):
+    solved = []
+    original = cli.solve_equilibrium
+
+    def counted(*args, **kwargs):
+        solved.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_equilibrium", counted)
+    config = write_config(tmp_path, dict(REFERENCE_DOC, mode="det"))
+    out = tmp_path / "out"
+    code = main(
+        ["sweep", "--config", str(config), "--out", str(out), "--axis", axis, "--values", values]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: --values: ") and err.count("\n") == 1
+    assert solved == []
+    assert not out.exists()
+
+
 def test_validate_outputs(tmp_path):
     config = write_config(tmp_path, dict(REFERENCE_DOC, mode="cvar"))
     out = tmp_path / "out"
@@ -359,8 +396,8 @@ MUTABLE_FIELDS = (
 
 
 @st.composite
-def scenario_texts(draw):
-    """A valid scenario document, or one spoiled by a single mutation."""
+def scenario_texts(draw, mutate=True):
+    """A valid scenario document, or (with ``mutate``) one spoiled by a single mutation."""
     doc = {
         "miners": draw(st.integers(2, 4)),
         "resources": {"mode": "homogeneous", "x_hat": draw(st.floats(20.0, 90.0))},
@@ -378,7 +415,7 @@ def scenario_texts(draw):
             "samples": draw(st.integers(1, 200)),
         },
     }
-    mutation = draw(st.sampled_from([None, *MUTATIONS]))
+    mutation = draw(st.sampled_from([None, *MUTATIONS])) if mutate else None
     if mutation is not None:
         *parents, key = draw(st.sampled_from(MUTABLE_FIELDS))
         target = doc
@@ -395,4 +432,36 @@ def test_any_scenario_exits_0_1_or_2(text, verb):
     with tempfile.TemporaryDirectory() as tmp:
         config = write_config(Path(tmp), text)
         code = main([verb, "--config", str(config), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
+
+
+# a finite whole miner count builds that many miners, so counts stay small
+MINER_COUNTS = st.one_of(
+    st.integers(-2, 6).map(float), st.floats(-2.0, 6.0),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+AXIS_VALUES = st.one_of(
+    st.floats(0.01, 0.99), st.floats(1.0, 1e4), st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0]),
+)
+
+
+@st.composite
+def sweep_arguments(draw):
+    """(axis, --values) with finite, non-finite and negative values."""
+    axis = draw(st.sampled_from(SWEEP_AXES))
+    values = draw(st.lists(MINER_COUNTS if axis == "num_miners" else AXIS_VALUES, min_size=1,
+                           max_size=3))
+    return axis, ",".join(repr(v) for v in values)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(text=scenario_texts(mutate=False), arguments=sweep_arguments())
+def test_any_sweep_exits_0_1_or_2(text, arguments):
+    axis, values = arguments
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_config(Path(tmp), text)
+        # --values=...: argparse would take a leading "-inf" for an option
+        code = main(["sweep", "--config", str(config), "--out", str(Path(tmp) / "out"),
+                     "--mode", "det", "--axis", axis, f"--values={values}"])
     assert code in (0, 1, 2)

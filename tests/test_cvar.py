@@ -19,19 +19,20 @@ from powgame import (
     utility,
     worstcase_cvar,
 )
-from powgame import bti, cvar
-from powgame.cvar import _CvarEvaluator, certified_slack
+from powgame import bti, cvar, robust
 from powgame.deterministic import best_response
 from powgame.model import MinerParams
 from powgame.robust import bisect_threshold, scan_strategy
 from powgame.validate import sample_uncertainty
 
 from conftest import (
+    CvarEvaluator,
     barrier_worstcase_cvar,
     eigh_certificate,
     make_config,
     outer_best_response_oracle,
     reference_worstcase_cvar,
+    sqrt_moment_matrix,
 )
 
 REWARD = RewardModel()
@@ -75,10 +76,10 @@ def test_moment_matrix():
     m = MomentMatrix(mu_bar=55.0, sigma2=100.0)
     omega = m.matrix
     assert np.linalg.det(omega) == pytest.approx(100.0)
-    root = m.sqrt_matrix()
+    root = sqrt_moment_matrix(m)
     assert np.allclose(root @ root, omega, atol=1e-10)
     with pytest.raises(ValueError):
-        MomentMatrix(mu_bar=55.0, sigma2=0.0).sqrt_matrix()
+        sqrt_moment_matrix(MomentMatrix(mu_bar=55.0, sigma2=0.0))
 
 
 def test_worstcase_cvar_linear_loss_closed_form():
@@ -90,7 +91,7 @@ def test_worstcase_cvar_linear_loss_closed_form():
         expected = mu + s * math.sqrt((1 - eps) / eps)
         value, _ = worstcase_cvar(coeffs, moments, eps)
         assert value == pytest.approx(expected, rel=1e-8)
-        exact, _ = _CvarEvaluator(coeffs, moments, eps).exact_min()
+        exact, _ = CvarEvaluator(coeffs, moments, eps).exact_min()
         assert exact == pytest.approx(expected, rel=1e-12)
 
 
@@ -107,7 +108,7 @@ def test_worstcase_cvar_matches_barrier_solver():
         coeffs = LossCoefficients.from_strategy(alpha, u_min, load, cost, REWARD.total)
         moments = MomentMatrix(mu_bar, sigma * sigma)
         golden, _ = worstcase_cvar(coeffs, moments, eps)
-        exact, _ = _CvarEvaluator(coeffs, moments, eps).exact_min()
+        exact, _ = CvarEvaluator(coeffs, moments, eps).exact_min()
         barrier, _ = barrier_worstcase_cvar(coeffs, moments, eps)
         assert barrier == pytest.approx(golden, rel=1e-7, abs=1e-6)
         assert barrier == pytest.approx(exact, rel=1e-7, abs=1e-6)
@@ -123,13 +124,13 @@ def test_exact_minimum_matches_golden_section_and_matrix_form():
         moments = MomentMatrix(float(rng.uniform(20.0, 80.0)), float(rng.uniform(0.5, 30.0)) ** 2)
         eps = float(rng.uniform(0.01, 0.6))
         coeffs = LossCoefficients.from_strategy(alpha, u_min, load, cost, REWARD.total)
-        evaluator = _CvarEvaluator(coeffs, moments, eps)
+        evaluator = CvarEvaluator(coeffs, moments, eps)
         exact, beta = evaluator.exact_min()
         golden, _ = worstcase_cvar(coeffs, moments, eps)
         assert abs(exact - golden) <= 1e-9 * (1.0 + abs(golden))
         assert exact <= golden + 1e-12 * (1.0 + abs(golden))
         # the scalar v against the clipped congruence it replaces
-        root = moments.sqrt_matrix()
+        root = sqrt_moment_matrix(moments)
         for b in (beta, beta + float(rng.normal()) * (1.0 + abs(beta))):
             q = np.array([[coeffs.a2, 0.5 * coeffs.a1], [0.5 * coeffs.a1, coeffs.a0 - b]])
             matrix_form = b + np.clip(np.linalg.eigvalsh(root @ q @ root), 0.0, None).sum() / eps
@@ -157,8 +158,8 @@ def test_subproblem_threshold_bisection_boundary():
     u, cert = subproblem_threshold(0.5, 110.0, params, REWARD, 0.1)
     assert u == pytest.approx(-320.4918, abs=1e-3)
     # u is feasible, u + 2 tolerances is not
-    assert certified_slack(0.5, u, 110.0, params, REWARD, 0.1) >= 0.0
-    assert certified_slack(0.5, u + 2e-6, 110.0, params, REWARD, 0.1) < 0.0
+    assert cvar._strategy_slack(u, 110.0, params, REWARD, 0.1)(0.5) >= 0.0
+    assert cvar._strategy_slack(u + 2e-6, 110.0, params, REWARD, 0.1)(0.5) < 0.0
     assert cert.u_min == pytest.approx(u)
 
 
@@ -249,7 +250,7 @@ def test_subproblem_strategy_fixed_point_and_improvement():
     tau0, eps, load = 0.5, 0.1, 110.0
     u, cert = subproblem_threshold(0.8, load, params, REWARD, eps)
     a1, s1, ok1 = subproblem_strategy(u, 0.8, load, params, REWARD, tau0, eps)
-    assert ok1 and s1 >= certified_slack(0.8, u, load, params, REWARD, eps) - 1e-12
+    assert ok1 and s1 >= cvar._strategy_slack(u, load, params, REWARD, eps)(0.8) - 1e-12
     # feeding the maximizer back in must return it (within the search tolerance)
     a2, s2, ok2 = subproblem_strategy(u, a1, load, params, REWARD, tau0, eps)
     assert ok2
@@ -264,7 +265,8 @@ def test_subproblem_strategy_matches_exhaustive_scan():
     alpha, slack, ok = subproblem_strategy(u, 0.7, load, params, REWARD, tau0, eps)
     assert ok
     grid = np.linspace(tau0, 1.0, 501)
-    best = max(certified_slack(float(a), u, load, params, REWARD, eps) for a in grid)
+    slack_at = cvar._strategy_slack(u, load, params, REWARD, eps)
+    best = max(slack_at(float(a)) for a in grid)
     assert slack >= best - 1e-9
 
 
@@ -325,10 +327,12 @@ def test_strategy_step_with_no_feasible_alpha_returns_incoming():
     [robust_best_response, robust_best_response_gaussian],
     ids=["dro_cvar", "gaussian_bti"],
 )
-def test_robust_best_response_iteration_cap(best_response_fn):
+def test_robust_best_response_iteration_cap(monkeypatch, best_response_fn):
     config = make_config(n=5, x_hat=50.0)
+    monkeypatch.setattr(robust, "AO_TOL", -1.0)
+    monkeypatch.setattr(robust, "AO_CAP", 3)
     with pytest.raises(ConvergenceError) as err:
-        best_response_fn(0, [0.6] * 5, config, ao_tol=-1.0, max_ao_iterations=3)
+        best_response_fn(0, [0.6] * 5, config)
     assert err.value.last is not None
     assert len(err.value.last.u_history) == 4
 
@@ -407,7 +411,7 @@ def test_steps_evaluate_v_bit_for_bit_like_the_reference():
             return LossCoefficients.from_strategy(a, u, load, params.cost, reward.total)
 
         def reference_min(u):
-            return _CvarEvaluator(coeffs(alpha, u), moments, eps).exact_min()
+            return CvarEvaluator(coeffs(alpha, u), moments, eps).exact_min()
 
         def reference_certify(u):
             return reference_min(u)[0] <= 0.0
@@ -415,7 +419,7 @@ def test_steps_evaluate_v_bit_for_bit_like_the_reference():
         certify, _ = cvar._threshold_certifier(alpha, load, params, reward, eps)
         for u in rng.uniform(-3000.0, 3000.0, size=4):
             assert certify(float(u)) == reference_certify(float(u))
-        u_star = bisect_threshold(reference_certify, params, reward)[0]
+        u_star = bisect_threshold(reference_certify, params, reward)
         u_min, cert = subproblem_threshold(alpha, load, params, reward, eps)
         assert u_min == u_star
         assert cert.beta == reference_min(u_star)[1]
@@ -445,7 +449,7 @@ def test_cvar_best_response_builds_no_reference_objects(monkeypatch):
     # both steps evaluate v and the witness from per-step constants, never
     # through the reference objects or a matrix factorization
     built = []
-    for cls in (LossCoefficients, MomentMatrix, _CvarEvaluator):
+    for cls in (LossCoefficients, MomentMatrix):
         original = cls.__init__
 
         def counted_init(self, *args, _original=original, **kwargs):
@@ -517,7 +521,7 @@ def test_closed_form_certificate_matches_eigh_oracle():
             m_psd, mq_psd, trace = cert.slacks(coeffs, m, eps)
             assert m_psd >= -1e-7 and mq_psd >= -1e-7
             # the trace slack is -v(beta): M is trace-minimal at every beta
-            assert trace == pytest.approx(-_CvarEvaluator(coeffs, m, eps).value(beta), rel=1e-9)
+            assert trace == pytest.approx(-CvarEvaluator(coeffs, m, eps).value(beta), rel=1e-9)
             _assert_matches_eigh(cert, coeffs, m)
             count_branch(cert, coeffs)
     assert min(branches.values()) > 0

@@ -10,6 +10,7 @@ from powgame import (
     closed_form_equilibrium,
     utility,
 )
+from powgame import deterministic
 from powgame.deterministic import best_response_interior
 
 from conftest import (
@@ -86,13 +87,14 @@ def test_closed_form_symmetric_pair():
     assert eq.alphas[0] == pytest.approx(eq.alphas[1], abs=1e-12)
 
 
-def test_closed_form_matches_iteration_on_interior_instances():
+def test_closed_form_matches_iteration_on_interior_instances(monkeypatch):
+    monkeypatch.setattr(deterministic, "FIXED_POINT_TOL", 1e-13)
     rng = np.random.default_rng(12)
     for _ in range(10):
         config = random_interior_config(rng)
         eq = closed_form_equilibrium(config)
         assert all(eq.interior_flags)
-        iterated = best_response_fixed_point(config, tol=1e-13)
+        iterated = best_response_fixed_point(config)
         assert np.allclose(np.asarray(eq.alphas), iterated, atol=1e-8)
         # interior coordinates are stationary: clipped-vs-unclipped agree
         for j in range(config.n_miners):

@@ -67,9 +67,6 @@ def test_strategy_profile_box():
     with pytest.raises(ValueError):
         StrategyProfile((0.0, 0.5))
     profile = StrategyProfile((0.5, 0.7))
-    profile.check_box(0.5)
-    with pytest.raises(ValueError):
-        profile.check_box(0.6)
     assert np.allclose(np.asarray(profile), [0.5, 0.7])
 
 
