@@ -10,7 +10,7 @@ validation plan.  Three verbs drive it:
 
 Outputs are plain CSV (UTF-8, LF, headers first) with fixed schemas so that
 plots can be produced externally.  Exit codes: 0 success, 1 malformed
-configuration, 2 solver non-convergence.
+configuration or usage, 2 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -79,27 +79,34 @@ def _require(condition, message):
         raise ScenarioError(message)
 
 
-def _resolve_modes(selector) -> tuple[str, ...]:
-    """A mode name, "all", or a non-empty list of distinct mode names."""
-    if selector == "all":
-        return tuple(MODE_ALIASES.values())
+def _names(field, kind, selector, known, hint, aliases=None) -> tuple[str, ...]:
+    """A ``kind`` name or a non-empty list of distinct ones, each in ``known``
+    once ``aliases`` are resolved; ``hint`` lists the accepted spellings."""
+    aliases = aliases or {}
     if isinstance(selector, str):
         selector = [selector]
     _require(
         isinstance(selector, list),
-        f"field 'mode': expected a mode name or a list of them, got {reprlib.repr(selector)}",
+        f"field '{field}': expected a {kind} name or a list of them, got {reprlib.repr(selector)}",
     )
-    _require(selector, "field 'mode': need at least one mode")
-    modes = []
+    _require(selector, f"field '{field}': need at least one {kind}")
+    names = []
     for item in selector:
-        mode = MODE_ALIASES.get(item, item) if isinstance(item, str) else item
+        name = aliases.get(item, item) if isinstance(item, str) else item
         _require(
-            mode in MODE_ALIASES.values(),
-            f"field 'mode': unknown solver mode {item!r} (use det|bti|cvar|all)",
+            name in known, f"field '{field}': unknown {kind} {reprlib.repr(item)} (use {hint})"
         )
-        _require(mode not in modes, f"field 'mode': {MODE_SHORT[mode]} is listed twice")
-        modes.append(mode)
-    return tuple(modes)
+        _require(name not in names, f"field '{field}': {reprlib.repr(item)} is listed twice")
+        names.append(name)
+    return tuple(names)
+
+
+def _resolve_modes(selector) -> tuple[str, ...]:
+    """A mode name, "all", or a non-empty list of distinct mode names."""
+    modes = tuple(MODE_ALIASES.values())
+    if selector == "all":
+        return modes
+    return _names("mode", "solver mode", selector, modes, "det|bti|cvar|all", MODE_ALIASES)
 
 
 def _field(name, convert, raw):
@@ -188,11 +195,18 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
         validation = doc.get("validation", {})
         _require(isinstance(validation, dict), "field 'validation': expected an object")
-        distributions = tuple(
-            validation.get("distributions", ["gaussian", "uniform", "poisson_shifted"])
+        distributions = _names(
+            "validation.distributions",
+            "distribution",
+            validation.get("distributions", ["gaussian", "uniform", "poisson_shifted"]),
+            DISTRIBUTIONS,
+            "|".join(DISTRIBUTIONS),
         )
-        unknown = [d for d in distributions if d not in DISTRIBUTIONS]
-        _require(not unknown, f"field 'validation.distributions': unknown {unknown}")
+        clamp = validation.get("clamp", False)
+        _require(
+            isinstance(clamp, bool),
+            f"field 'validation.clamp': expected true or false, got {reprlib.repr(clamp)}",
+        )
         samples = _field("validation.samples", int, validation.get("samples", 1000))
         _require(samples >= 1, "field 'validation.samples': need at least 1")
 
@@ -204,7 +218,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             initial_alpha=_field("initial_alpha", float, doc.get("initial_alpha", 0.35)),
             distributions=distributions,
             samples=samples,
-            clamp=bool(validation.get("clamp", False)),
+            clamp=clamp,
         )
     except ScenarioError:
         raise
@@ -422,7 +436,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its help (0) or usage error (2)
+        return 0 if exc.code == 0 else 1
     try:
         scenario = load_scenario(args.config, seed=args.seed, mode=args.mode)
         if args.verb == "solve":

@@ -27,16 +27,22 @@ alternating-optimization steps evaluate v from constants computed once per
 step instead, because a solve evaluates it hundreds of thousands of times:
 
 - ``_threshold_certifier`` gives the threshold step ``certify(u)``, the sign
-  of v's exact minimum (the least v over three candidate betas) at each
-  bisection probe, and ``certificate(u)``, the (beta, M) witness built once,
-  at the returned threshold, in closed form from the eigenvector of
-  ``Q(beta) Omega`` (``_trace_minimal_witness``).
+  of v's exact minimum (``_exact_minimizer``: the least v over three
+  candidate betas) at each bisection probe, and ``certificate(u)``, the
+  (beta, M) witness built once, at the returned threshold, in closed form
+  from the eigenvector of ``Q(beta) Omega`` (``_trace_minimal_witness``).
 - ``_strategy_slack`` gives the strategy step ``slack(alpha)``, the negated
-  worst-case CVaR by the same ``_beta_search`` as ``worstcase_cvar``.  The
-  exact minimum there moves an equilibrium threshold of one benchmark game
-  by 5e-4 (the solver fixes u_min only to its 1e-6 alpha tolerance times
-  du/dalpha), more than the benchmark's recorded reference outputs allow, so
-  that switch waits for a re-recorded reference.
+  worst-case CVaR by the same ``_beta_search`` as ``worstcase_cvar``, and
+  ``ceiling(alpha)``, the negated exact minimum plus a rounding margin rho.
+  The golden section returns v at some beta, and v at any beta is at least
+  its minimum, so ``ceiling >= slack`` however close the search gets; the
+  scan (``_search.scan_golden_max``) computes ``slack`` only where the
+  ceiling cannot decide a comparison, and returns what it would return with
+  ``slack`` everywhere.  Taking the exact minimum as the slack itself moves
+  an equilibrium threshold of one benchmark game by 5e-4 (the solver fixes
+  u_min only to its 1e-6 alpha tolerance times du/dalpha), more than the
+  benchmark's recorded reference outputs allow, so that switch waits for a
+  re-recorded reference.
 
 Every hoisted expression keeps the float operation order in which
 ``worstcase_cvar`` computes t0, d0 and k, so each slack value and threshold
@@ -262,16 +268,33 @@ def _trace_minimal_witness(beta, u_min, a2, a1, a0, mu_bar, sigma2) -> CvarCerti
     return CvarCertificate(beta=beta, m11=m11, m12=m12, m22=m22, u_min=u_min)
 
 
-def _threshold_certifier(alpha, load, params: MinerParams, reward: RewardModel, epsilon):
-    """``(certify(u), certificate(u))`` at fixed alpha; only a1 and a0 depend on u.
+def _exact_minimizer(epsilon):
+    """``exact_min(t0, d0, k, spread)``: (min v, argmin beta), the least v
+    over the candidate betas.
 
     v is convex and coercive, so its minimum is at a kink or where v' = 0.
     Where the determinant is >= 0, v is piecewise linear with slopes
     1 - 1/eps and 1, so its only kink there is beta = t0; the determinant
     changes sign at beta = d0 / k; where it is negative, v' = 0 only at
-    t0 - 2k + (1 - 2 eps) / sqrt(eps (1 - eps)) * sqrt(k t0 - d0 - k^2).
-    That radicand equals s2 (a2 mu_bar + a1 / 2)^2, so it is never negative.
-    ``certify`` is the sign of the least v over these candidate betas and
+    t0 - 2k + (1 - 2 eps) / sqrt(eps (1 - eps)) * spread, with
+    spread = sqrt(k t0 - d0 - k^2).  That radicand equals
+    s2 (a2 mu_bar + a1 / 2)^2, so the caller passes
+    spread = sqrt(s2) |a2 mu_bar + a1 / 2|, which is never NaN.
+    """
+    factor = (1.0 - 2.0 * epsilon) / math.sqrt(epsilon * (1.0 - epsilon))
+
+    def exact_min(t0, d0, k, spread):
+        stationary = t0 - 2.0 * k + factor * spread
+        betas = (t0, stationary, d0 / k) if k > 0.0 else (t0, stationary)
+        return min([(_v(t0, d0, k, epsilon, beta), beta) for beta in betas])
+
+    return exact_min
+
+
+def _threshold_certifier(alpha, load, params: MinerParams, reward: RewardModel, epsilon):
+    """``(certify(u), certificate(u))`` at fixed alpha; only a1 and a0 depend on u.
+
+    ``certify`` is the sign of v's exact minimum (``_exact_minimizer``) and
     ``certificate`` the witness at its argmin.
     """
     cost = params.cost
@@ -281,52 +304,70 @@ def _threshold_certifier(alpha, load, params: MinerParams, reward: RewardModel, 
     a2 = cost * alpha * alpha
     a2_second = a2 * (s2 + m * m)
     k = s2 * a2
-    two_k = 2.0 * k
     a2_m = a2 * m
     sigma = math.sqrt(s2)
-    factor = (1.0 - 2.0 * epsilon) / math.sqrt(epsilon * (1.0 - epsilon))
-    kink = k > 0.0
+    exact_min = _exact_minimizer(epsilon)
 
-    def candidates(u):
+    def minimum(u):
         a1 = (u + big_b) * alpha
         a0 = u * load
         t0 = a2_second + a1 * m + a0
         d0 = s2 * (a2 * a0 - 0.25 * a1 * a1)
-        stationary = t0 - two_k + factor * (sigma * abs(a2_m + 0.5 * a1))
-        return a1, a0, t0, d0, (t0, stationary, d0 / k) if kink else (t0, stationary)
+        return a1, a0, exact_min(t0, d0, k, sigma * abs(a2_m + 0.5 * a1))
 
     def certify(u):
-        _, _, t0, d0, betas = candidates(u)
-        return min([_v(t0, d0, k, epsilon, beta) for beta in betas]) <= 0.0
+        return minimum(u)[2][0] <= 0.0
 
     def certificate(u):
-        a1, a0, t0, d0, betas = candidates(u)
-        _, beta = min((_v(t0, d0, k, epsilon, b), b) for b in betas)
+        a1, a0, (_, beta) = minimum(u)
         return _trace_minimal_witness(beta, u, a2, a1, a0, m, s2)
 
     return certify, certificate
 
 
 def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsilon):
-    """``slack(alpha)``: negated ``worstcase_cvar`` at fixed u_min; only the alpha terms vary."""
+    """``(slack(alpha), ceiling(alpha))`` at fixed u_min; only the alpha terms vary.
+
+    ``slack`` is the negated ``worstcase_cvar``.  ``ceiling`` is
+    -(exact minimum of v) + rho with rho = 1e-12 * scale / eps, at about a
+    seventh of the cost.  The golden section returns v at some beta, which is
+    at least v's minimum, so ``ceiling >= slack`` however close that search
+    gets; rho covers the rounding of v at the candidate betas, which reached
+    2.6e-16 * scale / eps over 60000 random (instance, alpha) pairs.  Where
+    the search's beta bracket overflows (sigma beyond about 1e80), ``slack``
+    is -inf or NaN; no threshold certifies at such a variance, so the solver
+    stops at its threshold step before any strategy step.
+    """
     m, s2 = params.nominal, params.sigma2
     cost = params.cost
     s = u_min + (-reward.total + cost * load)
     a0 = u_min * load
     second = s2 + m * m
-    reach = m + 3.0 * math.sqrt(s2)
+    sigma = math.sqrt(s2)
+    reach = m + 3.0 * sigma
     abs_reach = abs(reach)
     scale0 = 1.0 + abs(a0)
+    rho = 1e-12 / epsilon
+    exact_min = _exact_minimizer(epsilon)
 
-    def slack(alpha):
+    def terms(alpha):
         a2 = cost * alpha * alpha
         a1 = s * alpha
         t0 = a2 * second + a1 * m + a0
         d0 = s2 * (a2 * a0 - 0.25 * a1 * a1)
         scale = scale0 + abs(a1) * abs_reach + a2 * reach * reach
+        return a2, a1, t0, d0, scale
+
+    def slack(alpha):
+        a2, _, t0, d0, scale = terms(alpha)
         return -_beta_search(t0, d0, s2 * a2, epsilon, scale)[0]
 
-    return slack
+    def ceiling(alpha):
+        a2, a1, t0, d0, scale = terms(alpha)
+        spread = sigma * abs(a2 * m + 0.5 * a1)
+        return rho * scale - exact_min(t0, d0, s2 * a2, spread)[0]
+
+    return slack, ceiling
 
 
 def subproblem_threshold(
@@ -352,8 +393,8 @@ def subproblem_strategy(
     negated worst-case CVaR, re-certified per alpha.
     """
     _check_strategy(min(tau0, alpha_in), params.cost, load)
-    slack = _strategy_slack(u_min, load, params, reward, epsilon)
-    return scan_strategy(slack, alpha_in, tau0)
+    slack, ceiling = _strategy_slack(u_min, load, params, reward, epsilon)
+    return scan_strategy(slack, alpha_in, tau0, ceiling)
 
 
 def robust_best_response(j: int, profile, config: GameConfig, warm_start=None) -> BestResponse:

@@ -4,7 +4,8 @@ A back-end certifies "utility >= u_min with probability >= 1 - epsilon" its
 own way (``bti``: Gaussian Bernstein bound, ``cvar``: worst-case CVaR) and
 hands the steps here ``certify(u_min)``, True when u_min is certifiable at
 fixed alpha, and ``slack(alpha)``, >= 0 exactly when alpha keeps the fixed
-u_min certifiable.
+u_min certifiable, with an optional cheap upper bound ``ceiling(alpha)`` on
+it.
 
 Constants:
 
@@ -72,15 +73,17 @@ def bisect_threshold(certify, params: MinerParams, reward: RewardModel, u_lo=Non
     return u_lo
 
 
-def scan_strategy(slack, alpha_in, tau0):
+def scan_strategy(slack, alpha_in, tau0, ceiling=None):
     """(alpha, slack, feasible) maximizing ``slack`` over [tau0, 1]; when no
     alpha certifies, the incoming alpha with ``feasible=False``.
 
-    The incoming alpha is scored once, outside the scan: the margin test
-    below keeps it whenever it beats the scan's best.
+    ``ceiling``, an upper bound on ``slack``, lets the scan skip the exact
+    evaluations it rules out without changing the result.  The incoming
+    alpha is scored once, outside the scan: the margin test below keeps it
+    whenever it beats the scan's best.
     """
     scan_step = max((1.0 - tau0) / 40.0, 1e-4)
-    alpha, best = scan_golden_max(slack, tau0, 1.0, scan_step, tol=ALPHA_TOL)
+    alpha, best = scan_golden_max(slack, tau0, 1.0, scan_step, tol=ALPHA_TOL, ceiling=ceiling)
     incoming = slack(alpha_in)
     # move only on improvements that dominate the inner solver noise; without
     # this margin the argmax wobbles at float scale and the best-response

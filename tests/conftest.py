@@ -6,8 +6,11 @@ robust best responses against an exhaustive outer search over alpha with
 threshold bisection at every point, the worst-case CVaR against a log-barrier
 solver of its conic program, and derivatives against finite differences.
 
-The reference compositions the solver replays from per-step constants also
-live here, since only tests compare against them: ``CvarEvaluator`` (v as a
+The strategy scan with every point evaluated exactly (``grid_scan_max``,
+with its ``golden_max``) is kept here as the oracle the bounded scan of
+``_search.scan_golden_max`` must match float for float.  The reference
+compositions the solver replays from per-step constants also live here,
+since only tests compare against them: ``CvarEvaluator`` (v as a
 function of beta, and its exact minimum over three candidate betas, which
 the threshold step's decisions match bit for bit), the generic bracketed
 golden section over it (``golden_min``, ``reference_worstcase_cvar``, which
@@ -33,7 +36,7 @@ from powgame import (
     RewardModel,
     utility,
 )
-from powgame._search import _INV_PHI, golden_max
+from powgame._search import _INV_PHI
 
 
 def make_config(
@@ -92,6 +95,47 @@ def grid_best_response(j, profile, config, points=1_000_001):
     own = alphas * x[j]
     utils = config.reward.total * own / (own + load) - config.miners[j].cost * own
     return float(alphas[int(np.argmax(utils))])
+
+
+def golden_max(f, lo, hi, tol=1e-6):
+    """Maximize a unimodal scalar function on [lo, hi] by golden-section search."""
+    x1 = hi - _INV_PHI * (hi - lo)
+    x2 = lo + _INV_PHI * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(200):
+        if not hi - lo > tol:
+            break
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INV_PHI * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INV_PHI * (hi - lo)
+            f2 = f(x2)
+    x = 0.5 * (lo + hi)
+    return x, f(x)
+
+
+def grid_scan_max(f, lo, hi, step, tol=1e-6):
+    """The strategy scan with every point evaluated: a dense grid, then
+    ``golden_max`` around the best cell.
+
+    ``_search.scan_golden_max`` must return exactly this, with or without a
+    ceiling.
+    """
+    if hi <= lo:
+        return lo, f(lo)
+    grid = np.arange(lo, hi + 0.5 * step, step)
+    grid[-1] = min(grid[-1], hi)
+    vals = [f(float(a)) for a in grid]
+    k = int(np.argmax(vals))
+    g_lo = max(lo, float(grid[k]) - step)
+    g_hi = min(hi, float(grid[k]) + step)
+    best_x, best_f = golden_max(f, g_lo, g_hi, tol)
+    if vals[k] > best_f:
+        best_x, best_f = float(grid[k]), vals[k]
+    return best_x, best_f
 
 
 def outer_best_response_oracle(threshold_fn, tau0, grid_step=1e-3, refine_tol=1e-6):

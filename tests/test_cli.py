@@ -68,6 +68,13 @@ def test_scenario_defaults():
     assert scenario.modes == ("deterministic", "gaussian_bti", "dro_cvar")
 
 
+def test_validation_fields_take_a_name_or_a_list_and_a_boolean():
+    # one distribution may be named bare, as one mode may
+    scenario = scenario_from_dict({"validation": {"distributions": "two_point", "clamp": True}})
+    assert scenario.distributions == ("two_point",) and scenario.clamp is True
+    assert scenario_from_dict({}).clamp is False
+
+
 def test_scenario_validation_errors():
     with pytest.raises(ScenarioError):
         scenario_from_dict({"miners": 1})
@@ -135,6 +142,19 @@ def test_solve_writes_the_golden_csvs(tmp_path, config):
     assert sorted(p.relative_to(out) for p in out.rglob("*.csv")) == expected
     for name in expected:
         assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("axis", ["unit_cost", "epsilon"])
+def test_cvar_sweep_writes_the_golden_csv(tmp_path, axis):
+    # tests/data/golden/sweep/heterogeneous-cvar-<axis>.csv holds
+    # `powgame sweep --config configs/heterogeneous.json --mode cvar --axis <axis>`
+    # over the built-in axis values, byte for byte
+    out = tmp_path / "out"
+    config = CONFIGS / "heterogeneous.json"
+    assert main(["sweep", "--config", str(config), "--out", str(out), "--mode", "cvar",
+                 "--axis", axis]) == 0
+    golden = GOLDEN / "sweep" / f"heterogeneous-cvar-{axis}.csv"
+    assert (out / "sweep.csv").read_bytes() == golden.read_bytes()
 
 
 def test_heterogeneous_resources_are_seeded(tmp_path):
@@ -297,7 +317,14 @@ MALFORMED = [  # (id, document, text stderr must contain, verbs)
     ("mode-empty-list", dict(REFERENCE_DOC, mode=[]), "'mode'", None),
     ("mode-listed-twice", dict(REFERENCE_DOC, mode=["cvar", "dro_cvar"]), "'mode'", None),
     ("unknown-distribution", dict(REFERENCE_DOC, validation={"distributions": ["cauchy"]}), "", None),
-    ("distributions-not-list", dict(REFERENCE_DOC, validation={"distributions": "gaussian"}), "", None),
+    ("distributions-not-list", dict(REFERENCE_DOC, validation={"distributions": 5}),
+     "'validation.distributions'", None),
+    ("distributions-empty-list", dict(REFERENCE_DOC, validation={"distributions": []}),
+     "'validation.distributions'", None),
+    ("distributions-listed-twice", dict(REFERENCE_DOC, validation={"distributions": ["gaussian"] * 2}),
+     "'validation.distributions'", None),
+    ("clamp-text", dict(REFERENCE_DOC, validation={"clamp": "false"}), "'validation.clamp'", None),
+    ("clamp-number", dict(REFERENCE_DOC, validation={"clamp": 1}), "'validation.clamp'", None),
     ("samples-text", dict(REFERENCE_DOC, validation={"samples": "many"}), "'validation.samples'", None),
     ("sigma0-bti", dict(REFERENCE_DOC, sigma=0.0, mode="bti"), "'sigma'", None),
     ("sigma0-one-miner-cvar", dict(REFERENCE_DOC, sigma=[10.0, 10.0, 0.0, 10.0, 10.0], mode="cvar"),
@@ -332,6 +359,31 @@ def test_malformed_scenario_exits_1(tmp_path, capsys, verb, doc, names):
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert names in err
     assert not (tmp_path / "out").exists()
+
+
+USAGE_ERRORS = {  # id -> argv
+    "no-verb": [],
+    "no-config": ["solve"],
+    "unknown-flag": ["solve", "--config", "x.json", "--fast"],
+    "bad-mode": ["solve", "--config", "x.json", "--mode", "gauss"],
+    # a leading minus reads as an option, so --values is left without its value
+    "values-minus-inf": ["sweep", "--config", "x.json", "--axis", "epsilon", "--values", "-inf"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_errors_exit_1(capsys, argv):
+    # 2 is the exit code of a solve that did not converge
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: powgame")
+    assert err[-1].startswith("powgame") and ": error: " in err[-1]
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert main(["sweep", "--help"]) == 0
+    assert capsys.readouterr().out.count("usage: powgame") == 2
 
 
 def test_zero_sigma_is_accepted_for_deterministic_override(tmp_path):

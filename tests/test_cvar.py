@@ -12,6 +12,7 @@ from powgame import (
     RewardModel,
     robust_best_response,
     robust_best_response_gaussian,
+    solve_equilibrium,
     subproblem_strategy,
     subproblem_strategy_gaussian,
     subproblem_threshold,
@@ -19,7 +20,8 @@ from powgame import (
     utility,
     worstcase_cvar,
 )
-from powgame import bti, cvar, robust
+from powgame import SolverError, bti, cvar, robust
+from powgame._search import scan_golden_max
 from powgame.deterministic import best_response
 from powgame.model import MinerParams
 from powgame.robust import bisect_threshold, scan_strategy
@@ -29,6 +31,7 @@ from conftest import (
     CvarEvaluator,
     barrier_worstcase_cvar,
     eigh_certificate,
+    grid_scan_max,
     make_config,
     outer_best_response_oracle,
     reference_worstcase_cvar,
@@ -158,8 +161,8 @@ def test_subproblem_threshold_bisection_boundary():
     u, cert = subproblem_threshold(0.5, 110.0, params, REWARD, 0.1)
     assert u == pytest.approx(-320.4918, abs=1e-3)
     # u is feasible, u + 2 tolerances is not
-    assert cvar._strategy_slack(u, 110.0, params, REWARD, 0.1)(0.5) >= 0.0
-    assert cvar._strategy_slack(u + 2e-6, 110.0, params, REWARD, 0.1)(0.5) < 0.0
+    assert cvar._strategy_slack(u, 110.0, params, REWARD, 0.1)[0](0.5) >= 0.0
+    assert cvar._strategy_slack(u + 2e-6, 110.0, params, REWARD, 0.1)[0](0.5) < 0.0
     assert cert.u_min == pytest.approx(u)
 
 
@@ -250,7 +253,7 @@ def test_subproblem_strategy_fixed_point_and_improvement():
     tau0, eps, load = 0.5, 0.1, 110.0
     u, cert = subproblem_threshold(0.8, load, params, REWARD, eps)
     a1, s1, ok1 = subproblem_strategy(u, 0.8, load, params, REWARD, tau0, eps)
-    assert ok1 and s1 >= cvar._strategy_slack(u, load, params, REWARD, eps)(0.8) - 1e-12
+    assert ok1 and s1 >= cvar._strategy_slack(u, load, params, REWARD, eps)[0](0.8) - 1e-12
     # feeding the maximizer back in must return it (within the search tolerance)
     a2, s2, ok2 = subproblem_strategy(u, a1, load, params, REWARD, tau0, eps)
     assert ok2
@@ -265,7 +268,7 @@ def test_subproblem_strategy_matches_exhaustive_scan():
     alpha, slack, ok = subproblem_strategy(u, 0.7, load, params, REWARD, tau0, eps)
     assert ok
     grid = np.linspace(tau0, 1.0, 501)
-    slack_at = cvar._strategy_slack(u, load, params, REWARD, eps)
+    slack_at, _ = cvar._strategy_slack(u, load, params, REWARD, eps)
     best = max(slack_at(float(a)) for a in grid)
     assert slack >= best - 1e-9
 
@@ -350,17 +353,24 @@ def test_strategy_step_scores_incoming_alpha_once(monkeypatch, backend):
         module, strategy = bti, subproblem_strategy_gaussian
         u = subproblem_threshold_gaussian(alpha_in, load, params, REWARD, eps)
     original = module.scan_strategy
+    bounded = []
 
-    def scanning(slack, *args):
+    def scanning(slack, alpha_in, tau0, ceiling=None):
         def counted(alpha):
             scored.append(alpha)
             return slack(alpha)
 
-        return original(counted, *args)
+        if ceiling is not None:  # cvar: the bound spares most exact scores
+            def bound(alpha):
+                bounded.append(alpha)
+                return ceiling(alpha)
+
+            return original(counted, alpha_in, tau0, bound)
+        return original(counted, alpha_in, tau0)
 
     monkeypatch.setattr(module, "scan_strategy", scanning)
     strategy(u - 1.0, alpha_in, load, params, REWARD, 0.5, eps)
-    assert len(scored) > 40  # the scan ran
+    assert len(bounded if backend == "dro_cvar" else scored) > 40  # the scan ran
     assert scored.count(alpha_in) == 1
 
 
@@ -432,7 +442,7 @@ def test_steps_evaluate_v_bit_for_bit_like_the_reference():
         assert certify(lo) and not certify(hi)
 
         for u in (u_star, float(rng.uniform(-3000.0, 3000.0))):
-            slack = cvar._strategy_slack(u, load, params, reward, eps)
+            slack, _ = cvar._strategy_slack(u, load, params, reward, eps)
             for a in (alpha, *rng.uniform(0.05, 1.0, size=2)):
                 reference = reference_worstcase_cvar(coeffs(float(a), u), moments, eps)
                 assert slack(float(a)) == -reference[0]
@@ -525,3 +535,116 @@ def test_closed_form_certificate_matches_eigh_oracle():
             _assert_matches_eigh(cert, coeffs, m)
             count_branch(cert, coeffs)
     assert min(branches.values()) > 0
+
+
+def _wide_step_inputs(rng):
+    """(load, epsilon, params, reward) with eps in [0.001, 0.99] and sigma in
+    [0.01, 500], both log-uniform."""
+    params = MinerParams(
+        x_hat=float(rng.uniform(30.0, 60.0)), mu=float(rng.uniform(-5.0, 5.0)),
+        sigma2=math.exp(rng.uniform(math.log(0.01), math.log(500.0))) ** 2,
+        cost=float(rng.uniform(20.0, 120.0)),
+    )
+    reward = RewardModel(fixed_reward=float(rng.uniform(1000.0, 9000.0)))
+    eps = math.exp(rng.uniform(math.log(0.001), math.log(0.99)))
+    return float(rng.uniform(20.0, 400.0)), eps, params, reward
+
+
+def test_strategy_ceiling_bounds_the_slack():
+    # the ceiling is the exact minimum of v plus rho = 1e-12 * scale / eps;
+    # without rho about one pair in nine fails here, by rounding alone
+    rng = np.random.default_rng(27)
+    for _ in range(1000):
+        load, eps, params, reward = _wide_step_inputs(rng)
+        slack, ceiling = cvar._strategy_slack(
+            float(rng.uniform(-3000.0, 3000.0)), load, params, reward, eps
+        )
+        for alpha in np.exp(rng.uniform(math.log(1e-3), 0.0, size=3)):
+            assert ceiling(float(alpha)) >= slack(float(alpha))
+
+
+def test_strategy_step_equals_the_grid_scan_oracle(monkeypatch):
+    # the bound only skips exact scores; the step must return what scoring
+    # every grid point and golden probe returns, float for float
+    rng = np.random.default_rng(28)
+    cases = []
+    for instance in range(1000):
+        if instance % 2:
+            alpha, load, eps, params, reward = _random_step_inputs(rng)
+        else:
+            load, eps, params, reward = _wide_step_inputs(rng)
+            alpha = float(rng.uniform(0.05, 1.0))
+        try:
+            u, _ = subproblem_threshold(alpha, load, params, reward, eps)
+        except SolverError:  # nothing certifies: every alpha is infeasible
+            u = float(rng.uniform(-3000.0, 3000.0))
+        u += float(rng.choice([-100.0, -1.0, 0.0, 1.0]))
+        tau0 = float(rng.uniform(0.05, 0.9))
+        cases.append((u, max(tau0, alpha), load, params, reward, tau0, eps))
+    steps = [subproblem_strategy(*case) for case in cases]
+
+    def oracle(f, lo, hi, step, tol, ceiling):
+        return grid_scan_max(f, lo, hi, step, tol)
+
+    monkeypatch.setattr(robust, "scan_golden_max", oracle)
+    assert steps == [subproblem_strategy(*case) for case in cases]
+    assert 0 < sum(feasible for _, _, feasible in steps) < len(steps)
+
+
+def test_strategy_step_runs_few_beta_searches(monkeypatch):
+    # 41 grid points, ~24 golden probes and the incoming alpha used to cost
+    # one beta search each (about 67 a step); the bound leaves about 20
+    searches, steps = [], []
+
+    def counted(fn, calls):
+        def wrapper(*args, **kwargs):
+            calls.append(None)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cvar, "_beta_search", counted(cvar._beta_search, searches))
+    monkeypatch.setattr(cvar, "subproblem_strategy", counted(cvar.subproblem_strategy, steps))
+    for config in (make_config(), make_config(x_hat=[35.0, 42.0, 50.0, 57.0, 60.0], tau0=0.1)):
+        assert solve_equilibrium(config, "dro_cvar").converged
+    assert len(steps) >= 10
+    assert len(searches) / len(steps) <= 30
+
+
+def _plateau(x):
+    return 1.0 if 0.3 <= x <= 0.6 else 0.0
+
+
+SCAN_CASES = {  # name -> (f, ceiling)
+    "concave": (lambda x: -(x - 0.37) ** 2, lambda x: -(x - 0.37) ** 2 + 0.3 * abs(math.sin(37 * x))),
+    "bound-is-f": (lambda x: -abs(x - 0.81), lambda x: -abs(x - 0.81)),
+    "two-peaks": (lambda x: math.sin(9 * x), lambda x: math.sin(9 * x) + 1e-3),
+    "plateau-ties": (_plateau, lambda x: _plateau(x) + (x > 0.5)),
+    "bound-ties-value": (lambda x: float(x >= 0.5), lambda x: 1.0),
+    "nan-ceilings": (lambda x: -(x - 0.6) ** 2,
+                     lambda x: math.nan if int(x * 1000) % 3 == 0 else -(x - 0.6) ** 2),
+    "nan-value": (lambda x: math.nan if 0.7 < x < 0.72 else -(x - 0.2) ** 2,
+                  lambda x: math.nan if 0.7 < x < 0.72 else 1.0),
+    "minus-infinity": (lambda x: -math.inf if x < 0.5 else -x, lambda x: -math.inf if x < 0.5 else 0.0),
+}
+
+
+@pytest.mark.parametrize("name", SCAN_CASES)
+def test_scan_with_a_ceiling_matches_the_exact_scan(name):
+    f, ceiling = SCAN_CASES[name]
+
+    def logged(log):
+        def wrapper(x):
+            log.append(x)
+            return f(x)
+
+        return wrapper
+
+    for lo, hi, step in ((0.1, 1.0, 0.0225), (0.5, 1.0, 0.0125), (0.05, 1.0, 0.02375)):
+        exact_calls, calls = [], []
+        expected = grid_scan_max(logged(exact_calls), lo, hi, step, 1e-6)
+        # repr, so that NaN matches NaN
+        assert repr(scan_golden_max(f, lo, hi, step, 1e-6, ceiling=ceiling)) == repr(expected)
+        # without a ceiling, f is its own bound: scored once per point, in order
+        assert repr(scan_golden_max(logged(calls), lo, hi, step, 1e-6)) == repr(expected)
+        assert calls == exact_calls

@@ -10,6 +10,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from powgame import cli
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
@@ -79,3 +81,25 @@ def test_tracer_binds_the_solver_spans(tmp_path):
         for key, value in namespace.items():
             assert after[name][key] is value, f"{name}.{key}"
     assert loss.__dict__["from_strategy"] is from_strategy
+
+
+@pytest.mark.parametrize(
+    "mode, strategy",
+    [("bti", "bti.subproblem_strategy_gaussian"), ("cvar", "cvar.subproblem_strategy")],
+)
+def test_each_strategy_step_runs_one_scan(tmp_path, mode, strategy):
+    # traced one back-end at a time, so neither can route around the scan
+    # while the other's calls make up the count
+    tracing = _load_tracer_module()
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(SCENARIO), encoding="utf-8")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        out = str(tmp_path / mode)
+        assert cli.main(["solve", "--config", str(config), "--mode", mode, "--out", out]) == 0
+    finally:
+        tracer.uninstall()
+    stats = tracer.layer_stats()
+    assert stats[strategy][0] > 0
+    assert stats["search.scan_golden_max"][0] == stats[strategy][0]
