@@ -15,8 +15,11 @@ for float:
 A NaN has no order: a NaN ceiling decides nothing, and a NaN among the grid
 values or ceilings sends every grid point through ``f``.  A NaN value at a
 point its ceiling has already ruled out is not seen, so ``f`` may be NaN
-only where its ceiling is NaN too.  Without a ceiling every point is
-evaluated once, in the order of the plain scan.
+only where its ceiling is NaN too.  Where that rule is broken (the CVaR
+slack overflows to NaN for sigma beyond about 1e130 while its ceiling stays
+finite) the scan may return a NaN maximum, which ``robust.scan_strategy``
+reads as infeasible.  Without a ceiling every point is evaluated once, in
+the order of the plain scan.
 """
 
 from __future__ import annotations

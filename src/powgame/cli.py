@@ -377,9 +377,12 @@ def run_validate(scenario: Scenario, out_dir) -> int:
     for j in range(config.n_miners):
         params = config.miners[j]
         for dist in scenario.distributions:
-            batch = sample_uncertainty(
-                dist, params.mu, params.sigma2, scenario.samples, scenario.seed, miner_index=j
-            )
+            try:
+                batch = sample_uncertainty(
+                    dist, params.mu, params.sigma2, scenario.samples, scenario.seed, miner_index=j
+                )
+            except MemoryError as exc:  # numpy refuses a batch this large at once
+                raise ScenarioError(f"field 'validation.samples': {scenario.samples}: {exc}") from exc
             for mode, result, hist, reports in zip(scenario.modes, results, hist_rows, report_rows):
                 short = MODE_SHORT[mode]
                 report = empirical_violation(

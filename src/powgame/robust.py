@@ -90,7 +90,7 @@ def scan_strategy(slack, alpha_in, tau0, ceiling=None):
     # iteration around it never settles bit-exactly
     if best < incoming + 1e-6 * (1.0 + abs(incoming)):
         alpha, best = alpha_in, incoming
-    if best < 0.0:
+    if not best >= 0.0:  # NaN-safe: a NaN slack certifies nothing
         return float(alpha_in), incoming, False
     return float(alpha), float(best), True
 

@@ -15,7 +15,9 @@ and independent of evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -53,15 +55,29 @@ def _stream(seed: int, miner_index: int, distribution: str) -> np.random.Generat
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """Seeded draws of the resource perturbation under one distribution."""
+    """Seeded draws of the resource perturbation under one distribution.
+
+    The n draws are held as ``values`` with ``counts``: a lattice or
+    two-atom batch (poisson_shifted, two_point) holds each value that
+    occurs once, with the number of draws that took it; a continuous batch
+    (gaussian, uniform) holds every draw as its own value and ``counts`` is
+    None.  ``draws``, the draws in sampling order, is built on first read.
+    """
 
     distribution: str
     mu: float
     sigma2: float
     seed: int
     miner_index: int
-    draws: np.ndarray
+    n: int
+    values: np.ndarray
+    counts: np.ndarray | None
     two_point_p: float | None = None
+    _expand: Callable[[], np.ndarray] | None = field(default=None, repr=False)
+
+    @cached_property
+    def draws(self) -> np.ndarray:
+        return self.values if self._expand is None else self._expand()
 
 
 def two_point_atoms(mu, sigma2, p):
@@ -101,18 +117,32 @@ def sample_uncertainty(
         raise ValueError("need at least one draw")
     rng = _stream(seed, miner_index, distribution)
     s = math.sqrt(sigma2)
-    tp_p = None
+    counts = expand = tp_p = None
     if distribution == "gaussian":
-        draws = rng.normal(mu, s, size=n)
+        values = rng.normal(mu, s, size=n)
     elif distribution == "uniform":
         half = math.sqrt(3.0) * s
-        draws = rng.uniform(mu - half, mu + half, size=n)
+        values = rng.uniform(mu - half, mu + half, size=n)
     elif distribution == "poisson_shifted":
         lam = sigma2
-        draws = rng.poisson(lam, size=n).astype(float) - lam + mu
+        k = rng.poisson(lam, size=n)
+        low = int(k.min())
+        if int(k.max()) - low < n:
+            tally = np.bincount(k - low)
+            ints = np.flatnonzero(tally)
+            counts = tally[ints]
+            ints += low
+        else:  # a lattice wider than the batch: sort rather than tally
+            ints, counts = np.unique(k, return_counts=True)
+        values = ints.astype(float) - lam + mu
+        expand = lambda: k.astype(float) - lam + mu
     else:
         hi, lo = two_point_atoms(mu, sigma2, p)
-        draws = np.where(rng.random(n) < p, hi, lo)
+        high = rng.random(n) < p
+        n_high = np.count_nonzero(high)
+        counts = np.array([n_high, n - n_high])
+        values, counts = np.array([hi, lo])[counts > 0], counts[counts > 0]
+        expand = lambda: np.where(high, hi, lo)
         tp_p = p
     return SampleBatch(
         distribution=distribution,
@@ -120,8 +150,11 @@ def sample_uncertainty(
         sigma2=sigma2,
         seed=seed,
         miner_index=miner_index,
-        draws=draws,
+        n=n,
+        values=values,
+        counts=counts,
         two_point_p=tp_p,
+        _expand=expand,
     )
 
 
@@ -147,18 +180,25 @@ def empirical_utilities(alphas, j, config: GameConfig, draws, clamp=False) -> np
 
     Only miner j's resource is random: x_j = x_hat_j + dx, optionally clamped
     to the confidence interval (floored at 1e-9 so a huge negative draw can
-    never produce a nonpositive resource).
+    never produce a nonpositive resource).  Each utility is computed as
+    R*own/(own + load) - cost*own, one correctly rounded operation at a time,
+    so a draw's utility does not depend on the draws around it.
     """
     params = config.miners[j]
-    x_j = params.x_hat + np.asarray(draws, dtype=float)
-    if clamp:
-        x_j = np.clip(x_j, max(params.x_min, 1e-9), params.x_max)
-    else:
-        x_j = np.maximum(x_j, 1e-9)  # a pathological negative draw must not flip signs
     a = np.asarray(alphas, dtype=float)
     load = others_load(j, a, config.nominal_resources())
-    own = a[j] * x_j
-    return config.reward.total * own / (own + load) - params.cost * own
+    own = np.array(draws, dtype=float)
+    own += params.x_hat
+    if clamp:
+        np.clip(own, max(params.x_min, 1e-9), params.x_max, out=own)
+    else:
+        np.maximum(own, 1e-9, out=own)  # a pathological negative draw must not flip signs
+    own *= a[j]
+    utils = np.multiply(config.reward.total, own)
+    utils /= own + load
+    own *= params.cost
+    utils -= own
+    return utils
 
 
 def empirical_violation(
@@ -169,18 +209,27 @@ def empirical_violation(
     batch: SampleBatch,
     clamp=False,
 ) -> ViolationReport:
-    """Count how often miner j's realized utility falls below u_min."""
-    utils = empirical_utilities(alphas, j, config, batch.draws, clamp=clamp)
-    n = len(utils)
-    violations = int(np.sum(utils < u_min))
-    rate = violations / n
-    counts, edges = np.histogram(utils, bins=HISTOGRAM_BINS)
+    """Count how often miner j's realized utility falls below u_min.
+
+    Utilities are computed once per value of the batch and weighted by its
+    counts.  A utility depends only on its draw, and ``np.histogram`` bins a
+    utility by its value and the edges alone (the edges come from the least
+    and greatest utility), so the report equals the one scored draw by draw.
+    """
+    utils = empirical_utilities(alphas, j, config, batch.values, clamp=clamp)
+    below = utils < u_min
+    if batch.counts is None:
+        violations = int(np.count_nonzero(below))
+    else:
+        violations = int(batch.counts[below].sum())
+    rate = violations / batch.n
+    counts, edges = np.histogram(utils, bins=HISTOGRAM_BINS, weights=batch.counts)
     return ViolationReport(
-        n_samples=n,
+        n_samples=batch.n,
         n_violations=violations,
         rate=rate,
         epsilon=config.epsilon,
-        passed=rate <= config.epsilon + binomial_slack(config.epsilon, n),
+        passed=rate <= config.epsilon + binomial_slack(config.epsilon, batch.n),
         bin_edges=edges,
         counts=counts,
     )

@@ -17,7 +17,9 @@ golden section over it (``golden_min``, ``reference_worstcase_cvar``, which
 ``cvar.worstcase_cvar`` and the strategy step's slack match bit for bit),
 the closed-form square root of the moment matrix (``sqrt_moment_matrix``)
 and the eigendecomposition route to the trace-minimal CVaR certificate
-(``eigh_certificate``).
+(``eigh_certificate``).  Monte Carlo scoring draw by draw, over the whole
+array (``full_array_violation``), is the oracle for ``empirical_violation``,
+which scores each distinct value of a batch once.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ from powgame import (
     utility,
 )
 from powgame._search import _INV_PHI
+from powgame.model import others_load
+from powgame.validate import HISTOGRAM_BINS, ViolationReport, binomial_slack
 
 
 def make_config(
@@ -415,4 +419,31 @@ def eigh_certificate(coeffs: LossCoefficients, moments: MomentMatrix, beta, u_mi
         m12=float(m[0, 1]),
         m22=float(m[1, 1]),
         u_min=float(u_min),
+    )
+
+
+def full_array_violation(alphas, u_min, j, config: GameConfig, draws, clamp=False) -> ViolationReport:
+    """Miner j's violation report scored draw by draw, one utility per draw."""
+    params = config.miners[j]
+    x_j = params.x_hat + np.asarray(draws, dtype=float)
+    if clamp:
+        x_j = np.clip(x_j, max(params.x_min, 1e-9), params.x_max)
+    else:
+        x_j = np.maximum(x_j, 1e-9)
+    a = np.asarray(alphas, dtype=float)
+    load = others_load(j, a, config.nominal_resources())
+    own = a[j] * x_j
+    utils = config.reward.total * own / (own + load) - params.cost * own
+    n = len(utils)
+    violations = int(np.sum(utils < u_min))
+    rate = violations / n
+    counts, edges = np.histogram(utils, bins=HISTOGRAM_BINS)
+    return ViolationReport(
+        n_samples=n,
+        n_violations=violations,
+        rate=rate,
+        epsilon=config.epsilon,
+        passed=rate <= config.epsilon + binomial_slack(config.epsilon, n),
+        bin_edges=edges,
+        counts=counts,
     )

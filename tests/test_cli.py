@@ -135,13 +135,32 @@ def test_solve_writes_the_golden_csvs(tmp_path, config):
     # tests/data/golden/<config> holds `solve --mode all` outputs, byte for
     # byte; a change meant to move answers re-records them with
     # `powgame solve --config configs/<config>.json --out tests/data/golden/<config> --mode all`
+    # (its validate/ subdirectory belongs to the next test)
     golden = GOLDEN / config.stem
     out = tmp_path / "out"
     assert main(["solve", "--config", str(config), "--out", str(out), "--mode", "all"]) == 0
-    expected = sorted(p.relative_to(golden) for p in golden.rglob("*.csv"))
+    expected = sorted(p.relative_to(golden) for p in golden.rglob("*.csv") if p.parent.name != "validate")
     assert sorted(p.relative_to(out) for p in out.rglob("*.csv")) == expected
     for name in expected:
         assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("name", [p.stem for p in sorted(CONFIGS.glob("*.json"))] + ["heterogeneous_clamp"])
+def test_validate_writes_the_golden_csvs(tmp_path, name):
+    # tests/data/golden/<config>/validate holds `validate --mode all` outputs,
+    # byte for byte; heterogeneous_clamp is configs/heterogeneous.json with
+    # "validation.clamp" set to true
+    stem = name.removesuffix("_clamp")
+    doc = json.loads((CONFIGS / f"{stem}.json").read_text(encoding="utf-8"))
+    doc["validation"]["clamp"] = name != stem
+    golden = GOLDEN / name / "validate"
+    out = tmp_path / "out"
+    config = write_config(tmp_path, doc)
+    assert main(["validate", "--config", str(config), "--out", str(out), "--mode", "all"]) == 0
+    expected = sorted(p.name for p in golden.glob("*.csv"))
+    assert sorted(p.name for p in out.iterdir()) == expected == ["histogram.csv", "violations.csv"]
+    for csv in expected:
+        assert (out / csv).read_bytes() == (golden / csv).read_bytes(), csv
 
 
 @pytest.mark.parametrize("axis", ["unit_cost", "epsilon"])
@@ -339,6 +358,9 @@ MALFORMED = [  # (id, document, text stderr must contain, verbs)
     # a det solve needs no samples; numpy cannot draw Poisson(sigma^2) this large
     ("sigma-1e10-poisson-det", dict(REFERENCE_DOC, sigma=1e10, mode="det"),
      "'sigma': distribution poisson_shifted", ("validate",)),
+    # numpy refuses a batch this large at once (7.11 PiB of float64)
+    ("samples-1e15-det", dict(REFERENCE_DOC, mode="det", validation={"samples": 10**15}),
+     "'validation.samples'", ("validate",)),
 ]
 
 

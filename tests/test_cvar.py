@@ -325,6 +325,20 @@ def test_strategy_step_with_no_feasible_alpha_returns_incoming():
     assert alpha == 0.5 and slack < 0.0 and not feasible
 
 
+@pytest.mark.parametrize("sigma", [1e90, 1e130, 1e150])
+def test_strategy_step_never_certifies_a_nan_slack(sigma):
+    # past sigma ~ 1e80 the slack's beta bracket overflows, to -inf or NaN;
+    # a NaN slack certifies nothing, so the step keeps the incoming alpha
+    params = MinerParams(x_hat=45.0, sigma2=sigma * sigma, cost=60.0)
+    alpha, slack, feasible = subproblem_strategy(-100.0, 0.5, 110.0, params, REWARD, 0.2, 0.1)
+    if feasible:
+        assert math.isfinite(slack) and slack >= 0.0
+    else:
+        assert alpha == 0.5
+    alpha, slack, feasible = scan_strategy(lambda a: math.nan, 0.5, 0.2)
+    assert alpha == 0.5 and math.isnan(slack) and not feasible
+
+
 @pytest.mark.parametrize(
     "best_response_fn",
     [robust_best_response, robust_best_response_gaussian],

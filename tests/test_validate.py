@@ -12,8 +12,10 @@ from powgame import (
     sample_uncertainty,
     solve_equilibrium,
 )
-from powgame.validate import binomial_slack, two_point_atoms
+from powgame import cli, validate
+from powgame.validate import DISTRIBUTIONS, binomial_slack, two_point_atoms
 
+from conftest import full_array_violation, make_config
 
 
 def test_two_point_atoms_exact_moments():
@@ -48,6 +50,31 @@ def test_poisson_shifted_construction():
     lattice = batch.draws - 2.0 + 100.0
     assert np.allclose(lattice, np.round(lattice))
     assert batch.draws.var() == pytest.approx(100.0, rel=0.2)
+
+
+def test_draws_replay_the_seeded_stream():
+    # draws are the generator's output in order, whatever the batch holds
+    mu, sigma2, n, seed, j, p = 2.5, 90.0, 5000, 12, 3, 0.3
+    s = math.sqrt(sigma2)
+    half = math.sqrt(3.0) * s
+    hi, lo = two_point_atoms(mu, sigma2, p)
+    replay = {
+        "gaussian": lambda rng: rng.normal(mu, s, size=n),
+        "uniform": lambda rng: rng.uniform(mu - half, mu + half, size=n),
+        "poisson_shifted": lambda rng: rng.poisson(sigma2, size=n).astype(float) - sigma2 + mu,
+        "two_point": lambda rng: np.where(rng.random(n) < p, hi, lo),
+    }
+    for dist in DISTRIBUTIONS:
+        batch = sample_uncertainty(dist, mu, sigma2, n, seed=seed, miner_index=j, p=p)
+        expected = replay[dist](validate._stream(seed, j, dist))
+        assert batch.draws.dtype == expected.dtype and np.array_equal(batch.draws, expected)
+        assert batch.n == n
+        if batch.counts is None:  # continuous: every draw is its own value
+            assert dist in ("gaussian", "uniform") and batch.values is batch.draws
+        else:  # discrete: each value once, with its count
+            assert len(np.unique(batch.values)) == len(batch.values)
+            assert np.all(batch.counts > 0) and int(batch.counts.sum()) == n
+            assert np.array_equal(np.sort(np.repeat(batch.values, batch.counts)), np.sort(expected))
 
 
 def test_sampling_is_reproducible_and_order_independent():
@@ -143,3 +170,76 @@ def test_cvar_guarantee_holds_for_whole_sampled_family(reference_config):
 
 def test_binomial_slack_value():
     assert binomial_slack(0.1, 1000) == pytest.approx(3.0 * math.sqrt(0.09 / 1000))
+
+
+def test_distinct_value_scoring_equals_the_full_array_oracle():
+    # scoring each distinct value once, weighted by its count, must give the
+    # report of scoring every draw: the same floats, not close ones
+    rng = np.random.default_rng(2026)
+    single_atom = wide_lattice = 0
+    for case in range(640):
+        dist = DISTRIBUTIONS[case % 4]
+        clamp = case % 8 >= 4
+        sigma2 = float(10.0 ** rng.uniform(-2.0, 4.0))
+        mu = float(rng.uniform(-30.0, 30.0))
+        n = int(10.0 ** rng.uniform(0.0, math.log10(20000.0)))
+        p = float(rng.choice([1e-9, 1.0 - 1e-9, rng.uniform(0.01, 0.99)]))
+        config = make_config(
+            x_hat=rng.uniform(20.0, 80.0, 5),
+            cost=float(rng.uniform(20.0, 80.0)),
+            epsilon=float(rng.uniform(0.01, 0.5)),
+        )
+        alphas = rng.uniform(0.05, 1.0, 5)
+        j = int(rng.integers(5))
+        batch = sample_uncertainty(dist, mu, sigma2, n, seed=case, miner_index=j, p=p)
+        utils = empirical_utilities(alphas, j, config, batch.values, clamp=clamp)
+        if rng.random() < 0.5:  # a threshold equal to some utility tests the strict <
+            u_min = float(rng.choice(utils))
+        else:
+            u_min = float(rng.uniform(utils.min() - 1.0, utils.max() + 1.0))
+        new = empirical_violation(alphas, u_min, j, config, batch, clamp=clamp)
+        old = full_array_violation(alphas, u_min, j, config, batch.draws, clamp=clamp)
+        assert new.n_samples == old.n_samples == n
+        assert new.n_violations == old.n_violations and type(new.n_violations) is int
+        assert new.rate == old.rate and type(new.rate) is float
+        assert new.passed == old.passed and type(new.passed) is bool  # the CSV writes bools by type
+        assert np.array_equal(new.bin_edges, old.bin_edges)
+        assert np.array_equal(new.counts, old.counts) and new.counts.dtype == old.counts.dtype
+        if dist == "two_point" and len(batch.values) == 1:  # np.histogram pads the range by 0.5
+            single_atom += 1
+            assert new.bin_edges[0] == utils[0] - 0.5 and new.counts.max() == n
+        if dist == "poisson_shifted":
+            k = np.rint(batch.draws - mu + sigma2)
+            wide_lattice += k.max() - k.min() >= n
+    assert single_atom >= 40 and wide_lattice >= 20
+
+
+def test_validate_scores_each_distinct_value_once(tmp_path, monkeypatch):
+    # work counter: the utilities of a discrete batch are computed once per
+    # value that occurs, not once per draw
+    samples, seed = 3000, 4
+    scenario = cli.scenario_from_dict(
+        {
+            "miners": 3,
+            "mode": "det",
+            "seed": seed,
+            "validation": {"distributions": list(DISTRIBUTIONS), "samples": samples},
+        }
+    )
+    sizes = []
+    scored = validate.empirical_utilities
+
+    def counting(alphas, j, config, draws, clamp=False):
+        sizes.append(len(draws))
+        return scored(alphas, j, config, draws, clamp=clamp)
+
+    monkeypatch.setattr(validate, "empirical_utilities", counting)
+    assert cli.run_validate(scenario, tmp_path) == 0
+    config = scenario.config
+    assert len(sizes) == config.n_miners * len(DISTRIBUTIONS)  # one mode
+    for j in range(config.n_miners):
+        by_dist = dict(zip(DISTRIBUTIONS, sizes[4 * j : 4 * j + 4]))
+        k = validate._stream(seed, j, "poisson_shifted").poisson(config.miners[j].sigma2, size=samples)
+        assert by_dist["poisson_shifted"] <= k.max() - k.min() + 1 < samples
+        assert by_dist["two_point"] <= 2
+        assert by_dist["gaussian"] == by_dist["uniform"] == samples
