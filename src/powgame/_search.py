@@ -53,8 +53,20 @@ def _grid_max(f, points, ceiling):
                 k = min(i for i, v in vals.items() if v == best)
                 return k, vals[k]
     vals = [f(x) for x in points]
-    k = int(np.argmax(vals))
+    k = _first_argmax(vals)
     return k, vals[k]
+
+
+def _first_argmax(values):
+    """Index of the first maximum of ``values``, or of their first NaN, as
+    ``np.argmax`` picks it."""
+    k, best = 0, values[0]
+    for i, v in enumerate(values):
+        if v > best:
+            k, best = i, v
+        elif v != v:
+            return i
+    return k
 
 
 def scan_golden_max(f, lo, hi, step, tol=1e-6, ceiling=None):
@@ -69,8 +81,9 @@ def scan_golden_max(f, lo, hi, step, tol=1e-6, ceiling=None):
         return lo, f(lo)
     grid = np.arange(lo, hi + 0.5 * step, step)
     grid[-1] = min(grid[-1], hi)
-    k, grid_best = _grid_max(f, [float(a) for a in grid], ceiling)
-    grid_x = float(grid[k])
+    points = grid.tolist()
+    k, grid_best = _grid_max(f, points, ceiling)
+    grid_x = points[k]
     lo, hi = max(lo, grid_x - step), min(hi, grid_x + step)
 
     # golden section.  With a ceiling, the probe placed last (``new``) is

@@ -13,8 +13,9 @@ the positive-part auxiliary equals max(0, -A); with A < 0 here, exactly the
 ``omega + A >= 0`` branch binds.)
 
 For the alternating optimization in ``robust``: g is concave in u_min, so
-the threshold step is an exact bisection on its sign, and the strategy step
-maximizes g itself over alpha -- the constraint value is its own slack.
+the threshold step is an exact bisection on its sign (g is the step's
+``margin``), and the strategy step maximizes g itself over alpha -- the
+constraint value is its own slack.
 
 ``BtiCoefficients`` and ``bti_constraint_value`` are the reference formula.
 The two steps evaluate g from constants computed once per step instead
@@ -108,7 +109,7 @@ def bti_constraint_value(coeffs: BtiCoefficients, epsilon) -> float:
 
 
 def _threshold_certifier(alpha, load, params: MinerParams, reward: RewardModel, epsilon):
-    """``certify(u)``: g(u) >= 0 at fixed alpha; only b and D depend on u."""
+    """``margin(u)``: g(u) at fixed alpha; only b and D depend on u."""
     _check_strategy(alpha, load)
     log_eps = _log_epsilon(epsilon)
     sigma = params.sigma
@@ -125,13 +126,13 @@ def _threshold_certifier(alpha, load, params: MinerParams, reward: RewardModel, 
     root2 = math.sqrt(2.0)
     hypot = math.hypot
 
-    def certify(u):
+    def margin(u):
         s = u + big_b
         b = neg_sigma * (quad_mu + 0.5 * s * alpha)
         d = -(quad_mu2 + s * alpha * mu_bar + u * load)
-        return big_a - c * hypot(big_a, root2 * b) + log_omega + d >= 0.0
+        return big_a - c * hypot(big_a, root2 * b) + log_omega + d
 
-    return certify
+    return margin
 
 
 def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsilon):
@@ -164,8 +165,8 @@ def subproblem_threshold_gaussian(
     alpha, load, params: MinerParams, reward: RewardModel, epsilon, u_lo=None
 ) -> float:
     """Largest u_min with g(u_min) >= 0 at fixed alpha (exact by concavity)."""
-    certify = _threshold_certifier(alpha, load, params, reward, epsilon)
-    return bisect_threshold(certify, params, reward, u_lo)
+    margin = _threshold_certifier(alpha, load, params, reward, epsilon)
+    return bisect_threshold(margin, params, reward, u_lo)
 
 
 def subproblem_strategy_gaussian(

@@ -356,6 +356,10 @@ def run_sweep(scenario: Scenario, axis: str, values, out_dir) -> int:
     return 0
 
 
+def _samples_refused(samples, exc) -> ScenarioError:
+    return ScenarioError(f"field 'validation.samples': {samples}: {exc}")
+
+
 def run_validate(scenario: Scenario, out_dir) -> int:
     """Solve, then Monte Carlo-check every (mode, miner, distribution) triple."""
     out = Path(out_dir)
@@ -369,6 +373,10 @@ def run_validate(scenario: Scenario, out_dir) -> int:
             f"field 'sigma': distribution poisson_shifted needs sigma <= "
             f"{math.sqrt(POISSON_LAM_MAX):.6g}, got {math.sqrt(largest):g}",
         )
+    try:  # a batch is n floats: a count numpy refuses fails here, before any solve
+        np.empty(scenario.samples)
+    except MemoryError as exc:
+        raise _samples_refused(scenario.samples, exc) from exc
     results = [_solve_mode(scenario, mode) for mode in scenario.modes]
     # a batch depends only on (seed, miner, distribution): draw each once and
     # score it against every mode, keeping the rows in mode-major order
@@ -382,7 +390,7 @@ def run_validate(scenario: Scenario, out_dir) -> int:
                     dist, params.mu, params.sigma2, scenario.samples, scenario.seed, miner_index=j
                 )
             except MemoryError as exc:  # numpy refuses a batch this large at once
-                raise ScenarioError(f"field 'validation.samples': {scenario.samples}: {exc}") from exc
+                raise _samples_refused(scenario.samples, exc) from exc
             for mode, result, hist, reports in zip(scenario.modes, results, hist_rows, report_rows):
                 short = MODE_SHORT[mode]
                 report = empirical_violation(

@@ -26,11 +26,12 @@ and ``MomentMatrix``, computes the three constants and minimizes v over beta
 alternating-optimization steps evaluate v from constants computed once per
 step instead, because a solve evaluates it hundreds of thousands of times:
 
-- ``_threshold_certifier`` gives the threshold step ``certify(u)``, the sign
-  of v's exact minimum (``_exact_minimizer``: the least v over three
-  candidate betas) at each bisection probe, and ``certificate(u)``, the
-  (beta, M) witness built once, at the returned threshold, in closed form
-  from the eigenvector of ``Q(beta) Omega`` (``_trace_minimal_witness``).
+- ``_threshold_certifier`` gives the threshold step ``margin(u)``, the
+  negated exact minimum of v (``_exact_minimizer``: the least v over three
+  candidate betas), whose sign decides each threshold probe, and
+  ``certificate(u)``, the (beta, M) witness built once, at the returned
+  threshold, in closed form from the eigenvector of ``Q(beta) Omega``
+  (``_trace_minimal_witness``).
 - ``_strategy_slack`` gives the strategy step ``slack(alpha)``, the negated
   worst-case CVaR by the same ``_beta_search`` as ``worstcase_cvar``, and
   ``ceiling(alpha)``, the negated exact minimum plus a rounding margin rho.
@@ -292,10 +293,11 @@ def _exact_minimizer(epsilon):
 
 
 def _threshold_certifier(alpha, load, params: MinerParams, reward: RewardModel, epsilon):
-    """``(certify(u), certificate(u))`` at fixed alpha; only a1 and a0 depend on u.
+    """``(margin(u), certificate(u))`` at fixed alpha; only a1 and a0 depend on u.
 
-    ``certify`` is the sign of v's exact minimum (``_exact_minimizer``) and
-    ``certificate`` the witness at its argmin.
+    ``margin`` is v's negated exact minimum (``_exact_minimizer``), so
+    ``margin(u) >= 0`` is ``min v <= 0`` for every float, NaN included, and
+    ``certificate`` is the witness at its argmin.
     """
     cost = params.cost
     _check_strategy(alpha, cost, load)
@@ -315,14 +317,14 @@ def _threshold_certifier(alpha, load, params: MinerParams, reward: RewardModel, 
         d0 = s2 * (a2 * a0 - 0.25 * a1 * a1)
         return a1, a0, exact_min(t0, d0, k, sigma * abs(a2_m + 0.5 * a1))
 
-    def certify(u):
-        return minimum(u)[2][0] <= 0.0
+    def margin(u):
+        return -minimum(u)[2][0]
 
     def certificate(u):
         a1, a0, (_, beta) = minimum(u)
         return _trace_minimal_witness(beta, u, a2, a1, a0, m, s2)
 
-    return certify, certificate
+    return margin, certificate
 
 
 def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsilon):
@@ -375,11 +377,11 @@ def subproblem_threshold(
 ) -> tuple[float, CvarCertificate]:
     """Largest certifiable u_min at fixed alpha, with its certificate.
 
-    Each bisection probe is certified by the exact minimum of v; the
+    Each threshold probe is decided by the exact minimum of v; the
     certificate is built once, at the argmin beta of the returned threshold.
     """
-    certify, certificate = _threshold_certifier(alpha, load, params, reward, epsilon)
-    u_min = bisect_threshold(certify, params, reward, u_lo)
+    margin, certificate = _threshold_certifier(alpha, load, params, reward, epsilon)
+    u_min = bisect_threshold(margin, params, reward, u_lo)
     return u_min, certificate(u_min)
 
 

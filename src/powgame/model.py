@@ -180,9 +180,11 @@ def _as_arrays(profile, resources) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(resources, dtype=float)
     if a.shape != x.shape or a.ndim != 1:
         raise ValueError(f"profile and resources must match, got {a.shape} vs {x.shape}")
-    if np.any(x <= 0):
+    # plain comparisons: on a few entries they cost a fraction of np.any, and
+    # a NaN fails them
+    if not all(v > 0 for v in x.tolist()):
         raise ValueError("resources must be positive")
-    if np.any(a <= 0) or np.any(a > 1):
+    if not all(0 < v <= 1 for v in a.tolist()):
         raise ValueError("alphas must be in (0,1]")
     return a, x
 

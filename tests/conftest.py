@@ -8,9 +8,11 @@ solver of its conic program, and derivatives against finite differences.
 
 The strategy scan with every point evaluated exactly (``grid_scan_max``,
 with its ``golden_max``) is kept here as the oracle the bounded scan of
-``_search.scan_golden_max`` must match float for float.  The reference
-compositions the solver replays from per-step constants also live here,
-since only tests compare against them: ``CvarEvaluator`` (v as a
+``_search.scan_golden_max`` must match float for float, and the threshold
+bisection with every probe evaluated (``plain_bisect_threshold``) as the
+oracle of ``robust.bisect_threshold``, which brackets the root first.  The
+reference compositions the solver replays from per-step constants also live
+here, since only tests compare against them: ``CvarEvaluator`` (v as a
 function of beta, and its exact minimum over three candidate betas, which
 the threshold step's decisions match bit for bit), the generic bracketed
 golden section over it (``golden_min``, ``reference_worstcase_cvar``, which
@@ -39,7 +41,8 @@ from powgame import (
     utility,
 )
 from powgame._search import _INV_PHI
-from powgame.model import others_load
+from powgame.model import SolverError, others_load
+from powgame.robust import BISECT_TOL, U_FLOOR
 from powgame.validate import HISTOGRAM_BINS, ViolationReport, binomial_slack
 
 
@@ -140,6 +143,34 @@ def grid_scan_max(f, lo, hi, step, tol=1e-6):
     if vals[k] > best_f:
         best_x, best_f = float(grid[k]), vals[k]
     return best_x, best_f
+
+
+def plain_bisect_threshold(certify, params, reward, u_lo=None):
+    """The threshold step with every bisection probe evaluated: the largest
+    u_min with ``certify(u_min)`` True, to ``BISECT_TOL``.
+
+    ``robust.bisect_threshold`` evaluates only the probes next to the root
+    and must return exactly this, and raise what this raises, given
+    ``certify(u) = margin(u) >= 0.0``.
+    """
+    if params.sigma2 <= 0:
+        raise ValueError("robust threshold needs positive variance")
+    u_hi = reward.total
+    if certify(u_hi):
+        raise SolverError("threshold at the full reward certifies; inputs are malformed")
+    if u_lo is None:
+        u_lo = -reward.total - params.cost * params.x_max
+    while not certify(u_lo):
+        if not u_lo > U_FLOOR:  # NaN-safe: a NaN threshold must stop, not loop
+            raise SolverError(f"no feasible threshold above {U_FLOOR}")
+        u_lo = u_lo - 3.0 * abs(u_lo) - 1.0  # quadruple the reach downward
+    while u_hi - u_lo > BISECT_TOL:
+        mid = 0.5 * (u_lo + u_hi)
+        if certify(mid):
+            u_lo = mid
+        else:
+            u_hi = mid
+    return u_lo
 
 
 def outer_best_response_oracle(threshold_fn, tau0, grid_step=1e-3, refine_tol=1e-6):

@@ -176,6 +176,19 @@ def test_cvar_sweep_writes_the_golden_csv(tmp_path, axis):
     assert (out / "sweep.csv").read_bytes() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("axis", SWEEP_AXES)
+def test_bti_sweep_writes_the_golden_csv(tmp_path, axis):
+    # tests/data/golden/sweep/heterogeneous-bti-<axis>.csv holds
+    # `powgame sweep --config configs/heterogeneous.json --mode bti --axis <axis>`
+    # over the built-in axis values, byte for byte (num_miners reaches 10)
+    out = tmp_path / "out"
+    config = CONFIGS / "heterogeneous.json"
+    assert main(["sweep", "--config", str(config), "--out", str(out), "--mode", "bti",
+                 "--axis", axis]) == 0
+    golden = GOLDEN / "sweep" / f"heterogeneous-bti-{axis}.csv"
+    assert (out / "sweep.csv").read_bytes() == golden.read_bytes()
+
+
 def test_heterogeneous_resources_are_seeded(tmp_path):
     doc = dict(REFERENCE_DOC, resources={"mode": "heterogeneous", "lo": 30.0, "hi": 60.0}, mode="det")
     scenario = load_scenario(write_config(tmp_path, doc))
@@ -316,6 +329,26 @@ def test_validate_draws_each_batch_once(tmp_path, monkeypatch):
     assert len(drawn) == len(set(drawn)) == 5 * 3
     _, rows = read_csv(out / "violations.csv")
     assert [r[0] for r in rows] == ["det"] * 15 + ["bti"] * 15 + ["cvar"] * 15
+
+
+def test_validate_refuses_a_sample_count_before_solving(tmp_path, capsys, monkeypatch):
+    # numpy cannot allocate 1e15 draws; the count is refused before the cvar
+    # solve, whose result would be thrown away
+    solves = []
+    original = cli.solve_equilibrium
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_equilibrium", counted)
+    doc = json.loads((CONFIGS / "cost_sweep_interior.json").read_text(encoding="utf-8"))
+    doc["validation"] = dict(doc.get("validation", {}), samples=10**15)
+    config = write_config(tmp_path, doc)
+    code = main(["validate", "--config", str(config), "--out", str(tmp_path / "out"), "--mode", "cvar"])
+    assert code == 1
+    assert "'validation.samples'" in capsys.readouterr().err
+    assert solves == []
 
 
 def test_mode_override_flag(tmp_path):

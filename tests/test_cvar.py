@@ -21,10 +21,10 @@ from powgame import (
     worstcase_cvar,
 )
 from powgame import SolverError, bti, cvar, robust
-from powgame._search import scan_golden_max
+from powgame._search import _first_argmax, scan_golden_max
 from powgame.deterministic import best_response
 from powgame.model import MinerParams
-from powgame.robust import bisect_threshold, scan_strategy
+from powgame.robust import scan_strategy
 from powgame.validate import sample_uncertainty
 
 from conftest import (
@@ -34,6 +34,7 @@ from conftest import (
     grid_scan_max,
     make_config,
     outer_best_response_oracle,
+    plain_bisect_threshold,
     reference_worstcase_cvar,
     sqrt_moment_matrix,
 )
@@ -440,10 +441,10 @@ def test_steps_evaluate_v_bit_for_bit_like_the_reference():
         def reference_certify(u):
             return reference_min(u)[0] <= 0.0
 
-        certify, _ = cvar._threshold_certifier(alpha, load, params, reward, eps)
+        margin, _ = cvar._threshold_certifier(alpha, load, params, reward, eps)
         for u in rng.uniform(-3000.0, 3000.0, size=4):
-            assert certify(float(u)) == reference_certify(float(u))
-        u_star = bisect_threshold(reference_certify, params, reward)
+            assert (margin(float(u)) >= 0.0) == reference_certify(float(u))
+        u_star = plain_bisect_threshold(reference_certify, params, reward)
         u_min, cert = subproblem_threshold(alpha, load, params, reward, eps)
         assert u_min == u_star
         assert cert.beta == reference_min(u_star)[1]
@@ -453,7 +454,7 @@ def test_steps_evaluate_v_bit_for_bit_like_the_reference():
             if mid in (lo, hi):
                 break
             lo, hi = (mid, hi) if reference_certify(mid) else (lo, mid)
-        assert certify(lo) and not certify(hi)
+        assert margin(lo) >= 0.0 and not margin(hi) >= 0.0
 
         for u in (u_star, float(rng.uniform(-3000.0, 3000.0))):
             slack, _ = cvar._strategy_slack(u, load, params, reward, eps)
@@ -662,3 +663,15 @@ def test_scan_with_a_ceiling_matches_the_exact_scan(name):
         # without a ceiling, f is its own bound: scored once per point, in order
         assert repr(scan_golden_max(logged(calls), lo, hi, step, 1e-6)) == repr(expected)
         assert calls == exact_calls
+
+
+def test_first_argmax_picks_like_numpy():
+    # the scan's grid maximum: the first maximum, or the first NaN when there
+    # is one, over seeded lists with ties, NaNs, infinities and signed zeros
+    rng = np.random.default_rng(41)
+    pool = [math.nan, -0.0, 0.0, 1.0, -1.0, 2.5, math.inf, -math.inf]
+    for _ in range(3000):
+        n = int(rng.integers(1, 42))
+        values = [pool[i] if i < len(pool) else float(rng.normal())
+                  for i in rng.integers(0, 2 * len(pool), size=n)]
+        assert _first_argmax(values) == int(np.argmax(values)), values

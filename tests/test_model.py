@@ -115,6 +115,31 @@ def test_hash_power_errors():
         hash_power(0, [0.5, 1.5], [50.0, 50.0])
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "profile, resources",
+    [
+        ([NAN, 0.5], [50.0, 50.0]),
+        ([0.5, NAN], [50.0, 50.0]),
+        ([0.5, 0.5], [NAN, 50.0]),
+        ([0.5, 0.5], [50.0, NAN]),
+    ],
+)
+def test_nan_entries_are_rejected(profile, resources):
+    # a NaN alpha or resource is outside every range, not a silent NaN load
+    for fn in (
+        lambda: hash_power(0, profile, resources),
+        lambda: others_load(0, profile, resources),
+        lambda: utility(0, profile, resources, REWARD, 60.0),
+        lambda: utility_gradient(0, profile, resources, REWARD, 60.0),
+        lambda: utility_second_derivative(0, profile, resources, REWARD),
+    ):
+        with pytest.raises(ValueError):
+            fn()
+
+
 def test_utility_hand_values():
     # J=2 symmetric: 8000 * 0.5 - 60 * 1 * 50 = 1000
     assert utility(0, [1.0, 1.0], [50.0, 50.0], REWARD, 60.0) == pytest.approx(1000.0)
