@@ -20,6 +20,7 @@ from .cvar import (
     CvarCertificate,
     LossCoefficients,
     MomentMatrix,
+    certify,
     robust_best_response,
     subproblem_strategy,
     subproblem_threshold,
@@ -79,6 +80,7 @@ __all__ = [
     "best_response",
     "best_response_fixed_point",
     "bti_constraint_value",
+    "certify",
     "closed_form_equilibrium",
     "discrete_worstcase_violation",
     "empirical_utilities",

@@ -15,7 +15,8 @@ the positive-part auxiliary equals max(0, -A); with A < 0 here, exactly the
 For the alternating optimization in ``robust``: g is concave in u_min, so
 the threshold step is an exact bisection on its sign (g is the step's
 ``margin``), and the strategy step maximizes g itself over alpha -- the
-constraint value is its own slack.
+constraint value is its own slack.  g >= 0 is also its own certificate, so
+the threshold step returns a bare float and there is no separate witness.
 
 ``BtiCoefficients`` and ``bti_constraint_value`` are the reference formula.
 The two steps evaluate g from constants computed once per step instead
@@ -189,10 +190,8 @@ def robust_best_response_gaussian(
     """Alternating optimization for miner j under Gaussian uncertainty.
 
     ``warm_start`` may carry an (alpha, u_min) pair from a previous solve.
-    The result has no separate certificate: g >= 0 is its own.
+    The result needs no separate certificate: g >= 0 is its own.
     """
-
-    def threshold(*args, **kwargs):
-        return subproblem_threshold_gaussian(*args, **kwargs), None
-
-    return alternate(j, profile, config, threshold, subproblem_strategy_gaussian, warm_start)
+    return alternate(
+        j, profile, config, subproblem_threshold_gaussian, subproblem_strategy_gaussian, warm_start
+    )

@@ -28,10 +28,10 @@ step instead, because a solve evaluates it hundreds of thousands of times:
 
 - ``_threshold_certifier`` gives the threshold step ``margin(u)``, the
   negated exact minimum of v (``_exact_minimizer``: the least v over three
-  candidate betas), whose sign decides each threshold probe, and
-  ``certificate(u)``, the (beta, M) witness built once, at the returned
-  threshold, in closed form from the eigenvector of ``Q(beta) Omega``
-  (``_trace_minimal_witness``).
+  candidate betas), whose sign decides each threshold probe.  The solver
+  builds no witness; ``certify`` builds the (beta, M) witness of a returned
+  threshold on request, at the same argmin beta, in closed form from the
+  eigenvector of ``Q(beta) Omega`` (``_trace_minimal_witness``).
 - ``_strategy_slack`` gives the strategy step ``slack(alpha)``, the negated
   worst-case CVaR by the same ``_beta_search`` as ``worstcase_cvar``, and
   ``ceiling(alpha)``, the negated exact minimum plus a rounding margin rho.
@@ -67,6 +67,7 @@ __all__ = [
     "LossCoefficients",
     "MomentMatrix",
     "CvarCertificate",
+    "certify",
     "worstcase_cvar",
     "subproblem_threshold",
     "subproblem_strategy",
@@ -292,13 +293,8 @@ def _exact_minimizer(epsilon):
     return exact_min
 
 
-def _threshold_certifier(alpha, load, params: MinerParams, reward: RewardModel, epsilon):
-    """``(margin(u), certificate(u))`` at fixed alpha; only a1 and a0 depend on u.
-
-    ``margin`` is v's negated exact minimum (``_exact_minimizer``), so
-    ``margin(u) >= 0`` is ``min v <= 0`` for every float, NaN included, and
-    ``certificate`` is the witness at its argmin.
-    """
+def _threshold_minimum(alpha, load, params: MinerParams, reward: RewardModel, epsilon):
+    """``minimum(u)``: (a1, a0, (min v, argmin beta)); only a1 and a0 vary with u."""
     cost = params.cost
     _check_strategy(alpha, cost, load)
     m, s2 = params.nominal, params.sigma2
@@ -317,14 +313,25 @@ def _threshold_certifier(alpha, load, params: MinerParams, reward: RewardModel, 
         d0 = s2 * (a2 * a0 - 0.25 * a1 * a1)
         return a1, a0, exact_min(t0, d0, k, sigma * abs(a2_m + 0.5 * a1))
 
+    return minimum
+
+
+def _threshold_certifier(alpha, load, params: MinerParams, reward: RewardModel, epsilon):
+    """``margin(u)`` at fixed alpha: v's negated exact minimum, so
+    ``margin(u) >= 0`` is ``min v <= 0`` for every float, NaN included."""
+    minimum = _threshold_minimum(alpha, load, params, reward, epsilon)
+
     def margin(u):
         return -minimum(u)[2][0]
 
-    def certificate(u):
-        a1, a0, (_, beta) = minimum(u)
-        return _trace_minimal_witness(beta, u, a2, a1, a0, m, s2)
+    return margin
 
-    return margin, certificate
+
+def certify(alpha, u_min, load, params: MinerParams, reward: RewardModel, epsilon):
+    """The trace-minimal (beta, M) witness of u_min at alpha, at v's exact argmin."""
+    a1, a0, (_, beta) = _threshold_minimum(alpha, load, params, reward, epsilon)(u_min)
+    a2 = params.cost * alpha * alpha
+    return _trace_minimal_witness(beta, u_min, a2, a1, a0, params.nominal, params.sigma2)
 
 
 def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsilon):
@@ -374,15 +381,11 @@ def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsil
 
 def subproblem_threshold(
     alpha, load, params: MinerParams, reward: RewardModel, epsilon, u_lo=None
-) -> tuple[float, CvarCertificate]:
-    """Largest certifiable u_min at fixed alpha, with its certificate.
-
-    Each threshold probe is decided by the exact minimum of v; the
-    certificate is built once, at the argmin beta of the returned threshold.
-    """
-    margin, certificate = _threshold_certifier(alpha, load, params, reward, epsilon)
-    u_min = bisect_threshold(margin, params, reward, u_lo)
-    return u_min, certificate(u_min)
+) -> float:
+    """Largest certifiable u_min at fixed alpha; each probe is decided by the
+    exact minimum of v, and ``certify`` builds the witness on request."""
+    margin = _threshold_certifier(alpha, load, params, reward, epsilon)
+    return bisect_threshold(margin, params, reward, u_lo)
 
 
 def subproblem_strategy(
@@ -403,6 +406,6 @@ def robust_best_response(j: int, profile, config: GameConfig, warm_start=None) -
     """Alternating optimization for miner j's robust (alpha, u_min).
 
     ``warm_start`` may carry an (alpha, u_min) pair from a previous solve.
-    The result's ``certificate`` is the (beta, M) witness of its u_min.
+    ``certify`` at the result's (alpha, u_min) builds the witness of its u_min.
     """
     return alternate(j, profile, config, subproblem_threshold, subproblem_strategy, warm_start)

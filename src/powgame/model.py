@@ -182,8 +182,8 @@ def _as_arrays(profile, resources) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"profile and resources must match, got {a.shape} vs {x.shape}")
     # plain comparisons: on a few entries they cost a fraction of np.any, and
     # a NaN fails them
-    if not all(v > 0 for v in x.tolist()):
-        raise ValueError("resources must be positive")
+    if not all(0 < v < math.inf for v in x.tolist()):
+        raise ValueError("resources must be positive and finite")
     if not all(0 < v <= 1 for v in a.tolist()):
         raise ValueError("alphas must be in (0,1]")
     return a, x

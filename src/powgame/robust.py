@@ -6,6 +6,9 @@ hands the steps here ``margin(u_min)``, a float that is >= 0 exactly when
 u_min is certifiable at fixed alpha (NaN certifies nothing), and
 ``slack(alpha)``, >= 0 exactly when alpha keeps the fixed u_min
 certifiable, with an optional cheap upper bound ``ceiling(alpha)`` on it.
+The alternation (``alternate``) sees only the float thresholds and
+strategies the steps return; a back-end with a separate witness builds it
+on request (``cvar.certify``).
 
 The threshold step (``bisect_threshold``) returns the threshold a plain
 bisection on the sign of ``margin`` returns, float for float, but evaluates
@@ -22,6 +25,8 @@ Constants:
 - ``PAD``: relative width at which the bracket around the threshold stops;
   the replayed bisection evaluates every probe that close to the bracket.
 - ``BRACKET_CAP``: evaluation cap of the false-position bracketing.
+  ``PAD`` and ``BRACKET_CAP`` change only how many margins are evaluated,
+  never the threshold returned.
 - ``ALPHA_TOL``: tolerance of the golden-section refinement over alpha.
 - ``AO_TOL``, ``AO_CAP``: the alternation's stopping tolerance and
   iteration cap.
@@ -30,7 +35,6 @@ Constants:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from . import deterministic
 from ._search import scan_golden_max
@@ -49,13 +53,12 @@ AO_CAP = 200
 
 @dataclass(frozen=True)
 class BestResponse:
-    """One miner's robust best response; ``certificate`` witnesses u_min, if any."""
+    """One miner's robust best response."""
 
     alpha: float
     u_min: float
     iterations: int
     u_history: tuple[float, ...]
-    certificate: Any = None
 
 
 def bisect_threshold(margin, params: MinerParams, reward: RewardModel, u_lo=None) -> float:
@@ -174,11 +177,12 @@ def scan_strategy(slack, alpha_in, tau0, ceiling=None):
 def alternate(j, profile, config: GameConfig, threshold, strategy, warm_start) -> BestResponse:
     """Alternating optimization for miner j's robust (alpha, u_min).
 
-    ``threshold`` returns ``(u_min, certificate)``; ``strategy`` is the
-    back-end's ``subproblem_strategy*``.  Starts from the deterministic best
-    response (or from ``warm_start``, an (alpha, u_min) pair from a previous
-    solve) and alternates the two steps, at most ``AO_CAP`` times, until the
-    joint change drops below ``AO_TOL``.  u_min never decreases: every
+    ``threshold`` and ``strategy`` are the back-end's
+    ``subproblem_threshold*`` and ``subproblem_strategy*``; the threshold is
+    a float.  Starts from the deterministic best response (or from
+    ``warm_start``, an (alpha, u_min) pair from a previous solve) and
+    alternates the two steps, at most ``AO_CAP`` times, until the joint
+    change drops below ``AO_TOL``.  u_min never decreases: every
     strategy update keeps the current threshold feasible.
     """
     params, reward, epsilon = config.miners[j], config.reward, config.epsilon
@@ -187,7 +191,7 @@ def alternate(j, profile, config: GameConfig, threshold, strategy, warm_start) -
         alpha, u_floor = deterministic.best_response(j, profile, config), None
     else:
         alpha, u_floor = min(1.0, max(config.tau0, warm_start[0])), warm_start[1]
-    u_min, cert = threshold(alpha, load, params, reward, epsilon, u_lo=u_floor)
+    u_min = threshold(alpha, load, params, reward, epsilon, u_lo=u_floor)
     history = [u_min]
     for iteration in range(1, AO_CAP + 1):
         # alpha_in by keyword: wrappers of the subproblem read it from there
@@ -195,15 +199,15 @@ def alternate(j, profile, config: GameConfig, threshold, strategy, warm_start) -
             u_min, alpha_in=alpha, load=load, params=params, reward=reward,
             tau0=config.tau0, epsilon=epsilon,
         )
-        u_new, cert = threshold(
+        u_new = threshold(
             alpha_new, load, params, reward, epsilon, u_lo=u_min if feasible else None
         )
         history.append(u_new)
         delta = abs(u_new - u_min) + abs(alpha_new - alpha)
         alpha, u_min = alpha_new, u_new
         if delta <= AO_TOL:
-            return BestResponse(float(alpha), float(u_min), iteration, tuple(history), cert)
+            return BestResponse(float(alpha), float(u_min), iteration, tuple(history))
     raise ConvergenceError(
         f"alternating optimization did not settle in {AO_CAP} iterations",
-        last=BestResponse(float(alpha), float(u_min), AO_CAP, tuple(history), cert),
+        last=BestResponse(float(alpha), float(u_min), AO_CAP, tuple(history)),
     )

@@ -3,9 +3,9 @@
 Solutions are stress-tested by sampling the resource perturbation from
 moment-matched distributions (same mean and variance, different shapes),
 recomputing the realized utilities, and counting how often they fall below
-the certified threshold.  A two-point family evaluated in closed form acts
-as the analytic worst-case probe: its violation probability can be computed
-exactly, atom by atom, independent of any solver internals.
+the certified threshold.  A two-point family evaluated in closed form is an
+analytic probe: its violation probability is exact, atom by atom, and
+independent of any solver internals, but it covers two-point laws only.
 
 Sampling uses the counter-based Philox generator; each (seed, miner,
 distribution) triple hashes to its own stream, so batches are reproducible
@@ -64,15 +64,9 @@ class SampleBatch:
     None.  ``draws``, the draws in sampling order, is built on first read.
     """
 
-    distribution: str
-    mu: float
-    sigma2: float
-    seed: int
-    miner_index: int
     n: int
     values: np.ndarray
     counts: np.ndarray | None
-    two_point_p: float | None = None
     _expand: Callable[[], np.ndarray] | None = field(default=None, repr=False)
 
     @cached_property
@@ -117,7 +111,7 @@ def sample_uncertainty(
         raise ValueError("need at least one draw")
     rng = _stream(seed, miner_index, distribution)
     s = math.sqrt(sigma2)
-    counts = expand = tp_p = None
+    counts = expand = None
     if distribution == "gaussian":
         values = rng.normal(mu, s, size=n)
     elif distribution == "uniform":
@@ -143,19 +137,7 @@ def sample_uncertainty(
         counts = np.array([n_high, n - n_high])
         values, counts = np.array([hi, lo])[counts > 0], counts[counts > 0]
         expand = lambda: np.where(high, hi, lo)
-        tp_p = p
-    return SampleBatch(
-        distribution=distribution,
-        mu=mu,
-        sigma2=sigma2,
-        seed=seed,
-        miner_index=miner_index,
-        n=n,
-        values=values,
-        counts=counts,
-        two_point_p=tp_p,
-        _expand=expand,
-    )
+    return SampleBatch(n, values, counts, _expand=expand)
 
 
 @dataclass(frozen=True, eq=False)

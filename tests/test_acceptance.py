@@ -254,7 +254,7 @@ def test_criterion_07_outer_search_oracle_equivalence():
 
         cvar_response = robust_best_response(0, profile, config)
         _, cvar_oracle = outer_best_response_oracle(
-            lambda a: subproblem_threshold(a, load, params, config.reward, config.epsilon)[0],
+            lambda a: subproblem_threshold(a, load, params, config.reward, config.epsilon),
             config.tau0,
         )
         worst_cvar = max(worst_cvar, abs(cvar_response.u_min - cvar_oracle))

@@ -135,7 +135,7 @@ def test_threshold_dominates_cvar_on_gaussian_instance():
     params = _params()
     for eps in (0.02, 0.05, 0.1):
         u_bti = subproblem_threshold_gaussian(0.5, 110.0, params, REWARD, eps)
-        u_cvar, _ = subproblem_threshold(0.5, 110.0, params, REWARD, eps)
+        u_cvar = subproblem_threshold(0.5, 110.0, params, REWARD, eps)
         assert u_bti >= u_cvar
 
 

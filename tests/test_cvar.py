@@ -10,6 +10,8 @@ from powgame import (
     LossCoefficients,
     MomentMatrix,
     RewardModel,
+    certify,
+    others_load,
     robust_best_response,
     robust_best_response_gaussian,
     solve_equilibrium,
@@ -159,12 +161,12 @@ def test_worstcase_cvar_dominates_sampled_cvar():
 def test_subproblem_threshold_bisection_boundary():
     config = make_config()
     params = config.miners[0]
-    u, cert = subproblem_threshold(0.5, 110.0, params, REWARD, 0.1)
+    u = subproblem_threshold(0.5, 110.0, params, REWARD, 0.1)
     assert u == pytest.approx(-320.4918, abs=1e-3)
     # u is feasible, u + 2 tolerances is not
     assert cvar._strategy_slack(u, 110.0, params, REWARD, 0.1)[0](0.5) >= 0.0
     assert cvar._strategy_slack(u + 2e-6, 110.0, params, REWARD, 0.1)[0](0.5) < 0.0
-    assert cert.u_min == pytest.approx(u)
+    assert certify(0.5, u, 110.0, params, REWARD, 0.1).u_min == u
 
 
 def test_certificate_satisfies_all_constraint_groups():
@@ -178,7 +180,8 @@ def test_certificate_satisfies_all_constraint_groups():
         cases.append((float(rng.uniform(0.3, 1.0)), p, float(rng.uniform(40.0, 200.0)),
                       float(rng.uniform(0.03, 0.4))))
     for alpha, p, load, eps in cases:
-        u, cert = subproblem_threshold(alpha, load, p, REWARD, eps)
+        u = subproblem_threshold(alpha, load, p, REWARD, eps)
+        cert = certify(alpha, u, load, p, REWARD, eps)
         coeffs = LossCoefficients.from_strategy(alpha, u, load, p.cost, REWARD.total)
         m_psd, mq_psd, trace = cert.slacks(coeffs, MomentMatrix.from_params(p), eps)
         assert m_psd >= -1e-7
@@ -212,7 +215,7 @@ def test_threshold_small_sigma_recovers_deterministic_utility():
     alpha = best_response(0, profile, config)
     assert config.tau0 < alpha < 1.0  # interior, otherwise the margin is first order
     load = 4 * 0.3 * 50.0
-    u, _ = subproblem_threshold(alpha, load, params, REWARD, 0.1)
+    u = subproblem_threshold(alpha, load, params, REWARD, 0.1)
     u_det = utility(0, [alpha, 0.3, 0.3, 0.3, 0.3], [50.0] * 5, REWARD, params.cost)
     assert u == pytest.approx(u_det, abs=1e-2)
 
@@ -221,7 +224,7 @@ def test_threshold_small_sigma_first_order_margin():
     # away from the best response the margin is |dU/dx| * s * sqrt((1-eps)/eps)
     config = make_config(sigma=1e-3)
     params = config.miners[0]
-    u, _ = subproblem_threshold(0.5, 110.0, params, REWARD, 0.1)
+    u = subproblem_threshold(0.5, 110.0, params, REWARD, 0.1)
     x = [55.0] * 5
     own = 0.5 * 55.0
     slope = 0.5 * (REWARD.total * 110.0 / (own + 110.0) ** 2 - 60.0)
@@ -235,7 +238,7 @@ def test_threshold_monotone_in_sigma():
     values = []
     for sigma in (1.0, 5.0, 10.0):
         p = make_config(sigma=sigma).miners[0]
-        u, _ = subproblem_threshold(0.5, 110.0, p, REWARD, 0.1)
+        u = subproblem_threshold(0.5, 110.0, p, REWARD, 0.1)
         values.append(u)
     assert values[0] >= values[1] >= values[2]
 
@@ -243,7 +246,7 @@ def test_threshold_monotone_in_sigma():
 def test_threshold_monotone_in_epsilon():
     params = make_config().miners[0]
     values = [
-        subproblem_threshold(0.5, 110.0, params, REWARD, eps)[0]
+        subproblem_threshold(0.5, 110.0, params, REWARD, eps)
         for eps in (0.02, 0.05, 0.1, 0.3, 0.5)
     ]
     assert all(values[i] <= values[i + 1] + 1e-9 for i in range(len(values) - 1))
@@ -252,7 +255,7 @@ def test_threshold_monotone_in_epsilon():
 def test_subproblem_strategy_fixed_point_and_improvement():
     params = make_config().miners[0]
     tau0, eps, load = 0.5, 0.1, 110.0
-    u, cert = subproblem_threshold(0.8, load, params, REWARD, eps)
+    u = subproblem_threshold(0.8, load, params, REWARD, eps)
     a1, s1, ok1 = subproblem_strategy(u, 0.8, load, params, REWARD, tau0, eps)
     assert ok1 and s1 >= cvar._strategy_slack(u, load, params, REWARD, eps)[0](0.8) - 1e-12
     # feeding the maximizer back in must return it (within the search tolerance)
@@ -265,7 +268,7 @@ def test_subproblem_strategy_fixed_point_and_improvement():
 def test_subproblem_strategy_matches_exhaustive_scan():
     params = make_config(x_hat=50.0).miners[0]
     tau0, eps, load = 0.5, 0.1, 120.0
-    u, cert = subproblem_threshold(0.7, load, params, REWARD, eps)
+    u = subproblem_threshold(0.7, load, params, REWARD, eps)
     alpha, slack, ok = subproblem_strategy(u, 0.7, load, params, REWARD, tau0, eps)
     assert ok
     grid = np.linspace(tau0, 1.0, 501)
@@ -284,7 +287,7 @@ def test_robust_best_response_monotone_and_oracle():
     load = 4 * 0.6 * 50.0
 
     def threshold_value(alpha):
-        return subproblem_threshold(alpha, load, params, REWARD, config.epsilon)[0]
+        return subproblem_threshold(alpha, load, params, REWARD, config.epsilon)
 
     oracle_alpha, oracle_u = outer_best_response_oracle(threshold_value, config.tau0)
     assert response.u_min == pytest.approx(oracle_u, abs=1e-4)
@@ -319,7 +322,7 @@ def test_no_feasible_threshold_raises_solver_error():
 
 def test_strategy_step_with_no_feasible_alpha_returns_incoming():
     params = make_config().miners[0]
-    u_star, cert = subproblem_threshold(0.5, 110.0, params, REWARD, 0.1)
+    u_star = subproblem_threshold(0.5, 110.0, params, REWARD, 0.1)
     alpha, slack, feasible = subproblem_strategy(
         u_star + 500.0, 0.5, 110.0, params, REWARD, 0.5, 0.1
     )
@@ -363,7 +366,7 @@ def test_strategy_step_scores_incoming_alpha_once(monkeypatch, backend):
     scored = []
     if backend == "dro_cvar":
         module, strategy = cvar, subproblem_strategy
-        u, _ = subproblem_threshold(alpha_in, load, params, REWARD, eps)
+        u = subproblem_threshold(alpha_in, load, params, REWARD, eps)
     else:
         module, strategy = bti, subproblem_strategy_gaussian
         u = subproblem_threshold_gaussian(alpha_in, load, params, REWARD, eps)
@@ -390,16 +393,17 @@ def test_strategy_step_scores_incoming_alpha_once(monkeypatch, backend):
 
 
 def test_robust_best_response_certificate_is_final_iterate():
-    # the driver must return the witness of the last threshold step, not one
-    # threaded through from an earlier iterate; the AO moves on this instance
+    # the witness built on request at the returned (alpha, u_min) certifies
+    # the last threshold step, not an earlier iterate; the AO moves on this
+    # instance
     config = make_config(n=5, x_hat=50.0, tau0=0.1)
     profile = [0.3] * 5
     response = robust_best_response(0, profile, config)
     assert response.u_history[0] < response.u_min
-    cert = response.certificate
     params = config.miners[0]
-    assert cert.u_min == response.u_min
     load = 4 * 0.3 * 50.0
+    cert = certify(response.alpha, response.u_min, load, params, REWARD, config.epsilon)
+    assert cert.u_min == response.u_min
     coeffs = LossCoefficients.from_strategy(
         response.alpha, response.u_min, load, params.cost, REWARD.total
     )
@@ -441,12 +445,13 @@ def test_steps_evaluate_v_bit_for_bit_like_the_reference():
         def reference_certify(u):
             return reference_min(u)[0] <= 0.0
 
-        margin, _ = cvar._threshold_certifier(alpha, load, params, reward, eps)
+        margin = cvar._threshold_certifier(alpha, load, params, reward, eps)
         for u in rng.uniform(-3000.0, 3000.0, size=4):
             assert (margin(float(u)) >= 0.0) == reference_certify(float(u))
         u_star = plain_bisect_threshold(reference_certify, params, reward)
-        u_min, cert = subproblem_threshold(alpha, load, params, reward, eps)
+        u_min = subproblem_threshold(alpha, load, params, reward, eps)
         assert u_min == u_star
+        cert = certify(alpha, u_min, load, params, reward, eps)
         assert cert.beta == reference_min(u_star)[1]
         lo, hi = u_star, u_star + 2e-6
         while True:  # down to the two adjacent floats where the decision flips
@@ -471,8 +476,9 @@ def test_steps_evaluate_v_bit_for_bit_like_the_reference():
 
 
 def test_cvar_best_response_builds_no_reference_objects(monkeypatch):
-    # both steps evaluate v and the witness from per-step constants, never
-    # through the reference objects or a matrix factorization
+    # both steps, and certify after them, evaluate v and the witness from
+    # per-step constants, never through the reference objects or a matrix
+    # factorization
     built = []
     for cls in (LossCoefficients, MomentMatrix):
         original = cls.__init__
@@ -490,9 +496,33 @@ def test_cvar_best_response_builds_no_reference_objects(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted_call)
-    response = robust_best_response(0, [0.6] * 5, make_config(n=5, x_hat=50.0))
-    assert response.iterations >= 1 and response.certificate is not None
+    config = make_config(n=5, x_hat=50.0)
+    response = robust_best_response(0, [0.6] * 5, config)
+    load = others_load(0, [0.6] * 5, config.nominal_resources())
+    cert = certify(response.alpha, response.u_min, load, config.miners[0], REWARD, config.epsilon)
+    assert response.iterations >= 1 and cert.u_min == response.u_min
     assert built == []
+
+
+def test_best_response_and_solve_build_no_witness(monkeypatch):
+    # the solver reads only thresholds: no step builds a (beta, M) witness
+    # unless certify is asked for one
+    built = []
+    original = cvar._trace_minimal_witness
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cvar, "_trace_minimal_witness", counted)
+    response = robust_best_response(0, [0.3] * 5, make_config(n=5, x_hat=50.0, tau0=0.1))
+    assert response.iterations >= 1
+    result = solve_equilibrium(make_config(n=3, x_hat=[45.0, 50.0, 55.0], tau0=0.4), "dro_cvar")
+    assert result.converged
+    assert built == []
+    params = make_config().miners[0]
+    certify(0.5, subproblem_threshold(0.5, 110.0, params, REWARD, 0.1), 110.0, params, REWARD, 0.1)
+    assert len(built) == 1
 
 
 def _assert_matches_eigh(cert, coeffs, moments):
@@ -519,7 +549,8 @@ def test_closed_form_certificate_matches_eigh_oracle():
 
     for _ in range(1000):
         alpha, load, eps, params, reward = _random_step_inputs(rng)
-        u, cert = subproblem_threshold(alpha, load, params, reward, eps)
+        u = subproblem_threshold(alpha, load, params, reward, eps)
+        cert = certify(alpha, u, load, params, reward, eps)
         coeffs = LossCoefficients.from_strategy(alpha, u, load, params.cost, reward.total)
         moments = MomentMatrix.from_params(params)
         assert min(cert.slacks(coeffs, moments, eps)) >= -1e-7
@@ -590,7 +621,7 @@ def test_strategy_step_equals_the_grid_scan_oracle(monkeypatch):
             load, eps, params, reward = _wide_step_inputs(rng)
             alpha = float(rng.uniform(0.05, 1.0))
         try:
-            u, _ = subproblem_threshold(alpha, load, params, reward, eps)
+            u = subproblem_threshold(alpha, load, params, reward, eps)
         except SolverError:  # nothing certifies: every alpha is infeasible
             u = float(rng.uniform(-3000.0, 3000.0))
         u += float(rng.choice([-100.0, -1.0, 0.0, 1.0]))

@@ -95,7 +95,7 @@ def test_post_convergence_no_profitable_deviation_robust():
         load = float(np.dot(a, x) - a[j] * x[j])
         best = result.u_mins[j]
         for alt in np.linspace(config.tau0, 1.0, 200):
-            u_alt, _ = subproblem_threshold(
+            u_alt = subproblem_threshold(
                 float(alt), load, config.miners[j], config.reward, config.epsilon
             )
             assert u_alt <= best + 1e-3

@@ -116,6 +116,7 @@ def test_hash_power_errors():
 
 
 NAN = float("nan")
+INF = float("inf")
 
 
 @pytest.mark.parametrize(
@@ -125,10 +126,14 @@ NAN = float("nan")
         ([0.5, NAN], [50.0, 50.0]),
         ([0.5, 0.5], [NAN, 50.0]),
         ([0.5, 0.5], [50.0, NAN]),
+        ([INF, 0.5], [50.0, 50.0]),
+        ([0.5, 0.5], [INF, 50.0]),
+        ([0.5, 0.5], [50.0, INF]),
     ],
 )
 def test_nan_entries_are_rejected(profile, resources):
-    # a NaN alpha or resource is outside every range, not a silent NaN load
+    # a NaN or infinite alpha or resource is outside every range, not a
+    # silent NaN or infinite load
     for fn in (
         lambda: hash_power(0, profile, resources),
         lambda: others_load(0, profile, resources),

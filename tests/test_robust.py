@@ -36,10 +36,7 @@ def _random_margin(rng, module):
     )
     reward = RewardModel(fixed_reward=_log_uniform(rng, 10.0, 1e6), unit_tx_reward=0.0, tx_count=0.0)
     alpha, load, eps = _log_uniform(rng, 1e-2, 1.0), _log_uniform(rng, 1.0, 1e4), _log_uniform(rng, 1e-3, 0.9)
-    margin = module._threshold_certifier(alpha, load, params, reward, eps)
-    if isinstance(margin, tuple):  # cvar also returns the certificate builder
-        margin = margin[0]
-    return margin, params, reward
+    return module._threshold_certifier(alpha, load, params, reward, eps), params, reward
 
 
 def _outcome(search, margin_or_certify, params, reward, u_lo):
