@@ -26,20 +26,14 @@ from .cvar import (
     subproblem_threshold,
     worstcase_cvar,
 )
-from .deterministic import (
-    DeterministicEquilibrium,
-    best_response,
-    best_response_fixed_point,
-    closed_form_equilibrium,
-)
-from .equilibrium import MODES, EquilibriumResult, solve_equilibrium
+from .deterministic import best_response
+from .equilibrium import MODES, EquilibriumResult, closed_form_equilibrium, solve_equilibrium
 from .model import (
     ConvergenceError,
     GameConfig,
     MinerParams,
     RewardModel,
     SolverError,
-    StrategyProfile,
     hash_power,
     others_load,
     utility,
@@ -64,7 +58,6 @@ __all__ = [
     "BtiCoefficients",
     "ConvergenceError",
     "CvarCertificate",
-    "DeterministicEquilibrium",
     "DISTRIBUTIONS",
     "EquilibriumResult",
     "GameConfig",
@@ -75,10 +68,8 @@ __all__ = [
     "RewardModel",
     "SampleBatch",
     "SolverError",
-    "StrategyProfile",
     "ViolationReport",
     "best_response",
-    "best_response_fixed_point",
     "bti_constraint_value",
     "certify",
     "closed_form_equilibrium",

@@ -119,6 +119,20 @@ def _field(name, convert, raw):
         raise ScenarioError(f"field '{name}': {exc}") from exc
 
 
+def _whole(raw) -> int:
+    """``int(raw)``, refusing a number with a fractional part: 5.0 is 5, 2.7 an error."""
+    value = int(raw)
+    if isinstance(raw, float) and value != raw:
+        raise ValueError(f"need a whole number, got {raw!r}")
+    return value
+
+
+def _variance(sigma: float) -> float:
+    if sigma < 0:
+        raise ValueError(f"need sigma >= 0, got {sigma!r}")
+    return sigma ** 2
+
+
 def _per_miner(raw, count, field):
     if isinstance(raw, (int, float)):
         return [_field(field, float, raw)] * count
@@ -134,9 +148,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
     _require(isinstance(doc, dict), "top-level document must be a JSON object")
     try:  # coerces every field, so a wrong type or range is a ScenarioError
         name = str(doc.get("name", "scenario"))
-        count = _field("miners", int, doc.get("miners", 5))
+        count = _field("miners", _whole, doc.get("miners", 5))
         _require(count >= 2, "field 'miners': need at least 2 miners")
-        seed = _field("seed", int, doc.get("seed", 0))
+        seed = _field("seed", _whole, doc.get("seed", 0))
 
         resources = doc.get("resources", {"mode": "homogeneous", "x_hat": 55.0})
         _require(isinstance(resources, dict) and "mode" in resources, "field 'resources': need a mode")
@@ -177,7 +191,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             MinerParams(
                 x_hat=x_hats[j],
                 mu=mus[j],
-                sigma2=_field("sigma", lambda s: s ** 2, sigma[j]),
+                sigma2=_field("sigma", _variance, sigma[j]),
                 cost=costs[j],
                 x_min=x_min,
                 x_max=x_max,
@@ -190,7 +204,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             tau0=_field("tau0", float, doc.get("tau0", 0.5)),
             epsilon=_field("epsilon", float, doc.get("epsilon", 0.1)),
             kappa=_field("kappa", float, doc.get("kappa", 1e-6)),
-            max_iterations=_field("max_iterations", int, doc.get("max_iterations", 100)),
+            max_iterations=_field("max_iterations", _whole, doc.get("max_iterations", 100)),
         )
 
         validation = doc.get("validation", {})
@@ -207,7 +221,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             isinstance(clamp, bool),
             f"field 'validation.clamp': expected true or false, got {reprlib.repr(clamp)}",
         )
-        samples = _field("validation.samples", int, validation.get("samples", 1000))
+        samples = _field("validation.samples", _whole, validation.get("samples", 1000))
         _require(samples >= 1, "field 'validation.samples': need at least 1")
 
         return Scenario(
@@ -311,9 +325,7 @@ def _config_for_axis(config: GameConfig, axis: str, value) -> GameConfig:
         if axis == "unit_cost":
             miners = tuple(replace(m, cost=float(value)) for m in config.miners)
             return replace(config, miners=miners)
-        count = int(value)  # num_miners, the last axis
-        if count != value:
-            raise ValueError("need a whole number of miners")
+        count = _whole(value)  # num_miners, the last axis
         # cycle the configured miners up or down to the requested count
         miners = tuple(config.miners[j % len(config.miners)] for j in range(count))
         return replace(config, miners=miners)

@@ -4,6 +4,9 @@ Miners update in ascending index order, each replacing its strategy (and,
 in the robust modes, its utility threshold) with the best response to the
 latest profile of the others.  The sweep repeats until one full pass changes
 the summed strategies and thresholds by at most kappa.
+
+``closed_form_equilibrium`` solves the deterministic game without iterating
+when its stationary profile lies in the box, and cross-checks the iteration.
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bti, cvar, deterministic
-from .model import GameConfig, StrategyProfile, utility
+from .model import GameConfig, utility
 
-__all__ = ["MODES", "EquilibriumResult", "solve_equilibrium"]
+__all__ = ["MODES", "EquilibriumResult", "closed_form_equilibrium", "solve_equilibrium"]
 
 MODES = ("deterministic", "gaussian_bti", "dro_cvar")
 
@@ -24,23 +27,22 @@ MODES = ("deterministic", "gaussian_bti", "dro_cvar")
 class EquilibriumResult:
     """Converged profile with per-sweep history.
 
-    ``u_mins`` holds each miner's certified utility threshold in the robust
-    modes and is None in deterministic mode, where ``trace`` records the
-    plain utilities instead.  ``trace`` has one (alphas, u values) entry per
-    sweep.
+    ``u_values`` holds each miner's certified utility threshold in the robust
+    modes and its plain utility in deterministic mode; ``u_mins`` is the
+    thresholds alone, None in deterministic mode.  ``trace`` has one
+    (alphas, u values) entry per sweep, so ``len(trace) == iterations``.
     """
 
-    alphas: StrategyProfile
-    u_mins: tuple[float, ...] | None
+    alphas: tuple[float, ...]
+    u_values: tuple[float, ...]
     iterations: int
     converged: bool
     trace: tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]
     mode: str
 
     @property
-    def u_values(self) -> tuple[float, ...]:
-        """Thresholds in the robust modes, plain utilities in deterministic mode."""
-        return self.trace[-1][1]
+    def u_mins(self) -> tuple[float, ...] | None:
+        return None if self.mode == "deterministic" else self.u_values
 
     def total_u_min(self) -> float:
         return float(sum(self.u_values))
@@ -102,10 +104,39 @@ def solve_equilibrium(config: GameConfig, mode: str, initial_alpha=0.35) -> Equi
             converged = True
             break
     return EquilibriumResult(
-        alphas=StrategyProfile(tuple(alphas)),
-        u_mins=None if mode == "deterministic" else tuple(float(u) for u in u_values),
+        alphas=tuple(float(a) for a in alphas),
+        u_values=tuple(float(u) for u in u_values),
         iterations=sweeps,
         converged=converged,
         trace=tuple(trace),
         mode=mode,
+    )
+
+
+def closed_form_equilibrium(config: GameConfig) -> EquilibriumResult:
+    """Nash equilibrium of the deterministic game.
+
+    The interior stationary profile follows from summing the first-order
+    conditions: with S = (J-1) R / sum_j c_j the total committed power,
+    alpha_j = (S / x_j) (1 - c_j S / R).  When every coordinate lands in
+    [tau0, 1] that profile is returned with its utilities, 0 iterations and
+    an empty trace; otherwise the box binds somewhere, the closed form is
+    invalid, and the result is ``solve_equilibrium(config, "deterministic")``,
+    converged only as far as ``config.kappa`` and ``config.max_iterations``
+    allow (read ``converged``).
+    """
+    x = config.nominal_resources()
+    c = config.costs()
+    total_reward = config.reward.total
+    s = (config.n_miners - 1) * total_reward / c.sum()
+    interior = (s / x) * (1.0 - c * s / total_reward)
+    if not (np.all(interior >= config.tau0) and np.all(interior <= 1.0)):
+        return solve_equilibrium(config, "deterministic")
+    return EquilibriumResult(
+        alphas=tuple(float(a) for a in interior),
+        u_values=tuple(float(u) for u in _deterministic_utilities(interior, config)),
+        iterations=0,
+        converged=True,
+        trace=(),
+        mode="deterministic",
     )

@@ -21,7 +21,6 @@ __all__ = [
     "RewardModel",
     "MinerParams",
     "GameConfig",
-    "StrategyProfile",
     "ConvergenceError",
     "SolverError",
     "hash_power",
@@ -148,31 +147,6 @@ class GameConfig:
 
     def costs(self) -> np.ndarray:
         return np.array([m.cost for m in self.miners])
-
-
-@dataclass(frozen=True)
-class StrategyProfile:
-    """The vector of mining investment coefficients, one per miner."""
-
-    alphas: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        for a in self.alphas:
-            if not 0 < a <= 1:
-                raise ValueError(f"alpha must be in (0,1], got {a}")
-
-    def __len__(self):
-        return len(self.alphas)
-
-    def __iter__(self):
-        return iter(self.alphas)
-
-    def __getitem__(self, i):
-        return self.alphas[i]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.alphas, dtype=dtype)
 
 
 def _as_arrays(profile, resources) -> tuple[np.ndarray, np.ndarray]:

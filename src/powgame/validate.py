@@ -93,7 +93,6 @@ def sample_uncertainty(
     n: int,
     seed: int,
     miner_index: int = 0,
-    p: float = 0.5,
 ) -> SampleBatch:
     """Draw n perturbations with the requested mean/variance and shape.
 
@@ -101,7 +100,7 @@ def sample_uncertainty(
     uniform:         U(mu - sqrt(3) s, mu + sqrt(3) s)
     poisson_shifted: (Poisson(lambda) - lambda) + mu with lambda = sigma2,
                      which matches both moments exactly on an integer lattice
-    two_point:       the two-atom family parameterized by p
+    two_point:       mu - s or mu + s, each with probability 1/2
     """
     if distribution not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {distribution!r}")
@@ -131,8 +130,8 @@ def sample_uncertainty(
         values = ints.astype(float) - lam + mu
         expand = lambda: k.astype(float) - lam + mu
     else:
-        hi, lo = two_point_atoms(mu, sigma2, p)
-        high = rng.random(n) < p
+        hi, lo = two_point_atoms(mu, sigma2, 0.5)
+        high = rng.random(n) < 0.5
         n_high = np.count_nonzero(high)
         counts = np.array([n_high, n - n_high])
         values, counts = np.array([hi, lo])[counts > 0], counts[counts > 0]

@@ -43,7 +43,14 @@ from powgame import (
 from powgame._search import _INV_PHI
 from powgame.model import SolverError, others_load
 from powgame.robust import BISECT_TOL, U_FLOOR
-from powgame.validate import HISTOGRAM_BINS, ViolationReport, binomial_slack
+from powgame.validate import (
+    HISTOGRAM_BINS,
+    SampleBatch,
+    ViolationReport,
+    _stream,
+    binomial_slack,
+    two_point_atoms,
+)
 
 
 def make_config(
@@ -478,3 +485,17 @@ def full_array_violation(alphas, u_min, j, config: GameConfig, draws, clamp=Fals
         bin_edges=edges,
         counts=counts,
     )
+
+
+def two_point_batch(mu, sigma2, n, p, seed, miner_index=0) -> SampleBatch:
+    """Seeded two-point batch at any p, drawn from the sampler's stream.
+
+    At p = 1/2 it is ``sample_uncertainty("two_point", ...)``; other p give
+    the rest of the moment-matched two-point family.
+    """
+    hi, lo = two_point_atoms(mu, sigma2, p)
+    high = _stream(seed, miner_index, "two_point").random(n) < p
+    n_high = np.count_nonzero(high)
+    counts = np.array([n_high, n - n_high])
+    values, counts = np.array([hi, lo])[counts > 0], counts[counts > 0]
+    return SampleBatch(n, values, counts, _expand=lambda: np.where(high, hi, lo))

@@ -11,7 +11,6 @@ import numpy as np
 
 from powgame import (
     best_response,
-    best_response_fixed_point,
     closed_form_equilibrium,
     discrete_worstcase_violation,
     empirical_violation,
@@ -25,7 +24,6 @@ from powgame import (
     utility_gradient,
     utility_second_derivative,
 )
-from powgame import deterministic
 from powgame.cli import main as cli_main
 from powgame.model import others_load
 
@@ -45,8 +43,7 @@ def _report(number, name, ok, detail=""):
     assert ok, f"criterion {number} ({name}) failed: {detail}"
 
 
-def test_criterion_01_deterministic_oracle_equivalence(monkeypatch):
-    monkeypatch.setattr(deterministic, "FIXED_POINT_TOL", 1e-13)
+def test_criterion_01_deterministic_oracle_equivalence():
     start = time.time()
     rng = np.random.default_rng(101)
     worst_alpha_gap = 0.0
@@ -54,9 +51,11 @@ def test_criterion_01_deterministic_oracle_equivalence(monkeypatch):
     for _ in range(50):
         config = random_interior_config(rng)
         eq = closed_form_equilibrium(config)
-        iterated = best_response_fixed_point(config)
+        iterated = solve_equilibrium(config, "deterministic")
+        assert iterated.converged
         worst_alpha_gap = max(
-            worst_alpha_gap, float(np.max(np.abs(np.asarray(eq.alphas) - iterated)))
+            worst_alpha_gap,
+            float(np.max(np.abs(np.asarray(eq.alphas) - np.asarray(iterated.alphas)))),
         )
         base = np.asarray(eq.alphas)
         x = config.nominal_resources()
@@ -65,7 +64,7 @@ def test_criterion_01_deterministic_oracle_equivalence(monkeypatch):
             load = float(np.dot(base, x) - base[j] * x[j])
             own = grid * x[j]
             utils = config.reward.total * own / (own + load) - config.miners[j].cost * own
-            worst_deviation = max(worst_deviation, float(utils.max()) - eq.utilities[j])
+            worst_deviation = max(worst_deviation, float(utils.max()) - eq.u_values[j])
     elapsed = time.time() - start
     ok = worst_alpha_gap <= 1e-8 and worst_deviation <= 1e-6 and elapsed < 5.0
     _report(

@@ -75,6 +75,12 @@ def test_validation_fields_take_a_name_or_a_list_and_a_boolean():
     assert scenario_from_dict({}).clamp is False
 
 
+def test_whole_floats_are_accepted_in_integer_fields():
+    whole = {"miners": 5.0, "seed": 7.0, "max_iterations": 100.0, "validation": {"samples": 500.0}}
+    exact = {"miners": 5, "seed": 7, "max_iterations": 100, "validation": {"samples": 500}}
+    assert scenario_from_dict(whole) == scenario_from_dict(exact)
+
+
 def test_scenario_validation_errors():
     with pytest.raises(ScenarioError):
         scenario_from_dict({"miners": 1})
@@ -364,6 +370,14 @@ MALFORMED = [  # (id, document, text stderr must contain, verbs)
     ("tau0-text", dict(REFERENCE_DOC, tau0="half"), "'tau0'", None),
     ("negative-reward", dict(REFERENCE_DOC, reward={"fixed_reward": -1.0}), "", None),
     ("sigma-list-text", dict(REFERENCE_DOC, sigma=["a"] * 5), "'sigma'", None),
+    # sigma is squared into the variance, so a negative one ran as its absolute value
+    ("sigma-negative", dict(REFERENCE_DOC, sigma=-10.0), "'sigma'", None),
+    ("sigma-list-negative", dict(REFERENCE_DOC, sigma=[10.0, 10.0, -5.0, 10.0, 10.0]), "'sigma'", None),
+    # integer fields ran truncated: 2.7 miners as 2, 10.9 samples as 10
+    ("miners-fraction", dict(REFERENCE_DOC, miners=2.7), "'miners'", None),
+    ("samples-fraction", dict(REFERENCE_DOC, validation={"samples": 10.9}), "'validation.samples'", None),
+    ("max-iterations-fraction", dict(REFERENCE_DOC, max_iterations=2.5), "'max_iterations'", None),
+    ("seed-fraction", dict(REFERENCE_DOC, seed=1.5), "'seed'", None),
     ("mode-number", dict(REFERENCE_DOC, mode=5), "'mode'", None),
     ("mode-null", dict(REFERENCE_DOC, mode=None), "'mode'", None),
     ("mode-empty-list", dict(REFERENCE_DOC, mode=[]), "'mode'", None),

@@ -27,7 +27,7 @@ from powgame._search import _first_argmax, scan_golden_max
 from powgame.deterministic import best_response
 from powgame.model import MinerParams
 from powgame.robust import scan_strategy
-from powgame.validate import sample_uncertainty
+from powgame.validate import DISTRIBUTIONS, sample_uncertainty
 
 from conftest import (
     CvarEvaluator,
@@ -39,6 +39,7 @@ from conftest import (
     plain_bisect_threshold,
     reference_worstcase_cvar,
     sqrt_moment_matrix,
+    two_point_batch,
 )
 
 REWARD = RewardModel()
@@ -150,8 +151,9 @@ def test_worstcase_cvar_dominates_sampled_cvar():
     eps = 0.1
     wc, _ = worstcase_cvar(coeffs, moments, eps)
     n = 20000
-    for dist in ("gaussian", "uniform", "poisson_shifted", "two_point"):
-        batch = sample_uncertainty(dist, 0.0, 100.0, n, seed=5, p=eps)
+    batches = [sample_uncertainty(d, 0.0, 100.0, n, seed=5) for d in DISTRIBUTIONS]
+    batches.append(two_point_batch(0.0, 100.0, n, eps, seed=5))  # mass eps on the far atom
+    for batch in batches:
         losses = np.sort(coeffs(55.0 + batch.draws))[::-1]
         tail = losses[: max(1, int(math.ceil(eps * n)))]
         empirical = float(tail.mean())

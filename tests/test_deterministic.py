@@ -1,16 +1,17 @@
 """Tests for the deterministic game: best response and equilibrium solvers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from powgame import (
     SolverError,
     best_response,
-    best_response_fixed_point,
     closed_form_equilibrium,
+    solve_equilibrium,
     utility,
 )
-from powgame import deterministic
 from powgame.deterministic import best_response_interior
 
 from conftest import (
@@ -19,6 +20,18 @@ from conftest import (
     profile_utility,
     random_interior_config,
 )
+
+
+def _interior_flags(config, alphas):
+    """False where alpha_j sits on a box bound (at or clipped to tau0 or 1)."""
+    return tuple(config.tau0 + 1e-9 < a < 1.0 - 1e-9 for a in alphas)
+
+
+def _clipped_config():
+    # heterogeneous instance whose stationary profile exits the box
+    return make_config(
+        n=4, x_hat=[20.0, 30.0, 80.0, 90.0], sigma=0.0, cost=[30.0, 40.0, 80.0, 90.0], tau0=0.4
+    )
 
 
 def test_best_response_hand_values():
@@ -77,8 +90,8 @@ def test_closed_form_boundary_case():
     config = make_config(n=5, x_hat=55.0, sigma=0.0)
     eq = closed_form_equilibrium(config)
     assert np.allclose(np.asarray(eq.alphas), 0.5, atol=1e-9)
-    assert eq.interior_flags == (False,) * 5
-    assert eq.utilities == pytest.approx((-50.0,) * 5)
+    assert _interior_flags(config, eq.alphas) == (False,) * 5
+    assert eq.u_values == pytest.approx((-50.0,) * 5)
 
 
 def test_closed_form_symmetric_pair():
@@ -87,15 +100,15 @@ def test_closed_form_symmetric_pair():
     assert eq.alphas[0] == pytest.approx(eq.alphas[1], abs=1e-12)
 
 
-def test_closed_form_matches_iteration_on_interior_instances(monkeypatch):
-    monkeypatch.setattr(deterministic, "FIXED_POINT_TOL", 1e-13)
+def test_closed_form_matches_iteration_on_interior_instances():
     rng = np.random.default_rng(12)
     for _ in range(10):
         config = random_interior_config(rng)
         eq = closed_form_equilibrium(config)
-        assert all(eq.interior_flags)
-        iterated = best_response_fixed_point(config)
-        assert np.allclose(np.asarray(eq.alphas), iterated, atol=1e-8)
+        assert all(_interior_flags(config, eq.alphas))
+        iterated = solve_equilibrium(config, "deterministic")
+        assert iterated.converged
+        assert np.allclose(np.asarray(eq.alphas), iterated.alphas, atol=1e-8)
         # interior coordinates are stationary: clipped-vs-unclipped agree
         for j in range(config.n_miners):
             assert best_response(j, np.asarray(eq.alphas), config) == pytest.approx(
@@ -110,7 +123,7 @@ def test_equilibrium_deviation_proof():
         eq = closed_form_equilibrium(config)
         base = np.asarray(eq.alphas)
         for j in range(config.n_miners):
-            u_star = eq.utilities[j]
+            u_star = eq.u_values[j]
             grid = np.linspace(config.tau0, 1.0, 1000)
             best = max(profile_utility(j, a, base, config) for a in grid)
             assert best <= u_star + 1e-6
@@ -120,20 +133,18 @@ def test_fixed_point_unique_from_random_starts():
     rng = np.random.default_rng(14)
     config = random_interior_config(rng)
     targets = []
-    for _ in range(10):
-        start = rng.uniform(config.tau0, 1.0, size=config.n_miners)
-        targets.append(best_response_fixed_point(config, initial=start))
+    for start in rng.uniform(config.tau0, 1.0, size=10):
+        result = solve_equilibrium(config, "deterministic", initial_alpha=float(start))
+        assert result.converged
+        targets.append(np.asarray(result.alphas))
     for t in targets[1:]:
         assert np.allclose(t, targets[0], atol=1e-6)
 
 
 def test_closed_form_falls_back_when_clipped():
-    # heterogeneous instance whose stationary profile exits the box
-    config = make_config(
-        n=4, x_hat=[20.0, 30.0, 80.0, 90.0], sigma=0.0, cost=[30.0, 40.0, 80.0, 90.0], tau0=0.4
-    )
+    config = _clipped_config()
     eq = closed_form_equilibrium(config)
-    assert not all(eq.interior_flags)
+    assert not all(_interior_flags(config, eq.alphas))
     a = np.asarray(eq.alphas)
     assert np.all(a >= config.tau0 - 1e-12) and np.all(a <= 1.0 + 1e-12)
     # still a fixed point of the clipped best-response map
@@ -141,6 +152,25 @@ def test_closed_form_falls_back_when_clipped():
         assert best_response(j, a, config) == pytest.approx(a[j], abs=1e-7)
     x = config.nominal_resources()
     for j in range(config.n_miners):
-        assert eq.utilities[j] == pytest.approx(
+        assert eq.u_values[j] == pytest.approx(
             utility(j, a, x, config.reward, config.miners[j].cost)
         )
+
+
+def test_closed_form_result_contract():
+    # interior: the profile with its utilities, no sweep, no trace
+    config = random_interior_config(np.random.default_rng(15))
+    eq = closed_form_equilibrium(config)
+    assert all(_interior_flags(config, eq.alphas))
+    x = config.nominal_resources()
+    assert eq.u_values == tuple(
+        utility(j, eq.alphas, x, config.reward, config.miners[j].cost)
+        for j in range(config.n_miners)
+    )
+    assert (eq.iterations, eq.trace, eq.converged, eq.u_mins) == (0, (), True, None)
+    # the box binds: exactly the Gauss-Seidel solve the CLI runs, field by field
+    config = _clipped_config()
+    eq = closed_form_equilibrium(config)
+    solved = solve_equilibrium(config, "deterministic")
+    assert dataclasses.asdict(eq) == dataclasses.asdict(solved)
+    assert len(eq.trace) == eq.iterations >= 1

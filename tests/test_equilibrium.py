@@ -51,7 +51,7 @@ def test_trace_has_one_entry_per_sweep(reference_config):
     result = solve_equilibrium(reference_config, "gaussian_bti")
     assert len(result.trace) == result.iterations
     alphas, u_values = result.trace[-1]
-    assert alphas == result.alphas.alphas
+    assert alphas == result.alphas
     assert u_values == result.u_mins
 
 

@@ -7,7 +7,6 @@ from powgame import (
     GameConfig,
     MinerParams,
     RewardModel,
-    StrategyProfile,
     hash_power,
     others_load,
     utility,
@@ -59,15 +58,6 @@ def test_game_config_invariants():
         make_config(epsilon=1.0)
     with pytest.raises(ValueError):
         make_config(kappa=0.0)
-
-
-def test_strategy_profile_box():
-    with pytest.raises(ValueError):
-        StrategyProfile((0.5, 1.2))
-    with pytest.raises(ValueError):
-        StrategyProfile((0.0, 0.5))
-    profile = StrategyProfile((0.5, 0.7))
-    assert np.allclose(np.asarray(profile), [0.5, 0.7])
 
 
 def test_hash_power_symmetric_cases():

@@ -15,7 +15,7 @@ from powgame import (
 from powgame import cli, validate
 from powgame.validate import DISTRIBUTIONS, binomial_slack, two_point_atoms
 
-from conftest import full_array_violation, make_config
+from conftest import full_array_violation, make_config, two_point_batch
 
 
 def test_two_point_atoms_exact_moments():
@@ -38,7 +38,7 @@ def test_two_point_atoms_exact_moments():
 def test_sample_batches_match_target_moments():
     n = 4000
     for dist in ("gaussian", "uniform", "poisson_shifted", "two_point"):
-        batch = sample_uncertainty(dist, 1.5, 100.0, n, seed=11, p=0.3)
+        batch = sample_uncertainty(dist, 1.5, 100.0, n, seed=11)
         assert len(batch.draws) == n
         assert batch.draws.mean() == pytest.approx(1.5, abs=4.0 * 10.0 / math.sqrt(n))
         assert batch.draws.var() == pytest.approx(100.0, rel=0.2)
@@ -54,20 +54,25 @@ def test_poisson_shifted_construction():
 
 def test_draws_replay_the_seeded_stream():
     # draws are the generator's output in order, whatever the batch holds
-    mu, sigma2, n, seed, j, p = 2.5, 90.0, 5000, 12, 3, 0.3
+    mu, sigma2, n, seed, j = 2.5, 90.0, 5000, 12, 3
     s = math.sqrt(sigma2)
     half = math.sqrt(3.0) * s
-    hi, lo = two_point_atoms(mu, sigma2, p)
+    hi, lo = two_point_atoms(mu, sigma2, 0.5)
     replay = {
         "gaussian": lambda rng: rng.normal(mu, s, size=n),
         "uniform": lambda rng: rng.uniform(mu - half, mu + half, size=n),
         "poisson_shifted": lambda rng: rng.poisson(sigma2, size=n).astype(float) - sigma2 + mu,
-        "two_point": lambda rng: np.where(rng.random(n) < p, hi, lo),
+        "two_point": lambda rng: np.where(rng.random(n) < 0.5, hi, lo),
     }
     for dist in DISTRIBUTIONS:
-        batch = sample_uncertainty(dist, mu, sigma2, n, seed=seed, miner_index=j, p=p)
+        batch = sample_uncertainty(dist, mu, sigma2, n, seed=seed, miner_index=j)
         expected = replay[dist](validate._stream(seed, j, dist))
         assert batch.draws.dtype == expected.dtype and np.array_equal(batch.draws, expected)
+        if dist == "two_point":  # the test helper that draws other p agrees at p = 1/2
+            built = two_point_batch(mu, sigma2, n, 0.5, seed=seed, miner_index=j)
+            assert np.array_equal(built.values, batch.values)
+            assert np.array_equal(built.counts, batch.counts)
+            assert np.array_equal(built.draws, batch.draws)
         assert batch.n == n
         if batch.counts is None:  # continuous: every draw is its own value
             assert dist in ("gaussian", "uniform") and batch.values is batch.draws
@@ -96,8 +101,6 @@ def test_sampling_validation_errors():
         sample_uncertainty("gaussian", 0.0, 0.0, 10, seed=0)
     with pytest.raises(ValueError):
         sample_uncertainty("gaussian", 0.0, 100.0, 0, seed=0)
-    with pytest.raises(ValueError):
-        sample_uncertainty("two_point", 0.0, 100.0, 10, seed=0, p=1.0)
 
 
 def test_empirical_violation_counts_and_histogram(reference_config):
@@ -115,7 +118,7 @@ def test_empirical_violation_counts_and_histogram(reference_config):
 def test_empirical_matches_analytic_two_point_probability(reference_config):
     # pick a threshold between the two atoms' utilities so only one violates
     p = 0.23
-    batch = sample_uncertainty("two_point", 0.0, 100.0, 100_000, seed=21, p=p)
+    batch = two_point_batch(0.0, 100.0, 100_000, p, seed=21)
     alphas = [0.5] * 5
     hi, lo = two_point_atoms(0.0, 100.0, p)
     u_hi = empirical_utilities(alphas, 0, reference_config, np.array([hi]))[0]
@@ -159,11 +162,11 @@ def test_cvar_guarantee_holds_for_whole_sampled_family(reference_config):
     # moment-matched distribution violates with probability <= eps (+ slack)
     result = solve_equilibrium(reference_config, "dro_cvar")
     n = 10_000
-    slack = 3.0 * math.sqrt(reference_config.epsilon / n)
-    for dist in ("gaussian", "uniform", "poisson_shifted", "two_point"):
-        batch = sample_uncertainty(
-            dist, 0.0, 100.0, n, seed=33, miner_index=0, p=reference_config.epsilon
-        )
+    eps = reference_config.epsilon
+    slack = 3.0 * math.sqrt(eps / n)
+    batches = [sample_uncertainty(d, 0.0, 100.0, n, seed=33) for d in DISTRIBUTIONS]
+    batches.append(two_point_batch(0.0, 100.0, n, eps, seed=33))
+    for batch in batches:
         report = empirical_violation(result.alphas, result.u_mins[0], 0, reference_config, batch)
         assert report.rate <= reference_config.epsilon + slack
 
@@ -191,7 +194,10 @@ def test_distinct_value_scoring_equals_the_full_array_oracle():
         )
         alphas = rng.uniform(0.05, 1.0, 5)
         j = int(rng.integers(5))
-        batch = sample_uncertainty(dist, mu, sigma2, n, seed=case, miner_index=j, p=p)
+        if dist == "two_point":
+            batch = two_point_batch(mu, sigma2, n, p, seed=case, miner_index=j)
+        else:
+            batch = sample_uncertainty(dist, mu, sigma2, n, seed=case, miner_index=j)
         utils = empirical_utilities(alphas, j, config, batch.values, clamp=clamp)
         if rng.random() < 0.5:  # a threshold equal to some utility tests the strict <
             u_min = float(rng.choice(utils))
