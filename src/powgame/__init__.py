@@ -34,11 +34,8 @@ from .model import (
     MinerParams,
     RewardModel,
     SolverError,
-    hash_power,
     others_load,
     utility,
-    utility_gradient,
-    utility_second_derivative,
 )
 from .robust import BestResponse
 from .validate import (
@@ -76,7 +73,6 @@ __all__ = [
     "discrete_worstcase_violation",
     "empirical_utilities",
     "empirical_violation",
-    "hash_power",
     "others_load",
     "robust_best_response",
     "robust_best_response_gaussian",
@@ -87,7 +83,5 @@ __all__ = [
     "subproblem_threshold",
     "subproblem_threshold_gaussian",
     "utility",
-    "utility_gradient",
-    "utility_second_derivative",
     "worstcase_cvar",
 ]

@@ -62,9 +62,8 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named experiment: game instance plus orchestration knobs."""
+    """An experiment: game instance plus orchestration knobs."""
 
-    name: str
     config: GameConfig
     modes: tuple[str, ...]
     seed: int
@@ -109,56 +108,50 @@ def _resolve_modes(selector) -> tuple[str, ...]:
     return _names("mode", "solver mode", selector, modes, "det|bti|cvar|all", MODE_ALIASES)
 
 
-def _field(name, convert, raw):
-    """``convert(raw)``, with a failure reported as a ScenarioError naming the field."""
+def _number(field, raw, whole=False):
+    """``raw`` as a float, or with ``whole`` as an int (5.0 is 5, 2.7 an error).
+
+    Only a finite JSON number is accepted: a bool, a string, a non-finite
+    value or an overflow is a ScenarioError naming the field.
+    """
+    # raises rather than _require, so that no message is formatted for a good value
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ScenarioError(f"field '{field}': expected a number, got {reprlib.repr(raw)}")
     try:
-        return convert(raw)
-    except OverflowError as exc:
-        raise ScenarioError(f"field '{name}': {reprlib.repr(raw)} is out of range") from exc
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"field '{name}': {exc}") from exc
-
-
-def _whole(raw) -> int:
-    """``int(raw)``, refusing a number with a fractional part: 5.0 is 5, 2.7 an error."""
-    value = int(raw)
-    if isinstance(raw, float) and value != raw:
-        raise ValueError(f"need a whole number, got {raw!r}")
-    return value
-
-
-def _variance(sigma: float) -> float:
-    if sigma < 0:
-        raise ValueError(f"need sigma >= 0, got {sigma!r}")
-    return sigma ** 2
+        value = float(raw)
+    except OverflowError as exc:  # an int literal beyond the float range
+        raise ScenarioError(f"field '{field}': {reprlib.repr(raw)} is out of range") from exc
+    if not math.isfinite(value):
+        raise ScenarioError(f"field '{field}': need a finite number, got {raw!r}")
+    if not whole:
+        return value
+    if not value.is_integer():
+        raise ScenarioError(f"field '{field}': need a whole number, got {raw!r}")
+    return int(raw)
 
 
 def _per_miner(raw, count, field):
-    if isinstance(raw, (int, float)):
-        return [_field(field, float, raw)] * count
-    _require(
-        isinstance(raw, list) and len(raw) == count,
-        f"field '{field}': expected a number or a list of length {count}",
-    )
-    return [_field(field, float, v) for v in raw]
+    if not isinstance(raw, list):
+        return [_number(field, raw)] * count
+    _require(len(raw) == count, f"field '{field}': expected a number or a list of length {count}")
+    return [_number(field, v) for v in raw]
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build a Scenario from a parsed JSON document (reference defaults built in)."""
     _require(isinstance(doc, dict), "top-level document must be a JSON object")
-    try:  # coerces every field, so a wrong type or range is a ScenarioError
-        name = str(doc.get("name", "scenario"))
-        count = _field("miners", _whole, doc.get("miners", 5))
+    try:  # reads every field, so a wrong type or range is a ScenarioError
+        count = _number("miners", doc.get("miners", 5), whole=True)
         _require(count >= 2, "field 'miners': need at least 2 miners")
-        seed = _field("seed", _whole, doc.get("seed", 0))
+        seed = _number("seed", doc.get("seed", 0), whole=True)
 
         resources = doc.get("resources", {"mode": "homogeneous", "x_hat": 55.0})
         _require(isinstance(resources, dict) and "mode" in resources, "field 'resources': need a mode")
         if resources["mode"] == "homogeneous":
-            x_hats = [_field("resources.x_hat", float, resources.get("x_hat", 55.0))] * count
+            x_hats = [_number("resources.x_hat", resources.get("x_hat", 55.0))] * count
         elif resources["mode"] == "heterogeneous":
-            lo = _field("resources.lo", float, resources.get("lo", 30.0))
-            hi = _field("resources.hi", float, resources.get("hi", 60.0))
+            lo = _number("resources.lo", resources.get("lo", 30.0))
+            hi = _number("resources.hi", resources.get("hi", 60.0))
             _require(0 < lo < hi, "field 'resources': need 0 < lo < hi")
             rng = np.random.Generator(
                 np.random.Philox(np.random.SeedSequence(entropy=seed & 0xFFFFFFFF, spawn_key=(0xFEED,)))
@@ -172,39 +165,33 @@ def scenario_from_dict(doc: dict) -> Scenario:
         reward_doc = doc.get("reward", {})
         _require(isinstance(reward_doc, dict), "field 'reward': expected an object")
         reward = RewardModel(
-            fixed_reward=_field(
-                "reward.fixed_reward", float, reward_doc.get("fixed_reward", 5000.0)
-            ),
-            unit_tx_reward=_field(
-                "reward.unit_tx_reward", float, reward_doc.get("unit_tx_reward", 10.0)
-            ),
-            tx_count=_field("reward.tx_count", float, reward_doc.get("tx_count", 300.0)),
+            fixed_reward=_number("reward.fixed_reward", reward_doc.get("fixed_reward", 5000.0)),
+            unit_tx_reward=_number("reward.unit_tx_reward", reward_doc.get("unit_tx_reward", 10.0)),
+            tx_count=_number("reward.tx_count", reward_doc.get("tx_count", 300.0)),
         )
 
         costs = _per_miner(doc.get("unit_cost", 60.0), count, "unit_cost")
         mus = _per_miner(doc.get("mu", 0.0), count, "mu")
         sigma = _per_miner(doc.get("sigma", 10.0), count, "sigma")
-        x_min = _field("x_min", float, doc.get("x_min", 10.0))
-        x_max = _field("x_max", float, doc.get("x_max", 100.0))
+        _require(min(sigma) >= 0, f"field 'sigma': need sigma >= 0, got {min(sigma)!r}")
+        try:  # sigma ** 2, not sigma * sigma, which can differ in the last bit
+            sigma2 = [s ** 2 for s in sigma]
+        except OverflowError as exc:
+            raise ScenarioError(f"field 'sigma': {reprlib.repr(max(sigma))} is out of range") from exc
+        x_min = _number("x_min", doc.get("x_min", 10.0))
+        x_max = _number("x_max", doc.get("x_max", 100.0))
 
         miners = tuple(
-            MinerParams(
-                x_hat=x_hats[j],
-                mu=mus[j],
-                sigma2=_field("sigma", _variance, sigma[j]),
-                cost=costs[j],
-                x_min=x_min,
-                x_max=x_max,
-            )
-            for j in range(count)
+            MinerParams(x_hat=x, mu=mu, sigma2=s2, cost=c, x_min=x_min, x_max=x_max)
+            for x, mu, s2, c in zip(x_hats, mus, sigma2, costs)
         )
         config = GameConfig(
             miners=miners,
             reward=reward,
-            tau0=_field("tau0", float, doc.get("tau0", 0.5)),
-            epsilon=_field("epsilon", float, doc.get("epsilon", 0.1)),
-            kappa=_field("kappa", float, doc.get("kappa", 1e-6)),
-            max_iterations=_field("max_iterations", _whole, doc.get("max_iterations", 100)),
+            tau0=_number("tau0", doc.get("tau0", 0.5)),
+            epsilon=_number("epsilon", doc.get("epsilon", 0.1)),
+            kappa=_number("kappa", doc.get("kappa", 1e-6)),
+            max_iterations=_number("max_iterations", doc.get("max_iterations", 100), whole=True),
         )
 
         validation = doc.get("validation", {})
@@ -221,15 +208,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
             isinstance(clamp, bool),
             f"field 'validation.clamp': expected true or false, got {reprlib.repr(clamp)}",
         )
-        samples = _field("validation.samples", _whole, validation.get("samples", 1000))
+        samples = _number("validation.samples", validation.get("samples", 1000), whole=True)
         _require(samples >= 1, "field 'validation.samples': need at least 1")
 
         return Scenario(
-            name=name,
             config=config,
             modes=_resolve_modes(doc.get("mode", "all")),
             seed=seed,
-            initial_alpha=_field("initial_alpha", float, doc.get("initial_alpha", 0.35)),
+            initial_alpha=_number("initial_alpha", doc.get("initial_alpha", 0.35)),
             distributions=distributions,
             samples=samples,
             clamp=clamp,
@@ -241,7 +227,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 
 def load_scenario(path, seed=None, mode=None) -> Scenario:
-    """Parse a scenario file; JSON syntax errors keep their line anchors."""
+    """Parse a scenario file, with ``seed`` and ``mode`` (when given) in place
+    of the document's own; JSON syntax errors keep their line anchors."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -252,13 +239,11 @@ def load_scenario(path, seed=None, mode=None) -> Scenario:
         raise ScenarioError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    _require(isinstance(doc, dict), "top-level document must be a JSON object")
+    for key, override in (("seed", seed), ("mode", mode)):
+        if override is not None:
+            doc[key] = override
     scenario = scenario_from_dict(doc)
-    if seed is not None:
-        # the seed feeds heterogeneous draws, so the whole scenario is rebuilt
-        doc["seed"] = int(seed)
-        scenario = scenario_from_dict(doc)
-    if mode is not None:
-        scenario = replace(scenario, modes=_resolve_modes(mode))
     # after the --mode override, so `--mode det` still runs a zero-variance scenario
     robust = set(scenario.modes) != {"deterministic"}
     if robust and any(m.sigma2 <= 0 for m in scenario.config.miners):
@@ -325,7 +310,7 @@ def _config_for_axis(config: GameConfig, axis: str, value) -> GameConfig:
         if axis == "unit_cost":
             miners = tuple(replace(m, cost=float(value)) for m in config.miners)
             return replace(config, miners=miners)
-        count = _whole(value)  # num_miners, the last axis
+        count = _number("num_miners", value, whole=True)  # the last axis
         # cycle the configured miners up or down to the requested count
         miners = tuple(config.miners[j % len(config.miners)] for j in range(count))
         return replace(config, miners=miners)

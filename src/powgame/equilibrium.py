@@ -61,8 +61,8 @@ def _deterministic_utilities(alphas, config):
 def solve_equilibrium(config: GameConfig, mode: str, initial_alpha=0.35) -> EquilibriumResult:
     """Iterate best responses until the summed per-sweep change is <= kappa.
 
-    The initial profile is ``max(tau0, initial_alpha)`` for every miner (an
-    initial value below the participation floor is projected onto it) and
+    The initial profile is ``min(1, max(tau0, initial_alpha))`` for every
+    miner (``initial_alpha`` projected onto [tau0, 1]) and
     the initial thresholds are the deterministic utilities at that profile.
     Non-convergence within ``config.max_iterations`` sweeps is reported via
     ``converged=False``.  A robust best response can still raise: the AO's

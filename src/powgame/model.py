@@ -23,10 +23,7 @@ __all__ = [
     "GameConfig",
     "ConvergenceError",
     "SolverError",
-    "hash_power",
     "utility",
-    "utility_gradient",
-    "utility_second_derivative",
     "others_load",
 ]
 
@@ -168,14 +165,6 @@ def _check_index(j, n):
         raise IndexError(f"miner index {j} out of range for {n} miners")
 
 
-def hash_power(j: int, profile: Sequence[float], resources: Sequence[float]) -> float:
-    """Miner j's share of total committed power, alpha_j x_j / sum_k alpha_k x_k."""
-    a, x = _as_arrays(profile, resources)
-    _check_index(j, len(a))
-    committed = a * x
-    return float(committed[j] / committed.sum())
-
-
 def utility(
     j: int,
     profile: Sequence[float],
@@ -201,33 +190,3 @@ def others_load(j: int, profile: Sequence[float], resources: Sequence[float]) ->
     committed = a * x
     return float(committed.sum() - committed[j])
 
-
-def utility_gradient(
-    j: int,
-    profile: Sequence[float],
-    resources: Sequence[float],
-    reward: RewardModel,
-    cost: float,
-) -> float:
-    """d utility / d alpha_j = x_j R sum_{l!=j} alpha_l x_l / S^2 - cost x_j."""
-    a, x = _as_arrays(profile, resources)
-    _check_index(j, len(a))
-    committed = a * x
-    total = committed.sum()
-    rest = total - committed[j]
-    return float(x[j] * reward.total * rest / total**2 - cost * x[j])
-
-
-def utility_second_derivative(
-    j: int,
-    profile: Sequence[float],
-    resources: Sequence[float],
-    reward: RewardModel,
-) -> float:
-    """d^2 utility / d alpha_j^2; strictly negative whenever rivals commit power."""
-    a, x = _as_arrays(profile, resources)
-    _check_index(j, len(a))
-    committed = a * x
-    total = committed.sum()
-    rest = total - committed[j]
-    return float(-2.0 * x[j] ** 2 * reward.total * rest / total**3)

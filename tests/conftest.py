@@ -5,6 +5,9 @@ best responses are verified against dense grid searches over the raw utility,
 robust best responses against an exhaustive outer search over alpha with
 threshold bisection at every point, the worst-case CVaR against a log-barrier
 solver of its conic program, and derivatives against finite differences.
+The hash-power share and the analytic first and second derivatives of the
+utility (``hash_power``, ``utility_gradient``, ``utility_second_derivative``)
+live here too: the solver uses closed forms and never evaluates them.
 
 The strategy scan with every point evaluated exactly (``grid_scan_max``,
 with its ``golden_max``) is kept here as the oracle the bounded scan of
@@ -41,7 +44,7 @@ from powgame import (
     utility,
 )
 from powgame._search import _INV_PHI
-from powgame.model import SolverError, others_load
+from powgame.model import SolverError, _as_arrays, _check_index, others_load
 from powgame.robust import BISECT_TOL, U_FLOOR
 from powgame.validate import (
     HISTOGRAM_BINS,
@@ -199,6 +202,34 @@ def outer_best_response_oracle(threshold_fn, tau0, grid_step=1e-3, refine_tol=1e
         candidates.append((threshold_fn(edge), edge))
     value, alpha = max(candidates, key=lambda t: t[0])
     return alpha, value
+
+
+def hash_power(j, profile, resources):
+    """Miner j's share of total committed power, alpha_j x_j / sum_k alpha_k x_k."""
+    a, x = _as_arrays(profile, resources)
+    _check_index(j, len(a))
+    committed = a * x
+    return float(committed[j] / committed.sum())
+
+
+def utility_gradient(j, profile, resources, reward, cost):
+    """d utility / d alpha_j = x_j R sum_{l!=j} alpha_l x_l / S^2 - cost x_j."""
+    a, x = _as_arrays(profile, resources)
+    _check_index(j, len(a))
+    committed = a * x
+    total = committed.sum()
+    rest = total - committed[j]
+    return float(x[j] * reward.total * rest / total**2 - cost * x[j])
+
+
+def utility_second_derivative(j, profile, resources, reward):
+    """d^2 utility / d alpha_j^2; strictly negative whenever rivals commit power."""
+    a, x = _as_arrays(profile, resources)
+    _check_index(j, len(a))
+    committed = a * x
+    total = committed.sum()
+    rest = total - committed[j]
+    return float(-2.0 * x[j] ** 2 * reward.total * rest / total**3)
 
 
 def finite_difference(f, x, h):

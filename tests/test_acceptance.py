@@ -21,8 +21,6 @@ from powgame import (
     subproblem_threshold,
     subproblem_threshold_gaussian,
     utility,
-    utility_gradient,
-    utility_second_derivative,
 )
 from powgame.cli import main as cli_main
 from powgame.model import others_load
@@ -34,6 +32,8 @@ from conftest import (
     outer_best_response_oracle,
     random_interior_config,
     second_finite_difference,
+    utility_gradient,
+    utility_second_derivative,
 )
 
 

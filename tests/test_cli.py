@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -79,6 +80,15 @@ def test_whole_floats_are_accepted_in_integer_fields():
     whole = {"miners": 5.0, "seed": 7.0, "max_iterations": 100.0, "validation": {"samples": 500.0}}
     exact = {"miners": 5, "seed": 7, "max_iterations": 100, "validation": {"samples": 500}}
     assert scenario_from_dict(whole) == scenario_from_dict(exact)
+
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def test_readme_scenario_example_shows_the_defaults():
+    # README says omitted fields take the defaults its example shows
+    block = README.read_text(encoding="utf-8").split("```jsonc\n", 1)[1].split("```", 1)[0]
+    assert scenario_from_dict(json.loads(re.sub(r"//.*", "", block))) == scenario_from_dict({})
 
 
 def test_scenario_validation_errors():
@@ -205,6 +215,26 @@ def test_heterogeneous_resources_are_seeded(tmp_path):
     assert [m.x_hat for m in again.config.miners] == x_hats
     other_seed = load_scenario(write_config(tmp_path, doc), seed=99)
     assert [m.x_hat for m in other_seed.config.miners] != x_hats
+
+
+def test_overrides_are_written_into_the_one_parse(tmp_path, monkeypatch):
+    # --seed and --mode read as if the document held them; the seed draws x_hat
+    parses = []
+    original = cli.scenario_from_dict
+
+    def counted(doc):
+        parses.append(doc)
+        return original(doc)
+
+    monkeypatch.setattr(cli, "scenario_from_dict", counted)
+    doc = dict(REFERENCE_DOC, resources={"mode": "heterogeneous", "lo": 30.0, "hi": 60.0})
+    overridden = load_scenario(write_config(tmp_path, doc), seed=99, mode="bti")
+    assert len(parses) == 1
+    written = load_scenario(write_config(tmp_path, dict(doc, seed=99, mode="bti"), name="written.json"))
+    assert overridden == written
+    assert overridden.seed == 99 and overridden.modes == ("gaussian_bti",)
+    unseeded = load_scenario(write_config(tmp_path, doc, name="unseeded.json"))
+    assert overridden.config != unseeded.config
 
 
 def test_solve_exit_code_on_non_convergence(tmp_path):
@@ -378,6 +408,13 @@ MALFORMED = [  # (id, document, text stderr must contain, verbs)
     ("samples-fraction", dict(REFERENCE_DOC, validation={"samples": 10.9}), "'validation.samples'", None),
     ("max-iterations-fraction", dict(REFERENCE_DOC, max_iterations=2.5), "'max_iterations'", None),
     ("seed-fraction", dict(REFERENCE_DOC, seed=1.5), "'seed'", None),
+    # only a JSON number is a number: true ran as 1 and "0.5" as 0.5
+    ("sigma-boolean-bti", dict(REFERENCE_DOC, sigma=True, mode="bti"), "'sigma'", None),
+    ("unit-cost-list-boolean", dict(REFERENCE_DOC, unit_cost=[60.0, 60.0, True, 60.0, 60.0]),
+     "'unit_cost'", None),
+    ("seed-boolean", dict(REFERENCE_DOC, seed=True), "'seed'", None),
+    ("samples-boolean", dict(REFERENCE_DOC, validation={"samples": True}), "'validation.samples'", None),
+    ("tau0-numeric-text", dict(REFERENCE_DOC, tau0="0.5"), "'tau0'", None),
     ("mode-number", dict(REFERENCE_DOC, mode=5), "'mode'", None),
     ("mode-null", dict(REFERENCE_DOC, mode=None), "'mode'", None),
     ("mode-empty-list", dict(REFERENCE_DOC, mode=[]), "'mode'", None),
@@ -399,6 +436,11 @@ MALFORMED = [  # (id, document, text stderr must contain, verbs)
     ("cost-nan-det", dict(REFERENCE_DOC, miners=3, unit_cost=math.nan, mode="det"), "", None),
     ("reward-nan-det", dict(REFERENCE_DOC, reward={"fixed_reward": math.nan}, mode="det"), "", None),
     ("sigma-infinity-det", dict(REFERENCE_DOC, sigma=math.inf, mode="det"), "", None),
+    # initial_alpha went unchecked: NaN and Infinity started the solve at a box end
+    ("initial-alpha-nan-det", dict(REFERENCE_DOC, initial_alpha=math.nan, mode="det"),
+     "'initial_alpha'", None),
+    ("initial-alpha-infinity-det", dict(REFERENCE_DOC, initial_alpha=math.inf, mode="det"),
+     "'initial_alpha'", None),
     ("miners-1e400-det", '{"miners": 1e400, "mode": "det"}', "'miners'", None),
     ("cost-400-digits-det", dict(REFERENCE_DOC, unit_cost=10**400, mode="det"), "'unit_cost'", None),
     ("sigma-1e200-det", dict(REFERENCE_DOC, sigma=1e200, mode="det"), "'sigma'", None),
@@ -508,7 +550,9 @@ MUTATIONS = {
     "1e400": "__1e400__",  # a float literal that overflows; spliced in after dumping
     "negative": -1.0,
     "zero": 0,
+    "boolean": True,
 }
+NON_NUMBERS = ("text", "nan", "infinity", "1e400", "boolean")
 MUTABLE_FIELDS = (
     ("miners",), ("sigma",), ("unit_cost",), ("mu",), ("tau0",), ("epsilon",), ("kappa",),
     ("seed",), ("max_iterations",), ("initial_alpha",), ("reward", "fixed_reward"),
@@ -516,9 +560,30 @@ MUTABLE_FIELDS = (
 )
 
 
+def mutated_text(doc, field, mutation):
+    """``doc`` as JSON text with ``MUTATIONS[mutation]`` at the ``field`` path."""
+    *parents, key = field
+    target = doc
+    for name in parents:
+        target = target[name]
+    target[key] = MUTATIONS[mutation]
+    return json.dumps(doc).replace('"__1e400__"', "1e400")
+
+
+@pytest.mark.parametrize("field", MUTABLE_FIELDS, ids=".".join)
+def test_non_numbers_are_refused_in_every_numeric_field(tmp_path, capsys, field):
+    for mutation in NON_NUMBERS:
+        doc = json.loads(json.dumps(dict(REFERENCE_DOC, mode="det")))
+        config = write_config(tmp_path, mutated_text(doc, field, mutation))
+        assert main(["solve", "--config", str(config), "--out", str(tmp_path / "out")]) == 1, mutation
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"'{'.'.join(field)}'" in err, (mutation, err)
+
+
 @st.composite
 def scenario_texts(draw, mutate=True):
-    """A valid scenario document, or (with ``mutate``) one spoiled by a single mutation."""
+    """(mutation, text): a valid scenario document, or (with ``mutate``) one
+    spoiled by a single mutation, named by its ``MUTATIONS`` key (None if unspoiled)."""
     doc = {
         "miners": draw(st.integers(2, 4)),
         "resources": {"mode": "homogeneous", "x_hat": draw(st.floats(20.0, 90.0))},
@@ -537,23 +602,22 @@ def scenario_texts(draw, mutate=True):
         },
     }
     mutation = draw(st.sampled_from([None, *MUTATIONS])) if mutate else None
-    if mutation is not None:
-        *parents, key = draw(st.sampled_from(MUTABLE_FIELDS))
-        target = doc
-        for name in parents:
-            target = target[name]
-        target[key] = MUTATIONS[mutation]
-    return json.dumps(doc).replace('"__1e400__"', "1e400")
+    if mutation is None:
+        return None, json.dumps(doc)
+    return mutation, mutated_text(doc, draw(st.sampled_from(MUTABLE_FIELDS)), mutation)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(text=scenario_texts(), verb=st.sampled_from(["solve", "validate"]))
-def test_any_scenario_exits_0_1_or_2(text, verb):
+@given(case=scenario_texts(), verb=st.sampled_from(["solve", "validate"]))
+def test_any_scenario_exits_0_1_or_2(case, verb):
+    mutation, text = case
     # tmp_path is function-scoped, which hypothesis rejects across examples
     with tempfile.TemporaryDirectory() as tmp:
         config = write_config(Path(tmp), text)
         code = main([verb, "--config", str(config), "--out", str(Path(tmp) / "out")])
     assert code in (0, 1, 2)
+    if mutation in NON_NUMBERS:  # every mutable field holds a number
+        assert code == 1
 
 
 # a finite whole miner count builds that many miners, so counts stay small
@@ -577,8 +641,9 @@ def sweep_arguments(draw):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(text=scenario_texts(mutate=False), arguments=sweep_arguments())
-def test_any_sweep_exits_0_1_or_2(text, arguments):
+@given(case=scenario_texts(mutate=False), arguments=sweep_arguments())
+def test_any_sweep_exits_0_1_or_2(case, arguments):
+    _, text = case
     axis, values = arguments
     with tempfile.TemporaryDirectory() as tmp:
         config = write_config(Path(tmp), text)

@@ -3,19 +3,17 @@
 import numpy as np
 import pytest
 
-from powgame import (
-    GameConfig,
-    MinerParams,
-    RewardModel,
+from powgame import GameConfig, MinerParams, RewardModel, others_load, utility
+from powgame.deterministic import best_response_interior
+
+from conftest import (
+    finite_difference,
     hash_power,
-    others_load,
-    utility,
+    make_config,
+    second_finite_difference,
     utility_gradient,
     utility_second_derivative,
 )
-from powgame.deterministic import best_response_interior
-
-from conftest import finite_difference, make_config, second_finite_difference
 
 REWARD = RewardModel()  # 5000 + 10 * 300 = 8000
 
@@ -95,14 +93,23 @@ def test_hash_power_scale_invariance():
 
 
 def test_hash_power_errors():
-    with pytest.raises(IndexError):
-        hash_power(2, [0.5, 0.5], [50.0, 50.0])
-    with pytest.raises(ValueError):
-        hash_power(0, [0.5, 0.5], [50.0, -1.0])
-    with pytest.raises(ValueError):
-        hash_power(0, [0.5, 0.5], [50.0, 0.0])
-    with pytest.raises(ValueError):
-        hash_power(0, [0.5, 1.5], [50.0, 50.0])
+    # the library's utility and others_load check indices and shapes as the
+    # test-only hash_power does
+    for share in (
+        hash_power,
+        others_load,
+        lambda j, profile, resources: utility(j, profile, resources, REWARD, 60.0),
+    ):
+        with pytest.raises(IndexError):
+            share(2, [0.5, 0.5], [50.0, 50.0])
+        with pytest.raises(ValueError):
+            share(0, [0.5, 0.5], [50.0, -1.0])
+        with pytest.raises(ValueError):
+            share(0, [0.5, 0.5], [50.0, 0.0])
+        with pytest.raises(ValueError):
+            share(0, [0.5, 1.5], [50.0, 50.0])
+        with pytest.raises(ValueError):
+            share(0, [0.5, 0.5, 0.5], [50.0, 50.0])
 
 
 NAN = float("nan")
