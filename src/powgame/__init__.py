@@ -9,79 +9,20 @@ mean/variance ambiguity set (``cvar``).  Monte Carlo and analytic two-point
 oracles validate the robustness of the results.
 """
 
-from .bti import (
-    BtiCoefficients,
-    bti_constraint_value,
-    robust_best_response_gaussian,
-    subproblem_strategy_gaussian,
-    subproblem_threshold_gaussian,
-)
-from .cvar import (
-    CvarCertificate,
-    LossCoefficients,
-    MomentMatrix,
-    certify,
-    robust_best_response,
-    subproblem_strategy,
-    subproblem_threshold,
-    worstcase_cvar,
-)
-from .deterministic import best_response
-from .equilibrium import MODES, EquilibriumResult, closed_form_equilibrium, solve_equilibrium
-from .model import (
-    ConvergenceError,
-    GameConfig,
-    MinerParams,
-    RewardModel,
-    SolverError,
-    others_load,
-    utility,
-)
-from .robust import BestResponse
-from .validate import (
-    DISTRIBUTIONS,
-    SampleBatch,
-    ViolationReport,
-    discrete_worstcase_violation,
-    empirical_utilities,
-    empirical_violation,
-    sample_uncertainty,
-)
+from . import bti, cvar, deterministic, equilibrium, model, robust, validate
+from .bti import *
+from .cvar import *
+from .deterministic import *
+from .equilibrium import *
+from .model import *
+from .robust import *
+from .validate import *
 
 __version__ = "0.1.0"
 
+# each submodule's __all__ is the one statement of what it exports
 __all__ = [
-    "BestResponse",
-    "BtiCoefficients",
-    "ConvergenceError",
-    "CvarCertificate",
-    "DISTRIBUTIONS",
-    "EquilibriumResult",
-    "GameConfig",
-    "LossCoefficients",
-    "MinerParams",
-    "MODES",
-    "MomentMatrix",
-    "RewardModel",
-    "SampleBatch",
-    "SolverError",
-    "ViolationReport",
-    "best_response",
-    "bti_constraint_value",
-    "certify",
-    "closed_form_equilibrium",
-    "discrete_worstcase_violation",
-    "empirical_utilities",
-    "empirical_violation",
-    "others_load",
-    "robust_best_response",
-    "robust_best_response_gaussian",
-    "sample_uncertainty",
-    "solve_equilibrium",
-    "subproblem_strategy",
-    "subproblem_strategy_gaussian",
-    "subproblem_threshold",
-    "subproblem_threshold_gaussian",
-    "utility",
-    "worstcase_cvar",
+    name
+    for module in (bti, cvar, deterministic, equilibrium, model, robust, validate)
+    for name in module.__all__
 ]

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .equilibrium import EquilibriumResult, solve_equilibrium
+from .equilibrium import MODES, EquilibriumResult, solve_equilibrium
 from .model import ConvergenceError, GameConfig, MinerParams, RewardModel, SolverError
 from .validate import DISTRIBUTIONS, POISSON_LAM_MAX, empirical_violation, sample_uncertainty
 
@@ -41,13 +41,14 @@ __all__ = [
 
 MODE_ALIASES = {"det": "deterministic", "bti": "gaussian_bti", "cvar": "dro_cvar"}
 MODE_SHORT = {v: k for k, v in MODE_ALIASES.items()}
-SWEEP_AXES = ("epsilon", "fixed_reward", "unit_cost", "num_miners")
+MAX_MINERS = 1000  # a 1000-miner det solve takes about 1 s; configs use at most 10
 DEFAULT_SWEEP_VALUES = {
     "epsilon": [0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5],
     "fixed_reward": [2000.0, 3000.0, 4000.0, 5000.0, 6000.0, 7000.0, 8000.0],
     "unit_cost": [40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0],
     "num_miners": [3, 4, 5, 6, 7, 8, 9, 10],
 }
+SWEEP_AXES = tuple(DEFAULT_SWEEP_VALUES)
 
 EQUILIBRIUM_HEADER = ["miner_id", "alpha_star", "u_min_star", "x_hat", "cost"]
 TRACE_HEADER = ["sweep", "miner_id", "alpha", "u_min"]
@@ -102,10 +103,9 @@ def _names(field, kind, selector, known, hint, aliases=None) -> tuple[str, ...]:
 
 def _resolve_modes(selector) -> tuple[str, ...]:
     """A mode name, "all", or a non-empty list of distinct mode names."""
-    modes = tuple(MODE_ALIASES.values())
     if selector == "all":
-        return modes
-    return _names("mode", "solver mode", selector, modes, "det|bti|cvar|all", MODE_ALIASES)
+        return MODES
+    return _names("mode", "solver mode", selector, MODES, "det|bti|cvar|all", MODE_ALIASES)
 
 
 def _number(field, raw, whole=False):
@@ -130,6 +130,15 @@ def _number(field, raw, whole=False):
     return int(raw)
 
 
+def _miner_count(field, raw) -> int:
+    """``raw`` as a number of miners: a whole number from 2 to ``MAX_MINERS``."""
+    count = _number(field, raw, whole=True)
+    _require(
+        2 <= count <= MAX_MINERS, f"field '{field}': need 2 to {MAX_MINERS} miners, got {raw!r}"
+    )
+    return count
+
+
 def _per_miner(raw, count, field):
     if not isinstance(raw, list):
         return [_number(field, raw)] * count
@@ -141,8 +150,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     """Build a Scenario from a parsed JSON document (reference defaults built in)."""
     _require(isinstance(doc, dict), "top-level document must be a JSON object")
     try:  # reads every field, so a wrong type or range is a ScenarioError
-        count = _number("miners", doc.get("miners", 5), whole=True)
-        _require(count >= 2, "field 'miners': need at least 2 miners")
+        count = _miner_count("miners", doc.get("miners", 5))
         seed = _number("seed", doc.get("seed", 0), whole=True)
 
         resources = doc.get("resources", {"mode": "homogeneous", "x_hat": 55.0})
@@ -310,7 +318,7 @@ def _config_for_axis(config: GameConfig, axis: str, value) -> GameConfig:
         if axis == "unit_cost":
             miners = tuple(replace(m, cost=float(value)) for m in config.miners)
             return replace(config, miners=miners)
-        count = _number("num_miners", value, whole=True)  # the last axis
+        count = _miner_count("num_miners", value)  # the last axis
         # cycle the configured miners up or down to the requested count
         miners = tuple(config.miners[j % len(config.miners)] for j in range(count))
         return replace(config, miners=miners)
@@ -409,7 +417,7 @@ def _parse_values(raw: str, axis: str):
     try:
         return [float(v) for v in raw.split(",") if v.strip()]
     except ValueError as exc:
-        raise ScenarioError(f"--values: {exc}") from exc
+        raise ScenarioError(f"--values: {axis}: {exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .model import GameConfig, SolverError
 
-__all__ = ["best_response", "best_response_interior"]
+__all__ = ["best_response"]
 
 
 def best_response_interior(load: float, x_j: float, cost_j: float, reward_total: float) -> float:

@@ -40,7 +40,7 @@ from . import deterministic
 from ._search import scan_golden_max
 from .model import ConvergenceError, GameConfig, MinerParams, RewardModel, SolverError, others_load
 
-__all__ = ["BestResponse", "bisect_threshold", "scan_strategy", "alternate"]
+__all__ = ["BestResponse"]
 
 U_FLOOR = -1e9
 BISECT_TOL = 1e-6

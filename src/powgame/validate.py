@@ -32,7 +32,6 @@ __all__ = [
     "empirical_utilities",
     "empirical_violation",
     "discrete_worstcase_violation",
-    "two_point_atoms",
 ]
 
 DISTRIBUTIONS = ("gaussian", "uniform", "poisson_shifted", "two_point")

@@ -35,6 +35,33 @@ def test_quadratic_coefficient_hand_value():
     assert coeffs.A == pytest.approx(-1500.0)
 
 
+BAD_EPSILON = r"epsilon must be in \(0,1\)"
+BAD_STEP_INPUTS = {  # id -> (call, message of its ValueError)
+    "coefficients-alpha-0": (
+        lambda: BtiCoefficients.from_strategy(0.0, 0.0, 110.0, _params(), REWARD), "alpha > 0"),
+    "threshold-no-rival-load": (
+        lambda: subproblem_threshold_gaussian(0.5, 0.0, _params(), REWARD, 0.1), "rivals' load"),
+    "strategy-no-rival-load": (
+        lambda: subproblem_strategy_gaussian(0.0, 0.5, 0.0, _params(), REWARD, 0.5, 0.1),
+        "rivals' load"),
+    "threshold-epsilon-1": (
+        lambda: subproblem_threshold_gaussian(0.5, 110.0, _params(), REWARD, 1.0), BAD_EPSILON),
+    "strategy-epsilon-0": (
+        lambda: subproblem_strategy_gaussian(0.0, 0.5, 110.0, _params(), REWARD, 0.5, 0.0),
+        BAD_EPSILON),
+    "constraint-value-epsilon-nan": (
+        lambda: bti_constraint_value(
+            BtiCoefficients.from_strategy(0.5, 0.0, 110.0, _params(), REWARD), math.nan),
+        BAD_EPSILON),
+}
+
+
+@pytest.mark.parametrize("call, message", BAD_STEP_INPUTS.values(), ids=BAD_STEP_INPUTS)
+def test_bad_step_inputs_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_f_matches_negated_loss():
     # f(e) must equal -L(mu_bar + sigma e) as an algebraic identity
     rng = np.random.default_rng(30)

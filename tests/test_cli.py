@@ -307,6 +307,10 @@ BAD_SWEEP_VALUES = [  # (axis, --values): each value the game rejects, or a frac
     ("num_miners", "nan"),
     ("num_miners", "3.7"),
     ("num_miners", "5,1"),
+    # counts above MAX_MINERS are refused before any miner tuple is built
+    ("num_miners", "1e19"),
+    ("num_miners", "1001"),
+    ("epsilon", "0.1,abc"),  # not a number
 ]
 
 
@@ -329,9 +333,18 @@ def test_sweep_rejects_bad_values_before_solving(tmp_path, capsys, monkeypatch, 
     )
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("config error: --values: ") and err.count("\n") == 1
+    assert err.startswith(f"config error: --values: {axis}") and err.count("\n") == 1
     assert solved == []
     assert not out.exists()
+
+
+def test_sweep_refuses_an_unknown_axis_or_no_values(tmp_path):
+    scenario = scenario_from_dict(dict(REFERENCE_DOC, mode="det"))
+    with pytest.raises(ScenarioError, match="unknown sweep axis 'sigma'"):
+        cli.run_sweep(scenario, "sigma", [1.0], tmp_path / "out")
+    with pytest.raises(ScenarioError, match="at least one axis value"):
+        cli.run_sweep(scenario, "epsilon", [], tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_outputs(tmp_path):
@@ -387,6 +400,26 @@ def test_validate_refuses_a_sample_count_before_solving(tmp_path, capsys, monkey
     assert solves == []
 
 
+def test_validate_reports_a_batch_numpy_refuses(tmp_path, capsys, monkeypatch):
+    # a count numpy can hold as one empty array may still fail in the sampler
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(cli, "sample_uncertainty", refuse)
+    config = write_config(tmp_path, dict(REFERENCE_DOC, mode="det"))
+    assert main(["validate", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: field 'validation.samples': 500: Unable to allocate\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_unreadable_config_exits_1(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["solve", "--config", str(missing), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config {missing}: ") and err.count("\n") == 1
+
+
 def test_mode_override_flag(tmp_path):
     config = write_config(tmp_path)
     out = tmp_path / "out"
@@ -432,6 +465,9 @@ MALFORMED = [  # (id, document, text stderr must contain, verbs)
     ("sigma0-bti", dict(REFERENCE_DOC, sigma=0.0, mode="bti"), "'sigma'", None),
     ("sigma0-one-miner-cvar", dict(REFERENCE_DOC, sigma=[10.0, 10.0, 0.0, 10.0, 10.0], mode="cvar"),
      "'sigma'", None),
+    # validate samples the perturbation, so it needs sigma > 0 in det mode too
+    ("sigma0-det", dict(REFERENCE_DOC, miners=3, sigma=0.0, mode="det"),
+     "field 'sigma': validate needs sigma > 0", ("validate",)),
     # non-finite numbers: NaN made the robust threshold search loop forever
     ("cost-nan-det", dict(REFERENCE_DOC, miners=3, unit_cost=math.nan, mode="det"), "", None),
     ("reward-nan-det", dict(REFERENCE_DOC, reward={"fixed_reward": math.nan}, mode="det"), "", None),
@@ -442,6 +478,9 @@ MALFORMED = [  # (id, document, text stderr must contain, verbs)
     ("initial-alpha-infinity-det", dict(REFERENCE_DOC, initial_alpha=math.inf, mode="det"),
      "'initial_alpha'", None),
     ("miners-1e400-det", '{"miners": 1e400, "mode": "det"}', "'miners'", None),
+    # counts above MAX_MINERS are refused before any per-miner list is built
+    ("miners-1e19-det", dict(REFERENCE_DOC, miners=1e19, mode="det"), "'miners'", None),
+    ("miners-1001-det", dict(REFERENCE_DOC, miners=1001, mode="det"), "'miners'", None),
     ("cost-400-digits-det", dict(REFERENCE_DOC, unit_cost=10**400, mode="det"), "'unit_cost'", None),
     ("sigma-1e200-det", dict(REFERENCE_DOC, sigma=1e200, mode="det"), "'sigma'", None),
     # a det solve needs no samples; numpy cannot draw Poisson(sigma^2) this large

@@ -56,6 +56,8 @@ def test_game_config_invariants():
         make_config(epsilon=1.0)
     with pytest.raises(ValueError):
         make_config(kappa=0.0)
+    with pytest.raises(ValueError, match="max_iterations"):
+        make_config(max_iterations=0)
 
 
 def test_hash_power_symmetric_cases():

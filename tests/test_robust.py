@@ -123,6 +123,24 @@ def test_threshold_step_brackets_a_root_at_either_end():
         assert len(calls) <= 8, root
 
 
+def test_threshold_step_bisects_through_overflowing_margins():
+    # margins that overflow to +-inf away from the root leave false position
+    # no point (inf / inf), so the bracket bisects there; the threshold is
+    # still the plain bisection's float
+    params = MinerParams(x_hat=55.0, sigma2=100.0)
+    reward = RewardModel()
+    seen = []
+
+    def margin(u):
+        value = (-123.5 - u) * 1e306  # +-inf once |u + 123.5| > ~180
+        seen.append(value)
+        return value
+
+    expected = plain_bisect_threshold(lambda u: margin(u) >= 0.0, params, reward)
+    assert math.inf in seen and -math.inf in seen
+    assert robust.bisect_threshold(margin, params, reward) == expected
+
+
 def test_threshold_step_evaluates_every_probe_where_the_sign_is_unreliable():
     # within its rounding error of the root an evaluated margin may take
     # either sign.  Model that as a margin whose sign is arbitrary (a hash of
