@@ -27,7 +27,7 @@ import numpy as np
 
 from .equilibrium import MODES, EquilibriumResult, solve_equilibrium
 from .model import ConvergenceError, GameConfig, MinerParams, RewardModel, SolverError
-from .validate import DISTRIBUTIONS, POISSON_LAM_MAX, empirical_violation, sample_uncertainty
+from .validate import DISTRIBUTIONS, POISSON_LAM_MAX, _stream, empirical_violation, sample_uncertainty
 
 __all__ = [
     "Scenario",
@@ -101,6 +101,20 @@ def _names(field, kind, selector, known, hint, aliases=None) -> tuple[str, ...]:
     return tuple(names)
 
 
+SCENARIO_KEYS = (  # what the top level of a scenario may hold; "name" is a label
+    "name", "miners", "seed", "resources", "reward", "unit_cost", "mu", "sigma", "x_min", "x_max",
+    "tau0", "epsilon", "kappa", "max_iterations", "initial_alpha", "mode", "validation",
+)
+
+
+def _known_keys(field, obj, keys):
+    """Refuse the first key of ``obj`` not in ``keys``, so a misspelling is
+    an error rather than a silent default; ``field`` prefixes its name."""
+    for key in obj:
+        if key not in keys:  # raises rather than _require, as _number does
+            raise ScenarioError(f"field '{field}{key}': unknown key (expected one of {', '.join(keys)})")
+
+
 def _resolve_modes(selector) -> tuple[str, ...]:
     """A mode name, "all", or a non-empty list of distinct mode names."""
     if selector == "all":
@@ -147,8 +161,10 @@ def _per_miner(raw, count, field):
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    """Build a Scenario from a parsed JSON document (reference defaults built in)."""
+    """Build a Scenario from a parsed JSON document (reference defaults built in);
+    a key the format does not know is a ScenarioError naming it."""
     _require(isinstance(doc, dict), "top-level document must be a JSON object")
+    _known_keys("", doc, SCENARIO_KEYS)
     try:  # reads every field, so a wrong type or range is a ScenarioError
         count = _miner_count("miners", doc.get("miners", 5))
         seed = _number("seed", doc.get("seed", 0), whole=True)
@@ -156,15 +172,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
         resources = doc.get("resources", {"mode": "homogeneous", "x_hat": 55.0})
         _require(isinstance(resources, dict) and "mode" in resources, "field 'resources': need a mode")
         if resources["mode"] == "homogeneous":
+            _known_keys("resources.", resources, ("mode", "x_hat"))
             x_hats = [_number("resources.x_hat", resources.get("x_hat", 55.0))] * count
         elif resources["mode"] == "heterogeneous":
+            _known_keys("resources.", resources, ("mode", "lo", "hi"))
             lo = _number("resources.lo", resources.get("lo", 30.0))
             hi = _number("resources.hi", resources.get("hi", 60.0))
             _require(0 < lo < hi, "field 'resources': need 0 < lo < hi")
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(entropy=seed & 0xFFFFFFFF, spawn_key=(0xFEED,)))
-            )
-            x_hats = [float(v) for v in rng.uniform(lo, hi, size=count)]
+            x_hats = [float(v) for v in _stream(seed, 0xFEED).uniform(lo, hi, size=count)]
         else:
             raise ScenarioError(
                 f"field 'resources.mode': expected homogeneous|heterogeneous, got {resources['mode']!r}"
@@ -172,6 +187,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
         reward_doc = doc.get("reward", {})
         _require(isinstance(reward_doc, dict), "field 'reward': expected an object")
+        _known_keys("reward.", reward_doc, ("fixed_reward", "unit_tx_reward", "tx_count"))
         reward = RewardModel(
             fixed_reward=_number("reward.fixed_reward", reward_doc.get("fixed_reward", 5000.0)),
             unit_tx_reward=_number("reward.unit_tx_reward", reward_doc.get("unit_tx_reward", 10.0)),
@@ -204,6 +220,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
         validation = doc.get("validation", {})
         _require(isinstance(validation, dict), "field 'validation': expected an object")
+        _known_keys("validation.", validation, ("distributions", "samples", "clamp"))
         distributions = _names(
             "validation.distributions",
             "distribution",

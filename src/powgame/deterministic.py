@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .model import GameConfig, SolverError
+from .model import GameConfig, SolverError, others_load
 
 __all__ = ["best_response"]
 
@@ -33,10 +31,11 @@ def best_response_interior(load: float, x_j: float, cost_j: float, reward_total:
 def best_response(j: int, profile, config: GameConfig) -> float:
     """Miner j's utility-maximizing alpha in [tau0, 1] against the given profile.
 
-    ``profile`` is the full strategy vector; entry j is ignored.
+    ``profile`` is the full strategy vector, validated as ``others_load``
+    validates it: every entry, j's included, must lie in (0, 1], though
+    entry j does not enter the rivals' load.
     """
     x = config.nominal_resources()
-    a = np.asarray(profile, dtype=float)
-    load = float(np.dot(a, x) - a[j] * x[j])
+    load = others_load(j, profile, x)
     raw = best_response_interior(load, x[j], config.miners[j].cost, config.reward.total)
     return min(1.0, max(config.tau0, raw))

@@ -15,9 +15,7 @@ and independent of evaluation order.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,11 +42,10 @@ TWO_POINT_P_GRID = np.linspace(0.005, 0.995, 199)
 POISSON_LAM_MAX = np.iinfo(np.int64).max - math.sqrt(np.iinfo(np.int64).max) * 10.0
 
 
-def _stream(seed: int, miner_index: int, distribution: str) -> np.random.Generator:
-    seq = np.random.SeedSequence(
-        entropy=int(seed) & 0xFFFFFFFF,
-        spawn_key=(int(miner_index), _DIST_CODE[distribution]),
-    )
+def _stream(seed: int, *spawn_key: int) -> np.random.Generator:
+    """Philox stream of ``seed``'s low 32 bits under ``spawn_key``: (miner,
+    distribution code) for a batch, (0xFEED,) for the scenario's x_hat draw."""
+    seq = np.random.SeedSequence(entropy=int(seed) & 0xFFFFFFFF, spawn_key=spawn_key)
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -60,17 +57,16 @@ class SampleBatch:
     two-atom batch (poisson_shifted, two_point) holds each value that
     occurs once, with the number of draws that took it; a continuous batch
     (gaussian, uniform) holds every draw as its own value and ``counts`` is
-    None.  ``draws``, the draws in sampling order, is built on first read.
+    None.  ``draws`` is ``values`` repeated by ``counts``, grouped by value.
     """
 
     n: int
     values: np.ndarray
     counts: np.ndarray | None
-    _expand: Callable[[], np.ndarray] | None = field(default=None, repr=False)
 
-    @cached_property
+    @property
     def draws(self) -> np.ndarray:
-        return self.values if self._expand is None else self._expand()
+        return self.values if self.counts is None else np.repeat(self.values, self.counts)
 
 
 def two_point_atoms(mu, sigma2, p):
@@ -107,9 +103,9 @@ def sample_uncertainty(
         raise ValueError("sampling needs positive variance")
     if n < 1:
         raise ValueError("need at least one draw")
-    rng = _stream(seed, miner_index, distribution)
+    rng = _stream(seed, miner_index, _DIST_CODE[distribution])
     s = math.sqrt(sigma2)
-    counts = expand = None
+    counts = None
     if distribution == "gaussian":
         values = rng.normal(mu, s, size=n)
     elif distribution == "uniform":
@@ -127,15 +123,13 @@ def sample_uncertainty(
         else:  # a lattice wider than the batch: sort rather than tally
             ints, counts = np.unique(k, return_counts=True)
         values = ints.astype(float) - lam + mu
-        expand = lambda: k.astype(float) - lam + mu
     else:
         hi, lo = two_point_atoms(mu, sigma2, 0.5)
         high = rng.random(n) < 0.5
         n_high = np.count_nonzero(high)
         counts = np.array([n_high, n - n_high])
         values, counts = np.array([hi, lo])[counts > 0], counts[counts > 0]
-        expand = lambda: np.where(high, hi, lo)
-    return SampleBatch(n, values, counts, _expand=expand)
+    return SampleBatch(n, values, counts)
 
 
 @dataclass(frozen=True, eq=False)

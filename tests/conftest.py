@@ -24,7 +24,11 @@ the closed-form square root of the moment matrix (``sqrt_moment_matrix``)
 and the eigendecomposition route to the trace-minimal CVaR certificate
 (``eigh_certificate``).  Monte Carlo scoring draw by draw, over the whole
 array (``full_array_violation``), is the oracle for ``empirical_violation``,
-which scores each distinct value of a batch once.
+which scores each distinct value of a batch once.  The exact violation
+oracles price a miner's loss at an equilibrium: the supremum over every law
+with the miner's mean and variance in closed form
+(``exact_worstcase_violation``, checked against ``atom_search_violation``)
+and the Gaussian violation (``exact_gaussian_violation``).
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from powgame._search import _INV_PHI
 from powgame.model import SolverError, _as_arrays, _check_index, others_load
 from powgame.robust import BISECT_TOL, U_FLOOR
 from powgame.validate import (
+    _DIST_CODE,
     HISTOGRAM_BINS,
     SampleBatch,
     ViolationReport,
@@ -525,8 +530,84 @@ def two_point_batch(mu, sigma2, n, p, seed, miner_index=0) -> SampleBatch:
     the rest of the moment-matched two-point family.
     """
     hi, lo = two_point_atoms(mu, sigma2, p)
-    high = _stream(seed, miner_index, "two_point").random(n) < p
-    n_high = np.count_nonzero(high)
+    n_high = np.count_nonzero(_stream(seed, miner_index, _DIST_CODE["two_point"]).random(n) < p)
     counts = np.array([n_high, n - n_high])
     values, counts = np.array([hi, lo])[counts > 0], counts[counts > 0]
-    return SampleBatch(n, values, counts, _expand=lambda: np.where(high, hi, lo))
+    return SampleBatch(n, values, counts)
+
+
+def loss_roots(coeffs: LossCoefficients):
+    """Roots r1 <= r2 of the convex loss a2 x^2 + a1 x + a0, or None when it has
+    none and the loss is positive everywhere (the cancellation-free formula)."""
+    disc = coeffs.a1 * coeffs.a1 - 4.0 * coeffs.a2 * coeffs.a0
+    if disc < 0.0:
+        return None
+    q = -0.5 * (coeffs.a1 + math.copysign(math.sqrt(disc), coeffs.a1))
+    return tuple(sorted((q / coeffs.a2, coeffs.a0 / q)))
+
+
+def mean_variance_violation(m, sigma2, r1, r2):
+    """sup Pr[X outside (r1, r2)] over every law of X with mean m and variance sigma2.
+
+    With a <= b the mean's distances to r1 and r2: 1 when sigma2 >= a b;
+    Cantelli's one-sided sigma2 / (sigma2 + a^2) when its partner atom, at
+    distance sigma2 / a beyond the mean, leaves room, a (b - a) >= 2 sigma2;
+    otherwise Selberg's three-atom (4 sigma2 + (b - a)^2) / (a + b)^2
+    (Vandenberghe, Boyd & Comanor, SIAM Rev. 2007).
+    """
+    if not r1 < m < r2:
+        return 1.0
+    a, b = sorted((m - r1, r2 - m))
+    if sigma2 >= a * b:
+        return 1.0
+    if a * (b - a) >= 2.0 * sigma2:
+        return sigma2 / (sigma2 + a * a)
+    return (4.0 * sigma2 + (b - a) ** 2) / (a + b) ** 2
+
+
+def atom_search_violation(m, sigma2, r1, r2):
+    """The largest Pr[X outside (r1, r2)] found over discrete laws with mean m
+    and variance sigma2, an atom on a root counting as outside (the limit of
+    atoms just beyond it): every two-atom law with one atom on a grid point,
+    and every three-atom law with atoms on both roots and a grid point, each
+    law's weights solved from its moment equations.  The grid spans [r1, r2]
+    in 100 steps, roots and midpoint included, and reaches beyond both roots.
+    """
+    lo, hi = r1 - m, r2 - m  # positions relative to the mean
+    beyond = (hi - lo) * np.geomspace(1e-3, 1e3, 21)
+    grid = np.concatenate([np.linspace(lo, hi, 101), lo - beyond, hi + beyond])
+
+    def outside(x):
+        return (x <= lo) | (x >= hi)
+
+    g = grid[grid != 0.0]  # two atoms: g and the partner that fixes mean and variance
+    h = -sigma2 / g
+    w = h / (h - g)
+    best = float(np.max(w * outside(g) + (1.0 - w) * outside(h)))
+    y = grid[(grid != lo) & (grid != hi)]  # three atoms: both roots and y
+    system = np.empty((len(y), 3, 3))
+    system[:, :, 0] = [1.0, lo, lo * lo]
+    system[:, :, 1] = np.stack([np.ones_like(y), y, y * y], axis=1)
+    system[:, :, 2] = [1.0, hi, hi * hi]
+    moments = np.broadcast_to([1.0, 0.0, sigma2], (len(y), 3))
+    weights = np.linalg.solve(system, moments[..., None])[..., 0]
+    valid = np.all(weights >= 0.0, axis=1)
+    if np.any(valid):
+        mass = weights[:, 0] + weights[:, 2] + weights[:, 1] * outside(y)
+        best = max(best, float(np.max(mass[valid])))
+    return best
+
+
+def exact_worstcase_violation(coeffs: LossCoefficients, m, sigma2):
+    """sup Pr[L(X) > 0] over every law of X with mean m and variance sigma2."""
+    roots = loss_roots(coeffs)
+    return 1.0 if roots is None else mean_variance_violation(m, sigma2, *roots)
+
+
+def exact_gaussian_violation(coeffs: LossCoefficients, m, sigma2):
+    """Pr[L(X) > 0] for X ~ N(m, sigma2): Phi(z1) + 1 - Phi(z2) at the roots' z-scores."""
+    roots = loss_roots(coeffs)
+    if roots is None:
+        return 1.0
+    s = math.sqrt(2.0 * sigma2)
+    return 0.5 * math.erfc((m - roots[0]) / s) + 0.5 * math.erfc((roots[1] - m) / s)

@@ -489,6 +489,18 @@ MALFORMED = [  # (id, document, text stderr must contain, verbs)
     # numpy refuses a batch this large at once (7.11 PiB of float64)
     ("samples-1e15-det", dict(REFERENCE_DOC, mode="det", validation={"samples": 10**15}),
      "'validation.samples'", ("validate",)),
+    # a misspelled key was ignored: epsilom ran at the default epsilon 0.1,
+    # fixed_rewad at the default 5000
+    ("unknown-key-det", {"miners": 3, "epsilom": 0.05, "mode": "det"}, "'epsilom': unknown key", None),
+    ("unknown-reward-key", dict(REFERENCE_DOC, reward={"fixed_rewad": 1.0}),
+     "'reward.fixed_rewad': unknown key", None),
+    ("unknown-resources-key", dict(REFERENCE_DOC, resources={"mode": "homogeneous", "xhat": 40.0}),
+     "'resources.xhat': unknown key", None),
+    # lo and hi bound the heterogeneous draw; a homogeneous scenario has none
+    ("resources-key-of-other-mode", dict(REFERENCE_DOC, resources={"mode": "homogeneous", "lo": 30.0}),
+     "'resources.lo': unknown key", None),
+    ("unknown-validation-key", dict(REFERENCE_DOC, validation={"sample": 10}),
+     "'validation.sample': unknown key", None),
 ]
 
 

@@ -702,7 +702,10 @@ def test_scan_with_a_ceiling_matches_the_exact_scan(name):
 
         return wrapper
 
-    for lo, hi, step in ((0.1, 1.0, 0.0225), (0.5, 1.0, 0.0125), (0.05, 1.0, 0.02375)):
+    # the last two are empty ranges, where both return (lo, f(lo))
+    ranges = ((0.1, 1.0, 0.0225), (0.5, 1.0, 0.0125), (0.05, 1.0, 0.02375),
+              (1.0, 1.0, 0.0125), (0.9, 0.4, 0.02))
+    for lo, hi, step in ranges:
         exact_calls, calls = [], []
         expected = grid_scan_max(logged(exact_calls), lo, hi, step, 1e-6)
         # repr, so that NaN matches NaN

@@ -63,6 +63,16 @@ def test_best_response_matches_grid_oracle():
         assert ours == pytest.approx(oracle, abs=1e-5)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), 0.0, -0.5, 2.0])
+def test_best_response_rejects_an_alpha_outside_the_box(bad):
+    # the whole profile is validated as others_load validates it: a rival's
+    # bad alpha is not a silent load, and entry j must be an alpha too
+    config = make_config(n=3, x_hat=55.0, sigma=0.0)
+    for profile in ([0.6, bad, 0.6], [bad, 0.6, 0.6]):
+        with pytest.raises(ValueError, match=r"alphas must be in \(0,1\]"):
+            best_response(0, profile, config)
+
+
 def test_best_response_degenerate_load():
     with pytest.raises(SolverError):
         best_response_interior(0.0, 50.0, 60.0, 8000.0)

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from powgame import cli
+from powgame.validate import DISTRIBUTIONS
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
@@ -37,6 +38,21 @@ def _powgame_namespaces():
         for name, module in sys.modules.items()
         if name == "powgame" or name.startswith("powgame.")
     }
+
+
+def _run_traced(tmp_path, doc, *argv):
+    """The tracer installed around one ``cli.main`` call on ``doc``, which must exit 0."""
+    tracing = _load_tracer_module()
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        out = str(tmp_path / "out")
+        assert cli.main([argv[0], "--config", str(config), "--out", out, *argv[1:]]) == 0
+    finally:
+        tracer.uninstall()
+    return tracer
 
 
 def test_tracer_binds_the_solver_spans(tmp_path):
@@ -90,16 +106,33 @@ def test_tracer_binds_the_solver_spans(tmp_path):
 def test_each_strategy_step_runs_one_scan(tmp_path, mode, strategy):
     # traced one back-end at a time, so neither can route around the scan
     # while the other's calls make up the count
-    tracing = _load_tracer_module()
-    config = tmp_path / "scenario.json"
-    config.write_text(json.dumps(SCENARIO), encoding="utf-8")
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        out = str(tmp_path / mode)
-        assert cli.main(["solve", "--config", str(config), "--mode", mode, "--out", out]) == 0
-    finally:
-        tracer.uninstall()
-    stats = tracer.layer_stats()
+    stats = _run_traced(tmp_path, SCENARIO, "solve", "--mode", mode).layer_stats()
     assert stats[strategy][0] > 0
     assert stats["search.scan_golden_max"][0] == stats[strategy][0]
+
+
+def _assert_spans(stats, names):
+    for name in names:
+        assert stats[name][0] > 0 and stats[name][1] > 0.0, name
+
+
+def test_tracer_counts_a_validate_run(tmp_path):
+    # the validate-mc workload's path: its sample hook reads each batch
+    doc = dict(SCENARIO, validation={"distributions": list(DISTRIBUTIONS), "samples": 200})
+    tracer = _run_traced(tmp_path, doc, "validate", "--mode", "bti")
+    stats = tracer.layer_stats()
+    _assert_spans(stats, ["cli.load_scenario", "cli.run_validate", "equilibrium.solve_equilibrium",
+                          "bti.robust_best_response_gaussian", "validate.sample_uncertainty",
+                          "validate.empirical_violation"])
+    assert stats["validate.sample_uncertainty"][0] == 3 * len(DISTRIBUTIONS)
+    assert tracer.metrics(0.0)["validate.samples_drawn"][0] == 3 * 4 * 200
+
+
+def test_tracer_counts_a_sweep_run(tmp_path):
+    tracer = _run_traced(tmp_path, SCENARIO, "sweep", "--mode", "bti", "--axis", "epsilon",
+                         "--values", "0.05,0.1")
+    stats = tracer.layer_stats()
+    _assert_spans(stats, ["cli.load_scenario", "cli.run_sweep", "equilibrium.solve_equilibrium",
+                          "bti.robust_best_response_gaussian", "bti.subproblem_strategy_gaussian"])
+    assert stats["equilibrium.solve_equilibrium"][0] == 2
+    assert tracer.metrics(0.0)["equilibrium.gs_sweeps_per_solve"][0] > 0

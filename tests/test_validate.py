@@ -1,6 +1,8 @@
-"""Tests for Monte Carlo validation and the analytic two-point oracle."""
+"""Tests for Monte Carlo validation, the analytic two-point oracle and the
+exact violation oracles of ``conftest``."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +14,20 @@ from powgame import (
     sample_uncertainty,
     solve_equilibrium,
 )
-from powgame import cli, validate
+from powgame import LossCoefficients, cli, others_load, validate
 from powgame.validate import DISTRIBUTIONS, binomial_slack, two_point_atoms
 
-from conftest import full_array_violation, make_config, two_point_batch
+from conftest import (
+    atom_search_violation,
+    exact_gaussian_violation,
+    exact_worstcase_violation,
+    full_array_violation,
+    make_config,
+    mean_variance_violation,
+    two_point_batch,
+)
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 def test_two_point_atoms_exact_moments():
@@ -53,7 +65,8 @@ def test_poisson_shifted_construction():
 
 
 def test_draws_replay_the_seeded_stream():
-    # draws are the generator's output in order, whatever the batch holds
+    # a continuous batch is the generator's output in order; a discrete one
+    # holds the same multiset of draws, grouped by value
     mu, sigma2, n, seed, j = 2.5, 90.0, 5000, 12, 3
     s = math.sqrt(sigma2)
     half = math.sqrt(3.0) * s
@@ -66,20 +79,21 @@ def test_draws_replay_the_seeded_stream():
     }
     for dist in DISTRIBUTIONS:
         batch = sample_uncertainty(dist, mu, sigma2, n, seed=seed, miner_index=j)
-        expected = replay[dist](validate._stream(seed, j, dist))
-        assert batch.draws.dtype == expected.dtype and np.array_equal(batch.draws, expected)
+        expected = replay[dist](validate._stream(seed, j, validate._DIST_CODE[dist]))
+        assert batch.draws.dtype == expected.dtype and len(batch.draws) == batch.n == n
         if dist == "two_point":  # the test helper that draws other p agrees at p = 1/2
             built = two_point_batch(mu, sigma2, n, 0.5, seed=seed, miner_index=j)
             assert np.array_equal(built.values, batch.values)
             assert np.array_equal(built.counts, batch.counts)
             assert np.array_equal(built.draws, batch.draws)
-        assert batch.n == n
-        if batch.counts is None:  # continuous: every draw is its own value
+        if batch.counts is None:  # continuous: every draw is its own value, in order
             assert dist in ("gaussian", "uniform") and batch.values is batch.draws
+            assert np.array_equal(batch.draws, expected)
         else:  # discrete: each value once, with its count
             assert len(np.unique(batch.values)) == len(batch.values)
             assert np.all(batch.counts > 0) and int(batch.counts.sum()) == n
-            assert np.array_equal(np.sort(np.repeat(batch.values, batch.counts)), np.sort(expected))
+            assert np.array_equal(batch.draws, np.repeat(batch.values, batch.counts))
+            assert np.array_equal(np.sort(batch.draws), np.sort(expected))
 
 
 def test_sampling_is_reproducible_and_order_independent():
@@ -155,6 +169,57 @@ def test_discrete_worstcase_flags_infeasible_solution(reference_config):
     inflated = [v + 0.1 * abs(v) for v in u]
     worst_bad = discrete_worstcase_violation(result.alphas, inflated, reference_config)
     assert worst_bad > reference_config.epsilon
+
+
+def test_mean_variance_violation_matches_an_atom_search():
+    # the closed form against a search of two- and three-atom laws, on seeded
+    # intervals hitting each branch: sigma2 >= a b, Cantelli's, Selberg's.
+    # The search grid holds each optimal atom up to rounding, so the two agree
+    # to TOL; no law found may exceed the supremum by more than rounding.
+    TOL = 1e-12
+    rng = np.random.default_rng(2026)
+    branches = [0, 0, 0]
+    for _ in range(3000):
+        m = float(rng.uniform(-50.0, 100.0))
+        d1, d2 = np.exp(rng.uniform(math.log(0.5), math.log(50.0), 2)).tolist()
+        a, b = sorted((d1, d2))
+        sigma2 = a * b * float(rng.uniform(0.0, 1.3))
+        branches[0 if sigma2 >= a * b else 1 if a * (b - a) >= 2.0 * sigma2 else 2] += 1
+        exact = mean_variance_violation(m, sigma2, m - d1, m + d2)
+        found = atom_search_violation(m, sigma2, m - d1, m + d2)
+        assert abs(exact - found) <= TOL, (m, sigma2, d1, d2, exact, found)
+    assert min(branches) >= 500, branches
+
+
+def _violations(result, config, violation):
+    """``violation`` of each miner's loss at the equilibrium ``result``."""
+    x = config.nominal_resources()
+    out = []
+    for j, params in enumerate(config.miners):
+        coeffs = LossCoefficients.from_strategy(
+            result.alphas[j], result.u_mins[j], others_load(j, result.alphas, x), params.cost,
+            config.reward.total,
+        )
+        out.append(violation(coeffs, params.nominal, params.sigma2))
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_equilibria_under_the_exact_violation_oracles(path):
+    config = cli.load_scenario(path).config
+    eps = config.epsilon
+    # cvar: the certificate is exact, so the worst case over every law with
+    # the miner's mean and variance sits on epsilon (about 1e-10 below it)
+    cvar = solve_equilibrium(config, "dro_cvar")
+    worst = _violations(cvar, config, exact_worstcase_violation)
+    assert all(eps - 1e-7 <= p <= eps + 1e-12 for p in worst), worst
+    assert discrete_worstcase_violation(cvar.alphas, cvar.u_mins, config) <= max(worst) + 1e-12
+    # bti: the Bernstein bound is conservative for the Gaussian it assumes
+    bti = solve_equilibrium(config, "gaussian_bti")
+    gaussian = _violations(bti, config, exact_gaussian_violation)
+    assert all(p <= eps for p in gaussian), gaussian
+    worst = _violations(bti, config, exact_worstcase_violation)
+    assert discrete_worstcase_violation(bti.alphas, bti.u_mins, config) <= max(worst) + 1e-12
 
 
 def test_cvar_guarantee_holds_for_whole_sampled_family(reference_config):
@@ -245,7 +310,8 @@ def test_validate_scores_each_distinct_value_once(tmp_path, monkeypatch):
     assert len(sizes) == config.n_miners * len(DISTRIBUTIONS)  # one mode
     for j in range(config.n_miners):
         by_dist = dict(zip(DISTRIBUTIONS, sizes[4 * j : 4 * j + 4]))
-        k = validate._stream(seed, j, "poisson_shifted").poisson(config.miners[j].sigma2, size=samples)
+        rng = validate._stream(seed, j, validate._DIST_CODE["poisson_shifted"])
+        k = rng.poisson(config.miners[j].sigma2, size=samples)
         assert by_dist["poisson_shifted"] <= k.max() - k.min() + 1 < samples
         assert by_dist["two_point"] <= 2
         assert by_dist["gaussian"] == by_dist["uniform"] == samples
