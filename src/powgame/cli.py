@@ -256,7 +256,7 @@ def load_scenario(path, seed=None, mode=None) -> Scenario:
     of the document's own; JSON syntax errors keep their line anchors."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read config {path}: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -264,6 +264,8 @@ def load_scenario(path, seed=None, mode=None) -> Scenario:
         raise ScenarioError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ScenarioError(f"{path}: JSON nested too deeply to parse") from exc
     _require(isinstance(doc, dict), "top-level document must be a JSON object")
     for key, override in (("seed", seed), ("mode", mode)):
         if override is not None:
@@ -285,10 +287,13 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header, rows):
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    except OSError as exc:  # e.g. --out names an existing file
+        raise ScenarioError(f"cannot write {path}: {exc}") from exc
 
 
 def _solve_mode(scenario: Scenario, mode: str) -> EquilibriumResult:

@@ -3,9 +3,9 @@
 Solutions are stress-tested by sampling the resource perturbation from
 moment-matched distributions (same mean and variance, different shapes),
 recomputing the realized utilities, and counting how often they fall below
-the certified threshold.  A two-point family evaluated in closed form is an
-analytic probe: its violation probability is exact, atom by atom, and
-independent of any solver internals, but it covers two-point laws only.
+the certified threshold.  The guarantee itself is checked exactly, free of
+solver internals: the worst-case violation probability over every law with a
+miner's mean and variance, in closed form at the roots of the miner's loss.
 
 Sampling uses the counter-based Philox generator; each (seed, miner,
 distribution) triple hashes to its own stream, so batches are reproducible
@@ -36,7 +36,6 @@ DISTRIBUTIONS = ("gaussian", "uniform", "poisson_shifted", "two_point")
 _DIST_CODE = {name: k for k, name in enumerate(DISTRIBUTIONS)}
 HISTOGRAM_BINS = 40
 SLACK_SIGMAS = 3.0  # binomial slack width for pass/fail at finite sample size
-TWO_POINT_P_GRID = np.linspace(0.005, 0.995, 199)
 # the largest lambda numpy's Generator.poisson accepts; poisson_shifted draws
 # Poisson(sigma2), so a larger variance cannot be sampled
 POISSON_LAM_MAX = np.iinfo(np.int64).max - math.sqrt(np.iinfo(np.int64).max) * 10.0
@@ -67,18 +66,6 @@ class SampleBatch:
     @property
     def draws(self) -> np.ndarray:
         return self.values if self.counts is None else np.repeat(self.values, self.counts)
-
-
-def two_point_atoms(mu, sigma2, p):
-    """Atoms (high, low) of the two-point distribution matching (mu, sigma2).
-
-    High atom mu + s*sqrt((1-p)/p) with probability p, low atom
-    mu - s*sqrt(p/(1-p)) with probability 1-p; moments match exactly.
-    """
-    if not 0 < p < 1:
-        raise ValueError(f"two-point probability must be in (0,1), got {p}")
-    s = math.sqrt(sigma2)
-    return mu + s * math.sqrt((1 - p) / p), mu - s * math.sqrt(p / (1 - p))
 
 
 def sample_uncertainty(
@@ -124,11 +111,9 @@ def sample_uncertainty(
             ints, counts = np.unique(k, return_counts=True)
         values = ints.astype(float) - lam + mu
     else:
-        hi, lo = two_point_atoms(mu, sigma2, 0.5)
-        high = rng.random(n) < 0.5
-        n_high = np.count_nonzero(high)
+        n_high = np.count_nonzero(rng.random(n) < 0.5)
         counts = np.array([n_high, n - n_high])
-        values, counts = np.array([hi, lo])[counts > 0], counts[counts > 0]
+        values, counts = np.array([mu + s, mu - s])[counts > 0], counts[counts > 0]
     return SampleBatch(n, values, counts)
 
 
@@ -209,29 +194,44 @@ def empirical_violation(
     )
 
 
-def discrete_worstcase_violation(alphas, u_mins, config: GameConfig) -> float:
-    """Exact violation probability maximized over the two-point family.
+def _loss_roots(coeffs: LossCoefficients):
+    """Roots r1 < r2 of the convex loss a2 x^2 + a1 x + a0, found without
+    cancellation, or None when the loss is positive at all but one point."""
+    disc = coeffs.a1 * coeffs.a1 - 4.0 * coeffs.a2 * coeffs.a0
+    if disc <= 0.0:
+        return None
+    q = -0.5 * (coeffs.a1 + math.copysign(math.sqrt(disc), coeffs.a1))
+    return tuple(sorted((q / coeffs.a2, coeffs.a0 / q)))
 
-    For every miner and every p on ``TWO_POINT_P_GRID``, place the two
-    moment-matched atoms, evaluate the loss at each atom analytically, and add
-    up the atom probabilities where the loss is positive (utility below
-    threshold).  A certified solution must stay at or below epsilon on the
-    whole family.
+
+def _mean_variance_violation(m, sigma2, roots) -> float:
+    """sup Pr[X outside [r1, r2]] over the laws of X with mean m and variance
+    sigma2, at ``roots`` (r1, r2) or None: with a <= b the mean's distances to
+    the roots, 1 when sigma2 >= a b; Cantelli's sigma2 / (sigma2 + a^2) when its
+    partner atom, sigma2 / a past the mean, leaves room, a (b - a) >= 2 sigma2;
+    else Selberg's (4 sigma2 + (b - a)^2) / (a + b)^2 (Vandenberghe et al. 2007).
     """
+    if roots is None or not roots[0] < m < roots[1]:
+        return 1.0
+    a, b = sorted((m - roots[0], roots[1] - m))
+    if sigma2 >= a * b:
+        return 1.0
+    if a * (b - a) >= 2.0 * sigma2:
+        return sigma2 / (sigma2 + a * a)
+    return (4.0 * sigma2 + (b - a) ** 2) / (a + b) ** 2
+
+
+def discrete_worstcase_violation(alphas, u_mins, config: GameConfig) -> float:
+    """The largest over the miners of sup Pr[loss > 0] (utility below u_min)
+    over every law with the miner's mean and variance; at a dro_cvar solution it
+    sits just below epsilon, the worst-case CVaR bound being tight (Zymler et al. 2013)."""
     a = np.asarray(alphas, dtype=float)
     x = config.nominal_resources()
     worst = 0.0
     for j, params in enumerate(config.miners):
-        load = others_load(j, a, x)
         coeffs = LossCoefficients.from_strategy(
-            a[j], u_mins[j], load, params.cost, config.reward.total
+            a[j], u_mins[j], others_load(j, a, x), params.cost, config.reward.total
         )
-        for p in TWO_POINT_P_GRID:
-            hi, lo = two_point_atoms(params.nominal, params.sigma2, float(p))
-            rate = 0.0
-            if coeffs(hi) > 0.0:
-                rate += p
-            if coeffs(lo) > 0.0:
-                rate += 1.0 - p
-            worst = max(worst, float(rate))
+        rate = _mean_variance_violation(params.nominal, params.sigma2, _loss_roots(coeffs))
+        worst = max(worst, float(rate))
     return worst

@@ -24,11 +24,11 @@ the closed-form square root of the moment matrix (``sqrt_moment_matrix``)
 and the eigendecomposition route to the trace-minimal CVaR certificate
 (``eigh_certificate``).  Monte Carlo scoring draw by draw, over the whole
 array (``full_array_violation``), is the oracle for ``empirical_violation``,
-which scores each distinct value of a batch once.  The exact violation
-oracles price a miner's loss at an equilibrium: the supremum over every law
-with the miner's mean and variance in closed form
-(``exact_worstcase_violation``, checked against ``atom_search_violation``)
-and the Gaussian violation (``exact_gaussian_violation``).
+which scores each distinct value of a batch once.  The two-point family at
+any p (``two_point_atoms``, ``two_point_batch``) extends the sampler's p = 1/2
+law.  ``atom_search_violation`` searches two- and three-atom laws for the
+supremum the closed form of ``validate.discrete_worstcase_violation`` prices,
+and ``exact_gaussian_violation`` prices a miner's loss under the Gaussian law.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ from powgame.validate import (
     HISTOGRAM_BINS,
     SampleBatch,
     ViolationReport,
+    _loss_roots,
     _stream,
     binomial_slack,
-    two_point_atoms,
 )
 
 
@@ -523,6 +523,18 @@ def full_array_violation(alphas, u_min, j, config: GameConfig, draws, clamp=Fals
     )
 
 
+def two_point_atoms(mu, sigma2, p):
+    """Atoms (high, low) of the two-point distribution matching (mu, sigma2).
+
+    High atom mu + s*sqrt((1-p)/p) with probability p, low atom
+    mu - s*sqrt(p/(1-p)) with probability 1-p; moments match exactly.
+    """
+    if not 0 < p < 1:
+        raise ValueError(f"two-point probability must be in (0,1), got {p}")
+    s = math.sqrt(sigma2)
+    return mu + s * math.sqrt((1 - p) / p), mu - s * math.sqrt(p / (1 - p))
+
+
 def two_point_batch(mu, sigma2, n, p, seed, miner_index=0) -> SampleBatch:
     """Seeded two-point batch at any p, drawn from the sampler's stream.
 
@@ -534,35 +546,6 @@ def two_point_batch(mu, sigma2, n, p, seed, miner_index=0) -> SampleBatch:
     counts = np.array([n_high, n - n_high])
     values, counts = np.array([hi, lo])[counts > 0], counts[counts > 0]
     return SampleBatch(n, values, counts)
-
-
-def loss_roots(coeffs: LossCoefficients):
-    """Roots r1 <= r2 of the convex loss a2 x^2 + a1 x + a0, or None when it has
-    none and the loss is positive everywhere (the cancellation-free formula)."""
-    disc = coeffs.a1 * coeffs.a1 - 4.0 * coeffs.a2 * coeffs.a0
-    if disc < 0.0:
-        return None
-    q = -0.5 * (coeffs.a1 + math.copysign(math.sqrt(disc), coeffs.a1))
-    return tuple(sorted((q / coeffs.a2, coeffs.a0 / q)))
-
-
-def mean_variance_violation(m, sigma2, r1, r2):
-    """sup Pr[X outside (r1, r2)] over every law of X with mean m and variance sigma2.
-
-    With a <= b the mean's distances to r1 and r2: 1 when sigma2 >= a b;
-    Cantelli's one-sided sigma2 / (sigma2 + a^2) when its partner atom, at
-    distance sigma2 / a beyond the mean, leaves room, a (b - a) >= 2 sigma2;
-    otherwise Selberg's three-atom (4 sigma2 + (b - a)^2) / (a + b)^2
-    (Vandenberghe, Boyd & Comanor, SIAM Rev. 2007).
-    """
-    if not r1 < m < r2:
-        return 1.0
-    a, b = sorted((m - r1, r2 - m))
-    if sigma2 >= a * b:
-        return 1.0
-    if a * (b - a) >= 2.0 * sigma2:
-        return sigma2 / (sigma2 + a * a)
-    return (4.0 * sigma2 + (b - a) ** 2) / (a + b) ** 2
 
 
 def atom_search_violation(m, sigma2, r1, r2):
@@ -598,15 +581,9 @@ def atom_search_violation(m, sigma2, r1, r2):
     return best
 
 
-def exact_worstcase_violation(coeffs: LossCoefficients, m, sigma2):
-    """sup Pr[L(X) > 0] over every law of X with mean m and variance sigma2."""
-    roots = loss_roots(coeffs)
-    return 1.0 if roots is None else mean_variance_violation(m, sigma2, *roots)
-
-
 def exact_gaussian_violation(coeffs: LossCoefficients, m, sigma2):
     """Pr[L(X) > 0] for X ~ N(m, sigma2): Phi(z1) + 1 - Phi(z2) at the roots' z-scores."""
-    roots = loss_roots(coeffs)
+    roots = _loss_roots(coeffs)
     if roots is None:
         return 1.0
     s = math.sqrt(2.0 * sigma2)

@@ -420,6 +420,32 @@ def test_unreadable_config_exits_1(tmp_path, capsys):
     assert err.startswith(f"config error: cannot read config {missing}: ") and err.count("\n") == 1
 
 
+def test_config_that_is_not_utf8_exits_1(tmp_path, capsys):
+    config = tmp_path / "latin1.json"
+    config.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config {config}: 'utf-8' codec")
+    assert err.count("\n") == 1
+
+
+def test_config_nested_too_deeply_exits_1(tmp_path, capsys):
+    config = write_config(tmp_path, "[" * 100_000 + "]" * 100_000)
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"config error: {config}: JSON nested too deeply to parse\n"
+
+
+@pytest.mark.parametrize("verb", ["solve", "validate"])
+def test_out_naming_a_file_exits_1(tmp_path, capsys, verb):
+    config = write_config(tmp_path, dict(REFERENCE_DOC, mode="det"))
+    out = tmp_path / "out"
+    out.write_text("not a directory", encoding="utf-8")
+    assert main([verb, "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out}") and err.count("\n") == 1
+    assert out.read_text(encoding="utf-8") == "not a directory"
+
+
 def test_mode_override_flag(tmp_path):
     config = write_config(tmp_path)
     out = tmp_path / "out"

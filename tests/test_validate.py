@@ -1,5 +1,4 @@
-"""Tests for Monte Carlo validation, the analytic two-point oracle and the
-exact violation oracles of ``conftest``."""
+"""Tests for Monte Carlo validation and the exact worst-case violation oracle."""
 
 import math
 from pathlib import Path
@@ -15,15 +14,14 @@ from powgame import (
     solve_equilibrium,
 )
 from powgame import LossCoefficients, cli, others_load, validate
-from powgame.validate import DISTRIBUTIONS, binomial_slack, two_point_atoms
+from powgame.validate import DISTRIBUTIONS, _loss_roots, _mean_variance_violation, binomial_slack
 
 from conftest import (
     atom_search_violation,
     exact_gaussian_violation,
-    exact_worstcase_violation,
     full_array_violation,
     make_config,
-    mean_variance_violation,
+    two_point_atoms,
     two_point_batch,
 )
 
@@ -157,8 +155,57 @@ def test_clamped_draws_stay_in_confidence_interval(reference_config):
     assert np.allclose(clamped, expected)
 
 
+def _miner_losses(alphas, u_mins, config):
+    """(loss coefficients, mean, variance) of each miner at (alphas, u_mins)."""
+    x = config.nominal_resources()
+    return [
+        (
+            LossCoefficients.from_strategy(
+                alphas[j], u_mins[j], others_load(j, alphas, x), params.cost, config.reward.total
+            ),
+            params.nominal,
+            params.sigma2,
+        )
+        for j, params in enumerate(config.miners)
+    ]
+
+
 def test_discrete_worstcase_vacuous_threshold(reference_config):
-    assert discrete_worstcase_violation([0.5] * 5, [-1e9] * 5, reference_config) == 0.0
+    # a threshold of -1e9 puts one loss root 275 below the mean: no two-point
+    # law on a p grid reaches it, but Cantelli's one-sided law does
+    alphas, u_mins = [0.5] * 5, [-1e9] * 5
+    worst = discrete_worstcase_violation(alphas, u_mins, reference_config)
+    found = max(
+        atom_search_violation(m, sigma2, *_loss_roots(coeffs))
+        for coeffs, m, sigma2 in _miner_losses(alphas, u_mins, reference_config)
+    )
+    assert abs(worst - found) <= 1e-12, (worst, found)
+    assert worst == pytest.approx(1.3206e-3, rel=1e-4)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_exact_oracle_dominates_the_two_point_grid(path):
+    # every two-point law is in the ambiguity set, so the supremum over it is
+    # at least the largest violation over the 199-point two-point p grid
+    config = cli.load_scenario(path).config
+    rng = np.random.default_rng(16)
+    p_grid = np.linspace(0.005, 0.995, 199)
+    above = 0
+    for _ in range(30):
+        alphas = rng.uniform(config.tau0, 1.0, config.n_miners)
+        u_mins = []
+        for j, params in enumerate(config.miners):  # one loss root k sigmas from the mean
+            k = rng.uniform(0.5, 6.0) * math.sqrt(params.sigma2)
+            u_mins.append(float(min(empirical_utilities(alphas, j, config, [params.mu - k, params.mu + k]))))
+        grid_max = 0.0
+        for coeffs, m, sigma2 in _miner_losses(alphas, u_mins, config):
+            for p in p_grid:
+                hi, lo = two_point_atoms(m, sigma2, float(p))
+                grid_max = max(grid_max, p * (coeffs(hi) > 0.0) + (1.0 - p) * (coeffs(lo) > 0.0))
+        worst = discrete_worstcase_violation(alphas, u_mins, config)
+        assert worst >= grid_max - 1e-12, (alphas, u_mins, worst, grid_max)
+        above += worst > grid_max + 1e-6
+    assert above >= 10, above  # the grid misses mass that the exact oracle finds
 
 
 def test_discrete_worstcase_flags_infeasible_solution(reference_config):
@@ -185,7 +232,7 @@ def test_mean_variance_violation_matches_an_atom_search():
         a, b = sorted((d1, d2))
         sigma2 = a * b * float(rng.uniform(0.0, 1.3))
         branches[0 if sigma2 >= a * b else 1 if a * (b - a) >= 2.0 * sigma2 else 2] += 1
-        exact = mean_variance_violation(m, sigma2, m - d1, m + d2)
+        exact = _mean_variance_violation(m, sigma2, (m - d1, m + d2))
         found = atom_search_violation(m, sigma2, m - d1, m + d2)
         assert abs(exact - found) <= TOL, (m, sigma2, d1, d2, exact, found)
     assert min(branches) >= 500, branches
@@ -193,15 +240,11 @@ def test_mean_variance_violation_matches_an_atom_search():
 
 def _violations(result, config, violation):
     """``violation`` of each miner's loss at the equilibrium ``result``."""
-    x = config.nominal_resources()
-    out = []
-    for j, params in enumerate(config.miners):
-        coeffs = LossCoefficients.from_strategy(
-            result.alphas[j], result.u_mins[j], others_load(j, result.alphas, x), params.cost,
-            config.reward.total,
-        )
-        out.append(violation(coeffs, params.nominal, params.sigma2))
-    return out
+    return [violation(*loss) for loss in _miner_losses(result.alphas, result.u_mins, config)]
+
+
+def _worstcase_violation(coeffs, m, sigma2):
+    return _mean_variance_violation(m, sigma2, _loss_roots(coeffs))
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
@@ -211,15 +254,15 @@ def test_equilibria_under_the_exact_violation_oracles(path):
     # cvar: the certificate is exact, so the worst case over every law with
     # the miner's mean and variance sits on epsilon (about 1e-10 below it)
     cvar = solve_equilibrium(config, "dro_cvar")
-    worst = _violations(cvar, config, exact_worstcase_violation)
+    worst = _violations(cvar, config, _worstcase_violation)
     assert all(eps - 1e-7 <= p <= eps + 1e-12 for p in worst), worst
-    assert discrete_worstcase_violation(cvar.alphas, cvar.u_mins, config) <= max(worst) + 1e-12
+    assert discrete_worstcase_violation(cvar.alphas, cvar.u_mins, config) == max(worst)
     # bti: the Bernstein bound is conservative for the Gaussian it assumes
     bti = solve_equilibrium(config, "gaussian_bti")
     gaussian = _violations(bti, config, exact_gaussian_violation)
     assert all(p <= eps for p in gaussian), gaussian
-    worst = _violations(bti, config, exact_worstcase_violation)
-    assert discrete_worstcase_violation(bti.alphas, bti.u_mins, config) <= max(worst) + 1e-12
+    worst = _violations(bti, config, _worstcase_violation)
+    assert discrete_worstcase_violation(bti.alphas, bti.u_mins, config) == max(worst)
 
 
 def test_cvar_guarantee_holds_for_whole_sampled_family(reference_config):
