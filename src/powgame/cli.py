@@ -388,7 +388,18 @@ def _samples_refused(samples, exc) -> ScenarioError:
 
 
 def run_validate(scenario: Scenario, out_dir) -> int:
-    """Solve, then Monte Carlo-check every (mode, miner, distribution) triple."""
+    """Solve, then Monte Carlo-check every (mode, miner, distribution) triple.
+
+    The batches are drawn one ahead: while the main thread scores a batch, a
+    worker thread draws the next (numpy's samplers release the interpreter
+    lock).  A batch depends only on (seed, miner, distribution), so the
+    output does not depend on when it is drawn.  The worker is joined before
+    this returns or raises.
+    """
+    # imported here, not with the module: concurrent.futures pulls in logging,
+    # which every verb would pay for at start-up
+    from concurrent.futures import ThreadPoolExecutor
+
     out = Path(out_dir)
     config = scenario.config
     if any(m.sigma2 <= 0 for m in config.miners):  # nothing to sample in any mode
@@ -407,17 +418,25 @@ def run_validate(scenario: Scenario, out_dir) -> int:
     results = [_solve_mode(scenario, mode) for mode in scenario.modes]
     # a batch depends only on (seed, miner, distribution): draw each once and
     # score it against every mode, keeping the rows in mode-major order
+    jobs = [(j, dist) for j in range(config.n_miners) for dist in scenario.distributions]
+
+    def draw(j, dist):
+        params = config.miners[j]
+        return sample_uncertainty(
+            dist, params.mu, params.sigma2, scenario.samples, scenario.seed, miner_index=j
+        )
+
     hist_rows = [[] for _ in results]
     report_rows = [[] for _ in results]
-    for j in range(config.n_miners):
-        params = config.miners[j]
-        for dist in scenario.distributions:
+    with ThreadPoolExecutor(max_workers=1) as worker:  # one batch in flight at a time
+        pending = worker.submit(draw, *jobs[0])
+        for index, (j, dist) in enumerate(jobs):
             try:
-                batch = sample_uncertainty(
-                    dist, params.mu, params.sigma2, scenario.samples, scenario.seed, miner_index=j
-                )
+                batch = pending.result()
             except MemoryError as exc:  # numpy refuses a batch this large at once
                 raise _samples_refused(scenario.samples, exc) from exc
+            if index + 1 < len(jobs):
+                pending = worker.submit(draw, *jobs[index + 1])
             for mode, result, hist, reports in zip(scenario.modes, results, hist_rows, report_rows):
                 short = MODE_SHORT[mode]
                 report = empirical_violation(

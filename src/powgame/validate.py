@@ -39,6 +39,9 @@ SLACK_SIGMAS = 3.0  # binomial slack width for pass/fail at finite sample size
 # the largest lambda numpy's Generator.poisson accepts; poisson_shifted draws
 # Poisson(sigma2), so a larger variance cannot be sampled
 POISSON_LAM_MAX = np.iinfo(np.int64).max - math.sqrt(np.iinfo(np.int64).max) * 10.0
+# draws scored (and two_point draws counted) at a time: a block's scratch
+# arrays fit in cache, and no array of n doubles is made beyond the utilities
+_BLOCK = 16384
 
 
 def _stream(seed: int, *spawn_key: int) -> np.random.Generator:
@@ -103,7 +106,8 @@ def sample_uncertainty(
         k = rng.poisson(lam, size=n)
         low = int(k.min())
         if int(k.max()) - low < n:
-            tally = np.bincount(k - low)
+            k -= low  # in place: the batch holds one array of n draws, not two
+            tally = np.bincount(k)
             ints = np.flatnonzero(tally)
             counts = tally[ints]
             ints += low
@@ -111,7 +115,11 @@ def sample_uncertainty(
             ints, counts = np.unique(k, return_counts=True)
         values = ints.astype(float) - lam + mu
     else:
-        n_high = np.count_nonzero(rng.random(n) < 0.5)
+        # counted over successive blocks of the one stream, so no n-draw array is held
+        n_high = sum(
+            int(np.count_nonzero(rng.random(min(_BLOCK, n - start)) < 0.5))
+            for start in range(0, n, _BLOCK)
+        )
         counts = np.array([n_high, n - n_high])
         values, counts = np.array([mu + s, mu - s])[counts > 0], counts[counts > 0]
     return SampleBatch(n, values, counts)
@@ -141,22 +149,33 @@ def empirical_utilities(alphas, j, config: GameConfig, draws, clamp=False) -> np
     to the confidence interval (floored at 1e-9 so a huge negative draw can
     never produce a nonpositive resource).  Each utility is computed as
     R*own/(own + load) - cost*own, one correctly rounded operation at a time,
-    so a draw's utility does not depend on the draws around it.
+    so a draw's utility does not depend on the draws around it.  That lets
+    the draws be scored in blocks of ``_BLOCK``, through two scratch arrays
+    reused from block to block, into the one output array: the floats are
+    those of scoring all the draws at once, and no n-sized temporary is made
+    while the next batch is being drawn (see ``empirical_violation``).
     """
     params = config.miners[j]
     a = np.asarray(alphas, dtype=float)
     load = others_load(j, a, config.nominal_resources())
-    own = np.array(draws, dtype=float)
-    own += params.x_hat
-    if clamp:
-        np.clip(own, max(params.x_min, 1e-9), params.x_max, out=own)
-    else:
-        np.maximum(own, 1e-9, out=own)  # a pathological negative draw must not flip signs
-    own *= a[j]
-    utils = np.multiply(config.reward.total, own)
-    utils /= own + load
-    own *= params.cost
-    utils -= own
+    draws = np.asarray(draws, dtype=float)
+    n = len(draws)
+    utils = np.empty(n)
+    own_buf, den_buf = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        own, den, out = own_buf[: stop - start], den_buf[: stop - start], utils[start:stop]
+        np.add(draws[start:stop], params.x_hat, out=own)
+        if clamp:
+            np.clip(own, max(params.x_min, 1e-9), params.x_max, out=own)
+        else:
+            np.maximum(own, 1e-9, out=own)  # a pathological negative draw must not flip signs
+        own *= a[j]
+        np.multiply(config.reward.total, own, out=out)
+        np.add(own, load, out=den)
+        out /= den
+        own *= params.cost
+        out -= own
     return utils
 
 
@@ -174,15 +193,26 @@ def empirical_violation(
     counts.  A utility depends only on its draw, and ``np.histogram`` bins a
     utility by its value and the edges alone (the edges come from the least
     and greatest utility), so the report equals the one scored draw by draw.
+    The utilities are counted and binned in blocks of ``_BLOCK`` against the
+    edges of the whole batch, and the blocks' counts summed: numpy bins in
+    blocks of its own too, so the edges and counts are the same arrays.
+    ``cli.run_validate`` calls this on the main thread while a worker thread
+    draws the next batch; a batch comes from its own Philox stream, so it is
+    the same whenever it is drawn.  Neither changes a byte of the CSVs that
+    ``tests/data/golden/*/validate/`` holds.
     """
     utils = empirical_utilities(alphas, j, config, batch.values, clamp=clamp)
-    below = utils < u_min
-    if batch.counts is None:
-        violations = int(np.count_nonzero(below))
-    else:
-        violations = int(batch.counts[below].sum())
+    span = (utils.min(), utils.max())
+    violations = 0
+    counts = edges = None
+    for start in range(0, len(utils), _BLOCK):
+        block = utils[start : start + _BLOCK]
+        weights = None if batch.counts is None else batch.counts[start : start + _BLOCK]
+        below = block < u_min
+        violations += int(np.count_nonzero(below) if weights is None else weights[below].sum())
+        part, edges = np.histogram(block, bins=HISTOGRAM_BINS, range=span, weights=weights)
+        counts = part if counts is None else counts + part
     rate = violations / batch.n
-    counts, edges = np.histogram(utils, bins=HISTOGRAM_BINS, weights=batch.counts)
     return ViolationReport(
         n_samples=batch.n,
         n_violations=violations,

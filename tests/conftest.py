@@ -23,8 +23,9 @@ golden section over it (``golden_min``, ``reference_worstcase_cvar``, which
 the closed-form square root of the moment matrix (``sqrt_moment_matrix``)
 and the eigendecomposition route to the trace-minimal CVaR certificate
 (``eigh_certificate``).  Monte Carlo scoring draw by draw, over the whole
-array (``full_array_violation``), is the oracle for ``empirical_violation``,
-which scores each distinct value of a batch once.  The two-point family at
+array at once (``full_array_utilities``, ``full_array_violation``), is the
+oracle for ``empirical_utilities`` and ``empirical_violation``, which score
+each distinct value of a batch once, in blocks.  The two-point family at
 any p (``two_point_atoms``, ``two_point_batch``) extends the sampler's p = 1/2
 law.  ``atom_search_violation`` searches two- and three-atom laws for the
 supremum the closed form of ``validate.discrete_worstcase_violation`` prices,
@@ -496,8 +497,8 @@ def eigh_certificate(coeffs: LossCoefficients, moments: MomentMatrix, beta, u_mi
     )
 
 
-def full_array_violation(alphas, u_min, j, config: GameConfig, draws, clamp=False) -> ViolationReport:
-    """Miner j's violation report scored draw by draw, one utility per draw."""
+def full_array_utilities(alphas, j, config: GameConfig, draws, clamp=False) -> np.ndarray:
+    """Miner j's utility at every draw, each operation over the whole array."""
     params = config.miners[j]
     x_j = params.x_hat + np.asarray(draws, dtype=float)
     if clamp:
@@ -507,7 +508,12 @@ def full_array_violation(alphas, u_min, j, config: GameConfig, draws, clamp=Fals
     a = np.asarray(alphas, dtype=float)
     load = others_load(j, a, config.nominal_resources())
     own = a[j] * x_j
-    utils = config.reward.total * own / (own + load) - params.cost * own
+    return config.reward.total * own / (own + load) - params.cost * own
+
+
+def full_array_violation(alphas, u_min, j, config: GameConfig, draws, clamp=False) -> ViolationReport:
+    """Miner j's violation report scored draw by draw, one utility per draw."""
+    utils = full_array_utilities(alphas, j, config, draws, clamp=clamp)
     n = len(utils)
     violations = int(np.sum(utils < u_min))
     rate = violations / n

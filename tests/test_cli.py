@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -411,6 +412,43 @@ def test_validate_reports_a_batch_numpy_refuses(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err == "config error: field 'validation.samples': 500: Unable to allocate\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_validate_reports_a_later_batch_numpy_refuses(tmp_path, capsys, monkeypatch):
+    # the second batch is drawn on the worker thread while the first is
+    # scored; its MemoryError still ends the run with the same message
+    drawn = []
+    original = cli.sample_uncertainty
+
+    def refuse_the_second(*args, **kwargs):
+        drawn.append(args)
+        if len(drawn) == 2:
+            raise MemoryError("Unable to allocate")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_uncertainty", refuse_the_second)
+    config = write_config(tmp_path, dict(REFERENCE_DOC, mode="det"))
+    assert main(["validate", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: field 'validation.samples': 500: Unable to allocate\n"
+    assert len(drawn) == 2 and not (tmp_path / "out").exists()
+
+
+def test_validate_leaves_no_thread_running(tmp_path, monkeypatch):
+    # the worker that draws the next batch is joined whether run_validate
+    # returns or raises
+    scenario = scenario_from_dict(dict(REFERENCE_DOC, mode="det"))
+    before = threading.active_count()
+    assert cli.run_validate(scenario, tmp_path / "ok") == 0
+    assert threading.active_count() == before
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("scoring failed")
+
+    monkeypatch.setattr(cli, "empirical_violation", refuse)
+    with pytest.raises(RuntimeError, match="scoring failed"):
+        cli.run_validate(scenario, tmp_path / "raised")
+    assert threading.active_count() == before
 
 
 def test_unreadable_config_exits_1(tmp_path, capsys):

@@ -59,3 +59,13 @@ def test_importing_powgame_leaves_the_cli_unimported():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=SRC.parent
     )
     assert result.stdout == "False\n"
+
+
+def test_importing_the_cli_leaves_concurrent_futures_unimported():
+    # run_validate imports its worker pool when it runs: concurrent.futures
+    # pulls in logging, which every verb would otherwise pay for at start-up
+    code = "import sys, powgame.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=SRC.parent
+    )
+    assert result.stdout == "[]\n"

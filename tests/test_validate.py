@@ -1,5 +1,6 @@
 """Tests for Monte Carlo validation and the exact worst-case violation oracle."""
 
+import itertools
 import math
 from pathlib import Path
 
@@ -14,11 +15,19 @@ from powgame import (
     solve_equilibrium,
 )
 from powgame import LossCoefficients, cli, others_load, validate
-from powgame.validate import DISTRIBUTIONS, _loss_roots, _mean_variance_violation, binomial_slack
+from powgame.validate import (
+    _BLOCK,
+    DISTRIBUTIONS,
+    SampleBatch,
+    _loss_roots,
+    _mean_variance_violation,
+    binomial_slack,
+)
 
 from conftest import (
     atom_search_violation,
     exact_gaussian_violation,
+    full_array_utilities,
     full_array_violation,
     make_config,
     two_point_atoms,
@@ -64,20 +73,22 @@ def test_poisson_shifted_construction():
 
 def test_draws_replay_the_seeded_stream():
     # a continuous batch is the generator's output in order; a discrete one
-    # holds the same multiset of draws, grouped by value
-    mu, sigma2, n, seed, j = 2.5, 90.0, 5000, 12, 3
+    # holds the same multiset of draws, grouped by value.  Past _BLOCK draws,
+    # two_point counts its draws over several calls to the stream, and the
+    # result is still that of the one call the replay makes
+    mu, sigma2, seed, j = 2.5, 90.0, 12, 3
     s = math.sqrt(sigma2)
     half = math.sqrt(3.0) * s
     hi, lo = two_point_atoms(mu, sigma2, 0.5)
     replay = {
-        "gaussian": lambda rng: rng.normal(mu, s, size=n),
-        "uniform": lambda rng: rng.uniform(mu - half, mu + half, size=n),
-        "poisson_shifted": lambda rng: rng.poisson(sigma2, size=n).astype(float) - sigma2 + mu,
-        "two_point": lambda rng: np.where(rng.random(n) < 0.5, hi, lo),
+        "gaussian": lambda rng, n: rng.normal(mu, s, size=n),
+        "uniform": lambda rng, n: rng.uniform(mu - half, mu + half, size=n),
+        "poisson_shifted": lambda rng, n: rng.poisson(sigma2, size=n).astype(float) - sigma2 + mu,
+        "two_point": lambda rng, n: np.where(rng.random(n) < 0.5, hi, lo),
     }
-    for dist in DISTRIBUTIONS:
+    for n, dist in itertools.product((5000, 3 * _BLOCK + 7), DISTRIBUTIONS):
         batch = sample_uncertainty(dist, mu, sigma2, n, seed=seed, miner_index=j)
-        expected = replay[dist](validate._stream(seed, j, validate._DIST_CODE[dist]))
+        expected = replay[dist](validate._stream(seed, j, validate._DIST_CODE[dist]), n)
         assert batch.draws.dtype == expected.dtype and len(batch.draws) == batch.n == n
         if dist == "two_point":  # the test helper that draws other p agrees at p = 1/2
             built = two_point_batch(mu, sigma2, n, 0.5, seed=seed, miner_index=j)
@@ -283,6 +294,16 @@ def test_binomial_slack_value():
     assert binomial_slack(0.1, 1000) == pytest.approx(3.0 * math.sqrt(0.09 / 1000))
 
 
+def _assert_same_report(new, old):
+    """The two reports hold the same numbers, of the same types."""
+    assert new.n_samples == old.n_samples
+    assert new.n_violations == old.n_violations and type(new.n_violations) is int
+    assert new.rate == old.rate and type(new.rate) is float
+    assert new.passed == old.passed and type(new.passed) is bool  # the CSV writes bools by type
+    assert new.bin_edges.tobytes() == old.bin_edges.tobytes()
+    assert new.counts.dtype == old.counts.dtype and np.array_equal(new.counts, old.counts)
+
+
 def test_distinct_value_scoring_equals_the_full_array_oracle():
     # scoring each distinct value once, weighted by its count, must give the
     # report of scoring every draw: the same floats, not close ones
@@ -313,12 +334,8 @@ def test_distinct_value_scoring_equals_the_full_array_oracle():
             u_min = float(rng.uniform(utils.min() - 1.0, utils.max() + 1.0))
         new = empirical_violation(alphas, u_min, j, config, batch, clamp=clamp)
         old = full_array_violation(alphas, u_min, j, config, batch.draws, clamp=clamp)
-        assert new.n_samples == old.n_samples == n
-        assert new.n_violations == old.n_violations and type(new.n_violations) is int
-        assert new.rate == old.rate and type(new.rate) is float
-        assert new.passed == old.passed and type(new.passed) is bool  # the CSV writes bools by type
-        assert np.array_equal(new.bin_edges, old.bin_edges)
-        assert np.array_equal(new.counts, old.counts) and new.counts.dtype == old.counts.dtype
+        assert new.n_samples == n
+        _assert_same_report(new, old)
         if dist == "two_point" and len(batch.values) == 1:  # np.histogram pads the range by 0.5
             single_atom += 1
             assert new.bin_edges[0] == utils[0] - 0.5 and new.counts.max() == n
@@ -326,6 +343,36 @@ def test_distinct_value_scoring_equals_the_full_array_oracle():
             k = np.rint(batch.draws - mu + sigma2)
             wide_lattice += k.max() - k.min() >= n
     assert single_atom >= 40 and wide_lattice >= 20
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+def test_block_wise_scoring_equals_the_one_shot_oracle(n):
+    # scoring in blocks of _BLOCK values, and binning each block against the
+    # whole batch's edges, must give the floats and counts of one pass over
+    # every draw: a continuous batch (one value per draw), a weighted batch of
+    # n distinct values, and a single value holding every draw (min = max, so
+    # np.histogram pads the edges by 0.5), each with the clamp on and off
+    rng = np.random.default_rng(n)
+    config = make_config(x_hat=rng.uniform(20.0, 80.0, 5), cost=float(rng.uniform(20.0, 80.0)))
+    alphas = rng.uniform(0.05, 1.0, 5)
+    j = int(rng.integers(5))
+    lattice = np.arange(n) * 0.37 - 0.185 * n  # n distinct values, wide enough to clamp
+    counts = rng.integers(1, 5, n)
+    batches = {
+        "continuous": sample_uncertainty("gaussian", 0.0, 900.0, n, seed=n, miner_index=j),
+        "weighted": SampleBatch(int(counts.sum()), lattice, counts),
+        "single atom": SampleBatch(n, np.array([-3.5]), np.array([n])),
+    }
+    for (kind, batch), clamp in itertools.product(batches.items(), (False, True)):
+        utils = empirical_utilities(alphas, j, config, batch.values, clamp=clamp)
+        expected = full_array_utilities(alphas, j, config, batch.values, clamp=clamp)
+        assert utils.tobytes() == expected.tobytes(), (kind, clamp)
+        for u_min in (float(utils[len(utils) // 2]), float(np.median(utils)) + 0.25):
+            new = empirical_violation(alphas, u_min, j, config, batch, clamp=clamp)
+            old = full_array_violation(alphas, u_min, j, config, batch.draws, clamp=clamp)
+            _assert_same_report(new, old)
+        if kind == "single atom" or n == 1:
+            assert new.bin_edges[0] == utils[0] - 0.5 and new.counts.max() == batch.n
 
 
 def test_validate_scores_each_distinct_value_once(tmp_path, monkeypatch):
