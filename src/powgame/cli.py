@@ -390,15 +390,19 @@ def _samples_refused(samples, exc) -> ScenarioError:
 def run_validate(scenario: Scenario, out_dir) -> int:
     """Solve, then Monte Carlo-check every (mode, miner, distribution) triple.
 
-    The batches are drawn one ahead: while the main thread scores a batch, a
-    worker thread draws the next (numpy's samplers release the interpreter
-    lock).  A batch depends only on (seed, miner, distribution), so the
-    output does not depend on when it is drawn.  The worker is joined before
-    this returns or raises.
+    Each (miner, distribution) pair is one job: draw its batch, then score
+    the batch against every mode.  Two worker threads run the jobs (numpy's
+    samplers and array operations release the interpreter lock), so at most
+    two batches are alive at once, and the rows are written in job order.  A
+    batch depends only on (seed, miner, distribution), so the output does
+    not depend on which thread runs a job or when.  Once a job has failed, a
+    job that starts after it draws nothing, and the workers are joined
+    before this returns or raises.
     """
     # imported here, not with the module: concurrent.futures pulls in logging,
     # which every verb would pay for at start-up
     from concurrent.futures import ThreadPoolExecutor
+    from threading import Event
 
     out = Path(out_dir)
     config = scenario.config
@@ -419,34 +423,47 @@ def run_validate(scenario: Scenario, out_dir) -> int:
     # a batch depends only on (seed, miner, distribution): draw each once and
     # score it against every mode, keeping the rows in mode-major order
     jobs = [(j, dist) for j in range(config.n_miners) for dist in scenario.distributions]
+    stop = Event()  # set once a job has failed, or the run has ended
 
     def draw(j, dist):
         params = config.miners[j]
-        return sample_uncertainty(
-            dist, params.mu, params.sigma2, scenario.samples, scenario.seed, miner_index=j
-        )
+        try:
+            return sample_uncertainty(
+                dist, params.mu, params.sigma2, scenario.samples, scenario.seed, miner_index=j
+            )
+        except MemoryError as exc:  # numpy refuses a batch this large at once
+            raise _samples_refused(scenario.samples, exc) from exc
+
+    def draw_and_score(j, dist):
+        if stop.is_set():  # a job that starts after a failure draws nothing
+            return None
+        try:
+            batch = draw(j, dist)
+            return [
+                empirical_violation(result.alphas, result.u_values[j], j, config, batch, clamp=scenario.clamp)
+                for result in results
+            ]
+        except BaseException:
+            stop.set()
+            raise
 
     hist_rows = [[] for _ in results]
     report_rows = [[] for _ in results]
-    with ThreadPoolExecutor(max_workers=1) as worker:  # one batch in flight at a time
-        pending = worker.submit(draw, *jobs[0])
-        for index, (j, dist) in enumerate(jobs):
-            try:
-                batch = pending.result()
-            except MemoryError as exc:  # numpy refuses a batch this large at once
-                raise _samples_refused(scenario.samples, exc) from exc
-            if index + 1 < len(jobs):
-                pending = worker.submit(draw, *jobs[index + 1])
-            for mode, result, hist, reports in zip(scenario.modes, results, hist_rows, report_rows):
-                short = MODE_SHORT[mode]
-                report = empirical_violation(
-                    result.alphas, result.u_values[j], j, config, batch, clamp=scenario.clamp
-                )
-                reports.append((short, dist, j, report.rate, config.epsilon, report.passed))
-                hist.extend(
-                    (short, dist, j, report.bin_edges[k], report.bin_edges[k + 1], int(report.counts[k]))
-                    for k in range(len(report.counts))
-                )
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        try:
+            for (j, dist), future in zip(jobs, [pool.submit(draw_and_score, *job) for job in jobs]):
+                reports = future.result()
+                if reports is None:  # skipped once another job failed: that job's result raises
+                    continue
+                for mode, report, hist, rows in zip(scenario.modes, reports, hist_rows, report_rows):
+                    short = MODE_SHORT[mode]
+                    rows.append((short, dist, j, report.rate, config.epsilon, report.passed))
+                    hist.extend(
+                        (short, dist, j, report.bin_edges[k], report.bin_edges[k + 1], int(report.counts[k]))
+                        for k in range(len(report.counts))
+                    )
+        finally:
+            stop.set()  # the jobs not yet started return at once, and the pool joins
     _write_csv(out / "histogram.csv", HISTOGRAM_HEADER, [row for rows in hist_rows for row in rows])
     _write_csv(out / "violations.csv", VIOLATIONS_HEADER, [row for rows in report_rows for row in rows])
     return 0 if all(result.converged for result in results) else 2

@@ -39,8 +39,8 @@ SLACK_SIGMAS = 3.0  # binomial slack width for pass/fail at finite sample size
 # the largest lambda numpy's Generator.poisson accepts; poisson_shifted draws
 # Poisson(sigma2), so a larger variance cannot be sampled
 POISSON_LAM_MAX = np.iinfo(np.int64).max - math.sqrt(np.iinfo(np.int64).max) * 10.0
-# draws scored (and two_point draws counted) at a time: a block's scratch
-# arrays fit in cache, and no array of n doubles is made beyond the utilities
+# draws made (poisson_shifted, two_point) and scored at a time: a block's
+# scratch arrays fit in cache, and no array of n draws or utilities is made
 _BLOCK = 16384
 
 
@@ -103,16 +103,13 @@ def sample_uncertainty(
         values = rng.uniform(mu - half, mu + half, size=n)
     elif distribution == "poisson_shifted":
         lam = sigma2
-        k = rng.poisson(lam, size=n)
-        low = int(k.min())
-        if int(k.max()) - low < n:
-            k -= low  # in place: the batch holds one array of n draws, not two
-            tally = np.bincount(k)
-            ints = np.flatnonzero(tally)
-            counts = tally[ints]
-            ints += low
-        else:  # a lattice wider than the batch: sort rather than tally
-            ints, counts = np.unique(k, return_counts=True)
+        # drawn and tallied over successive blocks of the one stream, so no
+        # n-draw array is held; the blocks' tallies are then merged by value
+        parts = [_tally(rng.poisson(lam, size=min(_BLOCK, n - start))) for start in range(0, n, _BLOCK)]
+        ints, counts = (np.concatenate(column) for column in zip(*parts))
+        order = np.argsort(ints)
+        ints, first = np.unique(ints[order], return_index=True)
+        counts = np.add.reduceat(counts[order], first)
         values = ints.astype(float) - lam + mu
     else:
         # counted over successive blocks of the one stream, so no n-draw array is held
@@ -123,6 +120,17 @@ def sample_uncertainty(
         counts = np.array([n_high, n - n_high])
         values, counts = np.array([mu + s, mu - s])[counts > 0], counts[counts > 0]
     return SampleBatch(n, values, counts)
+
+
+def _tally(k: np.ndarray):
+    """The distinct integers of k, ascending, and how often each occurs."""
+    low = int(k.min())
+    if int(k.max()) - low >= len(k):  # a lattice wider than the draws: sort rather than tally
+        return np.unique(k, return_counts=True)
+    k -= low  # in place: no second array of draws
+    tally = np.bincount(k)
+    ints = np.flatnonzero(tally)
+    return ints + low, tally[ints]
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,29 +150,18 @@ def binomial_slack(epsilon, n) -> float:
     return SLACK_SIGMAS * math.sqrt(epsilon * (1.0 - epsilon) / n)
 
 
-def empirical_utilities(alphas, j, config: GameConfig, draws, clamp=False) -> np.ndarray:
-    """Realized utilities of miner j across draws, rivals at nominal resources.
-
-    Only miner j's resource is random: x_j = x_hat_j + dx, optionally clamped
-    to the confidence interval (floored at 1e-9 so a huge negative draw can
-    never produce a nonpositive resource).  Each utility is computed as
-    R*own/(own + load) - cost*own, one correctly rounded operation at a time,
-    so a draw's utility does not depend on the draws around it.  That lets
-    the draws be scored in blocks of ``_BLOCK``, through two scratch arrays
-    reused from block to block, into the one output array: the floats are
-    those of scoring all the draws at once, and no n-sized temporary is made
-    while the next batch is being drawn (see ``empirical_violation``).
-    """
+def _utility_blocks(alphas, j, config: GameConfig, draws, clamp):
+    """Yield (start, utilities) for each block of ``_BLOCK`` draws, the
+    utilities held in a scratch array that the next block overwrites."""
     params = config.miners[j]
     a = np.asarray(alphas, dtype=float)
     load = others_load(j, a, config.nominal_resources())
     draws = np.asarray(draws, dtype=float)
     n = len(draws)
-    utils = np.empty(n)
-    own_buf, den_buf = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
+    own_buf, den_buf, out_buf = (np.empty(min(n, _BLOCK)) for _ in range(3))
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
-        own, den, out = own_buf[: stop - start], den_buf[: stop - start], utils[start:stop]
+        own, den, out = own_buf[: stop - start], den_buf[: stop - start], out_buf[: stop - start]
         np.add(draws[start:stop], params.x_hat, out=own)
         if clamp:
             np.clip(own, max(params.x_min, 1e-9), params.x_max, out=own)
@@ -176,6 +173,25 @@ def empirical_utilities(alphas, j, config: GameConfig, draws, clamp=False) -> np
         out /= den
         own *= params.cost
         out -= own
+        yield start, out
+
+
+def empirical_utilities(alphas, j, config: GameConfig, draws, clamp=False) -> np.ndarray:
+    """Realized utilities of miner j across draws, rivals at nominal resources.
+
+    Only miner j's resource is random: x_j = x_hat_j + dx, optionally clamped
+    to the confidence interval (floored at 1e-9 so a huge negative draw can
+    never produce a nonpositive resource).  Each utility is computed as
+    R*own/(own + load) - cost*own, one correctly rounded operation at a time,
+    so a draw's utility does not depend on the draws around it, nor on how
+    often it is computed.  The draws are scored in blocks of ``_BLOCK``
+    through the block kernel ``empirical_violation`` runs twice per batch,
+    and each block is copied into the one output array: the floats are those
+    of scoring all the draws at once.
+    """
+    utils = np.empty(len(draws))
+    for start, block in _utility_blocks(alphas, j, config, draws, clamp):
+        utils[start : start + len(block)] = block
     return utils
 
 
@@ -193,21 +209,24 @@ def empirical_violation(
     counts.  A utility depends only on its draw, and ``np.histogram`` bins a
     utility by its value and the edges alone (the edges come from the least
     and greatest utility), so the report equals the one scored draw by draw.
-    The utilities are counted and binned in blocks of ``_BLOCK`` against the
-    edges of the whole batch, and the blocks' counts summed: numpy bins in
-    blocks of its own too, so the edges and counts are the same arrays.
-    ``cli.run_validate`` calls this on the main thread while a worker thread
-    draws the next batch; a batch comes from its own Philox stream, so it is
-    the same whenever it is drawn.  Neither changes a byte of the CSVs that
+    The batch is scored in two passes over the blocks of ``_BLOCK`` values,
+    and no array of its utilities is made: the first pass takes the least and
+    greatest utility, and the second computes each block's utilities again
+    (the same floats, see ``empirical_utilities``), counts them and bins them
+    against the edges of the whole batch.  The blocks' counts are summed:
+    numpy bins in blocks of its own too, so the edges and counts are the same
+    arrays.  ``cli.run_validate`` calls this on two worker threads at once,
+    each on its own batch.  None of this changes a byte of the CSVs that
     ``tests/data/golden/*/validate/`` holds.
     """
-    utils = empirical_utilities(alphas, j, config, batch.values, clamp=clamp)
-    span = (utils.min(), utils.max())
+    spans = np.array(
+        [(block.min(), block.max()) for _, block in _utility_blocks(alphas, j, config, batch.values, clamp)]
+    )
+    span = (spans[:, 0].min(), spans[:, 1].max())
     violations = 0
     counts = edges = None
-    for start in range(0, len(utils), _BLOCK):
-        block = utils[start : start + _BLOCK]
-        weights = None if batch.counts is None else batch.counts[start : start + _BLOCK]
+    for start, block in _utility_blocks(alphas, j, config, batch.values, clamp):
+        weights = None if batch.counts is None else batch.counts[start : start + len(block)]
         below = block < u_min
         violations += int(np.count_nonzero(below) if weights is None else weights[below].sum())
         part, edges = np.histogram(block, bins=HISTOGRAM_BINS, range=span, weights=weights)

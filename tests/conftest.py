@@ -25,7 +25,7 @@ and the eigendecomposition route to the trace-minimal CVaR certificate
 (``eigh_certificate``).  Monte Carlo scoring draw by draw, over the whole
 array at once (``full_array_utilities``, ``full_array_violation``), is the
 oracle for ``empirical_utilities`` and ``empirical_violation``, which score
-each distinct value of a batch once, in blocks.  The two-point family at
+a batch over its distinct values, in blocks.  The two-point family at
 any p (``two_point_atoms``, ``two_point_batch``) extends the sampler's p = 1/2
 law.  ``atom_search_violation`` searches two- and three-atom laws for the
 supremum the closed form of ``validate.discrete_worstcase_violation`` prices,

@@ -5,6 +5,7 @@ import math
 import re
 import tempfile
 import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -381,6 +382,45 @@ def test_validate_draws_each_batch_once(tmp_path, monkeypatch):
     assert [r[0] for r in rows] == ["det"] * 15 + ["bti"] * 15 + ["cvar"] * 15
 
 
+def test_validate_output_does_not_depend_on_the_schedule(tmp_path, monkeypatch):
+    # job 0's draw waits until job 1 has drawn its batch, so the batches are
+    # made out of job order; the rows are still written in job order.  A
+    # batch is alive from its draw until its job drops it: at most two at once
+    config = write_config(tmp_path)
+    normal = tmp_path / "normal"
+    assert main(["validate", "--config", str(config), "--out", str(normal)]) == 0
+    first, second = ((0, dist) for dist in REFERENCE_DOC["validation"]["distributions"][:2])
+    second_drawn = threading.Event()
+    lock = threading.Lock()
+    alive = most = 0
+    original = cli.sample_uncertainty
+
+    def dropped():
+        nonlocal alive
+        with lock:
+            alive -= 1
+
+    def held(distribution, *args, miner_index, **kwargs):
+        nonlocal alive, most
+        if (miner_index, distribution) == first:
+            assert second_drawn.wait(timeout=60)
+        batch = original(distribution, *args, miner_index=miner_index, **kwargs)
+        with lock:
+            alive += 1
+            most = max(most, alive)
+        weakref.finalize(batch, dropped)
+        if (miner_index, distribution) == second:
+            second_drawn.set()
+        return batch
+
+    monkeypatch.setattr(cli, "sample_uncertainty", held)
+    reordered = tmp_path / "reordered"
+    assert main(["validate", "--config", str(config), "--out", str(reordered)]) == 0
+    for name in ("histogram.csv", "violations.csv"):
+        assert (reordered / name).read_bytes() == (normal / name).read_bytes()
+    assert alive == 0 and 1 <= most <= 2
+
+
 def test_validate_refuses_a_sample_count_before_solving(tmp_path, capsys, monkeypatch):
     # numpy cannot allocate 1e15 draws; the count is refused before the cvar
     # solve, whose result would be thrown away
@@ -414,29 +454,46 @@ def test_validate_reports_a_batch_numpy_refuses(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
-def test_validate_reports_a_later_batch_numpy_refuses(tmp_path, capsys, monkeypatch):
-    # the second batch is drawn on the worker thread while the first is
-    # scored; its MemoryError still ends the run with the same message
+def hold_job_0_until_job_1_fails(monkeypatch, error):
+    """Patch ``cli.sample_uncertainty`` so that job 1's draw (miner 0, second
+    distribution) raises ``error`` and job 0's draw waits until it has: job 1
+    then runs on the second thread.  Returns the list of jobs drawn."""
+    first, second = ((0, dist) for dist in REFERENCE_DOC["validation"]["distributions"][:2])
+    failed = threading.Event()
     drawn = []
     original = cli.sample_uncertainty
 
-    def refuse_the_second(*args, **kwargs):
-        drawn.append(args)
-        if len(drawn) == 2:
-            raise MemoryError("Unable to allocate")
-        return original(*args, **kwargs)
+    def draw(distribution, *args, miner_index, **kwargs):
+        drawn.append((miner_index, distribution))
+        if (miner_index, distribution) == second:
+            failed.set()
+            raise error
+        if (miner_index, distribution) == first:
+            assert failed.wait(timeout=60)
+        return original(distribution, *args, miner_index=miner_index, **kwargs)
 
-    monkeypatch.setattr(cli, "sample_uncertainty", refuse_the_second)
+    monkeypatch.setattr(cli, "sample_uncertainty", draw)
+    return drawn
+
+
+def test_validate_reports_a_later_batch_numpy_refuses(tmp_path, capsys, monkeypatch):
+    # job 1's draw fails on the second thread while job 0's is held.  Each
+    # job checks a stop flag before it draws, and the failed job sets it
+    # before its thread takes another job; job 0's thread takes one only
+    # after its own draw and scoring.  So jobs 0 and 1 are the only ones
+    # drawn, and the MemoryError still ends the run with the same message
+    drawn = hold_job_0_until_job_1_fails(monkeypatch, MemoryError("Unable to allocate"))
     config = write_config(tmp_path, dict(REFERENCE_DOC, mode="det"))
     assert main(["validate", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err == "config error: field 'validation.samples': 500: Unable to allocate\n"
-    assert len(drawn) == 2 and not (tmp_path / "out").exists()
+    assert sorted(drawn) == [(0, "gaussian"), (0, "uniform")]
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_leaves_no_thread_running(tmp_path, monkeypatch):
-    # the worker that draws the next batch is joined whether run_validate
-    # returns or raises
+    # the worker threads are joined whether run_validate returns or raises,
+    # whether the error comes from scoring or from a draw on the second thread
     scenario = scenario_from_dict(dict(REFERENCE_DOC, mode="det"))
     before = threading.active_count()
     assert cli.run_validate(scenario, tmp_path / "ok") == 0
@@ -445,9 +502,14 @@ def test_validate_leaves_no_thread_running(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("scoring failed")
 
-    monkeypatch.setattr(cli, "empirical_violation", refuse)
-    with pytest.raises(RuntimeError, match="scoring failed"):
-        cli.run_validate(scenario, tmp_path / "raised")
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "empirical_violation", refuse)
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            cli.run_validate(scenario, tmp_path / "raised")
+    assert threading.active_count() == before
+    hold_job_0_until_job_1_fails(monkeypatch, RuntimeError("draw failed"))
+    with pytest.raises(RuntimeError, match="draw failed"):
+        cli.run_validate(scenario, tmp_path / "draw raised")
     assert threading.active_count() == before
 
 

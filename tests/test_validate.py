@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,14 @@ def test_draws_replay_the_seeded_stream():
             assert np.all(batch.counts > 0) and int(batch.counts.sum()) == n
             assert np.array_equal(batch.draws, np.repeat(batch.values, batch.counts))
             assert np.array_equal(np.sort(batch.draws), np.sort(expected))
+    # a Poisson lattice wider than a block: each block is sorted rather than
+    # tallied, and values drawn in several blocks are merged into one count
+    n, lam = 3 * _BLOCK + 7, 1e10
+    batch = sample_uncertainty("poisson_shifted", mu, lam, n, seed=seed, miner_index=j)
+    k = validate._stream(seed, j, validate._DIST_CODE["poisson_shifted"]).poisson(lam, size=n)
+    ints, counts = np.unique(k, return_counts=True)
+    assert np.array_equal(batch.values, ints.astype(float) - lam + mu)
+    assert np.array_equal(batch.counts, counts) and len(ints) < n
 
 
 def test_sampling_is_reproducible_and_order_independent():
@@ -375,9 +384,38 @@ def test_block_wise_scoring_equals_the_one_shot_oracle(n):
             assert new.bin_edges[0] == utils[0] - 0.5 and new.counts.max() == batch.n
 
 
+def _traced_peak(call) -> int:
+    """Peak bytes traced by tracemalloc while ``call()`` runs again; numpy's
+    allocations are traced, and the untraced first run loads what numpy
+    imports lazily."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_no_array_of_n_draws_or_utilities_is_made():
+    # a Poisson batch is drawn and tallied _BLOCK draws at a time, and a
+    # batch is scored in two passes over _BLOCK-sized blocks, so neither
+    # holds an array of n draws or utilities.  np.histogram's own temporaries
+    # on one block come to over four blocks of doubles, so the scoring guard
+    # takes a batch of 16 blocks, where an array of its n utilities would show
+    n = 4 * _BLOCK + 7
+    assert _traced_peak(lambda: sample_uncertainty("poisson_shifted", 0.0, 100.0, n, seed=5)) < n * 8
+    n = 16 * _BLOCK + 7
+    config = make_config()
+    batch = sample_uncertainty("gaussian", 0.0, 100.0, n, seed=5)
+    assert _traced_peak(lambda: empirical_violation([0.5] * 5, 100.0, 0, config, batch)) < n * 8
+
+
 def test_validate_scores_each_distinct_value_once(tmp_path, monkeypatch):
-    # work counter: the utilities of a discrete batch are computed once per
-    # value that occurs, not once per draw
+    # work counter, through the block kernel: each pass over a discrete batch
+    # computes one utility per value that occurs, not one per draw.  The
+    # batches are scored on two threads in no fixed order, so a miner's
+    # passes are told apart by their sizes
     samples, seed = 3000, 4
     scenario = cli.scenario_from_dict(
         {
@@ -387,21 +425,21 @@ def test_validate_scores_each_distinct_value_once(tmp_path, monkeypatch):
             "validation": {"distributions": list(DISTRIBUTIONS), "samples": samples},
         }
     )
-    sizes = []
-    scored = validate.empirical_utilities
+    passes = []  # (miner, values scored), one per pass of the kernel
+    blocks = validate._utility_blocks
 
-    def counting(alphas, j, config, draws, clamp=False):
-        sizes.append(len(draws))
-        return scored(alphas, j, config, draws, clamp=clamp)
+    def counting(alphas, j, config, draws, clamp):
+        passes.append((j, len(draws)))
+        return blocks(alphas, j, config, draws, clamp)
 
-    monkeypatch.setattr(validate, "empirical_utilities", counting)
+    monkeypatch.setattr(validate, "_utility_blocks", counting)
     assert cli.run_validate(scenario, tmp_path) == 0
     config = scenario.config
-    assert len(sizes) == config.n_miners * len(DISTRIBUTIONS)  # one mode
+    assert len(passes) == 2 * config.n_miners * len(DISTRIBUTIONS)  # two passes, one mode
     for j in range(config.n_miners):
-        by_dist = dict(zip(DISTRIBUTIONS, sizes[4 * j : 4 * j + 4]))
+        sizes = sorted(size for miner, size in passes if miner == j)
         rng = validate._stream(seed, j, validate._DIST_CODE["poisson_shifted"])
         k = rng.poisson(config.miners[j].sigma2, size=samples)
-        assert by_dist["poisson_shifted"] <= k.max() - k.min() + 1 < samples
-        assert by_dist["two_point"] <= 2
-        assert by_dist["gaussian"] == by_dist["uniform"] == samples
+        assert sizes[0] == sizes[1] <= 2  # two_point
+        assert 2 < sizes[2] == sizes[3] <= k.max() - k.min() + 1 < samples  # poisson_shifted
+        assert sizes[4:] == [samples] * 4  # gaussian and uniform
