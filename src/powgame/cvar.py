@@ -34,16 +34,17 @@ step instead, because a solve evaluates it hundreds of thousands of times:
   eigenvector of ``Q(beta) Omega`` (``_trace_minimal_witness``).
 - ``_strategy_slack`` gives the strategy step ``slack(alpha)``, the negated
   worst-case CVaR by the same ``_beta_search`` as ``worstcase_cvar``, and
-  ``ceiling(alpha)``, the negated exact minimum plus a rounding margin rho.
-  The golden section returns v at some beta, and v at any beta is at least
-  its minimum, so ``ceiling >= slack`` however close the search gets; the
-  scan (``_search.scan_golden_max``) computes ``slack`` only where the
-  ceiling cannot decide a comparison, and returns what it would return with
-  ``slack`` everywhere.  Taking the exact minimum as the slack itself moves
-  an equilibrium threshold of one benchmark game by 5e-4 (the solver fixes
-  u_min only to its 1e-6 alpha tolerance times du/dalpha), more than the
-  benchmark's recorded reference outputs allow, so that switch waits for a
-  re-recorded reference.
+  ``bounds(alpha) = (floor, ceiling)``, the negated exact minimum less a
+  gap and plus a rounding margin rho.  The golden section returns v at some
+  beta, and v at any beta is at least its minimum and, on every instance
+  measured, within a five-thousandth of the gap above it, so
+  ``floor <= slack <= ceiling``.  The scan (``_search.scan_golden_max``)
+  computes ``slack`` only where the bounds cannot decide a comparison, and
+  returns what it would return with ``slack`` everywhere.  Taking the exact
+  minimum as the slack itself moves an equilibrium threshold of one
+  benchmark game by 5e-4 (the solver fixes u_min only to its 1e-6 alpha
+  tolerance times du/dalpha), more than the benchmark's recorded reference
+  outputs allow, so that switch waits for a re-recorded reference.
 
 Every hoisted expression keeps the float operation order in which
 ``worstcase_cvar`` computes t0, d0 and k, so each slack value and threshold
@@ -335,17 +336,24 @@ def certify(alpha, u_min, load, params: MinerParams, reward: RewardModel, epsilo
 
 
 def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsilon):
-    """``(slack(alpha), ceiling(alpha))`` at fixed u_min; only the alpha terms vary.
+    """``(slack(alpha), bounds(alpha))`` at fixed u_min; only the alpha terms vary.
 
-    ``slack`` is the negated ``worstcase_cvar``.  ``ceiling`` is
-    -(exact minimum of v) + rho with rho = 1e-12 * scale / eps, at about a
-    seventh of the cost.  The golden section returns v at some beta, which is
-    at least v's minimum, so ``ceiling >= slack`` however close that search
-    gets; rho covers the rounding of v at the candidate betas, which reached
-    2.6e-16 * scale / eps over 60000 random (instance, alpha) pairs.  Where
-    the search's beta bracket overflows (sigma beyond about 1e80), ``slack``
-    is -inf or NaN; no threshold certifies at such a variance, so the solver
-    stops at its threshold step before any strategy step.
+    ``slack`` is the negated ``worstcase_cvar``; it keeps the values it has
+    computed, so each alpha costs one beta search per step.  ``bounds`` is
+    ``(floor, ceiling)`` = -(exact minimum of v) + (-gap, rho) * scale, with
+    gap = 1e-9 / eps and rho = 1e-12 / eps, at about a seventh of the cost of
+    ``slack``.  The golden section returns v at some beta, which is at least
+    v's minimum, so ``ceiling >= slack`` however close that search gets; rho
+    covers the rounding of v at the candidate betas, which reached
+    2.6e-16 * scale / eps over 60000 random (instance, alpha) pairs.  Over
+    those pairs the search's v sat at most 1.7e-13 * scale / eps above the
+    exact minimum (2.1e-14 on the benchmark's solve-cvar games), under a
+    five-thousandth of the gap, so ``floor <= slack``.  Where the search's
+    beta bracket overflows (sigma beyond about 1e80, scale from about
+    2e155), ``slack`` is -inf or NaN while the exact minimum stays finite,
+    so the floor is -inf from scale 1e140 on.  No threshold certifies at
+    such a variance, so the solver stops at its threshold step before any
+    strategy step.
     """
     m, s2 = params.nominal, params.sigma2
     cost = params.cost
@@ -357,7 +365,9 @@ def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsil
     abs_reach = abs(reach)
     scale0 = 1.0 + abs(a0)
     rho = 1e-12 / epsilon
+    gap = 1e-9 / epsilon
     exact_min = _exact_minimizer(epsilon)
+    scored = {}
 
     def terms(alpha):
         a2 = cost * alpha * alpha
@@ -368,15 +378,19 @@ def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsil
         return a2, a1, t0, d0, scale
 
     def slack(alpha):
-        a2, _, t0, d0, scale = terms(alpha)
-        return -_beta_search(t0, d0, s2 * a2, epsilon, scale)[0]
+        value = scored.get(alpha)
+        if value is None:
+            a2, _, t0, d0, scale = terms(alpha)
+            value = scored[alpha] = -_beta_search(t0, d0, s2 * a2, epsilon, scale)[0]
+        return value
 
-    def ceiling(alpha):
+    def bounds(alpha):
         a2, a1, t0, d0, scale = terms(alpha)
         spread = sigma * abs(a2 * m + 0.5 * a1)
-        return rho * scale - exact_min(t0, d0, s2 * a2, spread)[0]
+        top = -exact_min(t0, d0, s2 * a2, spread)[0]
+        return (top - gap * scale if scale < 1e140 else -math.inf), top + rho * scale
 
-    return slack, ceiling
+    return slack, bounds
 
 
 def subproblem_threshold(
@@ -398,8 +412,8 @@ def subproblem_strategy(
     negated worst-case CVaR, re-certified per alpha.
     """
     _check_strategy(min(tau0, alpha_in), params.cost, load)
-    slack, ceiling = _strategy_slack(u_min, load, params, reward, epsilon)
-    return scan_strategy(slack, alpha_in, tau0, ceiling)
+    slack, bounds = _strategy_slack(u_min, load, params, reward, epsilon)
+    return scan_strategy(slack, alpha_in, tau0, bounds)
 
 
 def robust_best_response(j: int, profile, config: GameConfig, warm_start=None) -> BestResponse:

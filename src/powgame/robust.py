@@ -5,7 +5,8 @@ own way (``bti``: Gaussian Bernstein bound, ``cvar``: worst-case CVaR) and
 hands the steps here ``margin(u_min)``, a float that is >= 0 exactly when
 u_min is certifiable at fixed alpha (NaN certifies nothing), and
 ``slack(alpha)``, >= 0 exactly when alpha keeps the fixed u_min
-certifiable, with an optional cheap upper bound ``ceiling(alpha)`` on it.
+certifiable, with optional cheap bounds ``bounds(alpha) = (floor,
+ceiling)`` around it.
 The alternation (``alternate``) sees only the float thresholds and
 strategies the steps return; a back-end with a separate witness builds it
 on request (``cvar.certify``).
@@ -152,17 +153,17 @@ def _bracket(margin, lo, m_lo, hi, m_hi):
     return a, b
 
 
-def scan_strategy(slack, alpha_in, tau0, ceiling=None):
+def scan_strategy(slack, alpha_in, tau0, bounds=None):
     """(alpha, slack, feasible) maximizing ``slack`` over [tau0, 1]; when no
     alpha certifies, the incoming alpha with ``feasible=False``.
 
-    ``ceiling``, an upper bound on ``slack``, lets the scan skip the exact
-    evaluations it rules out without changing the result.  The incoming
-    alpha is scored once, outside the scan: the margin test below keeps it
-    whenever it beats the scan's best.
+    ``bounds``, a (floor, ceiling) bracket of ``slack``, lets the scan skip
+    the exact evaluations it decides without changing the result.  The
+    incoming alpha is scored once, outside the scan: the margin test below
+    keeps it whenever it beats the scan's best.
     """
     scan_step = max((1.0 - tau0) / 40.0, 1e-4)
-    alpha, best = scan_golden_max(slack, tau0, 1.0, scan_step, tol=ALPHA_TOL, ceiling=ceiling)
+    alpha, best = scan_golden_max(slack, tau0, 1.0, scan_step, tol=ALPHA_TOL, bounds=bounds)
     incoming = slack(alpha_in)
     # move only on improvements that dominate the inner solver noise; without
     # this margin the argmax wobbles at float scale and the best-response

@@ -144,8 +144,8 @@ def grid_scan_max(f, lo, hi, step, tol=1e-6):
     """The strategy scan with every point evaluated: a dense grid, then
     ``golden_max`` around the best cell.
 
-    ``_search.scan_golden_max`` must return exactly this, with or without a
-    ceiling.
+    ``_search.scan_golden_max`` must return exactly this, with or without
+    bounds.
     """
     if hi <= lo:
         return lo, f(lo)

@@ -389,17 +389,17 @@ def test_strategy_step_scores_incoming_alpha_once(monkeypatch, backend):
     original = module.scan_strategy
     bounded = []
 
-    def scanning(slack, alpha_in, tau0, ceiling=None):
+    def scanning(slack, alpha_in, tau0, bounds=None):
         def counted(alpha):
             scored.append(alpha)
             return slack(alpha)
 
-        if ceiling is not None:  # cvar: the bound spares most exact scores
-            def bound(alpha):
+        if bounds is not None:  # cvar: the bounds spare most exact scores
+            def bracket(alpha):
                 bounded.append(alpha)
-                return ceiling(alpha)
+                return bounds(alpha)
 
-            return original(counted, alpha_in, tau0, bound)
+            return original(counted, alpha_in, tau0, bracket)
         return original(counted, alpha_in, tau0)
 
     monkeypatch.setattr(module, "scan_strategy", scanning)
@@ -613,16 +613,36 @@ def _wide_step_inputs(rng):
 
 
 def test_strategy_ceiling_bounds_the_slack():
-    # the ceiling is the exact minimum of v plus rho = 1e-12 * scale / eps;
-    # without rho about one pair in nine fails here, by rounding alone
+    # the bounds are the negated exact minimum of v plus (-gap, rho) * scale,
+    # with gap = 1e-9 / eps and rho = 1e-12 / eps; without rho about one pair
+    # in nine fails the ceiling here, by rounding alone
     rng = np.random.default_rng(27)
     for _ in range(1000):
         load, eps, params, reward = _wide_step_inputs(rng)
-        slack, ceiling = cvar._strategy_slack(
+        slack, bounds = cvar._strategy_slack(
             float(rng.uniform(-3000.0, 3000.0)), load, params, reward, eps
         )
         for alpha in np.exp(rng.uniform(math.log(1e-3), 0.0, size=3)):
-            assert ceiling(float(alpha)) >= slack(float(alpha))
+            floor, ceiling = bounds(float(alpha))
+            assert floor <= slack(float(alpha)) <= ceiling
+
+
+@pytest.mark.parametrize("sigma", [1e60, 1e80, 1e90, 1e130, 1e150])
+def test_scan_with_bounds_matches_the_exact_scan_at_huge_sigma(sigma):
+    # past sigma ~ 1e80 the slack is -inf or NaN while the exact minimum, and
+    # so the ceiling, stays finite; the floor is -inf there, so no probe wins
+    # a comparison on its bounds against a slack that is not a number
+    rng = np.random.default_rng(int(math.log10(sigma)))
+    for _ in range(48):
+        load, eps, params, reward = _wide_step_inputs(rng)
+        params = MinerParams(x_hat=params.x_hat, sigma2=sigma * sigma, cost=params.cost)
+        slack, bounds = cvar._strategy_slack(
+            float(rng.uniform(-3000.0, 3000.0)), load, params, reward, eps
+        )
+        tau0 = float(rng.uniform(0.05, 0.9))
+        step = max((1.0 - tau0) / 40.0, 1e-4)
+        expected = grid_scan_max(slack, tau0, 1.0, step, 1e-6)
+        assert repr(scan_golden_max(slack, tau0, 1.0, step, 1e-6, bounds=bounds)) == repr(expected)
 
 
 def test_strategy_step_equals_the_grid_scan_oracle(monkeypatch):
@@ -645,7 +665,7 @@ def test_strategy_step_equals_the_grid_scan_oracle(monkeypatch):
         cases.append((u, max(tau0, alpha), load, params, reward, tau0, eps))
     steps = [subproblem_strategy(*case) for case in cases]
 
-    def oracle(f, lo, hi, step, tol, ceiling):
+    def oracle(f, lo, hi, step, tol, bounds):
         return grid_scan_max(f, lo, hi, step, tol)
 
     monkeypatch.setattr(robust, "scan_golden_max", oracle)
@@ -654,8 +674,9 @@ def test_strategy_step_equals_the_grid_scan_oracle(monkeypatch):
 
 
 def test_strategy_step_runs_few_beta_searches(monkeypatch):
-    # 41 grid points, ~24 golden probes and the incoming alpha used to cost
-    # one beta search each (about 67 a step); the bound leaves about 20
+    # 41 grid points, ~24 golden probes and the incoming alpha would cost one
+    # beta search each (about 67 a step); the floor and ceiling decide most
+    # comparisons, and each alpha is scored once a step, which leaves about 10
     searches, steps = [], []
 
     def counted(fn, calls):
@@ -670,30 +691,47 @@ def test_strategy_step_runs_few_beta_searches(monkeypatch):
     for config in (make_config(), make_config(x_hat=[35.0, 42.0, 50.0, 57.0, 60.0], tau0=0.1)):
         assert solve_equilibrium(config, "dro_cvar").converged
     assert len(steps) >= 10
-    assert len(searches) / len(steps) <= 30
+    assert len(searches) / len(steps) <= 12
 
 
 def _plateau(x):
     return 1.0 if 0.3 <= x <= 0.6 else 0.0
 
 
-SCAN_CASES = {  # name -> (f, ceiling)
-    "concave": (lambda x: -(x - 0.37) ** 2, lambda x: -(x - 0.37) ** 2 + 0.3 * abs(math.sin(37 * x))),
-    "bound-is-f": (lambda x: -abs(x - 0.81), lambda x: -abs(x - 0.81)),
-    "two-peaks": (lambda x: math.sin(9 * x), lambda x: math.sin(9 * x) + 1e-3),
-    "plateau-ties": (_plateau, lambda x: _plateau(x) + (x > 0.5)),
-    "bound-ties-value": (lambda x: float(x >= 0.5), lambda x: 1.0),
-    "nan-ceilings": (lambda x: -(x - 0.6) ** 2,
-                     lambda x: math.nan if int(x * 1000) % 3 == 0 else -(x - 0.6) ** 2),
+def _gappy(x):
+    return int(x * 1000) % 3 == 0
+
+
+SCAN_CASES = {  # name -> (f, floor, ceiling)
+    "concave": (lambda x: -(x - 0.37) ** 2,
+                lambda x: -(x - 0.37) ** 2 - 0.2 * abs(math.cos(29 * x)),
+                lambda x: -(x - 0.37) ** 2 + 0.3 * abs(math.sin(37 * x))),
+    # tight: the floor and the ceiling are f
+    "bound-is-f": (lambda x: -abs(x - 0.81), lambda x: -abs(x - 0.81), lambda x: -abs(x - 0.81)),
+    "two-peaks": (lambda x: math.sin(9 * x), lambda x: math.sin(9 * x) - 1e-3,
+                  lambda x: math.sin(9 * x) + 1e-3),
+    "plateau-ties": (_plateau, lambda x: _plateau(x) - (x < 0.4), lambda x: _plateau(x) + (x > 0.5)),
+    # a probe's floor of 1 exactly ties the other probe's ceiling of 1
+    "bound-ties-value": (lambda x: float(x >= 0.5), lambda x: float(x >= 0.5), lambda x: 1.0),
+    "nan-ceilings": (lambda x: -(x - 0.6) ** 2, lambda x: -(x - 0.6) ** 2 - 0.05,
+                     lambda x: math.nan if _gappy(x) else -(x - 0.6) ** 2),
+    "nan-floors": (lambda x: -(x - 0.45) ** 2,
+                   lambda x: math.nan if _gappy(x) else -(x - 0.45) ** 2 - 1e-3,
+                   lambda x: -(x - 0.45) ** 2 + 1e-3),
     "nan-value": (lambda x: math.nan if 0.7 < x < 0.72 else -(x - 0.2) ** 2,
+                  lambda x: math.nan if 0.7 < x < 0.72 else -(x - 0.2) ** 2 - 0.01,
                   lambda x: math.nan if 0.7 < x < 0.72 else 1.0),
-    "minus-infinity": (lambda x: -math.inf if x < 0.5 else -x, lambda x: -math.inf if x < 0.5 else 0.0),
+    "minus-infinity": (lambda x: -math.inf if x < 0.5 else -x, lambda x: -math.inf,
+                       lambda x: -math.inf if x < 0.5 else 0.0),
 }
 
 
 @pytest.mark.parametrize("name", SCAN_CASES)
 def test_scan_with_a_ceiling_matches_the_exact_scan(name):
-    f, ceiling = SCAN_CASES[name]
+    f, floor, ceiling = SCAN_CASES[name]
+
+    def bounds(x):
+        return floor(x), ceiling(x)
 
     def logged(log):
         def wrapper(x):
@@ -709,8 +747,8 @@ def test_scan_with_a_ceiling_matches_the_exact_scan(name):
         exact_calls, calls = [], []
         expected = grid_scan_max(logged(exact_calls), lo, hi, step, 1e-6)
         # repr, so that NaN matches NaN
-        assert repr(scan_golden_max(f, lo, hi, step, 1e-6, ceiling=ceiling)) == repr(expected)
-        # without a ceiling, f is its own bound: scored once per point, in order
+        assert repr(scan_golden_max(f, lo, hi, step, 1e-6, bounds=bounds)) == repr(expected)
+        # without bounds, f is its own bound: scored once per point, in order
         assert repr(scan_golden_max(logged(calls), lo, hi, step, 1e-6)) == repr(expected)
         assert calls == exact_calls
 
