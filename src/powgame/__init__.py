@@ -5,8 +5,9 @@ iteration: a deterministic closed form and two robust back-ends.  The robust
 ones share one alternating-optimization driver (``robust``) and differ only
 in the certificate of the chance constraint: a Bernstein-type tail bound
 under Gaussian uncertainty (``bti``), or the exact worst-case CVaR over a
-mean/variance ambiguity set (``cvar``).  Monte Carlo and analytic two-point
-oracles validate the robustness of the results.
+mean/variance ambiguity set (``cvar``).  Monte Carlo sampling and the exact
+worst-case violation probability over that set (the Cantelli/Selberg closed
+form) validate the robustness of the results.
 """
 
 from . import bti, cvar, deterministic, equilibrium, model, robust, validate

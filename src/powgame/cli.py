@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .equilibrium import MODES, EquilibriumResult, solve_equilibrium
+from .equilibrium import INITIAL_ALPHA, MODES, EquilibriumResult, solve_equilibrium
 from .model import ConvergenceError, GameConfig, MinerParams, RewardModel, SolverError
 from .validate import DISTRIBUTIONS, POISSON_LAM_MAX, _stream, empirical_violation, sample_uncertainty
 
@@ -161,8 +161,9 @@ def _per_miner(raw, count, field):
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    """Build a Scenario from a parsed JSON document (reference defaults built in);
-    a key the format does not know is a ScenarioError naming it."""
+    """Build a Scenario from a parsed JSON document; a field it leaves out
+    takes its default, the model's where the model declares one.  A key the
+    format does not know is a ScenarioError naming it."""
     _require(isinstance(doc, dict), "top-level document must be a JSON object")
     _known_keys("", doc, SCENARIO_KEYS)
     try:  # reads every field, so a wrong type or range is a ScenarioError
@@ -188,22 +189,19 @@ def scenario_from_dict(doc: dict) -> Scenario:
         reward_doc = doc.get("reward", {})
         _require(isinstance(reward_doc, dict), "field 'reward': expected an object")
         _known_keys("reward.", reward_doc, ("fixed_reward", "unit_tx_reward", "tx_count"))
-        reward = RewardModel(
-            fixed_reward=_number("reward.fixed_reward", reward_doc.get("fixed_reward", 5000.0)),
-            unit_tx_reward=_number("reward.unit_tx_reward", reward_doc.get("unit_tx_reward", 10.0)),
-            tx_count=_number("reward.tx_count", reward_doc.get("tx_count", 300.0)),
-        )
+        # a component the document leaves out takes RewardModel's default
+        reward = RewardModel(**{key: _number(f"reward.{key}", raw) for key, raw in reward_doc.items()})
 
-        costs = _per_miner(doc.get("unit_cost", 60.0), count, "unit_cost")
-        mus = _per_miner(doc.get("mu", 0.0), count, "mu")
+        costs = _per_miner(doc.get("unit_cost", MinerParams.cost), count, "unit_cost")
+        mus = _per_miner(doc.get("mu", MinerParams.mu), count, "mu")
         sigma = _per_miner(doc.get("sigma", 10.0), count, "sigma")
         _require(min(sigma) >= 0, f"field 'sigma': need sigma >= 0, got {min(sigma)!r}")
         try:  # sigma ** 2, not sigma * sigma, which can differ in the last bit
             sigma2 = [s ** 2 for s in sigma]
         except OverflowError as exc:
             raise ScenarioError(f"field 'sigma': {reprlib.repr(max(sigma))} is out of range") from exc
-        x_min = _number("x_min", doc.get("x_min", 10.0))
-        x_max = _number("x_max", doc.get("x_max", 100.0))
+        x_min = _number("x_min", doc.get("x_min", MinerParams.x_min))
+        x_max = _number("x_max", doc.get("x_max", MinerParams.x_max))
 
         miners = tuple(
             MinerParams(x_hat=x, mu=mu, sigma2=s2, cost=c, x_min=x_min, x_max=x_max)
@@ -212,10 +210,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
         config = GameConfig(
             miners=miners,
             reward=reward,
-            tau0=_number("tau0", doc.get("tau0", 0.5)),
-            epsilon=_number("epsilon", doc.get("epsilon", 0.1)),
-            kappa=_number("kappa", doc.get("kappa", 1e-6)),
-            max_iterations=_number("max_iterations", doc.get("max_iterations", 100), whole=True),
+            tau0=_number("tau0", doc.get("tau0", GameConfig.tau0)),
+            epsilon=_number("epsilon", doc.get("epsilon", GameConfig.epsilon)),
+            kappa=_number("kappa", doc.get("kappa", GameConfig.kappa)),
+            max_iterations=_number(
+                "max_iterations", doc.get("max_iterations", GameConfig.max_iterations), whole=True
+            ),
         )
 
         validation = doc.get("validation", {})
@@ -240,7 +240,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             config=config,
             modes=_resolve_modes(doc.get("mode", "all")),
             seed=seed,
-            initial_alpha=_number("initial_alpha", doc.get("initial_alpha", 0.35)),
+            initial_alpha=_number("initial_alpha", doc.get("initial_alpha", INITIAL_ALPHA)),
             distributions=distributions,
             samples=samples,
             clamp=clamp,
@@ -417,9 +417,12 @@ def run_validate(scenario: Scenario, out_dir) -> int:
         )
     try:  # a batch is n floats: a count numpy refuses fails here, before any solve
         np.empty(scenario.samples)
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest array
         raise _samples_refused(scenario.samples, exc) from exc
-    results = [_solve_mode(scenario, mode) for mode in scenario.modes]
+    # an overflow leaves an inf or NaN utility, which scoring reports as a
+    # config error: numpy's warnings about it would only add lines to stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = [_solve_mode(scenario, mode) for mode in scenario.modes]
     # a batch depends only on (seed, miner, distribution): draw each once and
     # score it against every mode, keeping the rows in mode-major order
     jobs = [(j, dist) for j in range(config.n_miners) for dist in scenario.distributions]
@@ -434,15 +437,21 @@ def run_validate(scenario: Scenario, out_dir) -> int:
         except MemoryError as exc:  # numpy refuses a batch this large at once
             raise _samples_refused(scenario.samples, exc) from exc
 
+    def score(j, dist, batch):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # set per thread, so set here again
+                return [
+                    empirical_violation(result.alphas, result.u_values[j], j, config, batch, clamp=scenario.clamp)
+                    for result in results
+                ]
+        except ValueError as exc:  # NaN or inf utilities, or a span too narrow for their size
+            raise ScenarioError(f"miner {j}, distribution {dist}: cannot bin the utilities: {exc}") from exc
+
     def draw_and_score(j, dist):
         if stop.is_set():  # a job that starts after a failure draws nothing
             return None
         try:
-            batch = draw(j, dist)
-            return [
-                empirical_violation(result.alphas, result.u_values[j], j, config, batch, clamp=scenario.clamp)
-                for result in results
-            ]
+            return score(j, dist, draw(j, dist))
         except BaseException:
             stop.set()
             raise

@@ -21,6 +21,7 @@ from .model import GameConfig, utility
 __all__ = ["MODES", "EquilibriumResult", "closed_form_equilibrium", "solve_equilibrium"]
 
 MODES = ("deterministic", "gaussian_bti", "dro_cvar")
+INITIAL_ALPHA = 0.35  # the starting strategy of every miner, before the tau0 floor
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ def _deterministic_utilities(alphas, config):
     )
 
 
-def solve_equilibrium(config: GameConfig, mode: str, initial_alpha=0.35) -> EquilibriumResult:
+def solve_equilibrium(config: GameConfig, mode: str, initial_alpha=INITIAL_ALPHA) -> EquilibriumResult:
     """Iterate best responses until the summed per-sweep change is <= kappa.
 
     The initial profile is ``min(1, max(tau0, initial_alpha))`` for every
@@ -82,7 +83,6 @@ def solve_equilibrium(config: GameConfig, mode: str, initial_alpha=0.35) -> Equi
     trace = []
     converged = False
     sweeps = 0
-    warm = [None] * n  # later sweeps resume each miner's AO from its own state
     for sweeps in range(1, config.max_iterations + 1):
         prev_alphas = alphas.copy()
         prev_u = u_values.copy()
@@ -90,10 +90,11 @@ def solve_equilibrium(config: GameConfig, mode: str, initial_alpha=0.35) -> Equi
             if robust is None:
                 alphas[j] = deterministic.best_response(j, alphas, config)
             else:
-                response = robust(j, alphas, config, warm_start=warm[j])
+                # from sweep 2 on, the AO resumes from this miner's last response
+                warm = None if sweeps == 1 else (float(alphas[j]), float(u_values[j]))
+                response = robust(j, alphas, config, warm_start=warm)
                 alphas[j] = response.alpha
                 u_values[j] = response.u_min
-                warm[j] = (response.alpha, response.u_min)
         if mode == "deterministic":
             u_values = _deterministic_utilities(alphas, config)
         trace.append((tuple(float(a) for a in alphas), tuple(float(u) for u in u_values)))

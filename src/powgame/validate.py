@@ -27,7 +27,6 @@ __all__ = [
     "SampleBatch",
     "ViolationReport",
     "sample_uncertainty",
-    "empirical_utilities",
     "empirical_violation",
     "discrete_worstcase_violation",
 ]
@@ -151,8 +150,18 @@ def binomial_slack(epsilon, n) -> float:
 
 
 def _utility_blocks(alphas, j, config: GameConfig, draws, clamp):
-    """Yield (start, utilities) for each block of ``_BLOCK`` draws, the
-    utilities held in a scratch array that the next block overwrites."""
+    """Miner j's realized utilities across draws, rivals at nominal resources:
+    yield (start, utilities) for each block of ``_BLOCK`` draws, the
+    utilities held in a scratch array that the next block overwrites.
+
+    Only miner j's resource is random: x_j = x_hat_j + dx, optionally clamped
+    to the confidence interval (floored at 1e-9 so a huge negative draw can
+    never produce a nonpositive resource).  Each utility is computed as
+    R*own/(own + load) - cost*own, one correctly rounded operation at a time,
+    so a draw's utility does not depend on the draws around it, nor on how
+    often it is computed: the floats are those of scoring all the draws at
+    once.
+    """
     params = config.miners[j]
     a = np.asarray(alphas, dtype=float)
     load = others_load(j, a, config.nominal_resources())
@@ -176,25 +185,6 @@ def _utility_blocks(alphas, j, config: GameConfig, draws, clamp):
         yield start, out
 
 
-def empirical_utilities(alphas, j, config: GameConfig, draws, clamp=False) -> np.ndarray:
-    """Realized utilities of miner j across draws, rivals at nominal resources.
-
-    Only miner j's resource is random: x_j = x_hat_j + dx, optionally clamped
-    to the confidence interval (floored at 1e-9 so a huge negative draw can
-    never produce a nonpositive resource).  Each utility is computed as
-    R*own/(own + load) - cost*own, one correctly rounded operation at a time,
-    so a draw's utility does not depend on the draws around it, nor on how
-    often it is computed.  The draws are scored in blocks of ``_BLOCK``
-    through the block kernel ``empirical_violation`` runs twice per batch,
-    and each block is copied into the one output array: the floats are those
-    of scoring all the draws at once.
-    """
-    utils = np.empty(len(draws))
-    for start, block in _utility_blocks(alphas, j, config, draws, clamp):
-        utils[start : start + len(block)] = block
-    return utils
-
-
 def empirical_violation(
     alphas,
     u_min,
@@ -212,7 +202,7 @@ def empirical_violation(
     The batch is scored in two passes over the blocks of ``_BLOCK`` values,
     and no array of its utilities is made: the first pass takes the least and
     greatest utility, and the second computes each block's utilities again
-    (the same floats, see ``empirical_utilities``), counts them and bins them
+    (the same floats, see ``_utility_blocks``), counts them and bins them
     against the edges of the whole batch.  The blocks' counts are summed:
     numpy bins in blocks of its own too, so the edges and counts are the same
     arrays.  ``cli.run_validate`` calls this on two worker threads at once,

@@ -24,10 +24,10 @@ the closed-form square root of the moment matrix (``sqrt_moment_matrix``)
 and the eigendecomposition route to the trace-minimal CVaR certificate
 (``eigh_certificate``).  Monte Carlo scoring draw by draw, over the whole
 array at once (``full_array_utilities``, ``full_array_violation``), is the
-oracle for ``empirical_utilities`` and ``empirical_violation``, which score
-a batch over its distinct values, in blocks.  The two-point family at
-any p (``two_point_atoms``, ``two_point_batch``) extends the sampler's p = 1/2
-law.  ``atom_search_violation`` searches two- and three-atom laws for the
+oracle for the block kernel ``validate._utility_blocks`` and for
+``empirical_violation``, which score a batch over its distinct values, in
+blocks.  The two-point family at any p (``two_point_atoms``,
+``two_point_batch``) extends the sampler's p = 1/2 law.  ``atom_search_violation`` searches two- and three-atom laws for the
 supremum the closed form of ``validate.discrete_worstcase_violation`` prices,
 and ``exact_gaussian_violation`` prices a miner's loss under the Gaussian law.
 """
@@ -163,7 +163,8 @@ def grid_scan_max(f, lo, hi, step, tol=1e-6):
 
 def plain_bisect_threshold(certify, params, reward, u_lo=None):
     """The threshold step with every bisection probe evaluated: the largest
-    u_min with ``certify(u_min)`` True, to ``BISECT_TOL``.
+    u_min with ``certify(u_min)`` True, to ``BISECT_TOL`` or to float
+    resolution, whichever is coarser.
 
     ``robust.bisect_threshold`` evaluates only the probes next to the root
     and must return exactly this, and raise what this raises, given
@@ -182,6 +183,8 @@ def plain_bisect_threshold(certify, params, reward, u_lo=None):
         u_lo = u_lo - 3.0 * abs(u_lo) - 1.0  # quadruple the reach downward
     while u_hi - u_lo > BISECT_TOL:
         mid = 0.5 * (u_lo + u_hi)
+        if mid == u_lo or mid == u_hi:  # adjacent floats: nothing left to halve
+            break
         if certify(mid):
             u_lo = mid
         else:

@@ -3,6 +3,8 @@
 import json
 import math
 import re
+import subprocess
+import sys
 import tempfile
 import threading
 import weakref
@@ -12,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powgame import ConvergenceError, SolverError, cli
+from powgame import ConvergenceError, SolverError, cli, discrete_worstcase_violation, solve_equilibrium
 from powgame.cli import (
     EQUILIBRIUM_HEADER,
     HISTOGRAM_HEADER,
+    MODE_ALIASES,
     SWEEP_AXES,
     SWEEP_HEADER,
     TRACE_HEADER,
@@ -615,6 +618,16 @@ MALFORMED = [  # (id, document, text stderr must contain, verbs)
     # numpy refuses a batch this large at once (7.11 PiB of float64)
     ("samples-1e15-det", dict(REFERENCE_DOC, mode="det", validation={"samples": 10**15}),
      "'validation.samples'", ("validate",)),
+    # beyond numpy's largest array: its refusal is a ValueError, not a MemoryError
+    ("samples-2**63-det", dict(REFERENCE_DOC, mode="det", validation={"samples": 2**63}),
+     "'validation.samples'", ("validate",)),
+    # np.histogram refused these utilities with a traceback: too large to split
+    # into 40 bins, or overflowed to NaN
+    ("x-hat-1e300-det", dict(REFERENCE_DOC, resources={"mode": "homogeneous", "x_hat": 1e300}, x_max=1e300,
+                             mode="det"), "miner 0, distribution ", ("validate",)),
+    ("mu-1e300-det", dict(REFERENCE_DOC, mu=1e300, mode="det"), "miner 0, distribution ", ("validate",)),
+    ("hi-1e308-det", dict(REFERENCE_DOC, resources={"mode": "heterogeneous", "lo": 30.0, "hi": 1e308},
+                          x_max=1e308, mode="det"), "miner 0, distribution ", ("validate",)),
     # a misspelled key was ignored: epsilom ran at the default epsilon 0.1,
     # fixed_rewad at the default 5000
     ("unknown-key-det", {"miners": 3, "epsilom": 0.05, "mode": "det"}, "'epsilom': unknown key", None),
@@ -647,6 +660,41 @@ def test_malformed_scenario_exits_1(tmp_path, capsys, verb, doc, names):
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert names in err
     assert not (tmp_path / "out").exists()
+
+
+# thresholds beyond 2**33, where adjacent floats lie more than BISECT_TOL
+# apart: the threshold step halved its last interval forever.  Each sweep
+# document holds the game of its one sweep point
+HUGE_THRESHOLDS = [  # (id, document, argv after the verb's --config)
+    ("solve-bti-reward-3e10", {"miners": 3, "reward": {"fixed_reward": 3e10}}, ["--mode", "bti"]),
+    ("solve-cvar-reward-3e10", {"miners": 3, "reward": {"fixed_reward": 3e10}}, ["--mode", "cvar"]),
+    ("sweep-bti-reward-1e11", {"miners": 3, "reward": {"fixed_reward": 1e11}},
+     ["--mode", "bti", "--axis", "fixed_reward", "--values", "1e11"]),
+    ("sweep-cvar-reward-1e11", {"miners": 3, "reward": {"fixed_reward": 1e11}},
+     ["--mode", "cvar", "--axis", "fixed_reward", "--values", "1e11"]),
+    ("solve-bti-cost-1e300", {"miners": 3, "unit_cost": 1e300}, ["--mode", "bti"]),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, argv", [pytest.param(doc, argv, id=name) for name, doc, argv in HUGE_THRESHOLDS]
+)
+def test_huge_thresholds_end(tmp_path, doc, argv):
+    # in a subprocess, so that a hang fails this test instead of stalling the
+    # suite; each case takes under a second
+    config = write_config(tmp_path, doc)
+    verb = "sweep" if "--axis" in argv else "solve"
+    result = subprocess.run(
+        [sys.executable, "-m", "powgame.cli", verb, "--config", str(config), "--out", str(tmp_path / "out"), *argv],
+        capture_output=True, text=True, cwd=Path(cli.__file__).parent.parent, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    mode = MODE_ALIASES[argv[1]]
+    game = load_scenario(config).config
+    solved = solve_equilibrium(game, mode)
+    assert solved.converged
+    if mode == "dro_cvar":  # the certified thresholds keep the worst case within epsilon
+        assert discrete_worstcase_violation(solved.alphas, solved.u_values, game) <= game.epsilon + 1e-12
 
 
 USAGE_ERRORS = {  # id -> argv

@@ -10,7 +10,6 @@ import pytest
 
 from powgame import (
     discrete_worstcase_violation,
-    empirical_utilities,
     empirical_violation,
     sample_uncertainty,
     solve_equilibrium,
@@ -36,6 +35,12 @@ from conftest import (
 )
 
 CONFIGS = Path(__file__).parent.parent / "configs"
+
+
+def _kernel_utilities(alphas, j, config, draws, clamp):
+    """Every utility the block kernel yields, its blocks copied into one array."""
+    blocks = validate._utility_blocks(alphas, j, config, draws, clamp)
+    return np.concatenate([block.copy() for _, block in blocks])
 
 
 def test_two_point_atoms_exact_moments():
@@ -153,8 +158,8 @@ def test_empirical_matches_analytic_two_point_probability(reference_config):
     batch = two_point_batch(0.0, 100.0, 100_000, p, seed=21)
     alphas = [0.5] * 5
     hi, lo = two_point_atoms(0.0, 100.0, p)
-    u_hi = empirical_utilities(alphas, 0, reference_config, np.array([hi]))[0]
-    u_lo = empirical_utilities(alphas, 0, reference_config, np.array([lo]))[0]
+    u_hi = full_array_utilities(alphas, 0, reference_config, np.array([hi]))[0]
+    u_lo = full_array_utilities(alphas, 0, reference_config, np.array([lo]))[0]
     threshold = 0.5 * (min(u_hi, u_lo) + max(u_hi, u_lo))
     analytic = p if u_hi < threshold else (1.0 - p)
     report = empirical_violation(alphas, threshold, 0, reference_config, batch)
@@ -165,7 +170,7 @@ def test_empirical_matches_analytic_two_point_probability(reference_config):
 def test_clamped_draws_stay_in_confidence_interval(reference_config):
     batch = sample_uncertainty("gaussian", 0.0, 900.0, 2000, seed=2)
     params = reference_config.miners[0]
-    clamped = empirical_utilities([0.5] * 5, 0, reference_config, batch.draws, clamp=True)
+    clamped = _kernel_utilities([0.5] * 5, 0, reference_config, batch.draws, clamp=True)
     x = params.x_hat + batch.draws
     assert np.any(x > params.x_max) or np.any(x < params.x_min)  # clamp must matter
     load = 110.0
@@ -216,7 +221,7 @@ def test_exact_oracle_dominates_the_two_point_grid(path):
         u_mins = []
         for j, params in enumerate(config.miners):  # one loss root k sigmas from the mean
             k = rng.uniform(0.5, 6.0) * math.sqrt(params.sigma2)
-            u_mins.append(float(min(empirical_utilities(alphas, j, config, [params.mu - k, params.mu + k]))))
+            u_mins.append(float(min(full_array_utilities(alphas, j, config, [params.mu - k, params.mu + k]))))
         grid_max = 0.0
         for coeffs, m, sigma2 in _miner_losses(alphas, u_mins, config):
             for p in p_grid:
@@ -336,7 +341,7 @@ def test_distinct_value_scoring_equals_the_full_array_oracle():
             batch = two_point_batch(mu, sigma2, n, p, seed=case, miner_index=j)
         else:
             batch = sample_uncertainty(dist, mu, sigma2, n, seed=case, miner_index=j)
-        utils = empirical_utilities(alphas, j, config, batch.values, clamp=clamp)
+        utils = full_array_utilities(alphas, j, config, batch.values, clamp=clamp)
         if rng.random() < 0.5:  # a threshold equal to some utility tests the strict <
             u_min = float(rng.choice(utils))
         else:
@@ -373,7 +378,7 @@ def test_block_wise_scoring_equals_the_one_shot_oracle(n):
         "single atom": SampleBatch(n, np.array([-3.5]), np.array([n])),
     }
     for (kind, batch), clamp in itertools.product(batches.items(), (False, True)):
-        utils = empirical_utilities(alphas, j, config, batch.values, clamp=clamp)
+        utils = _kernel_utilities(alphas, j, config, batch.values, clamp=clamp)
         expected = full_array_utilities(alphas, j, config, batch.values, clamp=clamp)
         assert utils.tobytes() == expected.tobytes(), (kind, clamp)
         for u_min in (float(utils[len(utils) // 2]), float(np.median(utils)) + 0.25):
