@@ -18,24 +18,27 @@ the threshold step is an exact bisection on its sign (g is the step's
 constraint value is its own slack.  g >= 0 is also its own certificate, so
 the threshold step returns a bare float and there is no separate witness.
 
-``BtiCoefficients`` and ``bti_constraint_value`` are the reference formula.
+``bti_constraint_value`` is the reference formula.  It takes the same loss
+and moments as ``cvar.worstcase_cvar`` (``model.LossCoefficients``,
+``model.MomentMatrix``): the Gaussian case is the same chance constraint on
+the same loss, and A, b and D are that loss standardized at mu_bar + sigma e.
 The two steps evaluate g from constants computed once per step instead
 (``_threshold_certifier``, ``_strategy_slack``): a sweep evaluates g millions
 of times.  Every hoisted expression keeps the float operation order of
-``from_strategy`` and ``bti_constraint_value``, so each g value, and every
-output built on it, is bit-identical to the reference.
+``LossCoefficients.from_strategy`` and ``bti_constraint_value``, so each g
+value, and every output built on it, is bit-identical to the reference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .model import GameConfig, MinerParams, RewardModel
+from .model import (
+    GameConfig, LossCoefficients, MinerParams, MomentMatrix, RewardModel, _check_epsilon, _check_strategy
+)
 from .robust import BestResponse, alternate, bisect_threshold, scan_strategy
 
 __all__ = [
-    "BtiCoefficients",
     "bti_constraint_value",
     "subproblem_threshold_gaussian",
     "subproblem_strategy_gaussian",
@@ -43,80 +46,40 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BtiCoefficients:
-    """Coefficients of f(e) = A e^2 + 2 b e + D for a standard normal e.
+def bti_constraint_value(coeffs: LossCoefficients, moments: MomentMatrix, epsilon) -> float:
+    """Slack of the Bernstein bound; g >= 0 certifies the Gaussian constraint.
 
-    ``upsilon`` and ``omega`` are the tight values of the cone auxiliaries.
+    f(e) = -L(mu_bar + sigma e) has A = -a2 sigma^2, b = -sigma (a2 mu_bar + a1 / 2)
+    and D = -L(mu_bar).
     """
-
-    A: float
-    b: float
-    D: float
-
-    @classmethod
-    def from_strategy(cls, alpha, u_min, load, params: MinerParams, reward: RewardModel):
-        _check_strategy(alpha, load)
-        sigma = params.sigma
-        mu_bar = params.nominal
-        cost = params.cost
-        big_b = -reward.total + cost * load
-        quad = cost * alpha * alpha
-        return cls(
-            A=-quad * sigma * sigma,
-            b=-sigma * (quad * mu_bar + 0.5 * (u_min + big_b) * alpha),
-            D=-(quad * mu_bar * mu_bar + (u_min + big_b) * alpha * mu_bar + u_min * load),
-        )
-
-    def f(self, e):
-        return (self.A * e + 2.0 * self.b) * e + self.D
-
-    @property
-    def upsilon(self) -> float:
-        return math.hypot(self.A, math.sqrt(2.0) * self.b)
-
-    @property
-    def omega(self) -> float:
-        return max(0.0, -self.A)
+    _check_epsilon(epsilon)
+    log_eps = math.log(epsilon)
+    a2, a1, a0 = coeffs.a2, coeffs.a1, coeffs.a0
+    m, sigma = moments.mu_bar, math.sqrt(moments.sigma2)
+    big_a = -a2 * sigma * sigma
+    b = -sigma * (a2 * m + 0.5 * a1)
+    d = -(a2 * m * m + a1 * m + a0)
+    upsilon = math.hypot(big_a, math.sqrt(2.0) * b)
+    return big_a - math.sqrt(-2.0 * log_eps) * upsilon + log_eps * max(0.0, -big_a) + d
 
 
-def _check_strategy(alpha, load):
-    if alpha <= 0 or load <= 0:
-        raise ValueError("need alpha > 0 and positive rivals' load")
-
-
-def _log_epsilon(epsilon) -> float:
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
-    return math.log(epsilon)
-
-
-def bti_constraint_value(coeffs: BtiCoefficients, epsilon) -> float:
-    """Slack of the Bernstein bound; g >= 0 certifies the Gaussian constraint."""
-    log_eps = _log_epsilon(epsilon)
-    return (
-        coeffs.A
-        - math.sqrt(-2.0 * log_eps) * coeffs.upsilon
-        + log_eps * coeffs.omega
-        + coeffs.D
-    )
-
-
-# The two factories below inline from_strategy and bti_constraint_value with
-# everything that does not vary within a step computed once.  Their float
-# operations must stay in the reference's order (e.g. (0.5 * s) * alpha, and
-# g = ((A - c * upsilon) + log_eps * omega) + D): a reordered product changes
+# The two factories below inline LossCoefficients.from_strategy and
+# bti_constraint_value with everything that does not vary within a step
+# computed once.  Their float operations must stay in the reference's order
+# (e.g. g = ((A - c * upsilon) + log_eps * omega) + D; halving is exact, so
+# (0.5 * s) * alpha is the reference's 0.5 * a1): a reordered product changes
 # g in the last bits, and with it the bisection's threshold and every CSV.
 
 
 def _threshold_certifier(alpha, load, params: MinerParams, reward: RewardModel, epsilon):
     """``margin(u)``: g(u) at fixed alpha; only b and D depend on u."""
-    _check_strategy(alpha, load)
-    log_eps = _log_epsilon(epsilon)
+    cost = params.cost
+    _check_strategy(alpha, cost, load)
+    _check_epsilon(epsilon)
+    log_eps = math.log(epsilon)
     sigma = params.sigma
     neg_sigma = -sigma
     mu_bar = params.nominal
-    cost = params.cost
     big_b = -reward.total + cost * load
     quad = cost * alpha * alpha
     big_a = -quad * sigma * sigma
@@ -138,7 +101,8 @@ def _threshold_certifier(alpha, load, params: MinerParams, reward: RewardModel, 
 
 def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsilon):
     """``slack(alpha)``: g(alpha) at fixed u_min; only the alpha terms vary."""
-    log_eps = _log_epsilon(epsilon)
+    _check_epsilon(epsilon)
+    log_eps = math.log(epsilon)
     sigma = params.sigma
     neg_sigma = -sigma
     mu_bar = params.nominal
@@ -179,7 +143,7 @@ def subproblem_strategy_gaussian(
     reparameterized bound equals g itself, so maximizing it keeps the current
     u_min feasible for the next threshold step.
     """
-    _check_strategy(min(tau0, alpha_in), load)
+    _check_strategy(min(tau0, alpha_in), params.cost, load)
     slack = _strategy_slack(u_min, load, params, reward, epsilon)
     return scan_strategy(slack, alpha_in, tau0)
 

@@ -20,9 +20,11 @@ worst-case CVaR is the minimum over beta of
 The 2x2 argument is similar to ``Q(beta) Omega``; its trace and determinant
 are affine in beta, so v is a closed-form scalar of three constants (``_v``).
 
-``worstcase_cvar`` is the reference formula: it takes ``LossCoefficients``
-and ``MomentMatrix``, computes the three constants and minimizes v over beta
-(``_beta_search``, a bracketed golden section).  The two
+``worstcase_cvar`` is the reference formula: it takes the loss
+(``model.LossCoefficients``, the same one ``bti.bti_constraint_value`` and
+``validate`` read) and the resource's ``model.MomentMatrix``, computes the
+three constants and minimizes v over beta (``_beta_search``, a bracketed
+golden section).  The two
 alternating-optimization steps evaluate v from constants computed once per
 step instead, because a solve evaluates it hundreds of thousands of times:
 
@@ -49,7 +51,8 @@ step instead, because a solve evaluates it hundreds of thousands of times:
 Every hoisted expression keeps the float operation order in which
 ``worstcase_cvar`` computes t0, d0 and k, so each slack value and threshold
 decision, and every output built on them, is bit-identical to v evaluated
-from those three constants.
+from those three constants.  Each step, ``certify`` and ``worstcase_cvar``
+check epsilon once, with the model's check, before any evaluation.
 """
 
 from __future__ import annotations
@@ -61,12 +64,12 @@ from functools import partial
 import numpy as np
 
 from ._search import _INV_PHI
-from .model import GameConfig, MinerParams, RewardModel
+from .model import (
+    GameConfig, LossCoefficients, MinerParams, MomentMatrix, RewardModel, _check_epsilon, _check_strategy
+)
 from .robust import BestResponse, alternate, bisect_threshold, scan_strategy
 
 __all__ = [
-    "LossCoefficients",
-    "MomentMatrix",
     "CvarCertificate",
     "certify",
     "worstcase_cvar",
@@ -74,50 +77,6 @@ __all__ = [
     "subproblem_strategy",
     "robust_best_response",
 ]
-
-
-def _check_strategy(alpha, cost, load):
-    if alpha <= 0 or cost <= 0 or load <= 0:
-        raise ValueError("need alpha > 0, cost > 0 and positive rivals' load")
-
-
-@dataclass(frozen=True)
-class LossCoefficients:
-    """Quadratic loss L(x) = a2 x^2 + a1 x + a0 encoding "utility below u_min"."""
-
-    a2: float
-    a1: float
-    a0: float
-
-    @classmethod
-    def from_strategy(cls, alpha, u_min, load, cost, reward_total):
-        _check_strategy(alpha, cost, load)
-        b = -reward_total + cost * load
-        return cls(a2=cost * alpha * alpha, a1=(u_min + b) * alpha, a0=u_min * load)
-
-    def __call__(self, x):
-        return (self.a2 * x + self.a1) * x + self.a0
-
-
-@dataclass(frozen=True)
-class MomentMatrix:
-    """Second-moment matrix Omega = [[s2 + m^2, m], [m, 1]] of the resource.
-
-    ``mu_bar = x_hat + mu`` is the mean realized resource.  det(Omega) = s2,
-    so Omega is positive definite whenever the variance is positive.
-    """
-
-    mu_bar: float
-    sigma2: float
-
-    @classmethod
-    def from_params(cls, params: MinerParams):
-        return cls(mu_bar=params.nominal, sigma2=params.sigma2)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        m = self.mu_bar
-        return np.array([[self.sigma2 + m * m, m], [m, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -138,21 +97,17 @@ class CvarCertificate:
     def matrix(self) -> np.ndarray:
         return np.array([[self.m11, self.m12], [self.m12, self.m22]])
 
-    def constraint_matrix(self, coeffs: LossCoefficients) -> np.ndarray:
-        """The dominated block Q; its corner entry is a0 - beta = u_min * load - beta."""
-        q12 = 0.5 * coeffs.a1
-        return np.array([[coeffs.a2, q12], [q12, coeffs.a0 - self.beta]])
-
     def slacks(self, coeffs: LossCoefficients, moments: MomentMatrix, epsilon):
-        """(min eig of M, min eig of M - Q, trace slack); all >= 0 when valid."""
+        """(min eig of M, min eig of M - Q, trace slack); all >= 0 when valid.
+
+        Q = [[a2, a1 / 2], [a1 / 2, a0 - beta]] is the loss's block that M must
+        dominate; its corner entry is u_min * load - beta.
+        """
         m = self.matrix
-        q = self.constraint_matrix(coeffs)
+        q12 = 0.5 * coeffs.a1
+        q = np.array([[coeffs.a2, q12], [q12, coeffs.a0 - self.beta]])
         trace = -(self.beta + float(np.trace(moments.matrix @ m)) / epsilon)
-        return (
-            float(np.linalg.eigvalsh(m)[0]),
-            float(np.linalg.eigvalsh(m - q)[0]),
-            trace,
-        )
+        return float(np.linalg.eigvalsh(m)[0]), float(np.linalg.eigvalsh(m - q)[0]), trace
 
 
 def _v(t0, d0, k, epsilon, beta):
@@ -230,6 +185,7 @@ def _beta_search(t0, d0, k, epsilon, scale) -> tuple[float, float]:
 
 def worstcase_cvar(coeffs: LossCoefficients, moments: MomentMatrix, epsilon) -> tuple[float, float]:
     """Exact worst-case CVaR of the loss over the mean/variance ambiguity set: (value, beta)."""
+    _check_epsilon(epsilon)
     a2, a1, a0 = coeffs.a2, coeffs.a1, coeffs.a0
     m, s2 = moments.mu_bar, moments.sigma2
     t0 = a2 * (s2 + m * m) + a1 * m + a0
@@ -298,6 +254,7 @@ def _threshold_minimum(alpha, load, params: MinerParams, reward: RewardModel, ep
     """``minimum(u)``: (a1, a0, (min v, argmin beta)); only a1 and a0 vary with u."""
     cost = params.cost
     _check_strategy(alpha, cost, load)
+    _check_epsilon(epsilon)
     m, s2 = params.nominal, params.sigma2
     big_b = -reward.total + cost * load
     a2 = cost * alpha * alpha
@@ -355,6 +312,7 @@ def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsil
     such a variance, so the solver stops at its threshold step before any
     strategy step.
     """
+    _check_epsilon(epsilon)
     m, s2 = params.nominal, params.sigma2
     cost = params.cost
     s = u_min + (-reward.total + cost * load)

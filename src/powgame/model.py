@@ -1,4 +1,4 @@
-"""Domain types and the deterministic utility mathematics of the mining game.
+"""Domain types, the utility mathematics and the loss of the mining game.
 
 A set of miners splits a block reward in proportion to the computing power
 each one commits.  Miner j commits the fraction ``alpha_j`` of its available
@@ -6,7 +6,10 @@ resource ``x_j``, wins the reward ``R = fixed + unit_tx * tx_count`` with
 probability equal to its share of the total committed power, and pays
 ``cost_j * alpha_j * x_j`` for the resources it burns.  Everything else in
 the package (closed forms, robust solvers, Monte Carlo validation) is built
-on the functions and records defined here.
+on the functions and records defined here.  ``LossCoefficients`` (the
+chance constraint's quadratic loss) and ``MomentMatrix`` (the resource's
+moments) are stated once, for both robust certificates and the exact
+violation oracle, and so are the checks of a strategy and of epsilon.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ __all__ = [
     "GameConfig",
     "ConvergenceError",
     "SolverError",
+    "LossCoefficients",
+    "MomentMatrix",
     "utility",
     "others_load",
 ]
@@ -32,6 +37,16 @@ def _require_finite(record, names):
     for name in names:
         if not math.isfinite(getattr(record, name)):
             raise ValueError(f"{name} must be a finite number, got {getattr(record, name)}")
+
+
+def _check_epsilon(epsilon):
+    if not 0 < epsilon < 1:
+        raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
+
+
+def _check_strategy(alpha, cost, load):
+    if alpha <= 0 or cost <= 0 or load <= 0:
+        raise ValueError("need alpha > 0, cost > 0 and positive rivals' load")
 
 
 class SolverError(RuntimeError):
@@ -101,6 +116,8 @@ class MinerParams:
             )
         if not self.nominal > 0:
             raise ValueError("nominal resource x_hat + mu must be positive")
+        if not math.isfinite(self.cost * self.x_max):
+            raise ValueError(f"cost * x_max must be finite, got {self.cost} * {self.x_max}")
 
     @property
     def nominal(self) -> float:
@@ -128,12 +145,14 @@ class GameConfig:
             raise ValueError("need at least 2 miners")
         if not 0 < self.tau0 < 1:
             raise ValueError(f"tau0 must be in (0,1), got {self.tau0}")
-        if not 0 < self.epsilon < 1:
-            raise ValueError(f"epsilon must be in (0,1), got {self.epsilon}")
+        _check_epsilon(self.epsilon)
         if not 0 < self.kappa < math.inf:
             raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
         if not self.max_iterations >= 1:
             raise ValueError("max_iterations must be at least 1")
+        total = self.reward.total * sum(m.nominal for m in self.miners)
+        if not math.isfinite(total):
+            raise ValueError(f"reward total * summed nominal resources must be finite, got {total}")
 
     @property
     def n_miners(self) -> int:
@@ -144,6 +163,52 @@ class GameConfig:
 
     def costs(self) -> np.ndarray:
         return np.array([m.cost for m in self.miners])
+
+
+@dataclass(frozen=True)
+class LossCoefficients:
+    """Quadratic loss L(x) = a2 x^2 + a1 x + a0 encoding "utility below u_min".
+
+    At strategy alpha against the rivals' load, the utility at realized
+    resource x is below u_min exactly when L(x) > 0: the utility requirement
+    with its denominator alpha x + load cleared.  Both robust certificates
+    (``cvar.worstcase_cvar``, ``bti.bti_constraint_value``) and the exact
+    violation oracle (``validate.discrete_worstcase_violation``) read this loss.
+    """
+
+    a2: float
+    a1: float
+    a0: float
+
+    @classmethod
+    def from_strategy(cls, alpha, u_min, load, cost, reward_total):
+        _check_strategy(alpha, cost, load)
+        b = -reward_total + cost * load
+        return cls(a2=cost * alpha * alpha, a1=(u_min + b) * alpha, a0=u_min * load)
+
+    def __call__(self, x):
+        return (self.a2 * x + self.a1) * x + self.a0
+
+
+@dataclass(frozen=True)
+class MomentMatrix:
+    """Second-moment matrix Omega = [[s2 + m^2, m], [m, 1]] of the resource.
+
+    ``mu_bar = x_hat + mu`` is the mean realized resource.  det(Omega) = s2,
+    so Omega is positive definite whenever the variance is positive.
+    """
+
+    mu_bar: float
+    sigma2: float
+
+    @classmethod
+    def from_params(cls, params: MinerParams):
+        return cls(mu_bar=params.nominal, sigma2=params.sigma2)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        m = self.mu_bar
+        return np.array([[self.sigma2 + m * m, m], [m, 1.0]])
 
 
 def _as_arrays(profile, resources) -> tuple[np.ndarray, np.ndarray]:

@@ -6,6 +6,8 @@ recomputing the realized utilities, and counting how often they fall below
 the certified threshold.  The guarantee itself is checked exactly, free of
 solver internals: the worst-case violation probability over every law with a
 miner's mean and variance, in closed form at the roots of the miner's loss.
+This module imports nothing from the package but ``model`` (the loss is
+``model.LossCoefficients``), so no back-end it checks is part of the check.
 
 Sampling uses the counter-based Philox generator; each (seed, miner,
 distribution) triple hashes to its own stream, so batches are reproducible
@@ -19,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cvar import LossCoefficients
-from .model import GameConfig, others_load
+from .model import GameConfig, LossCoefficients, others_load
 
 __all__ = [
     "DISTRIBUTIONS",

@@ -30,6 +30,8 @@ blocks.  The two-point family at any p (``two_point_atoms``,
 ``two_point_batch``) extends the sampler's p = 1/2 law.  ``atom_search_violation`` searches two- and three-atom laws for the
 supremum the closed form of ``validate.discrete_worstcase_violation`` prices,
 and ``exact_gaussian_violation`` prices a miner's loss under the Gaussian law.
+``BAD_STEP_INPUTS`` is the one table of inputs that both back-ends' threshold
+steps, strategy steps and reference formulas must refuse.
 """
 
 from __future__ import annotations
@@ -60,6 +62,32 @@ from powgame.validate import (
     _stream,
     binomial_slack,
 )
+
+
+BAD_STRATEGY = "need alpha > 0, cost > 0 and positive rivals' load"
+BAD_EPSILON = r"epsilon must be in \(0,1\)"
+_PARAMS, _REWARD = MinerParams(x_hat=55.0, sigma2=100.0), RewardModel()
+_MOMENTS = MomentMatrix.from_params(_PARAMS)
+
+
+def _loss(alpha=0.5, cost=60.0):
+    return LossCoefficients.from_strategy(alpha, 0.0, 110.0, cost, _REWARD.total)
+
+
+# one table for both back-ends, which share the model's strategy and epsilon
+# checks: id -> (call on a back-end's threshold step t, strategy step s and
+# reference formula r, message of the ValueError it must raise)
+BAD_STEP_INPUTS = {
+    "threshold-alpha-0": (lambda t, s, r: t(0.0, 110.0, _PARAMS, _REWARD, 0.1), BAD_STRATEGY),
+    "threshold-no-rival-load": (lambda t, s, r: t(0.5, 0.0, _PARAMS, _REWARD, 0.1), BAD_STRATEGY),
+    "threshold-epsilon-1": (lambda t, s, r: t(0.5, 110.0, _PARAMS, _REWARD, 1.0), BAD_EPSILON),
+    "strategy-no-rival-load": (lambda t, s, r: s(0.0, 0.5, 0.0, _PARAMS, _REWARD, 0.5, 0.1), BAD_STRATEGY),
+    "strategy-epsilon-0": (lambda t, s, r: s(0.0, 0.5, 110.0, _PARAMS, _REWARD, 0.5, 0.0), BAD_EPSILON),
+    "strategy-epsilon-1.5": (lambda t, s, r: s(0.0, 0.5, 110.0, _PARAMS, _REWARD, 0.5, 1.5), BAD_EPSILON),
+    "coefficients-alpha-0": (lambda t, s, r: r(_loss(alpha=0.0), _MOMENTS, 0.1), BAD_STRATEGY),
+    "loss-cost-0": (lambda t, s, r: r(_loss(cost=0.0), _MOMENTS, 0.1), BAD_STRATEGY),
+    "constraint-value-epsilon-nan": (lambda t, s, r: r(_loss(), _MOMENTS, math.nan), BAD_EPSILON),
+}
 
 
 def make_config(

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from powgame import (
-    BtiCoefficients,
     LossCoefficients,
+    MomentMatrix,
     RewardModel,
     bti_constraint_value,
     robust_best_response_gaussian,
@@ -19,7 +19,7 @@ from powgame.deterministic import best_response
 from powgame.model import MinerParams
 from powgame.robust import scan_strategy
 
-from conftest import make_config, outer_best_response_oracle, plain_bisect_threshold
+from conftest import BAD_STEP_INPUTS, make_config, outer_best_response_oracle, plain_bisect_threshold
 
 REWARD = RewardModel()
 
@@ -29,59 +29,27 @@ def _params(sigma=10.0, x_hat=55.0, mu=0.0, cost=60.0):
                        x_min=min(10.0, x_hat), x_max=max(100.0, x_hat))
 
 
+def _g(alpha, u_min, load, params, eps, reward=REWARD):
+    """The reference g of the strategy, through the shared loss and moments."""
+    coeffs = LossCoefficients.from_strategy(alpha, u_min, load, params.cost, reward.total)
+    return bti_constraint_value(coeffs, MomentMatrix.from_params(params), eps)
+
+
 def test_quadratic_coefficient_hand_value():
-    # A = -c alpha^2 sigma^2 = -60 * 0.25 * 100 = -1500
-    coeffs = BtiCoefficients.from_strategy(0.5, 0.0, 110.0, _params(), REWARD)
-    assert coeffs.A == pytest.approx(-1500.0)
-
-
-BAD_EPSILON = r"epsilon must be in \(0,1\)"
-BAD_STEP_INPUTS = {  # id -> (call, message of its ValueError)
-    "coefficients-alpha-0": (
-        lambda: BtiCoefficients.from_strategy(0.0, 0.0, 110.0, _params(), REWARD), "alpha > 0"),
-    "threshold-no-rival-load": (
-        lambda: subproblem_threshold_gaussian(0.5, 0.0, _params(), REWARD, 0.1), "rivals' load"),
-    "strategy-no-rival-load": (
-        lambda: subproblem_strategy_gaussian(0.0, 0.5, 0.0, _params(), REWARD, 0.5, 0.1),
-        "rivals' load"),
-    "threshold-epsilon-1": (
-        lambda: subproblem_threshold_gaussian(0.5, 110.0, _params(), REWARD, 1.0), BAD_EPSILON),
-    "strategy-epsilon-0": (
-        lambda: subproblem_strategy_gaussian(0.0, 0.5, 110.0, _params(), REWARD, 0.5, 0.0),
-        BAD_EPSILON),
-    "constraint-value-epsilon-nan": (
-        lambda: bti_constraint_value(
-            BtiCoefficients.from_strategy(0.5, 0.0, 110.0, _params(), REWARD), math.nan),
-        BAD_EPSILON),
-}
+    # A = -a2 sigma^2 = -c alpha^2 sigma^2 = -60 * 0.25 * 100 = -1500; with
+    # b = -sigma (a2 mu_bar + a1 / 2) = -4750 and D = -L(mu_bar) = -6875
+    coeffs = LossCoefficients.from_strategy(0.5, 0.0, 110.0, 60.0, REWARD.total)
+    assert -coeffs.a2 * _params().sigma2 == pytest.approx(-1500.0)
+    log_eps = math.log(0.1)
+    upsilon = math.hypot(1500.0, math.sqrt(2.0) * 4750.0)
+    g = -1500.0 - math.sqrt(-2.0 * log_eps) * upsilon + log_eps * 1500.0 - 6875.0
+    assert _g(0.5, 0.0, 110.0, _params(), 0.1) == pytest.approx(g)
 
 
 @pytest.mark.parametrize("call, message", BAD_STEP_INPUTS.values(), ids=BAD_STEP_INPUTS)
 def test_bad_step_inputs_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
-        call()
-
-
-def test_f_matches_negated_loss():
-    # f(e) must equal -L(mu_bar + sigma e) as an algebraic identity
-    rng = np.random.default_rng(30)
-    for _ in range(100):
-        alpha = float(rng.uniform(0.2, 1.0))
-        u_min = float(rng.uniform(-800.0, 400.0))
-        load = float(rng.uniform(40.0, 200.0))
-        cost = float(rng.uniform(30.0, 90.0))
-        sigma = float(rng.uniform(1.0, 12.0))
-        x_hat = float(rng.uniform(30.0, 60.0))
-        params = _params(sigma=sigma, x_hat=x_hat, cost=cost)
-        bti = BtiCoefficients.from_strategy(alpha, u_min, load, params, REWARD)
-        loss = LossCoefficients.from_strategy(alpha, u_min, load, cost, REWARD.total)
-        e = float(rng.standard_normal())
-        lhs = bti.f(e)
-        rhs = -loss(params.nominal + sigma * e)
-        assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-8)
-        assert bti.A < 0.0  # always strictly negative at positive sigma and alpha
-        assert bti.omega == pytest.approx(-bti.A)
-        assert bti.upsilon >= abs(bti.A)
+        call(subproblem_threshold_gaussian, subproblem_strategy_gaussian, bti_constraint_value)
 
 
 def test_constraint_value_epsilon_to_one_limit():
@@ -90,11 +58,11 @@ def test_constraint_value_epsilon_to_one_limit():
     alpha, load = 0.5, 110.0
     big_b = -REWARD.total + params.cost * load
     u_min = -big_b - 2.0 * params.cost * alpha * params.nominal
-    coeffs = BtiCoefficients.from_strategy(alpha, u_min, load, params, REWARD)
-    assert coeffs.b == pytest.approx(0.0, abs=1e-9)
+    coeffs = LossCoefficients.from_strategy(alpha, u_min, load, params.cost, REWARD.total)
+    assert coeffs.a2 * params.nominal + 0.5 * coeffs.a1 == pytest.approx(0.0, abs=1e-9)  # b
     # residual shrinks like sqrt(-2 ln eps) * |A| ~ 2e-3 at eps = 1 - 1e-12
-    g = bti_constraint_value(coeffs, 1.0 - 1e-12)
-    assert g == pytest.approx(coeffs.A + coeffs.D, abs=1e-2)
+    g = bti_constraint_value(coeffs, MomentMatrix.from_params(params), 1.0 - 1e-12)
+    assert g == pytest.approx(-coeffs.a2 * params.sigma2 - coeffs(params.nominal), abs=1e-2)  # A + D
 
 
 def test_constraint_value_certifies_gaussian_chance():
@@ -104,9 +72,9 @@ def test_constraint_value_certifies_gaussian_chance():
     params = _params()
     for eps in (0.05, 0.1, 0.3):
         u = subproblem_threshold_gaussian(0.5, 110.0, params, REWARD, eps)
-        coeffs = BtiCoefficients.from_strategy(0.5, u, 110.0, params, REWARD)
-        assert bti_constraint_value(coeffs, eps) >= -1e-6
-        cover = float(np.mean(coeffs.f(e) >= 0.0))
+        assert _g(0.5, u, 110.0, params, eps) >= -1e-6
+        loss = LossCoefficients.from_strategy(0.5, u, 110.0, params.cost, REWARD.total)
+        cover = float(np.mean(-loss(params.nominal + params.sigma * e) >= 0.0))  # f(e) >= 0
         assert cover >= 1.0 - eps - 3.0 * math.sqrt(eps / len(e))
 
 
@@ -124,9 +92,7 @@ def test_concavity_in_u_min():
         u1, u2 = sorted(rng.uniform(-2000.0, 2000.0, size=2))
 
         def g(u):
-            return bti_constraint_value(
-                BtiCoefficients.from_strategy(alpha, u, load, params, REWARD), eps
-            )
+            return _g(alpha, u, load, params, eps)
 
         assert g(0.5 * (u1 + u2)) >= 0.5 * (g(u1) + g(u2)) - 1e-9
 
@@ -137,9 +103,7 @@ def test_threshold_bisection_is_exact():
         u = subproblem_threshold_gaussian(0.5, 110.0, params, REWARD, eps)
 
         def g(v):
-            return bti_constraint_value(
-                BtiCoefficients.from_strategy(0.5, v, 110.0, params, REWARD), eps
-            )
+            return _g(0.5, v, 110.0, params, eps)
 
         assert g(u) >= 0.0
         assert g(u + 2e-6) < 0.0
@@ -186,8 +150,7 @@ def test_strategy_slack_equals_constraint_value():
     u = -400.0
     alpha, slack, ok = subproblem_strategy_gaussian(u, 0.7, 110.0, params, REWARD, 0.5, 0.1)
     assert ok
-    coeffs = BtiCoefficients.from_strategy(alpha, u, 110.0, params, REWARD)
-    assert slack == pytest.approx(bti_constraint_value(coeffs, 0.1), rel=1e-9)
+    assert slack == pytest.approx(_g(alpha, u, 110.0, params, 0.1), rel=1e-9)
 
 
 def test_strategy_fixed_point_and_exhaustive_scan():
@@ -199,12 +162,7 @@ def test_strategy_fixed_point_and_exhaustive_scan():
     assert a2 == pytest.approx(a1, abs=1e-6)
     assert s2 >= s1 - 1e-12
     grid = np.linspace(0.5, 1.0, 501)
-    best = max(
-        bti_constraint_value(
-            BtiCoefficients.from_strategy(float(a), u, 120.0, params, REWARD), 0.1
-        )
-        for a in grid
-    )
+    best = max(_g(float(a), u, 120.0, params, 0.1) for a in grid)
     assert s1 >= best - 1e-9
 
 
@@ -229,8 +187,7 @@ def test_steps_evaluate_g_bit_for_bit_like_the_reference():
         )
 
         def g(a, u):
-            coeffs = BtiCoefficients.from_strategy(a, u, load, params, reward)
-            return bti_constraint_value(coeffs, eps)
+            return _g(a, u, load, params, eps, reward)
 
         def reference_certify(u):
             return g(alpha, u) >= 0.0
@@ -261,15 +218,16 @@ def test_steps_evaluate_g_bit_for_bit_like_the_reference():
 
 def test_gaussian_steps_build_no_coefficients(monkeypatch):
     # both steps evaluate g from per-step constants, never through the
-    # reference dataclass (which a sweep would build millions of times)
+    # reference loss and moments (which a sweep would build millions of times)
     built = []
-    original = BtiCoefficients.from_strategy.__func__
+    for cls in (LossCoefficients, MomentMatrix):
+        original = cls.__init__
 
-    def counted(cls, *args):
-        built.append(args)
-        return original(cls, *args)
+        def counted_init(self, *args, _original=original, **kwargs):
+            built.append(type(self).__name__)
+            _original(self, *args, **kwargs)
 
-    monkeypatch.setattr(BtiCoefficients, "from_strategy", classmethod(counted))
+        monkeypatch.setattr(cls, "__init__", counted_init)
     response = robust_best_response_gaussian(0, [0.6] * 5, make_config(n=5, x_hat=50.0))
     assert response.iterations >= 1
     assert len(built) == 0

@@ -626,8 +626,10 @@ MALFORMED = [  # (id, document, text stderr must contain, verbs)
     ("x-hat-1e300-det", dict(REFERENCE_DOC, resources={"mode": "homogeneous", "x_hat": 1e300}, x_max=1e300,
                              mode="det"), "miner 0, distribution ", ("validate",)),
     ("mu-1e300-det", dict(REFERENCE_DOC, mu=1e300, mode="det"), "miner 0, distribution ", ("validate",)),
+    # cost * x_max overflows: refused at load, where validate refused it only
+    # when np.histogram could not bin its utilities
     ("hi-1e308-det", dict(REFERENCE_DOC, resources={"mode": "heterogeneous", "lo": 30.0, "hi": 1e308},
-                          x_max=1e308, mode="det"), "miner 0, distribution ", ("validate",)),
+                          x_max=1e308, mode="det"), "x_max", None),
     # a misspelled key was ignored: epsilom ran at the default epsilon 0.1,
     # fixed_rewad at the default 5000
     ("unknown-key-det", {"miners": 3, "epsilom": 0.05, "mode": "det"}, "'epsilom': unknown key", None),
@@ -695,6 +697,34 @@ def test_huge_thresholds_end(tmp_path, doc, argv):
     assert solved.converged
     if mode == "dro_cvar":  # the certified thresholds keep the worst case within epsilon
         assert discrete_worstcase_violation(solved.alphas, solved.u_values, game) <= game.epsilon + 1e-12
+
+
+# games whose utilities overflow float: solve ran them with numpy warnings,
+# writing nan/inf in det mode and stopping at "no feasible threshold" in bti
+# and cvar.  The sweep point's document is fine at the default reward
+OVERFLOW_DOC = {"miners": 3, "resources": {"mode": "heterogeneous", "lo": 30, "hi": 1e308}, "x_max": 1e308}
+OVERFLOWING = [  # (id, document, argv after the verb's --config, what the error names)
+    *((f"solve-{mode}", OVERFLOW_DOC, ["--mode", mode], "cost * x_max") for mode in ("det", "bti", "cvar")),
+    ("sweep-fixed-reward-1e305", {"miners": 3, "resources": {"mode": "homogeneous", "x_hat": 1000.0}, "x_max": 1000.0},
+     ["--axis", "fixed_reward", "--values", "1e305"], "fixed_reward = 1e+305: reward total"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, argv, names", [pytest.param(doc, argv, names, id=name) for name, doc, argv, names in OVERFLOWING]
+)
+def test_overflowing_games_exit_1(tmp_path, doc, argv, names):
+    # in a subprocess, so that a numpy warning printed to stderr shows
+    config = write_config(tmp_path, doc)
+    verb = "sweep" if "--axis" in argv else "solve"
+    result = subprocess.run(
+        [sys.executable, "-m", "powgame.cli", verb, "--config", str(config), "--out", str(tmp_path / "out"), *argv],
+        capture_output=True, text=True, cwd=Path(cli.__file__).parent.parent, timeout=60,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("config error: ") and result.stderr.count("\n") == 1
+    assert names in result.stderr
+    assert not (tmp_path / "out").exists()
 
 
 USAGE_ERRORS = {  # id -> argv

@@ -30,6 +30,7 @@ from powgame.robust import scan_strategy
 from powgame.validate import DISTRIBUTIONS, sample_uncertainty
 
 from conftest import (
+    BAD_STEP_INPUTS,
     CvarEvaluator,
     barrier_worstcase_cvar,
     eigh_certificate,
@@ -79,18 +80,10 @@ def test_loss_vacuous_threshold():
         assert coeffs(float(x)) < 0.0
 
 
-PARAMS = MinerParams(x_hat=55.0, sigma2=100.0)
-BAD_STEP_INPUTS = {  # id -> call that must raise the strategy check's ValueError
-    "loss-cost-0": lambda: LossCoefficients.from_strategy(0.5, 0.0, 110.0, 0.0, REWARD.total),
-    "threshold-alpha-0": lambda: subproblem_threshold(0.0, 110.0, PARAMS, REWARD, 0.1),
-    "strategy-no-rival-load": lambda: subproblem_strategy(0.0, 0.5, 0.0, PARAMS, REWARD, 0.5, 0.1),
-}
-
-
-@pytest.mark.parametrize("call", BAD_STEP_INPUTS.values(), ids=BAD_STEP_INPUTS)
-def test_bad_step_inputs_raise_value_error(call):
-    with pytest.raises(ValueError, match="need alpha > 0, cost > 0 and positive rivals' load"):
-        call()
+@pytest.mark.parametrize("call, message", BAD_STEP_INPUTS.values(), ids=BAD_STEP_INPUTS)
+def test_bad_step_inputs_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(subproblem_threshold, subproblem_strategy, worstcase_cvar)
 
 
 def test_moment_matrix():

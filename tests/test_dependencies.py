@@ -1,7 +1,8 @@
 """What the package imports and exports.
 
-numpy is its only runtime dependency (``pyproject.toml``), and ``powgame``
-exports exactly the ``__all__`` lists of the submodules it star-imports.
+numpy is its only runtime dependency (``pyproject.toml``), ``validate``
+takes nothing from the package but ``model``, and ``powgame`` exports
+exactly the ``__all__`` lists of the submodules it star-imports.
 """
 
 import ast
@@ -26,6 +27,14 @@ def test_every_absolute_import_is_stdlib_or_numpy():
     assert ("model.py", "numpy") in imported  # the walk sees the imports
     allowed = set(sys.stdlib_module_names) | {"numpy"}
     assert [(name, top) for name, top in imported if top not in allowed] == []
+
+
+def test_validate_imports_only_the_model_from_the_package():
+    # the oracle stays independent of the solver it checks: no back-end, no
+    # search, no driver
+    tree = ast.parse((SRC / "validate.py").read_text())
+    relative = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    assert relative == ["model"]
 
 
 def test_powgame_exports_exactly_its_submodules_all():

@@ -41,6 +41,8 @@ def test_miner_params_invariants():
         MinerParams(x_hat=5.0, x_min=10.0, x_max=100.0)  # x_hat below x_min
     with pytest.raises(ValueError):
         MinerParams(x_hat=55.0, mu=-60.0)  # nominal resource must stay positive
+    with pytest.raises(ValueError, match=r"cost \* x_max must be finite"):
+        MinerParams(x_hat=55.0, cost=1e300, x_max=1e10)  # the resource bill overflows
     p = MinerParams(x_hat=55.0, mu=1.5, sigma2=100.0)
     assert p.nominal == 56.5
     assert p.sigma == 10.0
@@ -58,6 +60,9 @@ def test_game_config_invariants():
         make_config(kappa=0.0)
     with pytest.raises(ValueError, match="max_iterations"):
         make_config(max_iterations=0)
+    with pytest.raises(ValueError, match="reward total"):
+        make_config(x_hat=1e305, x_max=1e305)  # R times the summed resources overflows
+    assert make_config(x_hat=1e300, x_max=1e300).n_miners == 5  # 4e304 is a float
 
 
 def test_hash_power_symmetric_cases():
