@@ -29,15 +29,20 @@ alternating-optimization steps evaluate v from constants computed once per
 step instead, because a solve evaluates it hundreds of thousands of times:
 
 - ``_threshold_certifier`` gives the threshold step ``margin(u)``, the
-  negated exact minimum of v (``_exact_minimizer``: the least v over three
-  candidate betas), whose sign decides each threshold probe.  The solver
-  builds no witness; ``certify`` builds the (beta, M) witness of a returned
-  threshold on request, at the same argmin beta, in closed form from the
-  eigenvector of ``Q(beta) Omega`` (``_trace_minimal_witness``).
+  negated exact minimum of v, whose sign decides each threshold probe.
+  The exact minimum is ``_exact_minimizer``'s kernel: the least v over two
+  or three candidate betas, unrolled, with v written out inline, so a
+  caller that needs only the value builds no tuple and makes one call.
+  The solver builds no witness; ``certify`` builds the (beta, M) witness
+  of a returned threshold on request, at the kernel's argmin beta, in
+  closed form from the eigenvector of ``Q(beta) Omega``
+  (``_trace_minimal_witness``).  A threshold step that fails where v's
+  constants overflow float reports the overflow, not infeasibility.
 - ``_strategy_slack`` gives the strategy step ``slack(alpha)``, the negated
   worst-case CVaR by the same ``_beta_search`` as ``worstcase_cvar``, and
   ``bounds(alpha) = (floor, ceiling)``, the negated exact minimum less a
-  gap and plus a rounding margin rho.  The golden section returns v at some
+  gap and plus a rounding margin rho, at about a fifteenth of the cost
+  of a search.  The golden section returns v at some
   beta, and v at any beta is at least its minimum and, on every instance
   measured, within a five-thousandth of the gap above it, so
   ``floor <= slack <= ceiling``.  The scan (``_search.scan_golden_max``)
@@ -59,13 +64,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from ._search import _INV_PHI
 from .model import (
-    GameConfig, LossCoefficients, MinerParams, MomentMatrix, RewardModel, _check_epsilon, _check_strategy
+    GameConfig, LossCoefficients, MinerParams, MomentMatrix, RewardModel, SolverError, _check_epsilon,
+    _check_strategy,
 )
 from .robust import BestResponse, alternate, bisect_threshold, scan_strategy
 
@@ -117,7 +122,8 @@ def _v(t0, d0, k, epsilon, beta):
     t0 - beta and determinant det(Omega) det(Q(beta)) = d0 - beta k.  Tr+ is
     max(trace, 0) when the determinant is >= 0 (both eigenvalues share a
     sign) and the larger eigenvalue otherwise.  max(t, 0.0) is written as
-    ``0.0 if 0.0 > t else t``, NaN included.
+    ``0.0 if 0.0 > t else t``, NaN included.  The hot loops (``_beta_search``,
+    ``_exact_minimizer``) repeat these operations inline.
     """
     t = t0 - beta
     d = d0 - beta * k
@@ -132,32 +138,48 @@ def _beta_search(t0, d0, k, epsilon, scale) -> tuple[float, float]:
     Starting from [-scale, scale], the bracket grows until its midpoint beats
     both ends (at most 80 times); golden section then narrows it to
     1e-13 * (1 + |lo| + |hi|) (at most 300 steps) and returns v at the
-    midpoint.
+    midpoint.  Both loops, about 60 v a search and the solver's hottest
+    code, write ``_v`` out inline.
     """
     sqrt = math.sqrt
     inv_phi = _INV_PHI
-    v = partial(_v, t0, d0, k, epsilon)
     lo, hi = -scale, scale
-    f_lo, f_hi = v(lo), v(hi)
-    mid = 0.5 * (lo + hi)
-    f_mid = v(mid)
+    grow_lo = grow_hi = True
     for _ in range(80):
-        if f_lo > f_mid and f_hi > f_mid:
+        if grow_lo:
+            t = t0 - lo
+            d = d0 - lo * k
+            if d >= 0.0:
+                f_lo = lo + (0.0 if 0.0 > t else t) / epsilon
+            else:
+                f_lo = lo + (0.5 * t + sqrt(0.25 * t * t - d)) / epsilon
+        if grow_hi:
+            t = t0 - hi
+            d = d0 - hi * k
+            if d >= 0.0:
+                f_hi = hi + (0.0 if 0.0 > t else t) / epsilon
+            else:
+                f_hi = hi + (0.5 * t + sqrt(0.25 * t * t - d)) / epsilon
+        mid = 0.5 * (lo + hi)
+        t = t0 - mid
+        d = d0 - mid * k
+        if d >= 0.0:
+            f_mid = mid + (0.0 if 0.0 > t else t) / epsilon
+        else:
+            f_mid = mid + (0.5 * t + sqrt(0.25 * t * t - d)) / epsilon
+        grow_lo, grow_hi = f_lo <= f_mid, f_hi <= f_mid
+        if not (grow_lo or grow_hi):  # the midpoint beats both ends, or a NaN stops growth
             break
         width = hi - lo
-        if f_lo <= f_mid:
+        if grow_lo:
             lo -= 2.0 * width
-            f_lo = v(lo)
-        if f_hi <= f_mid:
+        if grow_hi:
             hi += 2.0 * width
-            f_hi = v(hi)
-        mid = 0.5 * (lo + hi)
-        f_mid = v(mid)
     tol = 1e-13 * (1.0 + abs(lo) + abs(hi))
     x1 = hi - inv_phi * (hi - lo)
     x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = v(x1), v(x2)
-    # about 60 steps per search, the solver's hottest loop: _v is inlined
+    f1 = _v(t0, d0, k, epsilon, x1)
+    f2 = _v(t0, d0, k, epsilon, x2)
     for _ in range(300):
         if not hi - lo > tol:
             break
@@ -180,7 +202,7 @@ def _beta_search(t0, d0, k, epsilon, scale) -> tuple[float, float]:
             else:
                 f2 = x2 + (0.5 * t + sqrt(0.25 * t * t - d)) / epsilon
     beta = 0.5 * (lo + hi)
-    return v(beta), beta
+    return _v(t0, d0, k, epsilon, beta), beta
 
 
 def worstcase_cvar(coeffs: LossCoefficients, moments: MomentMatrix, epsilon) -> tuple[float, float]:
@@ -228,8 +250,8 @@ def _trace_minimal_witness(beta, u_min, a2, a1, a0, mu_bar, sigma2) -> CvarCerti
 
 
 def _exact_minimizer(epsilon):
-    """``exact_min(t0, d0, k, spread)``: (min v, argmin beta), the least v
-    over the candidate betas.
+    """``least_v(t0, d0, k, spread)``: the least v over the candidate betas;
+    with ``argmin=True``, the beta it is taken at.
 
     v is convex and coercive, so its minimum is at a kink or where v' = 0.
     Where the determinant is >= 0, v is piecewise linear with slopes
@@ -239,19 +261,65 @@ def _exact_minimizer(epsilon):
     spread = sqrt(k t0 - d0 - k^2).  That radicand equals
     s2 (a2 mu_bar + a1 / 2)^2, so the caller passes
     spread = sqrt(s2) |a2 mu_bar + a1 / 2|, which is never NaN.
+
+    The candidates are unrolled in the order t0, the stationary point, d0 / k
+    (only if k > 0), each v written out in ``_v``'s float operations.  A
+    candidate replaces the best so far if its v is smaller or, at an equal
+    v, its beta is: the value and beta of ``min`` over the (v, beta) pairs,
+    for every float, NaN and signed zeros included.
     """
     factor = (1.0 - 2.0 * epsilon) / math.sqrt(epsilon * (1.0 - epsilon))
+    sqrt = math.sqrt
 
-    def exact_min(t0, d0, k, spread):
-        stationary = t0 - 2.0 * k + factor * spread
-        betas = (t0, stationary, d0 / k) if k > 0.0 else (t0, stationary)
-        return min([(_v(t0, d0, k, epsilon, beta), beta) for beta in betas])
+    def least_v(t0, d0, k, spread, argmin=False):
+        beta = t0
+        t = t0 - beta
+        d = d0 - beta * k
+        if d >= 0.0:
+            best = beta + (0.0 if 0.0 > t else t) / epsilon
+        else:
+            best = beta + (0.5 * t + sqrt(0.25 * t * t - d)) / epsilon
+        at = beta
+        beta = t0 - 2.0 * k + factor * spread
+        t = t0 - beta
+        d = d0 - beta * k
+        if d >= 0.0:
+            v = beta + (0.0 if 0.0 > t else t) / epsilon
+        else:
+            v = beta + (0.5 * t + sqrt(0.25 * t * t - d)) / epsilon
+        if v <= best and (v < best or beta < at):
+            best, at = v, beta
+        if k > 0.0:
+            beta = d0 / k
+            t = t0 - beta
+            d = d0 - beta * k
+            if d >= 0.0:
+                v = beta + (0.0 if 0.0 > t else t) / epsilon
+            else:
+                v = beta + (0.5 * t + sqrt(0.25 * t * t - d)) / epsilon
+            if v <= best and (v < best or beta < at):
+                best, at = v, beta
+        return at if argmin else best
 
-    return exact_min
+    return least_v
 
 
-def _threshold_minimum(alpha, load, params: MinerParams, reward: RewardModel, epsilon):
-    """``minimum(u)``: (a1, a0, (min v, argmin beta)); only a1 and a0 vary with u."""
+def _threshold_terms(alpha, u, load, params: MinerParams, reward: RewardModel):
+    """(a2, a1, a0, t0, d0, k, spread) at threshold u, in ``margin``'s float order."""
+    cost = params.cost
+    m, s2 = params.nominal, params.sigma2
+    a2 = cost * alpha * alpha
+    a1 = (u + (-reward.total + cost * load)) * alpha
+    a0 = u * load
+    t0 = a2 * (s2 + m * m) + a1 * m + a0
+    d0 = s2 * (a2 * a0 - 0.25 * a1 * a1)
+    return a2, a1, a0, t0, d0, s2 * a2, math.sqrt(s2) * abs(a2 * m + 0.5 * a1)
+
+
+def _threshold_certifier(alpha, load, params: MinerParams, reward: RewardModel, epsilon):
+    """``margin(u)`` at fixed alpha: v's negated exact minimum, so
+    ``margin(u) >= 0`` is ``min v <= 0`` for every float, NaN included.
+    Only a1, a0 and the terms built on them vary with u."""
     cost = params.cost
     _check_strategy(alpha, cost, load)
     _check_epsilon(epsilon)
@@ -262,33 +330,24 @@ def _threshold_minimum(alpha, load, params: MinerParams, reward: RewardModel, ep
     k = s2 * a2
     a2_m = a2 * m
     sigma = math.sqrt(s2)
-    exact_min = _exact_minimizer(epsilon)
+    least_v = _exact_minimizer(epsilon)
 
-    def minimum(u):
+    def margin(u):
         a1 = (u + big_b) * alpha
         a0 = u * load
         t0 = a2_second + a1 * m + a0
         d0 = s2 * (a2 * a0 - 0.25 * a1 * a1)
-        return a1, a0, exact_min(t0, d0, k, sigma * abs(a2_m + 0.5 * a1))
-
-    return minimum
-
-
-def _threshold_certifier(alpha, load, params: MinerParams, reward: RewardModel, epsilon):
-    """``margin(u)`` at fixed alpha: v's negated exact minimum, so
-    ``margin(u) >= 0`` is ``min v <= 0`` for every float, NaN included."""
-    minimum = _threshold_minimum(alpha, load, params, reward, epsilon)
-
-    def margin(u):
-        return -minimum(u)[2][0]
+        return -least_v(t0, d0, k, sigma * abs(a2_m + 0.5 * a1))
 
     return margin
 
 
 def certify(alpha, u_min, load, params: MinerParams, reward: RewardModel, epsilon):
     """The trace-minimal (beta, M) witness of u_min at alpha, at v's exact argmin."""
-    a1, a0, (_, beta) = _threshold_minimum(alpha, load, params, reward, epsilon)(u_min)
-    a2 = params.cost * alpha * alpha
+    _check_strategy(alpha, params.cost, load)
+    _check_epsilon(epsilon)
+    a2, a1, a0, t0, d0, k, spread = _threshold_terms(alpha, u_min, load, params, reward)
+    beta = _exact_minimizer(epsilon)(t0, d0, k, spread, argmin=True)
     return _trace_minimal_witness(beta, u_min, a2, a1, a0, params.nominal, params.sigma2)
 
 
@@ -298,10 +357,10 @@ def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsil
     ``slack`` is the negated ``worstcase_cvar``; it keeps the values it has
     computed, so each alpha costs one beta search per step.  ``bounds`` is
     ``(floor, ceiling)`` = -(exact minimum of v) + (-gap, rho) * scale, with
-    gap = 1e-9 / eps and rho = 1e-12 / eps, at about a seventh of the cost of
-    ``slack``.  The golden section returns v at some beta, which is at least
-    v's minimum, so ``ceiling >= slack`` however close that search gets; rho
-    covers the rounding of v at the candidate betas, which reached
+    gap = 1e-9 / eps and rho = 1e-12 / eps, at about a fifteenth of the
+    cost of a search.  The golden section returns v at some beta, which is at
+    least v's minimum, so ``ceiling >= slack`` however close that search
+    gets; rho covers the rounding of v at the candidate betas, which reached
     2.6e-16 * scale / eps over 60000 random (instance, alpha) pairs.  Over
     those pairs the search's v sat at most 1.7e-13 * scale / eps above the
     exact minimum (2.1e-14 on the benchmark's solve-cvar games), under a
@@ -324,28 +383,27 @@ def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsil
     scale0 = 1.0 + abs(a0)
     rho = 1e-12 / epsilon
     gap = 1e-9 / epsilon
-    exact_min = _exact_minimizer(epsilon)
+    least_v = _exact_minimizer(epsilon)
     scored = {}
 
-    def terms(alpha):
+    def slack(alpha):
+        value = scored.get(alpha)
+        if value is None:
+            a2 = cost * alpha * alpha
+            a1 = s * alpha
+            t0 = a2 * second + a1 * m + a0
+            d0 = s2 * (a2 * a0 - 0.25 * a1 * a1)
+            scale = scale0 + abs(a1) * abs_reach + a2 * reach * reach
+            value = scored[alpha] = -_beta_search(t0, d0, s2 * a2, epsilon, scale)[0]
+        return value
+
+    def bounds(alpha):
         a2 = cost * alpha * alpha
         a1 = s * alpha
         t0 = a2 * second + a1 * m + a0
         d0 = s2 * (a2 * a0 - 0.25 * a1 * a1)
         scale = scale0 + abs(a1) * abs_reach + a2 * reach * reach
-        return a2, a1, t0, d0, scale
-
-    def slack(alpha):
-        value = scored.get(alpha)
-        if value is None:
-            a2, _, t0, d0, scale = terms(alpha)
-            value = scored[alpha] = -_beta_search(t0, d0, s2 * a2, epsilon, scale)[0]
-        return value
-
-    def bounds(alpha):
-        a2, a1, t0, d0, scale = terms(alpha)
-        spread = sigma * abs(a2 * m + 0.5 * a1)
-        top = -exact_min(t0, d0, s2 * a2, spread)[0]
+        top = -least_v(t0, d0, s2 * a2, sigma * abs(a2 * m + 0.5 * a1))
         return (top - gap * scale if scale < 1e140 else -math.inf), top + rho * scale
 
     return slack, bounds
@@ -355,9 +413,25 @@ def subproblem_threshold(
     alpha, load, params: MinerParams, reward: RewardModel, epsilon, u_lo=None
 ) -> float:
     """Largest certifiable u_min at fixed alpha; each probe is decided by the
-    exact minimum of v, and ``certify`` builds the witness on request."""
+    exact minimum of v, and ``certify`` builds the witness on request.
+
+    A step that fails where v's constants overflow float at its starting
+    floor (from a total reward of about 1.5e153 with the default miners,
+    where d0 = s2 (a2 a0 - a1^2 / 4) does) says so: no probe there was
+    decided, so "no feasible threshold" would be wrong.  The check runs
+    once, on failure.
+    """
     margin = _threshold_certifier(alpha, load, params, reward, epsilon)
-    return bisect_threshold(margin, params, reward, u_lo)
+    try:
+        return bisect_threshold(margin, params, reward, u_lo)
+    except SolverError:
+        floor = -reward.total - params.cost * params.x_max if u_lo is None else u_lo
+        _, _, _, t0, d0, k, _ = _threshold_terms(alpha, floor, load, params, reward)
+        if not (math.isfinite(t0) and math.isfinite(d0) and math.isfinite(k)):
+            raise SolverError(
+                f"the worst-case CVaR certificate overflows float at total reward {reward.total:g}"
+            ) from None
+        raise
 
 
 def subproblem_strategy(

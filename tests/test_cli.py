@@ -303,6 +303,34 @@ def test_sweep_records_failed_points(tmp_path, capsys):
         assert "no feasible threshold above" in line
 
 
+CVAR_OVERFLOW = "the worst-case CVaR certificate overflows float at total reward 1e+155"
+
+
+def test_sweep_names_an_overflowing_cvar_certificate(tmp_path, capsys):
+    # at this reward the cvar certificate overflows float; det and bti solve
+    # the same game, and the cvar row is an error whose message says why
+    config = write_config(tmp_path, {"miners": 3})
+    out = tmp_path / "out"
+    assert main(
+        ["sweep", "--config", str(config), "--out", str(out), "--axis", "fixed_reward",
+         "--values", "1e155", "--mode", "all"]
+    ) == 0
+    _, rows = read_csv(out / "sweep.csv")
+    assert [(r[1], r[5]) for r in rows] == [("det", "ok"), ("bti", "ok"), ("cvar", "error:SolverError")]
+    assert capsys.readouterr().err == f"sweep point fixed_reward=1e+155 mode cvar: {CVAR_OVERFLOW}\n"
+
+
+def test_solve_exits_2_on_an_overflowing_cvar_certificate(tmp_path):
+    # in a subprocess, so that a traceback would show on stderr
+    config = write_config(tmp_path, {"miners": 3, "reward": {"fixed_reward": 1e155}, "mode": "cvar"})
+    result = subprocess.run(
+        [sys.executable, "-m", "powgame.cli", "solve", "--config", str(config), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, cwd=Path(cli.__file__).parent.parent, timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stderr == f"solver error: {CVAR_OVERFLOW}\n"
+
+
 BAD_SWEEP_VALUES = [  # (axis, --values): each value the game rejects, or a fractional count
     ("epsilon", "0.1,nan"),
     ("epsilon", "1.5"),

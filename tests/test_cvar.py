@@ -1,6 +1,8 @@
 """Tests for the worst-case-CVaR robust best response."""
 
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from powgame import (
 )
 from powgame import SolverError, bti, cvar, robust
 from powgame._search import _first_argmax, scan_golden_max
+from powgame.cli import load_scenario
 from powgame.deterministic import best_response
 from powgame.model import MinerParams
 from powgame.robust import scan_strategy
@@ -325,7 +328,7 @@ def test_no_feasible_threshold_raises_solver_error():
     from powgame.model import MinerParams
 
     params = MinerParams(x_hat=55.0, sigma2=500.0**2, cost=60.0)
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match="no feasible threshold above"):
         subproblem_threshold(0.5, 110.0, params, REWARD, 0.1)
 
 
@@ -620,6 +623,78 @@ def test_strategy_ceiling_bounds_the_slack():
             assert floor <= slack(float(alpha)) <= ceiling
 
 
+@pytest.mark.parametrize(
+    "sigma, nonfinite", [(None, set()), (1e80, {"-inf"}), (1e150, {"-inf"}), (1e154, {"-inf", "nan"})],
+    ids=["wide", "1e80", "1e150", "1e154"],
+)
+def test_bounds_and_margin_equal_the_oracle_minimum_bit_for_bit(sigma, nonfinite):
+    # the unrolled kernel keeps v's float operations and the candidate order
+    # and tie-breaks of the oracle's min over (v, beta) pairs, so bounds and
+    # margin are its values, not merely close to them; repr, so that NaN
+    # matches NaN.  Wide instances, alpha = 0 (k = 0: two candidates), and
+    # huge sigma, where the floor is -inf (scale from 1e140), ceilings reach
+    # -inf (1e150) and v's constants overflow to NaN (sigma^2 = 1e308)
+    rng = np.random.default_rng(29 if sigma is None else int(math.log10(sigma)))
+    seen = set()
+    for _ in range(300):
+        load, eps, params, reward = _wide_step_inputs(rng)
+        if sigma is not None:
+            params = MinerParams(x_hat=params.x_hat, mu=params.mu, sigma2=sigma * sigma, cost=params.cost)
+        moments = MomentMatrix.from_params(params)
+        reach = moments.mu_bar + 3.0 * math.sqrt(moments.sigma2)
+
+        def coeffs(alpha, u):  # LossCoefficients.from_strategy's float order, alpha = 0 allowed
+            big_b = -reward.total + params.cost * load
+            return LossCoefficients(params.cost * alpha * alpha, (u + big_b) * alpha, u * load)
+
+        def reference(alpha, u):
+            return CvarEvaluator(coeffs(alpha, u), moments, eps).exact_min()[0]
+
+        u = float(rng.uniform(-3000.0, 3000.0))
+        _, bounds = cvar._strategy_slack(u, load, params, reward, eps)
+        for alpha in (0.0, *np.exp(rng.uniform(math.log(1e-3), 0.0, size=3)).tolist()):
+            c, ref = coeffs(alpha, u), reference(alpha, u)
+            scale = 1.0 + abs(c.a0) + abs(c.a1) * abs(reach) + c.a2 * reach * reach
+            floor = -ref - 1e-9 / eps * scale if scale < 1e140 else -math.inf
+            expected = (floor, -ref + 1e-12 / eps * scale)
+            assert repr(bounds(alpha)) == repr(expected), (alpha, u)
+            seen.update(repr(x) for x in expected if not math.isfinite(x))
+        alpha = float(rng.uniform(0.05, 1.0))
+        margin = cvar._threshold_certifier(alpha, load, params, reward, eps)
+        for u in rng.uniform(-3000.0, 3000.0, size=3).tolist():
+            value = margin(u)
+            assert repr(value) == repr(-reference(alpha, u)), (alpha, u)
+            if not math.isfinite(value):
+                seen.add(repr(value))
+    assert seen == nonfinite
+
+
+def test_exact_minimizer_is_the_min_over_candidate_pairs():
+    # the unrolled kernel against the min over (v, beta) pairs at the same
+    # candidates, value and argmin, on special floats: signed zeros, the
+    # smallest subnormal, infinities, NaN and the largest finite values
+    specials = [0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan]
+    for eps in (0.1, 0.5, 0.9):
+        least_v = cvar._exact_minimizer(eps)
+        factor = (1.0 - 2.0 * eps) / math.sqrt(eps * (1.0 - eps))
+        for t0, d0, k, spread in itertools.product(specials, specials, specials, (0.0, 2.0, math.inf, math.nan)):
+            stationary = t0 - 2.0 * k + factor * spread
+            betas = (t0, stationary, d0 / k) if k > 0.0 else (t0, stationary)
+            value, beta = min([(cvar._v(t0, d0, k, eps, b), b) for b in betas])
+            got = least_v(t0, d0, k, spread), least_v(t0, d0, k, spread, argmin=True)
+            assert repr(got) == repr((value, beta)), (eps, t0, d0, k, spread)
+
+
+def test_threshold_step_reports_an_overflowing_certificate():
+    # from a total reward of about 1.5e153, d0 = s2 (a2 a0 - a1^2 / 4)
+    # overflows float at the step's floor: no probe there was decided, so the
+    # step says so instead of "no feasible threshold"
+    params = make_config().miners[0]
+    with pytest.raises(SolverError, match=r"^the worst-case CVaR certificate overflows float "
+                                          r"at total reward 1e\+155$"):
+        subproblem_threshold(0.5, 110.0, params, RewardModel(fixed_reward=1e155), 0.1)
+
+
 @pytest.mark.parametrize("sigma", [1e60, 1e80, 1e90, 1e130, 1e150])
 def test_scan_with_bounds_matches_the_exact_scan_at_huge_sigma(sigma):
     # past sigma ~ 1e80 the slack is -inf or NaN while the exact minimum, and
@@ -685,6 +760,34 @@ def test_strategy_step_runs_few_beta_searches(monkeypatch):
         assert solve_equilibrium(config, "dro_cvar").converged
     assert len(steps) >= 10
     assert len(searches) / len(steps) <= 12
+
+
+def test_heterogeneous_solve_does_the_same_work(monkeypatch):
+    # machine-independent work counts of one dro_cvar solve of
+    # configs/heterogeneous.json, as first recorded: equal counts show that
+    # no strategy step, bound or beta search decided differently
+    counts = {"steps": 0, "searches": 0, "bounds": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    strategy_slack = cvar._strategy_slack
+
+    def counted_slack(*args):
+        slack, bounds = strategy_slack(*args)
+        return slack, counted(bounds, "bounds")
+
+    monkeypatch.setattr(cvar, "_beta_search", counted(cvar._beta_search, "searches"))
+    monkeypatch.setattr(cvar, "subproblem_strategy", counted(cvar.subproblem_strategy, "steps"))
+    monkeypatch.setattr(cvar, "_strategy_slack", counted_slack)
+    scenario = load_scenario(Path(__file__).parent.parent / "configs" / "heterogeneous.json")
+    result = solve_equilibrium(scenario.config, "dro_cvar", initial_alpha=scenario.initial_alpha)
+    assert result.converged
+    assert counts == {"steps": 18, "searches": 89, "bounds": 1144}
 
 
 def _plateau(x):
