@@ -19,12 +19,10 @@ A NaN has no order: a NaN bound decides nothing, and a NaN among the grid
 values or ceilings sends every grid point through ``f``.  A NaN value at a
 point its bounds have already decided is not seen, so ``f`` may be NaN
 only where its floor and ceiling are NaN too.  Where that rule is broken
-(the CVaR slack overflows to -inf or NaN for sigma beyond about 1e80 while
-its ceiling stays finite) the scan may return a NaN maximum, which
-``robust.scan_strategy`` reads as infeasible.  The CVaR floor is -inf there
-(from scale 1e140; the slack overflows from about 2e155), so the bounds
-decide a golden-section comparison only if a ceiling is -inf too.  Without
-bounds every point is evaluated once, in the order of the plain scan.
+(the CVaR slack at a huge variance, see ``cvar._strategy_slack``) the scan
+may return a NaN maximum, which ``robust.scan_strategy`` reads as
+infeasible.  Without bounds every point is evaluated once, in the order of
+the plain scan.
 """
 
 from __future__ import annotations

@@ -143,7 +143,7 @@ def subproblem_strategy_gaussian(
     reparameterized bound equals g itself, so maximizing it keeps the current
     u_min feasible for the next threshold step.
     """
-    _check_strategy(min(tau0, alpha_in), params.cost, load)
+    _check_strategy(alpha_in, params.cost, load)
     slack = _strategy_slack(u_min, load, params, reward, epsilon)
     return scan_strategy(slack, alpha_in, tau0)
 

@@ -40,18 +40,12 @@ step instead, because a solve evaluates it hundreds of thousands of times:
   constants overflow float reports the overflow, not infeasibility.
 - ``_strategy_slack`` gives the strategy step ``slack(alpha)``, the negated
   worst-case CVaR by the same ``_beta_search`` as ``worstcase_cvar``, and
-  ``bounds(alpha) = (floor, ceiling)``, the negated exact minimum less a
-  gap and plus a rounding margin rho, at about a fifteenth of the cost
-  of a search.  The golden section returns v at some
-  beta, and v at any beta is at least its minimum and, on every instance
-  measured, within a five-thousandth of the gap above it, so
-  ``floor <= slack <= ceiling``.  The scan (``_search.scan_golden_max``)
-  computes ``slack`` only where the bounds cannot decide a comparison, and
-  returns what it would return with ``slack`` everywhere.  Taking the exact
-  minimum as the slack itself moves an equilibrium threshold of one
-  benchmark game by 5e-4 (the solver fixes u_min only to its 1e-6 alpha
-  tolerance times du/dalpha), more than the benchmark's recorded reference
-  outputs allow, so that switch waits for a re-recorded reference.
+  cheap ``bounds(alpha) = (floor, ceiling)`` around it from the kernel's
+  exact minimum; its docstring states the bounds' contract and why the
+  exact minimum is not the slack itself.  The scan
+  (``_search.scan_golden_max``) computes ``slack`` only where the bounds
+  cannot decide a comparison, and returns what it would return with
+  ``slack`` everywhere.
 
 Every hoisted expression keeps the float operation order in which
 ``worstcase_cvar`` computes t0, d0 and k, so each slack value and threshold
@@ -72,7 +66,7 @@ from .model import (
     GameConfig, LossCoefficients, MinerParams, MomentMatrix, RewardModel, SolverError, _check_epsilon,
     _check_strategy,
 )
-from .robust import BestResponse, alternate, bisect_threshold, scan_strategy
+from .robust import BestResponse, alternate, bisect_threshold, scan_strategy, threshold_floor
 
 __all__ = [
     "CvarCertificate",
@@ -122,8 +116,9 @@ def _v(t0, d0, k, epsilon, beta):
     t0 - beta and determinant det(Omega) det(Q(beta)) = d0 - beta k.  Tr+ is
     max(trace, 0) when the determinant is >= 0 (both eigenvalues share a
     sign) and the larger eigenvalue otherwise.  max(t, 0.0) is written as
-    ``0.0 if 0.0 > t else t``, NaN included.  The hot loops (``_beta_search``,
-    ``_exact_minimizer``) repeat these operations inline.
+    ``0.0 if 0.0 > t else t``, NaN included.  The hot loops (the golden
+    section of ``_beta_search``, ``_exact_minimizer``) repeat these
+    operations inline.
     """
     t = t0 - beta
     d = d0 - beta * k
@@ -138,35 +133,17 @@ def _beta_search(t0, d0, k, epsilon, scale) -> tuple[float, float]:
     Starting from [-scale, scale], the bracket grows until its midpoint beats
     both ends (at most 80 times); golden section then narrows it to
     1e-13 * (1 + |lo| + |hi|) (at most 300 steps) and returns v at the
-    midpoint.  Both loops, about 60 v a search and the solver's hottest
-    code, write ``_v`` out inline.
+    midpoint.  The golden loop, about 60 v a search and the solver's hottest
+    code, writes ``_v`` out inline.  The bracket calls ``_v``: on the
+    benchmark's games it never grows, so it evaluates v only at the two
+    ends and the midpoint, once a search.
     """
     sqrt = math.sqrt
     inv_phi = _INV_PHI
     lo, hi = -scale, scale
-    grow_lo = grow_hi = True
+    f_lo, f_hi = _v(t0, d0, k, epsilon, lo), _v(t0, d0, k, epsilon, hi)
     for _ in range(80):
-        if grow_lo:
-            t = t0 - lo
-            d = d0 - lo * k
-            if d >= 0.0:
-                f_lo = lo + (0.0 if 0.0 > t else t) / epsilon
-            else:
-                f_lo = lo + (0.5 * t + sqrt(0.25 * t * t - d)) / epsilon
-        if grow_hi:
-            t = t0 - hi
-            d = d0 - hi * k
-            if d >= 0.0:
-                f_hi = hi + (0.0 if 0.0 > t else t) / epsilon
-            else:
-                f_hi = hi + (0.5 * t + sqrt(0.25 * t * t - d)) / epsilon
-        mid = 0.5 * (lo + hi)
-        t = t0 - mid
-        d = d0 - mid * k
-        if d >= 0.0:
-            f_mid = mid + (0.0 if 0.0 > t else t) / epsilon
-        else:
-            f_mid = mid + (0.5 * t + sqrt(0.25 * t * t - d)) / epsilon
+        f_mid = _v(t0, d0, k, epsilon, 0.5 * (lo + hi))
         grow_lo, grow_hi = f_lo <= f_mid, f_hi <= f_mid
         if not (grow_lo or grow_hi):  # the midpoint beats both ends, or a NaN stops growth
             break
@@ -175,6 +152,7 @@ def _beta_search(t0, d0, k, epsilon, scale) -> tuple[float, float]:
             lo -= 2.0 * width
         if grow_hi:
             hi += 2.0 * width
+        f_lo, f_hi = _v(t0, d0, k, epsilon, lo), _v(t0, d0, k, epsilon, hi)
     tol = 1e-13 * (1.0 + abs(lo) + abs(hi))
     x1 = hi - inv_phi * (hi - lo)
     x2 = lo + inv_phi * (hi - lo)
@@ -358,18 +336,28 @@ def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsil
     computed, so each alpha costs one beta search per step.  ``bounds`` is
     ``(floor, ceiling)`` = -(exact minimum of v) + (-gap, rho) * scale, with
     gap = 1e-9 / eps and rho = 1e-12 / eps, at about a fifteenth of the
-    cost of a search.  The golden section returns v at some beta, which is at
-    least v's minimum, so ``ceiling >= slack`` however close that search
-    gets; rho covers the rounding of v at the candidate betas, which reached
-    2.6e-16 * scale / eps over 60000 random (instance, alpha) pairs.  Over
-    those pairs the search's v sat at most 1.7e-13 * scale / eps above the
-    exact minimum (2.1e-14 on the benchmark's solve-cvar games), under a
-    five-thousandth of the gap, so ``floor <= slack``.  Where the search's
-    beta bracket overflows (sigma beyond about 1e80, scale from about
-    2e155), ``slack`` is -inf or NaN while the exact minimum stays finite,
-    so the floor is -inf from scale 1e140 on.  No threshold certifies at
-    such a variance, so the solver stops at its threshold step before any
-    strategy step.
+    cost of a search, and ``floor <= slack <= ceiling``:
+
+    - ceiling: the golden section returns v at some beta, which is at least
+      v's minimum, so ``ceiling >= slack`` however close that search gets;
+      rho covers the rounding of v at the candidate betas, which reached
+      2.6e-16 * scale / eps over 60000 random (instance, alpha) pairs.
+    - floor: over those pairs the search's v sat at most 1.7e-13 * scale /
+      eps above the exact minimum (2.1e-14 on the benchmark's solve-cvar
+      games), under a five-thousandth of the gap, so ``floor <= slack``.
+    - overflow: where the search's beta bracket overflows (sigma beyond
+      about 1e80, scale from about 2e155), ``slack`` is -inf or NaN while
+      the exact minimum stays finite, so the floor is -inf from scale 1e140
+      on, and the bounds decide a golden-section comparison of the scan
+      only if a ceiling is -inf too.  No threshold certifies at such a
+      variance, so the solver stops at its threshold step before any
+      strategy step.
+
+    The slack stays the search's v, not the cheaper exact minimum: taking
+    the minimum moves an equilibrium threshold of one benchmark game by 5e-4
+    (the solver fixes u_min only to its 1e-6 alpha tolerance times
+    du/dalpha), more than the benchmark's recorded reference outputs allow,
+    so that switch waits for a re-recorded reference.
     """
     _check_epsilon(epsilon)
     m, s2 = params.nominal, params.sigma2
@@ -416,16 +404,16 @@ def subproblem_threshold(
     exact minimum of v, and ``certify`` builds the witness on request.
 
     A step that fails where v's constants overflow float at its starting
-    floor (from a total reward of about 1.5e153 with the default miners,
-    where d0 = s2 (a2 a0 - a1^2 / 4) does) says so: no probe there was
-    decided, so "no feasible threshold" would be wrong.  The check runs
-    once, on failure.
+    floor (``robust.threshold_floor``; from a total reward of about 1.5e153
+    with the default miners, where d0 = s2 (a2 a0 - a1^2 / 4) does) says
+    so: no probe there was decided, so "no feasible threshold" would be
+    wrong.  The check runs once, on failure.
     """
     margin = _threshold_certifier(alpha, load, params, reward, epsilon)
     try:
         return bisect_threshold(margin, params, reward, u_lo)
     except SolverError:
-        floor = -reward.total - params.cost * params.x_max if u_lo is None else u_lo
+        floor = threshold_floor(params, reward, u_lo)
         _, _, _, t0, d0, k, _ = _threshold_terms(alpha, floor, load, params, reward)
         if not (math.isfinite(t0) and math.isfinite(d0) and math.isfinite(k)):
             raise SolverError(
@@ -443,7 +431,7 @@ def subproblem_strategy(
     the incoming alpha by construction, so the slack maximized here is the
     negated worst-case CVaR, re-certified per alpha.
     """
-    _check_strategy(min(tau0, alpha_in), params.cost, load)
+    _check_strategy(alpha_in, params.cost, load)
     slack, bounds = _strategy_slack(u_min, load, params, reward, epsilon)
     return scan_strategy(slack, alpha_in, tau0, bounds)
 

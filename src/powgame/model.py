@@ -9,7 +9,8 @@ the package (closed forms, robust solvers, Monte Carlo validation) is built
 on the functions and records defined here.  ``LossCoefficients`` (the
 chance constraint's quadratic loss) and ``MomentMatrix`` (the resource's
 moments) are stated once, for both robust certificates and the exact
-violation oracle, and so are the checks of a strategy and of epsilon.
+violation oracle, and so are the checks of a strategy, of tau0 and of
+epsilon.
 """
 
 from __future__ import annotations
@@ -44,8 +45,13 @@ def _check_epsilon(epsilon):
         raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
 
 
+def _check_tau0(tau0):
+    if not 0 < tau0 < 1:
+        raise ValueError(f"tau0 must be in (0,1), got {tau0}")
+
+
 def _check_strategy(alpha, cost, load):
-    if alpha <= 0 or cost <= 0 or load <= 0:
+    if not (alpha > 0 and cost > 0 and load > 0):  # NaN-safe
         raise ValueError("need alpha > 0, cost > 0 and positive rivals' load")
 
 
@@ -143,8 +149,7 @@ class GameConfig:
         object.__setattr__(self, "miners", tuple(self.miners))
         if len(self.miners) < 2:
             raise ValueError("need at least 2 miners")
-        if not 0 < self.tau0 < 1:
-            raise ValueError(f"tau0 must be in (0,1), got {self.tau0}")
+        _check_tau0(self.tau0)
         _check_epsilon(self.epsilon)
         if not 0 < self.kappa < math.inf:
             raise ValueError(f"kappa must be positive and finite, got {self.kappa}")

@@ -37,11 +37,12 @@ Constants:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import deterministic
 from ._search import scan_golden_max
-from .model import ConvergenceError, GameConfig, MinerParams, RewardModel, SolverError, others_load
+from .model import ConvergenceError, GameConfig, MinerParams, RewardModel, SolverError, _check_tau0, others_load
 
 __all__ = ["BestResponse"]
 
@@ -62,6 +63,16 @@ class BestResponse:
     u_min: float
     iterations: int
     u_history: tuple[float, ...]
+
+
+def threshold_floor(params: MinerParams, reward: RewardModel, u_lo) -> float:
+    """The threshold step's starting floor: the warm floor ``u_lo`` if given,
+    which must be finite, else -R - cost * x_max."""
+    if u_lo is None:
+        return -reward.total - params.cost * params.x_max
+    if not math.isfinite(u_lo):
+        raise ValueError(f"u_lo must be a finite number, got {u_lo}")
+    return u_lo
 
 
 def bisect_threshold(margin, params: MinerParams, reward: RewardModel, u_lo=None) -> float:
@@ -95,12 +106,11 @@ def bisect_threshold(margin, params: MinerParams, reward: RewardModel, u_lo=None
     """
     if params.sigma2 <= 0:
         raise ValueError("robust threshold needs positive variance")
+    u_lo = threshold_floor(params, reward, u_lo)
     u_hi = reward.total
     m_hi = margin(u_hi)
     if m_hi >= 0.0:
         raise SolverError("threshold at the full reward certifies; inputs are malformed")
-    if u_lo is None:
-        u_lo = -reward.total - params.cost * params.x_max
     m_lo = margin(u_lo)
     while not m_lo >= 0.0:
         if not u_lo > U_FLOOR:  # NaN-safe: a NaN threshold must stop, not loop
@@ -165,8 +175,10 @@ def scan_strategy(slack, alpha_in, tau0, bounds=None):
     ``bounds``, a (floor, ceiling) bracket of ``slack``, lets the scan skip
     the exact evaluations it decides without changing the result.  The
     incoming alpha is scored once, outside the scan: the margin test below
-    keeps it whenever it beats the scan's best.
+    keeps it whenever it beats the scan's best.  tau0 must be in (0, 1),
+    ``GameConfig``'s rule.
     """
+    _check_tau0(tau0)
     scan_step = max((1.0 - tau0) / 40.0, 1e-4)
     alpha, best = scan_golden_max(slack, tau0, 1.0, scan_step, tol=ALPHA_TOL, bounds=bounds)
     incoming = slack(alpha_in)

@@ -66,6 +66,8 @@ from powgame.validate import (
 
 BAD_STRATEGY = "need alpha > 0, cost > 0 and positive rivals' load"
 BAD_EPSILON = r"epsilon must be in \(0,1\)"
+BAD_TAU0 = r"tau0 must be in \(0,1\)"
+BAD_U_LO = "u_lo must be a finite number"
 _PARAMS, _REWARD = MinerParams(x_hat=55.0, sigma2=100.0), RewardModel()
 _MOMENTS = MomentMatrix.from_params(_PARAMS)
 
@@ -81,9 +83,19 @@ BAD_STEP_INPUTS = {
     "threshold-alpha-0": (lambda t, s, r: t(0.0, 110.0, _PARAMS, _REWARD, 0.1), BAD_STRATEGY),
     "threshold-no-rival-load": (lambda t, s, r: t(0.5, 0.0, _PARAMS, _REWARD, 0.1), BAD_STRATEGY),
     "threshold-epsilon-1": (lambda t, s, r: t(0.5, 110.0, _PARAMS, _REWARD, 1.0), BAD_EPSILON),
+    "threshold-alpha-nan": (lambda t, s, r: t(math.nan, 110.0, _PARAMS, _REWARD, 0.1), BAD_STRATEGY),
+    "threshold-load-nan": (lambda t, s, r: t(0.5, math.nan, _PARAMS, _REWARD, 0.1), BAD_STRATEGY),
+    "threshold-u_lo-nan": (lambda t, s, r: t(0.5, 110.0, _PARAMS, _REWARD, 0.1, u_lo=math.nan), BAD_U_LO),
+    "threshold-u_lo-inf": (lambda t, s, r: t(0.5, 110.0, _PARAMS, _REWARD, 0.1, u_lo=math.inf), BAD_U_LO),
+    "threshold-u_lo-neg-inf": (lambda t, s, r: t(0.5, 110.0, _PARAMS, _REWARD, 0.1, u_lo=-math.inf), BAD_U_LO),
     "strategy-no-rival-load": (lambda t, s, r: s(0.0, 0.5, 0.0, _PARAMS, _REWARD, 0.5, 0.1), BAD_STRATEGY),
     "strategy-epsilon-0": (lambda t, s, r: s(0.0, 0.5, 110.0, _PARAMS, _REWARD, 0.5, 0.0), BAD_EPSILON),
     "strategy-epsilon-1.5": (lambda t, s, r: s(0.0, 0.5, 110.0, _PARAMS, _REWARD, 0.5, 1.5), BAD_EPSILON),
+    "strategy-alpha_in-nan": (lambda t, s, r: s(0.0, math.nan, 110.0, _PARAMS, _REWARD, 0.5, 0.1), BAD_STRATEGY),
+    "strategy-tau0-0": (lambda t, s, r: s(0.0, 0.5, 110.0, _PARAMS, _REWARD, 0.0, 0.1), BAD_TAU0),
+    "strategy-tau0-1": (lambda t, s, r: s(0.0, 0.5, 110.0, _PARAMS, _REWARD, 1.0, 0.1), BAD_TAU0),
+    "strategy-tau0-1.5": (lambda t, s, r: s(0.0, 0.5, 110.0, _PARAMS, _REWARD, 1.5, 0.1), BAD_TAU0),
+    "strategy-tau0-nan": (lambda t, s, r: s(0.0, 0.5, 110.0, _PARAMS, _REWARD, math.nan, 0.1), BAD_TAU0),
     "coefficients-alpha-0": (lambda t, s, r: r(_loss(alpha=0.0), _MOMENTS, 0.1), BAD_STRATEGY),
     "loss-cost-0": (lambda t, s, r: r(_loss(cost=0.0), _MOMENTS, 0.1), BAD_STRATEGY),
     "constraint-value-epsilon-nan": (lambda t, s, r: r(_loss(), _MOMENTS, math.nan), BAD_EPSILON),
