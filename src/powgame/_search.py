@@ -23,6 +23,17 @@ only where its floor and ceiling are NaN too.  Where that rule is broken
 may return a NaN maximum, which ``robust.scan_strategy`` reads as
 infeasible.  Without bounds every point is evaluated once, in the order of
 the plain scan.
+
+``f`` may instead carry ``f.concave_near = (error, start)``: a claim that
+every value of ``f`` on [lo, hi] lies within ``error`` of a concave
+function, with room for the rounding of ``best - 2 * error`` (the Gaussian
+slack makes it, see ``bti._strategy_slack``).  The grid is then climbed
+from the point nearest ``start`` and widened both ways until each end lies
+more than ``2 * error`` below the best value found.  Each point left out
+lies strictly below that best value, so the grid's first maximum is the one
+``np.argmax`` picks over every point.  A NaN value, or an ``error`` that is
+not a finite number >= 0, runs the full scan instead.  The golden
+refinement is the same on every path.
 """
 
 from __future__ import annotations
@@ -60,6 +71,47 @@ def _grid_max(f, points, bounds):
     return k, vals[k]
 
 
+def _climb_max(f, points, step, error, start):
+    """(k, f(points[k])) as ``_grid_max`` gives it, for an ``f`` within
+    ``error`` of a concave function, from the points next to its peak; None
+    on a NaN value or an ``error`` that is not a finite number >= 0.
+
+    The evaluated points are the window [l, r] around the point nearest
+    ``start``, and an end grows while its value is not more than
+    ``2 * error`` below the best, at k.  Once f(r) is, the concave function
+    is lower at r than at k < r, so it falls beyond r, and f stays below the
+    best there; likewise left of l.  A tie keeps the leftmost point, as
+    ``np.argmax`` does.
+    """
+    if not 0.0 <= error < math.inf:
+        return None
+    n, margin = len(points), 2.0 * error
+    k = int(min(max(0.0, (start - points[0]) / step), n - 1.0) + 0.5)  # nearest; a NaN start reads 0
+    best = f(points[k])
+    if best != best:
+        return None
+    l = r = k
+    v_l = v_r = best
+    while True:
+        floor = best - margin
+        if r < n - 1 and not v_r < floor:
+            r += 1
+            v_r = f(points[r])
+            if v_r > best:
+                k, best = r, v_r
+            elif v_r != v_r:
+                return None
+        elif l > 0 and not v_l < floor:
+            l -= 1
+            v_l = f(points[l])
+            if v_l >= best:
+                k, best = l, v_l
+            elif v_l != v_l:
+                return None
+        else:
+            return k, best
+
+
 def _first_argmax(values):
     """Index of the first maximum of ``values``, or of their first NaN, as
     ``np.argmax`` picks it."""
@@ -77,15 +129,18 @@ def scan_golden_max(f, lo, hi, step, tol=1e-6, bounds=None):
     section on the two cells around the best grid point, to width ``tol``.
 
     ``bounds``, if given, brackets ``f`` as (floor, ceiling) and spares the
-    exact evaluations it decides (see the module docstring); the result is
-    the same either way.
+    exact evaluations it decides, and ``f.concave_near``, if set, lets the
+    grid scan only the points next to the peak (see the module docstring);
+    the result is the same either way.
     """
     if hi <= lo:
         return lo, f(lo)
     grid = np.arange(lo, hi + 0.5 * step, step)
     grid[-1] = min(grid[-1], hi)
     points = grid.tolist()
-    k, grid_best = _grid_max(f, points, bounds)
+    near = getattr(f, "concave_near", None)
+    found = None if near is None else _climb_max(f, points, step, *near)
+    k, grid_best = _grid_max(f, points, bounds) if found is None else found
     grid_x = points[k]
     lo, hi = max(lo, grid_x - step), min(hi, grid_x + step)
     if bounds is None:

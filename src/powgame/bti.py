@@ -99,8 +99,54 @@ def _threshold_certifier(alpha, load, params: MinerParams, reward: RewardModel, 
     return margin
 
 
-def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsilon):
-    """``slack(alpha)``: g(alpha) at fixed u_min; only the alpha terms vary."""
+def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsilon, alpha_in=None):
+    """``slack(alpha)``: g(alpha) at fixed u_min; only the alpha terms vary.
+
+    Given ``alpha_in``, the slack carries ``slack.concave_near = (E,
+    alpha_in)``, with which ``_search.scan_golden_max`` scores only the grid
+    points next to the slack's peak.  That rests on two facts.
+
+    **g is concave in alpha.**  With s = u_min - R + cost * load,
+    L = -log(eps) and c = sqrt(2 L), for alpha > 0
+
+        g(alpha) = -K alpha^2 - s mu_bar alpha - u_min load - c sigma alpha N(alpha),
+
+    where K = cost (sigma^2 (1 + L) + mu_bar^2) and N(alpha) =
+    sqrt(p alpha^2 + 2 r alpha + w), with p = cost^2 (sigma^2 + 2 mu_bar^2),
+    r = cost mu_bar s and w = s^2 / 2.  N is the norm of an affine map of
+    alpha, so N'' >= 0 and N' >= -sqrt(p); hence (alpha N)'' = 2 N' +
+    alpha N'' >= -2 sqrt(p), and g'' <= -kappa with
+
+        kappa = 2 cost (sigma^2 (1 + L) + mu_bar^2 - c sigma sqrt(sigma^2 + 2 mu_bar^2)).
+
+    kappa > 0, because (sigma^2 (1 + L) + mu_bar^2)^2 - 2 L sigma^2
+    (sigma^2 + 2 mu_bar^2) is the quadratic form [[1 + L^2, 1 - L],
+    [1 - L, 1]] in (sigma^2, mu_bar^2), whose determinant is 2 L > 0.  The g
+    meant here is built from the step's float constants (s, u_min load,
+    log(eps), c), for which c^2 = 2 L holds only to rounding, so the step
+    checks kappa > 1e-6 K in float.  kappa / K is at least about 1 / (2 L),
+    above 6e-4 for every float eps, so the check fails only where its terms
+    overflow.
+
+    **E bounds |slack(alpha) - g(alpha)| for 0 < alpha <= 1.**  Along its
+    longest chain ``slack`` rounds 14 times, counting ``math.hypot``'s error
+    of under 1 ulp as two roundings.  Every term grows with alpha, so each
+    error is at most its rounding count times u = 2^-53 times the term's
+    magnitude at alpha = 1, and |slack - g| <= 15 u M with
+
+        M = (1 + L) |A| + c (|A| + sqrt(2) sigma P) + |D|,
+
+    |A| = cost sigma^2, P = cost |mu_bar| + |s| / 2 and |D| = cost mu_bar^2
+    + |s mu_bar| + |u_min load|.  E = 32 u M leaves room for the rounding of
+    M itself and of the scan's ``best - 2 E`` (|slack| <= M).  A product
+    that underflows errs by up to 2^-1075 more, times the factors it is
+    later multiplied by, at most W = (1 + sigma)^2 (1 + |mu_bar|)^2
+    (1 + c + L); E adds 32 * 2^-1074 W.  Each intermediate of ``slack`` is
+    at most M, to a few roundings, so E is computed from 2 M: a finite E
+    means that no term overflows and the slack is never NaN.  A failed kappa
+    check sets E to inf, and an overflowing term makes it inf or NaN; the
+    scan then scores every grid point.
+    """
     _check_epsilon(epsilon)
     log_eps = math.log(epsilon)
     sigma = params.sigma
@@ -123,6 +169,22 @@ def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsil
         omega = -big_a if big_a < 0.0 else 0.0  # max(0.0, -A), NaN included
         return big_a - c * hypot(big_a, root2 * b) + log_eps * omega + d
 
+    if alpha_in is not None:
+        big_l = -log_eps
+        var, mu2 = sigma * sigma, mu_bar * mu_bar
+        curvature = var * (1.0 + big_l) + mu2  # K / cost
+        error = math.inf
+        # kappa > 1e-6 K, with both sides divided by 2 cost
+        if curvature - c * sigma * math.sqrt(var + 2.0 * mu2) > 5e-7 * curvature:
+            a_mag = cost * var
+            p_mag = cost * abs(mu_bar) + abs(half_s)
+            d_mag = cost * mu2 + abs(s * mu_bar) + abs(u_load)
+            m = (1.0 + big_l) * a_mag + c * (a_mag + root2 * sigma * p_mag) + d_mag
+            sigma_1, mu_1 = 1.0 + sigma, 1.0 + abs(mu_bar)
+            w = sigma_1 * sigma_1 * mu_1 * mu_1 * (1.0 + c + big_l)
+            # 32 u M + 32 * 2^-1074 W; m + m is inf where a term nears overflow
+            error = 2.0 ** -49 * (m + m) + 2.0 ** -1069 * w
+        slack.concave_near = (error, alpha_in)
     return slack
 
 
@@ -144,7 +206,7 @@ def subproblem_strategy_gaussian(
     u_min feasible for the next threshold step.
     """
     _check_strategy(alpha_in, params.cost, load)
-    slack = _strategy_slack(u_min, load, params, reward, epsilon)
+    slack = _strategy_slack(u_min, load, params, reward, epsilon, alpha_in)
     return scan_strategy(slack, alpha_in, tau0)
 
 

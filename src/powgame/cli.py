@@ -42,6 +42,8 @@ __all__ = [
 MODE_ALIASES = {"det": "deterministic", "bti": "gaussian_bti", "cvar": "dro_cvar"}
 MODE_SHORT = {v: k for k, v in MODE_ALIASES.items()}
 MAX_MINERS = 1000  # a 1000-miner det solve takes about 1 s; configs use at most 10
+# the variance is sigma ** 2, which is 0 for a positive sigma below 2**-537.5
+_NONZERO_VARIANCE = "for every miner, and sigma ** 2 > 0: below about 1.57e-162 it underflows to 0"
 DEFAULT_SWEEP_VALUES = {
     "epsilon": [0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5],
     "fixed_reward": [2000.0, 3000.0, 4000.0, 5000.0, 6000.0, 7000.0, 8000.0],
@@ -274,7 +276,7 @@ def load_scenario(path, seed=None, mode=None) -> Scenario:
     # after the --mode override, so `--mode det` still runs a zero-variance scenario
     robust = set(scenario.modes) != {"deterministic"}
     if robust and any(m.sigma2 <= 0 for m in scenario.config.miners):
-        raise ScenarioError("field 'sigma': modes bti and cvar need sigma > 0 for every miner")
+        raise ScenarioError(f"field 'sigma': modes bti and cvar need sigma > 0 {_NONZERO_VARIANCE}")
     return scenario
 
 
@@ -407,7 +409,7 @@ def run_validate(scenario: Scenario, out_dir) -> int:
     out = Path(out_dir)
     config = scenario.config
     if any(m.sigma2 <= 0 for m in config.miners):  # nothing to sample in any mode
-        raise ScenarioError("field 'sigma': validate needs sigma > 0 for every miner")
+        raise ScenarioError(f"field 'sigma': validate needs sigma > 0 {_NONZERO_VARIANCE}")
     if "poisson_shifted" in scenario.distributions:  # its draws are Poisson(sigma^2)
         largest = max(m.sigma2 for m in config.miners)
         _require(

@@ -37,5 +37,6 @@ def best_response(j: int, profile, config: GameConfig) -> float:
     """
     x = config.nominal_resources()
     load = others_load(j, profile, x)
-    raw = best_response_interior(load, x[j], config.miners[j].cost, config.reward.total)
+    # float(x[j]): a numpy scalar would carry into every robust step built on it
+    raw = best_response_interior(load, float(x[j]), config.miners[j].cost, config.reward.total)
     return min(1.0, max(config.tau0, raw))

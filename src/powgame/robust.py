@@ -6,7 +6,8 @@ hands the steps here ``margin(u_min)``, a float that is >= 0 exactly when
 u_min is certifiable at fixed alpha (NaN certifies nothing), and
 ``slack(alpha)``, >= 0 exactly when alpha keeps the fixed u_min
 certifiable, with optional cheap bounds ``bounds(alpha) = (floor,
-ceiling)`` around it.
+ceiling)`` around it, or a claim ``slack.concave_near`` that it is concave
+to within a rounding bound (see ``_search``).
 The alternation (``alternate``) sees only the float thresholds and
 strategies the steps return; a back-end with a separate witness builds it
 on request (``cvar.certify``).

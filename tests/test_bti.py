@@ -1,6 +1,8 @@
 """Tests for the Gaussian (Bernstein-bound) robust best response."""
 
+import decimal
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,12 +16,19 @@ from powgame import (
     subproblem_strategy_gaussian,
     subproblem_threshold_gaussian,
 )
-from powgame import bti
+from powgame import _search, bti, robust, solve_equilibrium
+from powgame.cli import load_scenario
 from powgame.deterministic import best_response
-from powgame.model import MinerParams
+from powgame.model import MinerParams, SolverError
 from powgame.robust import scan_strategy
 
-from conftest import BAD_STEP_INPUTS, make_config, outer_best_response_oracle, plain_bisect_threshold
+from conftest import (
+    BAD_STEP_INPUTS,
+    grid_scan_max,
+    make_config,
+    outer_best_response_oracle,
+    plain_bisect_threshold,
+)
 
 REWARD = RewardModel()
 
@@ -286,3 +295,217 @@ def test_bti_exceeds_tolerance_under_other_distributions_is_possible():
         report = empirical_violation(result.alphas, result.u_mins[0], 0, config, batch)
         rates[dist] = report.rate
     print(f"BTI off-Gaussian violation rates (recorded): {rates}")
+
+
+# -- the strategy step's climb on the concave slack (see bti._strategy_slack)
+
+
+def _wide_gaussian_step(rng):
+    """A strategy step's arguments with sigma^2 in [1e-6, 1e8], eps in
+    [1e-6, 0.999999] and tau0 in [1e-6, 0.99999], each log-uniform; u_min is
+    the threshold at alpha_in, nudged, or a random one when none certifies."""
+    params = MinerParams(
+        x_hat=float(rng.uniform(30.0, 60.0)), mu=float(rng.uniform(-5.0, 5.0)),
+        sigma2=10.0 ** rng.uniform(-6.0, 8.0), cost=float(rng.uniform(20.0, 120.0)),
+    )
+    reward = RewardModel(fixed_reward=float(rng.uniform(1000.0, 9000.0)))
+    eps = 10.0 ** rng.uniform(-6.0, math.log10(0.999999))
+    tau0 = 10.0 ** rng.uniform(-6.0, math.log10(0.99999))
+    load = float(rng.uniform(20.0, 400.0))
+    alpha_in = float(rng.uniform(tau0, 1.0))
+    try:
+        u = subproblem_threshold_gaussian(alpha_in, load, params, reward, eps)
+    except SolverError:  # nothing certifies: every alpha is infeasible
+        u = float(rng.uniform(-3000.0, 3000.0))
+    u += float(rng.choice([-100.0, -1.0, 0.0, 0.0, 1.0]))
+    return u, alpha_in, load, params, reward, tau0, eps
+
+
+def _full_scan_steps(monkeypatch, cases):
+    """Each step with every grid point scored: ``grid_scan_max`` in place of
+    the scan, so no climb can run."""
+    def oracle(f, lo, hi, step, tol, bounds):
+        return grid_scan_max(f, lo, hi, step, tol)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(robust, "scan_golden_max", oracle)
+        return [subproblem_strategy_gaussian(*case) for case in cases]
+
+
+def _counted(fn, calls):
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_climb_equals_the_full_scan_within_the_error_it_is_given():
+    # f is a concave parabola plus up to 0.85 E of fixed noise, rounded to
+    # multiples of E / 8: flat runs, false local peaks and exact ties within
+    # 2 E of the top, which the climb must all pass over
+    rng = np.random.default_rng(23)
+    for _ in range(2000):
+        lo = float(rng.uniform(0.0, 0.9))
+        step = max((1.0 - lo) / 40.0, 1e-4)
+        peak, curvature = float(rng.uniform(lo - 0.2, 1.2)), 10.0 ** rng.uniform(-4.0, 2.0)
+        error = curvature * step * step * 10.0 ** rng.uniform(-2.0, 1.0)
+        quantum = 0.125 * error
+
+        def f(x):
+            noisy = -curvature * (x - peak) ** 2 + 0.85 * error * math.sin(7.3e5 * x)
+            return quantum * round(noisy / quantum)
+
+        expected = grid_scan_max(f, lo, 1.0, step)
+        f.concave_near = (error, float(rng.uniform(lo, 1.0)))
+        assert repr(_search.scan_golden_max(f, lo, 1.0, step)) == repr(expected)
+
+
+def test_climb_equals_the_full_scan_on_wide_steps(monkeypatch):
+    # the climb scores the grid points next to the peak only; the step must
+    # return what scoring every point returns, float for float, and here the
+    # full scan never has to run
+    rng = np.random.default_rng(24)
+    cases = [_wide_gaussian_step(rng) for _ in range(20_000)]
+    full_scans = []
+    monkeypatch.setattr(_search, "_grid_max", _counted(_search._grid_max, full_scans))
+    steps = [subproblem_strategy_gaussian(*case) for case in cases]
+    assert full_scans == []
+    expected = _full_scan_steps(monkeypatch, cases)
+    mismatched = [(case, got, want) for case, got, want in zip(cases, steps, expected) if repr(got) != repr(want)]
+    assert mismatched[:3] == []
+    assert 0 < sum(feasible for _, _, feasible in steps) < len(steps)
+
+
+@pytest.mark.parametrize("offset", [0, 1, -1])
+def test_a_nan_slack_runs_the_full_scan(monkeypatch, offset):
+    # a NaN at the climb's start or at a neighbour it scores: the step falls
+    # back to the full scan, which reads the NaN as np.argmax does
+    params, load, eps, tau0, alpha_in = make_config().miners[0], 110.0, 0.1, 0.5, 0.7123
+    u = subproblem_threshold_gaussian(alpha_in, load, params, REWARD, eps)
+    step = (1.0 - tau0) / 40.0
+    target = tau0 + (round((alpha_in - tau0) / step) + offset) * step
+    strategy_slack = bti._strategy_slack
+
+    def holed_slack(*args):
+        slack = strategy_slack(*args)
+
+        def holed(a):
+            return math.nan if abs(a - target) < 0.25 * step else slack(a)
+
+        if hasattr(slack, "concave_near"):
+            holed.concave_near = slack.concave_near
+        return holed
+
+    monkeypatch.setattr(bti, "_strategy_slack", holed_slack)
+    case = (u - 1.0, alpha_in, load, params, REWARD, tau0, eps)
+    full_scans = []
+    monkeypatch.setattr(_search, "_grid_max", _counted(_search._grid_max, full_scans))
+    got = subproblem_strategy_gaussian(*case)
+    assert len(full_scans) == 1
+    assert repr(got) == repr(_full_scan_steps(monkeypatch, [case])[0])
+
+
+def test_a_failed_curvature_check_runs_the_full_scan(monkeypatch):
+    # kappa / K is at least about 1 / (2 L), so in float the check fails only
+    # where its terms overflow: sigma^2 (1 + L) does here, though cost sigma^2
+    # does not
+    params = MinerParams(x_hat=55.0, sigma2=1e306, cost=1e-300)
+    case = (-1e3, 0.7, 110.0, params, REWARD, 0.5, 1e-300)
+    slack = bti._strategy_slack(-1e3, 110.0, params, REWARD, 1e-300, 0.7)
+    assert slack.concave_near == (math.inf, 0.7)
+    full_scans = []
+    monkeypatch.setattr(_search, "_grid_max", _counted(_search._grid_max, full_scans))
+    got = subproblem_strategy_gaussian(*case)
+    assert len(full_scans) == 1
+    assert repr(got) == repr(_full_scan_steps(monkeypatch, [case])[0])
+
+
+def _exact_g(alpha, u_min, load, params, reward, eps):
+    """g(alpha) at 50 digits from the step's float constants s, u_min load,
+    log(eps) and c, the concave function ``slack`` rounds."""
+    dec = decimal.Decimal
+    log_eps = math.log(eps)
+    s = dec(u_min + (-reward.total + params.cost * load))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a, cost, sigma, mu = dec(alpha), dec(params.cost), dec(params.sigma), dec(params.nominal)
+        quad = cost * a * a
+        big_a = -quad * sigma * sigma
+        b = -sigma * (quad * mu + s / 2 * a)
+        d = -(quad * mu * mu + s * a * mu + dec(u_min * load))
+        return big_a * (1 - dec(log_eps)) - dec(math.sqrt(-2.0 * log_eps)) * (big_a * big_a + 2 * b * b).sqrt() + d
+
+
+def test_slack_error_bound_holds():
+    # E must bound |slack(alpha) - g(alpha)| at every alpha in (0, 1]; tiny
+    # costs and variances make products underflow, which E covers too, and a
+    # huge u_min makes u_min load the largest term
+    rng = np.random.default_rng(25)
+    for i in range(400):
+        u, alpha_in, load, params, reward, tau0, eps = _wide_gaussian_step(rng)
+        if i % 4 == 0:  # underflowing products
+            params = MinerParams(x_hat=params.x_hat, mu=params.mu, sigma2=10.0 ** rng.uniform(-300.0, -6.0),
+                                 cost=10.0 ** rng.uniform(-320.0, -280.0))
+        elif i % 4 == 1:
+            u = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(6.0, 12.0)
+        slack = bti._strategy_slack(u, load, params, reward, eps, alpha_in)
+        error, start = slack.concave_near
+        assert start == alpha_in and 0.0 < error < math.inf
+        for alpha in (1.0, tau0, alpha_in, *10.0 ** rng.uniform(-8.0, 0.0, size=5)):
+            alpha = float(alpha)
+            exact = _exact_g(alpha, u, load, params, reward, eps)
+            assert abs(decimal.Decimal(slack(alpha)) - exact) <= decimal.Decimal(error), (alpha, u, params, eps)
+
+
+def test_slack_curvature_is_at_most_minus_kappa():
+    # g'' <= -kappa: a second difference of the 50-digit g, divided by h^2,
+    # is an average of g'' over [alpha - h, alpha + h]
+    rng = np.random.default_rng(26)
+    dec, h = decimal.Decimal, 1e-4
+    for _ in range(300):
+        u, _, load, params, reward, _, eps = _wide_gaussian_step(rng)
+        big_l, c = -math.log(eps), math.sqrt(-2.0 * math.log(eps))
+        var, mu2 = params.sigma ** 2, params.nominal ** 2
+        kappa = 2.0 * params.cost * (var * (1.0 + big_l) + mu2 - c * params.sigma * math.sqrt(var + 2.0 * mu2))
+        assert kappa > 1e-6 * params.cost * (var * (1.0 + big_l) + mu2)
+        alpha = float(rng.uniform(2.0 * h, 1.0))
+        g = [_exact_g(a, u, load, params, reward, eps) for a in (alpha - h, alpha, alpha + h)]
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            second = (g[0] - 2 * g[1] + g[2]) / (dec(h) * dec(h))
+        assert second <= dec(-kappa) * dec(1.0 - 1e-9)
+
+
+def test_heterogeneous_solve_does_the_same_work(monkeypatch):
+    # machine-independent work counts of one gaussian_bti solve of
+    # configs/heterogeneous.json: the strategy and threshold steps are those
+    # of the full scan (12 and 22), the climb leaves 315 slack evaluations of
+    # the full scan's 780, and the full scan never runs
+    counts = {"steps": 0, "thresholds": 0, "slacks": 0}
+    full_scans = []
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    strategy_slack = bti._strategy_slack
+
+    def counted_slack(*args):
+        slack = strategy_slack(*args)
+        scored = counted(slack, "slacks")
+        scored.concave_near = slack.concave_near
+        return scored
+
+    monkeypatch.setattr(bti, "subproblem_strategy_gaussian", counted(bti.subproblem_strategy_gaussian, "steps"))
+    monkeypatch.setattr(bti, "subproblem_threshold_gaussian", counted(bti.subproblem_threshold_gaussian, "thresholds"))
+    monkeypatch.setattr(bti, "_strategy_slack", counted_slack)
+    monkeypatch.setattr(_search, "_grid_max", _counted(_search._grid_max, full_scans))
+    scenario = load_scenario(Path(__file__).parent.parent / "configs" / "heterogeneous.json")
+    result = solve_equilibrium(scenario.config, "gaussian_bti", initial_alpha=scenario.initial_alpha)
+    assert result.converged
+    assert counts == {"steps": 12, "thresholds": 22, "slacks": 315}
+    assert full_scans == []

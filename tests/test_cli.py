@@ -625,6 +625,11 @@ MALFORMED = [  # (id, document, text stderr must contain, verbs)
     # validate samples the perturbation, so it needs sigma > 0 in det mode too
     ("sigma0-det", dict(REFERENCE_DOC, miners=3, sigma=0.0, mode="det"),
      "field 'sigma': validate needs sigma > 0", ("validate",)),
+    # a positive sigma whose square underflows: the message said only "sigma > 0"
+    ("sigma-1e-300-bti", dict(REFERENCE_DOC, sigma=1e-300, mode="bti"),
+     "modes bti and cvar need sigma > 0 for every miner, and sigma ** 2 > 0", None),
+    ("sigma-1e-300-det", dict(REFERENCE_DOC, miners=3, sigma=1e-300, mode="det"),
+     "validate needs sigma > 0 for every miner, and sigma ** 2 > 0", ("validate",)),
     # non-finite numbers: NaN made the robust threshold search loop forever
     ("cost-nan-det", dict(REFERENCE_DOC, miners=3, unit_cost=math.nan, mode="det"), "", None),
     ("reward-nan-det", dict(REFERENCE_DOC, reward={"fixed_reward": math.nan}, mode="det"), "", None),
@@ -725,6 +730,22 @@ def test_huge_thresholds_end(tmp_path, doc, argv):
     assert solved.converged
     if mode == "dro_cvar":  # the certified thresholds keep the worst case within epsilon
         assert discrete_worstcase_violation(solved.alphas, solved.u_values, game) <= game.epsilon + 1e-12
+
+
+def test_sweep_warns_of_nothing_but_its_failed_points(tmp_path):
+    # in a subprocess, so that numpy's warnings show: the deterministic cold
+    # start returned a numpy scalar, and the robust steps built on it printed
+    # "overflow encountered in scalar ..." at epsilon = 1e-300
+    config = write_config(tmp_path, {"miners": 3, "sigma": 10.0, "epsilon": 0.1})
+    result = subprocess.run(
+        [sys.executable, "-m", "powgame.cli", "sweep", "--config", str(config), "--out", str(tmp_path / "out"),
+         "--axis", "epsilon", "--values", "1e-300"],
+        capture_output=True, text=True, cwd=Path(cli.__file__).parent.parent, timeout=60,
+    )
+    assert result.returncode == 0
+    lines = result.stderr.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("sweep point epsilon=1e-300 mode ") for line in lines)
 
 
 # games whose utilities overflow float: solve ran them with numpy warnings,

@@ -45,6 +45,15 @@ def test_best_response_hand_values():
     assert best_response(0, [0.5] * 5, config) == 0.5
 
 
+def test_interior_best_response_is_a_python_float():
+    # x[j] comes off a numpy array; a numpy scalar answer made every robust
+    # step started from it compute in numpy scalars
+    config = make_config(n=5, x_hat=30.0, sigma=0.0)
+    alpha = best_response(0, [0.5] * 5, config)
+    assert config.tau0 < alpha < 1.0
+    assert type(alpha) is float
+
+
 def test_best_response_matches_grid_oracle():
     rng = np.random.default_rng(10)
     for _ in range(15):
