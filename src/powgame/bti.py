@@ -99,12 +99,15 @@ def _threshold_certifier(alpha, load, params: MinerParams, reward: RewardModel, 
     return margin
 
 
-def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsilon, alpha_in=None):
+def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsilon, alpha_in=math.nan):
     """``slack(alpha)``: g(alpha) at fixed u_min; only the alpha terms vary.
 
-    Given ``alpha_in``, the slack carries ``slack.concave_near = (E,
-    alpha_in)``, with which ``_search.scan_golden_max`` scores only the grid
-    points next to the slack's peak.  That rests on two facts.
+    The slack carries ``slack.concave_near = (E, alpha_in)``, with which
+    ``_search.scan_golden_max`` scores only the grid points next to the
+    slack's peak, climbing from the one nearest ``alpha_in`` (from the first
+    one where ``alpha_in`` is NaN).  The hint is an attribute of this
+    function: a wrapper around the slack drops it unless it copies it, and
+    the scan then scores every grid point.  The climb rests on two facts.
 
     **g is concave in alpha.**  With s = u_min - R + cost * load,
     L = -log(eps) and c = sqrt(2 L), for alpha > 0
@@ -169,22 +172,21 @@ def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsil
         omega = -big_a if big_a < 0.0 else 0.0  # max(0.0, -A), NaN included
         return big_a - c * hypot(big_a, root2 * b) + log_eps * omega + d
 
-    if alpha_in is not None:
-        big_l = -log_eps
-        var, mu2 = sigma * sigma, mu_bar * mu_bar
-        curvature = var * (1.0 + big_l) + mu2  # K / cost
-        error = math.inf
-        # kappa > 1e-6 K, with both sides divided by 2 cost
-        if curvature - c * sigma * math.sqrt(var + 2.0 * mu2) > 5e-7 * curvature:
-            a_mag = cost * var
-            p_mag = cost * abs(mu_bar) + abs(half_s)
-            d_mag = cost * mu2 + abs(s * mu_bar) + abs(u_load)
-            m = (1.0 + big_l) * a_mag + c * (a_mag + root2 * sigma * p_mag) + d_mag
-            sigma_1, mu_1 = 1.0 + sigma, 1.0 + abs(mu_bar)
-            w = sigma_1 * sigma_1 * mu_1 * mu_1 * (1.0 + c + big_l)
-            # 32 u M + 32 * 2^-1074 W; m + m is inf where a term nears overflow
-            error = 2.0 ** -49 * (m + m) + 2.0 ** -1069 * w
-        slack.concave_near = (error, alpha_in)
+    big_l = -log_eps
+    var, mu2 = sigma * sigma, mu_bar * mu_bar
+    curvature = var * (1.0 + big_l) + mu2  # K / cost
+    error = math.inf
+    # kappa > 1e-6 K, with both sides divided by 2 cost
+    if curvature - c * sigma * math.sqrt(var + 2.0 * mu2) > 5e-7 * curvature:
+        a_mag = cost * var
+        p_mag = cost * abs(mu_bar) + abs(half_s)
+        d_mag = cost * mu2 + abs(s * mu_bar) + abs(u_load)
+        m = (1.0 + big_l) * a_mag + c * (a_mag + root2 * sigma * p_mag) + d_mag
+        sigma_1, mu_1 = 1.0 + sigma, 1.0 + abs(mu_bar)
+        w = sigma_1 * sigma_1 * mu_1 * mu_1 * (1.0 + c + big_l)
+        # 32 u M + 32 * 2^-1074 W; m + m is inf where a term nears overflow
+        error = 2.0 ** -49 * (m + m) + 2.0 ** -1069 * w
+    slack.concave_near = (error, alpha_in)
     return slack
 
 

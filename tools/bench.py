@@ -8,7 +8,8 @@ Run from the root of a checkout.  Every run is one fresh process of
     python3 benchmarks/run.py --workload W --seed S --seconds 25 --trace 0
 
 started from the root of the tree it measures, whose last line of standard
-output is the run's result as one JSON object.  Pair i of a workload runs on
+output is the run's result as one JSON object.  Every workload of
+``WORKLOADS`` runs, so each file covers all of them.  Pair i of a workload runs on
 seed ``FIRST_SEED + i``.  With ``--parent``, each pair runs the parent tree
 and this one on that seed, the parent first in even pairs and second in odd
 ones, so that a drift in host speed falls on both sides alike.
@@ -122,13 +123,11 @@ def main(argv=None) -> int:
     parser.add_argument("out", type=Path, help="file to write, e.g. BENCH_24.json")
     parser.add_argument("--parent", type=Path, help="checkout of the parent commit to pair against")
     parser.add_argument("--pairs", type=int, default=3, help="pairs (or runs, without --parent) per workload")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="workload to run; repeat for several (default: all)")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     parent = args.parent.resolve() if args.parent else None
     results = {}
-    for workload in args.workload or WORKLOADS:
+    for workload in WORKLOADS:
         change_runs, parent_runs = [], []
         for i in range(args.pairs):
             seed = FIRST_SEED + i
