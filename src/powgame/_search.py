@@ -22,10 +22,11 @@ only where its floor and ceiling are NaN too.  Where that rule is broken
 (the CVaR slack at a huge variance, see ``cvar._strategy_slack``) the scan
 may return a NaN maximum, which ``robust.scan_strategy`` reads as
 infeasible.  Without bounds every point is evaluated once, in the order of
-the plain scan.
+the plain scan, but for the golden section's last probe, which no
+comparison reads.
 
-``f`` may instead carry ``f.concave_near = (error, start)``: a claim that
-every value of ``f`` on [lo, hi] lies within ``error`` of a concave
+``scan_golden_max`` may instead be given ``error`` and ``start``: a claim
+that every value of ``f`` on [lo, hi] lies within ``error`` of a concave
 function, with room for the rounding of ``best - 2 * error`` (the Gaussian
 slack makes it, see ``bti._strategy_slack``).  The grid is then climbed
 from the point nearest ``start`` and widened both ways until each end lies
@@ -86,7 +87,7 @@ def _climb_max(f, points, step, error, start):
     if not 0.0 <= error < math.inf:
         return None
     n, margin = len(points), 2.0 * error
-    k = int(min(max(0.0, (start - points[0]) / step), n - 1.0) + 0.5)  # nearest; a NaN start reads 0
+    k = int(min(max(0.0, (start - points[0]) / step), n - 1.0) + 0.5)  # nearest
     best = f(points[k])
     if best != best:
         return None
@@ -124,29 +125,22 @@ def _first_argmax(values):
     return k
 
 
-def scan_golden_max(f, lo, hi, step, tol=1e-6, bounds=None):
+def scan_golden_max(f, lo, hi, step, tol=1e-6, bounds=None, error=None, start=None):
     """Maximize ``f`` on [lo, hi]: a scan at ``step`` resolution, then golden
     section on the two cells around the best grid point, to width ``tol``.
 
-    ``bounds``, if given, brackets ``f`` as (floor, ceiling) and spares the
-    exact evaluations it decides, and ``f.concave_near``, if set, lets the
-    grid scan only the points next to the peak (see the module docstring);
-    the result is the same either way.
+    ``bounds``, or ``error`` with ``start``, are the hints of the module
+    docstring: they spare evaluations, and the result is the same either way.
     """
     if hi <= lo:
         return lo, f(lo)
     grid = np.arange(lo, hi + 0.5 * step, step)
     grid[-1] = min(grid[-1], hi)
     points = grid.tolist()
-    near = getattr(f, "concave_near", None)
-    found = None if near is None else _climb_max(f, points, step, *near)
+    found = None if error is None else _climb_max(f, points, step, error, start)
     k, grid_best = _grid_max(f, points, bounds) if found is None else found
     grid_x = points[k]
-    lo, hi = max(lo, grid_x - step), min(hi, grid_x + step)
-    if bounds is None:
-        lo, hi = _golden(f, lo, hi, tol)
-    else:
-        lo, hi = _bounded_golden(f, bounds, lo, hi, tol)
+    lo, hi = _golden(f, bounds, max(lo, grid_x - step), min(hi, grid_x + step), tol)
     x = 0.5 * (lo + hi)
     best_x, best_f = x, f(x)
     if grid_best > best_f:
@@ -154,50 +148,42 @@ def scan_golden_max(f, lo, hi, step, tol=1e-6, bounds=None):
     return best_x, best_f
 
 
-def _golden(f, lo, hi, tol):
+def _golden(f, bounds, lo, hi, tol):
     """The golden-section bracket of ``f``'s maximum in [lo, hi], to width
-    ``tol``, with every probe scored."""
+    ``tol``.  A probe is scored only when a comparison needs its value: with
+    ``bounds``, where the probes' intervals overlap (a scored probe's is
+    [value, value]; see the module docstring), and without them at every
+    comparison, so that only the probe made after the last one goes
+    unscored."""
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
+    f1 = f2 = None  # a probe's value, once scored
+    if bounds:
+        (lo1, hi1), (lo2, hi2) = bounds(x1), bounds(x2)
     for _ in range(200):
         if not hi - lo > tol:
             break
-        if f1 >= f2:
+        if bounds and (lo1 >= hi2 or hi1 < lo2):
+            left = lo1 >= hi2
+        else:
+            if f1 is None:
+                lo1 = hi1 = f1 = f(x1)
+            if f2 is None:
+                lo2 = hi2 = f2 = f(x2)
+            left = f1 >= f2
+        # swaps of at most three names: CPython builds a tuple for longer ones
+        if left:  # f(x1) >= f(x2)
             hi, x2, f2 = x2, x1, f1
+            lo2, hi2 = lo1, hi1
             x1 = hi - _INV_PHI * (hi - lo)
-            f1 = f(x1)
+            f1 = None
+            if bounds:
+                lo1, hi1 = bounds(x1)
         else:
             lo, x1, f1 = x1, x2, f2
+            lo1, hi1 = lo2, hi2
             x2 = lo + _INV_PHI * (hi - lo)
-            f2 = f(x2)
-    return lo, hi
-
-
-def _bounded_golden(f, bounds, lo, hi, tol):
-    """``_golden``'s bracket, each probe held as its interval [floor,
-    ceiling], and as [value, value] once scored; the probes are scored only
-    where their intervals overlap (or hold a NaN)."""
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    (lo1, hi1), (lo2, hi2) = bounds(x1), bounds(x2)
-    exact1 = exact2 = False
-    for _ in range(200):
-        if not hi - lo > tol:
-            break
-        if not (lo1 >= hi2 or hi1 < lo2):
-            if not exact1:
-                lo1 = hi1 = f(x1)
-                exact1 = True
-            if not exact2:
-                lo2 = hi2 = f(x2)
-                exact2 = True
-        if lo1 >= hi2:  # f(x1) >= f(x2)
-            hi, x2, lo2, hi2, exact2 = x2, x1, lo1, hi1, exact1
-            x1 = hi - _INV_PHI * (hi - lo)
-            (lo1, hi1), exact1 = bounds(x1), False
-        else:
-            lo, x1, lo1, hi1, exact1 = x1, x2, lo2, hi2, exact2
-            x2 = lo + _INV_PHI * (hi - lo)
-            (lo2, hi2), exact2 = bounds(x2), False
+            f2 = None
+            if bounds:
+                lo2, hi2 = bounds(x2)
     return lo, hi

@@ -99,15 +99,12 @@ def _threshold_certifier(alpha, load, params: MinerParams, reward: RewardModel, 
     return margin
 
 
-def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsilon, alpha_in=math.nan):
-    """``slack(alpha)``: g(alpha) at fixed u_min; only the alpha terms vary.
+def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsilon):
+    """``(slack(alpha), E)`` at fixed u_min; only the alpha terms vary.
 
-    The slack carries ``slack.concave_near = (E, alpha_in)``, with which
-    ``_search.scan_golden_max`` scores only the grid points next to the
-    slack's peak, climbing from the one nearest ``alpha_in`` (from the first
-    one where ``alpha_in`` is NaN).  The hint is an attribute of this
-    function: a wrapper around the slack drops it unless it copies it, and
-    the scan then scores every grid point.  The climb rests on two facts.
+    ``E`` is the rounding bound with which ``_search.scan_golden_max``
+    climbs to the slack's peak (its ``error``; the module docstring there
+    states the claim).  The claim rests on two facts.
 
     **g is concave in alpha.**  With s = u_min - R + cost * load,
     L = -log(eps) and c = sqrt(2 L), for alpha > 0
@@ -186,8 +183,7 @@ def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsil
         w = sigma_1 * sigma_1 * mu_1 * mu_1 * (1.0 + c + big_l)
         # 32 u M + 32 * 2^-1074 W; m + m is inf where a term nears overflow
         error = 2.0 ** -49 * (m + m) + 2.0 ** -1069 * w
-    slack.concave_near = (error, alpha_in)
-    return slack
+    return slack, error
 
 
 def subproblem_threshold_gaussian(
@@ -208,8 +204,8 @@ def subproblem_strategy_gaussian(
     u_min feasible for the next threshold step.
     """
     _check_strategy(alpha_in, params.cost, load)
-    slack = _strategy_slack(u_min, load, params, reward, epsilon, alpha_in)
-    return scan_strategy(slack, alpha_in, tau0)
+    slack, error = _strategy_slack(u_min, load, params, reward, epsilon)
+    return scan_strategy(slack, alpha_in, tau0, error=error)
 
 
 def robust_best_response_gaussian(

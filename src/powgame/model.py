@@ -51,8 +51,8 @@ def _check_tau0(tau0):
 
 
 def _check_strategy(alpha, cost, load):
-    if not (alpha > 0 and cost > 0 and load > 0):  # NaN-safe
-        raise ValueError("need alpha > 0, cost > 0 and positive rivals' load")
+    if not (0 < alpha <= 1 and cost > 0 and load > 0):  # NaN-safe
+        raise ValueError("need 0 < alpha <= 1, cost > 0 and positive rivals' load")
 
 
 class SolverError(RuntimeError):

@@ -5,9 +5,10 @@ own way (``bti``: Gaussian Bernstein bound, ``cvar``: worst-case CVaR) and
 hands the steps here ``margin(u_min)``, a float that is >= 0 exactly when
 u_min is certifiable at fixed alpha (NaN certifies nothing), and
 ``slack(alpha)``, >= 0 exactly when alpha keeps the fixed u_min
-certifiable, with optional cheap bounds ``bounds(alpha) = (floor,
-ceiling)`` around it, or a claim ``slack.concave_near`` that it is concave
-to within a rounding bound (see ``_search``).
+certifiable, with one optional hint for the scan: cheap bounds
+``bounds(alpha) = (floor, ceiling)`` around it (``cvar``), or a rounding
+bound ``error`` within which it is concave (``bti``); ``_search`` states
+both.
 The alternation (``alternate``) sees only the float thresholds and
 strategies the steps return; a back-end with a separate witness builds it
 on request (``cvar.certify``).
@@ -169,19 +170,21 @@ def _bracket(margin, lo, m_lo, hi, m_hi):
     return a, b
 
 
-def scan_strategy(slack, alpha_in, tau0, bounds=None):
+def scan_strategy(slack, alpha_in, tau0, bounds=None, error=None):
     """(alpha, slack, feasible) maximizing ``slack`` over [tau0, 1]; when no
     alpha certifies, the incoming alpha with ``feasible=False``.
 
-    ``bounds``, a (floor, ceiling) bracket of ``slack``, lets the scan skip
-    the exact evaluations it decides without changing the result.  The
-    incoming alpha is scored once, outside the scan: the margin test below
-    keeps it whenever it beats the scan's best.  tau0 must be in (0, 1),
-    ``GameConfig``'s rule.
+    ``bounds`` or ``error``, the scan's hints (see ``_search``), spare
+    evaluations without changing the result; a climb on ``error`` starts at
+    ``alpha_in``.  The incoming alpha is scored once, outside the scan: the
+    margin test below keeps it whenever it beats the scan's best.  tau0 must
+    be in (0, 1), ``GameConfig``'s rule.
     """
     _check_tau0(tau0)
     scan_step = max((1.0 - tau0) / 40.0, 1e-4)
-    alpha, best = scan_golden_max(slack, tau0, 1.0, scan_step, tol=ALPHA_TOL, bounds=bounds)
+    alpha, best = scan_golden_max(
+        slack, tau0, 1.0, scan_step, tol=ALPHA_TOL, bounds=bounds, error=error, start=alpha_in
+    )
     incoming = slack(alpha_in)
     # move only on improvements that dominate the inner solver noise; without
     # this margin the argmax wobbles at float scale and the best-response

@@ -10,10 +10,11 @@ utility (``hash_power``, ``utility_gradient``, ``utility_second_derivative``)
 live here too: the solver uses closed forms and never evaluates them.
 
 The strategy scan with every point evaluated exactly (``grid_scan_max``,
-with its ``golden_max``) is kept here as the oracle the bounded scan of
-``_search.scan_golden_max`` must match float for float, and the threshold
-bisection with every probe evaluated (``plain_bisect_threshold``) as the
-oracle of ``robust.bisect_threshold``, which brackets the root first.  The
+with its ``golden_max``) is kept here as the oracle that
+``_search.scan_golden_max`` must match float for float, whatever hint it is
+given, and the threshold bisection with every probe evaluated
+(``plain_bisect_threshold``) as the oracle of ``robust.bisect_threshold``,
+which brackets the root first.  The
 reference compositions the solver replays from per-step constants also live
 here, since only tests compare against them: ``CvarEvaluator`` (v as a
 function of beta, and its exact minimum over three candidate betas, which
@@ -64,7 +65,7 @@ from powgame.validate import (
 )
 
 
-BAD_STRATEGY = "need alpha > 0, cost > 0 and positive rivals' load"
+BAD_STRATEGY = "need 0 < alpha <= 1, cost > 0 and positive rivals' load"
 BAD_EPSILON = r"epsilon must be in \(0,1\)"
 BAD_TAU0 = r"tau0 must be in \(0,1\)"
 BAD_U_LO = "u_lo must be a finite number"
@@ -85,6 +86,8 @@ BAD_STEP_INPUTS = {
     "threshold-epsilon-1": (lambda t, s, r: t(0.5, 110.0, _PARAMS, _REWARD, 1.0), BAD_EPSILON),
     "threshold-alpha-nan": (lambda t, s, r: t(math.nan, 110.0, _PARAMS, _REWARD, 0.1), BAD_STRATEGY),
     "threshold-load-nan": (lambda t, s, r: t(0.5, math.nan, _PARAMS, _REWARD, 0.1), BAD_STRATEGY),
+    "threshold-alpha-inf": (lambda t, s, r: t(math.inf, 110.0, _PARAMS, _REWARD, 0.1), BAD_STRATEGY),
+    "threshold-alpha-1.5": (lambda t, s, r: t(1.5, 110.0, _PARAMS, _REWARD, 0.1), BAD_STRATEGY),
     "threshold-u_lo-nan": (lambda t, s, r: t(0.5, 110.0, _PARAMS, _REWARD, 0.1, u_lo=math.nan), BAD_U_LO),
     "threshold-u_lo-inf": (lambda t, s, r: t(0.5, 110.0, _PARAMS, _REWARD, 0.1, u_lo=math.inf), BAD_U_LO),
     "threshold-u_lo-neg-inf": (lambda t, s, r: t(0.5, 110.0, _PARAMS, _REWARD, 0.1, u_lo=-math.inf), BAD_U_LO),
@@ -92,11 +95,15 @@ BAD_STEP_INPUTS = {
     "strategy-epsilon-0": (lambda t, s, r: s(0.0, 0.5, 110.0, _PARAMS, _REWARD, 0.5, 0.0), BAD_EPSILON),
     "strategy-epsilon-1.5": (lambda t, s, r: s(0.0, 0.5, 110.0, _PARAMS, _REWARD, 0.5, 1.5), BAD_EPSILON),
     "strategy-alpha_in-nan": (lambda t, s, r: s(0.0, math.nan, 110.0, _PARAMS, _REWARD, 0.5, 0.1), BAD_STRATEGY),
+    "strategy-alpha_in-inf": (lambda t, s, r: s(-100.0, math.inf, 110.0, _PARAMS, _REWARD, 0.5, 0.1), BAD_STRATEGY),
+    "strategy-alpha_in-1.5": (lambda t, s, r: s(-100.0, 1.5, 110.0, _PARAMS, _REWARD, 0.5, 0.1), BAD_STRATEGY),
     "strategy-tau0-0": (lambda t, s, r: s(0.0, 0.5, 110.0, _PARAMS, _REWARD, 0.0, 0.1), BAD_TAU0),
     "strategy-tau0-1": (lambda t, s, r: s(0.0, 0.5, 110.0, _PARAMS, _REWARD, 1.0, 0.1), BAD_TAU0),
     "strategy-tau0-1.5": (lambda t, s, r: s(0.0, 0.5, 110.0, _PARAMS, _REWARD, 1.5, 0.1), BAD_TAU0),
     "strategy-tau0-nan": (lambda t, s, r: s(0.0, 0.5, 110.0, _PARAMS, _REWARD, math.nan, 0.1), BAD_TAU0),
     "coefficients-alpha-0": (lambda t, s, r: r(_loss(alpha=0.0), _MOMENTS, 0.1), BAD_STRATEGY),
+    "coefficients-alpha-inf": (lambda t, s, r: r(_loss(alpha=math.inf), _MOMENTS, 0.1), BAD_STRATEGY),
+    "coefficients-alpha-1.5": (lambda t, s, r: r(_loss(alpha=1.5), _MOMENTS, 0.1), BAD_STRATEGY),
     "loss-cost-0": (lambda t, s, r: r(_loss(cost=0.0), _MOMENTS, 0.1), BAD_STRATEGY),
     "constraint-value-epsilon-nan": (lambda t, s, r: r(_loss(), _MOMENTS, math.nan), BAD_EPSILON),
 }
@@ -184,8 +191,8 @@ def grid_scan_max(f, lo, hi, step, tol=1e-6):
     """The strategy scan with every point evaluated: a dense grid, then
     ``golden_max`` around the best cell.
 
-    ``_search.scan_golden_max`` must return exactly this, with or without
-    bounds.
+    ``_search.scan_golden_max`` must return exactly this, whatever hint it
+    is given.
     """
     if hi <= lo:
         return lo, f(lo)

@@ -1,7 +1,7 @@
 """``tools/bench.py`` turns benchmark results into a ``BENCH_*.json`` entry.
 
-Canned results stand in for runs of ``benchmarks/run.py``: nothing here runs
-the benchmark or reads a clock.
+Canned results stand in for runs of ``benchmarks/run.py`` and of the Tier-1
+suite: nothing here runs the benchmark or pytest, or reads a clock.
 """
 
 import importlib.util
@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+SPEC = DECLARED["end_to_end"]
 
 
 def _load_bench():
@@ -77,11 +78,50 @@ def test_without_a_parent_only_this_tree_is_summarized():
     assert entry["failed"] == {"change": 0}
 
 
+def test_runs_cover_the_declared_workloads_at_the_declared_seconds():
+    # a canned BENCHMARK.json: the workloads and run seconds come from it,
+    # and the two trees alternate which runs first
+    spec = {"run_seconds": 7, "workloads": [{"name": "alpha"}, {"name": "beta"}], "end_to_end": SPEC}
+    calls = []
+
+    def run(tree, workload, seed, seconds):
+        calls.append((tree, workload, seed, seconds))
+        return _result(20.0, 0.04)
+
+    parent = Path("/parent-tree")
+    results = bench.collect(spec, 2, parent, run)
+    assert calls == [(parent, "alpha", 2, 7), (bench.ROOT, "alpha", 2, 7), (bench.ROOT, "alpha", 3, 7),
+                     (parent, "alpha", 3, 7), (parent, "beta", 2, 7), (bench.ROOT, "beta", 2, 7),
+                     (bench.ROOT, "beta", 3, 7), (parent, "beta", 3, 7)]
+    assert list(results) == ["alpha", "beta"] and all(len(c) == len(p) == 2 for c, p in results.values())
+    assert bench.run_argv("alpha", 3, 7)[1:] == ["benchmarks/run.py", "--workload", "alpha", "--seed", "3",
+                                                 "--seconds", "7", "--trace", "0"]
+    doc = bench.document(spec, results, {"change": {"commit": "abc", "dirty": False}}, {})
+    assert doc["command"] == "python3 benchmarks/run.py --workload W --seed S --seconds 7 --trace 0"
+    assert list(doc["workloads"]) == ["alpha", "beta"]
+
+
+def test_tier1_run_reads_the_summary_line():
+    stdout = ("........F.                                                 [100%]\n"
+              "============================= slowest 5 durations ==============================\n"
+              "2.25s call     tests/test_bti.py::test_climb_equals_the_full_scan_on_wide_steps\n"
+              "=========================== short test summary info ============================\n"
+              "FAILED tests/test_bti.py::test_a - AssertionError: 2 in 3s\n"
+              "2 failed, 439 passed, 1 skipped in 61.20s (0:01:01)\n")
+    assert bench.parse_tier1(stdout, 1, 62.5) == {
+        "wall_s": 62.5, "exit_code": 1, "counts": {"failed": 2, "passed": 439, "skipped": 1}}
+    assert bench.parse_tier1("", 4, 0.5)["counts"] == {}
+
+
 def test_document_names_the_command_commits_and_host():
-    doc = bench.document(SPEC, {"sweep-bti": ([_result(20.0, 0.04)], [_result(19.0, 0.04)])},
-                         {"change": {"commit": "abc", "dirty": False}, "parent": {"commit": "def", "dirty": False}})
+    tier1 = {side: bench.parse_tier1("441 passed in 16.51s\n", 0, 17.0) for side in ("change", "parent")}
+    doc = bench.document(DECLARED, {"sweep-bti": ([_result(20.0, 0.04)], [_result(19.0, 0.04)])},
+                         {"change": {"commit": "abc", "dirty": False}, "parent": {"commit": "def", "dirty": False}},
+                         tier1)
     assert doc["command"] == "python3 benchmarks/run.py --workload W --seed S --seconds 25 --trace 0"
     assert doc["change_commit"]["commit"] == "abc" and doc["parent_commit"]["commit"] == "def"
     assert set(doc["environment"]) == {"python", "numpy", "cpu_count"}
     assert set(doc["workloads"]["sweep-bti"]["metrics"]) == {m["name"] for m in SPEC}
+    assert doc["tier1"]["command"] == "python3 -m pytest -q -p no:cacheprovider"
+    assert doc["tier1"]["change"] == {"wall_s": 17.0, "exit_code": 0, "counts": {"passed": 441}}
     json.dumps(doc)  # plain JSON throughout

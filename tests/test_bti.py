@@ -215,7 +215,7 @@ def test_steps_evaluate_g_bit_for_bit_like_the_reference():
         assert margin(lo) >= 0.0 and not margin(hi) >= 0.0
 
         for u in (u_star, float(rng.uniform(-3000.0, 3000.0))):
-            slack = bti._strategy_slack(u, load, params, reward, eps)
+            slack, _ = bti._strategy_slack(u, load, params, reward, eps)
             for a in (alpha, *rng.uniform(0.05, 1.0, size=3)):
                 assert slack(float(a)) == g(float(a), u)
         tau0 = float(rng.uniform(0.05, 0.9))
@@ -324,7 +324,7 @@ def _wide_gaussian_step(rng):
 def _full_scan_steps(monkeypatch, cases):
     """Each step with every grid point scored: ``grid_scan_max`` in place of
     the scan, so no climb can run."""
-    def oracle(f, lo, hi, step, tol, bounds):
+    def oracle(f, lo, hi, step, tol, **hints):
         return grid_scan_max(f, lo, hi, step, tol)
 
     with monkeypatch.context() as patch:
@@ -357,8 +357,8 @@ def test_climb_equals_the_full_scan_within_the_error_it_is_given():
             return quantum * round(noisy / quantum)
 
         expected = grid_scan_max(f, lo, 1.0, step)
-        f.concave_near = (error, float(rng.uniform(lo, 1.0)))
-        assert repr(_search.scan_golden_max(f, lo, 1.0, step)) == repr(expected)
+        start = float(rng.uniform(lo, 1.0))
+        assert repr(_search.scan_golden_max(f, lo, 1.0, step, error=error, start=start)) == repr(expected)
 
 
 def test_climb_equals_the_full_scan_on_wide_steps(monkeypatch):
@@ -377,32 +377,6 @@ def test_climb_equals_the_full_scan_on_wide_steps(monkeypatch):
     assert 0 < sum(feasible for _, _, feasible in steps) < len(steps)
 
 
-def test_climb_scores_incoming_alpha_once(monkeypatch):
-    # the climb's twin of test_cvar's test_strategy_step_scores_incoming_alpha_once,
-    # whose counting wrapper drops the slack's hint and so runs the full scan:
-    # here the wrapper keeps the hint, the climb scores fewer than the 41 grid
-    # points, and 0.7123, off the grid, is scored once, by the incoming rule
-    alpha_in, load, eps = 0.7123, 110.0, 0.1
-    params = make_config().miners[0]
-    u = subproblem_threshold_gaussian(alpha_in, load, params, REWARD, eps)
-    original, scored = bti.scan_strategy, []
-
-    def scanning(slack, alpha_in, tau0):
-        counted = _counted(slack, scored)
-        counted.concave_near = slack.concave_near
-        return original(counted, alpha_in, tau0)
-
-    full_scans = []
-    monkeypatch.setattr(bti, "scan_strategy", scanning)
-    monkeypatch.setattr(_search, "_grid_max", _counted(_search._grid_max, full_scans))
-    subproblem_strategy_gaussian(u - 1.0, alpha_in, load, params, REWARD, 0.5, eps)
-    assert full_scans == []
-    scored = [a for (a,) in scored]
-    assert scored.count(alpha_in) == 1
-    grid = np.arange(0.5, 1.0 + 0.5 * 0.0125, 0.0125).tolist()
-    assert 0 < sum(a in grid for a in scored) < 41  # the climb ran, not the scan
-
-
 @pytest.mark.parametrize("offset", [0, 1, -1])
 def test_a_nan_slack_runs_the_full_scan(monkeypatch, offset):
     # a NaN at the climb's start or at a neighbour it scores: the step falls
@@ -414,13 +388,12 @@ def test_a_nan_slack_runs_the_full_scan(monkeypatch, offset):
     strategy_slack = bti._strategy_slack
 
     def holed_slack(*args):
-        slack = strategy_slack(*args)
+        slack, error = strategy_slack(*args)
 
         def holed(a):
             return math.nan if abs(a - target) < 0.25 * step else slack(a)
 
-        holed.concave_near = slack.concave_near
-        return holed
+        return holed, error
 
     monkeypatch.setattr(bti, "_strategy_slack", holed_slack)
     case = (u - 1.0, alpha_in, load, params, REWARD, tau0, eps)
@@ -437,8 +410,8 @@ def test_a_failed_curvature_check_runs_the_full_scan(monkeypatch):
     # does not
     params = MinerParams(x_hat=55.0, sigma2=1e306, cost=1e-300)
     case = (-1e3, 0.7, 110.0, params, REWARD, 0.5, 1e-300)
-    slack = bti._strategy_slack(-1e3, 110.0, params, REWARD, 1e-300, 0.7)
-    assert slack.concave_near == (math.inf, 0.7)
+    _, error = bti._strategy_slack(-1e3, 110.0, params, REWARD, 1e-300)
+    assert error == math.inf
     full_scans = []
     monkeypatch.setattr(_search, "_grid_max", _counted(_search._grid_max, full_scans))
     got = subproblem_strategy_gaussian(*case)
@@ -474,9 +447,8 @@ def test_slack_error_bound_holds():
                                  cost=10.0 ** rng.uniform(-320.0, -280.0))
         elif i % 4 == 1:
             u = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(6.0, 12.0)
-        slack = bti._strategy_slack(u, load, params, reward, eps, alpha_in)
-        error, start = slack.concave_near
-        assert start == alpha_in and 0.0 < error < math.inf
+        slack, error = bti._strategy_slack(u, load, params, reward, eps)
+        assert 0.0 < error < math.inf
         for alpha in (1.0, tau0, alpha_in, *10.0 ** rng.uniform(-8.0, 0.0, size=5)):
             alpha = float(alpha)
             exact = _exact_g(alpha, u, load, params, reward, eps)
@@ -505,8 +477,9 @@ def test_slack_curvature_is_at_most_minus_kappa():
 def test_heterogeneous_solve_does_the_same_work(monkeypatch):
     # machine-independent work counts of one gaussian_bti solve of
     # configs/heterogeneous.json: the strategy and threshold steps are those
-    # of the full scan (12 and 22), the climb leaves 315 slack evaluations of
-    # the full scan's 780, and the full scan never runs
+    # of the full scan (12 and 22), the climb and the golden section leave
+    # 303 slack evaluations of the 780 that scoring every point takes, and
+    # the full scan never runs
     counts = {"steps": 0, "thresholds": 0, "slacks": 0}
     full_scans = []
 
@@ -520,10 +493,8 @@ def test_heterogeneous_solve_does_the_same_work(monkeypatch):
     strategy_slack = bti._strategy_slack
 
     def counted_slack(*args):
-        slack = strategy_slack(*args)
-        scored = counted(slack, "slacks")
-        scored.concave_near = slack.concave_near
-        return scored
+        slack, error = strategy_slack(*args)
+        return counted(slack, "slacks"), error
 
     monkeypatch.setattr(bti, "subproblem_strategy_gaussian", counted(bti.subproblem_strategy_gaussian, "steps"))
     monkeypatch.setattr(bti, "subproblem_threshold_gaussian", counted(bti.subproblem_threshold_gaussian, "thresholds"))
@@ -532,5 +503,5 @@ def test_heterogeneous_solve_does_the_same_work(monkeypatch):
     scenario = load_scenario(Path(__file__).parent.parent / "configs" / "heterogeneous.json")
     result = solve_equilibrium(scenario.config, "gaussian_bti", initial_alpha=scenario.initial_alpha)
     assert result.converged
-    assert counts == {"steps": 12, "thresholds": 22, "slacks": 315}
+    assert counts == {"steps": 12, "thresholds": 22, "slacks": 303}
     assert full_scans == []
