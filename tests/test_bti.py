@@ -377,6 +377,30 @@ def test_climb_equals_the_full_scan_on_wide_steps(monkeypatch):
     assert 0 < sum(feasible for _, _, feasible in steps) < len(steps)
 
 
+def test_climb_scores_incoming_alpha_once(monkeypatch):
+    # a counting wrapper around the slack keeps the climb, since the slack's
+    # error bound is an argument of the scan: the full scan never runs, the
+    # climb scores fewer than the 41 grid points, and 0.7123, off the grid,
+    # is scored once, by the incoming rule
+    alpha_in, load, eps = 0.7123, 110.0, 0.1
+    params = make_config().miners[0]
+    u = subproblem_threshold_gaussian(alpha_in, load, params, REWARD, eps)
+    original, scored = bti.scan_strategy, []
+
+    def scanning(slack, alpha_in, tau0, error=None):
+        return original(_counted(slack, scored), alpha_in, tau0, error=error)
+
+    full_scans = []
+    monkeypatch.setattr(bti, "scan_strategy", scanning)
+    monkeypatch.setattr(_search, "_grid_max", _counted(_search._grid_max, full_scans))
+    subproblem_strategy_gaussian(u - 1.0, alpha_in, load, params, REWARD, 0.5, eps)
+    assert full_scans == []
+    scored = [a for (a,) in scored]
+    assert scored.count(alpha_in) == 1
+    grid = np.arange(0.5, 1.0 + 0.5 * 0.0125, 0.0125).tolist()
+    assert 0 < sum(a in grid for a in scored) < 41  # the climb ran, not the scan
+
+
 @pytest.mark.parametrize("offset", [0, 1, -1])
 def test_a_nan_slack_runs_the_full_scan(monkeypatch, offset):
     # a NaN at the climb's start or at a neighbour it scores: the step falls
