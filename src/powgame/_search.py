@@ -18,23 +18,27 @@ every exact evaluation would give, float for float:
 A NaN has no order: a NaN bound decides nothing, and a NaN among the grid
 values or ceilings sends every grid point through ``f``.  A NaN value at a
 point its bounds have already decided is not seen, so ``f`` may be NaN
-only where its floor and ceiling are NaN too.  Where that rule is broken
-(the CVaR slack at a huge variance, see ``cvar._strategy_slack``) the scan
-may return a NaN maximum, which ``robust.scan_strategy`` reads as
-infeasible.  Without bounds every point is evaluated once, in the order of
-the plain scan, but for the golden section's last probe, which no
-comparison reads.
+only where its floor and ceiling are NaN too.  Without bounds every point
+is evaluated once, in the order of the plain scan, but for the golden
+section's last probe, which no comparison reads.
 
-``scan_golden_max`` may instead be given ``error`` and ``start``: a claim
+``scan_golden_max`` may also be given ``error`` and ``start``: a claim
 that every value of ``f`` on [lo, hi] lies within ``error`` of a concave
 function, with room for the rounding of ``best - 2 * error`` (the Gaussian
 slack makes it, see ``bti._strategy_slack``).  The grid is then climbed
 from the point nearest ``start`` and widened both ways until each end lies
 more than ``2 * error`` below the best value found.  Each point left out
 lies strictly below that best value, so the grid's first maximum is the one
-``np.argmax`` picks over every point.  A NaN value, or an ``error`` that is
-not a finite number >= 0, runs the full scan instead.  The golden
-refinement is the same on every path.
+``np.argmax`` picks over every point.  Given both hints, the climb reads
+the ceilings instead, and the claim is that the ceilings lie within
+``error`` of a concave function, with room for half the widest gap between
+a point's floor and ceiling as well (the CVaR slack makes it, see
+``cvar._strategy_slack``).  A point left out then has a value below its
+ceiling, which lies more than that gap below the best ceiling, so below the
+best point's floor; the descending-ceiling scoring runs on the window.  A
+NaN value or ceiling, or an ``error`` that is not a finite number >= 0,
+runs the full scan instead.  The golden refinement is the same on every
+path.
 """
 
 from __future__ import annotations
@@ -49,40 +53,51 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 def _grid_max(f, points, bounds):
     """(k, f(points[k])) for the first k of a maximum, as ``np.argmax`` picks it.
 
-    With bounds, points are evaluated in descending-ceiling order until the
-    next ceiling is below the best value found; the points left cannot reach
-    it.  A NaN, in a ceiling or a value, has no order, so it sends every
-    point through ``f``, as without bounds.
+    With bounds, ``_ceiling_max`` scores the points; a NaN, in a ceiling or a
+    value, has no order, so it sends every point through ``f``, as without
+    bounds.
     """
     if bounds is not None:
-        ceilings = [bounds(x)[1] for x in points]
-        if not any(math.isnan(c) for c in ceilings):
-            vals, best = {}, -math.inf
-            for i in sorted(range(len(points)), key=ceilings.__getitem__, reverse=True):
-                if ceilings[i] < best:
-                    break
-                value = vals[i] = f(points[i])
-                if value > best:
-                    best = value
-            if not any(math.isnan(v) for v in vals.values()):
-                k = min(i for i, v in vals.items() if v == best)
-                return k, vals[k]
+        found = _ceiling_max(f, points, [bounds(x)[1] for x in points])
+        if found is not None:
+            return found
     vals = [f(x) for x in points]
     k = _first_argmax(vals)
     return k, vals[k]
 
 
-def _climb_max(f, points, step, error, start):
-    """(k, f(points[k])) as ``_grid_max`` gives it, for an ``f`` within
-    ``error`` of a concave function, from the points next to its peak; None
-    on a NaN value or an ``error`` that is not a finite number >= 0.
+def _ceiling_max(f, points, ceilings):
+    """``_grid_max``'s result from the points' ceilings, or None on a NaN.
 
-    The evaluated points are the window [l, r] around the point nearest
-    ``start``, and an end grows while its value is not more than
-    ``2 * error`` below the best, at k.  Once f(r) is, the concave function
-    is lower at r than at k < r, so it falls beyond r, and f stays below the
-    best there; likewise left of l.  A tie keeps the leftmost point, as
-    ``np.argmax`` does.
+    Points are evaluated in descending-ceiling order until the next ceiling
+    is below the best value found; the points left cannot reach it.
+    """
+    if any(math.isnan(c) for c in ceilings):
+        return None
+    vals, best = {}, -math.inf
+    for i in sorted(range(len(points)), key=ceilings.__getitem__, reverse=True):
+        if ceilings[i] < best:
+            break
+        value = vals[i] = f(points[i])
+        if value > best:
+            best = value
+    if any(math.isnan(v) for v in vals.values()):
+        return None
+    k = min(i for i, v in vals.items() if v == best)
+    return k, vals[k]
+
+
+def _climb_max(f, points, step, error, start):
+    """(k, f(points[k]), l, r): the first maximum of ``f`` over the grid,
+    as ``_grid_max`` gives it, for an ``f`` within ``error`` of a concave
+    function, from the window [l, r] of points next to its peak; None on a
+    NaN value or an ``error`` that is not a finite number >= 0.
+
+    The window starts at the point nearest ``start``, and an end grows
+    while its value is not more than ``2 * error`` below the best, at k.
+    Once f(r) is, the concave function is lower at r than at k < r, so it
+    falls beyond r, and f stays below the best there; likewise left of l.
+    A tie keeps the leftmost point, as ``np.argmax`` does.
     """
     if not 0.0 <= error < math.inf:
         return None
@@ -110,7 +125,30 @@ def _climb_max(f, points, step, error, start):
             elif v_l != v_l:
                 return None
         else:
-            return k, best
+            return k, best, l, r
+
+
+def _ceiling_climb_max(f, points, step, error, start, bounds):
+    """``_grid_max``'s result with bounds, from a climb on the ceilings.
+
+    The ceilings lie within ``error`` of a concave function, with room for
+    the floor-to-ceiling width (see the module docstring), so the grid's
+    first maximum lies in the climb's window, which ``_ceiling_max`` scores.
+    None where the climb or the scoring meets a NaN.
+    """
+    ceilings = {}
+
+    def ceiling(x):
+        c = ceilings[x] = bounds(x)[1]
+        return c
+
+    found = _climb_max(ceiling, points, step, error, start)
+    if found is None:
+        return None
+    l, r = found[2:]
+    window = points[l:r + 1]
+    found = _ceiling_max(f, window, [ceilings[x] for x in window])
+    return None if found is None else (l + found[0], found[1])
 
 
 def _first_argmax(values):
@@ -137,8 +175,13 @@ def scan_golden_max(f, lo, hi, step, tol=1e-6, bounds=None, error=None, start=No
     grid = np.arange(lo, hi + 0.5 * step, step)
     grid[-1] = min(grid[-1], hi)
     points = grid.tolist()
-    found = None if error is None else _climb_max(f, points, step, error, start)
-    k, grid_best = _grid_max(f, points, bounds) if found is None else found
+    found = None
+    if error is not None:
+        if bounds is None:
+            found = _climb_max(f, points, step, error, start)
+        else:
+            found = _ceiling_climb_max(f, points, step, error, start, bounds)
+    k, grid_best = _grid_max(f, points, bounds) if found is None else found[:2]
     grid_x = points[k]
     lo, hi = _golden(f, bounds, max(lo, grid_x - step), min(hi, grid_x + step), tol)
     x = 0.5 * (lo + hi)

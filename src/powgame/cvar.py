@@ -39,13 +39,17 @@ step instead, because a solve evaluates it hundreds of thousands of times:
   (``_trace_minimal_witness``).  A threshold step that fails where v's
   constants overflow float reports the overflow, not infeasibility.
 - ``_strategy_slack`` gives the strategy step ``slack(alpha)``, the negated
-  worst-case CVaR by the same ``_beta_search`` as ``worstcase_cvar``, and
+  worst-case CVaR by the same ``_beta_search`` as ``worstcase_cvar``,
   cheap ``bounds(alpha) = (floor, ceiling)`` around it from the kernel's
-  exact minimum; its docstring states the bounds' contract and why the
-  exact minimum is not the slack itself.  The scan
-  (``_search.scan_golden_max``) computes ``slack`` only where the bounds
-  cannot decide a comparison, and returns what it would return with
-  ``slack`` everywhere.
+  exact minimum, and an ``error`` within which the ceilings are concave in
+  alpha.  Its docstring proves both: the exact slack is concave, and the
+  kernel's and the search's float errors have explicit bounds
+  (``_widths``), so the floor and the ceiling hold for every step in the
+  range it states; it also says why the exact minimum is not the slack
+  itself.  The scan (``_search.scan_golden_max``) climbs the ceilings from
+  the incoming alpha, computes ``slack`` only where the bounds cannot
+  decide a comparison, and returns what it would return with ``slack``
+  everywhere.
 
 Every hoisted expression keeps the float operation order in which
 ``worstcase_cvar`` computes t0, d0 and k, so each slack value and threshold
@@ -329,35 +333,143 @@ def certify(alpha, u_min, load, params: MinerParams, reward: RewardModel, epsilo
     return _trace_minimal_witness(beta, u_min, a2, a1, a0, params.nominal, params.sigma2)
 
 
+def _widths(epsilon, spread_ratio):
+    """``(rho, gap, e_v, g)`` per unit of scale: the ceiling's and the
+    floor's widths of ``_strategy_slack``'s bounds, and the bounds E_v and
+    G they rest on, for a step with S <= ``spread_ratio`` * scale at every
+    alpha.  The docstring of ``_strategy_slack`` proves them; gap and G are
+    inf where it bounds no search (eps within 2^-43 of 1/2, or eps or
+    1 - eps below 2^-40)."""
+    mu = min(epsilon, 1.0 - epsilon)
+    r = spread_ratio / mu
+    e_v = 2.0 ** -53 * (193.0 + 257.0 * r) / epsilon
+    rho = 2.0 ** -53 * (410.0 + 530.0 * r) / epsilon
+    half = abs(1.0 - 2.0 * epsilon)
+    if not (half >= 2.0 ** -43 and mu >= 2.0 ** -40):
+        return rho, math.inf, e_v, math.inf
+    width = max(18.0, 91.0 * r, 217.0 * spread_ratio / half) + 1.0  # of the grown bracket
+    g = (2.0 ** -53 * (1200.0 + 1984.0 * r + 512.0 * r * r)
+         + 5.01e-14 * (1.0 + width) * max(epsilon, 1.0 - epsilon)) / epsilon
+    return rho, e_v + g + 2.0 ** -53 * 3.0 / epsilon, e_v, g
+
+
 def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsilon):
-    """``(slack(alpha), bounds(alpha))`` at fixed u_min; only the alpha terms vary.
+    """``(slack(alpha), bounds(alpha), error)`` at fixed u_min; only the
+    alpha terms vary.
 
     ``slack`` is the negated ``worstcase_cvar``; it keeps the values it has
     computed, so each alpha costs one beta search per step.  ``bounds`` is
-    ``(floor, ceiling)`` = -(exact minimum of v) + (-gap, rho) * scale, with
-    gap = 1e-9 / eps and rho = 1e-12 / eps, at about a fifteenth of the
-    cost of a search, and ``floor <= slack <= ceiling``:
-
-    - ceiling: the golden section returns v at some beta, which is at least
-      v's minimum, so ``ceiling >= slack`` however close that search gets;
-      rho covers the rounding of v at the candidate betas, which reached
-      2.6e-16 * scale / eps over 60000 random (instance, alpha) pairs.
-    - floor: over those pairs the search's v sat at most 1.7e-13 * scale /
-      eps above the exact minimum (2.1e-14 on the benchmark's solve-cvar
-      games), under a five-thousandth of the gap, so ``floor <= slack``.
-    - overflow: where the search's beta bracket overflows (sigma beyond
-      about 1e80, scale from about 2e155), ``slack`` is -inf or NaN while
-      the exact minimum stays finite, so the floor is -inf from scale 1e140
-      on, and the bounds decide a golden-section comparison of the scan
-      only if a ceiling is -inf too.  No threshold certifies at such a
-      variance, so the solver stops at its threshold step before any
-      strategy step.
+    ``(floor, ceiling)`` = -least_v + (-gap, rho) * scale, from the exact
+    minimum's kernel at about a fifteenth of the cost of a search, with
+    ``floor <= slack <= ceiling``.  ``error`` is the climb hint of
+    ``_search.scan_golden_max``: the ceilings lie within it of a concave
+    function, with room for the floor-to-ceiling width.  The widths rho and
+    gap come from ``_widths``; the proof follows.
 
     The slack stays the search's v, not the cheaper exact minimum: taking
     the minimum moves an equilibrium threshold of one benchmark game by 5e-4
     (the solver fixes u_min only to its 1e-6 alpha tolerance times
     du/dalpha), more than the benchmark's recorded reference outputs allow,
     so that switch waits for a re-recorded reference.
+
+    **Notation.**  u = 2^-53.  At a real alpha in [0, 1], a2 = cost alpha^2,
+    a1 = s alpha and a0 = u_min load, with s and a0 the step's floats; t0,
+    d0 and k are v's exact constants (see ``_v``), S = sigma |a2 mu_bar +
+    a1 / 2| (the kernel's ``spread``), v is exact, and e(alpha) = -min v is
+    the exact slack.  sc = 1 + |a0| + |a1| R + a2 R^2 is ``scale``, with
+    R = mu_bar + 3 sigma.  |t0| + k <= sc and k <= a2 R^2 / 9; q = sigma
+    max(mu_bar / R^2, 1 / (2 R)) <= 1/6 gives S <= q sc.  mu = min(eps,
+    1 - eps), r = q / mu, and L = max(1, 1/eps - 1) bounds |v'|.  Factors
+    1 + O(u) between floats and these values fit in the constants' margins.
+
+    **(F1) v lies in a band above a V.**  With y = (t0 - beta) / 2 - k and
+    d0 = k t0 - k^2 - S^2, the argument of Tr+ has eigenvalues lam = k + y
+    +- sqrt(y^2 + S^2).  So Tr+ >= max(trace, lam_max) >= max(t0 - beta,
+    k), and Tr+ <= max(t0 - beta, k) + S: h <= v <= h + S / eps, where
+    h(beta) = beta + max(t0 - beta, k) / eps is a V with vertex p0 = t0 - k
+    (|p0| <= sc) and slopes 1 - 1/eps and 1.  Hence min v is reached at
+    beta* in [p0 - S / (1 - eps), p0 + S / eps], and v <= min v + x only
+    on [p0 - (S + eps x) / (1 - eps), p0 + S / eps + x].  Every point the
+    proof evaluates lies within (2 + 4 r) sc of 0.
+
+    **(F2) A float v errs by at most delta(beta) = 2^-47 (sc + |beta|) /
+    eps.**  The computed trace t and determinant d err by at most u (8.1 sc
+    + |beta|) and D = u (k B + 10.02 S^2 + 1.001 |d|), B = 10.02 (|a0| +
+    a2 mu_bar^2) + 4.01 |beta|, since s2 a1^2 / 4 <= 2 S^2 + 2 k a2
+    mu_bar^2.  Tr+ is 1-Lipschitz in t, and d moves it only on d < 0, by
+    the integral of 1 / (2 sqrt(t^2 / 4 - d')), with t^2 / 4 - d = y^2 +
+    S^2 = rr^2 at the exact d: at most D / (sqrt(2) rr) where rr^2 >= 2D,
+    and at most sqrt(D) otherwise.  The path has d' < 0 only if d < D; then
+    k <= 4 rr in the first case and sqrt(D) <= 3.67 u B in the second.
+    With the rounding of Tr+'s own formula, Tr+ errs by at most
+    u (53 sc + 21.4 |beta|); dividing by eps and adding beta gives delta.
+
+    **(a) e is concave.**  min v is the worst-case CVaR, the supremum over
+    the distributions with the given mean and variance of their CVaR of the
+    loss (Zymler, Kuhn & Rustem 2013).  The loss a2 x^2 + a1 x + a0 is
+    convex in alpha at every x, and CVaR is convex and monotone in the loss
+    (Rockafellar & Uryasev 2000), so each CVaR, and their supremum, is
+    convex in alpha.
+
+    **(b) |least_v - min v| <= E_v = 2^-53 (193 + 257 r) sc / eps.**
+    Above: the candidate of beta*'s kind (t0, the stationary point or d0 /
+    k, see ``_exact_minimizer``) lies within u (21.2 + 11.1 r) sc of beta*,
+    where v exceeds min v by at most L times that, and (F2) adds delta.
+    Below: each candidate's float v is at least min v - delta at it; t0
+    and the stationary point lie within (1.23 + r) sc, and d0 / k either
+    within (2 + 3.01 r) sc, or farther, where (F1) puts v - min v above
+    delta.
+
+    **(c) The search's excess over min v is at most G** (``_widths``; on
+    the benchmark's solve-cvar games G is 1.3e-12 to 8.3e-12 times sc /
+    eps).
+
+    - Growth.  ``_beta_search`` grows [-sc, sc] while its midpoint does not
+      beat an end.  By (F1) each comparison is one of h, up to S / eps +
+      2 delta.  With the vertex at the fraction p of the bracket, once the
+      width exceeds 2 S / mu, a left end grows only if p <= eps / 2 + gam
+      and a right one only if p >= (1 + eps) / 2 - gam, with gam = (S +
+      delta eps) / width; a left growth maps p to (p + 2) / 3 and a right
+      one to p / 3, so a third growth in a row needs |1 - 2 eps| <= 4 gam,
+      and gam shrinks threefold with each growth.  Each growth
+      triples the width (it quintuples only below 2 S / mu), so the search
+      stops within a width of W sc, W = max(18, 91 r, 217 q / |1 - 2 eps|)
+      + 1.  At eps = 1/2 a V can tie at every growth up to the cap of 80:
+      ``_beta_search(-1.0, 0.0, 0.0, 0.5, 2.0)`` returns 793 for a minimum
+      of -1.  So gap is inf near eps = 1/2.
+    - A grown bracket that misses beta* ends within S / mu of it, while the
+      midpoint that beat that end lies sc or more inside; by convexity v at
+      the end exceeds min v by at most 2 delta r.
+    - Golden section.  The winners of its comparisons have non-increasing
+      float values.  The first comparison that drops the bracket's least
+      point z does so between probes x1 < x2 on one side of it, whose v
+      differ by at most Delta = delta(x1) + delta(x2); by convexity v(x2) -
+      v(z) <= Delta (hi - x2) / (x2 - x1) = phi Delta.  So the last winner
+      x_w has v(x_w) <= v(z) + phi Delta + delta(x2) + delta(x_w), and the
+      search returns v within tol / 2 of x_w, tol = 1e-13 (1 + W sc).
+      G sums these terms, with L tol / 2 for the last.
+
+    **The widths.**  rho sc covers E_v above plus the search's own rounding
+    below: ``ceiling >= slack``.  gap sc covers E_v below plus G: ``floor <=
+    slack``.  rho is at most 1e-12 / eps wherever r <= 16, so for every eps
+    in [0.0104, 0.9896]; on the benchmark's solve-cvar games gap is 1.3e-12
+    to 8.4e-12 over eps.
+
+    **(d) The climb.**  Every ceiling lies within E_c = E_v + rho sc(1) of
+    e, and a point's floor and ceiling lie at most W' = (gap + rho) sc(1)
+    apart, where sc(1) is the scale at alpha = 1 (scale grows with alpha).
+    ``error`` = 3 (gap + rho) sc(1) is at least E_c + W' / 2, with room for
+    the scan's rounding.  If a climbing end's ceiling falls more than
+    2 error below the best ceiling C_k, e there lies below e(k) - W', so by
+    (a) e, and every ceiling with it, stays below C_k - W' beyond that end,
+    while slack(k) >= floor(k) >= C_k - W'.  So no point past the end is the
+    grid's first maximum.
+
+    **Range.**  All this needs scale(1) < 1e140 eps and sigma^2 < 1e270, so
+    that no value of a search overflows and no underflowing product (off by
+    at most 2^-1075) matters.  Outside that range the step passes no hints
+    and the scan scores every point; no threshold certifies at such a
+    variance, so the solver stops at its threshold step first.
     """
     _check_epsilon(epsilon)
     m, s2 = params.nominal, params.sigma2
@@ -367,10 +479,7 @@ def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsil
     second = s2 + m * m
     sigma = math.sqrt(s2)
     reach = m + 3.0 * sigma
-    abs_reach = abs(reach)
     scale0 = 1.0 + abs(a0)
-    rho = 1e-12 / epsilon
-    gap = 1e-9 / epsilon
     least_v = _exact_minimizer(epsilon)
     scored = {}
 
@@ -381,20 +490,25 @@ def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsil
             a1 = s * alpha
             t0 = a2 * second + a1 * m + a0
             d0 = s2 * (a2 * a0 - 0.25 * a1 * a1)
-            scale = scale0 + abs(a1) * abs_reach + a2 * reach * reach
+            scale = scale0 + abs(a1) * reach + a2 * reach * reach
             value = scored[alpha] = -_beta_search(t0, d0, s2 * a2, epsilon, scale)[0]
         return value
+
+    scale_1 = scale0 + abs(s) * reach + cost * reach * reach
+    if not (scale_1 < 1e140 * epsilon and s2 < 1e270):
+        return slack, None, None
+    rho, gap, _, _ = _widths(epsilon, sigma * max(m / (reach * reach), 0.5 / reach))
 
     def bounds(alpha):
         a2 = cost * alpha * alpha
         a1 = s * alpha
         t0 = a2 * second + a1 * m + a0
         d0 = s2 * (a2 * a0 - 0.25 * a1 * a1)
-        scale = scale0 + abs(a1) * abs_reach + a2 * reach * reach
+        scale = scale0 + abs(a1) * reach + a2 * reach * reach
         top = -least_v(t0, d0, s2 * a2, sigma * abs(a2 * m + 0.5 * a1))
-        return (top - gap * scale if scale < 1e140 else -math.inf), top + rho * scale
+        return top - gap * scale, top + rho * scale
 
-    return slack, bounds
+    return slack, bounds, 3.0 * (gap + rho) * scale_1
 
 
 def subproblem_threshold(
@@ -432,8 +546,8 @@ def subproblem_strategy(
     negated worst-case CVaR, re-certified per alpha.
     """
     _check_strategy(alpha_in, params.cost, load)
-    slack, bounds = _strategy_slack(u_min, load, params, reward, epsilon)
-    return scan_strategy(slack, alpha_in, tau0, bounds)
+    slack, bounds, error = _strategy_slack(u_min, load, params, reward, epsilon)
+    return scan_strategy(slack, alpha_in, tau0, bounds, error)
 
 
 def robust_best_response(j: int, profile, config: GameConfig, warm_start=None) -> BestResponse:

@@ -4,9 +4,6 @@ Miners update in ascending index order, each replacing its strategy (and,
 in the robust modes, its utility threshold) with the best response to the
 latest profile of the others.  The sweep repeats until one full pass changes
 the summed strategies and thresholds by at most kappa.
-
-``closed_form_equilibrium`` solves the deterministic game without iterating
-when its stationary profile lies in the box, and cross-checks the iteration.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ import numpy as np
 from . import bti, cvar, deterministic
 from .model import GameConfig, utility
 
-__all__ = ["MODES", "EquilibriumResult", "closed_form_equilibrium", "solve_equilibrium"]
+__all__ = ["MODES", "EquilibriumResult", "solve_equilibrium"]
 
 MODES = ("deterministic", "gaussian_bti", "dro_cvar")
 INITIAL_ALPHA = 0.35  # the starting strategy of every miner, before the tau0 floor
@@ -111,33 +108,4 @@ def solve_equilibrium(config: GameConfig, mode: str, initial_alpha=INITIAL_ALPHA
         converged=converged,
         trace=tuple(trace),
         mode=mode,
-    )
-
-
-def closed_form_equilibrium(config: GameConfig) -> EquilibriumResult:
-    """Nash equilibrium of the deterministic game.
-
-    The interior stationary profile follows from summing the first-order
-    conditions: with S = (J-1) R / sum_j c_j the total committed power,
-    alpha_j = (S / x_j) (1 - c_j S / R).  When every coordinate lands in
-    [tau0, 1] that profile is returned with its utilities, 0 iterations and
-    an empty trace; otherwise the box binds somewhere, the closed form is
-    invalid, and the result is ``solve_equilibrium(config, "deterministic")``,
-    converged only as far as ``config.kappa`` and ``config.max_iterations``
-    allow (read ``converged``).
-    """
-    x = config.nominal_resources()
-    c = config.costs()
-    total_reward = config.reward.total
-    s = (config.n_miners - 1) * total_reward / c.sum()
-    interior = (s / x) * (1.0 - c * s / total_reward)
-    if not (np.all(interior >= config.tau0) and np.all(interior <= 1.0)):
-        return solve_equilibrium(config, "deterministic")
-    return EquilibriumResult(
-        alphas=tuple(float(a) for a in interior),
-        u_values=tuple(float(u) for u in _deterministic_utilities(interior, config)),
-        iterations=0,
-        converged=True,
-        trace=(),
-        mode="deterministic",
     )

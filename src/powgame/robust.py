@@ -5,10 +5,10 @@ own way (``bti``: Gaussian Bernstein bound, ``cvar``: worst-case CVaR) and
 hands the steps here ``margin(u_min)``, a float that is >= 0 exactly when
 u_min is certifiable at fixed alpha (NaN certifies nothing), and
 ``slack(alpha)``, >= 0 exactly when alpha keeps the fixed u_min
-certifiable, with one optional hint for the scan: cheap bounds
-``bounds(alpha) = (floor, ceiling)`` around it (``cvar``), or a rounding
-bound ``error`` within which it is concave (``bti``); ``_search`` states
-both.
+certifiable, with optional hints for the scan: a rounding bound ``error``
+within which it is concave (``bti``), or cheap bounds ``bounds(alpha) =
+(floor, ceiling)`` around it together with an ``error`` within which the
+ceilings are concave (``cvar``); ``_search`` states both.
 The alternation (``alternate``) sees only the float thresholds and
 strategies the steps return; a back-end with a separate witness builds it
 on request (``cvar.certify``).
@@ -174,9 +174,9 @@ def scan_strategy(slack, alpha_in, tau0, bounds=None, error=None):
     """(alpha, slack, feasible) maximizing ``slack`` over [tau0, 1]; when no
     alpha certifies, the incoming alpha with ``feasible=False``.
 
-    ``bounds`` or ``error``, the scan's hints (see ``_search``), spare
-    evaluations without changing the result; a climb on ``error`` starts at
-    ``alpha_in``.  The incoming alpha is scored once, outside the scan: the
+    ``bounds`` and ``error``, the scan's hints (see ``_search``), spare
+    evaluations without changing the result; a climb on ``error``, over the
+    slack or, with bounds, over the ceilings, starts at ``alpha_in``.  The incoming alpha is scored once, outside the scan: the
     margin test below keeps it whenever it beats the scan's best.  tau0 must
     be in (0, 1), ``GameConfig``'s rule.
     """

@@ -5,6 +5,8 @@ best responses are verified against dense grid searches over the raw utility,
 robust best responses against an exhaustive outer search over alpha with
 threshold bisection at every point, the worst-case CVaR against a log-barrier
 solver of its conic program, and derivatives against finite differences.
+``closed_form_equilibrium`` solves the deterministic game without iterating
+when its stationary profile lies in the box, and cross-checks the iteration.
 The hash-power share and the analytic first and second derivatives of the
 utility (``hash_power``, ``utility_gradient``, ``utility_second_derivative``)
 live here too: the solver uses closed forms and never evaluates them.
@@ -52,6 +54,7 @@ from powgame import (
     utility,
 )
 from powgame._search import _INV_PHI
+from powgame.equilibrium import EquilibriumResult, _deterministic_utilities, solve_equilibrium
 from powgame.model import SolverError, _as_arrays, _check_index, others_load
 from powgame.robust import BISECT_TOL, U_FLOOR
 from powgame.validate import (
@@ -154,6 +157,35 @@ def make_config(
 def reference_config():
     """The homogeneous reference instance: 5 miners, x_hat 55, sigma 10."""
     return make_config()
+
+
+def closed_form_equilibrium(config: GameConfig) -> EquilibriumResult:
+    """Nash equilibrium of the deterministic game.
+
+    The interior stationary profile follows from summing the first-order
+    conditions: with S = (J-1) R / sum_j c_j the total committed power,
+    alpha_j = (S / x_j) (1 - c_j S / R).  When every coordinate lands in
+    [tau0, 1] that profile is returned with its utilities, 0 iterations and
+    an empty trace; otherwise the box binds somewhere, the closed form is
+    invalid, and the result is ``solve_equilibrium(config, "deterministic")``,
+    converged only as far as ``config.kappa`` and ``config.max_iterations``
+    allow (read ``converged``).
+    """
+    x = config.nominal_resources()
+    c = config.costs()
+    total_reward = config.reward.total
+    s = (config.n_miners - 1) * total_reward / c.sum()
+    interior = (s / x) * (1.0 - c * s / total_reward)
+    if not (np.all(interior >= config.tau0) and np.all(interior <= 1.0)):
+        return solve_equilibrium(config, "deterministic")
+    return EquilibriumResult(
+        alphas=tuple(float(a) for a in interior),
+        u_values=tuple(float(u) for u in _deterministic_utilities(interior, config)),
+        iterations=0,
+        converged=True,
+        trace=(),
+        mode="deterministic",
+    )
 
 
 def grid_best_response(j, profile, config, points=1_000_001):

@@ -11,7 +11,6 @@ import numpy as np
 
 from powgame import (
     best_response,
-    closed_form_equilibrium,
     discrete_worstcase_violation,
     empirical_violation,
     robust_best_response,
@@ -26,6 +25,7 @@ from powgame.cli import main as cli_main
 from powgame.model import others_load
 
 from conftest import (
+    closed_form_equilibrium,
     finite_difference,
     grid_best_response,
     make_config,

@@ -6,6 +6,7 @@ suite: nothing here runs the benchmark or pytest, or reads a clock.
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -125,3 +126,23 @@ def test_document_names_the_command_commits_and_host():
     assert doc["tier1"]["command"] == "python3 -m pytest -q -p no:cacheprovider"
     assert doc["tier1"]["change"] == {"wall_s": 17.0, "exit_code": 0, "counts": {"passed": 441}}
     json.dumps(doc)  # plain JSON throughout
+
+
+def test_a_tree_outside_git_has_no_commit(tmp_path, capfd):
+    # a checkout made with git archive has no git metadata, and a folder
+    # inside another checkout is not its top: neither names a commit, and
+    # git's complaint stays off stderr
+    assert bench.commit_of(tmp_path) == {"commit": None, "dirty": None}
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    subprocess.run([*git, "init", "-q", str(tmp_path)], check=True)
+    (tmp_path / "f").write_text("1\n")
+    subprocess.run([*git, "-C", str(tmp_path), "add", "f"], check=True)
+    subprocess.run([*git, "-C", str(tmp_path), "commit", "-q", "-m", "one"], check=True)
+    head = subprocess.run(["git", "-C", str(tmp_path), "rev-parse", "HEAD"], stdout=subprocess.PIPE,
+                          text=True, check=True).stdout.strip()
+    assert bench.commit_of(tmp_path) == {"commit": head, "dirty": False}
+    (tmp_path / "f").write_text("2\n")
+    assert bench.commit_of(tmp_path) == {"commit": head, "dirty": True}
+    (tmp_path / "sub").mkdir()
+    assert bench.commit_of(tmp_path / "sub") == {"commit": None, "dirty": None}
+    assert "fatal" not in capfd.readouterr().err

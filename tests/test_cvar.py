@@ -1,5 +1,6 @@
 """Tests for the worst-case-CVaR robust best response."""
 
+import decimal
 import itertools
 import math
 from pathlib import Path
@@ -24,7 +25,7 @@ from powgame import (
     utility,
     worstcase_cvar,
 )
-from powgame import SolverError, bti, cvar, robust
+from powgame import SolverError, _search, bti, cvar, robust
 from powgame._search import _first_argmax, scan_golden_max
 from powgame.cli import load_scenario
 from powgame.deterministic import best_response
@@ -284,7 +285,7 @@ def test_subproblem_strategy_matches_exhaustive_scan():
     alpha, slack, ok = subproblem_strategy(u, 0.7, load, params, REWARD, tau0, eps)
     assert ok
     grid = np.linspace(tau0, 1.0, 501)
-    slack_at, _ = cvar._strategy_slack(u, load, params, REWARD, eps)
+    slack_at = cvar._strategy_slack(u, load, params, REWARD, eps)[0]
     best = max(slack_at(float(a)) for a in grid)
     assert slack >= best - 1e-9
 
@@ -395,16 +396,15 @@ def test_strategy_step_scores_incoming_alpha_once(monkeypatch, backend):
                 bounded.append(alpha)
                 return bounds(alpha)
 
-            return original(counted, alpha_in, tau0, bracket)
+            return original(counted, alpha_in, tau0, bracket, error)
         return original(counted, alpha_in, tau0, error=error)
 
     monkeypatch.setattr(module, "scan_strategy", scanning)
     strategy(u - 1.0, alpha_in, load, params, REWARD, 0.5, eps)
-    if backend == "dro_cvar":
-        assert len(bounded) > 40  # the scan read every ceiling
-    else:  # bti: the climb scores only the grid points next to the peak
-        grid = np.arange(0.5, 1.0 + 0.5 * 0.0125, 0.0125).tolist()
-        assert 0 < sum(a in grid for a in scored) < 41
+    # the climb reads only the grid points next to the peak: ceilings for
+    # cvar, slacks for bti
+    grid = np.arange(0.5, 1.0 + 0.5 * 0.0125, 0.0125).tolist()
+    assert 0 < sum(a in grid for a in (bounded if backend == "dro_cvar" else scored)) < 41
     assert scored.count(alpha_in) == 1
 
 
@@ -478,7 +478,7 @@ def test_steps_evaluate_v_bit_for_bit_like_the_reference():
         assert margin(lo) >= 0.0 and not margin(hi) >= 0.0
 
         for u in (u_star, float(rng.uniform(-3000.0, 3000.0))):
-            slack, _ = cvar._strategy_slack(u, load, params, reward, eps)
+            slack = cvar._strategy_slack(u, load, params, reward, eps)[0]
             for a in (alpha, *rng.uniform(0.05, 1.0, size=2)):
                 reference = reference_worstcase_cvar(coeffs(float(a), u), moments, eps)
                 assert slack(float(a)) == -reference[0]
@@ -613,13 +613,11 @@ def _wide_step_inputs(rng):
 
 
 def test_strategy_ceiling_bounds_the_slack():
-    # the bounds are the negated exact minimum of v plus (-gap, rho) * scale,
-    # with gap = 1e-9 / eps and rho = 1e-12 / eps; without rho about one pair
-    # in nine fails the ceiling here, by rounding alone
+    # floor <= slack <= ceiling, with the proven widths of cvar._widths
     rng = np.random.default_rng(27)
     for _ in range(1000):
         load, eps, params, reward = _wide_step_inputs(rng)
-        slack, bounds = cvar._strategy_slack(
+        slack, bounds, _ = cvar._strategy_slack(
             float(rng.uniform(-3000.0, 3000.0)), load, params, reward, eps
         )
         for alpha in np.exp(rng.uniform(math.log(1e-3), 0.0, size=3)):
@@ -628,16 +626,17 @@ def test_strategy_ceiling_bounds_the_slack():
 
 
 @pytest.mark.parametrize(
-    "sigma, nonfinite", [(None, set()), (1e80, {"-inf"}), (1e150, {"-inf"}), (1e154, {"-inf", "nan"})],
+    "sigma, nonfinite", [(None, set()), (1e80, set()), (1e150, {"-inf"}), (1e154, {"-inf", "nan"})],
     ids=["wide", "1e80", "1e150", "1e154"],
 )
 def test_bounds_and_margin_equal_the_oracle_minimum_bit_for_bit(sigma, nonfinite):
     # the unrolled kernel keeps v's float operations and the candidate order
     # and tie-breaks of the oracle's min over (v, beta) pairs, so bounds and
     # margin are its values, not merely close to them; repr, so that NaN
-    # matches NaN.  Wide instances, alpha = 0 (k = 0: two candidates), and
-    # huge sigma, where the floor is -inf (scale from 1e140), ceilings reach
-    # -inf (1e150) and v's constants overflow to NaN (sigma^2 = 1e308)
+    # matches NaN.  Wide instances with alpha = 0 (k = 0: two candidates),
+    # where the bounds are -ref + (-gap, rho) * scale with cvar._widths'
+    # widths, and huge sigma, where the step passes no bounds (scale(1)
+    # beyond 1e140 eps) and v's constants overflow to NaN (sigma^2 = 1e308)
     rng = np.random.default_rng(29 if sigma is None else int(math.log10(sigma)))
     seen = set()
     for _ in range(300):
@@ -655,14 +654,16 @@ def test_bounds_and_margin_equal_the_oracle_minimum_bit_for_bit(sigma, nonfinite
             return CvarEvaluator(coeffs(alpha, u), moments, eps).exact_min()[0]
 
         u = float(rng.uniform(-3000.0, 3000.0))
-        _, bounds = cvar._strategy_slack(u, load, params, reward, eps)
-        for alpha in (0.0, *np.exp(rng.uniform(math.log(1e-3), 0.0, size=3)).tolist()):
-            c, ref = coeffs(alpha, u), reference(alpha, u)
-            scale = 1.0 + abs(c.a0) + abs(c.a1) * abs(reach) + c.a2 * reach * reach
-            floor = -ref - 1e-9 / eps * scale if scale < 1e140 else -math.inf
-            expected = (floor, -ref + 1e-12 / eps * scale)
-            assert repr(bounds(alpha)) == repr(expected), (alpha, u)
-            seen.update(repr(x) for x in expected if not math.isfinite(x))
+        _, bounds, _ = cvar._strategy_slack(u, load, params, reward, eps)
+        if sigma is None:
+            spread_ratio = math.sqrt(params.sigma2) * max(params.nominal / (reach * reach), 0.5 / reach)
+            rho, gap, _, _ = cvar._widths(eps, spread_ratio)
+            for alpha in (0.0, *np.exp(rng.uniform(math.log(1e-3), 0.0, size=3)).tolist()):
+                c, ref = coeffs(alpha, u), reference(alpha, u)
+                scale = 1.0 + abs(c.a0) + abs(c.a1) * reach + c.a2 * reach * reach
+                assert repr(bounds(alpha)) == repr((-ref - gap * scale, -ref + rho * scale)), (alpha, u)
+        else:
+            assert bounds is None
         alpha = float(rng.uniform(0.05, 1.0))
         margin = cvar._threshold_certifier(alpha, load, params, reward, eps)
         for u in rng.uniform(-3000.0, 3000.0, size=3).tolist():
@@ -699,6 +700,146 @@ def test_threshold_step_reports_an_overflowing_certificate():
         subproblem_threshold(0.5, 110.0, params, RewardModel(fixed_reward=1e155), 0.1)
 
 
+# -- the proven widths of the strategy step's bounds (see cvar._strategy_slack)
+
+
+def _step_floats(alpha, u, load, params, reward):
+    """(t0, d0, k, spread, scale, q) at alpha in the strategy slack's float
+    order; q bounds spread / scale at every alpha."""
+    m, s2, cost = params.nominal, params.sigma2, params.cost
+    s, a0 = u + (-reward.total + cost * load), u * load
+    sigma = math.sqrt(s2)
+    reach = m + 3.0 * sigma
+    a2, a1 = cost * alpha * alpha, s * alpha
+    t0 = a2 * (s2 + m * m) + a1 * m + a0
+    d0 = s2 * (a2 * a0 - 0.25 * a1 * a1)
+    scale = 1.0 + abs(a0) + abs(a1) * reach + a2 * reach * reach
+    return t0, d0, s2 * a2, sigma * abs(a2 * m + 0.5 * a1), scale, sigma * max(m / (reach * reach), 0.5 / reach)
+
+
+def _exact_v(alpha, u, load, params, reward, eps):
+    """(min v, v) at 50 digits at the exact alpha, from the step's floats
+    s = u - R + cost load and u load: min v is the least v over the exact
+    candidates t0, the stationary point and d0 / k, so -min v is the exact
+    slack e(alpha)."""
+    dec = decimal.Decimal
+    ctx = decimal.Context(prec=50)
+    a, cost, m, s2, e = (dec(x) for x in (alpha, params.cost, params.nominal, params.sigma2, eps))
+    a2 = ctx.multiply(ctx.multiply(cost, a), a)
+    a1 = ctx.multiply(dec(u + (-reward.total + params.cost * load)), a)
+    a0 = dec(u * load)
+    t0 = ctx.add(ctx.add(ctx.multiply(a2, ctx.add(s2, ctx.multiply(m, m))), ctx.multiply(a1, m)), a0)
+    k = ctx.multiply(s2, a2)
+    d0 = ctx.multiply(s2, ctx.subtract(ctx.multiply(a2, a0), ctx.divide(ctx.multiply(a1, a1), 4)))
+    spread = ctx.multiply(ctx.sqrt(s2), abs(ctx.add(ctx.multiply(a2, m), ctx.divide(a1, 2))))
+
+    def v(beta):
+        beta = dec(beta)
+        t, d = ctx.subtract(t0, beta), ctx.subtract(d0, ctx.multiply(beta, k))
+        if d >= 0:
+            return ctx.add(beta, ctx.divide(max(t, dec(0)), e))
+        return ctx.add(beta, ctx.divide(ctx.add(t / 2, ctx.sqrt(ctx.subtract(ctx.multiply(t, t) / 4, d))), e))
+
+    stationary = t0 - 2 * k + ctx.divide(1 - 2 * e, ctx.sqrt(e * (1 - e))) * spread
+    return min(v(b) for b in [t0, stationary] + ([ctx.divide(d0, k)] if k > 0 else [])), v
+
+
+def _proof_cases(rng, count):
+    """(u, load, params, reward, eps, alphas): wide steps, with alpha = 0, 1,
+    three random alphas and the alpha where the spread is 0; a third of them
+    at eps 0.001 to 0.01, where the beta bracket grows."""
+    for i in range(count):
+        load, eps, params, reward = _wide_step_inputs(rng)
+        if i % 3 == 0:
+            eps = float(rng.choice([0.001, 0.003, 0.01]))
+        u = float(rng.uniform(-3000.0, 3000.0))
+        s = u + (-reward.total + params.cost * load)
+        alphas = [0.0, 1.0, *np.exp(rng.uniform(math.log(1e-3), 0.0, size=3)).tolist()]
+        flat = -s / (2.0 * params.cost * params.nominal)  # a2 mu_bar + a1 / 2 = 0
+        if 0.0 < flat <= 1.0:
+            alphas.append(flat)
+        yield u, load, params, reward, eps, alphas
+
+
+def test_v_rounding_error_bound_holds():
+    # (F2): a float v at any float beta errs by at most 2^-47 (scale + |beta|) / eps
+    rng = np.random.default_rng(61)
+    for u, load, params, reward, eps, alphas in _proof_cases(rng, 150):
+        for alpha in alphas:
+            t0, d0, k, spread, scale, _ = _step_floats(alpha, u, load, params, reward)
+            _, v = _exact_v(alpha, u, load, params, reward, eps)
+            least = cvar._exact_minimizer(eps)(t0, d0, k, spread, argmin=True)
+            for beta in (least, t0, *rng.normal(0.0, scale, 2), *rng.normal(0.0, scale / eps, 2)):
+                beta = float(beta)
+                bound = 2.0 ** -47 * (scale + abs(beta)) / eps
+                assert abs(decimal.Decimal(cvar._v(t0, d0, k, eps, beta)) - v(beta)) <= decimal.Decimal(bound)
+
+
+def test_least_v_error_bound_holds():
+    # (b): |least_v - min v| <= E_v * scale, min v at 50 digits at the exact alpha
+    rng = np.random.default_rng(62)
+    for u, load, params, reward, eps, alphas in _proof_cases(rng, 300):
+        for alpha in alphas:
+            t0, d0, k, spread, scale, q = _step_floats(alpha, u, load, params, reward)
+            _, _, e_v, _ = cvar._widths(eps, q)
+            exact, _ = _exact_v(alpha, u, load, params, reward, eps)
+            least = cvar._exact_minimizer(eps)(t0, d0, k, spread)
+            assert abs(decimal.Decimal(least) - exact) <= decimal.Decimal(e_v * scale), (alpha, u, eps)
+
+
+def test_beta_search_excess_is_at_most_g():
+    # (c): the search's v exceeds min v by at most G * scale, also where its
+    # bracket grows, which it does on many of these steps
+    rng = np.random.default_rng(63)
+    grown = 0
+    for u, load, params, reward, eps, alphas in _proof_cases(rng, 300):
+        for alpha in alphas:
+            t0, d0, k, _, scale, q = _step_floats(alpha, u, load, params, reward)
+            _, _, _, g = cvar._widths(eps, q)
+            exact, _ = _exact_v(alpha, u, load, params, reward, eps)
+            value = cvar._beta_search(t0, d0, k, eps, scale)[0]
+            assert decimal.Decimal(value) - exact <= decimal.Decimal(g * scale), (alpha, u, eps)
+            mid = cvar._v(t0, d0, k, eps, 0.0)
+            grown += min(cvar._v(t0, d0, k, eps, -scale), cvar._v(t0, d0, k, eps, scale)) <= mid
+    assert grown > 100
+
+
+def test_exact_slack_is_concave():
+    # (a): the second differences of the 50-digit e(alpha) over a 41-point
+    # grid, exactly spaced at 2^-6, are <= 0 (up to the 50-digit rounding)
+    rng = np.random.default_rng(64)
+    grid = [0.375 + i * 2.0 ** -6 for i in range(41)]
+    for u, load, params, reward, eps, _ in _proof_cases(rng, 100):
+        e = [-_exact_v(alpha, u, load, params, reward, eps)[0] for alpha in grid]
+        slack = decimal.Decimal(_step_floats(1.0, u, load, params, reward)[4]) * decimal.Decimal("1e-40")
+        assert all(e[i - 1] - 2 * e[i] + e[i + 1] <= slack for i in range(1, 40)), (u, eps)
+
+
+def test_strategy_grid_reads_few_ceilings_on_configs(monkeypatch):
+    # the climb reads a few ceilings next to the incoming alpha, of the 41
+    # a full scan reads, in every cvar strategy step of configs/*.json
+    reads = []
+    climb = _search._climb_max
+
+    def counted(g, *args):
+        calls = []
+
+        def read(x):
+            calls.append(x)
+            return g(x)
+
+        found = climb(read, *args)
+        reads.append(len(calls))
+        return found
+
+    monkeypatch.setattr(_search, "_climb_max", counted)
+    for path in sorted((Path(__file__).parent.parent / "configs").glob("*.json")):
+        scenario = load_scenario(path)
+        assert solve_equilibrium(scenario.config, "dro_cvar", initial_alpha=scenario.initial_alpha).converged
+    assert len(reads) == 250
+    assert max(reads) <= 16 and sum(reads) / len(reads) <= 4
+
+
 @pytest.mark.parametrize("sigma", [1e60, 1e80, 1e90, 1e130, 1e150])
 def test_scan_with_bounds_matches_the_exact_scan_at_huge_sigma(sigma):
     # past sigma ~ 1e80 the slack is -inf or NaN while the exact minimum, and
@@ -708,7 +849,7 @@ def test_scan_with_bounds_matches_the_exact_scan_at_huge_sigma(sigma):
     for _ in range(48):
         load, eps, params, reward = _wide_step_inputs(rng)
         params = MinerParams(x_hat=params.x_hat, sigma2=sigma * sigma, cost=params.cost)
-        slack, bounds = cvar._strategy_slack(
+        slack, bounds, _ = cvar._strategy_slack(
             float(rng.uniform(-3000.0, 3000.0)), load, params, reward, eps
         )
         tau0 = float(rng.uniform(0.05, 0.9))
@@ -748,7 +889,8 @@ def test_strategy_step_equals_the_grid_scan_oracle(monkeypatch):
 def test_strategy_step_runs_few_beta_searches(monkeypatch):
     # 41 grid points, ~24 golden probes and the incoming alpha would cost one
     # beta search each (about 67 a step); the floor and ceiling decide most
-    # comparisons, and each alpha is scored once a step, which leaves about 10
+    # comparisons, and each alpha is scored once a step, which leaves about
+    # 6.5 (9.7 with the measured widths 1e-9 / eps and 1e-12 / eps)
     searches, steps = [], []
 
     def counted(fn, calls):
@@ -763,13 +905,15 @@ def test_strategy_step_runs_few_beta_searches(monkeypatch):
     for config in (make_config(), make_config(x_hat=[35.0, 42.0, 50.0, 57.0, 60.0], tau0=0.1)):
         assert solve_equilibrium(config, "dro_cvar").converged
     assert len(steps) >= 10
-    assert len(searches) / len(steps) <= 12
+    assert len(searches) / len(steps) <= 7
 
 
 def test_heterogeneous_solve_does_the_same_work(monkeypatch):
     # machine-independent work counts of one dro_cvar solve of
-    # configs/heterogeneous.json, as first recorded: equal counts show that
-    # no strategy step, bound or beta search decided differently
+    # configs/heterogeneous.json, as recorded with the climb on ceilings and
+    # the proven widths of cvar._widths (89 searches and 1144 bounds before):
+    # equal counts show that no strategy step, bound or beta search decided
+    # differently
     counts = {"steps": 0, "searches": 0, "bounds": 0}
 
     def counted(fn, key):
@@ -782,8 +926,8 @@ def test_heterogeneous_solve_does_the_same_work(monkeypatch):
     strategy_slack = cvar._strategy_slack
 
     def counted_slack(*args):
-        slack, bounds = strategy_slack(*args)
-        return slack, counted(bounds, "bounds")
+        slack, bounds, error = strategy_slack(*args)
+        return slack, counted(bounds, "bounds"), error
 
     monkeypatch.setattr(cvar, "_beta_search", counted(cvar._beta_search, "searches"))
     monkeypatch.setattr(cvar, "subproblem_strategy", counted(cvar.subproblem_strategy, "steps"))
@@ -791,7 +935,7 @@ def test_heterogeneous_solve_does_the_same_work(monkeypatch):
     scenario = load_scenario(Path(__file__).parent.parent / "configs" / "heterogeneous.json")
     result = solve_equilibrium(scenario.config, "dro_cvar", initial_alpha=scenario.initial_alpha)
     assert result.converged
-    assert counts == {"steps": 18, "searches": 89, "bounds": 1144}
+    assert counts == {"steps": 18, "searches": 59, "bounds": 448}
 
 
 def _plateau(x):
@@ -848,6 +992,9 @@ def test_scan_with_a_ceiling_matches_the_exact_scan(name):
         expected = grid_scan_max(logged(exact_calls), lo, hi, step, 1e-6)
         # repr, so that NaN matches NaN
         assert repr(scan_golden_max(f, lo, hi, step, 1e-6, bounds=bounds)) == repr(expected)
+        # a climb on the ceilings with an error wider than any finite gap between them
+        climbed = scan_golden_max(f, lo, hi, step, 1e-6, bounds=bounds, error=8.0, start=0.5 * (lo + hi))
+        assert repr(climbed) == repr(expected)
         # without bounds: scored once per point, in order, but for the
         # golden section's last probe, which no comparison reads
         assert repr(scan_golden_max(logged(calls), lo, hi, step, 1e-6)) == repr(expected)

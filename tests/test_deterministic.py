@@ -8,13 +8,13 @@ import pytest
 from powgame import (
     SolverError,
     best_response,
-    closed_form_equilibrium,
     solve_equilibrium,
     utility,
 )
 from powgame.deterministic import best_response_interior
 
 from conftest import (
+    closed_form_equilibrium,
     grid_best_response,
     make_config,
     profile_utility,

@@ -112,9 +112,17 @@ def summarize(spec: list[dict], change: list[dict], parent: list[dict] | None = 
 
 
 def commit_of(tree: Path) -> dict:
+    """The tree's HEAD commit and whether its tracked files differ from it;
+    both None when the tree is not the top of a git checkout (one made with
+    ``git archive``, say), so that no other repository's commit is named."""
     def git(*args):
-        return subprocess.run(["git", *args], cwd=tree, stdout=subprocess.PIPE, text=True).stdout.strip()
+        child = subprocess.run(["git", *args], cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                               text=True)
+        return child.stdout.strip() if child.returncode == 0 else None
 
+    top = git("rev-parse", "--show-toplevel")
+    if top is None or Path(top).resolve() != tree.resolve():
+        return {"commit": None, "dirty": None}
     return {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
 
 
