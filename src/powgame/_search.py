@@ -88,16 +88,16 @@ def _ceiling_max(f, points, ceilings):
 
 
 def _climb_max(f, points, step, error, start):
-    """(k, f(points[k]), l, r): the first maximum of ``f`` over the grid,
-    as ``_grid_max`` gives it, for an ``f`` within ``error`` of a concave
-    function, from the window [l, r] of points next to its peak; None on a
-    NaN value or an ``error`` that is not a finite number >= 0.
+    """(k, f(points[k])) as ``_grid_max`` gives it, for an ``f`` within
+    ``error`` of a concave function, from the points next to its peak; None
+    on a NaN value or an ``error`` that is not a finite number >= 0.
 
-    The window starts at the point nearest ``start``, and an end grows
-    while its value is not more than ``2 * error`` below the best, at k.
-    Once f(r) is, the concave function is lower at r than at k < r, so it
-    falls beyond r, and f stays below the best there; likewise left of l.
-    A tie keeps the leftmost point, as ``np.argmax`` does.
+    The evaluated points are the window [l, r] around the point nearest
+    ``start``, and an end grows while its value is not more than
+    ``2 * error`` below the best, at k.  Once f(r) is, the concave function
+    is lower at r than at k < r, so it falls beyond r, and f stays below the
+    best there; likewise left of l.  A tie keeps the leftmost point, as
+    ``np.argmax`` does.
     """
     if not 0.0 <= error < math.inf:
         return None
@@ -125,7 +125,7 @@ def _climb_max(f, points, step, error, start):
             elif v_l != v_l:
                 return None
         else:
-            return k, best, l, r
+            return k, best
 
 
 def _ceiling_climb_max(f, points, step, error, start, bounds):
@@ -142,13 +142,11 @@ def _ceiling_climb_max(f, points, step, error, start, bounds):
         c = ceilings[x] = bounds(x)[1]
         return c
 
-    found = _climb_max(ceiling, points, step, error, start)
-    if found is None:
+    if _climb_max(ceiling, points, step, error, start) is None:
         return None
-    l, r = found[2:]
-    window = points[l:r + 1]
-    found = _ceiling_max(f, window, [ceilings[x] for x in window])
-    return None if found is None else (l + found[0], found[1])
+    window = [i for i, x in enumerate(points) if x in ceilings]  # the climbed points
+    found = _ceiling_max(f, [points[i] for i in window], [ceilings[points[i]] for i in window])
+    return None if found is None else (window[found[0]], found[1])
 
 
 def _first_argmax(values):
@@ -175,13 +173,13 @@ def scan_golden_max(f, lo, hi, step, tol=1e-6, bounds=None, error=None, start=No
     grid = np.arange(lo, hi + 0.5 * step, step)
     grid[-1] = min(grid[-1], hi)
     points = grid.tolist()
-    found = None
-    if error is not None:
-        if bounds is None:
-            found = _climb_max(f, points, step, error, start)
-        else:
-            found = _ceiling_climb_max(f, points, step, error, start, bounds)
-    k, grid_best = _grid_max(f, points, bounds) if found is None else found[:2]
+    if error is None:
+        found = None
+    elif bounds is None:
+        found = _climb_max(f, points, step, error, start)
+    else:
+        found = _ceiling_climb_max(f, points, step, error, start, bounds)
+    k, grid_best = _grid_max(f, points, bounds) if found is None else found
     grid_x = points[k]
     lo, hi = _golden(f, bounds, max(lo, grid_x - step), min(hi, grid_x + step), tol)
     x = 0.5 * (lo + hi)

@@ -389,8 +389,9 @@ def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsil
     h(beta) = beta + max(t0 - beta, k) / eps is a V with vertex p0 = t0 - k
     (|p0| <= sc) and slopes 1 - 1/eps and 1.  Hence min v is reached at
     beta* in [p0 - S / (1 - eps), p0 + S / eps], and v <= min v + x only
-    on [p0 - (S + eps x) / (1 - eps), p0 + S / eps + x].  Every point the
-    proof evaluates lies within (2 + 4 r) sc of 0.
+    on [p0 - (S + eps x) / (1 - eps), p0 + S / eps + x].  Every point
+    where the proof evaluates v, but for the ends of a growing beta
+    bracket, lies within (2 + 4 r) sc of 0.
 
     **(F2) A float v errs by at most delta(beta) = 2^-47 (sc + |beta|) /
     eps.**  The computed trace t and determinant d err by at most u (8.1 sc
@@ -430,8 +431,10 @@ def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsil
       width exceeds 2 S / mu, a left end grows only if p <= eps / 2 + gam
       and a right one only if p >= (1 + eps) / 2 - gam, with gam = (S +
       delta eps) / width; a left growth maps p to (p + 2) / 3 and a right
-      one to p / 3, so a third growth in a row needs |1 - 2 eps| <= 4 gam,
-      and gam shrinks threefold with each growth.  Each growth
+      one to p / 3, so a third growth in a row needs |1 - 2 eps| <= 4 gam.
+      delta at the bracket's points is at most 2^-47 (2 sc + width) / eps,
+      so gam shrinks threefold with each growth, down to 2^-46, which the
+      2^-43 kept between eps and 1/2 leaves room for.  Each growth
       triples the width (it quintuples only below 2 S / mu), so the search
       stops within a width of W sc, W = max(18, 91 r, 217 q / |1 - 2 eps|)
       + 1.  At eps = 1/2 a V can tie at every growth up to the cap of 80:

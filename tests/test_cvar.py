@@ -802,6 +802,9 @@ def test_beta_search_excess_is_at_most_g():
             mid = cvar._v(t0, d0, k, eps, 0.0)
             grown += min(cvar._v(t0, d0, k, eps, -scale), cvar._v(t0, d0, k, eps, scale)) <= mid
     assert grown > 100
+    # at eps = 1/2 the growth can tie its way to the cap, so no G exists
+    assert cvar._beta_search(-1.0, 0.0, 0.0, 0.5, 2.0)[0] > 700.0
+    assert cvar._widths(0.5, 0.1)[1] == cvar._widths(0.5, 0.1)[3] == math.inf
 
 
 def test_exact_slack_is_concave():
