@@ -1,44 +1,43 @@
 """The strategy step's scalar search: a dense scan, then golden-section refinement.
 
-``scan_golden_max`` may be given ``bounds``: a cheap function with
-``bounds(x) = (floor, ceiling)`` and ``floor <= f(x) <= ceiling`` at every
-x.  The bounds decide a comparison whenever they can, so ``f`` is evaluated
-exactly only where they leave the answer open, and the result is the one
-every exact evaluation would give, float for float:
+``scan_golden_max`` takes the first maximum of a grid, as ``np.argmax``
+picks it, and refines it by golden section.  Its hints spare evaluations of
+``f``; the result is the one every exact evaluation would give, float for
+float.
 
-- a grid point whose ceiling is below a value already found cannot be the
-  grid's maximum, since its own value is at most its ceiling; the grid
-  reads only the ceilings;
-- each golden-section probe is kept as its interval [floor, ceiling] until
-  it is scored.  A probe whose floor is at least the other probe's ceiling
-  wins the comparison, and one whose ceiling is below the other's floor
-  loses it; only where the two intervals overlap are both probes scored,
-  and a surviving probe may stay unscored for the next comparison.
+One reader climbs the grid.  It reads ``f``, or with ``bounds`` the
+ceilings, from the point nearest ``start`` (the first point without one),
+and widens each end of its window until the end's reading lies more than
+``2 * error`` below the best reading.  An ``error`` that is not a finite
+number >= 0, None included, puts no limit on the window, so without hints
+every point is read once, in order.
 
-A NaN has no order: a NaN bound decides nothing, and a NaN among the grid
-values or ceilings sends every grid point through ``f``.  A NaN value at a
-point its bounds have already decided is not seen, so ``f`` may be NaN
-only where its floor and ceiling are NaN too.  Without bounds every point
-is evaluated once, in the order of the plain scan, but for the golden
-section's last probe, which no comparison reads.
+- ``error`` is a claim that the readings on [lo, hi] lie within ``error`` of
+  a concave function, with room for the rounding of ``best - 2 * error``
+  (the Gaussian slack makes it, see ``bti._strategy_slack``).  Each point
+  left out then reads strictly below the best, so the grid's first maximum
+  lies in the window.
+- ``bounds`` is a cheap function with ``bounds(x) = (floor, ceiling)`` and
+  ``floor <= f(x) <= ceiling`` at every x.  The claim of ``error`` is then
+  about the ceilings, with room for half the widest gap between a point's
+  floor and ceiling as well (the CVaR slack makes it, see
+  ``cvar._strategy_slack``): a point left out has a value below its
+  ceiling, which lies more than that gap below the best ceiling, so below
+  the best point's floor.  The window's points are scored in
+  descending-ceiling order until the next ceiling is below the best value
+  found, which no point left can reach.  Each golden-section probe is kept
+  as its interval [floor, ceiling] until it is scored.  A probe whose floor
+  is at least the other probe's ceiling wins the comparison, and one whose
+  ceiling is below the other's floor loses it; only where the two intervals
+  overlap are both probes scored, and a surviving probe may stay unscored
+  for the next comparison.
 
-``scan_golden_max`` may also be given ``error`` and ``start``: a claim
-that every value of ``f`` on [lo, hi] lies within ``error`` of a concave
-function, with room for the rounding of ``best - 2 * error`` (the Gaussian
-slack makes it, see ``bti._strategy_slack``).  The grid is then climbed
-from the point nearest ``start`` and widened both ways until each end lies
-more than ``2 * error`` below the best value found.  Each point left out
-lies strictly below that best value, so the grid's first maximum is the one
-``np.argmax`` picks over every point.  Given both hints, the climb reads
-the ceilings instead, and the claim is that the ceilings lie within
-``error`` of a concave function, with room for half the widest gap between
-a point's floor and ceiling as well (the CVaR slack makes it, see
-``cvar._strategy_slack``).  A point left out then has a value below its
-ceiling, which lies more than that gap below the best ceiling, so below the
-best point's floor; the descending-ceiling scoring runs on the window.  A
-NaN value or ceiling, or an ``error`` that is not a finite number >= 0,
-runs the full scan instead.  The golden refinement is the same on every
-path.
+A NaN has no order.  A NaN bound decides nothing, and a NaN reading or
+value on the grid sends every grid point through ``f`` (``_grid_max``, the
+full scan), which reuses the values already read.  A NaN value at a point
+its bounds have already decided is not seen, so ``f`` may be NaN only where
+its floor and ceiling are NaN too.  The golden section scores a probe only
+when a comparison reads it, so it skips the last probe, which none does.
 """
 
 from __future__ import annotations
@@ -50,60 +49,31 @@ import numpy as np
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _grid_max(f, points, bounds):
-    """(k, f(points[k])) for the first k of a maximum, as ``np.argmax`` picks it.
-
-    With bounds, ``_ceiling_max`` scores the points; a NaN, in a ceiling or a
-    value, has no order, so it sends every point through ``f``, as without
-    bounds.
-    """
-    if bounds is not None:
-        found = _ceiling_max(f, points, [bounds(x)[1] for x in points])
-        if found is not None:
-            return found
+def _grid_max(f, points):
+    """(k, f(points[k])) for the first k of a maximum, or of a NaN, as
+    ``np.argmax`` picks it: the full scan."""
     vals = [f(x) for x in points]
     k = _first_argmax(vals)
     return k, vals[k]
 
 
-def _ceiling_max(f, points, ceilings):
-    """``_grid_max``'s result from the points' ceilings, or None on a NaN.
+def _read_grid(f, points, step, bounds, error, start, values):
+    """``_grid_max``'s result from the climb of the module docstring, or
+    None on a NaN; it puts the values of ``f`` it reads in the list
+    ``values``, by index.
 
-    Points are evaluated in descending-ceiling order until the next ceiling
-    is below the best value found; the points left cannot reach it.
+    The window [l, r] grows at an end while its reading is not more than
+    ``2 * error`` below the best, at k.  Once the reading at r is, the
+    concave function is lower at r than at k < r, so it falls beyond r, and
+    the readings stay below the best there; likewise left of l.  A tie keeps
+    the leftmost point, as ``np.argmax`` does.
     """
-    if any(math.isnan(c) for c in ceilings):
-        return None
-    vals, best = {}, -math.inf
-    for i in sorted(range(len(points)), key=ceilings.__getitem__, reverse=True):
-        if ceilings[i] < best:
-            break
-        value = vals[i] = f(points[i])
-        if value > best:
-            best = value
-    if any(math.isnan(v) for v in vals.values()):
-        return None
-    k = min(i for i, v in vals.items() if v == best)
-    return k, vals[k]
-
-
-def _climb_max(f, points, step, error, start):
-    """(k, f(points[k])) as ``_grid_max`` gives it, for an ``f`` within
-    ``error`` of a concave function, from the points next to its peak; None
-    on a NaN value or an ``error`` that is not a finite number >= 0.
-
-    The evaluated points are the window [l, r] around the point nearest
-    ``start``, and an end grows while its value is not more than
-    ``2 * error`` below the best, at k.  Once f(r) is, the concave function
-    is lower at r than at k < r, so it falls beyond r, and f stays below the
-    best there; likewise left of l.  A tie keeps the leftmost point, as
-    ``np.argmax`` does.
-    """
-    if not 0.0 <= error < math.inf:
-        return None
-    n, margin = len(points), 2.0 * error
-    k = int(min(max(0.0, (start - points[0]) / step), n - 1.0) + 0.5)  # nearest
-    best = f(points[k])
+    n = len(points)
+    margin = 2.0 * error if error is not None and 0.0 <= error < math.inf else math.inf
+    k = 0 if start is None else int(min(max(0.0, (start - points[0]) / step), n - 1.0) + 0.5)  # nearest
+    read = f if bounds is None else lambda x: bounds(x)[1]
+    got = values if bounds is None else [None] * n  # the climb's readings, by index
+    best = got[k] = read(points[k])
     if best != best:
         return None
     l = r = k
@@ -112,41 +82,33 @@ def _climb_max(f, points, step, error, start):
         floor = best - margin
         if r < n - 1 and not v_r < floor:
             r += 1
-            v_r = f(points[r])
+            v_r = got[r] = read(points[r])
             if v_r > best:
                 k, best = r, v_r
             elif v_r != v_r:
                 return None
         elif l > 0 and not v_l < floor:
             l -= 1
-            v_l = f(points[l])
+            v_l = got[l] = read(points[l])
             if v_l >= best:
                 k, best = l, v_l
             elif v_l != v_l:
                 return None
-        else:
+        elif bounds is None:
             return k, best
-
-
-def _ceiling_climb_max(f, points, step, error, start, bounds):
-    """``_grid_max``'s result with bounds, from a climb on the ceilings.
-
-    The ceilings lie within ``error`` of a concave function, with room for
-    the floor-to-ceiling width (see the module docstring), so the grid's
-    first maximum lies in the climb's window, which ``_ceiling_max`` scores.
-    None where the climb or the scoring meets a NaN.
-    """
-    ceilings = {}
-
-    def ceiling(x):
-        c = ceilings[x] = bounds(x)[1]
-        return c
-
-    if _climb_max(ceiling, points, step, error, start) is None:
-        return None
-    window = [i for i, x in enumerate(points) if x in ceilings]  # the climbed points
-    found = _ceiling_max(f, [points[i] for i in window], [ceilings[points[i]] for i in window])
-    return None if found is None else (window[found[0]], found[1])
+        else:
+            break
+    best = -math.inf
+    for i in sorted(range(l, r + 1), key=got.__getitem__, reverse=True):
+        if got[i] < best:
+            break
+        value = values[i] = f(points[i])
+        if value > best:
+            best = value
+        elif value != value:
+            return None
+    k = min(i for i in range(l, r + 1) if values[i] == best)
+    return k, values[k]
 
 
 def _first_argmax(values):
@@ -165,21 +127,19 @@ def scan_golden_max(f, lo, hi, step, tol=1e-6, bounds=None, error=None, start=No
     """Maximize ``f`` on [lo, hi]: a scan at ``step`` resolution, then golden
     section on the two cells around the best grid point, to width ``tol``.
 
-    ``bounds``, or ``error`` with ``start``, are the hints of the module
-    docstring: they spare evaluations, and the result is the same either way.
+    ``bounds``, ``error`` and ``start`` are the hints of the module
+    docstring: they spare evaluations, and the result is the same with or
+    without them.
     """
     if hi <= lo:
         return lo, f(lo)
-    grid = np.arange(lo, hi + 0.5 * step, step)
-    grid[-1] = min(grid[-1], hi)
-    points = grid.tolist()
-    if error is None:
-        found = None
-    elif bounds is None:
-        found = _climb_max(f, points, step, error, start)
-    else:
-        found = _ceiling_climb_max(f, points, step, error, start, bounds)
-    k, grid_best = _grid_max(f, points, bounds) if found is None else found
+    points = np.arange(lo, hi + 0.5 * step, step).tolist()
+    points[-1] = min(points[-1], hi)
+    values = [None] * len(points)  # f on the grid, where read
+    found = _read_grid(f, points, step, bounds, error, start, values)
+    if found is None:  # a NaN: the full scan, which reuses the values read
+        found = _grid_max(lambda i: f(points[i]) if values[i] is None else values[i], range(len(points)))
+    k, grid_best = found
     grid_x = points[k]
     lo, hi = _golden(f, bounds, max(lo, grid_x - step), min(hi, grid_x + step), tol)
     x = 0.5 * (lo + hi)

@@ -3,8 +3,8 @@
 The robust back-ends reduce to this map as the uncertainty vanishes.  It is a
 standard function (positive, monotone, scalable), so the Gauss-Seidel
 iteration in ``equilibrium.solve_equilibrium`` reaches its unique fixed
-point, the Nash equilibrium, from any start; ``equilibrium`` also holds the
-closed-form equilibrium that cross-checks it.
+point, the Nash equilibrium, from any start.  The test suite cross-checks
+that point against the closed-form equilibrium of the stationary profile.
 """
 
 from __future__ import annotations

@@ -64,7 +64,6 @@ class BestResponse:
     alpha: float
     u_min: float
     iterations: int
-    u_history: tuple[float, ...]
 
 
 def threshold_floor(params: MinerParams, reward: RewardModel, u_lo) -> float:
@@ -175,10 +174,11 @@ def scan_strategy(slack, alpha_in, tau0, bounds=None, error=None):
     alpha certifies, the incoming alpha with ``feasible=False``.
 
     ``bounds`` and ``error``, the scan's hints (see ``_search``), spare
-    evaluations without changing the result; a climb on ``error``, over the
-    slack or, with bounds, over the ceilings, starts at ``alpha_in``.  The incoming alpha is scored once, outside the scan: the
-    margin test below keeps it whenever it beats the scan's best.  tau0 must
-    be in (0, 1), ``GameConfig``'s rule.
+    evaluations without changing the result.  The scan climbs its grid from
+    ``alpha_in``, over the slack or, with bounds, over the ceilings.  The
+    incoming alpha is scored once, outside the scan: the margin test below
+    keeps it whenever it beats the scan's best.  tau0 must be in (0, 1),
+    ``GameConfig``'s rule.
     """
     _check_tau0(tau0)
     scan_step = max((1.0 - tau0) / 40.0, 1e-4)
@@ -214,7 +214,6 @@ def alternate(j, profile, config: GameConfig, threshold, strategy, warm_start) -
     else:
         alpha, u_floor = min(1.0, max(config.tau0, warm_start[0])), warm_start[1]
     u_min = threshold(alpha, load, params, reward, epsilon, u_lo=u_floor)
-    history = [u_min]
     for iteration in range(1, AO_CAP + 1):
         # alpha_in by keyword: wrappers of the subproblem read it from there
         alpha_new, _, feasible = strategy(
@@ -224,12 +223,11 @@ def alternate(j, profile, config: GameConfig, threshold, strategy, warm_start) -
         u_new = threshold(
             alpha_new, load, params, reward, epsilon, u_lo=u_min if feasible else None
         )
-        history.append(u_new)
         delta = abs(u_new - u_min) + abs(alpha_new - alpha)
         alpha, u_min = alpha_new, u_new
         if delta <= AO_TOL:
-            return BestResponse(float(alpha), float(u_min), iteration, tuple(history))
+            return BestResponse(float(alpha), float(u_min), iteration)
     raise ConvergenceError(
         f"alternating optimization did not settle in {AO_CAP} iterations",
-        last=BestResponse(float(alpha), float(u_min), AO_CAP, tuple(history)),
+        last=BestResponse(float(alpha), float(u_min), AO_CAP),
     )

@@ -5,6 +5,8 @@ best responses are verified against dense grid searches over the raw utility,
 robust best responses against an exhaustive outer search over alpha with
 threshold bisection at every point, the worst-case CVaR against a log-barrier
 solver of its conic program, and derivatives against finite differences.
+The alternation keeps no record of its thresholds; ``recording`` wraps a
+threshold step so that a test can read them, in order.
 ``closed_form_equilibrium`` solves the deterministic game without iterating
 when its stationary profile lies in the box, and cross-checks the iteration.
 The hash-power share and the analytic first and second derivatives of the
@@ -12,7 +14,7 @@ utility (``hash_power``, ``utility_gradient``, ``utility_second_derivative``)
 live here too: the solver uses closed forms and never evaluates them.
 
 The strategy scan with every point evaluated exactly (``grid_scan_max``,
-with its ``golden_max``) is kept here as the oracle that
+with its grid ``scan_grid`` and its ``golden_max``) is kept here as the oracle that
 ``_search.scan_golden_max`` must match float for float, whatever hint it is
 given, and the threshold bisection with every probe evaluated
 (``plain_bisect_threshold``) as the oracle of ``robust.bisect_threshold``,
@@ -228,16 +230,22 @@ def grid_scan_max(f, lo, hi, step, tol=1e-6):
     """
     if hi <= lo:
         return lo, f(lo)
-    grid = np.arange(lo, hi + 0.5 * step, step)
-    grid[-1] = min(grid[-1], hi)
-    vals = [f(float(a)) for a in grid]
+    grid = scan_grid(lo, hi, step)
+    vals = [f(a) for a in grid]
     k = int(np.argmax(vals))
-    g_lo = max(lo, float(grid[k]) - step)
-    g_hi = min(hi, float(grid[k]) + step)
+    g_lo = max(lo, grid[k] - step)
+    g_hi = min(hi, grid[k] + step)
     best_x, best_f = golden_max(f, g_lo, g_hi, tol)
     if vals[k] > best_f:
-        best_x, best_f = float(grid[k]), vals[k]
+        best_x, best_f = grid[k], vals[k]
     return best_x, best_f
+
+
+def scan_grid(lo, hi, step):
+    """The points of the strategy scan's grid on [lo, hi], as floats."""
+    grid = np.arange(lo, hi + 0.5 * step, step)
+    grid[-1] = min(grid[-1], hi)
+    return grid.tolist()
 
 
 def plain_bisect_threshold(certify, params, reward, u_lo=None):
@@ -271,6 +279,17 @@ def plain_bisect_threshold(certify, params, reward, u_lo=None):
     return u_lo
 
 
+def recording(step, returned):
+    """``step``, appending each value it returns to the list ``returned``:
+    around a threshold step, the thresholds of an alternation, in order."""
+    def wrapper(*args, **kwargs):
+        value = step(*args, **kwargs)
+        returned.append(value)
+        return value
+
+    return wrapper
+
+
 def outer_best_response_oracle(threshold_fn, tau0, grid_step=1e-3, refine_tol=1e-6):
     """Exhaustive 1-D search over alpha of a threshold solver.
 
@@ -278,14 +297,13 @@ def outer_best_response_oracle(threshold_fn, tau0, grid_step=1e-3, refine_tol=1e
     and returns the max over all candidates (grid best, refined point, box
     edges), so corner optima are reported exactly.
     """
-    grid = np.arange(tau0, 1.0 + 0.5 * grid_step, grid_step)
-    grid[-1] = min(grid[-1], 1.0)
-    values = [threshold_fn(float(a)) for a in grid]
+    grid = scan_grid(tau0, 1.0, grid_step)
+    values = [threshold_fn(a) for a in grid]
     k = int(np.argmax(values))
-    lo = max(tau0, float(grid[k]) - grid_step)
-    hi = min(1.0, float(grid[k]) + grid_step)
+    lo = max(tau0, grid[k] - grid_step)
+    hi = min(1.0, grid[k] + grid_step)
     alpha, value = golden_max(threshold_fn, lo, hi, tol=refine_tol)
-    candidates = [(value, alpha), (values[k], float(grid[k]))]
+    candidates = [(value, alpha), (values[k], grid[k])]
     for edge in (tau0, 1.0):
         candidates.append((threshold_fn(edge), edge))
     value, alpha = max(candidates, key=lambda t: t[0])

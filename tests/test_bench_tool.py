@@ -146,3 +146,15 @@ def test_a_tree_outside_git_has_no_commit(tmp_path, capfd):
     (tmp_path / "sub").mkdir()
     assert bench.commit_of(tmp_path / "sub") == {"commit": None, "dirty": None}
     assert "fatal" not in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("pairs", [["--pairs", "0"], ["--pairs=-1"]])
+def test_fewer_than_one_pair_is_refused(tmp_path, capsys, pairs):
+    # no run gives no median: the count is refused before anything runs,
+    # and no file is written
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exit_info:
+        bench.main([str(out), *pairs])
+    assert exit_info.value.code == 2
+    assert "--pairs: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()

@@ -28,6 +28,8 @@ from conftest import (
     make_config,
     outer_best_response_oracle,
     plain_bisect_threshold,
+    recording,
+    scan_grid,
 )
 
 REWARD = RewardModel()
@@ -245,8 +247,10 @@ def test_gaussian_steps_build_no_coefficients(monkeypatch):
 def test_robust_best_response_monotone_and_oracle():
     config = make_config(n=5, x_hat=50.0)
     profile = [0.6] * 5
-    response = robust_best_response_gaussian(0, profile, config)
-    hist = response.u_history
+    hist = []
+    response = robust.alternate(0, profile, config, recording(subproblem_threshold_gaussian, hist),
+                                subproblem_strategy_gaussian, None)
+    assert response == robust_best_response_gaussian(0, profile, config)
     assert all(hist[i + 1] >= hist[i] - 1e-9 for i in range(len(hist) - 1))
     params = config.miners[0]
     load = 4 * 0.6 * 50.0
@@ -401,10 +405,28 @@ def test_climb_scores_incoming_alpha_once(monkeypatch):
     assert 0 < sum(a in grid for a in scored) < 41  # the climb ran, not the scan
 
 
+def _grid_reads(monkeypatch, case):
+    """The Gaussian step on ``case``, and how often it read the slack at each
+    point of its scan grid."""
+    reads = []
+    strategy_slack = bti._strategy_slack
+
+    def counted_slack(*args):
+        slack, error = strategy_slack(*args)
+        return _counted(slack, reads), error
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bti, "_strategy_slack", counted_slack)
+        got = subproblem_strategy_gaussian(*case)
+    tau0 = case[5]
+    grid = scan_grid(tau0, 1.0, max((1.0 - tau0) / 40.0, 1e-4))
+    return got, [sum(a == x for (a,) in reads) for x in grid]
+
+
 @pytest.mark.parametrize("offset", [0, 1, -1])
 def test_a_nan_slack_runs_the_full_scan(monkeypatch, offset):
-    # a NaN at the climb's start or at a neighbour it scores: the step falls
-    # back to the full scan, which reads the NaN as np.argmax does
+    # a NaN at the climb's start or at a neighbour it reads: the scan reads
+    # every grid point, each once, and reads the NaN as np.argmax does
     params, load, eps, tau0, alpha_in = make_config().miners[0], 110.0, 0.1, 0.5, 0.7123
     u = subproblem_threshold_gaussian(alpha_in, load, params, REWARD, eps)
     step = (1.0 - tau0) / 40.0
@@ -421,25 +443,21 @@ def test_a_nan_slack_runs_the_full_scan(monkeypatch, offset):
 
     monkeypatch.setattr(bti, "_strategy_slack", holed_slack)
     case = (u - 1.0, alpha_in, load, params, REWARD, tau0, eps)
-    full_scans = []
-    monkeypatch.setattr(_search, "_grid_max", _counted(_search._grid_max, full_scans))
-    got = subproblem_strategy_gaussian(*case)
-    assert len(full_scans) == 1
+    got, reads = _grid_reads(monkeypatch, case)
+    assert reads == [1] * 41
     assert repr(got) == repr(_full_scan_steps(monkeypatch, [case])[0])
 
 
 def test_a_failed_curvature_check_runs_the_full_scan(monkeypatch):
     # kappa / K is at least about 1 / (2 L), so in float the check fails only
     # where its terms overflow: sigma^2 (1 + L) does here, though cost sigma^2
-    # does not
+    # does not; the infinite error has the climb read every grid point, once
     params = MinerParams(x_hat=55.0, sigma2=1e306, cost=1e-300)
     case = (-1e3, 0.7, 110.0, params, REWARD, 0.5, 1e-300)
     _, error = bti._strategy_slack(-1e3, 110.0, params, REWARD, 1e-300)
     assert error == math.inf
-    full_scans = []
-    monkeypatch.setattr(_search, "_grid_max", _counted(_search._grid_max, full_scans))
-    got = subproblem_strategy_gaussian(*case)
-    assert len(full_scans) == 1
+    got, reads = _grid_reads(monkeypatch, case)
+    assert reads == [1] * 41
     assert repr(got) == repr(_full_scan_steps(monkeypatch, [case])[0])
 
 

@@ -16,7 +16,6 @@ from powgame import (
     certify,
     others_load,
     robust_best_response,
-    robust_best_response_gaussian,
     solve_equilibrium,
     subproblem_strategy,
     subproblem_strategy_gaussian,
@@ -25,7 +24,7 @@ from powgame import (
     utility,
     worstcase_cvar,
 )
-from powgame import SolverError, _search, bti, cvar, robust
+from powgame import SolverError, bti, cvar, robust
 from powgame._search import _first_argmax, scan_golden_max
 from powgame.cli import load_scenario
 from powgame.deterministic import best_response
@@ -42,7 +41,9 @@ from conftest import (
     make_config,
     outer_best_response_oracle,
     plain_bisect_threshold,
+    recording,
     reference_worstcase_cvar,
+    scan_grid,
     sqrt_moment_matrix,
     two_point_batch,
 )
@@ -293,8 +294,9 @@ def test_subproblem_strategy_matches_exhaustive_scan():
 def test_robust_best_response_monotone_and_oracle():
     config = make_config(n=5, x_hat=50.0)
     profile = [0.6] * 5
-    response = robust_best_response(0, profile, config)
-    hist = response.u_history
+    hist = []
+    response = robust.alternate(0, profile, config, recording(subproblem_threshold, hist), subproblem_strategy, None)
+    assert response == robust_best_response(0, profile, config)
     assert all(hist[i + 1] >= hist[i] - 1e-9 for i in range(len(hist) - 1))
     params = config.miners[0]
     load = 4 * 0.6 * 50.0
@@ -357,18 +359,24 @@ def test_strategy_step_never_certifies_a_nan_slack(sigma):
 
 
 @pytest.mark.parametrize(
-    "best_response_fn",
-    [robust_best_response, robust_best_response_gaussian],
+    "steps",
+    [(subproblem_threshold, subproblem_strategy),
+     (subproblem_threshold_gaussian, subproblem_strategy_gaussian)],
     ids=["dro_cvar", "gaussian_bti"],
 )
-def test_robust_best_response_iteration_cap(monkeypatch, best_response_fn):
+def test_robust_best_response_iteration_cap(monkeypatch, steps):
+    # on the cap the error carries the last iterate: the threshold step's
+    # fourth value, after the starting step and three iterations
     config = make_config(n=5, x_hat=50.0)
     monkeypatch.setattr(robust, "AO_TOL", -1.0)
     monkeypatch.setattr(robust, "AO_CAP", 3)
+    threshold, strategy = steps
+    thresholds = []
     with pytest.raises(ConvergenceError) as err:
-        best_response_fn(0, [0.6] * 5, config)
-    assert err.value.last is not None
-    assert len(err.value.last.u_history) == 4
+        robust.alternate(0, [0.6] * 5, config, recording(threshold, thresholds), strategy, None)
+    last = err.value.last
+    assert last.iterations == 3 and len(thresholds) == 4
+    assert last.u_min == thresholds[-1]
 
 
 @pytest.mark.parametrize("backend", ["dro_cvar", "gaussian_bti"])
@@ -414,8 +422,11 @@ def test_robust_best_response_certificate_is_final_iterate():
     # instance
     config = make_config(n=5, x_hat=50.0, tau0=0.1)
     profile = [0.3] * 5
-    response = robust_best_response(0, profile, config)
-    assert response.u_history[0] < response.u_min
+    thresholds = []
+    response = robust.alternate(0, profile, config, recording(subproblem_threshold, thresholds),
+                                subproblem_strategy, None)
+    assert response == robust_best_response(0, profile, config)
+    assert thresholds[0] < response.u_min
     params = config.miners[0]
     load = 4 * 0.3 * 50.0
     cert = certify(response.alpha, response.u_min, load, params, REWARD, config.epsilon)
@@ -822,20 +833,21 @@ def test_strategy_grid_reads_few_ceilings_on_configs(monkeypatch):
     # the climb reads a few ceilings next to the incoming alpha, of the 41
     # a full scan reads, in every cvar strategy step of configs/*.json
     reads = []
-    climb = _search._climb_max
+    scan = robust.scan_golden_max
 
-    def counted(g, *args):
+    def counted(f, lo, hi, step, bounds, **hints):
         calls = []
 
-        def read(x):
+        def reading(x):
             calls.append(x)
-            return g(x)
+            return bounds(x)
 
-        found = climb(read, *args)
-        reads.append(len(calls))
+        found = scan(f, lo, hi, step, bounds=reading, **hints)
+        grid = scan_grid(lo, hi, step)
+        reads.append(sum(x in grid for x in calls))
         return found
 
-    monkeypatch.setattr(_search, "_climb_max", counted)
+    monkeypatch.setattr(robust, "scan_golden_max", counted)
     for path in sorted((Path(__file__).parent.parent / "configs").glob("*.json")):
         scenario = load_scenario(path)
         assert solve_equilibrium(scenario.config, "dro_cvar", initial_alpha=scenario.initial_alpha).converged
@@ -980,10 +992,10 @@ def test_scan_with_a_ceiling_matches_the_exact_scan(name):
     def bounds(x):
         return floor(x), ceiling(x)
 
-    def logged(log):
+    def logged(g, log):
         def wrapper(x):
             log.append(x)
-            return f(x)
+            return g(x)
 
         return wrapper
 
@@ -992,15 +1004,24 @@ def test_scan_with_a_ceiling_matches_the_exact_scan(name):
               (1.0, 1.0, 0.0125), (0.9, 0.4, 0.02))
     for lo, hi, step in ranges:
         exact_calls, calls = [], []
-        expected = grid_scan_max(logged(exact_calls), lo, hi, step, 1e-6)
-        # repr, so that NaN matches NaN
-        assert repr(scan_golden_max(f, lo, hi, step, 1e-6, bounds=bounds)) == repr(expected)
-        # a climb on the ceilings with an error wider than any finite gap between them
-        climbed = scan_golden_max(f, lo, hi, step, 1e-6, bounds=bounds, error=8.0, start=0.5 * (lo + hi))
-        assert repr(climbed) == repr(expected)
-        # without bounds: scored once per point, in order, but for the
+        expected = grid_scan_max(logged(f, exact_calls), lo, hi, step, 1e-6)
+        grid = scan_grid(lo, hi, step) if lo < hi else []
+        # a climb with an error wider than any finite gap between the values,
+        # or with none (None, inf, NaN), which reads every point; with bounds
+        # on the ceilings, without on f, and from the first point or the middle
+        for error, has_bounds, start in itertools.product(
+            (None, math.inf, math.nan, 8.0), (False, True), (None, 0.5 * (lo + hi))
+        ):
+            values, ceilings = [], []
+            hints = {"bounds": logged(bounds, ceilings)} if has_bounds else {}
+            got = scan_golden_max(logged(f, values), lo, hi, step, 1e-6, error=error, start=start, **hints)
+            assert repr(got) == repr(expected), (error, has_bounds, start)  # repr, so that NaN matches NaN
+            for log in (values, ceilings):  # no grid point is read twice
+                on_grid = [x for x in log if x in grid]
+                assert len(on_grid) == len(set(on_grid)), (error, has_bounds, start)
+        # without hints: scored once per point, in order, but for the
         # golden section's last probe, which no comparison reads
-        assert repr(scan_golden_max(logged(calls), lo, hi, step, 1e-6)) == repr(expected)
+        assert repr(scan_golden_max(logged(f, calls), lo, hi, step, 1e-6)) == repr(expected)
         assert calls == (exact_calls[:-2] + exact_calls[-1:] if lo < hi else exact_calls)
 
 

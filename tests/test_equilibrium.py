@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from powgame import (
-    robust_best_response,
+    robust,
     robust_best_response_gaussian,
     solve_equilibrium,
+    subproblem_strategy,
     subproblem_threshold,
 )
 
-from conftest import grid_best_response, make_config
+from conftest import grid_best_response, make_config, recording
 
 
 def test_unknown_mode_rejected(reference_config):
@@ -117,6 +118,7 @@ def test_ao_histories_monotone_along_equilibrium_path(reference_config):
     result = solve_equilibrium(reference_config, "dro_cvar")
     for alphas, _ in result.trace:
         for j in range(reference_config.n_miners):
-            response = robust_best_response(j, np.array(alphas), reference_config)
-            hist = response.u_history
+            hist = []
+            robust.alternate(j, np.array(alphas), reference_config,
+                             recording(subproblem_threshold, hist), subproblem_strategy, None)
             assert all(hist[i + 1] >= hist[i] - 1e-9 for i in range(len(hist) - 1))

@@ -166,11 +166,20 @@ def document(spec: dict, results: dict, trees: dict, tier1: dict) -> dict:
     }
 
 
+def positive_int(text: str) -> int:
+    """``--pairs``'s type: a run count of at least 1, since no run gives no
+    median to record."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="file to write, e.g. BENCH_24.json")
     parser.add_argument("--parent", type=Path, help="checkout of the parent commit to pair against")
-    parser.add_argument("--pairs", type=int, default=3, help="pairs (or runs, without --parent) per workload")
+    parser.add_argument("--pairs", type=positive_int, default=3, help="pairs (or runs, without --parent) per workload")
     args = parser.parse_args(argv)
     parent = args.parent.resolve() if args.parent else None
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
