@@ -1,9 +1,9 @@
 """The strategy step's scalar search: a dense scan, then golden-section refinement.
 
 ``scan_golden_max`` takes the first maximum of a grid, as ``np.argmax``
-picks it, and refines it by golden section.  Its hints spare evaluations of
-``f``; the result is the one every exact evaluation would give, float for
-float.
+picks it where the grid holds no NaN, and refines it by golden section.
+Its hints spare evaluations of ``f``; the result is the one every exact
+evaluation would give, float for float.
 
 One reader climbs the grid.  It reads ``f``, or with ``bounds`` the
 ceilings, from the point nearest ``start`` (the first point without one),
@@ -32,12 +32,14 @@ every point is read once, in order.
   overlap are both probes scored, and a surviving probe may stay unscored
   for the next comparison.
 
-A NaN has no order.  A NaN bound decides nothing, and a NaN reading or
-value on the grid sends every grid point through ``f`` (``_grid_max``, the
-full scan), which reuses the values already read.  A NaN value at a point
-its bounds have already decided is not seen, so ``f`` may be NaN only where
-its floor and ceiling are NaN too.  The golden section scores a probe only
-when a comparison reads it, so it skips the last probe, which none does.
+A NaN has no order, so a NaN on the grid certifies nothing: the first NaN
+reading, or NaN value of ``f``, that the scan meets on the grid ends it
+with ``(lo, nan)``.  No reading is NaN where the claim of ``error`` holds,
+and a climb may leave a NaN out where it does not.  A value that its
+ceiling has decided is not read, so with ``bounds`` ``f`` may be NaN on the
+grid only where the ceiling is NaN too.  In the golden section a NaN bound
+decides nothing, and a probe is scored only when a comparison reads it, so
+the last probe, which none does, is skipped.
 """
 
 from __future__ import annotations
@@ -49,18 +51,9 @@ import numpy as np
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _grid_max(f, points):
-    """(k, f(points[k])) for the first k of a maximum, or of a NaN, as
-    ``np.argmax`` picks it: the full scan."""
-    vals = [f(x) for x in points]
-    k = _first_argmax(vals)
-    return k, vals[k]
-
-
-def _read_grid(f, points, step, bounds, error, start, values):
-    """``_grid_max``'s result from the climb of the module docstring, or
-    None on a NaN; it puts the values of ``f`` it reads in the list
-    ``values``, by index.
+def _read_grid(f, points, step, bounds, error, start):
+    """(k, f(points[k])) for the grid's first maximum, by the climb of the
+    module docstring, or None at the first NaN reading or value it meets.
 
     The window [l, r] grows at an end while its reading is not more than
     ``2 * error`` below the best, at k.  Once the reading at r is, the
@@ -72,7 +65,7 @@ def _read_grid(f, points, step, bounds, error, start, values):
     margin = 2.0 * error if error is not None and 0.0 <= error < math.inf else math.inf
     k = 0 if start is None else int(min(max(0.0, (start - points[0]) / step), n - 1.0) + 0.5)  # nearest
     read = f if bounds is None else lambda x: bounds(x)[1]
-    got = values if bounds is None else [None] * n  # the climb's readings, by index
+    got = [None] * n  # the climb's readings, by index
     best = got[k] = read(points[k])
     if best != best:
         return None
@@ -98,55 +91,38 @@ def _read_grid(f, points, step, bounds, error, start, values):
             return k, best
         else:
             break
-    best = -math.inf
+    best, k = -math.inf, n
     for i in sorted(range(l, r + 1), key=got.__getitem__, reverse=True):
         if got[i] < best:
             break
-        value = values[i] = f(points[i])
-        if value > best:
-            best = value
+        value = f(points[i])
+        if value > best or value == best and i < k:
+            k, best = i, value
         elif value != value:
             return None
-    k = min(i for i in range(l, r + 1) if values[i] == best)
-    return k, values[k]
-
-
-def _first_argmax(values):
-    """Index of the first maximum of ``values``, or of their first NaN, as
-    ``np.argmax`` picks it."""
-    k, best = 0, values[0]
-    for i, v in enumerate(values):
-        if v > best:
-            k, best = i, v
-        elif v != v:
-            return i
-    return k
+    return k, best
 
 
 def scan_golden_max(f, lo, hi, step, tol=1e-6, bounds=None, error=None, start=None):
-    """Maximize ``f`` on [lo, hi]: a scan at ``step`` resolution, then golden
-    section on the two cells around the best grid point, to width ``tol``.
+    """Maximize ``f`` on [lo, hi], lo < hi: a scan at ``step`` resolution,
+    then golden section on the two cells around the best grid point, to
+    width ``tol``; ``(lo, nan)`` once the scan meets a NaN on the grid.
 
     ``bounds``, ``error`` and ``start`` are the hints of the module
     docstring: they spare evaluations, and the result is the same with or
     without them.
     """
-    if hi <= lo:
-        return lo, f(lo)
     points = np.arange(lo, hi + 0.5 * step, step).tolist()
     points[-1] = min(points[-1], hi)
-    values = [None] * len(points)  # f on the grid, where read
-    found = _read_grid(f, points, step, bounds, error, start, values)
-    if found is None:  # a NaN: the full scan, which reuses the values read
-        found = _grid_max(lambda i: f(points[i]) if values[i] is None else values[i], range(len(points)))
+    found = _read_grid(f, points, step, bounds, error, start)
+    if found is None:  # a NaN on the grid certifies nothing
+        return lo, math.nan
     k, grid_best = found
     grid_x = points[k]
     lo, hi = _golden(f, bounds, max(lo, grid_x - step), min(hi, grid_x + step), tol)
     x = 0.5 * (lo + hi)
-    best_x, best_f = x, f(x)
-    if grid_best > best_f:
-        best_x, best_f = grid_x, grid_best
-    return best_x, best_f
+    value = f(x)
+    return (grid_x, grid_best) if grid_best > value else (x, value)
 
 
 def _golden(f, bounds, lo, hi, tol):

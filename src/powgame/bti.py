@@ -145,7 +145,7 @@ def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsil
     at most M, to a few roundings, so E is computed from 2 M: a finite E
     means that no term overflows and the slack is never NaN.  A failed kappa
     check sets E to inf, and an overflowing term makes it inf or NaN; the
-    scan then scores every grid point.
+    scan then scores every grid point, or stops at the first NaN slack.
     """
     _check_epsilon(epsilon)
     log_eps = math.log(epsilon)

@@ -134,8 +134,8 @@ def _v(t0, d0, k, epsilon, beta):
 def _beta_search(t0, d0, k, epsilon, scale) -> tuple[float, float]:
     """(min value, argmin beta) of v by bracketed golden section.
 
-    Starting from [-scale, scale], the bracket grows until its midpoint beats
-    both ends (at most 80 times); golden section then narrows it to
+    Starting from [-scale, scale], each end whose v is below v at the
+    midpoint grows (at most 80 times); golden section then narrows it to
     1e-13 * (1 + |lo| + |hi|) (at most 300 steps) and returns v at the
     midpoint.  The golden loop, about 60 v a search and the solver's hottest
     code, writes ``_v`` out inline.  The bracket calls ``_v``: on the
@@ -148,8 +148,8 @@ def _beta_search(t0, d0, k, epsilon, scale) -> tuple[float, float]:
     f_lo, f_hi = _v(t0, d0, k, epsilon, lo), _v(t0, d0, k, epsilon, hi)
     for _ in range(80):
         f_mid = _v(t0, d0, k, epsilon, 0.5 * (lo + hi))
-        grow_lo, grow_hi = f_lo <= f_mid, f_hi <= f_mid
-        if not (grow_lo or grow_hi):  # the midpoint beats both ends, or a NaN stops growth
+        grow_lo, grow_hi = f_lo < f_mid, f_hi < f_mid
+        if not (grow_lo or grow_hi):  # a tie brackets a convex minimum, and a NaN stops growth
             break
         width = hi - lo
         if grow_lo:
@@ -425,8 +425,8 @@ def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsil
     the benchmark's solve-cvar games G is 1.3e-12 to 8.3e-12 times sc /
     eps).
 
-    - Growth.  ``_beta_search`` grows [-sc, sc] while its midpoint does not
-      beat an end.  By (F1) each comparison is one of h, up to S / eps +
+    - Growth.  ``_beta_search`` grows an end of [-sc, sc] whose v is below
+      v at its midpoint.  By (F1) each comparison is one of h, up to S / eps +
       2 delta.  With the vertex at the fraction p of the bracket, once the
       width exceeds 2 S / mu, a left end grows only if p <= eps / 2 + gam
       and a right one only if p >= (1 + eps) / 2 - gam, with gam = (S +
@@ -437,12 +437,13 @@ def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsil
       2^-43 kept between eps and 1/2 leaves room for.  Each growth
       triples the width (it quintuples only below 2 S / mu), so the search
       stops within a width of W sc, W = max(18, 91 r, 217 q / |1 - 2 eps|)
-      + 1.  At eps = 1/2 a V can tie at every growth up to the cap of 80:
-      ``_beta_search(-1.0, 0.0, 0.0, 0.5, 2.0)`` returns 793 for a minimum
-      of -1.  So gap is inf near eps = 1/2.
+      + 1.  At eps = 1/2 this bounds no run of growths, so gap is inf
+      near it.  (Growth on ties, which bracket the minimum already, would
+      take the V of ``_beta_search(-1.0, 0.0, 0.0, 0.5, 2.0)``, least at
+      beta = -1, to the cap of 80.)
     - A grown bracket that misses beta* ends within S / mu of it, while the
-      midpoint that beat that end lies sc or more inside; by convexity v at
-      the end exceeds min v by at most 2 delta r.
+      midpoint that the end did not beat lies sc or more inside; by
+      convexity v at the end exceeds min v by at most 2 delta r.
     - Golden section.  The winners of its comparisons have non-increasing
       float values.  The first comparison that drops the bracket's least
       point z does so between probes x1 < x2 on one side of it, whose v
@@ -523,8 +524,8 @@ def subproblem_threshold(
     A step that fails where v's constants overflow float at its starting
     floor (``robust.threshold_floor``; from a total reward of about 1.5e153
     with the default miners, where d0 = s2 (a2 a0 - a1^2 / 4) does) says
-    so: no probe there was decided, so "no feasible threshold" would be
-    wrong.  The check runs once, on failure.
+    so, naming its inputs: no probe there was decided, so "no feasible
+    threshold" would be wrong.  The check runs once, on failure.
     """
     margin = _threshold_certifier(alpha, load, params, reward, epsilon)
     try:
@@ -534,7 +535,8 @@ def subproblem_threshold(
         _, _, _, t0, d0, k, _ = _threshold_terms(alpha, floor, load, params, reward)
         if not (math.isfinite(t0) and math.isfinite(d0) and math.isfinite(k)):
             raise SolverError(
-                f"the worst-case CVaR certificate overflows float at total reward {reward.total:g}"
+                f"the worst-case CVaR certificate overflows float at total reward {reward.total:g}, "
+                f"cost {params.cost:g}, nominal resource {params.nominal:g} and variance {params.sigma2:g}"
             ) from None
         raise
 

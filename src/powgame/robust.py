@@ -171,7 +171,8 @@ def _bracket(margin, lo, m_lo, hi, m_hi):
 
 def scan_strategy(slack, alpha_in, tau0, bounds=None, error=None):
     """(alpha, slack, feasible) maximizing ``slack`` over [tau0, 1]; when no
-    alpha certifies, the incoming alpha with ``feasible=False``.
+    alpha certifies, or the scan meets a NaN on its grid and returns (tau0,
+    nan), the incoming alpha with ``feasible=False``.
 
     ``bounds`` and ``error``, the scan's hints (see ``_search``), spare
     evaluations without changing the result.  The scan climbs its grid from

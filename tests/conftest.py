@@ -228,8 +228,6 @@ def grid_scan_max(f, lo, hi, step, tol=1e-6):
     ``_search.scan_golden_max`` must return exactly this, whatever hint it
     is given.
     """
-    if hi <= lo:
-        return lo, f(lo)
     grid = scan_grid(lo, hi, step)
     vals = [f(a) for a in grid]
     k = int(np.argmax(vals))
@@ -478,13 +476,13 @@ def expand_bracket_min(f, lo, hi, max_expand=80):
     mid = 0.5 * (lo + hi)
     f_mid = f(mid)
     for _ in range(max_expand):
-        if f_lo > f_mid and f_hi > f_mid:
+        if not (f_lo < f_mid or f_hi < f_mid):  # a tie with an end brackets a convex minimum
             break
         width = hi - lo
-        if f_lo <= f_mid:
+        if f_lo < f_mid:
             lo -= 2.0 * width
             f_lo = f(lo)
-        if f_hi <= f_mid:
+        if f_hi < f_mid:
             hi += 2.0 * width
             f_hi = f(hi)
         mid = 0.5 * (lo + hi)

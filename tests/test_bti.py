@@ -367,14 +367,33 @@ def test_climb_equals_the_full_scan_within_the_error_it_is_given():
 
 def test_climb_equals_the_full_scan_on_wide_steps(monkeypatch):
     # the climb scores the grid points next to the peak only; the step must
-    # return what scoring every point returns, float for float, and here the
-    # full scan never has to run
+    # return what scoring every point returns, float for float, and here no
+    # step reads a grid point twice or meets a NaN there
     rng = np.random.default_rng(24)
     cases = [_wide_gaussian_step(rng) for _ in range(20_000)]
-    full_scans = []
-    monkeypatch.setattr(_search, "_grid_max", _counted(_search._grid_max, full_scans))
-    steps = [subproblem_strategy_gaussian(*case) for case in cases]
-    assert full_scans == []
+    reads, strategy_slack = [], bti._strategy_slack
+
+    def reading_slack(*args):
+        slack, error = strategy_slack(*args)
+
+        def read(a):
+            value = slack(a)
+            reads[-1].append((a, value))
+            return value
+
+        return read, error
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bti, "_strategy_slack", reading_slack)
+        steps = []
+        for case in cases:
+            reads.append([])
+            steps.append(subproblem_strategy_gaussian(*case))
+    for case, step_reads in zip(cases, reads):
+        grid = set(scan_grid(case[5], 1.0, max((1.0 - case[5]) / 40.0, 1e-4)))
+        on_grid = [(a, value) for a, value in step_reads if a in grid]
+        assert len({a for a, _ in on_grid}) == len(on_grid), case
+        assert not any(math.isnan(value) for _, value in on_grid), case
     expected = _full_scan_steps(monkeypatch, cases)
     mismatched = [(case, got, want) for case, got, want in zip(cases, steps, expected) if repr(got) != repr(want)]
     assert mismatched[:3] == []
@@ -383,9 +402,9 @@ def test_climb_equals_the_full_scan_on_wide_steps(monkeypatch):
 
 def test_climb_scores_incoming_alpha_once(monkeypatch):
     # a counting wrapper around the slack keeps the climb, since the slack's
-    # error bound is an argument of the scan: the full scan never runs, the
-    # climb scores fewer than the 41 grid points, and 0.7123, off the grid,
-    # is scored once, by the incoming rule
+    # error bound is an argument of the scan: the climb scores fewer than the
+    # 41 grid points, and 0.7123, off the grid, is scored once, by the
+    # incoming rule
     alpha_in, load, eps = 0.7123, 110.0, 0.1
     params = make_config().miners[0]
     u = subproblem_threshold_gaussian(alpha_in, load, params, REWARD, eps)
@@ -394,11 +413,8 @@ def test_climb_scores_incoming_alpha_once(monkeypatch):
     def scanning(slack, alpha_in, tau0, error=None):
         return original(_counted(slack, scored), alpha_in, tau0, error=error)
 
-    full_scans = []
     monkeypatch.setattr(bti, "scan_strategy", scanning)
-    monkeypatch.setattr(_search, "_grid_max", _counted(_search._grid_max, full_scans))
     subproblem_strategy_gaussian(u - 1.0, alpha_in, load, params, REWARD, 0.5, eps)
-    assert full_scans == []
     scored = [a for (a,) in scored]
     assert scored.count(alpha_in) == 1
     grid = np.arange(0.5, 1.0 + 0.5 * 0.0125, 0.0125).tolist()
@@ -423,10 +439,12 @@ def _grid_reads(monkeypatch, case):
     return got, [sum(a == x for (a,) in reads) for x in grid]
 
 
-@pytest.mark.parametrize("offset", [0, 1, -1])
-def test_a_nan_slack_runs_the_full_scan(monkeypatch, offset):
-    # a NaN at the climb's start or at a neighbour it reads: the scan reads
-    # every grid point, each once, and reads the NaN as np.argmax does
+@pytest.mark.parametrize("offset", [0, 1, -1, 5])
+def test_a_nan_slack_the_climb_meets_certifies_nothing(monkeypatch, offset):
+    # a NaN at the climb's start or at a neighbour it reads ends the scan
+    # before it reads every grid point, and the step keeps the incoming
+    # alpha, infeasible; five points away the climb never reaches the hole,
+    # and the step is the clean one
     params, load, eps, tau0, alpha_in = make_config().miners[0], 110.0, 0.1, 0.5, 0.7123
     u = subproblem_threshold_gaussian(alpha_in, load, params, REWARD, eps)
     step = (1.0 - tau0) / 40.0
@@ -441,11 +459,18 @@ def test_a_nan_slack_runs_the_full_scan(monkeypatch, offset):
 
         return holed, error
 
-    monkeypatch.setattr(bti, "_strategy_slack", holed_slack)
     case = (u - 1.0, alpha_in, load, params, REWARD, tau0, eps)
+    clean = subproblem_strategy_gaussian(*case)
+    monkeypatch.setattr(bti, "_strategy_slack", holed_slack)
     got, reads = _grid_reads(monkeypatch, case)
-    assert reads == [1] * 41
-    assert repr(got) == repr(_full_scan_steps(monkeypatch, [case])[0])
+    assert max(reads) == 1
+    if offset == 5:
+        assert reads[round((target - tau0) / step)] == 0
+        assert repr(got) == repr(clean)
+    else:
+        assert sum(reads) < 41
+        incoming = holed_slack(u - 1.0, load, params, REWARD, eps)[0](alpha_in)
+        assert repr(got) == repr((alpha_in, incoming, False))
 
 
 def test_a_failed_curvature_check_runs_the_full_scan(monkeypatch):
@@ -520,10 +545,8 @@ def test_heterogeneous_solve_does_the_same_work(monkeypatch):
     # machine-independent work counts of one gaussian_bti solve of
     # configs/heterogeneous.json: the strategy and threshold steps are those
     # of the full scan (12 and 22), the climb and the golden section leave
-    # 303 slack evaluations of the 780 that scoring every point takes, and
-    # the full scan never runs
+    # 303 slack evaluations of the 780 that scoring every point takes
     counts = {"steps": 0, "thresholds": 0, "slacks": 0}
-    full_scans = []
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -541,9 +564,7 @@ def test_heterogeneous_solve_does_the_same_work(monkeypatch):
     monkeypatch.setattr(bti, "subproblem_strategy_gaussian", counted(bti.subproblem_strategy_gaussian, "steps"))
     monkeypatch.setattr(bti, "subproblem_threshold_gaussian", counted(bti.subproblem_threshold_gaussian, "thresholds"))
     monkeypatch.setattr(bti, "_strategy_slack", counted_slack)
-    monkeypatch.setattr(_search, "_grid_max", _counted(_search._grid_max, full_scans))
     scenario = load_scenario(Path(__file__).parent.parent / "configs" / "heterogeneous.json")
     result = solve_equilibrium(scenario.config, "gaussian_bti", initial_alpha=scenario.initial_alpha)
     assert result.converged
     assert counts == {"steps": 12, "thresholds": 22, "slacks": 303}
-    assert full_scans == []

@@ -303,7 +303,8 @@ def test_sweep_records_failed_points(tmp_path, capsys):
         assert "no feasible threshold above" in line
 
 
-CVAR_OVERFLOW = "the worst-case CVaR certificate overflows float at total reward 1e+155"
+CVAR_OVERFLOW = ("the worst-case CVaR certificate overflows float at total reward 1e+155, cost 60, "
+                 "nominal resource 55 and variance 100")
 
 
 def test_sweep_names_an_overflowing_cvar_certificate(tmp_path, capsys):
@@ -329,6 +330,20 @@ def test_solve_exits_2_on_an_overflowing_cvar_certificate(tmp_path):
     )
     assert result.returncode == 2
     assert result.stderr == f"solver error: {CVAR_OVERFLOW}\n"
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"miners": 3, "unit_cost": 1e200}, "cost 1e+200"),
+    ({"miners": 3, "resources": {"mode": "homogeneous", "x_hat": 1e200}, "x_max": 1e200},
+     "nominal resource 1e+200"),
+], ids=["cost", "resource"])
+def test_an_overflowing_cvar_certificate_names_the_large_input(tmp_path, capsys, doc, named):
+    # the total reward is ordinary here; the message names the input that overflowed
+    config = write_config(tmp_path, {**doc, "mode": "cvar"})
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: the worst-case CVaR certificate overflows float at total reward 8000, ")
+    assert named in err
 
 
 BAD_SWEEP_VALUES = [  # (axis, --values): each value the game rejects, or a fractional count
