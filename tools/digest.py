@@ -34,11 +34,11 @@ AXES = ("epsilon", "fixed_reward", "unit_cost", "num_miners")  # powgame.cli.SWE
 def calls(config_names: list[str]) -> list[list[str]]:
     """The CLI argv of every call, in run order, each writing its own
     ``out/<config>/<mode>/<verb>`` directory."""
-    verbs = [("solve", []), ("validate", []), *((f"sweep-{axis}", ["--axis", axis]) for axis in AXES)]
+    runs = [("solve", "solve", []), ("validate", "validate", []),
+            *(("sweep", f"sweep-{axis}", ["--axis", axis]) for axis in AXES)]
     return [
-        [verb.split("-")[0], "--config", f"configs/{name}", "--out", f"out/{Path(name).stem}/{mode}/{verb}",
-         "--mode", mode, *extra]
-        for name in config_names for mode in MODES for verb, extra in verbs
+        [verb, "--config", f"configs/{name}", "--out", f"out/{Path(name).stem}/{mode}/{out}", "--mode", mode, *extra]
+        for name in config_names for mode in MODES for verb, out, extra in runs
     ]
 
 
