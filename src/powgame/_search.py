@@ -32,6 +32,11 @@ every point is read once, in order.
   overlap are both probes scored, and a surviving probe may stay unscored
   for the next comparison.
 
+``robust.scan_strategy`` takes one more hint, ``curvature``, with which it
+may skip this scan altogether; it states that claim itself.  The grid of a
+(lo, hi, step) is built once and kept, since a solve scans the same one at
+every step.
+
 A NaN has no order, so a NaN on the grid certifies nothing: the first NaN
 reading, or NaN value of ``f``, that the scan meets on the grid ends it
 with ``(lo, nan)``.  No reading is NaN where the claim of ``error`` holds,
@@ -44,11 +49,20 @@ the last probe, which none does, is skipped.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+@functools.lru_cache(maxsize=16)
+def _grid(lo, hi, step):
+    """The scan's grid on [lo, hi], its last point clipped to hi, as a tuple."""
+    points = np.arange(lo, hi + 0.5 * step, step).tolist()
+    points[-1] = min(points[-1], hi)
+    return tuple(points)
 
 
 def _read_grid(f, points, step, bounds, error, start):
@@ -112,8 +126,7 @@ def scan_golden_max(f, lo, hi, step, tol=1e-6, bounds=None, error=None, start=No
     docstring: they spare evaluations, and the result is the same with or
     without them.
     """
-    points = np.arange(lo, hi + 0.5 * step, step).tolist()
-    points[-1] = min(points[-1], hi)
+    points = _grid(lo, hi, step)
     found = _read_grid(f, points, step, bounds, error, start)
     if found is None:  # a NaN on the grid certifies nothing
         return lo, math.nan

@@ -100,11 +100,14 @@ def _threshold_certifier(alpha, load, params: MinerParams, reward: RewardModel, 
 
 
 def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsilon):
-    """``(slack(alpha), E)`` at fixed u_min; only the alpha terms vary.
+    """``(slack(alpha), E, kappa_lo)`` at fixed u_min; only the alpha terms
+    vary.
 
     ``E`` is the rounding bound with which ``_search.scan_golden_max``
     climbs to the slack's peak (its ``error``; the module docstring there
-    states the claim).  The claim rests on two facts.
+    states the claim), and ``kappa_lo`` the curvature bound with which
+    ``robust.scan_strategy`` may keep the incoming alpha without a scan (its
+    ``curvature``).  The claims rest on three facts.
 
     **g is concave in alpha.**  With s = u_min - R + cost * load,
     L = -log(eps) and c = sqrt(2 L), for alpha > 0
@@ -146,6 +149,19 @@ def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsil
     means that no term overflows and the slack is never NaN.  A failed kappa
     check sets E to inf, and an overflowing term makes it inf or NaN; the
     scan then scores every grid point, or stops at the first NaN slack.
+
+    **kappa_lo <= kappa.**  kappa_lo is half the float kappa: cost times the
+    float difference d = K' - C' of the check, K' = sigma^2 (1 + L) +
+    mu_bar^2 and C' = c sigma sqrt(sigma^2 + 2 mu_bar^2).  K' is computed
+    within 4 u K', C' within 5 u C' and C' < K', so the float d lies within
+    10 u K' of the exact one.  The check d > 5e-7 K' then bounds that error
+    by 2.1e7 u d < 3e-9 d, and kappa_lo <= (kappa / 2) (1 + 3e-9) < kappa
+    after the product's rounding.  The factor 2 is room, not need.  With E
+    and g'' <= -kappa_lo on all of (0, 1], the secants of the slack at
+    alpha_in -+ 2 sqrt(E / kappa_lo) bound g'(alpha_in) from both sides,
+    and strong concavity then bounds how far g can rise over [tau0, 1]
+    (``robust.scan_strategy`` gives the proof).  A failed kappa check
+    leaves kappa_lo None: no certificate is tried.
     """
     _check_epsilon(epsilon)
     log_eps = math.log(epsilon)
@@ -172,9 +188,11 @@ def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsil
     big_l = -log_eps
     var, mu2 = sigma * sigma, mu_bar * mu_bar
     curvature = var * (1.0 + big_l) + mu2  # K / cost
-    error = math.inf
+    error, kappa_lo = math.inf, None
     # kappa > 1e-6 K, with both sides divided by 2 cost
-    if curvature - c * sigma * math.sqrt(var + 2.0 * mu2) > 5e-7 * curvature:
+    bend = curvature - c * sigma * math.sqrt(var + 2.0 * mu2)
+    if bend > 5e-7 * curvature:
+        kappa_lo = cost * bend  # half the float kappa
         a_mag = cost * var
         p_mag = cost * abs(mu_bar) + abs(half_s)
         d_mag = cost * mu2 + abs(s * mu_bar) + abs(u_load)
@@ -183,7 +201,7 @@ def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsil
         w = sigma_1 * sigma_1 * mu_1 * mu_1 * (1.0 + c + big_l)
         # 32 u M + 32 * 2^-1074 W; m + m is inf where a term nears overflow
         error = 2.0 ** -49 * (m + m) + 2.0 ** -1069 * w
-    return slack, error
+    return slack, error, kappa_lo
 
 
 def subproblem_threshold_gaussian(
@@ -204,8 +222,8 @@ def subproblem_strategy_gaussian(
     u_min feasible for the next threshold step.
     """
     _check_strategy(alpha_in, params.cost, load)
-    slack, error = _strategy_slack(u_min, load, params, reward, epsilon)
-    return scan_strategy(slack, alpha_in, tau0, error=error)
+    slack, error, curvature = _strategy_slack(u_min, load, params, reward, epsilon)
+    return scan_strategy(slack, alpha_in, tau0, error=error, curvature=curvature)
 
 
 def robust_best_response_gaussian(

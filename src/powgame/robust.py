@@ -8,7 +8,9 @@ u_min is certifiable at fixed alpha (NaN certifies nothing), and
 certifiable, with optional hints for the scan: a rounding bound ``error``
 within which it is concave (``bti``), or cheap bounds ``bounds(alpha) =
 (floor, ceiling)`` around it together with an ``error`` within which the
-ceilings are concave (``cvar``); ``_search`` states both.
+ceilings are concave (``cvar``); ``_search`` states both.  ``bti`` also
+passes ``curvature``, a bound on how strongly concave the slack is, with
+which ``scan_strategy`` may keep the incoming alpha without a scan.
 The alternation (``alternate``) sees only the float thresholds and
 strategies the steps return; a back-end with a separate witness builds it
 on request (``cvar.certify``).
@@ -169,32 +171,104 @@ def _bracket(margin, lo, m_lo, hi, m_hi):
     return a, b
 
 
-def scan_strategy(slack, alpha_in, tau0, bounds=None, error=None):
+def scan_strategy(slack, alpha_in, tau0, bounds=None, error=None, curvature=None):
     """(alpha, slack, feasible) maximizing ``slack`` over [tau0, 1]; when no
     alpha certifies, or the scan meets a NaN on its grid and returns (tau0,
     nan), the incoming alpha with ``feasible=False``.
 
-    ``bounds`` and ``error``, the scan's hints (see ``_search``), spare
-    evaluations without changing the result.  The scan climbs its grid from
-    ``alpha_in``, over the slack or, with bounds, over the ceilings.  The
-    incoming alpha is scored once, outside the scan: the margin test below
-    keeps it whenever it beats the scan's best.  tau0 must be in (0, 1),
-    ``GameConfig``'s rule.
+    The incoming alpha is scored once: the margin test below keeps it
+    whenever it beats the scan's best.  ``bounds`` and ``error``, the scan's
+    hints (see ``_search``), spare evaluations without changing the result.
+    The scan climbs its grid from ``alpha_in``, over the slack or, with
+    bounds, over the ceilings.
+
+    ``curvature`` may spare the whole scan.  It is a float kappa > 0 with
+    which the claim of ``error`` (E) extends to (0, 1]: there the slack lies
+    within E of a function g with g'' <= -kappa (``bti`` makes the claim).
+    Strong concavity then bounds g on both sides of a = ``alpha_in`` by
+    g(x) <= g(a) + g'(a) (x - a) - kappa (x - a)^2 / 2 (Nesterov,
+    *Introductory Lectures on Convex Optimization*, 2004, Thm 2.1.10).  So
+    the slack read t away from a, t about h = 2 sqrt(E / kappa), bounds
+    g'(a), the two secants widened by 2 E:
+
+        g'(a) <= (slack(a) - slack(a - t) + 2 E) / t - kappa t / 2,
+        -g'(a) <= (slack(a) - slack(a + t) + 2 E) / t - kappa t / 2.
+
+    At t = h the widening and the kappa term cancel.  A bound D > 0 on the
+    slope toward one side of a caps the gain of g on that side at
+    D^2 / (2 kappa), and a bound D <= 0 at 0; so the gain max g - g(a) over
+    [tau0, 1] is at most Delta, the larger of the two sides' caps.  Only the
+    sides of a that [tau0, 1] has need a bound, and each read must lie in
+    (0, 1]; a side without one certifies nothing.  Every value the scan can
+    return is a slack on [tau0, 1], at most max g + E <= slack(a) + 2 E +
+    Delta.  When that lies below the margin test's bar, the scan's best
+    cannot pass the test, and the step keeps ``alpha_in`` without scanning,
+    as the scan would have.  No NaN on the grid could have ended the scan
+    instead: a slack within a finite E of g is not NaN.  ``_certified``
+    states the rounding.
+
+    tau0 must be in (0, 1), ``GameConfig``'s rule, and ``alpha_in`` at
+    least tau0.
     """
     _check_tau0(tau0)
-    scan_step = max((1.0 - tau0) / 40.0, 1e-4)
-    alpha, best = scan_golden_max(
-        slack, tau0, 1.0, scan_step, tol=ALPHA_TOL, bounds=bounds, error=error, start=alpha_in
-    )
+    if alpha_in < tau0:
+        raise ValueError(f"alpha_in must be at least tau0, got {alpha_in} < {tau0}")
     incoming = slack(alpha_in)
     # move only on improvements that dominate the inner solver noise; without
     # this margin the argmax wobbles at float scale and the best-response
     # iteration around it never settles bit-exactly
-    if best < incoming + 1e-6 * (1.0 + abs(incoming)):
+    bar = incoming + 1e-6 * (1.0 + abs(incoming))
+    if curvature is not None and _certified(slack, alpha_in, tau0, incoming, bar, error, curvature):
         alpha, best = alpha_in, incoming
+    else:
+        scan_step = max((1.0 - tau0) / 40.0, 1e-4)
+        alpha, best = scan_golden_max(
+            slack, tau0, 1.0, scan_step, tol=ALPHA_TOL, bounds=bounds, error=error, start=alpha_in
+        )
+        if best < bar:
+            alpha, best = alpha_in, incoming
     if not best >= 0.0:  # NaN-safe: a NaN slack certifies nothing
         return float(alpha_in), incoming, False
     return float(alpha), float(best), True
+
+
+def _certified(slack, a, tau0, incoming, bar, error, curvature):
+    """True when ``incoming + 2 E + Delta < bar`` holds in real numbers, by
+    ``scan_strategy``'s curvature certificate; False when it cannot tell.
+
+    Rounding, with u = 2^-53: E and kappa lie in [2^-500, 2^500], and both
+    reads in [a / 2, 2 a], so both steps t from a are exact (Sterbenz) and
+    at least h / 2 >= 2^-500.  A side's bound D is then computed within
+    5 u S of the real one, S being the sum of its terms' magnitudes, and
+    2^-49 S, added before the square, covers that and the rounding of the
+    sum.  Rounding the cap 2 E + Delta up by 2^-50 covers the four roundings
+    after D.  No result underflows by more than 2^-1074, or 2^-575 once
+    divided by 2 kappa, far below 2^-49 E; an overflow makes the cap inf or
+    a bound NaN, which certify nothing.  A float sum below ``bar`` comes
+    from a real sum below it.  The cap is tested after each side, so a side
+    that fails spares the other's read.
+    """
+    if not (2.0 ** -500 <= error <= 2.0 ** 500 and 2.0 ** -500 <= curvature <= 2.0 ** 500):
+        return False
+    h = 2.0 * math.sqrt(error / curvature)
+    left, right = a - h, a + h
+    if not 0.5 * a <= left < a < right or (a > tau0 and right > 1.0):
+        return False
+    gain = 0.0
+    for x, side in ((right, a > tau0), (left, a < 1.0)):
+        if side:
+            step = abs(x - a)
+            fall = incoming - slack(x)
+            bend = 0.5 * curvature * step
+            slope = (fall + 2.0 * error) / step - bend
+            slope += 2.0 ** -49 * ((abs(fall) + 2.0 * error) / step + bend)
+            if slope > 0.0:
+                gain = max(gain, slope * slope / (2.0 * curvature))
+            elif not slope <= 0.0:
+                return False
+            if not incoming + (2.0 * error + gain) * (1.0 + 2.0 ** -50) < bar:
+                return False
+    return True
 
 
 def alternate(j, profile, config: GameConfig, threshold, strategy, warm_start) -> BestResponse:

@@ -16,7 +16,8 @@ live here too: the solver uses closed forms and never evaluates them.
 The strategy scan with every point evaluated exactly (``grid_scan_max``,
 with its grid ``scan_grid`` and its ``golden_max``) is kept here as the oracle that
 ``_search.scan_golden_max`` must match float for float, whatever hint it is
-given, and the threshold bisection with every probe evaluated
+given; ``reference_scan_strategy`` wraps it in the incoming-alpha rule as the
+oracle of a whole strategy step, which never skips its scan, and the threshold bisection with every probe evaluated
 (``plain_bisect_threshold``) as the oracle of ``robust.bisect_threshold``,
 which brackets the root first.  The
 reference compositions the solver replays from per-step constants also live
@@ -58,6 +59,7 @@ from powgame import (
 from powgame._search import _INV_PHI
 from powgame.equilibrium import EquilibriumResult, _deterministic_utilities, solve_equilibrium
 from powgame.model import SolverError, _as_arrays, _check_index, others_load
+from powgame import robust
 from powgame.robust import BISECT_TOL, U_FLOOR
 from powgame.validate import (
     _DIST_CODE,
@@ -74,6 +76,7 @@ BAD_STRATEGY = "need 0 < alpha <= 1, cost > 0 and positive rivals' load"
 BAD_EPSILON = r"epsilon must be in \(0,1\)"
 BAD_TAU0 = r"tau0 must be in \(0,1\)"
 BAD_U_LO = "u_lo must be a finite number"
+BAD_ALPHA_IN = "alpha_in must be at least tau0"
 _PARAMS, _REWARD = MinerParams(x_hat=55.0, sigma2=100.0), RewardModel()
 _MOMENTS = MomentMatrix.from_params(_PARAMS)
 
@@ -102,6 +105,7 @@ BAD_STEP_INPUTS = {
     "strategy-alpha_in-nan": (lambda t, s, r: s(0.0, math.nan, 110.0, _PARAMS, _REWARD, 0.5, 0.1), BAD_STRATEGY),
     "strategy-alpha_in-inf": (lambda t, s, r: s(-100.0, math.inf, 110.0, _PARAMS, _REWARD, 0.5, 0.1), BAD_STRATEGY),
     "strategy-alpha_in-1.5": (lambda t, s, r: s(-100.0, 1.5, 110.0, _PARAMS, _REWARD, 0.5, 0.1), BAD_STRATEGY),
+    "strategy-alpha_in-below-tau0": (lambda t, s, r: s(0.0, 0.05, 110.0, _PARAMS, _REWARD, 0.5, 0.1), BAD_ALPHA_IN),
     "strategy-tau0-0": (lambda t, s, r: s(0.0, 0.5, 110.0, _PARAMS, _REWARD, 0.0, 0.1), BAD_TAU0),
     "strategy-tau0-1": (lambda t, s, r: s(0.0, 0.5, 110.0, _PARAMS, _REWARD, 1.0, 0.1), BAD_TAU0),
     "strategy-tau0-1.5": (lambda t, s, r: s(0.0, 0.5, 110.0, _PARAMS, _REWARD, 1.5, 0.1), BAD_TAU0),
@@ -159,6 +163,20 @@ def make_config(
 def reference_config():
     """The homogeneous reference instance: 5 miners, x_hat 55, sigma 10."""
     return make_config()
+
+
+@pytest.fixture
+def certificates(monkeypatch):
+    """A list that gets one bool per curvature certificate that
+    ``robust.scan_strategy`` tries: whether it kept the incoming alpha."""
+    kept, certified = [], robust._certified
+
+    def counted(*args):
+        kept.append(certified(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(robust, "_certified", counted)
+    return kept
 
 
 def closed_form_equilibrium(config: GameConfig) -> EquilibriumResult:
@@ -237,6 +255,20 @@ def grid_scan_max(f, lo, hi, step, tol=1e-6):
     if vals[k] > best_f:
         best_x, best_f = grid[k], vals[k]
     return best_x, best_f
+
+
+def reference_scan_strategy(slack, alpha_in, tau0):
+    """A strategy step's result with every grid point scored: ``grid_scan_max``
+    over [tau0, 1] at the step's resolution, then the incoming-alpha rule of
+    ``robust.scan_strategy``, which takes no hint here, so no scan is skipped.
+    """
+    alpha, best = grid_scan_max(slack, tau0, 1.0, max((1.0 - tau0) / 40.0, 1e-4), 1e-6)
+    incoming = slack(alpha_in)
+    if best < incoming + 1e-6 * (1.0 + abs(incoming)):
+        alpha, best = alpha_in, incoming
+    if not best >= 0.0:
+        return float(alpha_in), incoming, False
+    return float(alpha), float(best), True
 
 
 def scan_grid(lo, hi, step):

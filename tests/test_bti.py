@@ -29,6 +29,7 @@ from conftest import (
     outer_best_response_oracle,
     plain_bisect_threshold,
     recording,
+    reference_scan_strategy,
     scan_grid,
 )
 
@@ -217,13 +218,14 @@ def test_steps_evaluate_g_bit_for_bit_like_the_reference():
         assert margin(lo) >= 0.0 and not margin(hi) >= 0.0
 
         for u in (u_star, float(rng.uniform(-3000.0, 3000.0))):
-            slack, _ = bti._strategy_slack(u, load, params, reward, eps)
+            slack = bti._strategy_slack(u, load, params, reward, eps)[0]
             for a in (alpha, *rng.uniform(0.05, 1.0, size=3)):
                 assert slack(float(a)) == g(float(a), u)
         tau0 = float(rng.uniform(0.05, 0.9))
-        reference = scan_strategy(lambda a: g(a, u_star), alpha, tau0)
+        alpha_in = max(tau0, alpha)
+        reference = scan_strategy(lambda a: g(a, u_star), alpha_in, tau0)
         assert subproblem_strategy_gaussian(
-            u_star, alpha, load, params, reward, tau0, eps
+            u_star, alpha_in, load, params, reward, tau0, eps
         ) == reference
 
 
@@ -325,15 +327,11 @@ def _wide_gaussian_step(rng):
     return u, alpha_in, load, params, reward, tau0, eps
 
 
-def _full_scan_steps(monkeypatch, cases):
-    """Each step with every grid point scored: ``grid_scan_max`` in place of
-    the scan, so no climb can run."""
-    def oracle(f, lo, hi, step, tol, **hints):
-        return grid_scan_max(f, lo, hi, step, tol)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(robust, "scan_golden_max", oracle)
-        return [subproblem_strategy_gaussian(*case) for case in cases]
+def _full_scan_steps(cases):
+    """Each step by ``reference_scan_strategy``: every grid point scored, so
+    neither a climb nor the curvature certificate can run."""
+    return [reference_scan_strategy(bti._strategy_slack(u, load, params, reward, eps)[0], alpha_in, tau0)
+            for u, alpha_in, load, params, reward, tau0, eps in cases]
 
 
 def _counted(fn, calls):
@@ -374,14 +372,14 @@ def test_climb_equals_the_full_scan_on_wide_steps(monkeypatch):
     reads, strategy_slack = [], bti._strategy_slack
 
     def reading_slack(*args):
-        slack, error = strategy_slack(*args)
+        slack, *hints = strategy_slack(*args)
 
         def read(a):
             value = slack(a)
             reads[-1].append((a, value))
             return value
 
-        return read, error
+        return read, *hints
 
     with monkeypatch.context() as patch:
         patch.setattr(bti, "_strategy_slack", reading_slack)
@@ -394,7 +392,7 @@ def test_climb_equals_the_full_scan_on_wide_steps(monkeypatch):
         on_grid = [(a, value) for a, value in step_reads if a in grid]
         assert len({a for a, _ in on_grid}) == len(on_grid), case
         assert not any(math.isnan(value) for _, value in on_grid), case
-    expected = _full_scan_steps(monkeypatch, cases)
+    expected = _full_scan_steps(cases)
     mismatched = [(case, got, want) for case, got, want in zip(cases, steps, expected) if repr(got) != repr(want)]
     assert mismatched[:3] == []
     assert 0 < sum(feasible for _, _, feasible in steps) < len(steps)
@@ -402,16 +400,17 @@ def test_climb_equals_the_full_scan_on_wide_steps(monkeypatch):
 
 def test_climb_scores_incoming_alpha_once(monkeypatch):
     # a counting wrapper around the slack keeps the climb, since the slack's
-    # error bound is an argument of the scan: the climb scores fewer than the
-    # 41 grid points, and 0.7123, off the grid, is scored once, by the
-    # incoming rule
+    # hints are arguments of the scan: the climb scores fewer than the 41
+    # grid points, and 0.7123, off the grid, is scored once, by the incoming
+    # rule; one below its threshold, 0.7123 is too far from the peak for the
+    # curvature certificate, so the scan runs
     alpha_in, load, eps = 0.7123, 110.0, 0.1
     params = make_config().miners[0]
     u = subproblem_threshold_gaussian(alpha_in, load, params, REWARD, eps)
     original, scored = bti.scan_strategy, []
 
-    def scanning(slack, alpha_in, tau0, error=None):
-        return original(_counted(slack, scored), alpha_in, tau0, error=error)
+    def scanning(slack, alpha_in, tau0, error=None, curvature=None):
+        return original(_counted(slack, scored), alpha_in, tau0, error=error, curvature=curvature)
 
     monkeypatch.setattr(bti, "scan_strategy", scanning)
     subproblem_strategy_gaussian(u - 1.0, alpha_in, load, params, REWARD, 0.5, eps)
@@ -421,6 +420,97 @@ def test_climb_scores_incoming_alpha_once(monkeypatch):
     assert 0 < sum(a in grid for a in scored) < 41  # the climb ran, not the scan
 
 
+def test_grid_is_built_once_and_equals_the_fresh_grid():
+    # the cached grid is the arange grid with its last point clipped, float
+    # for float, also where 1 - tau0 < 40 * 1e-4 sets the step to 1e-4
+    rng = np.random.default_rng(30)
+    for tau0 in [*rng.uniform(1e-6, 0.99, size=200), *(1.0 - rng.uniform(1e-6, 40e-4, size=200))]:
+        tau0 = float(tau0)
+        step = max((1.0 - tau0) / 40.0, 1e-4)
+        fresh = np.arange(tau0, 1.0 + 0.5 * step, step).tolist()
+        fresh[-1] = min(fresh[-1], 1.0)
+        grid = _search._grid(tau0, 1.0, step)
+        assert [x.hex() for x in grid] == [x.hex() for x in fresh] == [x.hex() for x in scan_grid(tau0, 1.0, step)]
+        assert _search._grid(tau0, 1.0, step) is grid
+
+
+# -- the curvature certificate of robust.scan_strategy
+
+
+def test_certificate_keeps_only_what_the_scan_keeps(certificates):
+    # f is a parabola of curvature exactly kappa plus noise up to E, the
+    # tightest slack the hints allow, with E from a tenth to the whole of the
+    # incoming rule's margin m = 1e-6 (1 + |f(alpha_in)|).  Half the cases
+    # take a sawtooth noise and a peak within 8 sqrt(E / kappa) of alpha_in;
+    # the other half the worst noise, -E at alpha_in and +E elsewhere, and a
+    # gain of g over alpha_in up to 1.2 m, where the certificate's bound is
+    # exact and the scan keeps alpha_in only while gain + 2 E < m.  The step
+    # must return what scoring every grid point returns, and read f only in
+    # (0, 1]
+    rng = np.random.default_rng(31)
+    for case in range(4000):
+        tau0 = float(rng.uniform(1e-3, 0.9))
+        kappa = 10.0 ** rng.uniform(-1.0, 6.0)
+        error = 1e-6 * 10.0 ** rng.uniform(-1.0, 0.0)
+        top = float(rng.uniform(-2e-6, 2e-6))
+        alpha_in = float(rng.choice([tau0, 1.0, rng.uniform(tau0, 1.0)]))
+        worst, phase = case % 2 == 1, float(rng.uniform(0.0, 1.0))
+        if worst:
+            gain = float(rng.uniform(0.0, 1.2e-6))
+            peak = alpha_in + float(rng.choice([-1.0, 1.0])) * math.sqrt(2.0 * gain / kappa)
+        else:
+            peak = alpha_in + float(rng.uniform(-1.0, 1.0)) * 8.0 * math.sqrt(error / kappa)
+
+        def f(x):
+            assert 0.0 < x <= 1.0
+            if worst:
+                noise = -error if x == alpha_in else error
+            else:
+                noise = error * (2.0 * ((x * 7.3e6 + phase) % 1.0) - 1.0)
+            return top - 0.5 * kappa * (x - peak) ** 2 + noise
+
+        got = scan_strategy(f, alpha_in, tau0, error=error, curvature=kappa)
+        assert repr(got) == repr(reference_scan_strategy(f, alpha_in, tau0)), (tau0, kappa, error, top, alpha_in, peak)
+    assert 0.1 * len(certificates) < sum(certificates) < 0.5 * len(certificates)
+
+
+def test_settled_steps_skip_the_scan_and_return_the_oracle_s_step(certificates):
+    # a settled step, as the alternation's confirming iteration makes it:
+    # alpha_in is a step's own output and u_min the threshold there; then
+    # alpha_in nudged by multiples of sqrt(E / kappa), so that the
+    # certificate decides on both sides of its edge.  Every step must equal
+    # the oracle's; most settled ones keep alpha_in without a scan
+    rng = np.random.default_rng(32)
+    settled, cases = [], []
+    for _ in range(400):
+        params = _params(sigma=float(rng.uniform(4.0, 12.0)), x_hat=float(rng.uniform(30.0, 60.0)),
+                         cost=float(rng.uniform(40.0, 80.0)))
+        load, eps = float(rng.uniform(20.0, 150.0)), float(rng.choice([0.05, 0.1, 0.2]))
+        tau0 = float(rng.uniform(0.05, 0.3))
+        alpha = float(rng.uniform(tau0, 1.0))
+        try:
+            for _ in range(20):  # the alternation, until a step keeps its alpha
+                u = subproblem_threshold_gaussian(alpha, load, params, REWARD, eps)
+                certificates.clear()
+                moved = subproblem_strategy_gaussian(u, alpha, load, params, REWARD, tau0, eps)[0]
+                if moved == alpha:
+                    break
+                alpha = moved
+        except SolverError:
+            continue
+        settled.append(certificates == [True])
+        cases.append((u, alpha, load, params, REWARD, tau0, eps))
+        _, error, kappa = bti._strategy_slack(u, load, params, REWARD, eps)
+        for k in (-6.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 6.0):
+            nudged = min(1.0, max(tau0, alpha + k * math.sqrt(error / kappa)))
+            cases.append((u, nudged, load, params, REWARD, tau0, eps))
+    certificates.clear()
+    steps = [subproblem_strategy_gaussian(*case) for case in cases]
+    assert [repr(step) for step in steps] == [repr(step) for step in _full_scan_steps(cases)]
+    assert len(settled) > 300 and sum(settled) > 0.7 * len(settled)
+    assert 0 < sum(certificates) < len(certificates)
+
+
 def _grid_reads(monkeypatch, case):
     """The Gaussian step on ``case``, and how often it read the slack at each
     point of its scan grid."""
@@ -428,8 +518,8 @@ def _grid_reads(monkeypatch, case):
     strategy_slack = bti._strategy_slack
 
     def counted_slack(*args):
-        slack, error = strategy_slack(*args)
-        return _counted(slack, reads), error
+        slack, *hints = strategy_slack(*args)
+        return _counted(slack, reads), *hints
 
     with monkeypatch.context() as patch:
         patch.setattr(bti, "_strategy_slack", counted_slack)
@@ -452,12 +542,12 @@ def test_a_nan_slack_the_climb_meets_certifies_nothing(monkeypatch, offset):
     strategy_slack = bti._strategy_slack
 
     def holed_slack(*args):
-        slack, error = strategy_slack(*args)
+        slack, *hints = strategy_slack(*args)
 
         def holed(a):
             return math.nan if abs(a - target) < 0.25 * step else slack(a)
 
-        return holed, error
+        return holed, *hints
 
     case = (u - 1.0, alpha_in, load, params, REWARD, tau0, eps)
     clean = subproblem_strategy_gaussian(*case)
@@ -479,11 +569,11 @@ def test_a_failed_curvature_check_runs_the_full_scan(monkeypatch):
     # does not; the infinite error has the climb read every grid point, once
     params = MinerParams(x_hat=55.0, sigma2=1e306, cost=1e-300)
     case = (-1e3, 0.7, 110.0, params, REWARD, 0.5, 1e-300)
-    _, error = bti._strategy_slack(-1e3, 110.0, params, REWARD, 1e-300)
-    assert error == math.inf
+    _, error, curvature = bti._strategy_slack(-1e3, 110.0, params, REWARD, 1e-300)
+    assert error == math.inf and curvature is None
     got, reads = _grid_reads(monkeypatch, case)
     assert reads == [1] * 41
-    assert repr(got) == repr(_full_scan_steps(monkeypatch, [case])[0])
+    assert repr(got) == repr(_full_scan_steps([case])[0])
 
 
 def _exact_g(alpha, u_min, load, params, reward, eps):
@@ -514,7 +604,7 @@ def test_slack_error_bound_holds():
                                  cost=10.0 ** rng.uniform(-320.0, -280.0))
         elif i % 4 == 1:
             u = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(6.0, 12.0)
-        slack, error = bti._strategy_slack(u, load, params, reward, eps)
+        slack, error, _ = bti._strategy_slack(u, load, params, reward, eps)
         assert 0.0 < error < math.inf
         for alpha in (1.0, tau0, alpha_in, *10.0 ** rng.uniform(-8.0, 0.0, size=5)):
             alpha = float(alpha)
@@ -524,7 +614,10 @@ def test_slack_error_bound_holds():
 
 def test_slack_curvature_is_at_most_minus_kappa():
     # g'' <= -kappa: a second difference of the 50-digit g, divided by h^2,
-    # is an average of g'' over [alpha - h, alpha + h]
+    # is an average of g'' over [alpha - h, alpha + h].  The step's curvature
+    # hint kappa_lo must lie at or below kappa computed at 50 digits from the
+    # step's float constants, the bound the proof gives -g''; the float
+    # kappa need not
     rng = np.random.default_rng(26)
     dec, h = decimal.Decimal, 1e-4
     for _ in range(300):
@@ -533,20 +626,29 @@ def test_slack_curvature_is_at_most_minus_kappa():
         var, mu2 = params.sigma ** 2, params.nominal ** 2
         kappa = 2.0 * params.cost * (var * (1.0 + big_l) + mu2 - c * params.sigma * math.sqrt(var + 2.0 * mu2))
         assert kappa > 1e-6 * params.cost * (var * (1.0 + big_l) + mu2)
+        kappa_lo = bti._strategy_slack(u, load, params, reward, eps)[2]
         alpha = float(rng.uniform(2.0 * h, 1.0))
         g = [_exact_g(a, u, load, params, reward, eps) for a in (alpha - h, alpha, alpha + h)]
         with decimal.localcontext() as ctx:
             ctx.prec = 50
             second = (g[0] - 2 * g[1] + g[2]) / (dec(h) * dec(h))
-        assert second <= dec(-kappa) * dec(1.0 - 1e-9)
+            sigma, mu = dec(params.sigma), dec(params.nominal)
+            exact_kappa = 2 * dec(params.cost) * (
+                sigma * sigma * (1 - dec(math.log(eps))) + mu * mu - dec(c) * sigma * (sigma * sigma + 2 * mu * mu).sqrt()
+            )
+            assert 0 < dec(kappa_lo) <= exact_kappa
+        assert second <= dec(-kappa) * dec(1.0 - 1e-9) and second <= -dec(kappa_lo)
 
 
-def test_heterogeneous_solve_does_the_same_work(monkeypatch):
+def test_heterogeneous_solve_does_the_same_work(monkeypatch, certificates):
     # machine-independent work counts of one gaussian_bti solve of
     # configs/heterogeneous.json: the strategy and threshold steps are those
-    # of the full scan (12 and 22), the climb and the golden section leave
-    # 303 slack evaluations of the 780 that scoring every point takes
-    counts = {"steps": 0, "thresholds": 0, "slacks": 0}
+    # of the full scan (12 and 22); the curvature certificate keeps the
+    # incoming alpha of 10 steps without a scan, so 2 scans run, and the
+    # certificate's reads, the climbs and the golden sections leave 75 slack
+    # evaluations of the 780 that scoring every point takes (303 before the
+    # certificate)
+    counts = {"steps": 0, "thresholds": 0, "slacks": 0, "scans": 0}
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -558,13 +660,15 @@ def test_heterogeneous_solve_does_the_same_work(monkeypatch):
     strategy_slack = bti._strategy_slack
 
     def counted_slack(*args):
-        slack, error = strategy_slack(*args)
-        return counted(slack, "slacks"), error
+        slack, *hints = strategy_slack(*args)
+        return counted(slack, "slacks"), *hints
 
     monkeypatch.setattr(bti, "subproblem_strategy_gaussian", counted(bti.subproblem_strategy_gaussian, "steps"))
     monkeypatch.setattr(bti, "subproblem_threshold_gaussian", counted(bti.subproblem_threshold_gaussian, "thresholds"))
     monkeypatch.setattr(bti, "_strategy_slack", counted_slack)
+    monkeypatch.setattr(robust, "scan_golden_max", counted(robust.scan_golden_max, "scans"))
     scenario = load_scenario(Path(__file__).parent.parent / "configs" / "heterogeneous.json")
     result = solve_equilibrium(scenario.config, "gaussian_bti", initial_alpha=scenario.initial_alpha)
     assert result.converged
-    assert counts == {"steps": 12, "thresholds": 22, "slacks": 303}
+    assert counts == {"steps": 12, "thresholds": 22, "slacks": 75, "scans": 2}
+    assert sum(certificates) == 10

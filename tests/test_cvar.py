@@ -42,6 +42,7 @@ from conftest import (
     outer_best_response_oracle,
     plain_bisect_threshold,
     recording,
+    reference_scan_strategy,
     reference_worstcase_cvar,
     scan_grid,
     sqrt_moment_matrix,
@@ -394,7 +395,7 @@ def test_strategy_step_scores_incoming_alpha_once(monkeypatch, backend):
     original = module.scan_strategy
     bounded = []
 
-    def scanning(slack, alpha_in, tau0, bounds=None, error=None):
+    def scanning(slack, alpha_in, tau0, bounds=None, error=None, curvature=None):
         def counted(alpha):
             scored.append(alpha)
             return slack(alpha)
@@ -405,7 +406,9 @@ def test_strategy_step_scores_incoming_alpha_once(monkeypatch, backend):
                 return bounds(alpha)
 
             return original(counted, alpha_in, tau0, bracket, error)
-        return original(counted, alpha_in, tau0, error=error)
+        # bti: one below the threshold at 0.7123, the curvature certificate
+        # cannot keep it, so the scan runs
+        return original(counted, alpha_in, tau0, error=error, curvature=curvature)
 
     monkeypatch.setattr(module, "scan_strategy", scanning)
     strategy(u - 1.0, alpha_in, load, params, REWARD, 0.5, eps)
@@ -496,10 +499,11 @@ def test_steps_evaluate_v_bit_for_bit_like_the_reference():
                 assert worstcase_cvar(coeffs(float(a), u), moments, eps) == reference
         if instance % 10 == 0:  # the whole strategy step, on a tenth of the instances
             tau0 = float(rng.uniform(0.05, 0.9))
+            alpha_in = max(tau0, alpha)
             reference = scan_strategy(
-                lambda a: -reference_worstcase_cvar(coeffs(a, u_star), moments, eps)[0], alpha, tau0
+                lambda a: -reference_worstcase_cvar(coeffs(a, u_star), moments, eps)[0], alpha_in, tau0
             )
-            assert subproblem_strategy(u_star, alpha, load, params, reward, tau0, eps) == reference
+            assert subproblem_strategy(u_star, alpha_in, load, params, reward, tau0, eps) == reference
 
 
 def test_cvar_best_response_builds_no_reference_objects(monkeypatch):
@@ -886,7 +890,7 @@ def test_scan_with_bounds_matches_the_exact_scan_at_huge_sigma(sigma):
         assert repr(scan_golden_max(slack, tau0, 1.0, step, 1e-6, bounds=bounds)) == repr(expected)
 
 
-def test_strategy_step_equals_the_grid_scan_oracle(monkeypatch):
+def test_strategy_step_equals_the_grid_scan_oracle():
     # the bound only skips exact scores; the step must return what scoring
     # every grid point and golden probe returns, float for float
     rng = np.random.default_rng(28)
@@ -905,12 +909,8 @@ def test_strategy_step_equals_the_grid_scan_oracle(monkeypatch):
         tau0 = float(rng.uniform(0.05, 0.9))
         cases.append((u, max(tau0, alpha), load, params, reward, tau0, eps))
     steps = [subproblem_strategy(*case) for case in cases]
-
-    def oracle(f, lo, hi, step, tol, **hints):
-        return grid_scan_max(f, lo, hi, step, tol)
-
-    monkeypatch.setattr(robust, "scan_golden_max", oracle)
-    assert steps == [subproblem_strategy(*case) for case in cases]
+    assert steps == [reference_scan_strategy(cvar._strategy_slack(u, load, params, reward, eps)[0], alpha_in, tau0)
+                     for u, alpha_in, load, params, reward, tau0, eps in cases]
     assert 0 < sum(feasible for _, _, feasible in steps) < len(steps)
 
 

@@ -1,4 +1,5 @@
-"""``tools/digest.py`` runs every CLI verb on every config and hashes the CSVs.
+"""``tools/digest.py`` runs every CLI verb on every config, and one pass over
+each benchmark deck, and hashes the CSVs.
 
 A stub stands in for the CLI processes: nothing here starts one.
 """
@@ -6,6 +7,7 @@ A stub stands in for the CLI processes: nothing here starts one.
 import hashlib
 import importlib.util
 import itertools
+import shutil
 from pathlib import Path
 
 from powgame import cli
@@ -21,12 +23,16 @@ def _load_digest():
 
 
 digest = _load_digest()
+decks = digest.load_decks(ROOT)
 
 
 def _tree(tmp_path):
-    """A tree with three configs, made out of name order."""
+    """A tree with three configs, made out of name order, and the benchmark
+    decks."""
     tree = tmp_path / "tree"
     (tree / "configs").mkdir(parents=True)
+    (tree / "benchmarks").mkdir()
+    shutil.copy(ROOT / "benchmarks" / "decks.py", tree / "benchmarks" / "decks.py")
     for name in ("b.json", "c.json", "a.json"):
         (tree / "configs" / name).write_text("{}\n", encoding="utf-8")
     (tree / "configs" / "notes.txt").write_text("not a config\n", encoding="utf-8")
@@ -51,13 +57,21 @@ def test_every_call_is_made_once_and_the_output_order_is_stable(tmp_path):
     tree, calls = _tree(tmp_path), []
     (tmp_path / "w1").mkdir()
     lines = digest.digest(tree, tmp_path / "w1", _stub(calls))
-    made = [(argv[2], argv[argv.index("--mode") + 1], argv[0], argv[-1] if argv[0] == "sweep" else None)
-            for argv in calls]
     expected = [(f"configs/{name}", mode, verb, axis)
                 for name, mode, (verb, axis) in itertools.product(
                     ("a.json", "b.json", "c.json"), ("all", "det", "bti", "cvar"),
                     [("solve", None), ("validate", None), *(("sweep", axis) for axis in cli.SWEEP_AXES)])]
+    made = [(argv[2], argv[argv.index("--mode") + 1], argv[0], argv[-1] if argv[0] == "sweep" else None)
+            for argv in calls[:len(expected)]]
     assert made == expected  # each once, in config, mode and verb order
+    # then every op of one pass over each deck, once, in deck order
+    ops = [(workload.name, op) for workload in decks.WORKLOADS.values() for op in decks.deck_ops(workload)]
+    assert len(calls) == len(expected) + len(ops) and len(ops) == 124
+    for argv, (name, op) in zip(calls[len(expected):], ops):
+        workload = decks.WORKLOADS[name]
+        config = Path("decks", name, f"{decks.deck(workload)[op.game]['name']}.json")
+        assert argv == decks.op_argv(workload, op, config, Path("out", "decks", name, op.key.replace(":", "-")))
+        assert (tmp_path / "w1" / config).read_text(encoding="utf-8") == decks.scenario_text(decks.deck(workload)[op.game])
     assert lines[:len(calls)] == [f"{2 if 'cvar' in argv else 0}  {' '.join(argv)}" for argv in calls]
     assert lines[0] == "0  solve --config configs/a.json --out out/a/all/solve --mode all"
     assert lines[8] == "0  sweep --config configs/a.json --out out/a/det/sweep-epsilon --mode det --axis epsilon"
