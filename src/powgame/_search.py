@@ -23,14 +23,28 @@ every point is read once, in order.
   floor and ceiling as well (the CVaR slack makes it, see
   ``cvar._strategy_slack``): a point left out has a value below its
   ceiling, which lies more than that gap below the best ceiling, so below
-  the best point's floor.  The window's points are scored in
-  descending-ceiling order until the next ceiling is below the best value
-  found, which no point left can reach.  Each golden-section probe is kept
-  as its interval [floor, ceiling] until it is scored.  A probe whose floor
-  is at least the other probe's ceiling wins the comparison, and one whose
-  ceiling is below the other's floor loses it; only where the two intervals
-  overlap are both probes scored, and a surviving probe may stay unscored
-  for the next comparison.
+  the best point's floor.
+
+With ``bounds``, ``f`` is scored only where a decision reads its value;
+a scored point's interval is [value, value].
+
+- The grid: the climb keeps each point's floor and ceiling.  The point with
+  the best ceiling is the first maximum, unscored, when its floor lies above
+  every other ceiling of the window, or equals only ceilings to its right.
+  Otherwise the window's points are scored in descending-ceiling order
+  until the next ceiling is below the best value found, which no point
+  left can reach.
+- The golden section: a probe whose floor is at least the other probe's
+  ceiling wins the comparison, and one whose ceiling is below the other's
+  floor loses it.  Where the two intervals overlap, the unscored probe with
+  the higher ceiling is scored, and the other only if they still overlap;
+  a surviving probe may stay unscored for the next comparison.
+- The last comparison, of the grid point with the golden section's
+  midpoint, scores the grid point only if its ceiling lies above the
+  midpoint's value.
+- ``bar`` is a value below which the caller discards the maximum.  When the
+  grid point's value, or its ceiling, and the midpoint's ceiling all lie
+  below it, so does the maximum: the scan returns None, scoring neither.
 
 ``robust.scan_strategy`` takes one more hint, ``curvature``, with which it
 may skip this scan altogether; it states that claim itself.  The grid of a
@@ -41,10 +55,10 @@ A NaN has no order, so a NaN on the grid certifies nothing: the first NaN
 reading, or NaN value of ``f``, that the scan meets on the grid ends it
 with ``(lo, nan)``.  No reading is NaN where the claim of ``error`` holds,
 and a climb may leave a NaN out where it does not.  A value that its
-ceiling has decided is not read, so with ``bounds`` ``f`` may be NaN on the
-grid only where the ceiling is NaN too.  In the golden section a NaN bound
-decides nothing, and a probe is scored only when a comparison reads it, so
-the last probe, which none does, is skipped.
+bounds have decided is not read, so with ``bounds`` ``f`` may be NaN only
+where a bound is NaN too.  A NaN bound decides nothing, and a probe is
+scored only when a comparison reads it, so the golden section's last
+probe, which none does, is skipped.
 """
 
 from __future__ import annotations
@@ -66,8 +80,10 @@ def _grid(lo, hi, step):
 
 
 def _read_grid(f, points, step, bounds, error, start):
-    """(k, f(points[k])) for the grid's first maximum, by the climb of the
+    """(k, value, top) for the grid's first maximum k, by the climb of the
     module docstring, or None at the first NaN reading or value it meets.
+    ``value`` is f(points[k]), or None where the bounds settle k without it,
+    and ``top`` the value, or the ceiling where it is None.
 
     The window [l, r] grows at an end while its reading is not more than
     ``2 * error`` below the best, at k.  Once the reading at r is, the
@@ -78,7 +94,15 @@ def _read_grid(f, points, step, bounds, error, start):
     n = len(points)
     margin = 2.0 * error if error is not None and 0.0 <= error < math.inf else math.inf
     k = 0 if start is None else int(min(max(0.0, (start - points[0]) / step), n - 1.0) + 0.5)  # nearest
-    read = f if bounds is None else lambda x: bounds(x)[1]
+    if bounds is None:
+        read = f
+    else:
+        floors = {}  # the climb's floors, by point
+
+        def read(x):
+            floors[x], ceiling = bounds(x)
+            return ceiling
+
     got = [None] * n  # the climb's readings, by index
     best = got[k] = read(points[k])
     if best != best:
@@ -102,9 +126,12 @@ def _read_grid(f, points, step, bounds, error, start):
             elif v_l != v_l:
                 return None
         elif bounds is None:
-            return k, best
+            return k, best, best
         else:
             break
+    top = floors[points[k]]
+    if all(got[i] < top for i in range(l, k)) and all(got[i] <= top for i in range(k + 1, r + 1)):
+        return k, None, best  # its floor beats every other ceiling, or ties one to its right
     best, k = -math.inf, n
     for i in sorted(range(l, r + 1), key=got.__getitem__, reverse=True):
         if got[i] < best:
@@ -114,53 +141,67 @@ def _read_grid(f, points, step, bounds, error, start):
             k, best = i, value
         elif value != value:
             return None
-    return k, best
+    return k, best, best
 
 
-def scan_golden_max(f, lo, hi, step, tol=1e-6, bounds=None, error=None, start=None):
+def scan_golden_max(f, lo, hi, step, tol=1e-6, bounds=None, error=None, start=None, bar=None):
     """Maximize ``f`` on [lo, hi], lo < hi: a scan at ``step`` resolution,
     then golden section on the two cells around the best grid point, to
     width ``tol``; ``(lo, nan)`` once the scan meets a NaN on the grid.
 
     ``bounds``, ``error`` and ``start`` are the hints of the module
     docstring: they spare evaluations, and the result is the same with or
-    without them.
+    without them.  ``bar`` changes nothing either, but that with ``bounds``
+    the scan may return None instead of a maximum below it.
     """
     points = _grid(lo, hi, step)
     found = _read_grid(f, points, step, bounds, error, start)
     if found is None:  # a NaN on the grid certifies nothing
         return lo, math.nan
-    k, grid_best = found
+    k, grid_best, grid_top = found
     grid_x = points[k]
     lo, hi = _golden(f, bounds, max(lo, grid_x - step), min(hi, grid_x + step), tol)
     x = 0.5 * (lo + hi)
+    if bar is not None and bounds and grid_top < bar and bounds(x)[1] < bar:
+        return None
     value = f(x)
+    if grid_best is None:
+        if not grid_top > value:  # the grid point cannot win
+            return x, value
+        grid_best = f(grid_x)
     return (grid_x, grid_best) if grid_best > value else (x, value)
 
 
 def _golden(f, bounds, lo, hi, tol):
     """The golden-section bracket of ``f``'s maximum in [lo, hi], to width
     ``tol``.  A probe is scored only when a comparison needs its value: with
-    ``bounds``, where the probes' intervals overlap (a scored probe's is
-    [value, value]; see the module docstring), and without them at every
-    comparison, so that only the probe made after the last one goes
+    ``bounds``, by the rule of the module docstring, and without them at
+    every comparison, so that only the probe made after the last one goes
     unscored."""
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
     f1 = f2 = None  # a probe's value, once scored
     if bounds:
         (lo1, hi1), (lo2, hi2) = bounds(x1), bounds(x2)
+    else:  # carried along by the swaps, never read
+        lo1 = hi1 = lo2 = hi2 = None
     for _ in range(200):
         if not hi - lo > tol:
             break
-        if bounds and (lo1 >= hi2 or hi1 < lo2):
-            left = lo1 >= hi2
-        else:
+        if not bounds:
             if f1 is None:
-                lo1 = hi1 = f1 = f(x1)
+                f1 = f(x1)
             if f2 is None:
-                lo2 = hi2 = f2 = f(x2)
+                f2 = f(x2)
             left = f1 >= f2
+        else:  # a scored probe's interval is [value, value]
+            if not (lo1 >= hi2 or hi1 < lo2) and f1 is None and (f2 is not None or hi1 >= hi2):
+                lo1 = hi1 = f1 = f(x1)
+            if not (lo1 >= hi2 or hi1 < lo2) and f2 is None:
+                lo2 = hi2 = f2 = f(x2)
+            if not (lo1 >= hi2 or hi1 < lo2) and f1 is None:
+                lo1 = hi1 = f1 = f(x1)
+            left = lo1 >= hi2
         # swaps of at most three names: CPython builds a tuple for longer ones
         if left:  # f(x1) >= f(x2)
             hi, x2, f2 = x2, x1, f1

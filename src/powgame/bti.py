@@ -205,11 +205,15 @@ def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsil
 
 
 def subproblem_threshold_gaussian(
-    alpha, load, params: MinerParams, reward: RewardModel, epsilon, u_lo=None
+    alpha, load, params: MinerParams, reward: RewardModel, epsilon, u_lo=None, record=None
 ) -> float:
-    """Largest u_min with g(u_min) >= 0 at fixed alpha (exact by concavity)."""
-    margin = _threshold_certifier(alpha, load, params, reward, epsilon)
-    return bisect_threshold(margin, params, reward, u_lo)
+    """Largest u_min with g(u_min) >= 0 at fixed alpha (exact by concavity).
+
+    ``record``, a ``robust.ThresholdRecord``, resumes a step at the inputs
+    of the last one that used it (``robust.bisect_threshold``)."""
+    key = (alpha, load, params, reward, epsilon)
+    margin = _threshold_certifier(*key) if record is None else record.margin_for(_threshold_certifier, key)
+    return bisect_threshold(margin, params, reward, u_lo, record)
 
 
 def subproblem_strategy_gaussian(

@@ -29,7 +29,9 @@ alternating-optimization steps evaluate v from constants computed once per
 step instead, because a solve evaluates it hundreds of thousands of times:
 
 - ``_threshold_certifier`` gives the threshold step ``margin(u)``, the
-  negated exact minimum of v, whose sign decides each threshold probe.
+  negated exact minimum of v, whose sign decides each threshold probe; a
+  step at the inputs of the alternation's last one takes that step's
+  closure from its ``robust.ThresholdRecord`` instead of building one.
   The exact minimum is ``_exact_minimizer``'s kernel: the least v over two
   or three candidate betas, unrolled, with v written out inline, so a
   caller that needs only the value builds no tuple and makes one call.
@@ -47,9 +49,9 @@ step instead, because a solve evaluates it hundreds of thousands of times:
   (``_widths``), so the floor and the ceiling hold for every step in the
   range it states; it also says why the exact minimum is not the slack
   itself.  The scan (``_search.scan_golden_max``) climbs the ceilings from
-  the incoming alpha, computes ``slack`` only where the bounds cannot
-  decide a comparison, and returns what it would return with ``slack``
-  everywhere.
+  the incoming alpha, computes ``slack`` only where a decision reads its
+  value, by the rule stated there, and returns what it would return with
+  ``slack`` everywhere.
 
 Every hoisted expression keeps the float operation order in which
 ``worstcase_cvar`` computes t0, d0 and k, so each slack value and threshold
@@ -516,10 +518,12 @@ def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsil
 
 
 def subproblem_threshold(
-    alpha, load, params: MinerParams, reward: RewardModel, epsilon, u_lo=None
+    alpha, load, params: MinerParams, reward: RewardModel, epsilon, u_lo=None, record=None
 ) -> float:
     """Largest certifiable u_min at fixed alpha; each probe is decided by the
     exact minimum of v, and ``certify`` builds the witness on request.
+    ``record``, a ``robust.ThresholdRecord``, resumes a step at the inputs
+    of the last one that used it (``robust.bisect_threshold``).
 
     A step that fails where v's constants overflow float at its starting
     floor (``robust.threshold_floor``; from a total reward of about 1.5e153
@@ -527,9 +531,10 @@ def subproblem_threshold(
     so, naming its inputs: no probe there was decided, so "no feasible
     threshold" would be wrong.  The check runs once, on failure.
     """
-    margin = _threshold_certifier(alpha, load, params, reward, epsilon)
+    key = (alpha, load, params, reward, epsilon)
+    margin = _threshold_certifier(*key) if record is None else record.margin_for(_threshold_certifier, key)
     try:
-        return bisect_threshold(margin, params, reward, u_lo)
+        return bisect_threshold(margin, params, reward, u_lo, record)
     except SolverError:
         floor = threshold_floor(params, reward, u_lo)
         _, _, _, t0, d0, k, _ = _threshold_terms(alpha, floor, load, params, reward)

@@ -17,11 +17,15 @@ on request (``cvar.certify``).
 
 The threshold step (``bisect_threshold``) returns the threshold a plain
 bisection on the sign of ``margin`` returns, float for float, but evaluates
-the margin 5.3-7.2 times per step on ``configs/*.json``, in either back-end,
-instead of about 35: Illinois false position (Dowell & Jarratt, BIT 1971)
-brackets the sign change from the margin's values, and the bisection is then
-replayed with every probe outside that bracket decided without an
-evaluation.
+the margin 3.25-5.85 times per step on ``configs/*.json``, in either
+back-end, instead of about 35: Illinois false position (Dowell & Jarratt,
+BIT 1971) brackets the sign change from the margin's values, and the
+bisection is then replayed with every probe outside that bracket decided
+without an evaluation.  A step at the inputs of the alternation's last one,
+as in the confirming iteration that ends every best response, resumes from
+that step's ``ThresholdRecord``: the same margin closure and bracket, so it
+evaluates only its floor and the probes next to the root (1.0-1.14 margins
+a step on ``configs/*.json``).
 
 Constants:
 
@@ -78,7 +82,26 @@ def threshold_floor(params: MinerParams, reward: RewardModel, u_lo) -> float:
     return u_lo
 
 
-def bisect_threshold(margin, params: MinerParams, reward: RewardModel, u_lo=None) -> float:
+class ThresholdRecord:
+    """What a threshold step leaves for the next one at the same inputs: the
+    key (alpha, load, params, reward, epsilon), its margin closure, and the
+    bracket [a, b] that ``bisect_threshold`` closed on that margin (None
+    until one has).  ``alternate`` keeps one per best response."""
+
+    __slots__ = ("key", "margin", "bracket")
+
+    def __init__(self):
+        self.key = self.margin = self.bracket = None
+
+    def margin_for(self, certifier, key):
+        """``certifier(*key)``, built only when ``key`` differs from the last
+        step's; a new margin drops the bracket."""
+        if key != self.key:
+            self.key, self.margin, self.bracket = key, certifier(*key), None
+        return self.margin
+
+
+def bisect_threshold(margin, params: MinerParams, reward: RewardModel, u_lo=None, record=None) -> float:
     """The largest u_min with ``margin(u_min) >= 0``, to ``BISECT_TOL`` or
     to float resolution, whichever is coarser.
 
@@ -93,11 +116,11 @@ def bisect_threshold(margin, params: MinerParams, reward: RewardModel, u_lo=None
     2. Bracket: Illinois false position on the two margins narrows [a, b],
        with ``margin(a) >= 0 > margin(b)``, both evaluated, to
        ``PAD * (1 + |a| + |b|)``, in at most ``BRACKET_CAP`` evaluations.  A
-       NaN margin ends this phase with [a, b] = [u_lo, u_hi].
-    3. Replay: the plain bisection from (u_lo, u_hi), where a midpoint below
-       ``a - pad`` certifies and one above ``b + pad`` does not, with
-       pad = ``PAD * (1 + |a| + |b|)``; only the midpoints in between are
-       evaluated.
+       NaN margin ends this phase with [a, b] = [-inf, inf].
+    3. Replay (``_replay``): the plain bisection from (u_lo, u_hi), where a
+       midpoint below ``a - pad`` certifies and one above ``b + pad`` does
+       not, with pad = ``PAD * (1 + |a| + |b|)``; only the midpoints in
+       between are evaluated.
 
     Why the threshold is the same float: the evaluated margin can disagree
     in sign with the exact one only where it is within its rounding error of
@@ -106,11 +129,21 @@ def bisect_threshold(margin, params: MinerParams, reward: RewardModel, u_lo=None
     magnitude.  Outside the pad the certifiable set is an interval, so every
     skipped decision is the one an evaluation would have made, and with a
     NaN anywhere in phase 2 every probe is evaluated.
+
+    ``record``, a ``ThresholdRecord``, keeps the bracket for the next step
+    on the same margin, which resumes from it: its guard is the float
+    already evaluated, so it evaluates only its floor and, if that
+    certifies, replays the bisection with the kept [a, b].  The argument
+    above holds for any certified floor, since a and b are evaluated points
+    of the same margin; a floor that does not certify takes all three
+    phases.
     """
     if params.sigma2 <= 0:
         raise ValueError("robust threshold needs positive variance")
     u_lo = threshold_floor(params, reward, u_lo)
     u_hi = reward.total
+    if record is not None and record.bracket is not None and margin(u_lo) >= 0.0:
+        return _replay(margin, u_lo, u_hi, *record.bracket)
     m_hi = margin(u_hi)
     if m_hi >= 0.0:
         raise SolverError("threshold at the full reward certifies; inputs are malformed")
@@ -121,9 +154,17 @@ def bisect_threshold(margin, params: MinerParams, reward: RewardModel, u_lo=None
         u_lo = u_lo - 3.0 * abs(u_lo) - 1.0  # quadruple the reach downward
         m_lo = margin(u_lo)
     a, b = _bracket(margin, u_lo, m_lo, u_hi, m_hi)
+    if record is not None:
+        record.bracket = a, b
+    return _replay(margin, u_lo, u_hi, a, b)
+
+
+def _replay(margin, lo, hi, a, b):
+    """The plain bisection from (lo, hi), evaluating only the midpoints
+    within pad = ``PAD * (1 + |a| + |b|)`` of the bracket [a, b]: below
+    ``a - pad`` a midpoint certifies, above ``b + pad`` it does not."""
     pad = PAD * (1.0 + abs(a) + abs(b))
     below, above = a - pad, b + pad
-    lo, hi = u_lo, u_hi
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # adjacent floats: nothing left to halve
@@ -140,10 +181,11 @@ def _bracket(margin, lo, m_lo, hi, m_hi):
     evaluated, by Illinois false position from ``m_lo >= 0`` and ``m_hi``.
 
     It stops at width ``PAD * (1 + |a| + |b|)`` or after ``BRACKET_CAP``
-    evaluations, whichever comes first; a NaN margin returns [lo, hi].
+    evaluations, whichever comes first; a NaN margin returns [-inf, inf],
+    which leaves every probe of the replay to an evaluation.
     """
     if not m_hi < 0.0:
-        return lo, hi
+        return -math.inf, math.inf
     a, fa, b, fb = lo, m_lo, hi, m_hi
     kept = 0  # +1 when a moved last, -1 when b did
     for _ in range(BRACKET_CAP):
@@ -167,7 +209,7 @@ def _bracket(margin, lo, m_lo, hi, m_hi):
                 fa *= 0.5
             kept = -1
         else:
-            return lo, hi
+            return -math.inf, math.inf
     return a, b
 
 
@@ -180,7 +222,9 @@ def scan_strategy(slack, alpha_in, tau0, bounds=None, error=None, curvature=None
     whenever it beats the scan's best.  ``bounds`` and ``error``, the scan's
     hints (see ``_search``), spare evaluations without changing the result.
     The scan climbs its grid from ``alpha_in``, over the slack or, with
-    bounds, over the ceilings.
+    bounds, over the ceilings, and takes the test's bar as its ``bar``: a
+    scan whose ceilings show its best below the bar returns None, and the
+    step keeps ``alpha_in``, as the test would.
 
     ``curvature`` may spare the whole scan.  It is a float kappa > 0 with
     which the claim of ``error`` (E) extends to (0, 1]: there the slack lies
@@ -222,11 +266,13 @@ def scan_strategy(slack, alpha_in, tau0, bounds=None, error=None, curvature=None
         alpha, best = alpha_in, incoming
     else:
         scan_step = max((1.0 - tau0) / 40.0, 1e-4)
-        alpha, best = scan_golden_max(
-            slack, tau0, 1.0, scan_step, tol=ALPHA_TOL, bounds=bounds, error=error, start=alpha_in
+        found = scan_golden_max(
+            slack, tau0, 1.0, scan_step, tol=ALPHA_TOL, bounds=bounds, error=error, start=alpha_in, bar=bar
         )
-        if best < bar:
+        if found is None or found[1] < bar:
             alpha, best = alpha_in, incoming
+        else:
+            alpha, best = found
     if not best >= 0.0:  # NaN-safe: a NaN slack certifies nothing
         return float(alpha_in), incoming, False
     return float(alpha), float(best), True
@@ -286,9 +332,10 @@ def alternate(j, profile, config: GameConfig, threshold, strategy, warm_start) -
     load = others_load(j, profile, config.nominal_resources())
     if warm_start is None:
         alpha, u_floor = deterministic.best_response(j, profile, config), None
-    else:
-        alpha, u_floor = min(1.0, max(config.tau0, warm_start[0])), warm_start[1]
-    u_min = threshold(alpha, load, params, reward, epsilon, u_lo=u_floor)
+    else:  # clipped to [tau0, 1]; a NaN stays NaN, and the threshold step refuses it
+        alpha, u_floor = min(max(warm_start[0], config.tau0), 1.0), warm_start[1]
+    record = ThresholdRecord()
+    u_min = threshold(alpha, load, params, reward, epsilon, u_lo=u_floor, record=record)
     for iteration in range(1, AO_CAP + 1):
         # alpha_in by keyword: wrappers of the subproblem read it from there
         alpha_new, _, feasible = strategy(
@@ -296,7 +343,7 @@ def alternate(j, profile, config: GameConfig, threshold, strategy, warm_start) -
             tau0=config.tau0, epsilon=epsilon,
         )
         u_new = threshold(
-            alpha_new, load, params, reward, epsilon, u_lo=u_min if feasible else None
+            alpha_new, load, params, reward, epsilon, u_lo=u_min if feasible else None, record=record
         )
         delta = abs(u_new - u_min) + abs(alpha_new - alpha)
         alpha, u_min = alpha_new, u_new

@@ -917,8 +917,10 @@ def test_strategy_step_equals_the_grid_scan_oracle():
 def test_strategy_step_runs_few_beta_searches(monkeypatch):
     # 41 grid points, ~24 golden probes and the incoming alpha would cost one
     # beta search each (about 67 a step); the floor and ceiling decide most
-    # comparisons, and each alpha is scored once a step, which leaves about
-    # 6.5 (9.7 with the measured widths 1e-9 / eps and 1e-12 / eps)
+    # comparisons, and each alpha is scored once a step, which leaves 4.44
+    # (6.5 while every overlap of two probes scored both, the grid's best
+    # point was always scored, and so was the last midpoint below the bar;
+    # 9.7 with the measured widths 1e-9 / eps and 1e-12 / eps)
     searches, steps = [], []
 
     def counted(fn, calls):
@@ -933,15 +935,17 @@ def test_strategy_step_runs_few_beta_searches(monkeypatch):
     for config in (make_config(), make_config(x_hat=[35.0, 42.0, 50.0, 57.0, 60.0], tau0=0.1)):
         assert solve_equilibrium(config, "dro_cvar").converged
     assert len(steps) >= 10
-    assert len(searches) / len(steps) <= 7
+    assert len(searches) / len(steps) <= 4.5
 
 
 def test_heterogeneous_solve_does_the_same_work(monkeypatch):
     # machine-independent work counts of one dro_cvar solve of
-    # configs/heterogeneous.json, as recorded with the climb on ceilings and
-    # the proven widths of cvar._widths (89 searches and 1144 bounds before):
-    # equal counts show that no strategy step, bound or beta search decided
-    # differently
+    # configs/heterogeneous.json, as recorded with the climb on ceilings, the
+    # proven widths of cvar._widths, and searches only where a decision
+    # reads them (89 searches and 1144 bounds before the climb, 59 and 448
+    # before the last; the bar test reads one more ceiling, at the golden
+    # midpoint, where the grid point lies below the bar): equal counts show that no strategy
+    # step, bound or beta search decided differently
     counts = {"steps": 0, "searches": 0, "bounds": 0}
 
     def counted(fn, key):
@@ -963,7 +967,7 @@ def test_heterogeneous_solve_does_the_same_work(monkeypatch):
     scenario = load_scenario(Path(__file__).parent.parent / "configs" / "heterogeneous.json")
     result = solve_equilibrium(scenario.config, "dro_cvar", initial_alpha=scenario.initial_alpha)
     assert result.converged
-    assert counts == {"steps": 18, "searches": 59, "bounds": 448}
+    assert counts == {"steps": 18, "searches": 37, "bounds": 464}
 
 
 def _plateau(x):
@@ -985,6 +989,10 @@ SCAN_CASES = {  # name -> (f, floor, ceiling)
     "plateau-ties": (_plateau, lambda x: _plateau(x) - (x < 0.4), lambda x: _plateau(x) + (x > 0.5)),
     # a probe's floor of 1 exactly ties the other probe's ceiling of 1
     "bound-ties-value": (lambda x: float(x >= 0.5), lambda x: float(x >= 0.5), lambda x: 1.0),
+    # the best ceiling, on one grid point, has a floor that ties the
+    # ceilings of the plateau left of it, whose values tie its own: the
+    # first maximum lies to its left
+    "floor-ties-left": (_plateau, _plateau, lambda x: _plateau(x) + 0.5 * (0.45 < x < 0.465)),
     "nan-ceilings": (lambda x: -(x - 0.6) ** 2, lambda x: -(x - 0.6) ** 2 - 0.05,
                      lambda x: math.nan if _gappy(x) else -(x - 0.6) ** 2),
     "nan-floors": (lambda x: -(x - 0.45) ** 2,
@@ -996,6 +1004,22 @@ SCAN_CASES = {  # name -> (f, floor, ceiling)
     "minus-infinity": (lambda x: -math.inf if x < 0.5 else -x, lambda x: -math.inf,
                        lambda x: -math.inf if x < 0.5 else 0.0),
 }
+
+
+def _at_bar(top):
+    """A float incoming slack whose bar, as ``robust.scan_strategy`` sets
+    it, is exactly ``top``, or None if no float near the guess has one."""
+    t = (top - 1e-6) / (1.0 + 1e-6) if top >= 0.0 else (top - 1e-6) / (1.0 - 1e-6)
+    for _ in range(64):
+        bar = t + 1e-6 * (1.0 + abs(t))
+        if bar == top:
+            return t
+        t = math.nextafter(t, -math.inf if bar > top else math.inf)
+    return None
+
+
+def _with_incoming(g, alpha_in, value):
+    return lambda x: value if x == alpha_in else g(x)
 
 
 @pytest.mark.parametrize("name", SCAN_CASES)
@@ -1012,27 +1036,39 @@ def test_scan_with_a_ceiling_matches_the_exact_scan(name):
 
         return wrapper
 
+    skipped = 0
     for lo, hi, step in ((0.1, 1.0, 0.0225), (0.5, 1.0, 0.0125), (0.05, 1.0, 0.02375)):
         exact_calls, calls = [], []
         expected = grid_scan_max(logged(f, exact_calls), lo, hi, step, 1e-6)
         grid = scan_grid(lo, hi, step)
+        top = max(ceiling(x) for x in np.linspace(lo, hi, 4001).tolist())
         # a climb with an error wider than any finite gap between the values,
         # or with none (None, inf, NaN), which reads every point; with bounds
-        # on the ceilings, without on f, and from the first point or the middle
+        # on the ceilings, without on f, and from the first point or the
+        # middle; and with no bar, or one below, at or above the maximum, or NaN
         for error, has_bounds, start in itertools.product(
             (None, math.inf, math.nan, 8.0), (False, True), (None, 0.5 * (lo + hi))
         ):
-            values, ceilings = [], []
-            hints = {"bounds": logged(bounds, ceilings)} if has_bounds else {}
-            got = scan_golden_max(logged(f, values), lo, hi, step, 1e-6, error=error, start=start, **hints)
             # a NaN that the scan reads on the grid, f or with bounds the
             # ceiling, certifies nothing
             read = (f, ceiling) if has_bounds else (f,)
             want = (lo, math.nan) if any(math.isnan(g(x)) for g in read for x in grid) else expected
-            assert repr(got) == repr(want), (error, has_bounds, start)  # repr, so that NaN matches NaN
-            for log in (values, ceilings):  # no grid point is read twice
-                on_grid = [x for x in log if x in grid]
-                assert len(on_grid) == len(set(on_grid)), (error, has_bounds, start)
+            for bar in (None, want[1] - 1.0, want[1], want[1] + 1.0, math.nan):
+                values, ceilings = [], []
+                hints = {"bounds": logged(bounds, ceilings)} if has_bounds else {}
+                got = scan_golden_max(logged(f, values), lo, hi, step, 1e-6, error=error, start=start, bar=bar,
+                                      **hints)
+                # None only with bounds, and only for a maximum below the bar;
+                # always None once the bar is above every ceiling
+                if got is None:
+                    assert has_bounds and want[1] < bar, (error, start, bar)
+                    skipped += 1
+                else:
+                    assert repr(got) == repr(want), (error, has_bounds, start, bar)  # repr: NaN matches NaN
+                    assert not (has_bounds and bar is not None and bar > top + 0.01 and want[1] == want[1]), (error, start, bar)
+                for log in (values, ceilings):  # no grid point is read twice
+                    on_grid = [x for x in log if x in grid]
+                    assert len(on_grid) == len(set(on_grid)), (error, has_bounds, start, bar)
         # without hints: scored once per point, in order, up to the first NaN,
         # or else but for the golden section's last probe, which no
         # comparison reads
@@ -1042,3 +1078,54 @@ def test_scan_with_a_ceiling_matches_the_exact_scan(name):
             assert repr(got) == repr((lo, math.nan)) and calls == grid[:holes[0] + 1]
         else:
             assert repr(got) == repr(expected) and calls == exact_calls[:-2] + exact_calls[-1:]
+        # the whole strategy step, whose bar the incoming slack sets: below,
+        # at (where a float incoming slack gives that bar) and above the
+        # maximum, and NaN, against the oracle that scores every point, or
+        # on a grid with a NaN the step's rule: keep alpha_in, infeasible.
+        # alpha_in lies off the grid, so only it reads the incoming value
+        tau0, alpha_in = lo, lo + 0.3 * step
+        strategy_step = max((1.0 - tau0) / 40.0, 1e-4)
+        best = grid_scan_max(f, tau0, 1.0, strategy_step, 1e-6)[1]
+        incomings = [best - 1.0, best + 1.0, math.nan]
+        if math.isfinite(best) and _at_bar(best) is not None:
+            incomings.append(_at_bar(best))
+        for incoming, error, has_bounds in itertools.product(incomings, (None, 8.0), (False, True)):
+            slack = _with_incoming(f, alpha_in, incoming)
+            hints = {"bounds": _with_incoming(bounds, alpha_in, (incoming, incoming))} if has_bounds else {}
+            got = scan_strategy(slack, alpha_in, tau0, error=error, **hints)
+            read = (f, ceiling) if has_bounds else (f,)
+            if any(math.isnan(g(x)) for g in read for x in scan_grid(tau0, 1.0, strategy_step)):
+                want = (alpha_in, incoming, False)
+            else:
+                want = reference_scan_strategy(slack, alpha_in, tau0)
+            assert repr(got) == repr(want), (incoming, error, has_bounds)
+    if name in ("concave", "bound-is-f", "two-peaks"):  # ceilings within 0.3 of a finite maximum
+        assert skipped > 0
+
+
+def test_bounds_that_settle_the_grid_spare_its_best_point():
+    # ceilings within 1e-6 of a concave f: the best grid point's floor lies
+    # above every other ceiling, so the climb settles it without reading f
+    # there, and f is read on the grid only where the final comparison
+    # needs it: at a peak on the grid, whose ceiling lies above the golden
+    # section's value.  With bounds 1e-3 wide the neighbours' ceilings
+    # reach the best point's floor, and the window is scored from the best
+    # ceiling down, 3 points
+    lo, hi, step = 0.1, 1.0, 0.0225
+    grid = scan_grid(lo, hi, step)
+    for peak, gap, grid_reads in ((0.38, 1e-6, 0), (grid[12], 1e-6, 1), (0.38, 1e-3, 3)):
+        def f(x, peak=peak):
+            return -abs(x - peak) if peak in grid else -(x - peak) ** 2
+
+        values = []
+
+        def logged(x, f=f):
+            values.append(x)
+            return f(x)
+
+        def bounds(x, f=f, gap=gap):
+            return f(x) - gap, f(x) + gap
+
+        got = scan_golden_max(logged, lo, hi, step, 1e-6, bounds=bounds, error=8.0, start=0.5)
+        assert repr(got) == repr(grid_scan_max(f, lo, hi, step, 1e-6)), peak
+        assert sum(x in grid for x in values) == grid_reads, (peak, gap)

@@ -16,7 +16,7 @@ import pytest
 from powgame import MinerParams, RewardModel, SolverError, bti, cvar, robust, solve_equilibrium
 from powgame.cli import load_scenario
 
-from conftest import plain_bisect_threshold
+from conftest import make_config, plain_bisect_threshold
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 BACKENDS = {"gaussian_bti": bti, "dro_cvar": cvar}
@@ -197,22 +197,137 @@ def test_a_nan_seen_while_bracketing_leaves_every_probe_to_the_replay():
 def test_threshold_steps_evaluate_few_margins(monkeypatch, config, mode):
     # the plain bisection evaluates its certificate 35.2-35.5 times per
     # threshold step on every configs/*.json, in both back-ends; the bracket
-    # brings that to 5.3-7.2 (9.4-11.2 without the Illinois halving)
+    # brings that to 3.25-5.85 (5.3-7.2 before the confirming step resumed
+    # from its record, 9.4-11.2 without the Illinois halving).  A resumed
+    # step evaluates its floor and at most 2 probes next to the root
     module = BACKENDS[mode]
-    steps, evals = [0], [0]
+    steps, evals, resumed = [0], [0], []
     search = module.bisect_threshold
 
-    def counted_search(margin, *args):
+    def counted_search(margin, params, reward, u_lo, record):
         steps[0] += 1
+        calls = []
 
         def counted(u):
-            evals[0] += 1
+            calls.append(u)
             return margin(u)
 
-        return search(counted, *args)
+        resumes = record.bracket is not None
+        u = search(counted, params, reward, u_lo, record)
+        evals[0] += len(calls)
+        if resumes:
+            resumed.append(len(calls))
+        return u
 
     monkeypatch.setattr(module, "bisect_threshold", counted_search)
     result = solve_equilibrium(load_scenario(config).config, mode)
     assert result.converged
-    assert steps[0] > 0
-    assert evals[0] / steps[0] <= 8.0
+    assert steps[0] > 0 and resumed
+    assert evals[0] / steps[0] <= 5.9
+    assert max(resumed) <= 3
+
+
+def _resumed_steps(search, margin, params, reward, starts):
+    """The outcome and margin count of each step of ``starts``, run on one
+    ``ThresholdRecord`` in order, as an alternation runs its steps at one
+    alpha, with whether the step found a bracket in the record."""
+    record = robust.ThresholdRecord()
+    steps = []
+    for start in starts:
+        calls = []
+
+        def counted(u):
+            calls.append(u)
+            return margin(u)
+
+        resumes = record.bracket is not None
+        outcome = _outcome(lambda m, p, r, u: search(m, p, r, u, record), counted, params, reward, start)
+        steps.append((outcome, len(calls), resumes, record.bracket))
+    return steps
+
+
+@pytest.mark.parametrize("mode", sorted(BACKENDS))
+def test_resumed_threshold_step_replays_the_plain_bisection(mode):
+    # 3000 seeded instances, each a run of threshold steps sharing one
+    # record, as an alternation runs them at an unchanged alpha: a first
+    # step from the cold floor or a warm one, which leaves the bracket; then
+    # resumed steps from the last threshold (warm) and from the cold floor;
+    # then one from a floor above the threshold, which does not certify and
+    # takes the full path, and a warm step after it.  On a third of the
+    # instances the margin is NaN above a random cut, and on another third
+    # at the guard alone, so that the record may hold the NaN bracket
+    # [-inf, inf].
+    # Every step must return the plain bisection's threshold from its floor,
+    # or raise what it raises; a resumed step whose pad is narrower than the
+    # bisection tolerance evaluates at most 3 margins
+    rng = np.random.default_rng(3000 + len(mode))
+    seen = Counter()
+    for instance in range(3000):
+        margin, params, reward = _random_margin(rng, BACKENDS[mode])
+        u_hi = reward.total
+        u_cold = -u_hi - params.cost * params.x_max
+        if instance % 3 == 1:
+            margin = _nan_above(margin, float(rng.uniform(u_cold, u_hi)))
+        elif instance % 3 == 2:  # NaN at the guard alone
+            margin = _nan_above(margin, math.nextafter(u_hi, -math.inf))
+
+        def plain(start, margin=margin):
+            return _outcome(plain_bisect_threshold, lambda u: margin(u) >= 0.0, params, reward, start)
+
+        cold = plain(None)
+        first = cold - float(rng.uniform(0.0, 3000.0)) if instance % 2 and isinstance(cold, float) else None
+        starts, last = [first], plain(first)
+        for kind in ("warm", "cold", "above", "warm"):
+            if not isinstance(last, float):
+                break
+            starts.append({"warm": last, "cold": None, "above": last + float(rng.uniform(1.0, 100.0))}[kind])
+            last = plain(starts[-1])
+        steps = _resumed_steps(robust.bisect_threshold, margin, params, reward, starts)
+        for start, (outcome, evals, resumes, bracket) in zip(starts, steps):
+            assert outcome == plain(start), (instance, start)
+            if not resumes:
+                continue
+            if not margin(robust.threshold_floor(params, reward, start)) >= 0.0:
+                seen["floor fails"] += 1
+            elif bracket == (-math.inf, math.inf):
+                seen["nan record"] += 1
+            else:
+                seen["warm" if start is not None else "cold"] += 1
+                pad = robust.PAD * (1.0 + abs(bracket[0]) + abs(bracket[1]))
+                if bracket[1] - bracket[0] + 2.0 * pad <= robust.BISECT_TOL:
+                    seen["narrow"] += 1
+                    assert evals <= 3, (instance, start)
+        seen["first warm" if first is not None else "first cold"] += 1
+    assert min(seen[k] for k in ("warm", "cold", "floor fails", "nan record", "first warm")) >= 100, seen
+    assert seen["narrow"] >= 1000, seen
+
+
+@pytest.mark.parametrize("mode", sorted(BACKENDS))
+def test_a_record_resumes_only_at_the_same_inputs(mode):
+    # one record through steps at one alpha whose load, parameters, reward or
+    # epsilon change: each builds its own margin and returns what a step
+    # without a record returns
+    step = {"gaussian_bti": bti.subproblem_threshold_gaussian, "dro_cvar": cvar.subproblem_threshold}[mode]
+    params, reward = MinerParams(x_hat=55.0, sigma2=100.0), RewardModel()
+    base = (0.5, 110.0, params, reward, 0.1)
+    record = robust.ThresholdRecord()
+    for inputs in (
+        base, (0.5, 140.0, params, reward, 0.1), (0.5, 140.0, MinerParams(x_hat=55.0, sigma2=64.0), reward, 0.1),
+        (0.5, 140.0, params, RewardModel(fixed_reward=8000.0), 0.1), (0.5, 140.0, params, reward, 0.2), base,
+    ):
+        assert step(*inputs, record=record) == step(*inputs), inputs
+        assert record.key == inputs and record.bracket is not None
+
+
+@pytest.mark.parametrize("mode", sorted(BACKENDS))
+def test_a_nan_warm_start_alpha_is_refused(mode):
+    # a NaN warm alpha was clipped to tau0; it is refused as every step
+    # refuses a NaN alpha, while a finite one is still clipped to [tau0, 1]
+    best_response = {"gaussian_bti": bti.robust_best_response_gaussian, "dro_cvar": cvar.robust_best_response}[mode]
+    config = make_config(tau0=0.2)
+    profile = [0.6] * config.n_miners
+    with pytest.raises(ValueError, match="need 0 < alpha <= 1"):
+        best_response(1, profile, config, warm_start=(math.nan, -100.0))
+    clipped = best_response(1, profile, config, warm_start=(0.2, -100.0))
+    assert best_response(1, profile, config, warm_start=(-3.0, -100.0)) == clipped
+    assert best_response(1, profile, config, warm_start=(0.2, -100.0)) == clipped
