@@ -227,7 +227,7 @@ def test_threshold_steps_evaluate_few_margins(monkeypatch, config, mode):
     assert max(resumed) <= 3
 
 
-def _resumed_steps(search, margin, params, reward, starts):
+def _resumed_steps(margin, params, reward, starts):
     """The outcome and margin count of each step of ``starts``, run on one
     ``ThresholdRecord`` in order, as an alternation runs its steps at one
     alpha, with whether the step found a bracket in the record."""
@@ -241,7 +241,8 @@ def _resumed_steps(search, margin, params, reward, starts):
             return margin(u)
 
         resumes = record.bracket is not None
-        outcome = _outcome(lambda m, p, r, u: search(m, p, r, u, record), counted, params, reward, start)
+        outcome = _outcome(lambda m, p, r, u: robust.bisect_threshold(m, p, r, u, record), counted, params, reward,
+                           start)
         steps.append((outcome, len(calls), resumes, record.bracket))
     return steps
 
@@ -282,7 +283,7 @@ def test_resumed_threshold_step_replays_the_plain_bisection(mode):
                 break
             starts.append({"warm": last, "cold": None, "above": last + float(rng.uniform(1.0, 100.0))}[kind])
             last = plain(starts[-1])
-        steps = _resumed_steps(robust.bisect_threshold, margin, params, reward, starts)
+        steps = _resumed_steps(margin, params, reward, starts)
         for start, (outcome, evals, resumes, bracket) in zip(starts, steps):
             assert outcome == plain(start), (instance, start)
             if not resumes:
@@ -321,8 +322,8 @@ def test_a_record_resumes_only_at_the_same_inputs(mode):
 
 @pytest.mark.parametrize("mode", sorted(BACKENDS))
 def test_a_nan_warm_start_alpha_is_refused(mode):
-    # a NaN warm alpha was clipped to tau0; it is refused as every step
-    # refuses a NaN alpha, while a finite one is still clipped to [tau0, 1]
+    # a NaN warm alpha is refused, as every step refuses a NaN alpha; a
+    # finite one is clipped to [tau0, 1]
     best_response = {"gaussian_bti": bti.robust_best_response_gaussian, "dro_cvar": cvar.robust_best_response}[mode]
     config = make_config(tau0=0.2)
     profile = [0.6] * config.n_miners
@@ -330,4 +331,3 @@ def test_a_nan_warm_start_alpha_is_refused(mode):
         best_response(1, profile, config, warm_start=(math.nan, -100.0))
     clipped = best_response(1, profile, config, warm_start=(0.2, -100.0))
     assert best_response(1, profile, config, warm_start=(-3.0, -100.0)) == clipped
-    assert best_response(1, profile, config, warm_start=(0.2, -100.0)) == clipped
