@@ -288,12 +288,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+def _lines(rows) -> list[str]:
+    """Each row as a CSV line, without its line end."""
+    return [",".join(_fmt(v) for v in row) for row in rows]
+
+
+def _write_csv(path: Path, header, lines):
+    """Write the header and ``lines`` (rows that ``_lines`` has formatted)."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        path.write_text("\n".join([",".join(header), *lines]) + "\n", encoding="utf-8", newline="\n")
     except OSError as exc:  # e.g. --out names an existing file
         raise ScenarioError(f"cannot write {path}: {exc}") from exc
 
@@ -313,19 +317,19 @@ def run_solve(scenario: Scenario, out_dir) -> int:
         _write_csv(
             out / MODE_SHORT[mode] / "equilibrium.csv",
             EQUILIBRIUM_HEADER,
-            [
+            _lines(
                 (j, result.alphas[j], u_values[j], config.miners[j].x_hat, config.miners[j].cost)
                 for j in range(config.n_miners)
-            ],
+            ),
         )
         _write_csv(
             out / MODE_SHORT[mode] / "trace.csv",
             TRACE_HEADER,
-            [
+            _lines(
                 (sweep, j, alphas[j], us[j])
                 for sweep, (alphas, us) in enumerate(result.trace, start=1)
                 for j in range(config.n_miners)
-            ],
+            ),
         )
         if not result.converged:
             exit_code = 2
@@ -381,7 +385,7 @@ def run_sweep(scenario: Scenario, axis: str, values, out_dir) -> int:
                     "ok" if result.converged else "not_converged",
                 )
             )
-    _write_csv(Path(out_dir) / "sweep.csv", SWEEP_HEADER, rows)
+    _write_csv(Path(out_dir) / "sweep.csv", SWEEP_HEADER, _lines(rows))
     return 0
 
 
@@ -392,14 +396,14 @@ def _samples_refused(samples, exc) -> ScenarioError:
 def run_validate(scenario: Scenario, out_dir) -> int:
     """Solve, then Monte Carlo-check every (mode, miner, distribution) triple.
 
-    Each (miner, distribution) pair is one job: draw its batch, then score
-    the batch against every mode.  Two worker threads run the jobs (numpy's
-    samplers and array operations release the interpreter lock), so at most
-    two batches are alive at once, and the rows are written in job order.  A
-    batch depends only on (seed, miner, distribution), so the output does
-    not depend on which thread runs a job or when.  Once a job has failed, a
-    job that starts after it draws nothing, and the workers are joined
-    before this returns or raises.
+    Each (miner, distribution) pair is one job: draw its batch, score the
+    batch against every mode and format the rows.  Two worker threads run
+    the jobs (numpy's samplers and array operations release the interpreter
+    lock), so at most two batches are alive at once, and the rows are
+    written in job order.  A batch depends only on (seed, miner,
+    distribution), so the output does not depend on which thread runs a job
+    or when.  Once a job has failed, a job that starts after it draws
+    nothing, and the workers are joined before this returns or raises.
     """
     # imported here, not with the module: concurrent.futures pulls in logging,
     # which every verb would pay for at start-up
@@ -440,14 +444,27 @@ def run_validate(scenario: Scenario, out_dir) -> int:
             raise _samples_refused(scenario.samples, exc) from exc
 
     def score(j, dist, batch):
+        """The batch's violations line and histogram lines for each mode,
+        formatted here, so the main thread only concatenates them."""
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # set per thread, so set here again
-                return [
+                reports = [
                     empirical_violation(result.alphas, result.u_values[j], j, config, batch, clamp=scenario.clamp)
                     for result in results
                 ]
         except ValueError as exc:  # NaN or inf utilities, or a span too narrow for their size
             raise ScenarioError(f"miner {j}, distribution {dist}: cannot bin the utilities: {exc}") from exc
+        formatted = []
+        for mode, report in zip(scenario.modes, reports):
+            short = MODE_SHORT[mode]
+            edges, counts = report.bin_edges.tolist(), report.counts.tolist()
+            formatted.append(
+                (
+                    _lines([(short, dist, j, report.rate, config.epsilon, report.passed)]),
+                    _lines((short, dist, j, edges[k], edges[k + 1], counts[k]) for k in range(len(counts))),
+                )
+            )
+        return formatted
 
     def draw_and_score(j, dist):
         if stop.is_set():  # a job that starts after a failure draws nothing
@@ -458,25 +475,21 @@ def run_validate(scenario: Scenario, out_dir) -> int:
             stop.set()
             raise
 
-    hist_rows = [[] for _ in results]
-    report_rows = [[] for _ in results]
+    violation_lines = [[] for _ in results]
+    hist_lines = [[] for _ in results]
     with ThreadPoolExecutor(max_workers=2) as pool:
         try:
-            for (j, dist), future in zip(jobs, [pool.submit(draw_and_score, *job) for job in jobs]):
-                reports = future.result()
-                if reports is None:  # skipped once another job failed: that job's result raises
+            for future in [pool.submit(draw_and_score, *job) for job in jobs]:
+                formatted = future.result()
+                if formatted is None:  # skipped once another job failed: that job's result raises
                     continue
-                for mode, report, hist, rows in zip(scenario.modes, reports, hist_rows, report_rows):
-                    short = MODE_SHORT[mode]
-                    rows.append((short, dist, j, report.rate, config.epsilon, report.passed))
-                    hist.extend(
-                        (short, dist, j, report.bin_edges[k], report.bin_edges[k + 1], int(report.counts[k]))
-                        for k in range(len(report.counts))
-                    )
+                for (violations, hist), mode_violations, mode_hist in zip(formatted, violation_lines, hist_lines):
+                    mode_violations += violations
+                    mode_hist += hist
         finally:
             stop.set()  # the jobs not yet started return at once, and the pool joins
-    _write_csv(out / "histogram.csv", HISTOGRAM_HEADER, [row for rows in hist_rows for row in rows])
-    _write_csv(out / "violations.csv", VIOLATIONS_HEADER, [row for rows in report_rows for row in rows])
+    _write_csv(out / "histogram.csv", HISTOGRAM_HEADER, [line for lines in hist_lines for line in lines])
+    _write_csv(out / "violations.csv", VIOLATIONS_HEADER, [line for lines in violation_lines for line in lines])
     return 0 if all(result.converged for result in results) else 2
 
 

@@ -42,6 +42,7 @@ POISSON_LAM_MAX = np.iinfo(np.int64).max - math.sqrt(np.iinfo(np.int64).max) * 1
 # draws made (poisson_shifted, two_point) and scored at a time: a block's
 # scratch arrays fit in cache, and no array of n draws or utilities is made
 _BLOCK = 16384
+_HALF_RAW = np.uint64(1 << 63)  # a raw Philox word below it makes a double below 0.5
 
 
 def _stream(seed: int, *spawn_key: int) -> np.random.Generator:
@@ -85,7 +86,11 @@ def sample_uncertainty(
     uniform:         U(mu - sqrt(3) s, mu + sqrt(3) s)
     poisson_shifted: (Poisson(lambda) - lambda) + mu with lambda = sigma2,
                      which matches both moments exactly on an integer lattice
-    two_point:       mu - s or mu + s, each with probability 1/2
+    two_point:       mu - s or mu + s, each with probability 1/2: mu + s where
+                     rng.random() < 0.5, which is counted on the stream's raw
+                     64-bit words r without making the doubles.  Philox's
+                     random() is (r >> 11) 2**-53, one word per draw, and
+                     (r >> 11) 2**-53 < 0.5 <=> r >> 11 < 2**52 <=> r < 2**63.
     """
     if distribution not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {distribution!r}")
@@ -112,10 +117,11 @@ def sample_uncertainty(
         counts = np.add.reduceat(counts[order], first)
         values = ints.astype(float) - lam + mu
     else:
-        # counted over successive blocks of the one stream, so no n-draw array is held
+        # counted over successive blocks of the one stream, so no n-draw array
+        # is held, and on its raw words, so no double is made (see the docstring)
+        raw = rng.bit_generator.random_raw
         n_high = sum(
-            int(np.count_nonzero(rng.random(min(_BLOCK, n - start)) < 0.5))
-            for start in range(0, n, _BLOCK)
+            int(np.count_nonzero(raw(min(_BLOCK, n - start)) < _HALF_RAW)) for start in range(0, n, _BLOCK)
         )
         counts = np.array([n_high, n - n_high])
         values, counts = np.array([mu + s, mu - s])[counts > 0], counts[counts > 0]
@@ -186,6 +192,43 @@ def _utility_blocks(alphas, j, config: GameConfig, draws, clamp):
         yield start, out
 
 
+def _uniform_binning(span):
+    """numpy's ``HISTOGRAM_BINS`` edges over ``span`` = (least, greatest
+    utility), and a kernel that bins a block of utilities against them as
+    numpy's ``histogram(block, HISTOGRAM_BINS, range=span, weights=weights)``
+    does, without its per-call set-up.
+
+    The edges are ``histogram_bin_edges``' for a float array, so they are
+    numpy's, with its 0.5 padding of a zero-width span, and a span numpy
+    cannot split (not finite, or too narrow for its size) raises numpy's
+    ValueError.  ``bin_counts(block, weights)`` returns the block's counts, of
+    numpy's dtype (intp, or that of the weights), by numpy's rule for uniform
+    bins: the index of ((u - first) / (last - first)) * bins, the top index
+    folded into the top bin, then one bin down where u lies below the bin's
+    lower edge, or one bin up where u reaches its upper edge, but not from
+    the top bin, which holds its upper edge.  The block's values must lie in
+    the span, as numpy keeps only those.
+    """
+    edges = np.histogram_bin_edges(np.empty(0), bins=HISTOGRAM_BINS, range=span)
+    # edges[0] is first, or +0.0 for a first of -0.0, which bins alike
+    first, width = edges[0], edges[-1] - edges[0]
+    upper = edges[1:].copy()
+    upper[-1] = np.inf  # a finite u never moves up from the top bin
+
+    def bin_counts(block, weights):
+        k = block - first
+        k /= width
+        k *= HISTOGRAM_BINS
+        k = k.astype(np.intp)
+        np.minimum(k, HISTOGRAM_BINS - 1, out=k)
+        k -= block < edges.take(k)
+        k += block >= upper.take(k)
+        part = np.bincount(k, weights, minlength=HISTOGRAM_BINS)
+        return part.astype(np.intp if weights is None else weights.dtype, copy=False)
+
+    return edges, bin_counts
+
+
 def empirical_violation(
     alphas,
     u_min,
@@ -197,30 +240,31 @@ def empirical_violation(
     """Count how often miner j's realized utility falls below u_min.
 
     Utilities are computed once per value of the batch and weighted by its
-    counts.  A utility depends only on its draw, and ``np.histogram`` bins a
-    utility by its value and the edges alone (the edges come from the least
-    and greatest utility), so the report equals the one scored draw by draw.
-    The batch is scored in two passes over the blocks of ``_BLOCK`` values,
-    and no array of its utilities is made: the first pass takes the least and
-    greatest utility, and the second computes each block's utilities again
-    (the same floats, see ``_utility_blocks``), counts them and bins them
-    against the edges of the whole batch.  The blocks' counts are summed:
-    numpy bins in blocks of its own too, so the edges and counts are the same
-    arrays.  ``cli.run_validate`` calls this on two worker threads at once,
-    each on its own batch.  None of this changes a byte of the CSVs that
-    ``tests/data/golden/*/validate/`` holds.
+    counts.  A utility depends only on its draw, and it is binned by its
+    value and the edges alone (the edges come from the least and greatest
+    utility), so the report equals the one scored draw by draw.  The batch is
+    scored in two passes over the blocks of ``_BLOCK`` values, and no array
+    of its utilities is made: the first pass takes the least and greatest
+    utility, and the second computes each block's utilities again (the same
+    floats, see ``_utility_blocks``), counts them and bins them against the
+    edges of the whole batch.  The edges and each block's counts are those
+    of numpy's ``histogram`` (see ``_uniform_binning``), and the blocks'
+    counts are summed, so the report holds the arrays that ``histogram``
+    makes of all the utilities at once.  ``cli.run_validate`` calls this on
+    two worker threads at once, each on its own batch.  None of this changes
+    a byte of the CSVs that ``tests/data/golden/*/validate/`` holds.
     """
     spans = np.array(
         [(block.min(), block.max()) for _, block in _utility_blocks(alphas, j, config, batch.values, clamp)]
     )
-    span = (spans[:, 0].min(), spans[:, 1].max())
+    edges, bin_counts = _uniform_binning((spans[:, 0].min(), spans[:, 1].max()))
     violations = 0
-    counts = edges = None
+    counts = None
     for start, block in _utility_blocks(alphas, j, config, batch.values, clamp):
         weights = None if batch.counts is None else batch.counts[start : start + len(block)]
         below = block < u_min
         violations += int(np.count_nonzero(below) if weights is None else weights[below].sum())
-        part, edges = np.histogram(block, bins=HISTOGRAM_BINS, range=span, weights=weights)
+        part = bin_counts(block, weights)
         counts = part if counts is None else counts + part
     rate = violations / batch.n
     return ViolationReport(

@@ -119,6 +119,28 @@ def test_draws_replay_the_seeded_stream():
     assert np.array_equal(batch.counts, counts) and len(ints) < n
 
 
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+def test_two_point_counts_on_raw_words_what_random_counts(n):
+    # two_point counts a draw high where its raw Philox word r is below 2**63,
+    # with no double made: random() is (r >> 11) 2**-53, one word per draw,
+    # so the count is that of rng.random(n) < 0.5 on the same stream
+    mu, sigma2, j = -4.0, 49.0, 2
+    for seed in range(20):
+        batch = sample_uncertainty("two_point", mu, sigma2, n, seed=seed, miner_index=j)
+        rng = validate._stream(seed, j, validate._DIST_CODE["two_point"])
+        n_high = int(np.count_nonzero(rng.random(n) < 0.5))
+        assert dict(zip(batch.values.tolist(), batch.counts.tolist())) == {
+            value: count for value, count in ((mu + 7.0, n_high), (mu - 7.0, n - n_high)) if count
+        }
+    # the premise, on this numpy: random() is made from the word as above,
+    # and the words at and around 2**63 fall on the side their double does
+    raw, doubles = validate._stream(5, 0, 0), validate._stream(5, 0, 0)
+    words = raw.bit_generator.random_raw(1000)
+    assert np.array_equal(doubles.random(1000), (words >> np.uint64(11)) * 2.0**-53)
+    edge = np.array([0, 2**63 - 2**11, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1], dtype=np.uint64)
+    assert np.array_equal(edge < validate._HALF_RAW, (edge >> np.uint64(11)) * 2.0**-53 < 0.5)
+
+
 def test_sampling_is_reproducible_and_order_independent():
     a = sample_uncertainty("gaussian", 0.0, 100.0, 1000, seed=9, miner_index=2)
     b = sample_uncertainty("gaussian", 0.0, 100.0, 1000, seed=9, miner_index=2)
@@ -389,6 +411,114 @@ def test_block_wise_scoring_equals_the_one_shot_oracle(n):
             assert new.bin_edges[0] == utils[0] - 0.5 and new.counts.max() == batch.n
 
 
+def _assert_bins_like_numpy(block, span, weights=None) -> bool:
+    """The binning kernel gives np.histogram's edges and counts, bit for bit
+    and of its dtypes, for ``block`` (inside ``span``) with ``weights``, or
+    raises numpy's ValueError; True if numpy bins the block."""
+    try:
+        counts, edges = np.histogram(block, bins=validate.HISTOGRAM_BINS, range=span, weights=weights)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refusal:
+            validate._uniform_binning(span)
+        assert str(refusal.value) == str(exc)
+        return False
+    kernel_edges, bin_counts = validate._uniform_binning(span)
+    kernel_counts = bin_counts(block, weights)
+    assert kernel_edges.tobytes() == edges.tobytes()
+    assert kernel_counts.dtype == counts.dtype and kernel_counts.tobytes() == counts.tobytes()
+    return True
+
+
+def _edge_neighbours(span):
+    """numpy's edges over ``span`` and the floats on either side of each,
+    those inside the span, each twice."""
+    edges = np.histogram_bin_edges(np.empty(0), bins=validate.HISTOGRAM_BINS, range=span)
+    near = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
+    return np.repeat(near[(near >= edges[0]) & (near <= edges[-1])], 2)
+
+
+@pytest.mark.parametrize(
+    "span",
+    [
+        (-3.0, 5.0),
+        (0.1, 0.7),  # edges that are not exact decimal fractions
+        (-1e-300, 3e-300),
+        (1e-300, 1.00000000000002e-300),  # 120 floats wide: three per bin
+        (1e300, 7e300),
+        (-1e300, 1.7e308),
+        (-0.0, 1.0),
+        (2.0**53 - 200.0, 2.0**53),  # five floats per bin
+    ],
+)
+def test_binning_kernel_equals_np_histogram_on_edges(span):
+    # utilities exactly on the interior edges, on the top edge and a float
+    # either side of each, where numpy's bin index is corrected by one; with
+    # no weights, int64 weights and float weights, a block at a time and
+    # one value at a time
+    rng = np.random.default_rng(8)
+    block = np.concatenate([_edge_neighbours(span), rng.uniform(*span, 1000).clip(*span), [span[1]] * 3])
+    rng.shuffle(block)
+    for weights in (None, rng.integers(1, 2**40, len(block)), rng.uniform(0.0, 3.0, len(block))):
+        _assert_bins_like_numpy(block, span, weights)
+    for k in range(0, len(block), 97):
+        _assert_bins_like_numpy(block[k : k + 1], span, None)
+        _assert_bins_like_numpy(block[k : k + 1], span, np.array([3], dtype=np.int64))
+
+
+def test_binning_kernel_equals_np_histogram_on_random_spans():
+    # spans of random centre and width, from a few floats to 1e300 wide,
+    # including zero-width ones (numpy pads them by 0.5 each side) and
+    # one-value blocks
+    rng = np.random.default_rng(31)
+    binned = 0
+    for _ in range(300):
+        centre = rng.choice([0.0, 1.0, -1.0]) * 10.0 ** rng.uniform(-300, 300)
+        width = abs(centre) * 10.0 ** rng.uniform(-14, 2) if centre else 10.0 ** rng.uniform(-300, 300)
+        span = (centre - width / 2, centre + width / 2)
+        try:
+            block = np.concatenate([_edge_neighbours(span), rng.uniform(*span, 200).clip(*span)])
+        except ValueError:  # too narrow a span for 40 bins: numpy's error is the kernel's too
+            continue
+        _assert_bins_like_numpy(block, span, rng.integers(1, 1000, len(block)))
+        _assert_bins_like_numpy(block[:1], span)
+        value = block[len(block) // 2]  # beyond 2**52 in size, padding by 0.5 leaves a zero width
+        binned += _assert_bins_like_numpy(np.full(5, value), (value, value))
+        _assert_bins_like_numpy(np.array([value]), (value, value), np.array([7], dtype=np.int64))
+    assert binned >= 100
+
+
+SPANS_NUMPY_REFUSES = [(math.nan, math.nan), (math.nan, 1.0), (-math.inf, 0.0), (0.0, math.inf), (1e16, 1e16 + 2)]
+
+
+@pytest.mark.parametrize("span", SPANS_NUMPY_REFUSES)
+def test_binning_kernel_refuses_what_np_histogram_refuses(span):
+    with pytest.raises(ValueError) as numpy_refusal:
+        np.histogram(np.empty(0), bins=validate.HISTOGRAM_BINS, range=span)
+    with pytest.raises(ValueError) as refusal:
+        validate._uniform_binning(span)
+    assert str(refusal.value) == str(numpy_refusal.value)
+
+
+@pytest.mark.parametrize("span", SPANS_NUMPY_REFUSES)
+def test_validate_reports_numpy_refusal_to_bin(tmp_path, monkeypatch, capsys, span):
+    # utilities whose span numpy cannot split into bins are a config error
+    # that quotes numpy's message (a NaN utility makes both ends NaN)
+    utilities = np.array(span)
+
+    def utilities_over_span(alphas, j, config, draws, clamp):
+        yield 0, utilities
+
+    with pytest.raises(ValueError) as numpy_refusal:
+        np.histogram(np.empty(0), bins=validate.HISTOGRAM_BINS, range=(utilities.min(), utilities.max()))
+    config = tmp_path / "scenario.json"
+    config.write_text('{"miners": 3, "mode": "det", "validation": {"distributions": "uniform", "samples": 10}}')
+    monkeypatch.setattr(validate, "_utility_blocks", utilities_over_span)
+    assert cli.main(["validate", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: miner 0, distribution uniform: cannot bin the utilities: {numpy_refusal.value}\n"
+    )
+
+
 def _traced_peak(call) -> int:
     """Peak bytes traced by tracemalloc while ``call()`` runs again; numpy's
     allocations are traced, and the untraced first run loads what numpy
@@ -403,14 +533,17 @@ def _traced_peak(call) -> int:
 
 
 def test_no_array_of_n_draws_or_utilities_is_made():
-    # a Poisson batch is drawn and tallied _BLOCK draws at a time, and a
-    # batch is scored in two passes over _BLOCK-sized blocks, so neither
-    # holds an array of n draws or utilities.  np.histogram's own temporaries
-    # on one block come to over four blocks of doubles, so the scoring guard
-    # takes a batch of 16 blocks, where an array of its n utilities would show
+    # a Poisson or two-point batch is drawn and tallied _BLOCK draws at a
+    # time, and a batch is scored in two passes over _BLOCK-sized blocks, so
+    # none holds an array of n draws or utilities.  Scoring's peak is under
+    # 5.3 blocks of doubles (the utility kernel's three buffers and the
+    # binning kernel's temporaries; 7.4 blocks when np.histogram binned each
+    # block), so the scoring guard takes a batch of 8 blocks, where an array
+    # of its n utilities would show
     n = 4 * _BLOCK + 7
-    assert _traced_peak(lambda: sample_uncertainty("poisson_shifted", 0.0, 100.0, n, seed=5)) < n * 8
-    n = 16 * _BLOCK + 7
+    for dist in ("poisson_shifted", "two_point"):
+        assert _traced_peak(lambda: sample_uncertainty(dist, 0.0, 100.0, n, seed=5)) < n * 8
+    n = 8 * _BLOCK + 7
     config = make_config()
     batch = sample_uncertainty("gaussian", 0.0, 100.0, n, seed=5)
     assert _traced_peak(lambda: empirical_violation([0.5] * 5, 100.0, 0, config, batch)) < n * 8
