@@ -327,9 +327,12 @@ def _threshold_certifier(alpha, load, params: MinerParams, reward: RewardModel, 
 
 
 def certify(alpha, u_min, load, params: MinerParams, reward: RewardModel, epsilon):
-    """The trace-minimal (beta, M) witness of u_min at alpha, at v's exact argmin."""
+    """The trace-minimal (beta, M) witness of u_min at alpha, at v's exact
+    argmin; u_min must be finite."""
     _check_strategy(alpha, params.cost, load)
     _check_epsilon(epsilon)
+    if not math.isfinite(u_min):
+        raise ValueError(f"u_min must be a finite number, got {u_min}")
     a2, a1, a0, t0, d0, k, spread = _threshold_terms(alpha, u_min, load, params, reward)
     beta = _exact_minimizer(epsilon)(t0, d0, k, spread, argmin=True)
     return _trace_minimal_witness(beta, u_min, a2, a1, a0, params.nominal, params.sigma2)

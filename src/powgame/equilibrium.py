@@ -8,6 +8,7 @@ the summed strategies and thresholds by at most kappa.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +61,9 @@ def solve_equilibrium(config: GameConfig, mode: str, initial_alpha=INITIAL_ALPHA
     """Iterate best responses until the summed per-sweep change is <= kappa.
 
     The initial profile is ``min(1, max(tau0, initial_alpha))`` for every
-    miner (``initial_alpha`` projected onto [tau0, 1]) and
-    the initial thresholds are the deterministic utilities at that profile.
+    miner (``initial_alpha`` projected onto [tau0, 1], so +-inf starts at a
+    box end, while NaN is refused) and the initial thresholds are the
+    deterministic utilities at that profile.
     Non-convergence within ``config.max_iterations`` sweeps is reported via
     ``converged=False``.  A robust best response can still raise: the AO's
     ``ConvergenceError`` when one miner's alternation hits its cap, and
@@ -69,6 +71,8 @@ def solve_equilibrium(config: GameConfig, mode: str, initial_alpha=INITIAL_ALPHA
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if math.isnan(initial_alpha):
+        raise ValueError(f"initial_alpha must be a number or +-inf, got {initial_alpha}")
     n = config.n_miners
     # looked up per solve, so a wrapper installed on the back-end module is seen
     robust = {

@@ -128,7 +128,11 @@ def bisect_threshold(margin, params: MinerParams, reward: RewardModel, u_lo=None
     1e-9 over the rivals' load), which the pad exceeds by orders of
     magnitude.  Outside the pad the certifiable set is an interval, so every
     skipped decision is the one an evaluation would have made, and with a
-    NaN anywhere in phase 2 every probe is evaluated.
+    NaN anywhere in phase 2 every probe is evaluated.  This needs the margin
+    not to be NaN where phase 2 never probes; neither back-end's margin is,
+    at any of the points that
+    ``tests/test_robust.py::test_no_margin_is_nan_on_the_threshold_range``
+    evaluates.
 
     ``record``, a ``ThresholdRecord``, keeps the bracket for the next step
     on the same margin, which resumes from it: its guard is the float

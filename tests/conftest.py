@@ -5,8 +5,10 @@ best responses are verified against dense grid searches over the raw utility,
 robust best responses against an exhaustive outer search over alpha with
 threshold bisection at every point, the worst-case CVaR against a log-barrier
 solver of its conic program, and derivatives against finite differences.
-The alternation keeps no record of its thresholds; ``recording`` wraps a
-threshold step so that a test can read them, in order.
+The alternation keeps no record of its thresholds, and the solver counts
+none of its work: the ``work`` fixture installs ``ledger.Ledger``, the one
+place in the suite that counts, where a test reads the thresholds, in order,
+and the counts; ``test_work.py`` pins the counts of fixed public calls.
 ``closed_form_equilibrium`` solves the deterministic game without iterating
 when its stationary profile lies in the box, and cross-checks the iteration.
 The hash-power share and the analytic first and second derivatives of the
@@ -59,7 +61,6 @@ from powgame import (
 from powgame._search import _INV_PHI
 from powgame.equilibrium import EquilibriumResult, _deterministic_utilities, solve_equilibrium
 from powgame.model import SolverError, _as_arrays, _check_index, others_load
-from powgame import robust
 from powgame.robust import BISECT_TOL, U_FLOOR
 from powgame.validate import (
     _DIST_CODE,
@@ -70,6 +71,8 @@ from powgame.validate import (
     _stream,
     binomial_slack,
 )
+
+from ledger import Ledger
 
 
 BAD_STRATEGY = "need 0 < alpha <= 1, cost > 0 and positive rivals' load"
@@ -166,17 +169,9 @@ def reference_config():
 
 
 @pytest.fixture
-def certificates(monkeypatch):
-    """A list that gets one bool per curvature certificate that
-    ``robust.scan_strategy`` tries: whether it kept the incoming alpha."""
-    kept, certified = [], robust._certified
-
-    def counted(*args):
-        kept.append(certified(*args))
-        return kept[-1]
-
-    monkeypatch.setattr(robust, "_certified", counted)
-    return kept
+def work(monkeypatch):
+    """A fresh ``ledger.Ledger``, installed on the solver for the test."""
+    return Ledger().install(monkeypatch)
 
 
 def closed_form_equilibrium(config: GameConfig) -> EquilibriumResult:
@@ -307,17 +302,6 @@ def plain_bisect_threshold(certify, params, reward, u_lo=None):
         else:
             u_hi = mid
     return u_lo
-
-
-def recording(step, returned):
-    """``step``, appending each value it returns to the list ``returned``:
-    around a threshold step, the thresholds of an alternation, in order."""
-    def wrapper(*args, **kwargs):
-        value = step(*args, **kwargs)
-        returned.append(value)
-        return value
-
-    return wrapper
 
 
 def outer_best_response_oracle(threshold_fn, tau0, grid_step=1e-3, refine_tol=1e-6):

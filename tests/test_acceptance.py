@@ -13,13 +13,10 @@ from powgame import (
     best_response,
     discrete_worstcase_violation,
     empirical_violation,
-    robust,
     robust_best_response,
     robust_best_response_gaussian,
     sample_uncertainty,
     solve_equilibrium,
-    subproblem_strategy,
-    subproblem_strategy_gaussian,
     subproblem_threshold,
     subproblem_threshold_gaussian,
     utility,
@@ -34,7 +31,6 @@ from conftest import (
     make_config,
     outer_best_response_oracle,
     random_interior_config,
-    recording,
     second_finite_difference,
     utility_gradient,
     utility_second_derivative,
@@ -196,13 +192,12 @@ def test_criterion_05_bti_gaussian_soundness():
     )
 
 
-def test_criterion_06_ao_and_iteration_convergence():
+def test_criterion_06_ao_and_iteration_convergence(work):
     start = time.time()
     rng = np.random.default_rng(106)
     all_converged = True
     all_monotone = True
-    steps = {"dro_cvar": (subproblem_threshold, subproblem_strategy),
-             "gaussian_bti": (subproblem_threshold_gaussian, subproblem_strategy_gaussian)}
+    best_responses = {"dro_cvar": robust_best_response, "gaussian_bti": robust_best_response_gaussian}
     for k in range(20):
         hom = k % 2 == 0
         mode = "dro_cvar" if k % 4 < 2 else "gaussian_bti"
@@ -221,9 +216,9 @@ def test_criterion_06_ao_and_iteration_convergence():
         # sample AO loops at the converged profile and at the first sweep's profile
         for alphas, _ in (result.trace[0], result.trace[-1]):
             j = int(rng.integers(0, config.n_miners))
-            threshold, strategy = steps[mode]
-            hist = []
-            robust.alternate(j, np.array(alphas), config, recording(threshold, hist), strategy, None)
+            work.reset()
+            best_responses[mode](j, np.array(alphas), config)
+            hist = work.thresholds
             all_monotone = all_monotone and all(
                 hist[i + 1] >= hist[i] - 1e-9 for i in range(len(hist) - 1)
             )

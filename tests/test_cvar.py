@@ -3,7 +3,6 @@
 import decimal
 import itertools
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,19 +13,15 @@ from powgame import (
     MomentMatrix,
     RewardModel,
     certify,
-    others_load,
     robust_best_response,
-    solve_equilibrium,
+    robust_best_response_gaussian,
     subproblem_strategy,
-    subproblem_strategy_gaussian,
     subproblem_threshold,
-    subproblem_threshold_gaussian,
     utility,
     worstcase_cvar,
 )
-from powgame import SolverError, bti, cvar, robust
+from powgame import SolverError, cvar, robust
 from powgame._search import scan_golden_max
-from powgame.cli import load_scenario
 from powgame.deterministic import best_response
 from powgame.model import MinerParams
 from powgame.robust import scan_strategy
@@ -41,7 +36,6 @@ from conftest import (
     make_config,
     outer_best_response_oracle,
     plain_bisect_threshold,
-    recording,
     reference_scan_strategy,
     reference_worstcase_cvar,
     scan_grid,
@@ -204,21 +198,11 @@ def test_certificate_satisfies_all_constraint_groups():
         assert trace >= -1e-7
 
 
-def test_threshold_step_runs_no_beta_search(monkeypatch):
-    # each bisection probe is certified by the exact minimum of v, so the
-    # threshold step never brackets or golden-sections over beta
-    calls = []
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(cvar, "_beta_search", counted(cvar._beta_search))
-    subproblem_threshold(0.5, 110.0, make_config().miners[0], REWARD, 0.1)
-    assert calls == []
+@pytest.mark.parametrize("u_min", [math.nan, math.inf, -math.inf])
+def test_certify_refuses_a_non_finite_threshold(u_min):
+    # a NaN threshold gave an all-NaN witness, and +inf a beta of inf with a NaN M
+    with pytest.raises(ValueError, match=f"^u_min must be a finite number, got {u_min}$"):
+        certify(0.5, u_min, 110.0, MinerParams(x_hat=55.0, sigma2=100.0), REWARD, 0.1)
 
 
 def test_threshold_small_sigma_recovers_deterministic_utility():
@@ -292,12 +276,11 @@ def test_subproblem_strategy_matches_exhaustive_scan():
     assert slack >= best - 1e-9
 
 
-def test_robust_best_response_monotone_and_oracle():
+def test_robust_best_response_monotone_and_oracle(work):
     config = make_config(n=5, x_hat=50.0)
     profile = [0.6] * 5
-    hist = []
-    response = robust.alternate(0, profile, config, recording(subproblem_threshold, hist), subproblem_strategy, None)
-    assert response == robust_best_response(0, profile, config)
+    response = robust_best_response(0, profile, config)
+    hist = work.thresholds
     assert all(hist[i + 1] >= hist[i] - 1e-9 for i in range(len(hist) - 1))
     params = config.miners[0]
     load = 4 * 0.6 * 50.0
@@ -360,76 +343,29 @@ def test_strategy_step_never_certifies_a_nan_slack(sigma):
 
 
 @pytest.mark.parametrize(
-    "steps",
-    [(subproblem_threshold, subproblem_strategy),
-     (subproblem_threshold_gaussian, subproblem_strategy_gaussian)],
-    ids=["dro_cvar", "gaussian_bti"],
+    "best_response", [robust_best_response, robust_best_response_gaussian], ids=["dro_cvar", "gaussian_bti"]
 )
-def test_robust_best_response_iteration_cap(monkeypatch, steps):
+def test_robust_best_response_iteration_cap(monkeypatch, work, best_response):
     # on the cap the error carries the last iterate: the threshold step's
     # fourth value, after the starting step and three iterations
     config = make_config(n=5, x_hat=50.0)
     monkeypatch.setattr(robust, "AO_TOL", -1.0)
     monkeypatch.setattr(robust, "AO_CAP", 3)
-    threshold, strategy = steps
-    thresholds = []
     with pytest.raises(ConvergenceError) as err:
-        robust.alternate(0, [0.6] * 5, config, recording(threshold, thresholds), strategy, None)
+        best_response(0, [0.6] * 5, config)
     last = err.value.last
-    assert last.iterations == 3 and len(thresholds) == 4
-    assert last.u_min == thresholds[-1]
+    assert last.iterations == 3 and len(work.thresholds) == 4
+    assert last.u_min == work.thresholds[-1]
 
 
-@pytest.mark.parametrize("backend", ["dro_cvar", "gaussian_bti"])
-def test_strategy_step_scores_incoming_alpha_once(monkeypatch, backend):
-    # 0.7123 is off the scan grid, so only the incoming score lands on it
-    alpha_in, load, eps = 0.7123, 110.0, 0.1
-    params = make_config().miners[0]
-    scored = []
-    if backend == "dro_cvar":
-        module, strategy = cvar, subproblem_strategy
-        u = subproblem_threshold(alpha_in, load, params, REWARD, eps)
-    else:
-        module, strategy = bti, subproblem_strategy_gaussian
-        u = subproblem_threshold_gaussian(alpha_in, load, params, REWARD, eps)
-    original = module.scan_strategy
-    bounded = []
-
-    def scanning(slack, alpha_in, tau0, bounds=None, error=None, curvature=None):
-        def counted(alpha):
-            scored.append(alpha)
-            return slack(alpha)
-
-        if bounds is not None:  # cvar: the bounds spare most exact scores
-            def bracket(alpha):
-                bounded.append(alpha)
-                return bounds(alpha)
-
-            return original(counted, alpha_in, tau0, bracket, error)
-        # bti: one below the threshold at 0.7123, the curvature certificate
-        # cannot keep it, so the scan runs
-        return original(counted, alpha_in, tau0, error=error, curvature=curvature)
-
-    monkeypatch.setattr(module, "scan_strategy", scanning)
-    strategy(u - 1.0, alpha_in, load, params, REWARD, 0.5, eps)
-    # the climb reads only the grid points next to the peak: ceilings for
-    # cvar, slacks for bti
-    grid = np.arange(0.5, 1.0 + 0.5 * 0.0125, 0.0125).tolist()
-    assert 0 < sum(a in grid for a in (bounded if backend == "dro_cvar" else scored)) < 41
-    assert scored.count(alpha_in) == 1
-
-
-def test_robust_best_response_certificate_is_final_iterate():
+def test_robust_best_response_certificate_is_final_iterate(work):
     # the witness built on request at the returned (alpha, u_min) certifies
     # the last threshold step, not an earlier iterate; the AO moves on this
     # instance
     config = make_config(n=5, x_hat=50.0, tau0=0.1)
     profile = [0.3] * 5
-    thresholds = []
-    response = robust.alternate(0, profile, config, recording(subproblem_threshold, thresholds),
-                                subproblem_strategy, None)
-    assert response == robust_best_response(0, profile, config)
-    assert thresholds[0] < response.u_min
+    response = robust_best_response(0, profile, config)
+    assert work.thresholds[0] < response.u_min
     params = config.miners[0]
     load = 4 * 0.3 * 50.0
     cert = certify(response.alpha, response.u_min, load, params, REWARD, config.epsilon)
@@ -504,56 +440,6 @@ def test_steps_evaluate_v_bit_for_bit_like_the_reference():
                 lambda a: -reference_worstcase_cvar(coeffs(a, u_star), moments, eps)[0], alpha_in, tau0
             )
             assert subproblem_strategy(u_star, alpha_in, load, params, reward, tau0, eps) == reference
-
-
-def test_cvar_best_response_builds_no_reference_objects(monkeypatch):
-    # both steps, and certify after them, evaluate v and the witness from
-    # per-step constants, never through the reference objects or a matrix
-    # factorization
-    built = []
-    for cls in (LossCoefficients, MomentMatrix):
-        original = cls.__init__
-
-        def counted_init(self, *args, _original=original, **kwargs):
-            built.append(type(self).__name__)
-            _original(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", counted_init)
-    for name in ("eigh", "inv"):
-        original = getattr(np.linalg, name)
-
-        def counted_call(*args, _original=original, _name=name, **kwargs):
-            built.append(_name)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted_call)
-    config = make_config(n=5, x_hat=50.0)
-    response = robust_best_response(0, [0.6] * 5, config)
-    load = others_load(0, [0.6] * 5, config.nominal_resources())
-    cert = certify(response.alpha, response.u_min, load, config.miners[0], REWARD, config.epsilon)
-    assert response.iterations >= 1 and cert.u_min == response.u_min
-    assert built == []
-
-
-def test_best_response_and_solve_build_no_witness(monkeypatch):
-    # the solver reads only thresholds: no step builds a (beta, M) witness
-    # unless certify is asked for one
-    built = []
-    original = cvar._trace_minimal_witness
-
-    def counted(*args):
-        built.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(cvar, "_trace_minimal_witness", counted)
-    response = robust_best_response(0, [0.3] * 5, make_config(n=5, x_hat=50.0, tau0=0.1))
-    assert response.iterations >= 1
-    result = solve_equilibrium(make_config(n=3, x_hat=[45.0, 50.0, 55.0], tau0=0.4), "dro_cvar")
-    assert result.converged
-    assert built == []
-    params = make_config().miners[0]
-    certify(0.5, subproblem_threshold(0.5, 110.0, params, REWARD, 0.1), 110.0, params, REWARD, 0.1)
-    assert len(built) == 1
 
 
 def _assert_matches_eigh(cert, coeffs, moments):
@@ -842,32 +728,6 @@ def test_exact_slack_is_concave():
         assert all(e[i - 1] - 2 * e[i] + e[i + 1] <= slack for i in range(1, 40)), (u, eps)
 
 
-def test_strategy_grid_reads_few_ceilings_on_configs(monkeypatch):
-    # the climb reads a few ceilings next to the incoming alpha, of the 41
-    # a full scan reads, in every cvar strategy step of configs/*.json
-    reads = []
-    scan = robust.scan_golden_max
-
-    def counted(f, lo, hi, step, bounds, **hints):
-        calls = []
-
-        def reading(x):
-            calls.append(x)
-            return bounds(x)
-
-        found = scan(f, lo, hi, step, bounds=reading, **hints)
-        grid = scan_grid(lo, hi, step)
-        reads.append(sum(x in grid for x in calls))
-        return found
-
-    monkeypatch.setattr(robust, "scan_golden_max", counted)
-    for path in sorted((Path(__file__).parent.parent / "configs").glob("*.json")):
-        scenario = load_scenario(path)
-        assert solve_equilibrium(scenario.config, "dro_cvar", initial_alpha=scenario.initial_alpha).converged
-    assert len(reads) == 250
-    assert max(reads) <= 16 and sum(reads) / len(reads) <= 4
-
-
 @pytest.mark.parametrize("sigma", [1e60, 1e80, 1e90, 1e130, 1e150])
 def test_scan_with_bounds_matches_the_exact_scan_at_huge_sigma(sigma):
     # past sigma ~ 1e80 the slack is -inf or NaN while the exact minimum, and
@@ -912,62 +772,6 @@ def test_strategy_step_equals_the_grid_scan_oracle():
     assert steps == [reference_scan_strategy(cvar._strategy_slack(u, load, params, reward, eps)[0], alpha_in, tau0)
                      for u, alpha_in, load, params, reward, tau0, eps in cases]
     assert 0 < sum(feasible for _, _, feasible in steps) < len(steps)
-
-
-def test_strategy_step_runs_few_beta_searches(monkeypatch):
-    # 41 grid points, ~24 golden probes and the incoming alpha would cost one
-    # beta search each (about 67 a step); the floor and ceiling decide most
-    # comparisons, and each alpha is scored once a step, which leaves 4.44
-    # (6.5 while every overlap of two probes scored both, the grid's best
-    # point was always scored, and so was the last midpoint below the bar;
-    # 9.7 with the measured widths 1e-9 / eps and 1e-12 / eps)
-    searches, steps = [], []
-
-    def counted(fn, calls):
-        def wrapper(*args, **kwargs):
-            calls.append(None)
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(cvar, "_beta_search", counted(cvar._beta_search, searches))
-    monkeypatch.setattr(cvar, "subproblem_strategy", counted(cvar.subproblem_strategy, steps))
-    for config in (make_config(), make_config(x_hat=[35.0, 42.0, 50.0, 57.0, 60.0], tau0=0.1)):
-        assert solve_equilibrium(config, "dro_cvar").converged
-    assert len(steps) >= 10
-    assert len(searches) / len(steps) <= 4.5
-
-
-def test_heterogeneous_solve_does_the_same_work(monkeypatch):
-    # machine-independent work counts of one dro_cvar solve of
-    # configs/heterogeneous.json, as recorded with the climb on ceilings, the
-    # proven widths of cvar._widths, and searches only where a decision
-    # reads them (89 searches and 1144 bounds before the climb, 59 and 448
-    # before the last; the bar test reads one more ceiling, at the golden
-    # midpoint, where the grid point lies below the bar): equal counts show that no strategy
-    # step, bound or beta search decided differently
-    counts = {"steps": 0, "searches": 0, "bounds": 0}
-
-    def counted(fn, key):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    strategy_slack = cvar._strategy_slack
-
-    def counted_slack(*args):
-        slack, bounds, error = strategy_slack(*args)
-        return slack, counted(bounds, "bounds"), error
-
-    monkeypatch.setattr(cvar, "_beta_search", counted(cvar._beta_search, "searches"))
-    monkeypatch.setattr(cvar, "subproblem_strategy", counted(cvar.subproblem_strategy, "steps"))
-    monkeypatch.setattr(cvar, "_strategy_slack", counted_slack)
-    scenario = load_scenario(Path(__file__).parent.parent / "configs" / "heterogeneous.json")
-    result = solve_equilibrium(scenario.config, "dro_cvar", initial_alpha=scenario.initial_alpha)
-    assert result.converged
-    assert counts == {"steps": 18, "searches": 37, "bounds": 464}
 
 
 def _plateau(x):

@@ -1,17 +1,13 @@
 """Tests for the Gauss-Seidel best-response iteration."""
 
+import math
+
 import numpy as np
 import pytest
 
-from powgame import (
-    robust,
-    robust_best_response_gaussian,
-    solve_equilibrium,
-    subproblem_strategy,
-    subproblem_threshold,
-)
+from powgame import robust_best_response, robust_best_response_gaussian, solve_equilibrium, subproblem_threshold
 
-from conftest import grid_best_response, make_config, recording
+from conftest import grid_best_response, make_config
 
 
 def test_unknown_mode_rejected(reference_config):
@@ -114,11 +110,22 @@ def test_homogeneous_converges_no_slower_than_heterogeneous():
         assert hom_sweeps <= het_sweeps
 
 
-def test_ao_histories_monotone_along_equilibrium_path(reference_config):
+def test_ao_histories_monotone_along_equilibrium_path(reference_config, work):
     result = solve_equilibrium(reference_config, "dro_cvar")
     for alphas, _ in result.trace:
         for j in range(reference_config.n_miners):
-            hist = []
-            robust.alternate(j, np.array(alphas), reference_config,
-                             recording(subproblem_threshold, hist), subproblem_strategy, None)
+            work.reset()
+            robust_best_response(j, np.array(alphas), reference_config)
+            hist = work.thresholds
             assert all(hist[i + 1] >= hist[i] - 1e-9 for i in range(len(hist) - 1))
+
+
+def test_a_nan_initial_alpha_is_refused(reference_config):
+    # max(tau0, nan) is tau0, so a NaN started every miner at tau0 unseen;
+    # +-inf still start at the box ends
+    def solve(initial_alpha):
+        return solve_equilibrium(reference_config, "deterministic", initial_alpha=initial_alpha)
+
+    with pytest.raises(ValueError, match=r"^initial_alpha must be a number or \+-inf, got nan$"):
+        solve(math.nan)
+    assert solve(math.inf) == solve(1.0) and solve(-math.inf) == solve(reference_config.tau0)

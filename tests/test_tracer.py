@@ -103,7 +103,7 @@ def test_tracer_binds_the_solver_spans(tmp_path):
     "mode, strategy",
     [("bti", "bti.subproblem_strategy_gaussian"), ("cvar", "cvar.subproblem_strategy")],
 )
-def test_each_strategy_step_runs_one_scan(tmp_path, certificates, mode, strategy):
+def test_each_strategy_step_runs_one_scan(tmp_path, work, mode, strategy):
     # traced one back-end at a time, so neither can route around the scan
     # while the other's calls make up the count; a bti step whose curvature
     # certificate keeps the incoming alpha runs none, and a cvar step passes
@@ -111,8 +111,8 @@ def test_each_strategy_step_runs_one_scan(tmp_path, certificates, mode, strategy
     stats = _run_traced(tmp_path, SCENARIO, "solve", "--mode", mode).layer_stats()
     scans, steps = stats["search.scan_golden_max"][0], stats[strategy][0]
     assert steps > 0 and 0 < scans
-    assert scans + sum(certificates) == steps
-    assert (sum(certificates) > 0) == (mode == "bti")
+    assert scans + work.counts["kept"] == steps
+    assert (work.counts["kept"] > 0) == (mode == "bti")
 
 
 def _assert_spans(stats, names):
