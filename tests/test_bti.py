@@ -2,6 +2,7 @@
 
 import decimal
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from powgame import (
     subproblem_strategy_gaussian,
     subproblem_threshold_gaussian,
 )
-from powgame import _search, bti
+from powgame import _search, bti, solve_equilibrium
+from powgame.cli import load_scenario
 from powgame.deterministic import best_response
 from powgame.model import MinerParams, SolverError
 from powgame.robust import scan_strategy
@@ -354,6 +356,21 @@ def test_climb_equals_the_full_scan_on_wide_steps(work):
     assert 0 < sum(feasible for _, _, feasible in steps) < len(steps)
 
 
+def test_climb_scores_incoming_alpha_once(work):
+    # the climb scores fewer than the 41 grid points, and 0.7123, off the
+    # grid, is scored once, by the incoming rule; one below its threshold,
+    # 0.7123 is too far from the peak for the curvature certificate, so the
+    # scan runs
+    alpha_in, load, eps = 0.7123, 110.0, 0.1
+    params = make_config().miners[0]
+    u = subproblem_threshold_gaussian(alpha_in, load, params, REWARD, eps)
+    subproblem_strategy_gaussian(u - 1.0, alpha_in, load, params, REWARD, 0.5, eps)
+    scored = [a for a, _ in work.reads]
+    assert scored.count(alpha_in) == 1
+    grid = np.arange(0.5, 1.0 + 0.5 * 0.0125, 0.0125).tolist()
+    assert 0 < sum(a in grid for a in scored) < 41  # the climb ran, not the scan
+
+
 def test_grid_is_built_once_and_equals_the_fresh_grid():
     # the cached grid is the arange grid with its last point clipped, float
     # for float, also where 1 - tau0 < 40 * 1e-4 sets the step to 1e-4
@@ -564,3 +581,18 @@ def test_slack_curvature_is_at_most_minus_kappa():
             )
             assert 0 < dec(kappa_lo) <= exact_kappa
         assert second <= dec(-kappa) * dec(1.0 - 1e-9) and second <= -dec(kappa_lo)
+
+
+def test_heterogeneous_solve_does_the_same_work(work):
+    # machine-independent work counts of one gaussian_bti solve of
+    # configs/heterogeneous.json: the strategy and threshold steps are those
+    # of the full scan (12 and 22); the curvature certificate keeps the
+    # incoming alpha of 10 steps without a scan, so 2 scans run, and the
+    # certificate's reads, the climbs and the golden sections leave 75 slack
+    # evaluations of the 780 that scoring every point takes (303 before the
+    # certificate); test_work.py pins every count of this solve
+    scenario = load_scenario(Path(__file__).parent.parent / "configs" / "heterogeneous.json")
+    result = solve_equilibrium(scenario.config, "gaussian_bti", initial_alpha=scenario.initial_alpha)
+    assert result.converged
+    counts = {key: work.counts[key] for key in ("strategy_steps", "threshold_steps", "slacks", "scans", "kept")}
+    assert counts == {"strategy_steps": 12, "threshold_steps": 22, "slacks": 75, "scans": 2, "kept": 10}

@@ -3,6 +3,7 @@
 import decimal
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,13 +16,17 @@ from powgame import (
     certify,
     robust_best_response,
     robust_best_response_gaussian,
+    solve_equilibrium,
     subproblem_strategy,
+    subproblem_strategy_gaussian,
     subproblem_threshold,
+    subproblem_threshold_gaussian,
     utility,
     worstcase_cvar,
 )
 from powgame import SolverError, cvar, robust
 from powgame._search import scan_golden_max
+from powgame.cli import load_scenario
 from powgame.deterministic import best_response
 from powgame.model import MinerParams
 from powgame.robust import scan_strategy
@@ -44,6 +49,7 @@ from conftest import (
 )
 
 REWARD = RewardModel()
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 def _coeffs(alpha, u_min, load, cost=60.0):
@@ -356,6 +362,26 @@ def test_robust_best_response_iteration_cap(monkeypatch, work, best_response):
     last = err.value.last
     assert last.iterations == 3 and len(work.thresholds) == 4
     assert last.u_min == work.thresholds[-1]
+
+
+@pytest.mark.parametrize("backend", ["dro_cvar", "gaussian_bti"])
+def test_strategy_step_scores_incoming_alpha_once(work, backend):
+    # 0.7123 is off the scan grid, so only the incoming score lands on it
+    alpha_in, load, eps = 0.7123, 110.0, 0.1
+    params = make_config().miners[0]
+    threshold, strategy = {"dro_cvar": (subproblem_threshold, subproblem_strategy),
+                           "gaussian_bti": (subproblem_threshold_gaussian, subproblem_strategy_gaussian)}[backend]
+    u = threshold(alpha_in, load, params, REWARD, eps)
+    # bti: one below the threshold at 0.7123, the curvature certificate
+    # cannot keep it, so the scan runs
+    strategy(u - 1.0, alpha_in, load, params, REWARD, 0.5, eps)
+    scored = [a for a, _ in work.reads]
+    # the climb reads only the grid points next to the peak: ceilings for
+    # cvar (the bounds spare most exact scores), slacks for bti
+    grid = np.arange(0.5, 1.0 + 0.5 * 0.0125, 0.0125).tolist()
+    on_grid = work.counts["ceilings"] if backend == "dro_cvar" else sum(a in grid for a in scored)
+    assert work.counts["scans"] == 1 and 0 < on_grid < 41
+    assert scored.count(alpha_in) == 1
 
 
 def test_robust_best_response_certificate_is_final_iterate(work):
@@ -728,6 +754,17 @@ def test_exact_slack_is_concave():
         assert all(e[i - 1] - 2 * e[i] + e[i + 1] <= slack for i in range(1, 40)), (u, eps)
 
 
+def test_strategy_grid_reads_few_ceilings_on_configs(work):
+    # the climb reads a few ceilings next to the incoming alpha, of the 41
+    # a full scan reads, in every cvar strategy step of configs/*.json
+    for path in sorted(CONFIGS.glob("*.json")):
+        scenario = load_scenario(path)
+        assert solve_equilibrium(scenario.config, "dro_cvar", initial_alpha=scenario.initial_alpha).converged
+    scans = work.counts["scans"]
+    assert scans == 250
+    assert work.counts["ceilings_max"] <= 16 and work.counts["ceilings"] / scans <= 4
+
+
 @pytest.mark.parametrize("sigma", [1e60, 1e80, 1e90, 1e130, 1e150])
 def test_scan_with_bounds_matches_the_exact_scan_at_huge_sigma(sigma):
     # past sigma ~ 1e80 the slack is -inf or NaN while the exact minimum, and
@@ -772,6 +809,36 @@ def test_strategy_step_equals_the_grid_scan_oracle():
     assert steps == [reference_scan_strategy(cvar._strategy_slack(u, load, params, reward, eps)[0], alpha_in, tau0)
                      for u, alpha_in, load, params, reward, tau0, eps in cases]
     assert 0 < sum(feasible for _, _, feasible in steps) < len(steps)
+
+
+def test_strategy_step_runs_few_beta_searches(work):
+    # 41 grid points, ~24 golden probes and the incoming alpha would cost one
+    # beta search each (about 67 a step); the floor and ceiling decide most
+    # comparisons, and each alpha is scored once a step, which leaves 4.44
+    # (6.5 while every overlap of two probes scored both, the grid's best
+    # point was always scored, and so was the last midpoint below the bar;
+    # 9.7 with the measured widths 1e-9 / eps and 1e-12 / eps)
+    for config in (make_config(), make_config(x_hat=[35.0, 42.0, 50.0, 57.0, 60.0], tau0=0.1)):
+        assert solve_equilibrium(config, "dro_cvar").converged
+    steps = work.counts["strategy_steps"]
+    assert steps >= 10
+    assert work.counts["beta_searches"] / steps <= 4.5
+
+
+def test_heterogeneous_solve_does_the_same_work(work):
+    # machine-independent work counts of one dro_cvar solve of
+    # configs/heterogeneous.json, as recorded with the climb on ceilings, the
+    # proven widths of cvar._widths, and searches only where a decision
+    # reads them (89 searches and 1144 bounds before the climb, 59 and 448
+    # before the last; the bar test reads one more ceiling, at the golden
+    # midpoint, where the grid point lies below the bar): equal counts show
+    # that no strategy step, bound or beta search decided differently;
+    # test_work.py pins every count of this solve
+    scenario = load_scenario(CONFIGS / "heterogeneous.json")
+    result = solve_equilibrium(scenario.config, "dro_cvar", initial_alpha=scenario.initial_alpha)
+    assert result.converged
+    counts = {key: work.counts[key] for key in ("strategy_steps", "beta_searches", "bounds")}
+    assert counts == {"strategy_steps": 18, "beta_searches": 37, "bounds": 464}
 
 
 def _plateau(x):

@@ -8,15 +8,18 @@ for float, and raise what it raises, while evaluating far fewer margins.
 
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from powgame import MinerParams, RewardModel, SolverError, bti, cvar, robust
+from powgame import MinerParams, RewardModel, SolverError, bti, cvar, robust, solve_equilibrium
+from powgame.cli import load_scenario
 
 from conftest import make_config, plain_bisect_threshold
 
 BACKENDS = {"gaussian_bti": bti, "dro_cvar": cvar}
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 def _log_uniform(rng, lo, hi):
@@ -187,6 +190,23 @@ def test_a_nan_seen_while_bracketing_leaves_every_probe_to_the_replay():
     calls.clear()
     assert robust.bisect_threshold(margin, params, reward) == expected
     assert len(calls) == plain_calls + 1  # the plain probes, and the NaN
+
+
+@pytest.mark.parametrize("mode", sorted(BACKENDS))
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_threshold_steps_evaluate_few_margins(work, config, mode):
+    # the plain bisection evaluates its certificate 35.2-35.5 times per
+    # threshold step on every configs/*.json, in both back-ends; the bracket
+    # brings that to 3.25-5.85 (5.3-7.2 before the confirming step resumed
+    # from its record, 9.4-11.2 without the Illinois halving).  A resumed
+    # step evaluates its floor and at most 2 probes next to the root.  The
+    # solve starts from the default alpha, not the scenario's
+    result = solve_equilibrium(load_scenario(config).config, mode)
+    assert result.converged
+    steps = work.counts["threshold_steps"]
+    assert steps > 0 and work.counts["resumed_steps"] > 0
+    assert work.counts["margins"] / steps <= 5.9
+    assert work.counts["resumed_margins_max"] <= 3
 
 
 @pytest.mark.parametrize("mode", sorted(BACKENDS))
