@@ -16,6 +16,7 @@ configuration or usage, 2 solver non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import reprlib
@@ -502,6 +503,7 @@ def _parse_values(raw: str, axis: str):
         raise ScenarioError(f"--values: {axis}: {exc}") from exc
 
 
+@functools.cache  # built on the first call, not at import, and reused: parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="powgame",

@@ -35,8 +35,8 @@ def best_response(j: int, profile, config: GameConfig) -> float:
     validates it: every entry, j's included, must lie in (0, 1], though
     entry j does not enter the rivals' load.
     """
-    x = config.nominal_resources()
+    x = config._nominal
     load = others_load(j, profile, x)
-    # float(x[j]): a numpy scalar would carry into every robust step built on it
-    raw = best_response_interior(load, float(x[j]), config.miners[j].cost, config.reward.total)
-    return min(1.0, max(config.tau0, raw))
+    raw = best_response_interior(load, x[j], config.miners[j].cost, config.reward.total)
+    # float(): a config's tau0 may be a numpy scalar, which would carry into the trace
+    return float(min(1.0, max(config.tau0, raw)))

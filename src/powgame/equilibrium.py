@@ -11,10 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import bti, cvar, deterministic
-from .model import GameConfig, utility
+from .model import GameConfig, _pairwise_sum, utility
 
 __all__ = ["MODES", "EquilibriumResult", "solve_equilibrium"]
 
@@ -48,13 +46,8 @@ class EquilibriumResult:
 
 
 def _deterministic_utilities(alphas, config):
-    x = config.nominal_resources()
-    return np.array(
-        [
-            utility(j, alphas, x, config.reward, config.miners[j].cost)
-            for j in range(config.n_miners)
-        ]
-    )
+    x = config._nominal
+    return [utility(j, alphas, x, config.reward, config.miners[j].cost) for j in range(config.n_miners)]
 
 
 def solve_equilibrium(config: GameConfig, mode: str, initial_alpha=INITIAL_ALPHA) -> EquilibriumResult:
@@ -79,7 +72,8 @@ def solve_equilibrium(config: GameConfig, mode: str, initial_alpha=INITIAL_ALPHA
         "gaussian_bti": bti.robust_best_response_gaussian,
         "dro_cvar": cvar.robust_best_response,
     }.get(mode)
-    alphas = np.full(n, min(1.0, max(config.tau0, initial_alpha)))
+    # lists of built-in floats: every best response, utility and start is one
+    alphas = [float(min(1.0, max(config.tau0, initial_alpha)))] * n
     u_values = _deterministic_utilities(alphas, config)
     trace = []
     converged = False
@@ -92,22 +86,23 @@ def solve_equilibrium(config: GameConfig, mode: str, initial_alpha=INITIAL_ALPHA
                 alphas[j] = deterministic.best_response(j, alphas, config)
             else:
                 # from sweep 2 on, the AO resumes from this miner's last response
-                warm = None if sweeps == 1 else (float(alphas[j]), float(u_values[j]))
+                warm = None if sweeps == 1 else (alphas[j], u_values[j])
                 response = robust(j, alphas, config, warm_start=warm)
                 alphas[j] = response.alpha
                 u_values[j] = response.u_min
         if mode == "deterministic":
             u_values = _deterministic_utilities(alphas, config)
-        trace.append((tuple(float(a) for a in alphas), tuple(float(u) for u in u_values)))
-        change = float(
-            np.abs(alphas - prev_alphas).sum() + np.abs(u_values - prev_u).sum()
+        trace.append((tuple(alphas), tuple(u_values)))
+        # summed as numpy sums a vector, so the stop rule reads the same float
+        change = _pairwise_sum([abs(a - p) for a, p in zip(alphas, prev_alphas)]) + _pairwise_sum(
+            [abs(u - p) for u, p in zip(u_values, prev_u)]
         )
         if change <= config.kappa:
             converged = True
             break
     return EquilibriumResult(
-        alphas=tuple(float(a) for a in alphas),
-        u_values=tuple(float(u) for u in u_values),
+        alphas=tuple(alphas),
+        u_values=tuple(u_values),
         iterations=sweeps,
         converged=converged,
         trace=tuple(trace),

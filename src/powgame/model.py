@@ -158,13 +158,15 @@ class GameConfig:
         total = self.reward.total * sum(m.nominal for m in self.miners)
         if not math.isfinite(total):
             raise ValueError(f"reward total * summed nominal resources must be finite, got {total}")
+        # read by every best response, so worked out once
+        object.__setattr__(self, "_nominal", tuple(float(m.nominal) for m in self.miners))
 
     @property
     def n_miners(self) -> int:
         return len(self.miners)
 
     def nominal_resources(self) -> np.ndarray:
-        return np.array([m.nominal for m in self.miners])
+        return np.array(self._nominal)
 
     def costs(self) -> np.ndarray:
         return np.array([m.cost for m in self.miners])
@@ -216,18 +218,54 @@ class MomentMatrix:
         return np.array([[self.sigma2 + m * m, m], [m, 1.0]])
 
 
-def _as_arrays(profile, resources) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(profile, dtype=float)
-    x = np.asarray(resources, dtype=float)
-    if a.shape != x.shape or a.ndim != 1:
-        raise ValueError(f"profile and resources must match, got {a.shape} vs {x.shape}")
-    # plain comparisons: on a few entries they cost a fraction of np.any, and
-    # a NaN fails them
-    if not all(0 < v < math.inf for v in x.tolist()):
-        raise ValueError("resources must be positive and finite")
-    if not all(0 < v <= 1 for v in a.tolist()):
-        raise ValueError("alphas must be in (0,1]")
+def _as_floats(profile, resources) -> tuple[list[float], list[float]]:
+    """The profile and resources as equal-length lists of floats, checked."""
+    try:
+        a = list(map(float, profile.tolist() if isinstance(profile, np.ndarray) else profile))
+        x = list(map(float, resources.tolist() if isinstance(resources, np.ndarray) else resources))
+    except TypeError as exc:  # a scalar, or an entry that is itself a sequence
+        raise ValueError(f"profile and resources must be flat sequences of numbers: {exc}") from exc
+    if len(a) != len(x):
+        raise ValueError(f"profile and resources must match, got {len(a)} vs {len(x)} entries")
+    # plain loops, a third faster than all() over a generator; a NaN fails
+    # these comparisons
+    inf = math.inf
+    for v in x:
+        if not 0 < v < inf:
+            raise ValueError("resources must be positive and finite")
+    for v in a:
+        if not 0 < v <= 1:
+            raise ValueError("alphas must be in (0,1]")
     return a, x
+
+
+def _pairwise_sum(values) -> float:
+    """Sum of a list of floats, bit for bit ``np.add.reduce`` on a float64 vector.
+
+    It adds in numpy's pairwise order: in sequence below 8 entries, in eight
+    strided accumulators up to 128, and above that as the sum of two halves
+    split at a multiple of 8.  numpy starts its reduction from 0.0, so a sum
+    of zeros is +0.0.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        r = values[:8]
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            for k in range(8):
+                r[k] += values[i + k]
+        total = 0.0 + (((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+        for v in values[tail:]:
+            total += v
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
 def _check_index(j, n):
@@ -247,16 +285,16 @@ def utility(
     ``R * h_j - cost * alpha_j * x_j``.  May be negative; the participation
     floor tau0 deliberately keeps miners in the game even at a loss.
     """
-    a, x = _as_arrays(profile, resources)
+    a, x = _as_floats(profile, resources)
     _check_index(j, len(a))
-    committed = a * x
-    return float(reward.total * committed[j] / committed.sum() - cost * committed[j])
+    committed = [alpha * resource for alpha, resource in zip(a, x)]
+    return float(reward.total * committed[j] / _pairwise_sum(committed) - cost * committed[j])
 
 
 def others_load(j: int, profile: Sequence[float], resources: Sequence[float]) -> float:
     """Total power committed by everyone except miner j: sum_{l != j} alpha_l x_l."""
-    a, x = _as_arrays(profile, resources)
+    a, x = _as_floats(profile, resources)
     _check_index(j, len(a))
-    committed = a * x
-    return float(committed.sum() - committed[j])
+    committed = [alpha * resource for alpha, resource in zip(a, x)]
+    return _pairwise_sum(committed) - committed[j]
 

@@ -60,7 +60,7 @@ from powgame import (
 )
 from powgame._search import _INV_PHI
 from powgame.equilibrium import EquilibriumResult, _deterministic_utilities, solve_equilibrium
-from powgame.model import SolverError, _as_arrays, _check_index, others_load
+from powgame.model import SolverError, _as_floats, _check_index, others_load
 from powgame.robust import BISECT_TOL, U_FLOOR
 from powgame.validate import (
     _DIST_CODE,
@@ -326,7 +326,7 @@ def outer_best_response_oracle(threshold_fn, tau0, grid_step=1e-3, refine_tol=1e
 
 def hash_power(j, profile, resources):
     """Miner j's share of total committed power, alpha_j x_j / sum_k alpha_k x_k."""
-    a, x = _as_arrays(profile, resources)
+    a, x = map(np.array, _as_floats(profile, resources))
     _check_index(j, len(a))
     committed = a * x
     return float(committed[j] / committed.sum())
@@ -334,7 +334,7 @@ def hash_power(j, profile, resources):
 
 def utility_gradient(j, profile, resources, reward, cost):
     """d utility / d alpha_j = x_j R sum_{l!=j} alpha_l x_l / S^2 - cost x_j."""
-    a, x = _as_arrays(profile, resources)
+    a, x = map(np.array, _as_floats(profile, resources))
     _check_index(j, len(a))
     committed = a * x
     total = committed.sum()
@@ -344,7 +344,7 @@ def utility_gradient(j, profile, resources, reward, cost):
 
 def utility_second_derivative(j, profile, resources, reward):
     """d^2 utility / d alpha_j^2; strictly negative whenever rivals commit power."""
-    a, x = _as_arrays(profile, resources)
+    a, x = map(np.array, _as_floats(profile, resources))
     _check_index(j, len(a))
     committed = a * x
     total = committed.sum()

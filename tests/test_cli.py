@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -814,6 +815,61 @@ def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert main(["sweep", "--help"]) == 0
     assert capsys.readouterr().out.count("usage: powgame") == 2
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the parser is built by the first main call, so an import stays as cheap
+    # as it was; in a subprocess, where nothing has imported the CLI yet
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: (built.append(1), init(self, *a, **k))[1]\n"
+        "import powgame.cli\n"
+        "print(len(built), powgame.cli._build_parser.cache_info().currsize)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        cwd=Path(cli.__file__).parent.parent, timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "0 0\n", "")
+
+
+REUSED_PARSER_CALLS = {
+    "sweep-values": ("sweep --config {config} --out {out} --axis epsilon --values 0.05,0.3 --mode bti", 0),
+    "usage-error": ("solve --config {config} --out {out} --fast", 1),
+    "sweep-help": ("sweep --help", 0),
+    "sweep-default-values": ("sweep --config {config} --out {out} --axis fixed_reward --mode det", 0),
+    "solve": ("solve --config {config} --out {out}", 0),
+}
+
+
+def test_a_reused_parser_writes_what_a_fresh_one_writes(tmp_path, capsys):
+    # main builds its parser once per process; every call through the reused
+    # parser writes the same bytes, stdout and stderr as through a fresh one
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+
+    def call(name):
+        template, code = REUSED_PARSER_CALLS[name]
+        assert main([arg.format(config=config, out=out) for arg in template.split()]) == code
+        std = capsys.readouterr()
+        written = {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        shutil.rmtree(out, ignore_errors=True)
+        return std.out, std.err, written
+
+    fresh = {}
+    for name in REUSED_PARSER_CALLS:
+        cli._build_parser.cache_clear()
+        fresh[name] = call(name)
+    cli._build_parser.cache_clear()
+    # twice round, so every call also follows every other on the same parser
+    for name in [*REUSED_PARSER_CALLS, *REUSED_PARSER_CALLS]:
+        assert call(name) == fresh[name], name
+    assert cli._build_parser.cache_info().misses == 1
+    assert fresh["sweep-values"][2].keys() == {"sweep.csv"}
+    assert fresh["sweep-help"][0].startswith("usage: powgame sweep")
+    assert fresh["usage-error"][1].startswith("usage: powgame")
 
 
 def test_zero_sigma_is_accepted_for_deterministic_override(tmp_path):

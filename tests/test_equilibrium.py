@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from powgame import robust_best_response, robust_best_response_gaussian, solve_equilibrium, subproblem_threshold
+from powgame import MODES, robust_best_response, robust_best_response_gaussian, solve_equilibrium, subproblem_threshold
 
 from conftest import grid_best_response, make_config
 
@@ -33,6 +33,22 @@ def test_initial_alpha_below_floor_is_projected(reference_config):
     at_floor = solve_equilibrium(reference_config, "deterministic", initial_alpha=0.5)
     assert low.trace == at_floor.trace
     assert low.alphas == at_floor.alphas
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("initial_alpha", [1, np.float64(0.7), math.inf])
+def test_results_hold_built_in_floats_only(mode, initial_alpha):
+    # no int and no numpy scalar reaches the CSV writer, even from numpy
+    # numbers in the config or an integer start
+    config = make_config(
+        n=3, x_hat=np.array([40.0, 55.0, 70.0]), cost=np.array([50.0, 60.0, 70.0]), tau0=np.float64(0.3)
+    )
+    result = solve_equilibrium(config, mode, initial_alpha=initial_alpha)
+    values = [*result.alphas, *result.u_values]
+    for alphas, us in result.trace:
+        values += [*alphas, *us]
+    assert len(values) == 6 * (result.iterations + 1)
+    assert {type(v) for v in values} == {float}
 
 
 def test_robust_homogeneous_equilibria_are_symmetric(reference_config):

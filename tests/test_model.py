@@ -1,10 +1,13 @@
 """Unit tests for the domain types and utility mathematics."""
 
+import math
+
 import numpy as np
 import pytest
 
 from powgame import GameConfig, MinerParams, RewardModel, others_load, utility
 from powgame.deterministic import best_response_interior
+from powgame.model import _pairwise_sum
 
 from conftest import (
     finite_difference,
@@ -160,6 +163,49 @@ def test_utility_hand_values():
 
 def test_others_load():
     assert others_load(0, [0.5] * 5, [55.0] * 5) == pytest.approx(110.0)
+
+
+def _in_sequence(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def test_pairwise_sum_is_numpys_sum_bit_for_bit():
+    # others_load, utility and the Gauss-Seidel stop rule sum lists of floats
+    # in numpy's pairwise order; should numpy change its order, this fails
+    # before a golden does
+    rng = np.random.default_rng(33)
+    told_apart = 0  # vectors whose sum in plain sequence is another float
+    for n in range(1, 301):
+        signs = rng.choice([-1.0, 1.0], n)
+        wide = signs * 10.0 ** rng.uniform(-300.0, 300.0, n)
+        close = signs * rng.uniform(0.5, 1.0, n) * 10.0 ** rng.integers(-3, 4, n)
+        zeros = rng.choice([0.0, -0.0], n)
+        mixed = np.where(rng.random(n) < 0.2, zeros, np.where(rng.random(n) < 0.5, wide, close))
+        for v in (wide, close, mixed, zeros, np.full(n, -0.0)):
+            got = _pairwise_sum(v.tolist())
+            assert type(got) is float
+            assert got.hex() == float(np.add.reduce(v)).hex(), (n, v.tolist())
+        told_apart += _in_sequence(close.tolist()) != _pairwise_sum(close.tolist())
+    assert told_apart > 200  # the order shows on these vectors
+
+
+def test_others_load_and_utility_equal_numpys_on_every_input_type():
+    rng = np.random.default_rng(5)
+    for n in (2, 5, 7, 8, 9, 16, 130, 300):
+        a = rng.uniform(0.01, 1.0, n)
+        x = rng.uniform(1.0, 1000.0, n)
+        committed = a * x
+        for j in sorted({0, n // 2, n - 1}):
+            load = float(committed.sum() - committed[j])
+            value = float(REWARD.total * committed[j] / committed.sum() - 60.0 * committed[j])
+            for profile, resources in ((a.tolist(), x.tolist()), (tuple(a), tuple(x)), (a, x)):
+                got = others_load(j, profile, resources)
+                assert type(got) is float and got.hex() == load.hex()
+                got = utility(j, profile, resources, REWARD, 60.0)
+                assert type(got) is float and got.hex() == value.hex()
 
 
 def test_gradient_hand_value():
