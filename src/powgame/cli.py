@@ -400,11 +400,12 @@ def run_validate(scenario: Scenario, out_dir) -> int:
     Each (miner, distribution) pair is one job: draw its batch, score the
     batch against every mode and format the rows.  Two worker threads run
     the jobs (numpy's samplers and array operations release the interpreter
-    lock), so at most two batches are alive at once, and the rows are
-    written in job order.  A batch depends only on (seed, miner,
-    distribution), so the output does not depend on which thread runs a job
-    or when.  Once a job has failed, a job that starts after it draws
-    nothing, and the workers are joined before this returns or raises.
+    lock), so at most two batches are alive at once; once the workers are
+    done, each mode's rows are written in job order.  A batch depends only
+    on (seed, miner, distribution), so the output does not depend on which
+    thread runs a job or when.  Once a job has failed, a job that starts
+    after it draws nothing, and the workers are joined before this returns
+    or raises.
     """
     # imported here, not with the module: concurrent.futures pulls in logging,
     # which every verb would pay for at start-up
@@ -476,21 +477,14 @@ def run_validate(scenario: Scenario, out_dir) -> int:
             stop.set()
             raise
 
-    violation_lines = [[] for _ in results]
-    hist_lines = [[] for _ in results]
     with ThreadPoolExecutor(max_workers=2) as pool:
-        try:
-            for future in [pool.submit(draw_and_score, *job) for job in jobs]:
-                formatted = future.result()
-                if formatted is None:  # skipped once another job failed: that job's result raises
-                    continue
-                for (violations, hist), mode_violations, mode_hist in zip(formatted, violation_lines, hist_lines):
-                    mode_violations += violations
-                    mode_hist += hist
+        try:  # a job returns None only once another has failed, whose result raises here
+            formatted = [future.result() for future in [pool.submit(draw_and_score, *job) for job in jobs]]
         finally:
             stop.set()  # the jobs not yet started return at once, and the pool joins
-    _write_csv(out / "histogram.csv", HISTOGRAM_HEADER, [line for lines in hist_lines for line in lines])
-    _write_csv(out / "violations.csv", VIOLATIONS_HEADER, [line for lines in violation_lines for line in lines])
+    for name, header, part in (("histogram.csv", HISTOGRAM_HEADER, 1), ("violations.csv", VIOLATIONS_HEADER, 0)):
+        lines = [line for m in range(len(results)) for job in formatted for line in job[m][part]]  # mode-major
+        _write_csv(out / name, header, lines)
     return 0 if all(result.converged for result in results) else 2
 
 

@@ -362,8 +362,10 @@ def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsil
     """``(slack(alpha), bounds(alpha), error)`` at fixed u_min; only the
     alpha terms vary.
 
-    ``slack`` is the negated ``worstcase_cvar``; it keeps the values it has
-    computed, so each alpha costs one beta search per step.  ``bounds`` is
+    ``slack`` is the negated ``worstcase_cvar``, one beta search a call; the
+    scan reads it only where a decision needs its value, and may read an
+    alpha twice in a step (the incoming alpha, once as its own score and
+    once as a scan point).  ``bounds`` is
     ``(floor, ceiling)`` = -least_v + (-gap, rho) * scale, from the exact
     minimum's kernel at about a fifteenth of the cost of a search, with
     ``floor <= slack <= ceiling``.  ``error`` is the climb hint of
@@ -490,18 +492,14 @@ def _strategy_slack(u_min, load, params: MinerParams, reward: RewardModel, epsil
     reach = m + 3.0 * sigma
     scale0 = 1.0 + abs(a0)
     least_v = _exact_minimizer(epsilon)
-    scored = {}
 
     def slack(alpha):
-        value = scored.get(alpha)
-        if value is None:
-            a2 = cost * alpha * alpha
-            a1 = s * alpha
-            t0 = a2 * second + a1 * m + a0
-            d0 = s2 * (a2 * a0 - 0.25 * a1 * a1)
-            scale = scale0 + abs(a1) * reach + a2 * reach * reach
-            value = scored[alpha] = -_beta_search(t0, d0, s2 * a2, epsilon, scale)[0]
-        return value
+        a2 = cost * alpha * alpha
+        a1 = s * alpha
+        t0 = a2 * second + a1 * m + a0
+        d0 = s2 * (a2 * a0 - 0.25 * a1 * a1)
+        scale = scale0 + abs(a1) * reach + a2 * reach * reach
+        return -_beta_search(t0, d0, s2 * a2, epsilon, scale)[0]
 
     scale_1 = scale0 + abs(s) * reach + cost * reach * reach
     if not (scale_1 < 1e140 * epsilon and s2 < 1e270):

@@ -38,6 +38,11 @@ blocks.  The two-point family at any p (``two_point_atoms``,
 ``two_point_batch``) extends the sampler's p = 1/2 law.  ``atom_search_violation`` searches two- and three-atom laws for the
 supremum the closed form of ``validate.discrete_worstcase_violation`` prices,
 and ``exact_gaussian_violation`` prices a miner's loss under the Gaussian law.
+``BACKENDS`` is the suite's one map from a robust mode to its back-end: the
+module, the public threshold and strategy steps, the best response, the
+reference formula and the strategy step's ``slack``.  The ``backend``
+fixture reads it at the test module's ``BACKEND``, for the contract tests of
+``contract.py`` that ``test_bti.py`` and ``test_cvar.py`` each run.
 ``BAD_STEP_INPUTS`` is the one table of inputs that both back-ends' threshold
 steps, strategy steps and reference formulas must refuse.
 """
@@ -45,6 +50,9 @@ steps, strategy steps and reference formulas must refuse.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from types import ModuleType
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -56,6 +64,8 @@ from powgame import (
     MinerParams,
     MomentMatrix,
     RewardModel,
+    bti,
+    cvar,
     utility,
 )
 from powgame._search import _INV_PHI
@@ -73,6 +83,8 @@ from powgame.validate import (
 )
 
 from ledger import Ledger
+
+pytest.register_assert_rewrite("contract")  # its tests run in the back-end modules
 
 
 BAD_STRATEGY = "need 0 < alpha <= 1, cost > 0 and positive rivals' load"
@@ -118,6 +130,30 @@ BAD_STEP_INPUTS = {
     "coefficients-alpha-1.5": (lambda t, s, r: r(_loss(alpha=1.5), _MOMENTS, 0.1), BAD_STRATEGY),
     "loss-cost-0": (lambda t, s, r: r(_loss(cost=0.0), _MOMENTS, 0.1), BAD_STRATEGY),
     "constraint-value-epsilon-nan": (lambda t, s, r: r(_loss(), _MOMENTS, math.nan), BAD_EPSILON),
+}
+
+
+@dataclass(frozen=True)
+class Backend:
+    """One robust back-end: its module, public threshold and strategy steps,
+    best response and reference formula (the ``r`` of ``BAD_STEP_INPUTS``)."""
+
+    module: ModuleType
+    threshold: Callable
+    strategy: Callable
+    best_response: Callable
+    reference: Callable
+
+    def slack(self, u_min, load, params, reward, epsilon):
+        """The strategy step's slack as a function of alpha, at fixed u_min."""
+        return self.module._strategy_slack(u_min, load, params, reward, epsilon)[0]
+
+
+BACKENDS = {
+    "gaussian_bti": Backend(bti, bti.subproblem_threshold_gaussian, bti.subproblem_strategy_gaussian,
+                            bti.robust_best_response_gaussian, bti.bti_constraint_value),
+    "dro_cvar": Backend(cvar, cvar.subproblem_threshold, cvar.subproblem_strategy,
+                        cvar.robust_best_response, cvar.worstcase_cvar),
 }
 
 
@@ -172,6 +208,12 @@ def reference_config():
 def work(monkeypatch):
     """A fresh ``ledger.Ledger``, installed on the solver for the test."""
     return Ledger().install(monkeypatch)
+
+
+@pytest.fixture
+def backend(request):
+    """The ``BACKENDS`` entry named by the test module's ``BACKEND``."""
+    return BACKENDS[request.module.BACKEND]
 
 
 def closed_form_equilibrium(config: GameConfig) -> EquilibriumResult:

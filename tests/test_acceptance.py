@@ -25,6 +25,7 @@ from powgame.cli import main as cli_main
 from powgame.model import others_load
 
 from conftest import (
+    BACKENDS,
     closed_form_equilibrium,
     finite_difference,
     grid_best_response,
@@ -197,7 +198,6 @@ def test_criterion_06_ao_and_iteration_convergence(work):
     rng = np.random.default_rng(106)
     all_converged = True
     all_monotone = True
-    best_responses = {"dro_cvar": robust_best_response, "gaussian_bti": robust_best_response_gaussian}
     for k in range(20):
         hom = k % 2 == 0
         mode = "dro_cvar" if k % 4 < 2 else "gaussian_bti"
@@ -217,7 +217,7 @@ def test_criterion_06_ao_and_iteration_convergence(work):
         for alphas, _ in (result.trace[0], result.trace[-1]):
             j = int(rng.integers(0, config.n_miners))
             work.reset()
-            best_responses[mode](j, np.array(alphas), config)
+            BACKENDS[mode].best_response(j, np.array(alphas), config)
             hist = work.thresholds
             all_monotone = all_monotone and all(
                 hist[i + 1] >= hist[i] - 1e-9 for i in range(len(hist) - 1)

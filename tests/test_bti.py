@@ -1,4 +1,8 @@
-"""Tests for the Gaussian (Bernstein-bound) robust best response."""
+"""Tests for the Gaussian (Bernstein-bound) robust best response.
+
+The contract both robust back-ends keep runs here from ``contract.py``, on
+``BACKEND``; the tests below are this back-end's own.
+"""
 
 import decimal
 import math
@@ -12,26 +16,18 @@ from powgame import (
     MomentMatrix,
     RewardModel,
     bti_constraint_value,
-    robust_best_response_gaussian,
     subproblem_strategy_gaussian,
     subproblem_threshold_gaussian,
 )
 from powgame import _search, bti, solve_equilibrium
 from powgame.cli import load_scenario
-from powgame.deterministic import best_response
 from powgame.model import MinerParams, SolverError
 from powgame.robust import scan_strategy
 
-from conftest import (
-    BAD_STEP_INPUTS,
-    grid_scan_max,
-    make_config,
-    outer_best_response_oracle,
-    plain_bisect_threshold,
-    reference_scan_strategy,
-    scan_grid,
-)
+from conftest import grid_scan_max, make_config, plain_bisect_threshold, reference_scan_strategy, scan_grid
+from contract import *  # noqa: F401,F403 -- the contract of both robust back-ends, run on BACKEND
 
+BACKEND = "gaussian_bti"
 REWARD = RewardModel()
 
 
@@ -55,12 +51,6 @@ def test_quadratic_coefficient_hand_value():
     upsilon = math.hypot(1500.0, math.sqrt(2.0) * 4750.0)
     g = -1500.0 - math.sqrt(-2.0 * log_eps) * upsilon + log_eps * 1500.0 - 6875.0
     assert _g(0.5, 0.0, 110.0, _params(), 0.1) == pytest.approx(g)
-
-
-@pytest.mark.parametrize("call, message", BAD_STEP_INPUTS.values(), ids=BAD_STEP_INPUTS)
-def test_bad_step_inputs_raise_value_error(call, message):
-    with pytest.raises(ValueError, match=message):
-        call(subproblem_threshold_gaussian, subproblem_strategy_gaussian, bti_constraint_value)
 
 
 def test_constraint_value_epsilon_to_one_limit():
@@ -108,27 +98,6 @@ def test_concavity_in_u_min():
         assert g(0.5 * (u1 + u2)) >= 0.5 * (g(u1) + g(u2)) - 1e-9
 
 
-def test_threshold_bisection_is_exact():
-    params = _params()
-    for eps in (0.05, 0.1, 0.3):
-        u = subproblem_threshold_gaussian(0.5, 110.0, params, REWARD, eps)
-
-        def g(v):
-            return _g(0.5, v, 110.0, params, eps)
-
-        assert g(u) >= 0.0
-        assert g(u + 2e-6) < 0.0
-
-
-def test_threshold_monotone_in_epsilon():
-    params = _params()
-    values = [
-        subproblem_threshold_gaussian(0.5, 110.0, params, REWARD, eps)
-        for eps in (0.02, 0.1, 0.3)
-    ]
-    assert values[0] <= values[1] <= values[2]
-
-
 def test_threshold_dominates_cvar_on_gaussian_instance():
     # the Gaussian-specific bound is less conservative than the
     # distribution-free certificate on the same instance at small eps
@@ -141,19 +110,6 @@ def test_threshold_dominates_cvar_on_gaussian_instance():
         assert u_bti >= u_cvar
 
 
-def test_threshold_small_sigma_recovers_deterministic_utility():
-    from powgame import utility
-
-    config = make_config(n=5, x_hat=50.0, sigma=1e-3, tau0=0.25)
-    params = config.miners[0]
-    profile = [0.3] * 5
-    alpha = best_response(0, profile, config)
-    assert config.tau0 < alpha < 1.0
-    u = subproblem_threshold_gaussian(alpha, 60.0, params, REWARD, 0.1)
-    u_det = utility(0, [alpha, 0.3, 0.3, 0.3, 0.3], [50.0] * 5, REWARD, params.cost)
-    assert u == pytest.approx(u_det, abs=1e-2)
-
-
 def test_strategy_slack_equals_constraint_value():
     # with the quadratic auxiliary tight, the strategy step's slack at any
     # alpha is exactly the deterministic bound value there
@@ -162,19 +118,6 @@ def test_strategy_slack_equals_constraint_value():
     alpha, slack, ok = subproblem_strategy_gaussian(u, 0.7, 110.0, params, REWARD, 0.5, 0.1)
     assert ok
     assert slack == pytest.approx(_g(alpha, u, 110.0, params, 0.1), rel=1e-9)
-
-
-def test_strategy_fixed_point_and_exhaustive_scan():
-    params = _params(x_hat=50.0)
-    u = subproblem_threshold_gaussian(0.7, 120.0, params, REWARD, 0.1)
-    a1, s1, ok1 = subproblem_strategy_gaussian(u, 0.7, 120.0, params, REWARD, 0.5, 0.1)
-    a2, s2, ok2 = subproblem_strategy_gaussian(u, a1, 120.0, params, REWARD, 0.5, 0.1)
-    assert ok1 and ok2
-    assert a2 == pytest.approx(a1, abs=1e-6)
-    assert s2 >= s1 - 1e-12
-    grid = np.linspace(0.5, 1.0, 501)
-    best = max(_g(float(a), u, 120.0, params, 0.1) for a in grid)
-    assert s1 >= best - 1e-9
 
 
 def test_steps_evaluate_g_bit_for_bit_like_the_reference():
@@ -226,46 +169,6 @@ def test_steps_evaluate_g_bit_for_bit_like_the_reference():
         assert subproblem_strategy_gaussian(
             u_star, alpha_in, load, params, reward, tau0, eps
         ) == reference
-
-
-def test_robust_best_response_monotone_and_oracle(work):
-    config = make_config(n=5, x_hat=50.0)
-    profile = [0.6] * 5
-    response = robust_best_response_gaussian(0, profile, config)
-    hist = work.thresholds
-    assert all(hist[i + 1] >= hist[i] - 1e-9 for i in range(len(hist) - 1))
-    params = config.miners[0]
-    load = 4 * 0.6 * 50.0
-
-    def threshold_value(alpha):
-        return subproblem_threshold_gaussian(alpha, load, params, REWARD, config.epsilon)
-
-    _, oracle_u = outer_best_response_oracle(threshold_value, config.tau0)
-    assert response.u_min == pytest.approx(oracle_u, abs=1e-4)
-
-
-def test_robust_best_response_small_sigma_matches_deterministic():
-    config = make_config(n=5, x_hat=50.0, sigma=1e-3)
-    profile = [0.6] * 5
-    response = robust_best_response_gaussian(0, profile, config)
-    det = best_response(0, profile, config)
-    assert response.alpha == pytest.approx(det, abs=1e-2)
-
-
-def test_no_feasible_threshold_raises_solver_error():
-    from powgame import SolverError
-
-    params = _params(sigma=500.0)
-    with pytest.raises(SolverError):
-        subproblem_threshold_gaussian(0.5, 110.0, params, REWARD, 0.1)
-
-
-def test_strategy_step_with_no_feasible_alpha_returns_incoming():
-    params = _params()
-    alpha, slack, feasible = subproblem_strategy_gaussian(
-        8000.0, 0.5, 110.0, params, REWARD, 0.5, 0.1
-    )
-    assert alpha == 0.5 and slack < 0.0 and not feasible
 
 
 def test_bti_exceeds_tolerance_under_other_distributions_is_possible():

@@ -1,4 +1,9 @@
-"""Tests for the worst-case-CVaR robust best response."""
+"""Tests for the worst-case-CVaR robust best response.
+
+The contract both robust back-ends keep runs here from ``contract.py``, on
+``BACKEND``; the tests below are this back-end's own, but for two that run
+both back-ends from the ``BACKENDS`` table.
+"""
 
 import decimal
 import itertools
@@ -15,31 +20,25 @@ from powgame import (
     RewardModel,
     certify,
     robust_best_response,
-    robust_best_response_gaussian,
     solve_equilibrium,
     subproblem_strategy,
-    subproblem_strategy_gaussian,
     subproblem_threshold,
-    subproblem_threshold_gaussian,
-    utility,
     worstcase_cvar,
 )
 from powgame import SolverError, cvar, robust
 from powgame._search import scan_golden_max
 from powgame.cli import load_scenario
-from powgame.deterministic import best_response
 from powgame.model import MinerParams
 from powgame.robust import scan_strategy
 from powgame.validate import DISTRIBUTIONS, sample_uncertainty
 
 from conftest import (
-    BAD_STEP_INPUTS,
+    BACKENDS,
     CvarEvaluator,
     barrier_worstcase_cvar,
     eigh_certificate,
     grid_scan_max,
     make_config,
-    outer_best_response_oracle,
     plain_bisect_threshold,
     reference_scan_strategy,
     reference_worstcase_cvar,
@@ -47,7 +46,9 @@ from conftest import (
     sqrt_moment_matrix,
     two_point_batch,
 )
+from contract import *  # noqa: F401,F403 -- the contract of both robust back-ends, run on BACKEND
 
+BACKEND = "dro_cvar"
 REWARD = RewardModel()
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -84,12 +85,6 @@ def test_loss_vacuous_threshold():
     coeffs = _coeffs(0.7, -1e9, 110.0)
     for x in np.linspace(10.0, 100.0, 50):
         assert coeffs(float(x)) < 0.0
-
-
-@pytest.mark.parametrize("call, message", BAD_STEP_INPUTS.values(), ids=BAD_STEP_INPUTS)
-def test_bad_step_inputs_raise_value_error(call, message):
-    with pytest.raises(ValueError, match=message):
-        call(subproblem_threshold, subproblem_strategy, worstcase_cvar)
 
 
 def test_moment_matrix():
@@ -178,9 +173,6 @@ def test_subproblem_threshold_bisection_boundary():
     params = config.miners[0]
     u = subproblem_threshold(0.5, 110.0, params, REWARD, 0.1)
     assert u == pytest.approx(-320.4918, abs=1e-3)
-    # u is feasible, u + 2 tolerances is not
-    assert cvar._strategy_slack(u, 110.0, params, REWARD, 0.1)[0](0.5) >= 0.0
-    assert cvar._strategy_slack(u + 2e-6, 110.0, params, REWARD, 0.1)[0](0.5) < 0.0
     assert certify(0.5, u, 110.0, params, REWARD, 0.1).u_min == u
 
 
@@ -211,20 +203,6 @@ def test_certify_refuses_a_non_finite_threshold(u_min):
         certify(0.5, u_min, 110.0, MinerParams(x_hat=55.0, sigma2=100.0), REWARD, 0.1)
 
 
-def test_threshold_small_sigma_recovers_deterministic_utility():
-    # at an interior deterministic best response the utility is flat in x, so
-    # the hedging margin is second order and the sigma -> 0 limit is tight
-    config = make_config(n=5, x_hat=50.0, sigma=1e-3, tau0=0.25)
-    params = config.miners[0]
-    profile = [0.3] * 5
-    alpha = best_response(0, profile, config)
-    assert config.tau0 < alpha < 1.0  # interior, otherwise the margin is first order
-    load = 4 * 0.3 * 50.0
-    u = subproblem_threshold(alpha, load, params, REWARD, 0.1)
-    u_det = utility(0, [alpha, 0.3, 0.3, 0.3, 0.3], [50.0] * 5, REWARD, params.cost)
-    assert u == pytest.approx(u_det, abs=1e-2)
-
-
 def test_threshold_small_sigma_first_order_margin():
     # away from the best response the margin is |dU/dx| * s * sqrt((1-eps)/eps)
     config = make_config(sigma=1e-3)
@@ -235,26 +213,6 @@ def test_threshold_small_sigma_first_order_margin():
     slope = 0.5 * (REWARD.total * 110.0 / (own + 110.0) ** 2 - 60.0)
     expected = -50.0 - abs(slope) * 1e-3 * math.sqrt(0.9 / 0.1)
     assert u == pytest.approx(expected, abs=1e-3)
-
-
-def test_threshold_monotone_in_sigma():
-    config = make_config()
-    params0 = config.miners[0]
-    values = []
-    for sigma in (1.0, 5.0, 10.0):
-        p = make_config(sigma=sigma).miners[0]
-        u = subproblem_threshold(0.5, 110.0, p, REWARD, 0.1)
-        values.append(u)
-    assert values[0] >= values[1] >= values[2]
-
-
-def test_threshold_monotone_in_epsilon():
-    params = make_config().miners[0]
-    values = [
-        subproblem_threshold(0.5, 110.0, params, REWARD, eps)
-        for eps in (0.02, 0.05, 0.1, 0.3, 0.5)
-    ]
-    assert all(values[i] <= values[i + 1] + 1e-9 for i in range(len(values) - 1))
 
 
 def test_subproblem_strategy_fixed_point_and_improvement():
@@ -282,58 +240,6 @@ def test_subproblem_strategy_matches_exhaustive_scan():
     assert slack >= best - 1e-9
 
 
-def test_robust_best_response_monotone_and_oracle(work):
-    config = make_config(n=5, x_hat=50.0)
-    profile = [0.6] * 5
-    response = robust_best_response(0, profile, config)
-    hist = work.thresholds
-    assert all(hist[i + 1] >= hist[i] - 1e-9 for i in range(len(hist) - 1))
-    params = config.miners[0]
-    load = 4 * 0.6 * 50.0
-
-    def threshold_value(alpha):
-        return subproblem_threshold(alpha, load, params, REWARD, config.epsilon)
-
-    oracle_alpha, oracle_u = outer_best_response_oracle(threshold_value, config.tau0)
-    assert response.u_min == pytest.approx(oracle_u, abs=1e-4)
-
-
-def test_robust_best_response_epsilon_ordering():
-    base = dict(n=5, x_hat=50.0)
-    profile = [0.6] * 5
-    u_tight = robust_best_response(0, profile, make_config(epsilon=0.05, **base)).u_min
-    u_loose = robust_best_response(0, profile, make_config(epsilon=0.5, **base)).u_min
-    assert u_loose >= u_tight
-
-
-def test_robust_best_response_small_sigma_matches_deterministic():
-    config = make_config(n=5, x_hat=50.0, sigma=1e-3)
-    profile = [0.6] * 5
-    response = robust_best_response(0, profile, config)
-    det = best_response(0, profile, config)
-    assert response.alpha == pytest.approx(det, abs=1e-2)
-
-
-def test_no_feasible_threshold_raises_solver_error():
-    # enormous variance puts irreducible worst-case mass where the loss is
-    # positive for every threshold: certification is impossible
-    from powgame import SolverError
-    from powgame.model import MinerParams
-
-    params = MinerParams(x_hat=55.0, sigma2=500.0**2, cost=60.0)
-    with pytest.raises(SolverError, match="no feasible threshold above"):
-        subproblem_threshold(0.5, 110.0, params, REWARD, 0.1)
-
-
-def test_strategy_step_with_no_feasible_alpha_returns_incoming():
-    params = make_config().miners[0]
-    u_star = subproblem_threshold(0.5, 110.0, params, REWARD, 0.1)
-    alpha, slack, feasible = subproblem_strategy(
-        u_star + 500.0, 0.5, 110.0, params, REWARD, 0.5, 0.1
-    )
-    assert alpha == 0.5 and slack < 0.0 and not feasible
-
-
 @pytest.mark.parametrize("sigma", [1e90, 1e130, 1e150])
 def test_strategy_step_never_certifies_a_nan_slack(sigma):
     # past sigma ~ 1e80 the slack's beta bracket overflows, to -inf or NaN;
@@ -346,40 +252,41 @@ def test_strategy_step_never_certifies_a_nan_slack(sigma):
         assert alpha == 0.5
     alpha, slack, feasible = scan_strategy(lambda a: math.nan, 0.5, 0.2)
     assert alpha == 0.5 and math.isnan(slack) and not feasible
+    # nor does a NaN slack that the window's scoring meets under finite bounds
+    got = scan_golden_max(lambda a: math.nan, 0.0, 1.0, 0.1, bounds=lambda a: (0.0, 1.0), error=1e-9, start=0.5,
+                          bar=-math.inf)
+    assert repr(got) == repr((0.0, math.nan))
 
 
-@pytest.mark.parametrize(
-    "best_response", [robust_best_response, robust_best_response_gaussian], ids=["dro_cvar", "gaussian_bti"]
-)
-def test_robust_best_response_iteration_cap(monkeypatch, work, best_response):
+@pytest.mark.parametrize("mode", sorted(BACKENDS))
+def test_robust_best_response_iteration_cap(monkeypatch, work, mode):
     # on the cap the error carries the last iterate: the threshold step's
     # fourth value, after the starting step and three iterations
     config = make_config(n=5, x_hat=50.0)
     monkeypatch.setattr(robust, "AO_TOL", -1.0)
     monkeypatch.setattr(robust, "AO_CAP", 3)
     with pytest.raises(ConvergenceError) as err:
-        best_response(0, [0.6] * 5, config)
+        BACKENDS[mode].best_response(0, [0.6] * 5, config)
     last = err.value.last
     assert last.iterations == 3 and len(work.thresholds) == 4
     assert last.u_min == work.thresholds[-1]
 
 
-@pytest.mark.parametrize("backend", ["dro_cvar", "gaussian_bti"])
-def test_strategy_step_scores_incoming_alpha_once(work, backend):
+@pytest.mark.parametrize("mode", sorted(BACKENDS))
+def test_strategy_step_scores_incoming_alpha_once(work, mode):
     # 0.7123 is off the scan grid, so only the incoming score lands on it
     alpha_in, load, eps = 0.7123, 110.0, 0.1
     params = make_config().miners[0]
-    threshold, strategy = {"dro_cvar": (subproblem_threshold, subproblem_strategy),
-                           "gaussian_bti": (subproblem_threshold_gaussian, subproblem_strategy_gaussian)}[backend]
-    u = threshold(alpha_in, load, params, REWARD, eps)
+    backend = BACKENDS[mode]
+    u = backend.threshold(alpha_in, load, params, REWARD, eps)
     # bti: one below the threshold at 0.7123, the curvature certificate
     # cannot keep it, so the scan runs
-    strategy(u - 1.0, alpha_in, load, params, REWARD, 0.5, eps)
+    backend.strategy(u - 1.0, alpha_in, load, params, REWARD, 0.5, eps)
     scored = [a for a, _ in work.reads]
     # the climb reads only the grid points next to the peak: ceilings for
     # cvar (the bounds spare most exact scores), slacks for bti
     grid = np.arange(0.5, 1.0 + 0.5 * 0.0125, 0.0125).tolist()
-    on_grid = work.counts["ceilings"] if backend == "dro_cvar" else sum(a in grid for a in scored)
+    on_grid = work.counts["ceilings"] if mode == "dro_cvar" else sum(a in grid for a in scored)
     assert work.counts["scans"] == 1 and 0 < on_grid < 41
     assert scored.count(alpha_in) == 1
 

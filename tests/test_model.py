@@ -120,6 +120,9 @@ def test_hash_power_errors():
             share(0, [0.5, 1.5], [50.0, 50.0])
         with pytest.raises(ValueError):
             share(0, [0.5, 0.5, 0.5], [50.0, 50.0])
+        for profile in ([[0.5], [0.5]], 0.5):  # a nested entry, a scalar
+            with pytest.raises(ValueError, match="must be flat sequences of numbers"):
+                share(0, profile, [50.0, 50.0])
 
 
 NAN = float("nan")

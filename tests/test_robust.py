@@ -4,6 +4,8 @@ The step brackets the root of its margin by false position and then replays
 the bisection, evaluating only the probes next to the root.  It must return
 the plain bisection's threshold (``conftest.plain_bisect_threshold``) float
 for float, and raise what it raises, while evaluating far fewer margins.
+The contract of both back-ends' public steps and best responses is written
+once in ``contract.py``, which ``test_bti.py`` and ``test_cvar.py`` run.
 """
 
 import math
@@ -13,12 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from powgame import MinerParams, RewardModel, SolverError, bti, cvar, robust, solve_equilibrium
+from powgame import MinerParams, RewardModel, SolverError, robust, solve_equilibrium
 from powgame.cli import load_scenario
 
-from conftest import make_config, plain_bisect_threshold
+from conftest import BACKENDS, make_config, plain_bisect_threshold
 
-BACKENDS = {"gaussian_bti": bti, "dro_cvar": cvar}
 CONFIGS = Path(__file__).parent.parent / "configs"
 
 
@@ -63,7 +64,7 @@ def test_threshold_step_replays_the_plain_bisection(mode):
     rng = np.random.default_rng(4000 + len(mode))
     seen = Counter()
     for instance in range(4000):
-        margin, params, reward = _random_margin(rng, BACKENDS[mode])
+        margin, params, reward = _random_margin(rng, BACKENDS[mode].module)
         starts = [None]
         cold = _outcome(plain_bisect_threshold, lambda u: margin(u) >= 0.0, params, reward, None)
         if isinstance(cold, float):
@@ -218,7 +219,7 @@ def test_no_margin_is_nan_on_the_threshold_range(mode):
     # pushes the search
     rng = np.random.default_rng(500 + len(mode))
     for instance in range(500):
-        margin, params, reward = _random_margin(rng, BACKENDS[mode])
+        margin, params, reward = _random_margin(rng, BACKENDS[mode].module)
         cold = robust.threshold_floor(params, reward, None)
         points = np.linspace(cold, reward.total, 401).tolist() + np.linspace(robust.U_FLOOR, cold, 401).tolist()
         assert not any(map(math.isnan, map(margin, points))), instance
@@ -257,7 +258,7 @@ def test_resumed_threshold_step_replays_the_plain_bisection(work, mode):
     rng = np.random.default_rng(3000 + len(mode))
     seen = Counter()
     for instance in range(3000):
-        margin, params, reward = _random_margin(rng, BACKENDS[mode])
+        margin, params, reward = _random_margin(rng, BACKENDS[mode].module)
         u_hi = reward.total
         u_cold = -u_hi - params.cost * params.x_max
         if instance % 3 == 1:
@@ -276,7 +277,7 @@ def test_resumed_threshold_step_replays_the_plain_bisection(work, mode):
                 break
             starts.append({"warm": last, "cold": None, "above": last + float(rng.uniform(1.0, 100.0))}[kind])
             last = plain(starts[-1])
-        steps = _resumed_steps(work, BACKENDS[mode], margin, params, reward, starts)
+        steps = _resumed_steps(work, BACKENDS[mode].module, margin, params, reward, starts)
         for start, (outcome, evals, resumes, bracket) in zip(starts, steps):
             assert outcome == plain(start), (instance, start)
             if not resumes:
@@ -301,7 +302,7 @@ def test_a_record_resumes_only_at_the_same_inputs(mode):
     # one record through steps at one alpha whose load, parameters, reward or
     # epsilon change: each builds its own margin and returns what a step
     # without a record returns
-    step = {"gaussian_bti": bti.subproblem_threshold_gaussian, "dro_cvar": cvar.subproblem_threshold}[mode]
+    step = BACKENDS[mode].threshold
     params, reward = MinerParams(x_hat=55.0, sigma2=100.0), RewardModel()
     base = (0.5, 110.0, params, reward, 0.1)
     record = robust.ThresholdRecord()
@@ -317,7 +318,7 @@ def test_a_record_resumes_only_at_the_same_inputs(mode):
 def test_a_nan_warm_start_alpha_is_refused(mode):
     # a NaN warm alpha is refused, as every step refuses a NaN alpha; a
     # finite one is clipped to [tau0, 1]
-    best_response = {"gaussian_bti": bti.robust_best_response_gaussian, "dro_cvar": cvar.robust_best_response}[mode]
+    best_response = BACKENDS[mode].best_response
     config = make_config(tau0=0.2)
     profile = [0.6] * config.n_miners
     with pytest.raises(ValueError, match="need 0 < alpha <= 1"):

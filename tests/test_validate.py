@@ -230,6 +230,18 @@ def test_discrete_worstcase_vacuous_threshold(reference_config):
     assert worst == pytest.approx(1.3206e-3, rel=1e-4)
 
 
+def test_discrete_worstcase_is_one_where_no_root_interval_holds_the_mean(reference_config):
+    # at u_min 1400 the loss has no real root; at 1e7 its roots, about
+    # -333066 and -220, both lie below the mean 55.  Either way a law with
+    # the miner's mean and variance puts every draw where the loss is positive
+    alphas = [0.5] * 5
+    (rootless, _, _), *_ = _miner_losses(alphas, [1400.0] * 5, reference_config)
+    (below, m, _), *_ = _miner_losses(alphas, [1e7] * 5, reference_config)
+    assert _loss_roots(rootless) is None and max(_loss_roots(below)) < m
+    for u_min in (1400.0, 1e7):
+        assert discrete_worstcase_violation(alphas, [u_min] * 5, reference_config) == 1.0
+
+
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
 def test_exact_oracle_dominates_the_two_point_grid(path):
     # every two-point law is in the ambiguity set, so the supremum over it is

@@ -16,21 +16,15 @@ from pathlib import Path
 
 import pytest
 
-from powgame import (
-    RewardModel, certify, cli, others_load, robust_best_response, robust_best_response_gaussian,
-    solve_equilibrium, subproblem_strategy, subproblem_strategy_gaussian, subproblem_threshold,
-    subproblem_threshold_gaussian,
-)
+from powgame import RewardModel, certify, cli, others_load, solve_equilibrium, subproblem_threshold
 from powgame.cli import load_scenario
 
-from conftest import make_config
+from conftest import BACKENDS, make_config
 
 ROOT = Path(__file__).resolve().parents[1]
 REWARD = RewardModel()
 MODES = ("gaussian_bti", "dro_cvar")
 CONFIGS = ("cost_sweep_interior", "heterogeneous", "homogeneous")
-STEPS = {"gaussian_bti": (subproblem_threshold_gaussian, subproblem_strategy_gaussian),
-         "dro_cvar": (subproblem_threshold, subproblem_strategy)}
 SPREAD = dict(x_hat=[35.0, 42.0, 50.0, 57.0, 60.0], tau0=0.1)
 
 
@@ -61,17 +55,16 @@ def _off_grid_step(mode):
     """The strategy step at alpha_in = 0.7123, off the scan grid, one below
     its threshold: only the incoming score lands on 0.7123, and the
     curvature certificate cannot keep it, so the scan runs."""
-    threshold, strategy = STEPS[mode]
-    params = make_config().miners[0]
-    u = threshold(0.7123, 110.0, params, REWARD, 0.1)
-    strategy(u - 1.0, 0.7123, 110.0, params, REWARD, 0.5, 0.1)
+    backend, params = BACKENDS[mode], make_config().miners[0]
+    u = backend.threshold(0.7123, 110.0, params, REWARD, 0.1)
+    backend.strategy(u - 1.0, 0.7123, 110.0, params, REWARD, 0.5, 0.1)
 
 
-def _best_response(best_response, alpha, certified=False, **game):
+def _best_response(mode, alpha, certified=False, **game):
     """Miner 0's best response to rivals at ``alpha``, and with ``certified``
     the witness of its threshold."""
     config, profile = make_config(n=5, x_hat=50.0, **game), [alpha] * 5
-    response = best_response(0, profile, config)
+    response = BACKENDS[mode].best_response(0, profile, config)
     if certified:
         load = others_load(0, profile, config.nominal_resources())
         cert = certify(response.alpha, response.u_min, load, config.miners[0], REWARD, config.epsilon)
@@ -105,7 +98,7 @@ ROWS = {  # name -> (call, counts)
     "solve-cvar-deck": (_solve_cvar_deck, dict(
         threshold_steps=1600, resumed_steps=608, margins=7752, resumed_margins_max=2, strategy_steps=986,
         slacks=3602, bounds=26821, incoming_max=2, scans=986, ceilings=2776, ceilings_max=22,
-        beta_searches=3589)),
+        beta_searches=3602)),
     "spread-x_hat-tau0-0.1/dro_cvar": (partial(_solve, "dro_cvar", **SPREAD), dict(
         threshold_steps=256, resumed_steps=79, margins=1485, resumed_margins_max=2, strategy_steps=176,
         slacks=815, bounds=5100, incoming_max=1, scans=176, ceilings=538, ceilings_max=7, beta_searches=815)),
@@ -119,14 +112,14 @@ ROWS = {  # name -> (call, counts)
     "off-grid-step/dro_cvar": (partial(_off_grid_step, "dro_cvar"), dict(
         threshold_steps=1, margins=5, strategy_steps=1, slacks=3, bounds=41, incoming_max=1, scans=1,
         ceilings=19, ceilings_max=19, beta_searches=3)),
-    "best-response/gaussian_bti": (partial(_best_response, robust_best_response_gaussian, 0.6), dict(
+    "best-response/gaussian_bti": (partial(_best_response, "gaussian_bti", 0.6), dict(
         threshold_steps=2, resumed_steps=1, margins=9, resumed_margins_max=1, strategy_steps=1, slacks=2,
         incoming_max=1, certificates=1, kept=1, loss_coefficients=0, moment_matrices=0)),
-    "certified-best-response/dro_cvar": (partial(_best_response, robust_best_response, 0.6, certified=True), dict(
+    "certified-best-response/dro_cvar": (partial(_best_response, "dro_cvar", 0.6, certified=True), dict(
         threshold_steps=2, resumed_steps=1, margins=7, resumed_margins_max=1, strategy_steps=1, slacks=1,
         bounds=25, incoming_max=1, scans=1, ceilings=2, ceilings_max=2, beta_searches=1, witnesses=1,
         loss_coefficients=0, moment_matrices=0, eigh=0, inv=0)),
-    "best-response-tau0-0.1/dro_cvar": (partial(_best_response, robust_best_response, 0.3, tau0=0.1), dict(
+    "best-response-tau0-0.1/dro_cvar": (partial(_best_response, "dro_cvar", 0.3, tau0=0.1), dict(
         threshold_steps=5, resumed_steps=1, margins=35, resumed_margins_max=2, strategy_steps=4, slacks=21,
         bounds=115, incoming_max=1, scans=4, ceilings=12, ceilings_max=3, beta_searches=21, witnesses=0)),
     "certified-threshold-step/dro_cvar": (_certified_threshold, dict(
