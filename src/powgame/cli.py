@@ -367,7 +367,6 @@ def run_sweep(scenario: Scenario, axis: str, values, out_dir) -> int:
     configs = [_config_for_axis(scenario.config, axis, value) for value in values]
     rows = []
     for value, config in zip(values, configs):
-        x = config.nominal_resources()
         for mode in scenario.modes:
             try:
                 result = solve_equilibrium(config, mode, initial_alpha=scenario.initial_alpha)
@@ -375,7 +374,7 @@ def run_sweep(scenario: Scenario, axis: str, values, out_dir) -> int:
                 print(f"sweep point {axis}={value} mode {MODE_SHORT[mode]}: {exc}", file=sys.stderr)
                 rows.append((value, MODE_SHORT[mode], math.nan, math.nan, -1, f"error:{type(exc).__name__}"))
                 continue
-            committed = float(np.dot(np.asarray(result.alphas, dtype=float), x))
+            committed = float(np.dot(result.alphas, config.nominal))
             rows.append(
                 (
                     value,
@@ -427,10 +426,7 @@ def run_validate(scenario: Scenario, out_dir) -> int:
         np.empty(scenario.samples)
     except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest array
         raise _samples_refused(scenario.samples, exc) from exc
-    # an overflow leaves an inf or NaN utility, which scoring reports as a
-    # config error: numpy's warnings about it would only add lines to stderr
-    with np.errstate(over="ignore", invalid="ignore"):
-        results = [_solve_mode(scenario, mode) for mode in scenario.modes]
+    results = [_solve_mode(scenario, mode) for mode in scenario.modes]
     # a batch depends only on (seed, miner, distribution): draw each once and
     # score it against every mode, keeping the rows in mode-major order
     jobs = [(j, dist) for j in range(config.n_miners) for dist in scenario.distributions]
@@ -449,7 +445,9 @@ def run_validate(scenario: Scenario, out_dir) -> int:
         """The batch's violations line and histogram lines for each mode,
         formatted here, so the main thread only concatenates them."""
         try:
-            with np.errstate(over="ignore", invalid="ignore"):  # set per thread, so set here again
+            # an overflow leaves an inf or NaN utility, reported below as a config
+            # error: numpy's warnings about it would only add lines to stderr
+            with np.errstate(over="ignore", invalid="ignore"):
                 reports = [
                     empirical_violation(result.alphas, result.u_values[j], j, config, batch, clamp=scenario.clamp)
                     for result in results

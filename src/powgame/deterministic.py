@@ -35,7 +35,7 @@ def best_response(j: int, profile, config: GameConfig) -> float:
     validates it: every entry, j's included, must lie in (0, 1], though
     entry j does not enter the rivals' load.
     """
-    x = config._nominal
+    x = config.nominal
     load = others_load(j, profile, x)
     raw = best_response_interior(load, x[j], config.miners[j].cost, config.reward.total)
     # float(): a config's tau0 may be a numpy scalar, which would carry into the trace

@@ -46,8 +46,7 @@ class EquilibriumResult:
 
 
 def _deterministic_utilities(alphas, config):
-    x = config._nominal
-    return [utility(j, alphas, x, config.reward, config.miners[j].cost) for j in range(config.n_miners)]
+    return [utility(j, alphas, config.nominal, config.reward, config.miners[j].cost) for j in range(config.n_miners)]
 
 
 def solve_equilibrium(config: GameConfig, mode: str, initial_alpha=INITIAL_ALPHA) -> EquilibriumResult:

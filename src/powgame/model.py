@@ -136,7 +136,11 @@ class MinerParams:
 
 @dataclass(frozen=True)
 class GameConfig:
-    """Full game instance: miners, reward, box floor and solver tolerances."""
+    """Full game instance: miners, reward, box floor and solver tolerances.
+
+    ``nominal``, set once, is the tuple of the miners' x_hat + mu as floats:
+    every layer reads the resources from it.
+    """
 
     miners: tuple[MinerParams, ...]
     reward: RewardModel = RewardModel()
@@ -153,23 +157,19 @@ class GameConfig:
         _check_epsilon(self.epsilon)
         if not 0 < self.kappa < math.inf:
             raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
+        # a bool is an int to Python, and a float would reach range() only in the solve
+        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, (int, np.integer)):
+            raise ValueError(f"max_iterations must be a whole number, got {self.max_iterations!r}")
         if not self.max_iterations >= 1:
             raise ValueError("max_iterations must be at least 1")
         total = self.reward.total * sum(m.nominal for m in self.miners)
         if not math.isfinite(total):
             raise ValueError(f"reward total * summed nominal resources must be finite, got {total}")
-        # read by every best response, so worked out once
-        object.__setattr__(self, "_nominal", tuple(float(m.nominal) for m in self.miners))
+        object.__setattr__(self, "nominal", tuple(float(m.nominal) for m in self.miners))
 
     @property
     def n_miners(self) -> int:
         return len(self.miners)
-
-    def nominal_resources(self) -> np.ndarray:
-        return np.array(self._nominal)
-
-    def costs(self) -> np.ndarray:
-        return np.array([m.cost for m in self.miners])
 
 
 @dataclass(frozen=True)
@@ -273,6 +273,13 @@ def _check_index(j, n):
         raise IndexError(f"miner index {j} out of range for {n} miners")
 
 
+def _committed(j, profile, resources) -> list[float]:
+    """Each miner's committed power alpha_l x_l, the inputs checked and j in range."""
+    a, x = _as_floats(profile, resources)
+    _check_index(j, len(a))
+    return [alpha * resource for alpha, resource in zip(a, x)]
+
+
 def utility(
     j: int,
     profile: Sequence[float],
@@ -285,16 +292,12 @@ def utility(
     ``R * h_j - cost * alpha_j * x_j``.  May be negative; the participation
     floor tau0 deliberately keeps miners in the game even at a loss.
     """
-    a, x = _as_floats(profile, resources)
-    _check_index(j, len(a))
-    committed = [alpha * resource for alpha, resource in zip(a, x)]
+    committed = _committed(j, profile, resources)
     return float(reward.total * committed[j] / _pairwise_sum(committed) - cost * committed[j])
 
 
 def others_load(j: int, profile: Sequence[float], resources: Sequence[float]) -> float:
     """Total power committed by everyone except miner j: sum_{l != j} alpha_l x_l."""
-    a, x = _as_floats(profile, resources)
-    _check_index(j, len(a))
-    committed = [alpha * resource for alpha, resource in zip(a, x)]
+    committed = _committed(j, profile, resources)
     return _pairwise_sum(committed) - committed[j]
 

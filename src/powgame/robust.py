@@ -333,7 +333,7 @@ def alternate(j, profile, config: GameConfig, threshold, strategy, warm_start) -
     strategy update keeps the current threshold feasible.
     """
     params, reward, epsilon = config.miners[j], config.reward, config.epsilon
-    load = others_load(j, profile, config._nominal)
+    load = others_load(j, profile, config.nominal)
     if warm_start is None:
         alpha, u_floor = deterministic.best_response(j, profile, config), None
     else:  # clipped to [tau0, 1]; a NaN stays NaN, and the threshold step refuses it

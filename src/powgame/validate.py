@@ -170,8 +170,7 @@ def _utility_blocks(alphas, j, config: GameConfig, draws, clamp):
     once.
     """
     params = config.miners[j]
-    a = np.asarray(alphas, dtype=float)
-    load = others_load(j, a, config.nominal_resources())
+    load = others_load(j, alphas, config.nominal)
     draws = np.asarray(draws, dtype=float)
     n = len(draws)
     own_buf, den_buf, out_buf = (np.empty(min(n, _BLOCK)) for _ in range(3))
@@ -183,7 +182,7 @@ def _utility_blocks(alphas, j, config: GameConfig, draws, clamp):
             np.clip(own, max(params.x_min, 1e-9), params.x_max, out=own)
         else:
             np.maximum(own, 1e-9, out=own)  # a pathological negative draw must not flip signs
-        own *= a[j]
+        own *= alphas[j]
         np.multiply(config.reward.total, own, out=out)
         np.add(own, load, out=den)
         out /= den
@@ -309,12 +308,10 @@ def discrete_worstcase_violation(alphas, u_mins, config: GameConfig) -> float:
     """The largest over the miners of sup Pr[loss > 0] (utility below u_min)
     over every law with the miner's mean and variance; at a dro_cvar solution it
     sits just below epsilon, the worst-case CVaR bound being tight (Zymler et al. 2013)."""
-    a = np.asarray(alphas, dtype=float)
-    x = config.nominal_resources()
     worst = 0.0
     for j, params in enumerate(config.miners):
         coeffs = LossCoefficients.from_strategy(
-            a[j], u_mins[j], others_load(j, a, x), params.cost, config.reward.total
+            alphas[j], u_mins[j], others_load(j, alphas, config.nominal), params.cost, config.reward.total
         )
         rate = _mean_variance_violation(params.nominal, params.sigma2, _loss_roots(coeffs))
         worst = max(worst, float(rate))

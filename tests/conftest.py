@@ -26,9 +26,9 @@ reference compositions the solver replays from per-step constants also live
 here, since only tests compare against them: ``CvarEvaluator`` (v as a
 function of beta, and its exact minimum over three candidate betas, which
 the threshold step's decisions match bit for bit), the generic bracketed
-golden section over it (``golden_min``, ``reference_worstcase_cvar``, which
-``cvar.worstcase_cvar`` and the strategy step's slack match bit for bit),
-the closed-form square root of the moment matrix (``sqrt_moment_matrix``)
+golden section over it (``reference_worstcase_cvar``, ``golden_max`` of
+-v, which ``cvar.worstcase_cvar`` and the strategy step's slack match bit
+for bit), the closed-form square root of the moment matrix (``sqrt_moment_matrix``)
 and the eigendecomposition route to the trace-minimal CVaR certificate
 (``eigh_certificate``).  Monte Carlo scoring draw by draw, over the whole
 array at once (``full_array_utilities``, ``full_array_violation``), is the
@@ -45,12 +45,17 @@ fixture reads it at the test module's ``BACKEND``, for the contract tests of
 ``contract.py`` that ``test_bti.py`` and ``test_cvar.py`` each run.
 ``BAD_STEP_INPUTS`` is the one table of inputs that both back-ends' threshold
 steps, strategy steps and reference formulas must refuse.
+``load_repo_module`` imports a script of the repository that is not part of
+the package, such as ``tools/bench.py`` or ``benchmarks/tracer.py``.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from types import ModuleType
 from typing import Callable
 
@@ -198,6 +203,20 @@ def make_config(
     )
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_repo_module(relative_path) -> ModuleType:
+    """The repository's file at ``relative_path`` (say ``"tools/bench.py"``),
+    executed afresh as a module named after its path and registered in
+    ``sys.modules``, where dataclasses look their module up."""
+    name = Path(relative_path).with_suffix("").as_posix().replace("/", "_")
+    spec = importlib.util.spec_from_file_location(name, ROOT / relative_path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture
 def reference_config():
     """The homogeneous reference instance: 5 miners, x_hat 55, sigma 10."""
@@ -216,6 +235,16 @@ def backend(request):
     return BACKENDS[request.module.BACKEND]
 
 
+def stationary_profile(config: GameConfig) -> np.ndarray:
+    """The deterministic game's stationary profile, box ignored:
+    alpha_j = (S / x_j) (1 - c_j S / R) with S = (J-1) R / sum_j c_j."""
+    x = np.asarray(config.nominal)
+    c = np.array([m.cost for m in config.miners])
+    total_reward = config.reward.total
+    s = (config.n_miners - 1) * total_reward / c.sum()
+    return (s / x) * (1.0 - c * s / total_reward)
+
+
 def closed_form_equilibrium(config: GameConfig) -> EquilibriumResult:
     """Nash equilibrium of the deterministic game.
 
@@ -228,11 +257,7 @@ def closed_form_equilibrium(config: GameConfig) -> EquilibriumResult:
     converged only as far as ``config.kappa`` and ``config.max_iterations``
     allow (read ``converged``).
     """
-    x = config.nominal_resources()
-    c = config.costs()
-    total_reward = config.reward.total
-    s = (config.n_miners - 1) * total_reward / c.sum()
-    interior = (s / x) * (1.0 - c * s / total_reward)
+    interior = stationary_profile(config)
     if not (np.all(interior >= config.tau0) and np.all(interior <= 1.0)):
         return solve_equilibrium(config, "deterministic")
     return EquilibriumResult(
@@ -247,7 +272,7 @@ def closed_form_equilibrium(config: GameConfig) -> EquilibriumResult:
 
 def grid_best_response(j, profile, config, points=1_000_001):
     """Brute-force utility maximizer for miner j over [tau0, 1]."""
-    x = config.nominal_resources()
+    x = config.nominal
     a = np.asarray(profile, dtype=float)
     alphas = np.linspace(config.tau0, 1.0, points)
     load = float(np.dot(a, x) - a[j] * x[j])
@@ -256,12 +281,12 @@ def grid_best_response(j, profile, config, points=1_000_001):
     return float(alphas[int(np.argmax(utils))])
 
 
-def golden_max(f, lo, hi, tol=1e-6):
+def golden_max(f, lo, hi, tol=1e-6, max_iter=200):
     """Maximize a unimodal scalar function on [lo, hi] by golden-section search."""
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    for _ in range(200):
+    for _ in range(max_iter):
         if not hi - lo > tol:
             break
         if f1 >= f2:
@@ -420,11 +445,7 @@ def random_interior_config(rng, n_range=(2, 8), tau0=0.05, margin=0.02):
     """Rejection-sample a config whose stationary profile is strictly interior."""
     for _ in range(500):
         config = random_valid_instance(rng, n_range=n_range, tau0=tau0)
-        x = config.nominal_resources()
-        c = config.costs()
-        total = config.reward.total
-        s = (config.n_miners - 1) * total / c.sum()
-        interior = (s / x) * (1.0 - c * s / total)
+        interior = stationary_profile(config)
         if np.all(interior > tau0 + margin) and np.all(interior < 1.0 - margin):
             return config
     raise AssertionError("could not sample an interior instance")
@@ -433,7 +454,7 @@ def random_interior_config(rng, n_range=(2, 8), tau0=0.05, margin=0.02):
 def profile_utility(j, alpha_j, profile, config):
     a = np.array(profile, dtype=float)
     a[j] = alpha_j
-    return utility(j, a, config.nominal_resources(), config.reward, config.miners[j].cost)
+    return utility(j, a, config.nominal, config.reward, config.miners[j].cost)
 
 
 def barrier_worstcase_cvar(
@@ -548,26 +569,6 @@ def expand_bracket_min(f, lo, hi, max_expand=80):
     return lo, hi
 
 
-def golden_min(f, lo, hi, tol=1e-6, max_iter=200):
-    """Minimize a unimodal scalar function on [lo, hi] by golden-section search."""
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    it = 0
-    while hi - lo > tol and it < max_iter:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = f(x2)
-        it += 1
-    x = 0.5 * (lo + hi)
-    return x, f(x)
-
-
 class CvarEvaluator:
     """Worst-case CVaR of a fixed quadratic loss as a scalar function of beta.
 
@@ -620,7 +621,8 @@ def sqrt_moment_matrix(moments: MomentMatrix) -> np.ndarray:
 
 
 def reference_worstcase_cvar(coeffs: LossCoefficients, moments: MomentMatrix, epsilon):
-    """(min value, argmin beta) of v by bracketed golden section, generically.
+    """(min value, argmin beta) of v by bracketed golden section, generically:
+    ``golden_max`` of -v, whose comparisons are those of a minimization of v.
 
     The composition ``cvar.worstcase_cvar`` and the strategy step's slack
     replay probe for probe with v inlined, so their values must be equal.
@@ -629,10 +631,10 @@ def reference_worstcase_cvar(coeffs: LossCoefficients, moments: MomentMatrix, ep
     reach = moments.mu_bar + 3.0 * math.sqrt(moments.sigma2)
     scale = 1.0 + abs(coeffs.a0) + abs(coeffs.a1) * abs(reach) + coeffs.a2 * reach * reach
     lo, hi = expand_bracket_min(evaluator.value, -scale, scale)
-    beta, val = golden_min(
-        evaluator.value, lo, hi, tol=1e-13 * (1.0 + abs(lo) + abs(hi)), max_iter=300
+    beta, negated = golden_max(
+        lambda b: -evaluator.value(b), lo, hi, tol=1e-13 * (1.0 + abs(lo) + abs(hi)), max_iter=300
     )
-    return val, beta
+    return -negated, beta
 
 
 def eigh_certificate(coeffs: LossCoefficients, moments: MomentMatrix, beta, u_min) -> CvarCertificate:
@@ -662,7 +664,7 @@ def full_array_utilities(alphas, j, config: GameConfig, draws, clamp=False) -> n
     else:
         x_j = np.maximum(x_j, 1e-9)
     a = np.asarray(alphas, dtype=float)
-    load = others_load(j, a, config.nominal_resources())
+    load = others_load(j, a, config.nominal)
     own = a[j] * x_j
     return config.reward.total * own / (own + load) - params.cost * own
 

@@ -59,7 +59,7 @@ def test_criterion_01_deterministic_oracle_equivalence():
             float(np.max(np.abs(np.asarray(eq.alphas) - np.asarray(iterated.alphas)))),
         )
         base = np.asarray(eq.alphas)
-        x = config.nominal_resources()
+        x = config.nominal
         grid = np.linspace(config.tau0, 1.0, 1000)
         for j in range(config.n_miners):
             load = float(np.dot(base, x) - base[j] * x[j])
@@ -249,7 +249,7 @@ def test_criterion_07_outer_search_oracle_equivalence():
         )
         profile = rng.uniform(config.tau0, 1.0, size=n)
         params = config.miners[0]
-        load = others_load(0, profile, config.nominal_resources())
+        load = others_load(0, profile, config.nominal)
 
         cvar_response = robust_best_response(0, profile, config)
         _, cvar_oracle = outer_best_response_oracle(

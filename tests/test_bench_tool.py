@@ -4,26 +4,17 @@ Canned results stand in for runs of ``benchmarks/run.py`` and of the Tier-1
 suite: nothing here runs the benchmark or pytest, or reads a clock.
 """
 
-import importlib.util
 import json
 import subprocess
 from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import ROOT, load_repo_module
+
 DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 SPEC = DECLARED["end_to_end"]
-
-
-def _load_bench():
-    spec = importlib.util.spec_from_file_location("bench_tool", ROOT / "tools" / "bench.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-bench = _load_bench()
+bench = load_repo_module("tools/bench.py")
 
 
 def _result(ops_per_s, op_p50_s, failed=0, attempted=56):

@@ -468,6 +468,20 @@ def test_validate_output_does_not_depend_on_the_schedule(tmp_path, monkeypatch):
     assert alive == 0 and 1 <= most <= 2
 
 
+@pytest.mark.parametrize("doc, mode", [
+    ({"miners": 3, "reward": {"fixed_reward": 3e10}}, "all"),
+    ({"miners": 3, "unit_cost": 1e300}, "det"),
+    ({"miners": 3, "unit_cost": 1e300}, "bti"),
+], ids=["large-reward", "large-cost-det", "large-cost-bti"])
+def test_validate_solves_raise_no_floating_point_warning(tmp_path, capsys, doc, mode):
+    # the suite turns every warning into an error, and validate silences
+    # numpy's floating-point warnings only while it scores: a solve that
+    # overflowed in numpy would fail here
+    config = write_config(tmp_path, doc)
+    assert main(["validate", "--config", str(config), "--out", str(tmp_path / "out"), "--mode", mode]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_validate_refuses_a_sample_count_before_solving(tmp_path, capsys, monkeypatch):
     # numpy cannot allocate 1e15 draws; the count is refused before the cvar
     # solve, whose result would be thrown away

@@ -169,7 +169,7 @@ def test_closed_form_falls_back_when_clipped():
     # still a fixed point of the clipped best-response map
     for j in range(config.n_miners):
         assert best_response(j, a, config) == pytest.approx(a[j], abs=1e-7)
-    x = config.nominal_resources()
+    x = config.nominal
     for j in range(config.n_miners):
         assert eq.u_values[j] == pytest.approx(
             utility(j, a, x, config.reward, config.miners[j].cost)
@@ -181,7 +181,7 @@ def test_closed_form_result_contract():
     config = random_interior_config(np.random.default_rng(15))
     eq = closed_form_equilibrium(config)
     assert all(_interior_flags(config, eq.alphas))
-    x = config.nominal_resources()
+    x = config.nominal
     assert eq.u_values == tuple(
         utility(j, eq.alphas, x, config.reward, config.miners[j].cost)
         for j in range(config.n_miners)

@@ -5,24 +5,15 @@ A stub stands in for the CLI processes: nothing here starts one.
 """
 
 import hashlib
-import importlib.util
 import itertools
 import shutil
 from pathlib import Path
 
 from powgame import cli
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import ROOT, load_repo_module
 
-
-def _load_digest():
-    spec = importlib.util.spec_from_file_location("digest_tool", ROOT / "tools" / "digest.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-digest = _load_digest()
+digest = load_repo_module("tools/digest.py")
 decks = digest.load_decks(ROOT)
 
 

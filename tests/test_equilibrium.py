@@ -103,7 +103,7 @@ def test_post_convergence_no_profitable_deviation_robust():
     result = solve_equilibrium(config, "dro_cvar")
     assert result.converged
     a = np.asarray(result.alphas, dtype=float)
-    x = config.nominal_resources()
+    x = config.nominal
     for j in range(config.n_miners):
         load = float(np.dot(a, x) - a[j] * x[j])
         best = result.u_mins[j]

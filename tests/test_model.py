@@ -1,6 +1,7 @@
 """Unit tests for the domain types and utility mathematics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,10 @@ def test_game_config_invariants():
         make_config(kappa=0.0)
     with pytest.raises(ValueError, match="max_iterations"):
         make_config(max_iterations=0)
+    for value in (2.5, 3.0, math.inf, np.float64(3), True):  # range() takes none of them, or a bool
+        with pytest.raises(ValueError, match=re.escape(f"max_iterations must be a whole number, got {value!r}")):
+            make_config(max_iterations=value)
+    assert make_config(max_iterations=np.int64(3)).max_iterations == 3
     with pytest.raises(ValueError, match="reward total"):
         make_config(x_hat=1e305, x_max=1e305)  # R times the summed resources overflows
     assert make_config(x_hat=1e300, x_max=1e300).n_miners == 5  # 4e304 is a float

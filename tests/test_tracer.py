@@ -5,17 +5,15 @@ rename in the library would otherwise surface only as a crash or as zeroed
 metrics of ``benchmarks/run.py --trace 1``.
 """
 
-import importlib.util
 import json
 import sys
-from pathlib import Path
 
 import pytest
 
 from powgame import cli
 from powgame.validate import DISTRIBUTIONS
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+from conftest import load_repo_module
 
 SCENARIO = {
     "miners": 3,
@@ -23,13 +21,6 @@ SCENARIO = {
     "sigma": 10.0,
     "epsilon": 0.1,
 }
-
-
-def _load_tracer_module():
-    spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _powgame_namespaces():
@@ -42,7 +33,7 @@ def _powgame_namespaces():
 
 def _run_traced(tmp_path, doc, *argv):
     """The tracer installed around one ``cli.main`` call on ``doc``, which must exit 0."""
-    tracing = _load_tracer_module()
+    tracing = load_repo_module("benchmarks/tracer.py")
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps(doc), encoding="utf-8")
     tracer = tracing.Tracer()
@@ -56,7 +47,7 @@ def _run_traced(tmp_path, doc, *argv):
 
 
 def test_tracer_binds_the_solver_spans(tmp_path):
-    tracing = _load_tracer_module()
+    tracing = load_repo_module("benchmarks/tracer.py")
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps(SCENARIO), encoding="utf-8")
     loss = sys.modules["powgame.cvar"].LossCoefficients

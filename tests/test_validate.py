@@ -204,7 +204,7 @@ def test_clamped_draws_stay_in_confidence_interval(reference_config):
 
 def _miner_losses(alphas, u_mins, config):
     """(loss coefficients, mean, variance) of each miner at (alphas, u_mins)."""
-    x = config.nominal_resources()
+    x = config.nominal
     return [
         (
             LossCoefficients.from_strategy(

@@ -9,7 +9,6 @@ rows whatever they read.  A 0 in a row is written where a test pinned it;
 every counter a row leaves out is 0 too.
 """
 
-import importlib.util
 import tempfile
 from functools import partial
 from pathlib import Path
@@ -19,9 +18,8 @@ import pytest
 from powgame import RewardModel, certify, cli, others_load, solve_equilibrium, subproblem_threshold
 from powgame.cli import load_scenario
 
-from conftest import BACKENDS, make_config
+from conftest import BACKENDS, ROOT, load_repo_module, make_config
 
-ROOT = Path(__file__).resolve().parents[1]
 REWARD = RewardModel()
 MODES = ("gaussian_bti", "dro_cvar")
 CONFIGS = ("cost_sweep_interior", "heterogeneous", "homogeneous")
@@ -40,10 +38,7 @@ def _solve(mode, **game):
 def _solve_cvar_deck():
     """One pass over the solve-cvar deck, in deck order, each op through
     ``cli.main`` as the benchmark issues it."""
-    spec = importlib.util.spec_from_file_location("digest_tool", ROOT / "tools" / "digest.py")
-    digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digest)
-    decks = digest.load_decks(ROOT)
+    decks = load_repo_module("benchmarks/decks.py")
     workload = decks.WORKLOADS["solve-cvar"]
     with tempfile.TemporaryDirectory() as tmp:
         games = decks.write_deck(workload, Path(tmp, "games"))
@@ -66,7 +61,7 @@ def _best_response(mode, alpha, certified=False, **game):
     config, profile = make_config(n=5, x_hat=50.0, **game), [alpha] * 5
     response = BACKENDS[mode].best_response(0, profile, config)
     if certified:
-        load = others_load(0, profile, config.nominal_resources())
+        load = others_load(0, profile, config.nominal)
         cert = certify(response.alpha, response.u_min, load, config.miners[0], REWARD, config.epsilon)
         assert cert.u_min == response.u_min
 
