@@ -18,10 +18,11 @@ the threshold step is an exact bisection on its sign (g is the step's
 constraint value is its own slack.  g >= 0 is also its own certificate, so
 the threshold step returns a bare float and there is no separate witness.
 
-``bti_constraint_value`` is the reference formula.  It takes the same loss
-and moments as ``cvar.worstcase_cvar`` (``model.LossCoefficients``,
-``model.MomentMatrix``): the Gaussian case is the same chance constraint on
-the same loss, and A, b and D are that loss standardized at mu_bar + sigma e.
+``bti_constraint_value`` is the reference formula.  It takes the same
+arguments as ``cvar.worstcase_cvar``, a ``model.LossCoefficients`` loss and
+the resource's mean mu_bar and variance sigma2 as two floats: the Gaussian
+case is the same chance constraint on the same loss, and A, b and D are that
+loss standardized at mu_bar + sigma e.
 The two steps evaluate g from constants computed once per step instead
 (``_threshold_certifier``, ``_strategy_slack``): a sweep evaluates g millions
 of times.  Every hoisted expression keeps the float operation order of
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 
 from .model import (
-    GameConfig, LossCoefficients, MinerParams, MomentMatrix, RewardModel, _check_epsilon, _check_strategy
+    GameConfig, LossCoefficients, MinerParams, RewardModel, _check_epsilon, _check_strategy
 )
 from .robust import BestResponse, alternate, bisect_threshold, scan_strategy
 
@@ -46,7 +47,7 @@ __all__ = [
 ]
 
 
-def bti_constraint_value(coeffs: LossCoefficients, moments: MomentMatrix, epsilon) -> float:
+def bti_constraint_value(coeffs: LossCoefficients, mu_bar, sigma2, epsilon) -> float:
     """Slack of the Bernstein bound; g >= 0 certifies the Gaussian constraint.
 
     f(e) = -L(mu_bar + sigma e) has A = -a2 sigma^2, b = -sigma (a2 mu_bar + a1 / 2)
@@ -55,10 +56,10 @@ def bti_constraint_value(coeffs: LossCoefficients, moments: MomentMatrix, epsilo
     _check_epsilon(epsilon)
     log_eps = math.log(epsilon)
     a2, a1, a0 = coeffs.a2, coeffs.a1, coeffs.a0
-    m, sigma = moments.mu_bar, math.sqrt(moments.sigma2)
+    sigma = math.sqrt(sigma2)
     big_a = -a2 * sigma * sigma
-    b = -sigma * (a2 * m + 0.5 * a1)
-    d = -(a2 * m * m + a1 * m + a0)
+    b = -sigma * (a2 * mu_bar + 0.5 * a1)
+    d = -(a2 * mu_bar * mu_bar + a1 * mu_bar + a0)
     upsilon = math.hypot(big_a, math.sqrt(2.0) * b)
     return big_a - math.sqrt(-2.0 * log_eps) * upsilon + log_eps * max(0.0, -big_a) + d
 

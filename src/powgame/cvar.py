@@ -22,9 +22,9 @@ are affine in beta, so v is a closed-form scalar of three constants (``_v``).
 
 ``worstcase_cvar`` is the reference formula: it takes the loss
 (``model.LossCoefficients``, the same one ``bti.bti_constraint_value`` and
-``validate`` read) and the resource's ``model.MomentMatrix``, computes the
-three constants and minimizes v over beta (``_beta_search``, a bracketed
-golden section).  The two
+``validate`` read) and the resource's mean mu_bar and variance sigma2 as two
+floats, computes the three constants and minimizes v over beta
+(``_beta_search``, a bracketed golden section).  The two
 alternating-optimization steps evaluate v from constants computed once per
 step instead, because a solve evaluates it hundreds of thousands of times:
 
@@ -69,8 +69,7 @@ import numpy as np
 
 from ._search import _INV_PHI
 from .model import (
-    GameConfig, LossCoefficients, MinerParams, MomentMatrix, RewardModel, SolverError, _check_epsilon,
-    _check_strategy,
+    GameConfig, LossCoefficients, MinerParams, RewardModel, SolverError, _check_epsilon, _check_strategy
 )
 from .robust import BestResponse, alternate, bisect_threshold, scan_strategy, threshold_floor
 
@@ -102,16 +101,18 @@ class CvarCertificate:
     def matrix(self) -> np.ndarray:
         return np.array([[self.m11, self.m12], [self.m12, self.m22]])
 
-    def slacks(self, coeffs: LossCoefficients, moments: MomentMatrix, epsilon):
+    def slacks(self, coeffs: LossCoefficients, mu_bar, sigma2, epsilon):
         """(min eig of M, min eig of M - Q, trace slack); all >= 0 when valid.
 
         Q = [[a2, a1 / 2], [a1 / 2, a0 - beta]] is the loss's block that M must
-        dominate; its corner entry is u_min * load - beta.
+        dominate; its corner entry is u_min * load - beta.  The resource's
+        second-moment matrix is Omega = [[sigma2 + mu_bar^2, mu_bar], [mu_bar, 1]].
         """
         m = self.matrix
         q12 = 0.5 * coeffs.a1
         q = np.array([[coeffs.a2, q12], [q12, coeffs.a0 - self.beta]])
-        trace = -(self.beta + float(np.trace(moments.matrix @ m)) / epsilon)
+        omega = np.array([[sigma2 + mu_bar * mu_bar, mu_bar], [mu_bar, 1.0]])
+        trace = -(self.beta + float(np.trace(omega @ m)) / epsilon)
         return float(np.linalg.eigvalsh(m)[0]), float(np.linalg.eigvalsh(m - q)[0]), trace
 
 
@@ -189,16 +190,16 @@ def _beta_search(t0, d0, k, epsilon, scale) -> tuple[float, float]:
     return _v(t0, d0, k, epsilon, beta), beta
 
 
-def worstcase_cvar(coeffs: LossCoefficients, moments: MomentMatrix, epsilon) -> tuple[float, float]:
-    """Exact worst-case CVaR of the loss over the mean/variance ambiguity set: (value, beta)."""
+def worstcase_cvar(coeffs: LossCoefficients, mu_bar, sigma2, epsilon) -> tuple[float, float]:
+    """Exact worst-case CVaR of the loss over the laws with mean mu_bar and
+    variance sigma2: (value, beta)."""
     _check_epsilon(epsilon)
     a2, a1, a0 = coeffs.a2, coeffs.a1, coeffs.a0
-    m, s2 = moments.mu_bar, moments.sigma2
-    t0 = a2 * (s2 + m * m) + a1 * m + a0
-    d0 = s2 * (a2 * a0 - 0.25 * a1 * a1)
-    reach = m + 3.0 * math.sqrt(s2)
+    t0 = a2 * (sigma2 + mu_bar * mu_bar) + a1 * mu_bar + a0
+    d0 = sigma2 * (a2 * a0 - 0.25 * a1 * a1)
+    reach = mu_bar + 3.0 * math.sqrt(sigma2)
     scale = 1.0 + abs(a0) + abs(a1) * abs(reach) + a2 * reach * reach
-    return _beta_search(t0, d0, s2 * a2, epsilon, scale)
+    return _beta_search(t0, d0, sigma2 * a2, epsilon, scale)
 
 
 def _trace_minimal_witness(beta, u_min, a2, a1, a0, mu_bar, sigma2) -> CvarCertificate:

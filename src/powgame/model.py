@@ -6,11 +6,11 @@ resource ``x_j``, wins the reward ``R = fixed + unit_tx * tx_count`` with
 probability equal to its share of the total committed power, and pays
 ``cost_j * alpha_j * x_j`` for the resources it burns.  Everything else in
 the package (closed forms, robust solvers, Monte Carlo validation) is built
-on the functions and records defined here.  ``LossCoefficients`` (the
-chance constraint's quadratic loss) and ``MomentMatrix`` (the resource's
-moments) are stated once, for both robust certificates and the exact
-violation oracle, and so are the checks of a strategy, of tau0 and of
-epsilon.
+on the functions and records defined here.  ``LossCoefficients``, the
+chance constraint's quadratic loss, is stated once, for the two reference
+formulas, the CVaR witness check and the exact violation oracle, and so are
+the checks of a strategy, of tau0 and of epsilon.  Each of those reads the
+resource only through its mean and variance, as two floats.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "ConvergenceError",
     "SolverError",
     "LossCoefficients",
-    "MomentMatrix",
     "utility",
     "others_load",
 ]
@@ -178,9 +177,11 @@ class LossCoefficients:
 
     At strategy alpha against the rivals' load, the utility at realized
     resource x is below u_min exactly when L(x) > 0: the utility requirement
-    with its denominator alpha x + load cleared.  Both robust certificates
-    (``cvar.worstcase_cvar``, ``bti.bti_constraint_value``) and the exact
-    violation oracle (``validate.discrete_worstcase_violation``) read this loss.
+    with its denominator alpha x + load cleared.  The two reference formulas
+    (``cvar.worstcase_cvar``, ``bti.bti_constraint_value``), the witness check
+    ``cvar.CvarCertificate.slacks`` and the exact violation oracle
+    (``validate.discrete_worstcase_violation``) read this loss; the solver's
+    steps inline it.
     """
 
     a2: float
@@ -195,27 +196,6 @@ class LossCoefficients:
 
     def __call__(self, x):
         return (self.a2 * x + self.a1) * x + self.a0
-
-
-@dataclass(frozen=True)
-class MomentMatrix:
-    """Second-moment matrix Omega = [[s2 + m^2, m], [m, 1]] of the resource.
-
-    ``mu_bar = x_hat + mu`` is the mean realized resource.  det(Omega) = s2,
-    so Omega is positive definite whenever the variance is positive.
-    """
-
-    mu_bar: float
-    sigma2: float
-
-    @classmethod
-    def from_params(cls, params: MinerParams):
-        return cls(mu_bar=params.nominal, sigma2=params.sigma2)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        m = self.mu_bar
-        return np.array([[self.sigma2 + m * m, m], [m, 1.0]])
 
 
 def _as_floats(profile, resources) -> tuple[list[float], list[float]]:

@@ -21,14 +21,16 @@ with its grid ``scan_grid`` and its ``golden_max``) is kept here as the oracle t
 given; ``reference_scan_strategy`` wraps it in the incoming-alpha rule as the
 oracle of a whole strategy step, which never skips its scan, and the threshold bisection with every probe evaluated
 (``plain_bisect_threshold``) as the oracle of ``robust.bisect_threshold``,
-which brackets the root first.  The
+which brackets the root first; on the exact worst-case probability
+(``probability_threshold``) it is the oracle of the dro_cvar threshold step.  The
 reference compositions the solver replays from per-step constants also live
 here, since only tests compare against them: ``CvarEvaluator`` (v as a
 function of beta, and its exact minimum over three candidate betas, which
 the threshold step's decisions match bit for bit), the generic bracketed
 golden section over it (``reference_worstcase_cvar``, ``golden_max`` of
 -v, which ``cvar.worstcase_cvar`` and the strategy step's slack match bit
-for bit), the closed-form square root of the moment matrix (``sqrt_moment_matrix``)
+for bit), the resource's second-moment matrix Omega (``moment_matrix``) with its
+closed-form square root (``sqrt_moment_matrix``)
 and the eigendecomposition route to the trace-minimal CVaR certificate
 (``eigh_certificate``).  Monte Carlo scoring draw by draw, over the whole
 array at once (``full_array_utilities``, ``full_array_violation``), is the
@@ -67,7 +69,6 @@ from powgame import (
     GameConfig,
     LossCoefficients,
     MinerParams,
-    MomentMatrix,
     RewardModel,
     bti,
     cvar,
@@ -83,6 +84,7 @@ from powgame.validate import (
     SampleBatch,
     ViolationReport,
     _loss_roots,
+    _mean_variance_violation,
     _stream,
     binomial_slack,
 )
@@ -98,7 +100,7 @@ BAD_TAU0 = r"tau0 must be in \(0,1\)"
 BAD_U_LO = "u_lo must be a finite number"
 BAD_ALPHA_IN = "alpha_in must be at least tau0"
 _PARAMS, _REWARD = MinerParams(x_hat=55.0, sigma2=100.0), RewardModel()
-_MOMENTS = MomentMatrix.from_params(_PARAMS)
+_MOMENTS = _PARAMS.nominal, _PARAMS.sigma2  # the reference formulas' (mu_bar, sigma2)
 
 
 def _loss(alpha=0.5, cost=60.0):
@@ -130,11 +132,11 @@ BAD_STEP_INPUTS = {
     "strategy-tau0-1": (lambda t, s, r: s(0.0, 0.5, 110.0, _PARAMS, _REWARD, 1.0, 0.1), BAD_TAU0),
     "strategy-tau0-1.5": (lambda t, s, r: s(0.0, 0.5, 110.0, _PARAMS, _REWARD, 1.5, 0.1), BAD_TAU0),
     "strategy-tau0-nan": (lambda t, s, r: s(0.0, 0.5, 110.0, _PARAMS, _REWARD, math.nan, 0.1), BAD_TAU0),
-    "coefficients-alpha-0": (lambda t, s, r: r(_loss(alpha=0.0), _MOMENTS, 0.1), BAD_STRATEGY),
-    "coefficients-alpha-inf": (lambda t, s, r: r(_loss(alpha=math.inf), _MOMENTS, 0.1), BAD_STRATEGY),
-    "coefficients-alpha-1.5": (lambda t, s, r: r(_loss(alpha=1.5), _MOMENTS, 0.1), BAD_STRATEGY),
-    "loss-cost-0": (lambda t, s, r: r(_loss(cost=0.0), _MOMENTS, 0.1), BAD_STRATEGY),
-    "constraint-value-epsilon-nan": (lambda t, s, r: r(_loss(), _MOMENTS, math.nan), BAD_EPSILON),
+    "coefficients-alpha-0": (lambda t, s, r: r(_loss(alpha=0.0), *_MOMENTS, 0.1), BAD_STRATEGY),
+    "coefficients-alpha-inf": (lambda t, s, r: r(_loss(alpha=math.inf), *_MOMENTS, 0.1), BAD_STRATEGY),
+    "coefficients-alpha-1.5": (lambda t, s, r: r(_loss(alpha=1.5), *_MOMENTS, 0.1), BAD_STRATEGY),
+    "loss-cost-0": (lambda t, s, r: r(_loss(cost=0.0), *_MOMENTS, 0.1), BAD_STRATEGY),
+    "constraint-value-epsilon-nan": (lambda t, s, r: r(_loss(), *_MOMENTS, math.nan), BAD_EPSILON),
 }
 
 
@@ -371,6 +373,23 @@ def plain_bisect_threshold(certify, params, reward, u_lo=None):
     return u_lo
 
 
+def probability_threshold(alpha, load, params, reward, epsilon):
+    """The dro_cvar threshold decided by the exact worst-case probability:
+    ``plain_bisect_threshold`` on epsilon - sup Pr[loss > 0] >= 0 over the
+    laws with the miner's mean and variance (the Cantelli/Selberg closed form
+    of ``validate._mean_variance_violation``).  For a quadratic loss the
+    worst-case CVaR constraint is exactly this chance constraint (Zymler,
+    Kuhn & Rustem 2013), so ``cvar.subproblem_threshold`` returns the same
+    float.
+    """
+
+    def certify(u):
+        roots = _loss_roots(LossCoefficients.from_strategy(alpha, u, load, params.cost, reward.total))
+        return epsilon - _mean_variance_violation(params.nominal, params.sigma2, roots) >= 0.0
+
+    return plain_bisect_threshold(certify, params, reward)
+
+
 def outer_best_response_oracle(threshold_fn, tau0, grid_step=1e-3, refine_tol=1e-6):
     """Exhaustive 1-D search over alpha of a threshold solver.
 
@@ -459,7 +478,8 @@ def profile_utility(j, alpha_j, profile, config):
 
 def barrier_worstcase_cvar(
     coeffs: LossCoefficients,
-    moments: MomentMatrix,
+    mu_bar,
+    sigma2,
     epsilon,
     newton_tol=1e-9,
     max_outer=50,
@@ -472,7 +492,7 @@ def barrier_worstcase_cvar(
     positive definite, with barrier -ln det M - ln det(M - Q) and barrier
     weight shrunk by ``reduction`` each outer stage.
     """
-    omega = moments.matrix
+    omega = moment_matrix(mu_bar, sigma2)
     eps = epsilon
     cvec = np.array([1.0, omega[0, 0] / eps, 2.0 * omega[0, 1] / eps, omega[1, 1] / eps])
     q11, q12, a0 = coeffs.a2, 0.5 * coeffs.a1, coeffs.a0
@@ -580,15 +600,14 @@ class CvarEvaluator:
     larger eigenvalue otherwise, so v needs only these three scalars.
     """
 
-    def __init__(self, coeffs: LossCoefficients, moments: MomentMatrix, epsilon):
+    def __init__(self, coeffs: LossCoefficients, mu_bar, sigma2, epsilon):
         self.coeffs = coeffs
-        self.moments = moments
+        self.mu_bar, self.sigma2 = mu_bar, sigma2
         self.epsilon = epsilon
         a2, a1, a0 = coeffs.a2, coeffs.a1, coeffs.a0
-        m, s2 = moments.mu_bar, moments.sigma2
-        self.t0 = a2 * (s2 + m * m) + a1 * m + a0
-        self.d0 = s2 * (a2 * a0 - 0.25 * a1 * a1)
-        self.k = s2 * a2
+        self.t0 = a2 * (sigma2 + mu_bar * mu_bar) + a1 * mu_bar + a0
+        self.d0 = sigma2 * (a2 * a0 - 0.25 * a1 * a1)
+        self.k = sigma2 * a2
 
     def value(self, beta):
         t = self.t0 - beta
@@ -604,31 +623,39 @@ class CvarEvaluator:
         beta = t0, beta = d0 / k, or the stationary point of the branch with
         a negative determinant (see ``cvar._threshold_certifier``).
         """
-        c, m, eps = self.coeffs, self.moments, self.epsilon
-        root = math.sqrt(m.sigma2) * abs(c.a2 * m.mu_bar + 0.5 * c.a1)
+        c, eps = self.coeffs, self.epsilon
+        root = math.sqrt(self.sigma2) * abs(c.a2 * self.mu_bar + 0.5 * c.a1)
         stationary = self.t0 - 2.0 * self.k + (1.0 - 2.0 * eps) / math.sqrt(eps * (1.0 - eps)) * root
         candidates = [self.t0, stationary] + ([self.d0 / self.k] if self.k > 0.0 else [])
         return min((self.value(beta), beta) for beta in candidates)
 
 
-def sqrt_moment_matrix(moments: MomentMatrix) -> np.ndarray:
+def moment_matrix(mu_bar, sigma2) -> np.ndarray:
+    """The resource's second-moment matrix Omega = [[sigma2 + mu_bar^2, mu_bar], [mu_bar, 1]].
+
+    det(Omega) = sigma2, so Omega is positive definite whenever the variance is positive.
+    """
+    return np.array([[sigma2 + mu_bar * mu_bar, mu_bar], [mu_bar, 1.0]])
+
+
+def sqrt_moment_matrix(mu_bar, sigma2) -> np.ndarray:
     """Omega^{1/2} in closed form: (A + sqrt(det) I) / sqrt(tr + 2 sqrt(det)) for 2x2 SPD A."""
-    if moments.sigma2 <= 0:
+    if sigma2 <= 0:
         raise ValueError("moment matrix is singular at zero variance")
-    s = math.sqrt(moments.sigma2)
-    omega = moments.matrix
+    s = math.sqrt(sigma2)
+    omega = moment_matrix(mu_bar, sigma2)
     return (omega + s * np.eye(2)) / math.sqrt(omega[0, 0] + 1.0 + 2.0 * s)
 
 
-def reference_worstcase_cvar(coeffs: LossCoefficients, moments: MomentMatrix, epsilon):
+def reference_worstcase_cvar(coeffs: LossCoefficients, mu_bar, sigma2, epsilon):
     """(min value, argmin beta) of v by bracketed golden section, generically:
     ``golden_max`` of -v, whose comparisons are those of a minimization of v.
 
     The composition ``cvar.worstcase_cvar`` and the strategy step's slack
     replay probe for probe with v inlined, so their values must be equal.
     """
-    evaluator = CvarEvaluator(coeffs, moments, epsilon)
-    reach = moments.mu_bar + 3.0 * math.sqrt(moments.sigma2)
+    evaluator = CvarEvaluator(coeffs, mu_bar, sigma2, epsilon)
+    reach = mu_bar + 3.0 * math.sqrt(sigma2)
     scale = 1.0 + abs(coeffs.a0) + abs(coeffs.a1) * abs(reach) + coeffs.a2 * reach * reach
     lo, hi = expand_bracket_min(evaluator.value, -scale, scale)
     beta, negated = golden_max(
@@ -637,10 +664,10 @@ def reference_worstcase_cvar(coeffs: LossCoefficients, moments: MomentMatrix, ep
     return -negated, beta
 
 
-def eigh_certificate(coeffs: LossCoefficients, moments: MomentMatrix, beta, u_min) -> CvarCertificate:
+def eigh_certificate(coeffs: LossCoefficients, mu_bar, sigma2, beta, u_min) -> CvarCertificate:
     """Trace-minimal M at this beta: clip the congruence-transformed Q."""
     c = coeffs
-    r = sqrt_moment_matrix(moments)
+    r = sqrt_moment_matrix(mu_bar, sigma2)
     q = np.array([[c.a2, 0.5 * c.a1], [0.5 * c.a1, c.a0 - beta]])
     eigvals, eigvecs = np.linalg.eigh(r @ q @ r)
     n = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T

@@ -19,8 +19,8 @@ installs a fresh ledger for a test and returns it.  The counters, in
 - ``robust._certified``: curvature ``certificates`` tried, and ``kept``.
 - ``cvar._beta_search``: ``beta_searches``.
 - ``cvar._trace_minimal_witness``: ``witnesses``.
-- ``loss_coefficients`` and ``moment_matrices`` built, and ``eigh`` and
-  ``inv`` calls of ``np.linalg``.
+- ``loss_coefficients`` built, and ``eigh`` and ``inv`` calls of
+  ``np.linalg``.
 
 A counter that stays 0 is absent from ``counts``.  The counts depend on no
 machine, so ``test_work.py`` pins them exactly.
@@ -32,7 +32,7 @@ from collections import Counter
 
 import numpy as np
 
-from powgame import LossCoefficients, MomentMatrix, _search, bti, cvar, robust
+from powgame import LossCoefficients, _search, bti, cvar, robust
 
 
 class Ledger:
@@ -69,8 +69,7 @@ class Ledger:
         monkeypatch.setattr(robust, "_certified", self._certificate(robust._certified))
         monkeypatch.setattr(cvar, "_beta_search", self._calls("beta_searches", cvar._beta_search))
         monkeypatch.setattr(cvar, "_trace_minimal_witness", self._calls("witnesses", cvar._trace_minimal_witness))
-        for cls, key in ((LossCoefficients, "loss_coefficients"), (MomentMatrix, "moment_matrices")):
-            monkeypatch.setattr(cls, "__init__", self._calls(key, cls.__init__))
+        monkeypatch.setattr(LossCoefficients, "__init__", self._calls("loss_coefficients", LossCoefficients.__init__))
         for name in ("eigh", "inv"):
             monkeypatch.setattr(np.linalg, name, self._calls(name, getattr(np.linalg, name)))
         return self

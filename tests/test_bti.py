@@ -13,7 +13,6 @@ import pytest
 
 from powgame import (
     LossCoefficients,
-    MomentMatrix,
     RewardModel,
     bti_constraint_value,
     subproblem_strategy_gaussian,
@@ -39,7 +38,7 @@ def _params(sigma=10.0, x_hat=55.0, mu=0.0, cost=60.0):
 def _g(alpha, u_min, load, params, eps, reward=REWARD):
     """The reference g of the strategy, through the shared loss and moments."""
     coeffs = LossCoefficients.from_strategy(alpha, u_min, load, params.cost, reward.total)
-    return bti_constraint_value(coeffs, MomentMatrix.from_params(params), eps)
+    return bti_constraint_value(coeffs, params.nominal, params.sigma2, eps)
 
 
 def test_quadratic_coefficient_hand_value():
@@ -62,7 +61,7 @@ def test_constraint_value_epsilon_to_one_limit():
     coeffs = LossCoefficients.from_strategy(alpha, u_min, load, params.cost, REWARD.total)
     assert coeffs.a2 * params.nominal + 0.5 * coeffs.a1 == pytest.approx(0.0, abs=1e-9)  # b
     # residual shrinks like sqrt(-2 ln eps) * |A| ~ 2e-3 at eps = 1 - 1e-12
-    g = bti_constraint_value(coeffs, MomentMatrix.from_params(params), 1.0 - 1e-12)
+    g = bti_constraint_value(coeffs, params.nominal, params.sigma2, 1.0 - 1e-12)
     assert g == pytest.approx(-coeffs.a2 * params.sigma2 - coeffs(params.nominal), abs=1e-2)  # A + D
 
 
@@ -257,21 +256,6 @@ def test_climb_equals_the_full_scan_on_wide_steps(work):
     mismatched = [(case, got, want) for case, got, want in zip(cases, steps, expected) if repr(got) != repr(want)]
     assert mismatched[:3] == []
     assert 0 < sum(feasible for _, _, feasible in steps) < len(steps)
-
-
-def test_climb_scores_incoming_alpha_once(work):
-    # the climb scores fewer than the 41 grid points, and 0.7123, off the
-    # grid, is scored once, by the incoming rule; one below its threshold,
-    # 0.7123 is too far from the peak for the curvature certificate, so the
-    # scan runs
-    alpha_in, load, eps = 0.7123, 110.0, 0.1
-    params = make_config().miners[0]
-    u = subproblem_threshold_gaussian(alpha_in, load, params, REWARD, eps)
-    subproblem_strategy_gaussian(u - 1.0, alpha_in, load, params, REWARD, 0.5, eps)
-    scored = [a for a, _ in work.reads]
-    assert scored.count(alpha_in) == 1
-    grid = np.arange(0.5, 1.0 + 0.5 * 0.0125, 0.0125).tolist()
-    assert 0 < sum(a in grid for a in scored) < 41  # the climb ran, not the scan
 
 
 def test_grid_is_built_once_and_equals_the_fresh_grid():

@@ -16,7 +16,6 @@ import pytest
 from powgame import (
     ConvergenceError,
     LossCoefficients,
-    MomentMatrix,
     RewardModel,
     certify,
     robust_best_response,
@@ -28,7 +27,7 @@ from powgame import (
 from powgame import SolverError, cvar, robust
 from powgame._search import scan_golden_max
 from powgame.cli import load_scenario
-from powgame.model import MinerParams
+from powgame.model import MinerParams, others_load
 from powgame.robust import scan_strategy
 from powgame.validate import DISTRIBUTIONS, sample_uncertainty
 
@@ -39,7 +38,9 @@ from conftest import (
     eigh_certificate,
     grid_scan_max,
     make_config,
+    moment_matrix,
     plain_bisect_threshold,
+    probability_threshold,
     reference_scan_strategy,
     reference_worstcase_cvar,
     scan_grid,
@@ -88,13 +89,12 @@ def test_loss_vacuous_threshold():
 
 
 def test_moment_matrix():
-    m = MomentMatrix(mu_bar=55.0, sigma2=100.0)
-    omega = m.matrix
+    omega = moment_matrix(55.0, 100.0)
     assert np.linalg.det(omega) == pytest.approx(100.0)
-    root = sqrt_moment_matrix(m)
+    root = sqrt_moment_matrix(55.0, 100.0)
     assert np.allclose(root @ root, omega, atol=1e-10)
     with pytest.raises(ValueError):
-        sqrt_moment_matrix(MomentMatrix(mu_bar=55.0, sigma2=0.0))
+        sqrt_moment_matrix(55.0, 0.0)
 
 
 def test_worstcase_cvar_linear_loss_closed_form():
@@ -102,11 +102,10 @@ def test_worstcase_cvar_linear_loss_closed_form():
     # also exercises the exact minimum without its determinant kink (k = 0)
     for mu, s, eps in ((3.0, 2.0, 0.1), (55.0, 10.0, 0.05), (-4.0, 1.0, 0.3)):
         coeffs = LossCoefficients(a2=0.0, a1=1.0, a0=0.0)
-        moments = MomentMatrix(mu, s * s)
         expected = mu + s * math.sqrt((1 - eps) / eps)
-        value, _ = worstcase_cvar(coeffs, moments, eps)
+        value, _ = worstcase_cvar(coeffs, mu, s * s, eps)
         assert value == pytest.approx(expected, rel=1e-8)
-        exact, _ = CvarEvaluator(coeffs, moments, eps).exact_min()
+        exact, _ = CvarEvaluator(coeffs, mu, s * s, eps).exact_min()
         assert exact == pytest.approx(expected, rel=1e-12)
 
 
@@ -121,10 +120,10 @@ def test_worstcase_cvar_matches_barrier_solver():
         sigma = float(rng.uniform(2.0, 12.0))
         eps = float(rng.uniform(0.03, 0.4))
         coeffs = LossCoefficients.from_strategy(alpha, u_min, load, cost, REWARD.total)
-        moments = MomentMatrix(mu_bar, sigma * sigma)
-        golden, _ = worstcase_cvar(coeffs, moments, eps)
-        exact, _ = CvarEvaluator(coeffs, moments, eps).exact_min()
-        barrier, _ = barrier_worstcase_cvar(coeffs, moments, eps)
+        moments = mu_bar, sigma * sigma
+        golden, _ = worstcase_cvar(coeffs, *moments, eps)
+        exact, _ = CvarEvaluator(coeffs, *moments, eps).exact_min()
+        barrier, _ = barrier_worstcase_cvar(coeffs, *moments, eps)
         assert barrier == pytest.approx(golden, rel=1e-7, abs=1e-6)
         assert barrier == pytest.approx(exact, rel=1e-7, abs=1e-6)
 
@@ -136,16 +135,16 @@ def test_exact_minimum_matches_golden_section_and_matrix_form():
         load = float(rng.uniform(20.0, 400.0))
         cost = float(rng.uniform(30.0, 100.0))
         u_min = float(rng.uniform(-3000.0, 1000.0))
-        moments = MomentMatrix(float(rng.uniform(20.0, 80.0)), float(rng.uniform(0.5, 30.0)) ** 2)
+        moments = float(rng.uniform(20.0, 80.0)), float(rng.uniform(0.5, 30.0)) ** 2
         eps = float(rng.uniform(0.01, 0.6))
         coeffs = LossCoefficients.from_strategy(alpha, u_min, load, cost, REWARD.total)
-        evaluator = CvarEvaluator(coeffs, moments, eps)
+        evaluator = CvarEvaluator(coeffs, *moments, eps)
         exact, beta = evaluator.exact_min()
-        golden, _ = worstcase_cvar(coeffs, moments, eps)
+        golden, _ = worstcase_cvar(coeffs, *moments, eps)
         assert abs(exact - golden) <= 1e-9 * (1.0 + abs(golden))
         assert exact <= golden + 1e-12 * (1.0 + abs(golden))
         # the scalar v against the clipped congruence it replaces
-        root = sqrt_moment_matrix(moments)
+        root = sqrt_moment_matrix(*moments)
         for b in (beta, beta + float(rng.normal()) * (1.0 + abs(beta))):
             q = np.array([[coeffs.a2, 0.5 * coeffs.a1], [0.5 * coeffs.a1, coeffs.a0 - b]])
             matrix_form = b + np.clip(np.linalg.eigvalsh(root @ q @ root), 0.0, None).sum() / eps
@@ -155,9 +154,8 @@ def test_exact_minimum_matches_golden_section_and_matrix_form():
 def test_worstcase_cvar_dominates_sampled_cvar():
     # empirical CVaR under any moment-matched distribution stays below the worst case
     coeffs = _coeffs(0.5, -320.0, 110.0)
-    moments = MomentMatrix(55.0, 100.0)
     eps = 0.1
-    wc, _ = worstcase_cvar(coeffs, moments, eps)
+    wc, _ = worstcase_cvar(coeffs, 55.0, 100.0, eps)
     n = 20000
     batches = [sample_uncertainty(d, 0.0, 100.0, n, seed=5) for d in DISTRIBUTIONS]
     batches.append(two_point_batch(0.0, 100.0, n, eps, seed=5))  # mass eps on the far atom
@@ -190,7 +188,7 @@ def test_certificate_satisfies_all_constraint_groups():
         u = subproblem_threshold(alpha, load, p, REWARD, eps)
         cert = certify(alpha, u, load, p, REWARD, eps)
         coeffs = LossCoefficients.from_strategy(alpha, u, load, p.cost, REWARD.total)
-        m_psd, mq_psd, trace = cert.slacks(coeffs, MomentMatrix.from_params(p), eps)
+        m_psd, mq_psd, trace = cert.slacks(coeffs, p.nominal, p.sigma2, eps)
         assert m_psd >= -1e-7
         assert mq_psd >= -1e-7
         assert trace >= -1e-7
@@ -283,8 +281,9 @@ def test_strategy_step_scores_incoming_alpha_once(work, mode):
     # cannot keep it, so the scan runs
     backend.strategy(u - 1.0, alpha_in, load, params, REWARD, 0.5, eps)
     scored = [a for a, _ in work.reads]
-    # the climb reads only the grid points next to the peak: ceilings for
-    # cvar (the bounds spare most exact scores), slacks for bti
+    # the climb reads only the grid points next to the peak, fewer than the
+    # 41 a full scan reads: ceilings for cvar (the bounds spare most exact
+    # scores), slacks for bti
     grid = np.arange(0.5, 1.0 + 0.5 * 0.0125, 0.0125).tolist()
     on_grid = work.counts["ceilings"] if mode == "dro_cvar" else sum(a in grid for a in scored)
     assert work.counts["scans"] == 1 and 0 < on_grid < 41
@@ -306,7 +305,7 @@ def test_robust_best_response_certificate_is_final_iterate(work):
     coeffs = LossCoefficients.from_strategy(
         response.alpha, response.u_min, load, params.cost, REWARD.total
     )
-    for slack in cert.slacks(coeffs, MomentMatrix.from_params(params), config.epsilon):
+    for slack in cert.slacks(coeffs, params.nominal, params.sigma2, config.epsilon):
         assert slack >= -1e-7
 
 
@@ -333,13 +332,13 @@ def test_steps_evaluate_v_bit_for_bit_like_the_reference():
     rng = np.random.default_rng(25)
     for instance in range(1000):
         alpha, load, eps, params, reward = _random_step_inputs(rng)
-        moments = MomentMatrix.from_params(params)
+        moments = params.nominal, params.sigma2
 
         def coeffs(a, u):
             return LossCoefficients.from_strategy(a, u, load, params.cost, reward.total)
 
         def reference_min(u):
-            return CvarEvaluator(coeffs(alpha, u), moments, eps).exact_min()
+            return CvarEvaluator(coeffs(alpha, u), *moments, eps).exact_min()
 
         def reference_certify(u):
             return reference_min(u)[0] <= 0.0
@@ -363,20 +362,58 @@ def test_steps_evaluate_v_bit_for_bit_like_the_reference():
         for u in (u_star, float(rng.uniform(-3000.0, 3000.0))):
             slack = cvar._strategy_slack(u, load, params, reward, eps)[0]
             for a in (alpha, *rng.uniform(0.05, 1.0, size=2)):
-                reference = reference_worstcase_cvar(coeffs(float(a), u), moments, eps)
+                reference = reference_worstcase_cvar(coeffs(float(a), u), *moments, eps)
                 assert slack(float(a)) == -reference[0]
-                assert worstcase_cvar(coeffs(float(a), u), moments, eps) == reference
+                assert worstcase_cvar(coeffs(float(a), u), *moments, eps) == reference
         if instance % 10 == 0:  # the whole strategy step, on a tenth of the instances
             tau0 = float(rng.uniform(0.05, 0.9))
             alpha_in = max(tau0, alpha)
             reference = scan_strategy(
-                lambda a: -reference_worstcase_cvar(coeffs(a, u_star), moments, eps)[0], alpha_in, tau0
+                lambda a: -reference_worstcase_cvar(coeffs(a, u_star), *moments, eps)[0], alpha_in, tau0
             )
             assert subproblem_strategy(u_star, alpha_in, load, params, reward, tau0, eps) == reference
 
 
+def _threshold_or_error(threshold, *args):
+    """The threshold ``threshold(*args)`` returns, or "SolverError" where it
+    certifies none."""
+    try:
+        return threshold(*args)
+    except SolverError:
+        return "SolverError"
+
+
+def test_threshold_step_decides_as_the_worst_case_probability():
+    # the worst-case CVaR constraint of a quadratic loss is exactly the
+    # chance constraint over the mean/variance set (Zymler, Kuhn & Rustem
+    # 2013), so the step returns the threshold that bisection on the exact
+    # worst-case probability returns, float for float: on random inputs and
+    # at each miner's (alpha*, load) of the dro_cvar equilibrium of every
+    # configs/*.json
+    rng = np.random.default_rng(36)
+    cases = []
+    for _ in range(3000):
+        params = MinerParams(x_hat=float(rng.uniform(10.0, 100.0)), sigma2=float(rng.uniform(0.1, 60.0)) ** 2,
+                             cost=float(rng.uniform(1.0, 200.0)))
+        reward = RewardModel(fixed_reward=float(rng.uniform(500.0, 20000.0)))
+        eps = float(rng.uniform(0.005, 0.6))
+        cases.append((float(rng.uniform(0.01, 1.0)), float(rng.uniform(1.0, 2000.0)), params, reward, eps))
+    for path in sorted(CONFIGS.glob("*.json")):
+        scenario = load_scenario(path)
+        config = scenario.config
+        alphas = solve_equilibrium(config, "dro_cvar", initial_alpha=scenario.initial_alpha).alphas
+        cases += [(alphas[j], others_load(j, alphas, config.nominal), params, config.reward, config.epsilon)
+                  for j, params in enumerate(config.miners)]
+    got = [_threshold_or_error(subproblem_threshold, *case) for case in cases]
+    want = [_threshold_or_error(probability_threshold, *case) for case in cases]
+    assert [(case, g, w) for case, g, w in zip(cases, got, want) if g != w][:3] == []
+    # a few random inputs certify no threshold under either; every miner at
+    # an equilibrium has one
+    assert len(cases) == 3015 and got.count("SolverError") < 30 and "SolverError" not in got[-15:]
+
+
 def _assert_matches_eigh(cert, coeffs, moments):
-    oracle = eigh_certificate(coeffs, moments, cert.beta, cert.u_min)
+    oracle = eigh_certificate(coeffs, *moments, cert.beta, cert.u_min)
     expected = np.array([oracle.m11, oracle.m12, oracle.m22])
     got = np.array([cert.m11, cert.m12, cert.m22])
     assert np.max(np.abs(got - expected)) <= 1e-9 * (1.0 + np.max(np.abs(expected)))
@@ -402,8 +439,8 @@ def test_closed_form_certificate_matches_eigh_oracle():
         u = subproblem_threshold(alpha, load, params, reward, eps)
         cert = certify(alpha, u, load, params, reward, eps)
         coeffs = LossCoefficients.from_strategy(alpha, u, load, params.cost, reward.total)
-        moments = MomentMatrix.from_params(params)
-        assert min(cert.slacks(coeffs, moments, eps)) >= -1e-7
+        moments = params.nominal, params.sigma2
+        assert min(cert.slacks(coeffs, *moments, eps)) >= -1e-7
         _assert_matches_eigh(cert, coeffs, moments)
         count_branch(cert, coeffs)
     assert branches["psd"] > 0 and branches["rank-one"] > 0
@@ -412,8 +449,8 @@ def test_closed_form_certificate_matches_eigh_oracle():
         sigma2, eps = float(rng.uniform(0.5, 15.0)) ** 2, float(rng.uniform(0.02, 0.5))
         a2, a1 = -float(rng.uniform(1.0, 100.0)), float(rng.uniform(-500.0, 500.0))
         a0 = float(rng.uniform(-5000.0, -100.0))
-        moments = MomentMatrix(float(rng.uniform(20.0, 80.0)), sigma2)
-        diagonal = MomentMatrix(0.0, sigma2)
+        moments = float(rng.uniform(20.0, 80.0)), sigma2
+        diagonal = 0.0, sigma2
         # a0 - beta <= -a1^2 / (4 |a2|): Q is negative semidefinite
         nsd_beta = a0 + a1 * a1 / (4.0 * -a2) + float(rng.uniform(1.0, 100.0))
         cases = [  # (coeffs, moments, beta)
@@ -422,12 +459,11 @@ def test_closed_form_certificate_matches_eigh_oracle():
             (LossCoefficients(a2, 0.0, a0), diagonal, a0 - float(rng.uniform(1.0, 100.0))),
         ]
         for coeffs, m, beta in cases:
-            cert = cvar._trace_minimal_witness(beta, 0.0, coeffs.a2, coeffs.a1, coeffs.a0,
-                                               m.mu_bar, m.sigma2)
-            m_psd, mq_psd, trace = cert.slacks(coeffs, m, eps)
+            cert = cvar._trace_minimal_witness(beta, 0.0, coeffs.a2, coeffs.a1, coeffs.a0, *m)
+            m_psd, mq_psd, trace = cert.slacks(coeffs, *m, eps)
             assert m_psd >= -1e-7 and mq_psd >= -1e-7
             # the trace slack is -v(beta): M is trace-minimal at every beta
-            assert trace == pytest.approx(-CvarEvaluator(coeffs, m, eps).value(beta), rel=1e-9)
+            assert trace == pytest.approx(-CvarEvaluator(coeffs, *m, eps).value(beta), rel=1e-9)
             _assert_matches_eigh(cert, coeffs, m)
             count_branch(cert, coeffs)
     assert min(branches.values()) > 0
@@ -477,15 +513,14 @@ def test_bounds_and_margin_equal_the_oracle_minimum_bit_for_bit(sigma, nonfinite
         load, eps, params, reward = _wide_step_inputs(rng)
         if sigma is not None:
             params = MinerParams(x_hat=params.x_hat, mu=params.mu, sigma2=sigma * sigma, cost=params.cost)
-        moments = MomentMatrix.from_params(params)
-        reach = moments.mu_bar + 3.0 * math.sqrt(moments.sigma2)
+        reach = params.nominal + 3.0 * math.sqrt(params.sigma2)
 
         def coeffs(alpha, u):  # LossCoefficients.from_strategy's float order, alpha = 0 allowed
             big_b = -reward.total + params.cost * load
             return LossCoefficients(params.cost * alpha * alpha, (u + big_b) * alpha, u * load)
 
         def reference(alpha, u):
-            return CvarEvaluator(coeffs(alpha, u), moments, eps).exact_min()[0]
+            return CvarEvaluator(coeffs(alpha, u), params.nominal, params.sigma2, eps).exact_min()[0]
 
         u = float(rng.uniform(-3000.0, 3000.0))
         _, bounds, _ = cvar._strategy_slack(u, load, params, reward, eps)

@@ -109,11 +109,11 @@ ROWS = {  # name -> (call, counts)
         ceilings=19, ceilings_max=19, beta_searches=3)),
     "best-response/gaussian_bti": (partial(_best_response, "gaussian_bti", 0.6), dict(
         threshold_steps=2, resumed_steps=1, margins=9, resumed_margins_max=1, strategy_steps=1, slacks=2,
-        incoming_max=1, certificates=1, kept=1, loss_coefficients=0, moment_matrices=0)),
+        incoming_max=1, certificates=1, kept=1, loss_coefficients=0)),
     "certified-best-response/dro_cvar": (partial(_best_response, "dro_cvar", 0.6, certified=True), dict(
         threshold_steps=2, resumed_steps=1, margins=7, resumed_margins_max=1, strategy_steps=1, slacks=1,
         bounds=25, incoming_max=1, scans=1, ceilings=2, ceilings_max=2, beta_searches=1, witnesses=1,
-        loss_coefficients=0, moment_matrices=0, eigh=0, inv=0)),
+        loss_coefficients=0, eigh=0, inv=0)),
     "best-response-tau0-0.1/dro_cvar": (partial(_best_response, "dro_cvar", 0.3, tau0=0.1), dict(
         threshold_steps=5, resumed_steps=1, margins=35, resumed_margins_max=2, strategy_steps=4, slacks=21,
         bounds=115, incoming_max=1, scans=4, ceilings=12, ceilings_max=3, beta_searches=21, witnesses=0)),
