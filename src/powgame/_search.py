@@ -66,15 +66,20 @@ from __future__ import annotations
 import functools
 import math
 
-import numpy as np
-
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @functools.lru_cache(maxsize=16)
 def _grid(lo, hi, step):
-    """The scan's grid on [lo, hi], its last point clipped to hi, as a tuple."""
-    points = np.arange(lo, hi + 0.5 * step, step).tolist()
+    """The scan's grid on [lo, hi], its last point clipped to hi, as a tuple.
+
+    The points are those of ``np.arange(lo, hi + 0.5 * step, step)``, float
+    for float: numpy takes ceil((stop - lo) / step) points, writes lo and
+    lo + step, and fills point i as lo + i * ((lo + step) - lo).
+    """
+    n = math.ceil((hi + 0.5 * step - lo) / step)
+    second = lo + step
+    points = [lo, second][:n] + [lo + i * (second - lo) for i in range(2, n)]
     points[-1] = min(points[-1], hi)
     return tuple(points)
 

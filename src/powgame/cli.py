@@ -24,11 +24,9 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .equilibrium import INITIAL_ALPHA, MODES, EquilibriumResult, solve_equilibrium
-from .model import ConvergenceError, GameConfig, MinerParams, RewardModel, SolverError
-from .validate import DISTRIBUTIONS, POISSON_LAM_MAX, _stream, empirical_violation, sample_uncertainty
+from .model import ConvergenceError, GameConfig, MinerParams, RewardModel, SolverError, _pairwise_sum
+from .validate import DISTRIBUTIONS, POISSON_LAM_MAX, _uniform_x_hats, empirical_violation, sample_uncertainty
 
 __all__ = [
     "Scenario",
@@ -183,7 +181,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             lo = _number("resources.lo", resources.get("lo", 30.0))
             hi = _number("resources.hi", resources.get("hi", 60.0))
             _require(0 < lo < hi, "field 'resources': need 0 < lo < hi")
-            x_hats = [float(v) for v in _stream(seed, 0xFEED).uniform(lo, hi, size=count)]
+            x_hats = _uniform_x_hats(seed, lo, hi, count)
         else:
             raise ScenarioError(
                 f"field 'resources.mode': expected homogeneous|heterogeneous, got {resources['mode']!r}"
@@ -374,7 +372,8 @@ def run_sweep(scenario: Scenario, axis: str, values, out_dir) -> int:
                 print(f"sweep point {axis}={value} mode {MODE_SHORT[mode]}: {exc}", file=sys.stderr)
                 rows.append((value, MODE_SHORT[mode], math.nan, math.nan, -1, f"error:{type(exc).__name__}"))
                 continue
-            committed = float(np.dot(result.alphas, config.nominal))
+            # sum_alpha_x: the pairwise sum of alpha_j x_j, as others_load sums them
+            committed = _pairwise_sum([a * x for a, x in zip(result.alphas, config.nominal)])
             rows.append(
                 (
                     value,
@@ -407,9 +406,11 @@ def run_validate(scenario: Scenario, out_dir) -> int:
     or raises.
     """
     # imported here, not with the module: concurrent.futures pulls in logging,
-    # which every verb would pay for at start-up
+    # and numpy takes most of a cold start, which solve and sweep never need
     from concurrent.futures import ThreadPoolExecutor
     from threading import Event
+
+    import numpy as np
 
     out = Path(out_dir)
     config = scenario.config

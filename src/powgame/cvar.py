@@ -64,14 +64,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._search import _INV_PHI
 from .model import (
     GameConfig, LossCoefficients, MinerParams, RewardModel, SolverError, _check_epsilon, _check_strategy
 )
 from .robust import BestResponse, alternate, bisect_threshold, scan_strategy, threshold_floor
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CvarCertificate",
@@ -99,6 +101,8 @@ class CvarCertificate:
 
     @property
     def matrix(self) -> np.ndarray:
+        import numpy as np  # only a witness check needs numpy: the solve does not load it
+
         return np.array([[self.m11, self.m12], [self.m12, self.m22]])
 
     def slacks(self, coeffs: LossCoefficients, mu_bar, sigma2, epsilon):
@@ -108,6 +112,8 @@ class CvarCertificate:
         dominate; its corner entry is u_min * load - beta.  The resource's
         second-moment matrix is Omega = [[sigma2 + mu_bar^2, mu_bar], [mu_bar, 1]].
         """
+        import numpy as np
+
         m = self.matrix
         q12 = 0.5 * coeffs.a1
         q = np.array([[coeffs.a2, q12], [q12, coeffs.a0 - self.beta]])

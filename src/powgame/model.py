@@ -16,10 +16,10 @@ resource only through its mean and variance, as two floats.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 __all__ = [
     "RewardModel",
@@ -156,8 +156,9 @@ class GameConfig:
         _check_epsilon(self.epsilon)
         if not 0 < self.kappa < math.inf:
             raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
-        # a bool is an int to Python, and a float would reach range() only in the solve
-        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, (int, np.integer)):
+        # a bool is an int to Python, and a float would reach range() only in the
+        # solve; numbers.Integral covers numpy's integers too
+        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, numbers.Integral):
             raise ValueError(f"max_iterations must be a whole number, got {self.max_iterations!r}")
         if not self.max_iterations >= 1:
             raise ValueError("max_iterations must be at least 1")
@@ -200,9 +201,17 @@ class LossCoefficients:
 
 def _as_floats(profile, resources) -> tuple[list[float], list[float]]:
     """The profile and resources as equal-length lists of floats, checked."""
+    # an ndarray is read through tolist(), so a 2-D or 0-d one is refused below;
+    # none can exist before numpy is imported, and this module does not import it
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(profile, np.ndarray):
+            profile = profile.tolist()
+        if isinstance(resources, np.ndarray):
+            resources = resources.tolist()
     try:
-        a = list(map(float, profile.tolist() if isinstance(profile, np.ndarray) else profile))
-        x = list(map(float, resources.tolist() if isinstance(resources, np.ndarray) else resources))
+        a = list(map(float, profile))
+        x = list(map(float, resources))
     except TypeError as exc:  # a scalar, or an entry that is itself a sequence
         raise ValueError(f"profile and resources must be flat sequences of numbers: {exc}") from exc
     if len(a) != len(x):

@@ -11,17 +11,22 @@ This module imports nothing from the package but ``model`` (the loss is
 
 Sampling uses the counter-based Philox generator; each (seed, miner,
 distribution) triple hashes to its own stream, so batches are reproducible
-and independent of evaluation order.
+and independent of evaluation order.  numpy is imported by the functions
+that sample and score, on their first call, not with the module: the exact
+oracle and the scenario's x_hat draw (``_uniform_x_hats``, numpy's Philox
+stream replayed in plain Python) run without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import GameConfig, LossCoefficients, others_load
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DISTRIBUTIONS",
@@ -36,20 +41,98 @@ DISTRIBUTIONS = ("gaussian", "uniform", "poisson_shifted", "two_point")
 _DIST_CODE = {name: k for k, name in enumerate(DISTRIBUTIONS)}
 HISTOGRAM_BINS = 40
 SLACK_SIGMAS = 3.0  # binomial slack width for pass/fail at finite sample size
+_INT64_MAX = 2**63 - 1
 # the largest lambda numpy's Generator.poisson accepts; poisson_shifted draws
 # Poisson(sigma2), so a larger variance cannot be sampled
-POISSON_LAM_MAX = np.iinfo(np.int64).max - math.sqrt(np.iinfo(np.int64).max) * 10.0
+POISSON_LAM_MAX = _INT64_MAX - math.sqrt(_INT64_MAX) * 10.0
 # draws made (poisson_shifted, two_point) and scored at a time: a block's
 # scratch arrays fit in cache, and no array of n draws or utilities is made
 _BLOCK = 16384
-_HALF_RAW = np.uint64(1 << 63)  # a raw Philox word below it makes a double below 0.5
+_HALF_RAW = 1 << 63  # a raw Philox word below it makes a double below 0.5
 
 
 def _stream(seed: int, *spawn_key: int) -> np.random.Generator:
     """Philox stream of ``seed``'s low 32 bits under ``spawn_key``: (miner,
-    distribution code) for a batch, (0xFEED,) for the scenario's x_hat draw."""
+    distribution code) for a batch; ``_uniform_x_hats`` replays the one under
+    (0xFEED,) for the scenario's x_hat draw."""
+    import numpy as np
+
     seq = np.random.SeedSequence(entropy=int(seed) & 0xFFFFFFFF, spawn_key=spawn_key)
     return np.random.Generator(np.random.Philox(seq))
+
+
+_M32, _M64 = 0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF
+
+
+def _x_hat_key(seed: int) -> tuple[int, int]:
+    """The Philox key that ``_stream(seed, 0xFEED)`` runs under: numpy's
+    ``SeedSequence(seed & 0xFFFFFFFF, spawn_key=(0xFEED,)).generate_state(2, uint64)``.
+
+    The entropy is the seed's word, zero-padded to the pool of 4 words as
+    numpy pads it when a spawn key is given, then the spawn key's word.
+    numpy hashes the first 4 into the pool, mixes every pool word into every
+    other, mixes in the fifth, and hashes the pool out into 32-bit words, two
+    to a 64-bit key word, low word first.  All arithmetic is modulo 2**32.
+    """
+    entropy = [seed & _M32, 0, 0, 0, 0xFEED]
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return result ^ result >> 16
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const, words = 0x8B51F9DD, []
+    for word in pool:
+        word ^= hash_const
+        hash_const = hash_const * 0x58F38DED & _M32
+        word = word * hash_const & _M32
+        words.append(word ^ word >> 16)
+    return words[0] | words[1] << 32, words[2] | words[3] << 32
+
+
+def _philox_words(key: tuple[int, int], count: int) -> list[int]:
+    """The first ``count`` raw 64-bit words of Philox4x64-10 (Salmon et al.
+    2011) under ``key``, as numpy's ``Philox`` makes them from counter 0: it
+    adds 1 to the counter, then runs ten rounds on it and emits the four
+    words in order."""
+    words = []
+    for block in range(1, (count + 3) // 4 + 1):
+        c0, c1, c2, c3 = block, 0, 0, 0
+        k0, k1 = key
+        for _ in range(10):
+            p0, p1 = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2
+            c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _M64, (p0 >> 64) ^ c3 ^ k1, p0 & _M64
+            k0, k1 = (k0 + 0x9E3779B97F4A7C15) & _M64, (k1 + 0xBB67AE8584CAA73B) & _M64
+        words += (c0, c1, c2, c3)
+    return words[:count]
+
+
+def _uniform_x_hats(seed: int, lo: float, hi: float, count: int) -> list[float]:
+    """``count`` resources drawn uniformly on [lo, hi) under ``seed``: the
+    floats of ``_stream(seed, 0xFEED).uniform(lo, hi, size=count)``, made
+    without numpy.
+
+    numpy's ``uniform`` takes one raw word r per draw, makes the double
+    d = (r >> 11) 2**-53 and returns lo + (hi - lo) d, each operation
+    correctly rounded, as here.
+    """
+    span = hi - lo
+    return [lo + span * ((r >> 11) * 2.0**-53) for r in _philox_words(_x_hat_key(seed), count)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,6 +152,8 @@ class SampleBatch:
 
     @property
     def draws(self) -> np.ndarray:
+        import numpy as np
+
         return self.values if self.counts is None else np.repeat(self.values, self.counts)
 
 
@@ -98,6 +183,8 @@ def sample_uncertainty(
         raise ValueError("sampling needs positive variance")
     if n < 1:
         raise ValueError("need at least one draw")
+    import numpy as np
+
     rng = _stream(seed, miner_index, _DIST_CODE[distribution])
     s = math.sqrt(sigma2)
     counts = None
@@ -130,6 +217,8 @@ def sample_uncertainty(
 
 def _tally(k: np.ndarray):
     """The distinct integers of k, ascending, and how often each occurs."""
+    import numpy as np
+
     low = int(k.min())
     if int(k.max()) - low >= len(k):  # a lattice wider than the draws: sort rather than tally
         return np.unique(k, return_counts=True)
@@ -169,6 +258,8 @@ def _utility_blocks(alphas, j, config: GameConfig, draws, clamp):
     often it is computed: the floats are those of scoring all the draws at
     once.
     """
+    import numpy as np
+
     params = config.miners[j]
     load = others_load(j, alphas, config.nominal)
     draws = np.asarray(draws, dtype=float)
@@ -208,6 +299,8 @@ def _uniform_binning(span):
     the top bin, which holds its upper edge.  The block's values must lie in
     the span, as numpy keeps only those.
     """
+    import numpy as np
+
     edges = np.histogram_bin_edges(np.empty(0), bins=HISTOGRAM_BINS, range=span)
     # edges[0] is first, or +0.0 for a first of -0.0, which bins alike
     first, width = edges[0], edges[-1] - edges[0]
@@ -253,6 +346,8 @@ def empirical_violation(
     two worker threads at once, each on its own batch.  None of this changes
     a byte of the CSVs that ``tests/data/golden/*/validate/`` holds.
     """
+    import numpy as np
+
     spans = np.array(
         [(block.min(), block.max()) for _, block in _utility_blocks(alphas, j, config, batch.values, clamp)]
     )

@@ -109,7 +109,9 @@ def _loss(alpha=0.5, cost=60.0):
 
 # one table for both back-ends, which share the model's strategy and epsilon
 # checks: id -> (call on a back-end's threshold step t, strategy step s and
-# reference formula r, message of the ValueError it must raise)
+# reference formula r, message of the ValueError it must raise).  A bad
+# strategy on the reference-formula path is refused when its loss is built by
+# LossCoefficients.from_strategy (checked on its own in tests/test_model.py)
 BAD_STEP_INPUTS = {
     "threshold-alpha-0": (lambda t, s, r: t(0.0, 110.0, _PARAMS, _REWARD, 0.1), BAD_STRATEGY),
     "threshold-no-rival-load": (lambda t, s, r: t(0.5, 0.0, _PARAMS, _REWARD, 0.1), BAD_STRATEGY),

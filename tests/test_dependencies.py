@@ -1,8 +1,11 @@
 """What the package imports and exports.
 
-numpy is its only runtime dependency (``pyproject.toml``), ``validate``
-takes nothing from the package but ``model``, and ``powgame`` exports
-exactly the ``__all__`` lists of the submodules it star-imports.
+numpy is its only runtime dependency (``pyproject.toml``), and only
+``validate``'s sampling and scoring and the CVaR witness check load it, when
+first called: importing the package and the CLI, ``solve`` and ``sweep``
+never do.  ``validate`` takes nothing from the package but ``model``, and
+``powgame`` exports exactly the ``__all__`` lists of the submodules it
+star-imports.
 """
 
 import ast
@@ -14,6 +17,7 @@ from pathlib import Path
 import powgame
 
 SRC = Path(__file__).parent.parent / "src" / "powgame"
+CONFIGS = sorted((SRC.parent.parent / "configs").glob("*.json"))
 
 
 def test_every_absolute_import_is_stdlib_or_numpy():
@@ -24,7 +28,7 @@ def test_every_absolute_import_is_stdlib_or_numpy():
                 imported += [(path.name, alias.name.split(".")[0]) for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.append((path.name, node.module.split(".")[0]))
-    assert ("model.py", "numpy") in imported  # the walk sees the imports
+    assert ("validate.py", "numpy") in imported  # the walk sees the imports, in functions too
     allowed = set(sys.stdlib_module_names) | {"numpy"}
     assert [(name, top) for name, top in imported if top not in allowed] == []
 
@@ -78,3 +82,24 @@ def test_importing_the_cli_leaves_concurrent_futures_unimported():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=SRC.parent
     )
     assert result.stdout == "[]\n"
+
+
+def test_solve_and_sweep_never_load_numpy_and_validate_loads_it(tmp_path):
+    # imported as benchmarks/run.py imports it, then every config solved in
+    # every mode and swept; numpy is loaded only once validate samples
+    code = f"""
+import sys
+import powgame.cli, powgame.validate
+from powgame.cli import main
+for config in {[str(path) for path in CONFIGS]!r}:
+    assert main(["solve", "--config", config, "--out", {str(tmp_path)!r}, "--mode", "all"]) == 0
+    assert main(["sweep", "--config", config, "--out", {str(tmp_path)!r}, "--axis", "epsilon"]) == 0
+print("numpy" in sys.modules)
+assert main(["validate", "--config", config, "--out", {str(tmp_path)!r}, "--mode", "det"]) == 0
+print("numpy" in sys.modules)
+"""
+    assert len(CONFIGS) >= 3
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=SRC.parent
+    )
+    assert result.stdout == "False\nTrue\n"

@@ -6,11 +6,12 @@ import re
 import numpy as np
 import pytest
 
-from powgame import GameConfig, MinerParams, RewardModel, others_load, utility
+from powgame import GameConfig, LossCoefficients, MinerParams, RewardModel, others_load, utility
 from powgame.deterministic import best_response_interior
-from powgame.model import _pairwise_sum
+from powgame.model import _as_floats, _pairwise_sum
 
 from conftest import (
+    BAD_STRATEGY,
     finite_difference,
     hash_power,
     make_config,
@@ -130,8 +131,31 @@ def test_hash_power_errors():
                 share(0, profile, [50.0, 50.0])
 
 
+def test_as_floats_reads_a_flat_ndarray_and_refuses_others():
+    # the model never imports numpy, but reads an ndarray once numpy is loaded
+    assert _as_floats(np.array([0.5, 1.0]), np.arange(1.0, 3.0)) == ([0.5, 1.0], [1.0, 2.0])
+    for shape in ((2, 1), ()):  # 2-D, 0-d
+        with pytest.raises(ValueError, match="must be flat sequences of numbers"):
+            _as_floats(np.full(shape, 0.5), [50.0, 50.0])
+        with pytest.raises(ValueError, match="must be flat sequences of numbers"):
+            _as_floats([0.5, 0.5], np.full(shape, 50.0))
+
+
 NAN = float("nan")
 INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "alpha, cost, load",
+    [(0.0, 60.0, 110.0), (INF, 60.0, 110.0), (1.5, 60.0, 110.0), (NAN, 60.0, 110.0),
+     (0.5, 0.0, 110.0), (0.5, 60.0, 0.0)],
+    ids=["alpha-0", "alpha-inf", "alpha-1.5", "alpha-nan", "cost-0", "load-0"],
+)
+def test_loss_from_a_bad_strategy_is_refused(alpha, cost, load):
+    # every reference formula and the exact oracle read the loss built here,
+    # so this check is the one that refuses their bad strategies
+    with pytest.raises(ValueError, match=BAD_STRATEGY):
+        LossCoefficients.from_strategy(alpha, 0.0, load, cost, REWARD.total)
 
 
 @pytest.mark.parametrize(

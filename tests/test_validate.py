@@ -141,6 +141,25 @@ def test_two_point_counts_on_raw_words_what_random_counts(n):
     assert np.array_equal(edge < validate._HALF_RAW, (edge >> np.uint64(11)) * 2.0**-53 < 0.5)
 
 
+def test_x_hat_draw_is_numpys_uniform_bit_for_bit():
+    # a heterogeneous scenario's x_hat draw replays numpy's Philox stream
+    # under (0xFEED,) without numpy: the seed's low 32 bits, a negative seed
+    # included, every count the CLI allows and spans from tiny to huge
+    seeds = (0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**40 + 5, -12345)
+    spans = ((30.0, 60.0), (5e-324, 1e-323), (1e-300, 3e-300), (1.0, 1.0 + 2**-52), (1e-10, 1e300), (1e300, 1.7e308))
+    most = cli.MAX_MINERS
+    for seed, (lo, hi) in itertools.product(seeds, spans):
+        drawn = validate._uniform_x_hats(seed, lo, hi, most)
+        expected = validate._stream(seed, 0xFEED).uniform(lo, hi, size=most).tolist()
+        assert [x.hex() for x in drawn] == [x.hex() for x in expected], (seed, lo, hi)
+        for count in (2, 3, 4, 5, 8, 9, 255, 257, most - 1):
+            assert validate._uniform_x_hats(seed, lo, hi, count) == drawn[:count]
+    for seed in seeds:  # each count is its own numpy call; the draws are positive, so == is bit for bit
+        drawn = validate._uniform_x_hats(seed, 30.0, 60.0, most)
+        for count in range(2, most + 1):
+            assert validate._stream(seed, 0xFEED).uniform(30.0, 60.0, size=count).tolist() == drawn[:count]
+
+
 def test_sampling_is_reproducible_and_order_independent():
     a = sample_uncertainty("gaussian", 0.0, 100.0, 1000, seed=9, miner_index=2)
     b = sample_uncertainty("gaussian", 0.0, 100.0, 1000, seed=9, miner_index=2)
