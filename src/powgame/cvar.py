@@ -38,8 +38,11 @@ step instead, because a solve evaluates it hundreds of thousands of times:
   The solver builds no witness; ``certify`` builds the (beta, M) witness
   of a returned threshold on request, at the kernel's argmin beta, in
   closed form from the eigenvector of ``Q(beta) Omega``
-  (``_trace_minimal_witness``).  A threshold step that fails where v's
-  constants overflow float reports the overflow, not infeasibility.
+  (``_trace_minimal_witness``); ``CvarCertificate.slacks`` checks it on
+  ``math`` alone, sharing no formula with either, so of the CLI's verbs
+  only ``validate`` loads an array library.  A threshold step that fails
+  where v's constants overflow float reports the overflow, not
+  infeasibility.
 - ``_strategy_slack`` gives the strategy step ``slack(alpha)``, the negated
   worst-case CVaR by the same ``_beta_search`` as ``worstcase_cvar``,
   cheap ``bounds(alpha) = (floor, ceiling)`` around it from the kernel's
@@ -64,16 +67,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from ._search import _INV_PHI
 from .model import (
     GameConfig, LossCoefficients, MinerParams, RewardModel, SolverError, _check_epsilon, _check_strategy
 )
 from .robust import BestResponse, alternate, bisect_threshold, scan_strategy, threshold_floor
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "CvarCertificate",
@@ -87,11 +86,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CvarCertificate:
-    """Feasibility witness (beta, M) for a robust threshold u_min.
-
-    Validity means: M is PSD, M - Q(alpha, u_min, beta) is PSD, and
-    beta + Tr(Omega M)/epsilon <= 0.
-    """
+    """Feasibility witness (beta, M) for a robust threshold u_min: valid when M
+    and M - Q(alpha, u_min, beta) are PSD and beta + Tr(Omega M)/epsilon <= 0."""
 
     beta: float
     m11: float
@@ -99,27 +95,30 @@ class CvarCertificate:
     m22: float
     u_min: float
 
-    @property
-    def matrix(self) -> np.ndarray:
-        import numpy as np  # only a witness check needs numpy: the solve does not load it
-
-        return np.array([[self.m11, self.m12], [self.m12, self.m22]])
-
     def slacks(self, coeffs: LossCoefficients, mu_bar, sigma2, epsilon):
-        """(min eig of M, min eig of M - Q, trace slack); all >= 0 when valid.
+        """(least eigenvalue of M, of M - Q, trace slack); all >= 0 when valid.
 
         Q = [[a2, a1 / 2], [a1 / 2, a0 - beta]] is the loss's block that M must
         dominate; its corner entry is u_min * load - beta.  The resource's
         second-moment matrix is Omega = [[sigma2 + mu_bar^2, mu_bar], [mu_bar, 1]].
         """
-        import numpy as np
+        m11, m12, m22 = self.m11, self.m12, self.m22
+        m_q = m11 - coeffs.a2, m12 - 0.5 * coeffs.a1, m22 - (coeffs.a0 - self.beta)
+        trace = -(self.beta + ((sigma2 + mu_bar * mu_bar) * m11 + 2.0 * mu_bar * m12 + m22) / epsilon)
+        return _least_eigenvalue(m11, m12, m22), _least_eigenvalue(*m_q), trace
 
-        m = self.matrix
-        q12 = 0.5 * coeffs.a1
-        q = np.array([[coeffs.a2, q12], [q12, coeffs.a0 - self.beta]])
-        omega = np.array([[sigma2 + mu_bar * mu_bar, mu_bar], [mu_bar, 1.0]])
-        trace = -(self.beta + float(np.trace(omega @ m)) / epsilon)
-        return float(np.linalg.eigvalsh(m)[0]), float(np.linalg.eigvalsh(m - q)[0]), trace
+
+def _least_eigenvalue(a, b, c):
+    """The least eigenvalue of [[a, b], [b, c]] by LAPACK dlaev2's rule: rt1, the
+    one of larger magnitude, is the half trace +- the radius; the other,
+    (acmx / rt1) acmn - (b / rt1) b with acmx and acmn the diagonal entries of
+    larger and smaller magnitude, neither cancels at rank one nor overflows early."""
+    half, radius = 0.5 * (a + c), math.hypot(0.5 * (a - c), b)
+    if half < 0.0:
+        return half - radius
+    rt1 = half + radius
+    acmx, acmn = (a, c) if abs(a) > abs(c) else (c, a)
+    return (acmx / rt1) * acmn - (b / rt1) * b if rt1 else 0.0  # the zero matrix gives 0
 
 
 def _v(t0, d0, k, epsilon, beta):

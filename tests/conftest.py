@@ -22,7 +22,8 @@ given; ``reference_scan_strategy`` wraps it in the incoming-alpha rule as the
 oracle of a whole strategy step, which never skips its scan, and the threshold bisection with every probe evaluated
 (``plain_bisect_threshold``) as the oracle of ``robust.bisect_threshold``,
 which brackets the root first; on the exact worst-case probability
-(``probability_threshold``) it is the oracle of the dro_cvar threshold step.  The
+(``probability_threshold``) it is the oracle of the dro_cvar threshold step,
+whose threshold ``closed_form_threshold`` finds without bisecting.  The
 reference compositions the solver replays from per-step constants also live
 here, since only tests compare against them: ``CvarEvaluator`` (v as a
 function of beta, and its exact minimum over three candidate betas, which
@@ -390,6 +391,59 @@ def probability_threshold(alpha, load, params, reward, epsilon):
         return epsilon - _mean_variance_violation(params.nominal, params.sigma2, roots) >= 0.0
 
     return plain_bisect_threshold(certify, params, reward)
+
+
+def closed_form_threshold(alpha, load, params, reward, epsilon):
+    """The dro_cvar threshold u*(alpha) in closed form: the largest root of
+    sup Pr[loss > 0] = epsilon, over the laws with the miner's mean and
+    variance, whose branch holds there; None where no root does.
+
+    The loss's roots have midpoint s / 2 and half-width h, with s = -a1 / a2,
+    p = a0 / a2 and h^2 = s^2 / 4 - p.  delta = s / 2 - mu_bar is the mean's
+    offset from the midpoint, so the mean lies h - |delta| and h + |delta|
+    from the roots (``validate._mean_variance_violation``'s a and b).  In the
+    midpoint w = s / 2, affine in u (u = -b - 2 cost alpha w with
+    b = cost load - R), delta = w - mu_bar and h^2 = w^2 + kappa w + p0, with
+    kappa = 2 load / alpha and p0 = b load / (cost alpha^2).
+
+    - Selberg's branch, sigma2 + delta^2 = epsilon h^2, is a quadratic in w;
+      it holds where (h - |delta|) |delta| <= sigma2.
+    - Cantelli's, h = sigma sqrt((1 - epsilon) / epsilon) + |delta| for each
+      sign of delta, is linear in w once squared; it holds where delta has
+      that sign and (h - |delta|) |delta| >= sigma2.
+
+    The branches meet where (h - |delta|) |delta| = sigma2, at the same root,
+    so each check allows 1e-9 relative.  The largest u is at the least w.
+    """
+    cost, m, s2 = params.cost, params.nominal, params.sigma2
+    b = -reward.total + cost * load
+    kappa, p0 = 2.0 * load / alpha, b * load / (cost * alpha * alpha)
+    sk = math.sqrt(s2 * (1.0 - epsilon) / epsilon)
+    roots = []  # (branch: 0 for Selberg, else the sign of delta, w)
+    qa, qb, qc = 1.0 - epsilon, -(2.0 * m + epsilon * kappa), m * m + s2 - epsilon * p0
+    disc = qb * qb - 4.0 * qa * qc
+    if disc >= 0.0:
+        q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))  # no cancellation
+        roots += [(0, q / qa), (0, qc / q)] if q else [(0, 0.0)]
+    for sign in (1, -1):
+        slope = kappa + 2.0 * m - 2.0 * sign * sk
+        if slope:
+            roots.append((sign, ((sk - sign * m) ** 2 - p0) / slope))
+    best = None
+    for branch, w in roots:
+        delta = w - m
+        h2 = w * w + kappa * w + p0
+        if not h2 > delta * delta:  # the mean must lie strictly between the roots
+            continue
+        near = (math.sqrt(h2) - abs(delta)) * abs(delta)
+        if branch == 0:
+            holds = near <= s2 * (1.0 + 1e-9)
+        else:
+            holds = branch * delta >= 0.0 and near >= s2 * (1.0 - 1e-9)
+        if holds:
+            u = -b - 2.0 * cost * alpha * w
+            best = u if best is None else max(best, u)
+    return best
 
 
 def outer_best_response_oracle(threshold_fn, tau0, grid_step=1e-3, refine_tol=1e-6):

@@ -35,6 +35,7 @@ from conftest import (
     BACKENDS,
     CvarEvaluator,
     barrier_worstcase_cvar,
+    closed_form_threshold,
     eigh_certificate,
     grid_scan_max,
     make_config,
@@ -383,13 +384,11 @@ def _threshold_or_error(threshold, *args):
         return "SolverError"
 
 
-def test_threshold_step_decides_as_the_worst_case_probability():
-    # the worst-case CVaR constraint of a quadratic loss is exactly the
-    # chance constraint over the mean/variance set (Zymler, Kuhn & Rustem
-    # 2013), so the step returns the threshold that bisection on the exact
-    # worst-case probability returns, float for float: on random inputs and
-    # at each miner's (alpha*, load) of the dro_cvar equilibrium of every
-    # configs/*.json
+@pytest.fixture(scope="module")
+def threshold_cases():
+    """(case, the step's threshold or "SolverError") for 3,000 seeded
+    threshold steps and each miner's (alpha*, load) of the dro_cvar
+    equilibrium of every configs/*.json, in that order."""
     rng = np.random.default_rng(36)
     cases = []
     for _ in range(3000):
@@ -404,12 +403,37 @@ def test_threshold_step_decides_as_the_worst_case_probability():
         alphas = solve_equilibrium(config, "dro_cvar", initial_alpha=scenario.initial_alpha).alphas
         cases += [(alphas[j], others_load(j, alphas, config.nominal), params, config.reward, config.epsilon)
                   for j, params in enumerate(config.miners)]
-    got = [_threshold_or_error(subproblem_threshold, *case) for case in cases]
+    return [(case, _threshold_or_error(subproblem_threshold, *case)) for case in cases]
+
+
+def test_threshold_step_decides_as_the_worst_case_probability(threshold_cases):
+    # the worst-case CVaR constraint of a quadratic loss is exactly the
+    # chance constraint over the mean/variance set (Zymler, Kuhn & Rustem
+    # 2013), so the step returns the threshold that bisection on the exact
+    # worst-case probability returns, float for float: on random inputs and
+    # at each miner's (alpha*, load) of the dro_cvar equilibrium of every
+    # configs/*.json
+    cases, got = zip(*threshold_cases)
     want = [_threshold_or_error(probability_threshold, *case) for case in cases]
     assert [(case, g, w) for case, g, w in zip(cases, got, want) if g != w][:3] == []
     # a few random inputs certify no threshold under either; every miner at
     # an equilibrium has one
     assert len(cases) == 3015 and got.count("SolverError") < 30 and "SolverError" not in got[-15:]
+
+
+def test_closed_form_threshold_lies_within_bisect_tol_above_the_step(threshold_cases):
+    # u*(alpha) in closed form, the largest root of a Selberg or Cantelli
+    # branch of the worst-case probability (conftest), lies at or above the
+    # step's bisected threshold and within BISECT_TOL of it, up to 1e-9
+    # relative rounding, wherever the step certifies one
+    off = []
+    for case, u in threshold_cases:
+        if u != "SolverError":
+            pad = 1e-9 * (1.0 + abs(u))
+            exact = closed_form_threshold(*case)
+            if exact is None or not -pad <= exact - u <= robust.BISECT_TOL + pad:
+                off.append((case, u, exact))
+    assert off == []
 
 
 def _assert_matches_eigh(cert, coeffs, moments):
@@ -467,6 +491,41 @@ def test_closed_form_certificate_matches_eigh_oracle():
             _assert_matches_eigh(cert, coeffs, m)
             count_branch(cert, coeffs)
     assert min(branches.values()) > 0
+
+
+def test_slacks_take_the_least_eigenvalue_as_lapack_does():
+    # slacks runs on math alone; on 100,001 seeded symmetric 2x2 matrices
+    # with entries from 1e-150 to 1e150 in magnitude, each least eigenvalue
+    # lies within 8 units of 2^-53 (|a| + 2|b| + |d|) of LAPACK's (3.4 at
+    # worst, on the rank-one family).  M is the matrix and Q = 0, so M and
+    # M - Q give the same value
+    rng = np.random.default_rng(39)
+    n = 20000
+
+    def signed(lo, hi):  # log-uniform magnitudes with random signs
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(lo, hi, n)
+
+    x, y = signed(-75.0, 75.0), signed(-75.0, 75.0)
+    a, d = -(10.0 ** rng.uniform(-150.0, 150.0, (2, n)))
+    families = {
+        "general": np.stack([signed(-150.0, 150.0) for _ in range(3)], axis=1),
+        "same-scale": 10.0 ** rng.uniform(-150.0, 150.0, (n, 1)) * rng.uniform(-1.0, 1.0, (n, 3)),
+        "rank-one": np.stack([x * x, x * y, y * y], axis=1) * rng.choice([-1.0, 1.0], (n, 1)),
+        "diagonal": np.stack([signed(-150.0, 150.0), np.zeros(n), signed(-150.0, 150.0)], axis=1),
+        "negative-definite": np.stack([a, rng.uniform(-1.0, 1.0, n) * np.sqrt(a * d), d], axis=1),
+        "zero": np.zeros((1, 3)),
+    }
+    no_loss = LossCoefficients(0.0, 0.0, 0.0)
+    for name, rows in families.items():
+        want = np.linalg.eigvalsh(np.stack([rows[:, [0, 1]], rows[:, [1, 2]]], axis=1))[:, 0]
+        got = []
+        for m11, m12, m22 in rows.tolist():
+            cert = cvar.CvarCertificate(beta=0.0, m11=m11, m12=m12, m22=m22, u_min=0.0)
+            m_psd, mq_psd, _ = cert.slacks(no_loss, 0.0, 1.0, 0.5)
+            assert m_psd == mq_psd
+            got.append(m_psd)
+        bound = 8.0 * 2.0 ** -53 * (np.abs(rows[:, 0]) + 2.0 * np.abs(rows[:, 1]) + np.abs(rows[:, 2]))
+        assert np.all(np.abs(np.array(got) - want) <= bound), name
 
 
 def _wide_step_inputs(rng):

@@ -1,11 +1,11 @@
 """What the package imports and exports.
 
 numpy is its only runtime dependency (``pyproject.toml``), and only
-``validate``'s sampling and scoring and the CVaR witness check load it, when
-first called: importing the package and the CLI, ``solve`` and ``sweep``
-never do.  ``validate`` takes nothing from the package but ``model``, and
-``powgame`` exports exactly the ``__all__`` lists of the submodules it
-star-imports.
+``validate`` and the CLI's ``run_validate`` import it, when first called:
+importing the package and the CLI, ``solve``, ``sweep`` and the CVaR
+witness check never load it.  ``validate`` takes nothing from the package
+but ``model``, and ``powgame`` exports exactly the ``__all__`` lists of the
+submodules it star-imports.
 """
 
 import ast
@@ -21,16 +21,22 @@ CONFIGS = sorted((SRC.parent.parent / "configs").glob("*.json"))
 
 
 def test_every_absolute_import_is_stdlib_or_numpy():
-    imported = []  # (file, top-level module) of every absolute import
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+    imported = []  # (file, top-level module, node) of every absolute import, in functions too
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
-                imported += [(path.name, alias.name.split(".")[0]) for alias in node.names]
+                imported += [(name, alias.name.split(".")[0], node) for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                imported.append((path.name, node.module.split(".")[0]))
-    assert ("validate.py", "numpy") in imported  # the walk sees the imports, in functions too
+                imported.append((name, node.module.split(".")[0], node))
     allowed = set(sys.stdlib_module_names) | {"numpy"}
-    assert [(name, top) for name, top in imported if top not in allowed] == []
+    assert [(name, top) for name, top, _ in imported if top not in allowed] == []
+    # numpy is imported by validate and by the CLI's run_validate, nowhere else
+    numpy_imports = [(name, node) for name, top, node in imported if top == "numpy"]
+    assert sorted({name for name, _ in numpy_imports}) == ["cli.py", "validate.py"]
+    run_validate, = [node for node in trees["cli.py"].body if getattr(node, "name", None) == "run_validate"]
+    inside = {id(node) for node in ast.walk(run_validate)}
+    assert all(id(node) in inside for name, node in numpy_imports if name == "cli.py")
 
 
 def test_validate_imports_only_the_model_from_the_package():
@@ -103,3 +109,31 @@ print("numpy" in sys.modules)
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=SRC.parent
     )
     assert result.stdout == "False\nTrue\n"
+
+
+def test_the_cvar_witness_check_never_loads_numpy():
+    # every miner of each config's dro_cvar equilibrium, certified and checked
+    # in a fresh interpreter
+    code = f"""
+import sys
+from powgame import LossCoefficients, certify, solve_equilibrium
+from powgame.cli import load_scenario
+from powgame.model import others_load
+checked = 0
+for path in {[str(path) for path in CONFIGS]!r}:
+    scenario = load_scenario(path)
+    config = scenario.config
+    result = solve_equilibrium(config, "dro_cvar", initial_alpha=scenario.initial_alpha)
+    for j, params in enumerate(config.miners):
+        alpha, u_min = result.alphas[j], result.u_mins[j]
+        load = others_load(j, result.alphas, config.nominal)
+        cert = certify(alpha, u_min, load, params, config.reward, config.epsilon)
+        coeffs = LossCoefficients.from_strategy(alpha, u_min, load, params.cost, config.reward.total)
+        assert min(cert.slacks(coeffs, params.nominal, params.sigma2, config.epsilon)) >= -1e-7
+        checked += 1
+print(checked, "numpy" in sys.modules)
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=SRC.parent
+    )
+    assert result.stdout == "15 False\n"
